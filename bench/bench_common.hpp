@@ -72,8 +72,6 @@ inline std::uint64_t plan_digest_of(const core::TranslateOptions& topt) {
 // common::EngineKind mirrors gpusim::ExecEngine value for value so the CLI
 // layer stays link-independent of the simulator; pin it here, where both
 // headers are visible.
-static_assert(static_cast<int>(common::EngineKind::Fast) ==
-              static_cast<int>(gpusim::ExecEngine::Fast));
 static_assert(static_cast<int>(common::EngineKind::Reference) ==
               static_cast<int>(gpusim::ExecEngine::Reference));
 static_assert(static_cast<int>(common::EngineKind::Sanitizer) ==
@@ -81,7 +79,7 @@ static_assert(static_cast<int>(common::EngineKind::Sanitizer) ==
 static_assert(static_cast<int>(common::EngineKind::Threaded) ==
               static_cast<int>(gpusim::ExecEngine::Threaded));
 
-/// The gpusim engine selected by --engine (default fast).
+/// The gpusim engine selected by --engine (default threaded).
 inline gpusim::ExecEngine engine_from(const common::CampaignFlags& f) {
   return static_cast<gpusim::ExecEngine>(f.engine);
 }

@@ -10,8 +10,8 @@
 // Knobs: --vars (default 20), --masks (default 10), --bits=1,3,6,10,15,
 // --workers (campaign workers, 0 = hardware concurrency; default 0),
 // --sanitize (run trials under the sanitizer engine and add Race /
-// Divergence outcome columns), --engine=reference|fast|sanitizer|threaded
-// (trial interpreter; default fast — outcomes are engine-invariant).
+// Divergence outcome columns), --engine=reference|sanitizer|threaded
+// (trial interpreter; default threaded — outcomes are engine-invariant).
 #include <sstream>
 
 #include "bench_common.hpp"

@@ -11,8 +11,8 @@
 //
 // Knobs: --repeats, --datasets (default 52), --workers (campaign workers for
 // the IX.C coverage sweep, 0 = hardware concurrency; default 0),
-// --engine=reference|fast|sanitizer|threaded (interpreter for the test runs
-// and the IX.C campaigns; default fast — results are engine-invariant).
+// --engine=reference|sanitizer|threaded (interpreter for the test runs
+// and the IX.C campaigns; default threaded — results are engine-invariant).
 #include <map>
 
 #include "bench_common.hpp"

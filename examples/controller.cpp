@@ -10,8 +10,8 @@
 //
 // Usage: controller [--program=CP] [--scale=small] [--ranges=/tmp/cp.ranges]
 //        [--workers=N]   (campaign workers for steps 4/5; 0 = hw concurrency)
-//        [--engine=reference|fast|sanitizer|threaded]
-//                        (campaign trial interpreter; default fast)
+//        [--engine=reference|sanitizer|threaded]
+//                        (campaign trial interpreter; default threaded)
 //        [--protection=none|hamming|hsiao]
 //                        (hardware ECC on every device, steps 1-5)
 #include <cstdio>

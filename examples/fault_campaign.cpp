@@ -10,8 +10,8 @@
 //                                   races / barrier divergence become their
 //                                   own outcome classes)
 //                  [--sanitize-cap=N]  (per-block sanitizer report cap)
-//                  [--engine=reference|fast|sanitizer|threaded]
-//                                  (trial interpreter; default fast — engines
+//                  [--engine=reference|sanitizer|threaded]
+//                                  (trial interpreter; default threaded — engines
 //                                   are bitwise identical, only speed differs)
 //                  [--protection=none|hamming|hsiao]
 //                                  (hardware ECC on every campaign device;

@@ -46,13 +46,13 @@ class CliArgs {
 /// Interpreter engine selection, mirroring gpusim::ExecEngine value for
 /// value (common cannot link gpusim; static_asserts in bench_common.hpp pin
 /// the correspondence where both headers are visible).
-enum class EngineKind : std::uint8_t { Fast, Reference, Sanitizer, Threaded };
+enum class EngineKind : std::uint8_t { Reference, Sanitizer, Threaded };
 
 /// Canonical spelling accepted by --engine and printed in reports.
 [[nodiscard]] const char* engine_kind_name(EngineKind k) noexcept;
 
 /// Parse an --engine value; returns false (out untouched) on any string
-/// that is not one of reference|fast|sanitizer|threaded.
+/// that is not one of reference|sanitizer|threaded.
 [[nodiscard]] bool parse_engine_kind(std::string_view text, EngineKind& out) noexcept;
 
 /// Hardware memory-protection selection, mirroring gpusim::ecc::Scheme value
@@ -73,7 +73,10 @@ enum class ProtectionKind : std::uint8_t { None, Hamming, Hsiao };
 ///   --sanitize            run trials under the sanitizer engine
 ///   --datasets=N          independent datasets per experiment
 ///   --sanitize-cap=N      per-block sanitizer report cap (default 64)
-///   --engine=K            interpreter engine: reference|fast|sanitizer|threaded
+///   --engine=K            interpreter engine: reference|sanitizer|threaded
+///                         (default threaded; reference is the oracle,
+///                         sanitizer is threaded plus the shared-memory
+///                         hazard shadow)
 ///   --shards=K or K/I     split the campaign into K shards; run shard I
 ///                         (trial t belongs to shard t mod K; default 1/0)
 ///   --checkpoint=FILE     campaign checkpoint file to write
@@ -96,7 +99,7 @@ struct CampaignFlags {
   bool sanitize = false;
   int datasets = 1;
   int sanitize_cap = 64;  ///< gpusim::SharedShadow::kMaxReportsPerBlock
-  EngineKind engine = EngineKind::Fast;
+  EngineKind engine = EngineKind::Threaded;
   ProtectionKind protection = ProtectionKind::None;
   int shards = 1;
   int shard_index = 0;

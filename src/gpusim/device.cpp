@@ -20,7 +20,6 @@ using kir::UnOp;
 
 const char* exec_engine_name(ExecEngine e) noexcept {
   switch (e) {
-    case ExecEngine::Fast: return "fast";
     case ExecEngine::Reference: return "reference";
     case ExecEngine::Sanitizer: return "sanitizer";
     case ExecEngine::Threaded: return "threaded";
@@ -85,8 +84,8 @@ constexpr std::int32_t as_i(std::uint32_t b) noexcept { return static_cast<std::
 constexpr std::uint32_t i_bits(std::int32_t v) noexcept { return static_cast<std::uint32_t>(v); }
 
 /// CUDA-like saturating f32 -> i32 conversion; NaN -> 0.  Shared by the
-/// reference evaluator and the fast engine's F2I handler so the two can
-/// never drift.
+/// reference evaluator and the threaded engine's F2I handlers so the two
+/// can never drift.
 inline std::uint32_t f2i_sat(std::uint32_t a) noexcept {
   const float x = as_f(a);
   if (std::isnan(x)) return 0;
@@ -98,7 +97,7 @@ inline std::uint32_t f2i_sat(std::uint32_t a) noexcept {
 /// fmin/fmax tie-breaking on (-0.0, +0.0) is not pinned by IEEE 754, and the
 /// compiler may expand the builtin differently at different call sites (the
 /// differential fuzzer caught exactly this: fmin(-0.0f, +0.0f) returning a
-/// different zero in the fast engine than in eval_bin).  Forcing every
+/// different zero in a predecoded handler than in eval_bin).  Forcing every
 /// engine through these single out-of-line bodies makes the choice —
 /// whatever it is — bitwise identical everywhere.
 [[gnu::noinline]] std::uint32_t fmin_bits(std::uint32_t a, std::uint32_t b) noexcept {
@@ -111,7 +110,7 @@ inline std::uint32_t f2i_sat(std::uint32_t a) noexcept {
 /// f32 arithmetic shared by both engines.  x86 float ops propagate the
 /// *first* NaN operand's payload, and GCC may legally commute a float
 /// add/mul per call site — so the same `x + y` source can return a
-/// different NaN payload in the fast engine than in eval_bin (the fuzzer
+/// different NaN payload in a predecoded handler than in eval_bin (the fuzzer
 /// caught this through a float atomicAdd onto a stored integer that
 /// happened to be a NaN bit pattern).  Canonicalizing every NaN result
 /// removes the operand-order dependence while staying inlinable.
@@ -266,13 +265,9 @@ class BlockExec {
   BlockExec(Device& dev, const kir::BytecodeProgram& prog, const LaunchConfig& cfg,
             const LaunchOptions& opts, const std::vector<std::uint32_t>& costs,
             const kir::DecodedProgram& decoded, const kir::ThreadedProgram& threaded,
-            ExecEngine engine, std::uint32_t block_linear,
-            std::vector<SanitizerReport>* report_sink)
+            std::uint32_t block_linear, std::vector<SanitizerReport>* report_sink)
       : dev_(dev), prog_(prog), cfg_(cfg), opts_(opts), costs_(costs),
-        dec_(engine != ExecEngine::Reference ? decoded.code.data() : nullptr),
-        tcode_(engine == ExecEngine::Threaded && !threaded.code.empty()
-                   ? threaded.code.data()
-                   : nullptr),
+        tcode_(threaded.code.empty() ? nullptr : threaded.code.data()),
         sites_(decoded.sanitizer_sites.data()),
         block_linear_(block_linear),
         sm_(block_linear % dev.props().num_sms),
@@ -314,8 +309,6 @@ class BlockExec {
   };
 
   ThreadStop run_thread(ThreadCtx& t, LaunchStatus& crash_status);
-  template <bool kCounts, bool kSimt, bool kHwFault, bool kSanitize>
-  ThreadStop run_thread_fast(ThreadCtx& t, LaunchStatus& crash_status);
   ThreadStop run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_status);
   ThreadStop step_thread(ThreadCtx& t, LaunchStatus& crash_status);
   void finish_simt_cost();
@@ -331,14 +324,13 @@ class BlockExec {
   const LaunchConfig& cfg_;
   const LaunchOptions& opts_;
   const std::vector<std::uint32_t>& costs_;
-  const kir::DecodedInstr* dec_;  ///< fast-engine stream; nullptr -> reference
-  const kir::ThreadedInstr* tcode_;  ///< threaded-code stream; non-null only for Threaded
+  const kir::ThreadedInstr* tcode_;  ///< threaded-code stream; null for Reference plans
   const std::uint32_t* sites_;    ///< per-pc sanitizer site ids (all engines)
   std::uint32_t block_linear_, sm_, bx_, by_, threads_per_block_;
   std::vector<std::uint32_t> shared_;
   std::unique_ptr<SharedShadow> shadow_;  ///< non-null only under ExecEngine::Sanitizer
   std::uint32_t epoch_ = 0;  ///< barrier epoch, bumped at every successful release
-  int fast_mode_ = -1;  ///< run(): -1 reference, else fast specialization index
+  bool threaded_ = false;   ///< run(): this launch's engine choice
 };
 
 std::uint32_t BlockExec::builtin_value(const ThreadCtx& t, BuiltinVal b) const noexcept {
@@ -456,21 +448,24 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
         }
         break;
       case OpCode::LoadS:
-        if (regs[in.a] >= shared_.size()) {
+      case OpCode::StoreS: {
+        // The sanitizer shadow only observes: same crash point, same writes.
+        const std::uint32_t addr = regs[in.a];
+        if (addr >= shared_.size()) {
+          if (shadow_) shadow_->on_oob(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
           crash_status = LaunchStatus::CrashSharedOutOfBounds;
           finish();
           return ThreadStop::Crash;
         }
-        regs[in.dst] = shared_[regs[in.a]];
-        break;
-      case OpCode::StoreS:
-        if (regs[in.a] >= shared_.size()) {
-          crash_status = LaunchStatus::CrashSharedOutOfBounds;
-          finish();
-          return ThreadStop::Crash;
+        if (in.op == OpCode::LoadS) {
+          if (shadow_) shadow_->on_load(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
+          regs[in.dst] = shared_[addr];
+        } else {
+          if (shadow_) shadow_->on_store(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
+          shared_[addr] = regs[in.b];
         }
-        shared_[regs[in.a]] = regs[in.b];
         break;
+      }
       case OpCode::AtomicAddG: {
         std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
         const bool ok =
@@ -545,351 +540,34 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
   }
 }
 
-/// The predecoded fast path.  Same observable semantics as run_thread,
-/// instruction for instruction: identical watchdog test, identical cost
-/// accounting order (cost charged, then loop attribution, then pc++), and
-/// identical crash/barrier/halt stop points.  Speed comes from three
-/// sources, none of which may change behavior:
-///
-///  1. the kir::DecodedInstr stream has the (op, type) dispatch pre-resolved
-///     and the per-pc cost/loop-cost pre-folded, so the hot loop is one
-///     dense switch with no aux decoding or cost-vector lookup;
-///  2. the profiling / SIMT-counting / hardware-fault checks are template
-///     parameters, so the common uninstrumented launch compiles to a loop
-///     with none of those branches;
-///  3. FlatGpu global accesses use the hoisted arena span (valid() ==
-///     addr < span.size(), addr == index — see DeviceMemory::flat_arena)
-///     instead of the out-of-line load()/store() calls.
-///
-/// Any (op, type) case whose bit-level behavior is not provably shared with
-/// the reference falls back to the same eval_un/eval_bin the reference
-/// calls (UnGeneric/BinGeneric), so the engines cannot drift there either.
-///
-/// kSanitize layers the shared-memory shadow (gpusim/sanitizer.hpp) on the
-/// LoadS/StoreS cases.  The shadow only *observes* — register writes, crash
-/// points and cost accounting are untouched — which is what makes the
-/// sanitizer engine bitwise identical to the others on every observable.
-template <bool kCounts, bool kSimt, bool kHwFault, bool kSanitize>
-ThreadStop BlockExec::run_thread_fast(ThreadCtx& t, LaunchStatus& crash_status) {
-  using kir::DecodedOp;
-  const kir::DecodedInstr* const code = dec_;
-  std::uint32_t* const regs = t.regs;
-  DeviceMemory& mem = dev_.mem();
-  const std::span<std::uint32_t> arena = mem.flat_arena();
-  std::uint32_t* const gmem = arena.data();       // null for PagedCpu
-  const auto gsize = static_cast<std::uint32_t>(arena.size());
-  const auto ssize = static_cast<std::uint32_t>(shared_.size());
-  const std::uint64_t watchdog = opts_.watchdog_instructions;
-  [[maybe_unused]] const std::size_t n_instr = prog_.code.size();
-  std::uint64_t local_cycles = 0, local_loop = 0, local_instr = 0;
-
-  auto finish = [&] {
-    cycles += local_cycles;
-    loop_cycles += local_loop;
-    instructions += local_instr;
-    t.budget_used += local_instr;
-  };
-
-// Handler macros keep the ~70 type-resolved cases at one line apiece.
-// FAST_SET mirrors the reference Un/Bin tail exactly: optional hardware
-// fault on the result bits (typed by the *original* operand DType carried
-// in DecodedInstr::t, so the ALU-vs-FPU component filter matches), then the
-// register write.
-#define FAST_SET(expr)                                                      \
-  {                                                                         \
-    std::uint32_t r_ = (expr);                                              \
-    if constexpr (kHwFault) maybe_hw_fault(r_, static_cast<DType>(in.t));   \
-    regs[in.dst] = r_;                                                      \
-  }                                                                         \
-  break
-#define FAST_CRASH(st)          \
-  {                             \
-    crash_status = (st);        \
-    finish();                   \
-    return ThreadStop::Crash;   \
-  }
-
-  for (;;) {
-    if (local_instr + t.budget_used > watchdog) {
-      finish();
-      return ThreadStop::Budget;
-    }
-    const kir::DecodedInstr& in = code[t.pc];
-    local_cycles += in.cost;
-    local_loop += in.loop_cost;
-    ++local_instr;
-    if constexpr (kCounts) ++exec_counts[t.pc];
-    if constexpr (kSimt)
-      ++thread_counts[static_cast<std::size_t>(t.block_index) * n_instr + t.pc];
-    ++t.pc;
-
-    switch (in.op) {
-      case DecodedOp::Nop:
-        break;
-      case DecodedOp::Const:
-        regs[in.dst] = in.imm;
-        break;
-      case DecodedOp::Mov:
-        regs[in.dst] = regs[in.a];
-        if constexpr (kHwFault) {
-          if (dev_.fault_.component == DeviceFaultModel::Component::RegisterFile)
-            maybe_hw_fault(regs[in.dst], DType::I32);
-        }
-        break;
-      case DecodedOp::Builtin:
-        regs[in.dst] = builtin_value(t, static_cast<BuiltinVal>(in.aux));
-        break;
-      case DecodedOp::Select:
-        regs[in.dst] = regs[in.a] != 0 ? regs[in.b] : regs[static_cast<std::uint16_t>(in.imm)];
-        break;
-
-      // --- unary, type-resolved ---
-      case DecodedOp::NegF: FAST_SET(f_bits(-as_f(regs[in.a])));
-      case DecodedOp::NegI: FAST_SET(i_bits(-as_i(regs[in.a])));
-      case DecodedOp::NotF: FAST_SET(as_f(regs[in.a]) == 0.0f);
-      case DecodedOp::NotW: FAST_SET(regs[in.a] == 0);
-      case DecodedOp::BitNot: FAST_SET(~regs[in.a]);
-      case DecodedOp::AbsF: FAST_SET(f_bits(std::fabs(as_f(regs[in.a]))));
-      case DecodedOp::AbsI: {
-        const std::int32_t x = as_i(regs[in.a]);
-        FAST_SET(i_bits(x < 0 ? -x : x));
-      }
-      case DecodedOp::SqrtF: FAST_SET(f_bits(std::sqrt(as_f(regs[in.a]))));
-      case DecodedOp::RsqrtF: FAST_SET(f_bits(1.0f / std::sqrt(as_f(regs[in.a]))));
-      case DecodedOp::ExpF: FAST_SET(f_bits(std::exp(as_f(regs[in.a]))));
-      case DecodedOp::LogF: FAST_SET(f_bits(std::log(as_f(regs[in.a]))));
-      case DecodedOp::SinF: FAST_SET(f_bits(std::sin(as_f(regs[in.a]))));
-      case DecodedOp::CosF: FAST_SET(f_bits(std::cos(as_f(regs[in.a]))));
-      case DecodedOp::FloorF: FAST_SET(f_bits(std::floor(as_f(regs[in.a]))));
-      case DecodedOp::I2F: FAST_SET(f_bits(static_cast<float>(as_i(regs[in.a]))));
-      case DecodedOp::P2F: FAST_SET(f_bits(static_cast<float>(regs[in.a])));
-      case DecodedOp::F2I: FAST_SET(f2i_sat(regs[in.a]));
-      case DecodedOp::CopyA: FAST_SET(regs[in.a]);
-      case DecodedOp::UnGeneric:
-        FAST_SET(eval_un(static_cast<UnOp>(aux_op(in.aux)), aux_type(in.aux), regs[in.a]));
-
-      // --- binary, type-resolved ---
-      case DecodedOp::AddF: FAST_SET(fadd_bits(regs[in.a], regs[in.b]));
-      case DecodedOp::SubF: FAST_SET(fsub_bits(regs[in.a], regs[in.b]));
-      case DecodedOp::MulF: FAST_SET(fmul_bits(regs[in.a], regs[in.b]));
-      case DecodedOp::DivF: FAST_SET(fdiv_bits(regs[in.a], regs[in.b]));
-      case DecodedOp::MinF: FAST_SET(fmin_bits(regs[in.a], regs[in.b]));
-      case DecodedOp::MaxF: FAST_SET(fmax_bits(regs[in.a], regs[in.b]));
-      case DecodedOp::LtF: FAST_SET(as_f(regs[in.a]) < as_f(regs[in.b]));
-      case DecodedOp::LeF: FAST_SET(as_f(regs[in.a]) <= as_f(regs[in.b]));
-      case DecodedOp::GtF: FAST_SET(as_f(regs[in.a]) > as_f(regs[in.b]));
-      case DecodedOp::GeF: FAST_SET(as_f(regs[in.a]) >= as_f(regs[in.b]));
-      case DecodedOp::EqF: FAST_SET(as_f(regs[in.a]) == as_f(regs[in.b]));
-      case DecodedOp::NeF: FAST_SET(as_f(regs[in.a]) != as_f(regs[in.b]));
-      case DecodedOp::AddW: FAST_SET(regs[in.a] + regs[in.b]);
-      case DecodedOp::SubW: FAST_SET(regs[in.a] - regs[in.b]);
-      case DecodedOp::MulW: FAST_SET(regs[in.a] * regs[in.b]);
-      case DecodedOp::DivI: {
-        const std::int64_t x = as_i(regs[in.a]), y = as_i(regs[in.b]);
-        if (y == 0) FAST_CRASH(LaunchStatus::CrashDivByZero);
-        FAST_SET(i_bits(static_cast<std::int32_t>(x / y)));
-      }
-      case DecodedOp::ModI: {
-        const std::int64_t x = as_i(regs[in.a]), y = as_i(regs[in.b]);
-        if (y == 0) FAST_CRASH(LaunchStatus::CrashDivByZero);
-        FAST_SET(i_bits(static_cast<std::int32_t>(x % y)));
-      }
-      case DecodedOp::DivU:
-        if (regs[in.b] == 0) FAST_CRASH(LaunchStatus::CrashDivByZero);
-        FAST_SET(regs[in.a] / regs[in.b]);
-      case DecodedOp::ModU:
-        if (regs[in.b] == 0) FAST_CRASH(LaunchStatus::CrashDivByZero);
-        FAST_SET(regs[in.a] % regs[in.b]);
-      case DecodedOp::MinI: FAST_SET(as_i(regs[in.a]) < as_i(regs[in.b]) ? regs[in.a] : regs[in.b]);
-      case DecodedOp::MaxI: FAST_SET(as_i(regs[in.a]) > as_i(regs[in.b]) ? regs[in.a] : regs[in.b]);
-      case DecodedOp::MinU: FAST_SET(regs[in.a] < regs[in.b] ? regs[in.a] : regs[in.b]);
-      case DecodedOp::MaxU: FAST_SET(regs[in.a] > regs[in.b] ? regs[in.a] : regs[in.b]);
-      case DecodedOp::LtI: FAST_SET(as_i(regs[in.a]) < as_i(regs[in.b]));
-      case DecodedOp::LeI: FAST_SET(as_i(regs[in.a]) <= as_i(regs[in.b]));
-      case DecodedOp::GtI: FAST_SET(as_i(regs[in.a]) > as_i(regs[in.b]));
-      case DecodedOp::GeI: FAST_SET(as_i(regs[in.a]) >= as_i(regs[in.b]));
-      case DecodedOp::LtU: FAST_SET(regs[in.a] < regs[in.b]);
-      case DecodedOp::LeU: FAST_SET(regs[in.a] <= regs[in.b]);
-      case DecodedOp::GtU: FAST_SET(regs[in.a] > regs[in.b]);
-      case DecodedOp::GeU: FAST_SET(regs[in.a] >= regs[in.b]);
-      case DecodedOp::EqW: FAST_SET(regs[in.a] == regs[in.b]);
-      case DecodedOp::NeW: FAST_SET(regs[in.a] != regs[in.b]);
-      case DecodedOp::AndB: FAST_SET(regs[in.a] & regs[in.b]);
-      case DecodedOp::OrB: FAST_SET(regs[in.a] | regs[in.b]);
-      case DecodedOp::XorB: FAST_SET(regs[in.a] ^ regs[in.b]);
-      case DecodedOp::ShlB: FAST_SET(regs[in.a] << (regs[in.b] & 31));
-      case DecodedOp::ShrL: FAST_SET(regs[in.a] >> (regs[in.b] & 31));
-      case DecodedOp::ShrA: FAST_SET(i_bits(as_i(regs[in.a]) >> (regs[in.b] & 31)));
-      case DecodedOp::LAndW: FAST_SET((regs[in.a] != 0) && (regs[in.b] != 0));
-      case DecodedOp::LOrW: FAST_SET((regs[in.a] != 0) || (regs[in.b] != 0));
-      case DecodedOp::BinGeneric: {
-        bool crash = false;
-        const std::uint32_t r = eval_bin(static_cast<BinOp>(aux_op(in.aux)), aux_type(in.aux),
-                                         regs[in.a], regs[in.b], crash);
-        if (crash) FAST_CRASH(LaunchStatus::CrashDivByZero);
-        FAST_SET(r);
-      }
-
-      // --- memory ---
-      case DecodedOp::LoadG: {
-        const std::uint32_t addr = regs[in.a];
-        if (gmem) {
-          if (addr >= gsize) FAST_CRASH(LaunchStatus::CrashOutOfBounds);
-          regs[in.dst] = gmem[addr];
-        } else if (!mem.load(addr, regs[in.dst])) {
-          FAST_CRASH(mem_fail_status());
-        }
-        break;
-      }
-      case DecodedOp::StoreG: {
-        const std::uint32_t addr = regs[in.a];
-        if (gmem) {
-          if (addr >= gsize) FAST_CRASH(LaunchStatus::CrashOutOfBounds);
-          gmem[addr] = regs[in.b];
-          mem.note_store(addr);
-        } else if (!mem.store(addr, regs[in.b])) {
-          FAST_CRASH(mem_fail_status());
-        }
-        break;
-      }
-      case DecodedOp::LoadS: {
-        const std::uint32_t addr = regs[in.a];
-        if (addr >= ssize) {
-          if constexpr (kSanitize)
-            shadow_->on_oob(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
-          FAST_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-        }
-        if constexpr (kSanitize)
-          shadow_->on_load(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
-        regs[in.dst] = shared_[addr];
-        break;
-      }
-      case DecodedOp::StoreS: {
-        const std::uint32_t addr = regs[in.a];
-        if (addr >= ssize) {
-          if constexpr (kSanitize)
-            shadow_->on_oob(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
-          FAST_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-        }
-        if constexpr (kSanitize)
-          shadow_->on_store(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
-        shared_[addr] = regs[in.b];
-        break;
-      }
-      case DecodedOp::AtomicAddF: {
-        std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
-        if (gmem) {
-          if (regs[in.a] >= gsize) FAST_CRASH(LaunchStatus::CrashOutOfBounds);
-          mem.note_store(regs[in.a]);
-          std::uint32_t* const w = gmem + regs[in.a];
-          *w = fadd_bits(*w, regs[in.b]);
-        } else if (!mem.rmw(regs[in.a],
-                            [&](std::uint32_t w) { return fadd_bits(w, regs[in.b]); })) {
-          FAST_CRASH(mem_fail_status());
-        }
-        break;
-      }
-      case DecodedOp::AtomicAddI: {
-        std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
-        if (gmem) {
-          if (regs[in.a] >= gsize) FAST_CRASH(LaunchStatus::CrashOutOfBounds);
-          mem.note_store(regs[in.a]);
-          std::uint32_t* const w = gmem + regs[in.a];
-          *w = i_bits(static_cast<std::int32_t>(
-              static_cast<std::int64_t>(as_i(*w)) + as_i(regs[in.b])));
-        } else if (!mem.rmw(regs[in.a], [&](std::uint32_t w) {
-                     return i_bits(static_cast<std::int32_t>(
-                         static_cast<std::int64_t>(as_i(w)) + as_i(regs[in.b])));
-                   })) {
-          FAST_CRASH(mem_fail_status());
-        }
-        break;
-      }
-
-      // --- control flow ---
-      case DecodedOp::Jmp:
-        t.pc = in.aux;
-        break;
-      case DecodedOp::Jz:
-        if (regs[in.a] == 0) t.pc = in.aux;
-        break;
-      case DecodedOp::Barrier:
-        t.barrier_pc = t.pc - 1;
-        finish();
-        return ThreadStop::Barrier;
-      case DecodedOp::Halt:
-        finish();
-        t.done = true;
-        return ThreadStop::Done;
-
-      // --- Hauberk detectors / instrumentation hooks ---
-      case DecodedOp::ChkXor:
-        regs[in.dst] ^= regs[in.a];
-        break;
-      case DecodedOp::ChkValidate:
-        if (regs[in.dst] != 0) sdc = true;
-        break;
-      case DecodedOp::DupCmp:
-        if (regs[in.a] != regs[in.b]) sdc = true;
-        break;
-      case DecodedOp::RangeCheck:
-        if (opts_.hooks &&
-            opts_.hooks->check_range(static_cast<int>(in.aux),
-                                     kir::Value{static_cast<DType>(in.t), regs[in.a]}))
-          sdc = true;
-        break;
-      case DecodedOp::EqualCheck:
-        if (regs[in.a] != regs[in.b]) {
-          sdc = true;
-          if (opts_.hooks) opts_.hooks->equal_check_failed(static_cast<int>(in.aux));
-        }
-        break;
-      case DecodedOp::ProfileVal:
-        if (opts_.hooks)
-          opts_.hooks->profile_value(static_cast<int>(in.aux),
-                                     kir::Value{static_cast<DType>(in.t), regs[in.a]});
-        break;
-      case DecodedOp::CountExec:
-        if (opts_.hooks) opts_.hooks->count_exec(in.aux, t.linear);
-        break;
-      case DecodedOp::FIHook:
-        if (opts_.hooks) opts_.hooks->fi_hook(in.aux, t.linear, regs[in.a]);
-        break;
-
-      case DecodedOp::Invalid:
-      default:
-        FAST_CRASH(LaunchStatus::CrashInvalidInstr);
-    }
-  }
-#undef FAST_SET
-#undef FAST_CRASH
-}
-
 /// The threaded-code engine.  Dispatches the kir::ThreadedProgram stream
 /// compiled per launch plan: computed goto when the toolchain has
 /// labels-as-values (HAUBERK_COMPUTED_GOTO, see top-level CMakeLists), a
 /// switch loop otherwise — the two builds are bitwise identical, only
 /// dispatch latency differs.
 ///
-/// Semantics are pinned to run_thread_fast (and through it to run_thread)
-/// by two rules:
+/// Semantics are pinned to run_thread by two rules:
 ///
-///  * single ops replicate the fast handler bodies exactly, with the
+///  * single ops replicate the reference handler bodies exactly, with the
 ///    watchdog test rewritten as a countdown (`left`) that is equivalent
-///    step for step to the fast engine's `local_instr + budget_used >
+///    step for step to the reference's `local_instr + budget_used >
 ///    watchdog` test;
 ///  * fused superinstructions perform *all* their checks — enough budget
 ///    for the whole region, every memory bound — before any register
 ///    write, memory write or cost charge.  Any case they cannot replicate
-///    bit for bit (budget boundary inside the region, a crash, paged
-///    global memory) delegates: finish() then run the rest of the slice on
-///    run_thread_fast<false,false,false,false> over the position-stable
-///    DecodedProgram, which reproduces reference behavior including
-///    partial charges and crash points.
+///    bit for bit (budget boundary inside the region, an out-of-bounds
+///    fused load/store) delegates: finish() then resume the slice on
+///    run_thread from the (position-stable) head pc, which reproduces
+///    partial charges and crash points by construction.  The slice then
+///    ends inside that region (budget exhausted or crash), so the reference
+///    runs at most one region's worth of instructions.
 ///
-/// Only the plain launch mode runs here (see BlockExec::run): exec-count /
-/// SIMT / hardware-fault / sanitizer launches use the fast engine's
-/// specializations, so instrumentation semantics live in one place.
+/// Sanitized plans (ExecEngine::Sanitizer) run here too: their shared
+/// accesses are the SanLoadS/SanStoreS singles, which report to the shadow
+/// exactly where run_thread does.  Launches that profile execution counts,
+/// cost SIMT serialization or carry a hardware fault model run on
+/// run_thread instead (see BlockExec::run), so instrumentation semantics
+/// live in one place.
 ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_status) {
   using kir::TOp;
   // The threaded stream, the thread's register file and the flat arena are
@@ -906,7 +584,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   const std::uint64_t watchdog = opts_.watchdog_instructions;
   std::uint64_t local_cycles = 0, local_loop = 0, local_instr = 0;
 
-  // Countdown form of the fast engine's watchdog test: that loop executes
+  // Countdown form of the reference's watchdog test: that loop executes
   // an instruction iff local_instr + budget_used <= watchdog, i.e. exactly
   // watchdog - budget_used + 1 instructions this slice (zero if a barrier
   // landed the thread just past the budget).  The +1 can only wrap for
@@ -918,7 +596,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   // regs[] store (also uint32) could alias it as far as the compiler knows,
   // forcing a reload per dispatch.  Keep the cursor local and sync it back
   // only at slice exits (finish covers every return path, including the
-  // fast-engine delegation which resumes from t.pc).
+  // reference delegation which resumes from t.pc).
   std::uint32_t pc = t.pc;
 
   auto finish = [&] {
@@ -930,7 +608,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   };
 
 // Per-single prologue: budget countdown, pre-folded cost charge, pc++ —
-// the same order as the fast engine (budget test before any charge).
+// the same order as the reference (budget test before any charge).
 #define T_STEP1()                     \
   do {                                \
     if (left == 0) {                  \
@@ -959,13 +637,13 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     return ThreadStop::Crash;         \
   }
 // Bail out of a fused head the interpreter cannot replicate exactly:
-// resume this slice on the single-op fast engine at the (unchanged) head
-// pc.  Nothing has been charged or written yet, so the fast engine
+// resume this slice on the reference interpreter at the (unchanged) head
+// pc.  Nothing has been charged or written yet, so the reference
 // reproduces the reference trace including partial charges and crashes.
-#define T_DELEGATE()                                                        \
-  do {                                                                      \
-    finish();                                                               \
-    return run_thread_fast<false, false, false, false>(t, crash_status);    \
+#define T_DELEGATE()                    \
+  do {                                  \
+    finish();                           \
+    return run_thread(t, crash_status); \
   } while (0)
 
 #if HAUBERK_COMPUTED_GOTO
@@ -989,7 +667,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
 #endif
 // Crash inside a run: the head charged the whole region up front, so hand
 // back the suffix *after* the crashing op (its refund fields) before the
-// normal crash exit — the launch then bills exactly what the fast engine
+// normal crash exit — the launch then bills exactly what the reference
 // bills, the prefix up to and including the crashing op.
 #define T_NK_CRASH(st)                \
   {                                   \
@@ -1006,7 +684,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     T_NEXT();                         \
   }
 
-// Fused operand evaluators — bit-identical to the corresponding fast
+// Fused operand evaluators — bit-identical to the corresponding
 // single-op handlers.
 #define HB_CMP_LtI(A, B) static_cast<std::uint32_t>(as_i(A) < as_i(B))
 #define HB_CMP_LeI(A, B) static_cast<std::uint32_t>(as_i(A) <= as_i(B))
@@ -1076,6 +754,8 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
 #undef HAUBERK_TOP_L
               && lbl_NkConst2,
       &&lbl_NkLoadConst,
+      &&lbl_SanLoadS,
+      &&lbl_SanStoreS,
   };
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kir::kNumTOps);
   T_NEXT();
@@ -1087,7 +767,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     switch (static_cast<kir::TOp>(opv)) {
 #endif
 
-  // --- singles (mirrors of the run_thread_fast plain-mode handlers) ---
+  // --- singles (type-resolved mirrors of the run_thread handlers) ---
   T_LABEL(Nop) : {
     T_STEP1();
     T_NEXT();
@@ -1231,6 +911,31 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     T_STEP1();
     const std::uint32_t addr = regs[in->a];
     if (addr >= ssize) T_CRASH(LaunchStatus::CrashSharedOutOfBounds);
+    shared_[addr] = regs[in->b];
+    T_NEXT();
+  }
+  // Sanitized shared accesses: the LoadS/StoreS bodies with the shadow
+  // observing at run_thread's points (out-of-bounds before the crash exit,
+  // in-bounds before the access).
+  T_LABEL(SanLoadS) : {
+    T_STEP1();
+    const std::uint32_t addr = regs[in->a];
+    if (addr >= ssize) {
+      shadow_->on_oob(pc - 1, sites_[pc - 1], t.block_index, addr, epoch_);
+      T_CRASH(LaunchStatus::CrashSharedOutOfBounds);
+    }
+    shadow_->on_load(pc - 1, sites_[pc - 1], t.block_index, addr, epoch_);
+    regs[in->dst] = shared_[addr];
+    T_NEXT();
+  }
+  T_LABEL(SanStoreS) : {
+    T_STEP1();
+    const std::uint32_t addr = regs[in->a];
+    if (addr >= ssize) {
+      shadow_->on_oob(pc - 1, sites_[pc - 1], t.block_index, addr, epoch_);
+      T_CRASH(LaunchStatus::CrashSharedOutOfBounds);
+    }
+    shadow_->on_store(pc - 1, sites_[pc - 1], t.block_index, addr, epoch_);
     shared_[addr] = regs[in->b];
     T_NEXT();
   }
@@ -1459,7 +1164,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   // RunHead: one budget test and one pre-summed charge for the whole
   // region, then dispatch the head op's naked handler (`in` unchanged —
   // the head slot carries that op's operands).  A budget boundary inside
-  // the region delegates *before* any charge, so the fast engine replays
+  // the region delegates *before* any charge, so the reference replays
   // it per-instruction and stops exactly where the reference would.
   T_LABEL(RunHead) : {
     if (left < in->len) T_DELEGATE();
@@ -1767,7 +1472,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   // strictly in source order against regs[], so operand aliasing between
   // them behaves exactly like the singles back to back; a load crash
   // refunds the tile's suffix but keeps the sub-ops already executed
-  // billed, matching the fast engine's per-op trace.
+  // billed, matching the reference's per-op trace.
 #define T_NK_BINBIN(K1, K2)                                                    \
   T_LABEL(NkBinBin_##K1##_##K2) : {                                            \
     regs[in->dst] = HB_ALU_##K1(regs[in->a], regs[in->b]);                     \
@@ -1876,46 +1581,22 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
 #undef HB_ALU_LAndW
 }
 
-/// Engine dispatch for one thread time-slice: mode -1 is the reference
-/// switch interpreter; modes 0..15 select the fast-path specialization on
-/// (exec-count profiling, SIMT thread counting, hardware fault installed,
-/// sanitizer shadow) so the common uninstrumented launch pays for none of
-/// those checks; mode 16 is the threaded-code engine (plain launches under
-/// ExecEngine::Threaded only).
+/// Engine dispatch for one thread time-slice (the choice is made once per
+/// launch in run()).
 ThreadStop BlockExec::step_thread(ThreadCtx& t, LaunchStatus& crash_status) {
-  switch (fast_mode_) {
-    case 0: return run_thread_fast<false, false, false, false>(t, crash_status);
-    case 1: return run_thread_fast<true, false, false, false>(t, crash_status);
-    case 2: return run_thread_fast<false, true, false, false>(t, crash_status);
-    case 3: return run_thread_fast<true, true, false, false>(t, crash_status);
-    case 4: return run_thread_fast<false, false, true, false>(t, crash_status);
-    case 5: return run_thread_fast<true, false, true, false>(t, crash_status);
-    case 6: return run_thread_fast<false, true, true, false>(t, crash_status);
-    case 7: return run_thread_fast<true, true, true, false>(t, crash_status);
-    case 8: return run_thread_fast<false, false, false, true>(t, crash_status);
-    case 9: return run_thread_fast<true, false, false, true>(t, crash_status);
-    case 10: return run_thread_fast<false, true, false, true>(t, crash_status);
-    case 11: return run_thread_fast<true, true, false, true>(t, crash_status);
-    case 12: return run_thread_fast<false, false, true, true>(t, crash_status);
-    case 13: return run_thread_fast<true, false, true, true>(t, crash_status);
-    case 14: return run_thread_fast<false, true, true, true>(t, crash_status);
-    case 15: return run_thread_fast<true, true, true, true>(t, crash_status);
-    case 16: return run_thread_threaded(t, crash_status);
-    default: return run_thread(t, crash_status);
-  }
+  return threaded_ ? run_thread_threaded(t, crash_status) : run_thread(t, crash_status);
 }
 
 LaunchStatus BlockExec::run(std::span<const kir::Value> args) {
   if (opts_.instr_exec_counts) exec_counts.assign(prog_.code.size(), 0);
   if (opts_.simt_cost)
     thread_counts.assign(static_cast<std::size_t>(threads_per_block_) * prog_.code.size(), 0);
-  fast_mode_ = dec_ ? ((exec_counts.empty() ? 0 : 1) | (thread_counts.empty() ? 0 : 2) |
-                       (dev_.has_fault() ? 4 : 0) | (shadow_ ? 8 : 0))
-                    : -1;
-  // The threaded engine only replaces the *plain* fast path (mode 0): any
-  // instrumented launch keeps the fast engine's specializations, which stay
-  // bitwise identical by construction.  Campaigns run plain.
-  if (fast_mode_ == 0 && tcode_) fast_mode_ = 16;
+  // Which interpreter runs this launch.  Plain and sanitized launches run
+  // the threaded stream (compiled for Threaded and Sanitizer plans); launches
+  // that profile execution counts, cost SIMT serialization or carry a
+  // hardware fault model — one-off profiling and BIST runs — run on the
+  // reference interpreter, the only place those semantics are implemented.
+  threaded_ = tcode_ && exec_counts.empty() && thread_counts.empty() && !dev_.has_fault();
   const std::uint32_t slots = prog_.num_slots;
   std::vector<std::uint32_t> reg_slab(
       static_cast<std::size_t>(threads_per_block_) * slots, 0u);
@@ -2013,9 +1694,10 @@ constexpr std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) noexcept {
 
 /// Fingerprint of everything the plan's contents depend on: the instruction
 /// stream, the slot count, the register budget, the cost model, and the
-/// engine kind (the threaded stream is only compiled for
-/// ExecEngine::Threaded, so flipping set_engine() on a live device must
-/// miss rather than serve a plan without it).  Hashed field-by-field (never
+/// engine kind (the threaded stream is only compiled for Threaded and
+/// Sanitizer plans, with different shared-access ops, so flipping
+/// set_engine() on a live device must miss rather than serve the wrong
+/// stream).  Hashed field-by-field (never
 /// raw struct bytes, which would include indeterminate padding).
 std::uint64_t plan_fingerprint(const kir::BytecodeProgram& program, const CostModel& cm,
                                std::uint32_t regs_per_thread, ExecEngine engine,
@@ -2050,21 +1732,23 @@ std::uint64_t plan_fingerprint(const kir::BytecodeProgram& program, const CostMo
 std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
     const kir::BytecodeProgram& program) {
   // The decoded stream is always built alongside the cost vector: decoding
-  // is a single O(n) pass (trivial next to the spill analysis).  The
-  // threaded-code stream is compiled only under ExecEngine::Threaded — the
-  // engine kind is part of the cache key, so flipping set_engine() between
-  // launches misses once per engine and can never serve a plan missing the
-  // stream the new engine needs.
+  // is a single O(n) pass (trivial next to the spill analysis), and its
+  // sanitizer site table serves every engine.  The threaded-code stream is
+  // compiled for Threaded and Sanitizer plans (the latter with
+  // shadow-observing shared accesses) — the engine kind is part of the
+  // cache key, so flipping set_engine() between launches misses once per
+  // engine and can never serve a plan built for another.
   auto build = [&] {
     auto plan = std::make_shared<LaunchPlan>();
     plan->costs = instruction_costs(program, cost_, props_.regs_per_thread,
                                     props_.protection != ecc::Scheme::None);
     plan->decoded = kir::decode_program(program, plan->costs);
-    if (engine_ == ExecEngine::Threaded)
+    if (engine_ != ExecEngine::Reference)
       plan->threaded =
           kir::compile_threaded(plan->decoded, program.num_slots,
                                 props_.memory_model == MemoryModel::FlatGpu &&
-                                    props_.protection == ecc::Scheme::None);
+                                    props_.protection == ecc::Scheme::None,
+                                /*form_runs=*/true, engine_ == ExecEngine::Sanitizer);
     return std::shared_ptr<const LaunchPlan>(std::move(plan));
   };
   if (!plan_cache_enabled_) {
@@ -2137,8 +1821,8 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
         return;
       const std::uint32_t b = next_block.fetch_add(1, std::memory_order_relaxed);
       if (b >= num_blocks) return;
-      BlockExec exec(*this, program, cfg, opts, costs, plan->decoded, plan->threaded,
-                     engine_, b, sanitize ? &block_reports[b] : nullptr);
+      BlockExec exec(*this, program, cfg, opts, costs, plan->decoded, plan->threaded, b,
+                     sanitize ? &block_reports[b] : nullptr);
       const LaunchStatus st = exec.run(args);
       cycles.fetch_add(exec.cycles, std::memory_order_relaxed);
       loop_cycles.fetch_add(exec.loop_cycles, std::memory_order_relaxed);

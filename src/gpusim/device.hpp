@@ -87,36 +87,41 @@ enum class LaunchStatus : std::uint8_t {
 
 [[nodiscard]] const char* launch_status_name(LaunchStatus s) noexcept;
 
-/// Interpreter engine selection.
+/// Interpreter engine selection.  There are two interpreters — the
+/// reference switch interpreter and the threaded-code engine — and
+/// BlockExec::run picks one per launch:
 ///
-///  * Fast — predecoded warp-interpreter path: runs threads over the
-///    kir::DecodedProgram stream cached with the launch plan (flat
-///    type-resolved opcodes, costs pre-folded, per-launch invariants such as
-///    memory bounds and profiling/fault modes hoisted out of the dispatch
-///    loop).  The default.
-///  * Reference — the original switch interpreter over raw bytecode, kept as
-///    the behavioral oracle.
-///  * Sanitizer — the fast path with shared-memory shadow instrumentation
-///    (racecheck analog, see gpusim/sanitizer.hpp): detects WW/RW races
-///    between barrier epochs, barrier divergence, out-of-bounds and
-///    uninitialized shared reads, and fills LaunchResult::sanitizer_reports.
-///    Opt-in and diagnostic-only: it adds observations, never behavior.
-///  * Threaded — threaded-code engine: the DecodedProgram is further
-///    compiled per launch plan into a kir::ThreadedProgram (fused
-///    superinstructions, folded loop constants, one countdown budget) and
+///  * Threaded — the default.  The launch plan predecodes the bytecode
+///    (kir::DecodedProgram: type-resolved opcodes, costs pre-folded) and
+///    compiles it into a kir::ThreadedProgram (fused superinstructions,
+///    straight-line runs, folded loop constants, one countdown budget),
 ///    dispatched with computed goto when the toolchain supports
 ///    labels-as-values (CMake option HAUBERK_COMPUTED_GOTO; a portable
-///    switch fallback is bitwise identical).  Plain launches only — any
-///    instrumented mode (exec counts, SIMT costing, hardware fault model,
-///    sanitizer shadow) runs through the fast engine's specialized paths,
-///    so campaigns get the speed and diagnostics keep one implementation.
+///    switch fallback is bitwise identical).
+///  * Sanitizer — the threaded engine over a stream compiled with
+///    shadow-observing shared loads/stores (racecheck analog, see
+///    gpusim/sanitizer.hpp): detects WW/RW races between barrier epochs,
+///    barrier divergence, out-of-bounds and uninitialized shared reads, and
+///    fills LaunchResult::sanitizer_reports.  Opt-in and diagnostic-only:
+///    it adds observations, never behavior.
+///  * Reference — the switch interpreter over raw bytecode, kept as the
+///    behavioral oracle.
+///
+/// Under Threaded and Sanitizer, a launch that profiles execution counts
+/// (LaunchOptions::instr_exec_counts), costs SIMT serialization
+/// (LaunchOptions::simt_cost) or runs with an installed DeviceFaultModel
+/// runs on the reference interpreter — those are one-off profiling and BIST
+/// runs, and the reference is the one place their semantics live (with the
+/// sanitizer shadow still attached under Sanitizer).  The threaded engine
+/// also hands a thread's slice to the reference when a fused region hits
+/// the watchdog boundary or an out-of-bounds access.
 ///
 /// All engines are bitwise identical on every observable: registers,
 /// memory, cycle/instruction counts, SIMT cost, crash/hang status, detector
 /// verdicts, and FI outcomes.  tests/test_differential_fuzz.cpp holds this
 /// guarantee in place with a seeded program generator; any divergence is a
-/// bug in the fast/sanitizer/threaded engine, never an accepted tradeoff.
-enum class ExecEngine : std::uint8_t { Fast, Reference, Sanitizer, Threaded };
+/// bug in the threaded or sanitizer engine, never an accepted tradeoff.
+enum class ExecEngine : std::uint8_t { Reference, Sanitizer, Threaded };
 
 [[nodiscard]] const char* exec_engine_name(ExecEngine e) noexcept;
 [[nodiscard]] constexpr bool is_crash(LaunchStatus s) noexcept {
@@ -284,8 +289,9 @@ class Device {
   /// Everything derived from (program, cost model, register budget, engine)
   /// that a launch needs: the per-instruction cost vector (reference engine,
   /// SIMT costing), the predecoded instruction stream with those costs
-  /// folded in (fast engine), and — for ExecEngine::Threaded — the
-  /// threaded-code stream compiled from it (empty otherwise).
+  /// folded in (threaded-compiler input, sanitizer site table), and — for
+  /// Threaded and Sanitizer plans — the threaded-code stream compiled from
+  /// it (empty for Reference).
   struct LaunchPlan {
     std::vector<std::uint32_t> costs;
     kir::DecodedProgram decoded;
@@ -309,7 +315,7 @@ class Device {
   std::unique_ptr<DeviceMemory> mem_;
   std::mutex atomic_mu_;
   bool disabled_ = false;
-  ExecEngine engine_ = ExecEngine::Fast;
+  ExecEngine engine_ = ExecEngine::Threaded;
 
   bool plan_cache_enabled_ = true;
   std::vector<PlanEntry> plan_cache_;  ///< LRU order: most recent at the back

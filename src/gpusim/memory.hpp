@@ -27,9 +27,9 @@
 // scrubbed back to the array and counted; a double-bit error fails the
 // access with the uncorrectable flag raised (the device turns that into
 // LaunchStatus::EccUncorrectable, the machine-check analog).  Protected
-// mode also empties flat_arena(), which routes the fast/threaded engines'
-// raw flat-arena accesses through load()/store() — one hook point, four
-// engines, bitwise-identical observables.
+// mode also empties flat_arena(), which routes the threaded engine's raw
+// flat-arena accesses through load()/store() — one hook point, every
+// engine, bitwise-identical observables.
 #pragma once
 
 #include <algorithm>
@@ -122,7 +122,7 @@ class DeviceMemory {
 
   [[nodiscard]] bool valid(std::uint32_t addr) const noexcept;
 
-  /// Fast-path view for the predecoded interpreter: when the model uses flat
+  /// Fast-path view for the threaded interpreter: when the model uses flat
   /// addressing (FlatGpu: addr == storage index, valid() == addr < capacity)
   /// the whole physical arena, so loads/stores reduce to one bounds compare
   /// and one indexed access.  Empty for PagedCpu, whose extent lookup has no

@@ -1,11 +1,10 @@
 // Structured selective-hardening plans.
 //
-// A HardeningPlan is the first-class replacement for the stringly
-// TranslateOptions::pipeline_override hook: per-kernel, per-loop, and
-// per-variable decisions about which Hauberk detectors to place —
-// Hauberk-L loop checks (accumulator + range + iteration invariants),
-// non-loop checksum+duplication, the naive Fig. 8(b) shadow-duplication
-// ablation — or nothing at all.  Plans
+// A HardeningPlan carries per-kernel, per-loop, and per-variable decisions
+// about which Hauberk detectors to place — Hauberk-L loop checks
+// (accumulator + range + iteration invariants), non-loop
+// checksum+duplication, the naive Fig. 8(b) shadow-duplication ablation —
+// or nothing at all.  Plans
 //
 //   * serialize to / parse from a small s-expression (mirroring
 //     kir::serialize_kernel's flat, strict format),
@@ -32,6 +31,8 @@
 #include "hauberk/translator.hpp"
 
 namespace hauberk::core {
+
+class PassPipeline;  // src/hauberk/passes/pass_manager.hpp
 
 /// Three-state switch: Default defers to the TranslateOptions the plan is
 /// applied over, so a plan only overrides what it explicitly decides.

@@ -84,8 +84,7 @@ Kernel translate(const Kernel& input, const TranslateOptions& opt, TranslateRepo
   TranslateReport local;
   TranslateReport& rep = report ? *report : local;
   // Resolve the structured hardening plan (if any) into effective options
-  // before the pipeline is composed; the deprecated pipeline_override shim
-  // still runs afterwards so legacy callers keep working.
+  // before the pipeline is composed.
   TranslateOptions eff = opt;
   PassPipeline pipeline;
   if (opt.plan) {
@@ -93,7 +92,6 @@ Kernel translate(const Kernel& input, const TranslateOptions& opt, TranslateRepo
   } else {
     pipeline = pipeline_for(opt.mode, opt);
   }
-  if (opt.pipeline_override) opt.pipeline_override(input.name, pipeline);
   PassContext ctx(clone_kernel(input), eff, rep);
   PassManager().run(pipeline, ctx);
   rep.cost = cost::kernel_static_breakdown(ctx.kernel, ctx.am);

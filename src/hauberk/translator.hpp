@@ -17,16 +17,16 @@
 // (src/hauberk/passes): discrete transformation passes composed by
 // pipeline_for(), sharing cached analyses through a kir::AnalysisManager and
 // emitting structured PassRemarks into the TranslateReport.  translate()
-// remains the convenience entry point; callers needing pass-level control
-// (selective per-kernel hardening, pass tracing) use TranslateOptions::
-// pipeline_override or the passes API directly.
+// remains the convenience entry point; selective per-kernel hardening goes
+// through TranslateOptions::plan (hauberk/plan.hpp), and callers needing
+// pass-level control (pass tracing, custom pipelines) use the passes API
+// directly.
 //
 // Baseline detectors from the related-work comparison (R-Naive, R-Scatter)
 // live in src/swifi/baselines.*.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,7 +43,6 @@ enum class LibMode : std::uint8_t { None, Profiler, FT, FI, FIFT };
 
 [[nodiscard]] const char* lib_mode_name(LibMode m) noexcept;
 
-class PassPipeline;   // src/hauberk/passes/pass_manager.hpp
 struct HardeningPlan;  // src/hauberk/plan.hpp
 struct KernelPlan;
 
@@ -85,12 +84,6 @@ struct TranslateOptions {
   /// consult it for per-loop/per-variable selections.  Aliases `plan` —
   /// never set it by hand.
   const KernelPlan* kernel_plan = nullptr;
-  /// DEPRECATED selective-hardening hook, superseded by `plan`: invoked
-  /// with the kernel's name and the composed pass pipeline before it runs.
-  /// Kept as a thin compatibility shim (applied after plan resolution); may
-  /// drop or reorder passes.
-  std::function<void(const std::string& kernel_name, PassPipeline& pipeline)>
-      pipeline_override;
 };
 
 /// One structured remark emitted by an instrumentation pass: what was placed

@@ -144,8 +144,9 @@ std::string disassemble(const BytecodeProgram& p);
 // instruction: it switches on OpCode, unpacks the operator and operand type
 // from `aux`, branches on the flag byte for loop attribution, and indexes a
 // separate cost vector.  A SWIFI campaign executes the same few hundred
-// instructions billions of times, so the fast engine instead runs over this
-// predecoded stream where all of that is resolved once per program:
+// instructions billions of times, so the threaded-code compiler
+// (kir/threaded.hpp) instead starts from this predecoded stream, where all
+// of that is resolved once per program:
 //
 //  * `DecodedOp` is a flat opcode with the operator *and* operand type folded
 //    in (`Bin(aux=Add,F32)` becomes `AddF`); combinations whose bit-level
@@ -206,11 +207,11 @@ enum class DecodedOp : std::uint8_t {
 };
 
 /// One predecoded instruction (24 bytes).  `cost`/`loop_cost` are the
-/// pre-folded cycle charges; `t` is the operand DType where the handler
-/// still needs one at run time (hardware-fault typing, detector values).
+/// pre-folded cycle charges; `t` is the detector value type RangeCheck and
+/// ProfileVal hand to their hooks.
 struct DecodedInstr {
   DecodedOp op = DecodedOp::Invalid;
-  std::uint8_t t = 0;      ///< static_cast<DType>: fault/detector value type
+  std::uint8_t t = 0;      ///< static_cast<DType>: detector value type
   std::uint16_t dst = 0;
   std::uint16_t a = 0;
   std::uint16_t b = 0;
@@ -243,7 +244,7 @@ struct DecodedProgram {
 
 /// Predecode `p` against a per-instruction cost vector (one entry per
 /// instruction, as produced by the device's launch-plan analysis).  Never
-/// fails: undecodable encodings become DecodedOp::Invalid, which the fast
+/// fails: undecodable encodings become DecodedOp::Invalid, which the threaded
 /// engine reports as a code-segment crash exactly like the reference
 /// engine's default case.
 DecodedProgram decode_program(const BytecodeProgram& p,

@@ -146,14 +146,8 @@ DecodedProgram decode_program(const BytecodeProgram& p,
       case OpCode::Const: out.op = DecodedOp::Const; break;
       case OpCode::Mov: out.op = DecodedOp::Mov; break;
       case OpCode::Builtin: out.op = DecodedOp::Builtin; break;
-      case OpCode::Un:
-        out.op = decode_un(in.aux);
-        out.t = static_cast<std::uint8_t>(aux_type(in.aux));
-        break;
-      case OpCode::Bin:
-        out.op = decode_bin(in.aux);
-        out.t = static_cast<std::uint8_t>(aux_type(in.aux));
-        break;
+      case OpCode::Un: out.op = decode_un(in.aux); break;
+      case OpCode::Bin: out.op = decode_bin(in.aux); break;
       case OpCode::Select: out.op = DecodedOp::Select; break;
       case OpCode::LoadG: out.op = DecodedOp::LoadG; break;
       case OpCode::StoreG: out.op = DecodedOp::StoreG; break;

@@ -192,6 +192,29 @@ class Reader {
                              std::to_string(pos_));
   }
 
+  /// Nesting limit for the recursive descent: every expression and statement
+  /// level counts one.  The deepest kernel the 12 workloads and the 216
+  /// translator configurations produce nests 15 levels, so this leaves over
+  /// two orders of magnitude of headroom while keeping hostile input (a
+  /// 100k-deep expression) from overflowing the stack.
+  static constexpr std::size_t kMaxNesting = 4096;
+
+  /// RAII nesting level; throws past kMaxNesting.
+  class Nest {
+   public:
+    explicit Nest(Reader& r) : r_(r) {
+      if (r_.depth_ == kMaxNesting)
+        r_.fail("nesting deeper than " + std::to_string(kMaxNesting) + " levels");
+      ++r_.depth_;
+    }
+    ~Nest() { --r_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Reader& r_;
+  };
+
  private:
   void skip_ws() {
     while (pos_ < text_.size() &&
@@ -223,6 +246,7 @@ class Reader {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 template <typename E>
@@ -234,6 +258,7 @@ E read_enum(Reader& r, std::uint32_t max, const char* what) {
 
 ExprPtr read_expr(Reader& r) {
   if (r.accept('_')) return nullptr;
+  const Reader::Nest nest(r);
   r.expect('(');
   r.expect_tag("e");
   auto e = std::make_shared<Expr>();
@@ -257,6 +282,7 @@ ExprPtr read_expr(Reader& r) {
 StmtList read_stmts(Reader& r);
 
 StmtPtr read_stmt(Reader& r) {
+  const Reader::Nest nest(r);
   r.expect_tag("s");
   auto s = std::make_shared<Stmt>();
   s->kind = read_enum<StmtKind>(r, static_cast<std::uint32_t>(StmtKind::FIHook), "StmtKind");

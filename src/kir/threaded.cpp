@@ -50,8 +50,9 @@
 //
 // Tiles containing a LoadG are crashable: their cost/loop_cost/len fields
 // hold the suffix charge *after the load*, so a mid-tile crash refunds
-// everything the fast engine would not have billed (ops executed before the
-// load inside the tile stay billed, exactly like the reference trace).
+// everything the reference interpreter would not have billed (ops executed
+// before the load inside the tile stay billed, exactly like the reference
+// trace).
 //
 // Every fused family is crash-free after its up-front checks: the CMP/ALU
 // operator lists exclude Div/Mod, LoadBinStore requires the store address
@@ -329,16 +330,21 @@ const char* top_name(TOp op) noexcept {
 #undef HAUBERK_TOP_M
     case TOp::NkConst2: return "NkConst2";
     case TOp::NkLoadConst: return "NkLoadConst";
+    case TOp::SanLoadS: return "SanLoadS";
+    case TOp::SanStoreS: return "SanStoreS";
     case TOp::Count_: break;
   }
   return "?";
 }
 
 ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slots,
-                                 bool flat_global_memory, bool form_runs) {
+                                 bool flat_global_memory, bool form_runs, bool sanitize) {
   ThreadedProgram out;
   const std::size_t n = d.code.size();
   out.code.resize(n);
+  const auto shared_access = [](DecodedOp op) {
+    return op == DecodedOp::LoadS || op == DecodedOp::StoreS;
+  };
 
   // Pass 1: singles.  TOp mirrors DecodedOp, so this is a field copy.
   for (std::size_t pc = 0; pc < n; ++pc) {
@@ -354,6 +360,9 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     ti.cost = in.cost;
     ti.loop_cost = in.loop_cost;
     ti.len = 1;
+    if (sanitize && shared_access(in.op))
+      ti.op = static_cast<std::uint16_t>(in.op == DecodedOp::LoadS ? TOp::SanLoadS
+                                                                   : TOp::SanStoreS);
     if (in.op == DecodedOp::Barrier) out.has_barriers = true;
   }
 
@@ -578,7 +587,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
   // Refund fields for a tile whose LoadG is the source op at `lpos`: the
   // suffix strictly after the load, so T_NK_CRASH bills exactly the prefix
   // up to and including the load (ops the tile executed before the load
-  // stay billed, like the fast engine's per-op trace).
+  // stay billed, like the reference interpreter's per-op trace).
   auto set_refund = [&](ThreadedInstr& ti, std::size_t lpos, std::size_t e) {
     std::uint32_t sc = 0, sl = 0;
     for (std::size_t i = lpos + 1; i < e; ++i) {
@@ -776,7 +785,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
       // Naked single: opcode rewrite in place.  Crashable ops repurpose
       // cost/loop_cost/len as the *suffix* charge to refund on crash, so
       // the launch bills exactly the prefix up to and including the
-      // crashing op — the fast engine's charge-to-crash semantics.
+      // crashing op — the reference interpreter's charge-to-crash semantics.
       ThreadedInstr& nt = out.code[pos];
       nt.op = static_cast<std::uint16_t>(naked_top(d.code[pos].op));
       if (can_crash(d.code[pos].op)) set_refund(nt, pos, e);
@@ -787,15 +796,19 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     out.run_covered += static_cast<std::uint32_t>(len);
   };
 
+  // Sanitized plans keep shared accesses as accounted singles: they end
+  // runs exactly like control transfers do.
+  const auto runnable = [&](DecodedOp op) {
+    return naked_top(op) != TOp::Invalid && !(sanitize && shared_access(op));
+  };
   std::size_t s = 0;
   while (s < n) {
-    if (role[s] != 0 || naked_top(d.code[s].op) == TOp::Invalid) {
+    if (role[s] != 0 || !runnable(d.code[s].op)) {
       ++s;
       continue;
     }
     std::size_t e = s + 1;
-    while (e < n && e - s < 255 && role[e] == 0 && !is_target[e] &&
-           naked_top(d.code[e].op) != TOp::Invalid)
+    while (e < n && e - s < 255 && role[e] == 0 && !is_target[e] && runnable(d.code[e].op))
       ++e;
     // Exact-size short segments keep the tighter one-dispatch fused forms.
     if (e - s == 3 && try_lbs(s)) {

@@ -1,12 +1,13 @@
 // Threaded-code execution form: the compiled stream behind
-// gpusim::ExecEngine::Threaded.
+// gpusim::ExecEngine::Threaded (and ExecEngine::Sanitizer, compiled with
+// `sanitize`).
 //
-// The predecoded fast engine (kir::DecodedProgram) already folds operator,
-// operand type and cycle cost into one flat instruction, but it still pays
-// one dispatch, one watchdog test and one cost/loop-cost/pc update per
-// *source* instruction.  A SWIFI campaign replays the same few hundred
-// instructions billions of times, so this third compilation step buys the
-// remaining headroom:
+// The predecoded stream (kir::DecodedProgram) already folds operator,
+// operand type and cycle cost into one flat instruction, but an
+// interpreter over it would still pay one dispatch, one watchdog test and
+// one cost/loop-cost/pc update per *source* instruction.  A SWIFI campaign
+// replays the same few hundred instructions billions of times, so this
+// compilation step buys the remaining headroom:
 //
 //  * `TOp` is the threaded opcode set: every DecodedOp has a 1:1 single-op
 //    entry (same numeric value — see the static_asserts below), plus fused
@@ -21,7 +22,7 @@
 //    region, then falls through *naked* op variants (`Nk_*`) that execute
 //    with no per-op accounting at all.  Ops that can crash mid-run carry
 //    the suffix charge to refund, so a crash bills exactly the prefix the
-//    fast engine would have billed.
+//    reference interpreter would have billed.
 //  * the stream is position-stable: code[pc] corresponds to decoded pc and
 //    a fused head sits at its first instruction's slot.  Slots covered by a
 //    2-3-op fused head *retain their single-op translations*, so a jump
@@ -33,16 +34,20 @@
 //    Const+compare and Const+add idioms are folded into the
 //    superinstruction immediate, and the watchdog budget becomes one
 //    countdown decremented once per (super)instruction or run.
+//  * sanitized plans (`sanitize`): shared loads and stores compile to the
+//    shadow-observing singles SanLoadS/SanStoreS and never enter a run, so
+//    every shared access reaches the sanitizer's shadow in program order.
 //
 // Determinism contract: a fused handler must be bit-identical to running
 // its singles back to back.  Anything it cannot replicate exactly — a
-// watchdog boundary inside the fused region, a crash condition, paged
-// (CPU-model) global memory — it *delegates*: the interpreter falls back to
-// the position-stable DecodedProgram singles from the head pc, before any
-// register write or cost charge, so the observable trace is the reference
-// trace by construction.  compile_threaded therefore only emits fused ops
-// whose crash conditions are checkable up front (no Div/Mod fusions, store
-// addresses not written by the covered instructions).
+// watchdog boundary inside the fused region, a crash condition — it
+// *delegates*: the interpreter resumes the slice on the reference
+// interpreter from the head pc, before any register write or cost charge,
+// so the observable trace is the reference trace by construction.
+// compile_threaded therefore only emits fused ops whose crash conditions
+// are checkable up front (no Div/Mod fusions, store addresses not written
+// by the covered instructions, load/store fusions only over the flat
+// global arena).
 #pragma once
 
 #include <array>
@@ -187,6 +192,10 @@ enum class TOp : std::uint16_t {
   HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_E)
 #undef HAUBERK_TOP_E
   NkConst2, NkLoadConst,
+
+  // --- sanitizer singles (sanitized plans only, never fused) ---
+  // LoadS/StoreS that report every access to the block's SharedShadow.
+  SanLoadS, SanStoreS,
   Count_,
 };
 
@@ -203,7 +212,7 @@ HAUBERK_TOP_SINGLE_LIST(HAUBERK_TOP_CHECK)
 
 [[nodiscard]] constexpr bool top_is_fused(TOp op) noexcept {
   return static_cast<std::uint16_t>(op) >= kTOpFusedBegin &&
-         op != TOp::Count_;
+         static_cast<std::uint16_t>(op) < static_cast<std::uint16_t>(TOp::SanLoadS);
 }
 
 /// The single-op TOp for a DecodedOp (the identity mapping the
@@ -266,12 +275,15 @@ struct ThreadedProgram {
 /// is whether the target device uses the FlatGpu arena — load/store fusions
 /// are only emitted there, because only the flat model's bounds are
 /// checkable before any side effect (the PagedCpu fallback keeps singles,
-/// which handle paged memory exactly like the fast engine).  `form_runs`
-/// enables the straight-line-run pass (off only for the identity-translation
-/// test and the inspect tool's per-op view).
+/// which handle paged memory exactly like the reference interpreter).
+/// `form_runs` enables the straight-line-run pass (off only for the
+/// identity-translation test and the inspect tool's per-op view).
+/// `sanitize` compiles LoadS/StoreS to the shadow-observing SanLoadS/
+/// SanStoreS singles and keeps them out of runs (ExecEngine::Sanitizer).
 [[nodiscard]] ThreadedProgram compile_threaded(const DecodedProgram& d,
                                                std::uint16_t num_slots,
                                                bool flat_global_memory,
-                                               bool form_runs = true);
+                                               bool form_runs = true,
+                                               bool sanitize = false);
 
 }  // namespace hauberk::kir

@@ -66,7 +66,7 @@ struct CampaignConfig {
   /// Interpreter engine for every campaign device (golden run and trials
   /// alike).  Engines are bitwise identical, so this only changes campaign
   /// wall-clock; Reference exists as the oracle for differential testing.
-  gpusim::ExecEngine engine = gpusim::ExecEngine::Fast;
+  gpusim::ExecEngine engine = gpusim::ExecEngine::Threaded;
   /// Run trials under ExecEngine::Sanitizer (overrides `engine`): identical
   /// observables, but trials whose fault induced a shared-memory race or
   /// barrier divergence reclassify as Outcome::RaceDetected /

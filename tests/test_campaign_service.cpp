@@ -64,7 +64,7 @@ struct Fixture {
   }
 
   /// Like factory(), but every worker device carries hardware ECC on global
-  /// memory.  All four engines then route loads through the EDC check path,
+  /// memory.  Every engine then routes loads through the EDC check path,
   /// so this exercises the protected datapath under the full service
   /// machinery (sharding, checkpoints, result logs).
   [[nodiscard]] WorkerContextFactory protected_factory(gpusim::ecc::Scheme scheme) const {

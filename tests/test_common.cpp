@@ -249,7 +249,6 @@ TEST(CampaignFlags, ParsesEveryEngineName) {
     const char* text;
     hc::EngineKind kind;
   } cases[] = {{"reference", hc::EngineKind::Reference},
-               {"fast", hc::EngineKind::Fast},
                {"sanitizer", hc::EngineKind::Sanitizer},
                {"threaded", hc::EngineKind::Threaded}};
   for (const auto& c : cases) {
@@ -263,20 +262,24 @@ TEST(CampaignFlags, ParsesEveryEngineName) {
   }
 }
 
-TEST(CampaignFlags, DefaultsToFastEngine) {
+TEST(CampaignFlags, DefaultsToThreadedEngine) {
   const char* argv[] = {"prog"};
   hc::CliArgs args(1, const_cast<char**>(argv));
-  EXPECT_EQ(hc::parse_campaign_flags(args).engine, hc::EngineKind::Fast);
+  EXPECT_EQ(hc::parse_campaign_flags(args).engine, hc::EngineKind::Threaded);
 }
 
 TEST(CampaignFlags, RejectsUnknownEngine) {
-  const char* argv[] = {"prog", "--engine=warpspeed"};
-  hc::CliArgs args(2, const_cast<char**>(argv));
-  const auto f = hc::parse_campaign_flags(args);
-  EXPECT_EQ(f.engine, hc::EngineKind::Fast) << "bad value falls back to the default";
-  ASSERT_EQ(args.errors().size(), 1u);
-  EXPECT_NE(args.errors()[0].find("--engine"), std::string::npos);
-  EXPECT_NE(args.errors()[0].find("warpspeed"), std::string::npos);
+  // "fast" named an engine that no longer exists; it fails like any typo.
+  for (const std::string name : {"warpspeed", "fast"}) {
+    const std::string flag = "--engine=" + name;
+    const char* argv[] = {"prog", flag.c_str()};
+    hc::CliArgs args(2, const_cast<char**>(argv));
+    const auto f = hc::parse_campaign_flags(args);
+    EXPECT_EQ(f.engine, hc::EngineKind::Threaded) << "bad value falls back to the default";
+    ASSERT_EQ(args.errors().size(), 1u);
+    EXPECT_NE(args.errors()[0].find("--engine"), std::string::npos);
+    EXPECT_NE(args.errors()[0].find(name), std::string::npos);
+  }
 }
 
 TEST(CampaignFlags, RejectsOutOfRangeValues) {

@@ -4,22 +4,22 @@
 // of all three types, loads/stores (mostly in-bounds, occasionally wild),
 // shared memory, atomics, nested loops, divergent branches, barriers (some
 // deliberately deadlocking), division by zero and intentional hangs — lowers
-// them, and runs each program through the fast predecoded engine and the
-// reference switch interpreter.  Every observable must match bitwise:
-// status, SDC alarm, cycle/loop-cycle/instruction/SIMT totals, the entire
-// device memory image (which covers partial state of crashed runs), and the
-// per-instruction execution profile.  Each program additionally runs plain
-// (uninstrumented) on the threaded-code engine against a plain fast run —
-// the only configuration in which the superinstruction stream executes —
-// so all four engines are pinned to each other.  A subset is additionally
-// run through the Hauberk FT translator (detector semantics) and through
-// memory-fault campaigns with 1 vs N workers across engines.
+// them, and runs each program through the threaded-code engine, the
+// sanitizer engine (threaded code with shadow-observing shared accesses)
+// and the reference switch interpreter.  Every observable must match
+// bitwise: status, SDC alarm, cycle/loop-cycle/instruction totals, deadlock
+// diagnostics and the entire device memory image (which covers partial
+// state of crashed runs).  A subset is additionally run through the Hauberk
+// FT translator (detector semantics) and through memory-fault campaigns
+// with 1 vs N workers across engines; a protected-memory corpus repeats the
+// engine comparison on a SEC-DED device.
 //
 // A second generator mode (racy) skews the distribution toward shared-memory
-// conflicts and divergent barriers on a small-warp device; those programs
-// additionally run on ExecEngine::Sanitizer, which must agree with the other
-// two engines on every observable while being the only one that emits
-// deterministic hazard reports.
+// conflicts and divergent barriers on a small-warp device; on those programs
+// the sanitizer must agree with the other engines on every observable while
+// being the only one that emits hazard reports — and its reports must be the
+// same whether the launch runs on the threaded stream or, instrumented with
+// an execution profile and SIMT costing, on the reference interpreter.
 //
 // Reproducing a failure: every divergence report starts with the program
 // index and the kernel pretty-printed by kir::print_kernel.  Environment
@@ -30,15 +30,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
 #include "hauberk/control_block.hpp"
+#include "hauberk/runtime.hpp"
 #include "hauberk/translator.hpp"
 #include "kir/builder.hpp"
 #include "kir/bytecode.hpp"
@@ -316,7 +319,7 @@ void stage_input(std::vector<std::uint32_t>& words, std::uint64_t salt) {
 
 EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
                      gpusim::ExecEngine engine, std::uint64_t salt,
-                     bool with_cb, bool instrumented = true,
+                     bool with_cb, bool instrumented = false,
                      gpusim::ecc::Scheme protection = gpusim::ecc::Scheme::None) {
   gpusim::DeviceProps props;
   props.global_mem_words = 1u << 16;
@@ -358,8 +361,8 @@ EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
   gpusim::LaunchOptions opts;
   opts.watchdog_instructions = 10'000;
   opts.max_workers = 1;
-  // SIMT costing and the execution profile force the fast engine's
-  // instrumented specializations; a plain run is the configuration the
+  // SIMT costing and the execution profile route a launch to the reference
+  // interpreter on every engine; a plain run is the configuration the
   // threaded-code engine actually executes (campaigns run plain).
   opts.simt_cost = instrumented;
   opts.hooks = with_cb ? &cb : nullptr;
@@ -382,49 +385,49 @@ EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
 
 /// Compares one program's runs; on divergence reports the pretty-printed
 /// kernel and (when HAUBERK_FUZZ_DUMP_DIR is set) writes it to disk.
-void expect_identical(const EngineRun& fast, const EngineRun& ref,
+void expect_identical(const EngineRun& ref, const EngineRun& other,
                       const FuzzProgram& fp, std::size_t index,
                       const char* phase) {
-  const bool same = fast.res.status == ref.res.status &&
-                    fast.res.sdc_alarm == ref.res.sdc_alarm &&
-                    fast.res.cycles == ref.res.cycles &&
-                    fast.res.loop_cycles == ref.res.loop_cycles &&
-                    fast.res.instructions == ref.res.instructions &&
-                    fast.res.simt_cycles == ref.res.simt_cycles &&
-                    fast.res.deadlock_pc == ref.res.deadlock_pc &&
-                    fast.res.deadlock_site == ref.res.deadlock_site &&
-                    fast.mem == ref.mem && fast.exec_counts == ref.exec_counts &&
-                    fast.cb_sdc == ref.cb_sdc && fast.cb_checks == ref.cb_checks &&
-                    fast.cb_violations == ref.cb_violations &&
-                    fast.res.ecc_corrected == ref.res.ecc_corrected &&
-                    fast.check_mem == ref.check_mem &&
-                    fast.ecc_corrected == ref.ecc_corrected &&
-                    fast.ecc_uncorrectable == ref.ecc_uncorrectable;
+  const bool same = other.res.status == ref.res.status &&
+                    other.res.sdc_alarm == ref.res.sdc_alarm &&
+                    other.res.cycles == ref.res.cycles &&
+                    other.res.loop_cycles == ref.res.loop_cycles &&
+                    other.res.instructions == ref.res.instructions &&
+                    other.res.simt_cycles == ref.res.simt_cycles &&
+                    other.res.deadlock_pc == ref.res.deadlock_pc &&
+                    other.res.deadlock_site == ref.res.deadlock_site &&
+                    other.mem == ref.mem && other.exec_counts == ref.exec_counts &&
+                    other.cb_sdc == ref.cb_sdc && other.cb_checks == ref.cb_checks &&
+                    other.cb_violations == ref.cb_violations &&
+                    other.res.ecc_corrected == ref.res.ecc_corrected &&
+                    other.check_mem == ref.check_mem &&
+                    other.ecc_corrected == ref.ecc_corrected &&
+                    other.ecc_uncorrectable == ref.ecc_uncorrectable;
   if (same) return;
 
   std::string mem_diff;
-  for (std::size_t w = 0; w < fast.mem.size() && w < ref.mem.size(); ++w) {
-    if (fast.mem[w] != ref.mem[w]) {
-      mem_diff += "\n  word " + std::to_string(w) + ": fast=0x" +
-                  std::to_string(fast.mem[w]) + " ref=0x" + std::to_string(ref.mem[w]);
+  for (std::size_t w = 0; w < other.mem.size() && w < ref.mem.size(); ++w) {
+    if (other.mem[w] != ref.mem[w]) {
+      mem_diff += "\n  word " + std::to_string(w) + ": other=0x" +
+                  std::to_string(other.mem[w]) + " ref=0x" + std::to_string(ref.mem[w]);
       if (mem_diff.size() > 400) break;
     }
   }
   const std::string dump = print_kernel(fp.kernel);
   ADD_FAILURE() << "engine divergence at program " << index << " (" << phase
                 << ")\n"
-                << "  fast: status=" << gpusim::launch_status_name(fast.res.status)
-                << " cycles=" << fast.res.cycles
-                << " instr=" << fast.res.instructions
-                << " simt=" << fast.res.simt_cycles << " sdc=" << fast.res.sdc_alarm
-                << " ecc=" << fast.ecc_corrected << "/" << fast.ecc_uncorrectable
-                << "\n  ref:  status=" << gpusim::launch_status_name(ref.res.status)
+                << "  other: status=" << gpusim::launch_status_name(other.res.status)
+                << " cycles=" << other.res.cycles
+                << " instr=" << other.res.instructions
+                << " simt=" << other.res.simt_cycles << " sdc=" << other.res.sdc_alarm
+                << " ecc=" << other.ecc_corrected << "/" << other.ecc_uncorrectable
+                << "\n  ref:   status=" << gpusim::launch_status_name(ref.res.status)
                 << " cycles=" << ref.res.cycles << " instr=" << ref.res.instructions
                 << " simt=" << ref.res.simt_cycles << " sdc=" << ref.res.sdc_alarm
                 << " ecc=" << ref.ecc_corrected << "/" << ref.ecc_uncorrectable
-                << "\n  mem equal=" << (fast.mem == ref.mem)
-                << " check equal=" << (fast.check_mem == ref.check_mem)
-                << " profile equal=" << (fast.exec_counts == ref.exec_counts)
+                << "\n  mem equal=" << (other.mem == ref.mem)
+                << " check equal=" << (other.check_mem == ref.check_mem)
+                << " profile equal=" << (other.exec_counts == ref.exec_counts)
                 << mem_diff
                 << "\n--- program ---\n"
                 << dump;
@@ -440,7 +443,7 @@ void expect_identical(const EngineRun& fast, const EngineRun& ref,
 // Tests
 // ---------------------------------------------------------------------------
 
-TEST(DifferentialFuzz, FastEngineMatchesReferenceEverywhere) {
+TEST(DifferentialFuzz, ThreadedEngineMatchesReferenceEverywhere) {
   const std::uint64_t seed = env_u64("HAUBERK_FUZZ_SEED", 0xfa57'0001);
   const auto programs =
       static_cast<std::size_t>(env_u64("HAUBERK_FUZZ_PROGRAMS", 400));
@@ -452,43 +455,32 @@ TEST(DifferentialFuzz, FastEngineMatchesReferenceEverywhere) {
     const FuzzProgram fp = gen.gen();
     const BytecodeProgram prog = lower(fp.kernel);
 
-    const EngineRun fast = run_engine(prog, fp, gpusim::ExecEngine::Fast, i, false);
-    const EngineRun ref =
-        run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false);
-    expect_identical(fast, ref, fp, i, "baseline");
+    // Plain launches: the configuration campaigns use, and the one the
+    // threaded stream (fused superinstructions, runs) executes — with and
+    // without the sanitizer's shared-access singles.
+    const EngineRun ref = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false);
+    const EngineRun thr = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false);
+    expect_identical(ref, thr, fp, i, "threaded");
+    const EngineRun san = run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false);
+    expect_identical(ref, san, fp, i, "sanitizer");
 
-    // Plain (uninstrumented) runs: the only mode in which the threaded
-    // engine's superinstruction stream executes, and the mode campaigns use.
-    const EngineRun pfast =
-        run_engine(prog, fp, gpusim::ExecEngine::Fast, i, false, false);
-    const EngineRun pthr =
-        run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false, false);
-    expect_identical(pfast, pthr, fp, i, "threaded plain");
-
-    switch (fast.res.status) {
+    switch (ref.res.status) {
       case gpusim::LaunchStatus::Ok: ++ok; break;
       case gpusim::LaunchStatus::Hang: ++hang; break;
       default: ++crash; break;
     }
 
     // FT differential on a slice of the clean programs: detectors, checksum
-    // code, and the hook-driven control block must agree too.
-    if (fast.res.status == gpusim::LaunchStatus::Ok && i % 7 == 0) {
+    // code, and the hook-driven control block must agree too — through the
+    // fused ChkXor2/BinChkXor/RangeCheck2/BinDupCmp handlers.
+    if (ref.res.status == gpusim::LaunchStatus::Ok && i % 7 == 0) {
       try {
         core::TranslateOptions topt;
         topt.mode = core::LibMode::FT;
         const BytecodeProgram ft = lower(core::translate(fp.kernel, topt));
-        const EngineRun ffast = run_engine(ft, fp, gpusim::ExecEngine::Fast, i, true);
-        const EngineRun fref =
-            run_engine(ft, fp, gpusim::ExecEngine::Reference, i, true);
-        expect_identical(ffast, fref, fp, i, "ft");
-        // FT detectors through the fused ChkXor2/BinChkXor/RangeCheck2/
-        // BinDupCmp handlers, control-block hooks included.
-        const EngineRun fpfast =
-            run_engine(ft, fp, gpusim::ExecEngine::Fast, i, true, false);
-        const EngineRun fpthr =
-            run_engine(ft, fp, gpusim::ExecEngine::Threaded, i, true, false);
-        expect_identical(fpfast, fpthr, fp, i, "ft threaded plain");
+        const EngineRun fref = run_engine(ft, fp, gpusim::ExecEngine::Reference, i, true);
+        const EngineRun fthr = run_engine(ft, fp, gpusim::ExecEngine::Threaded, i, true);
+        expect_identical(fref, fthr, fp, i, "ft threaded");
         ++ft_checked;
       } catch (const std::exception&) {
         // The translator may reject exotic generated kernels; that is not an
@@ -508,10 +500,12 @@ TEST(DifferentialFuzz, FastEngineMatchesReferenceEverywhere) {
 
 TEST(DifferentialFuzz, SanitizerAgreesOnRacyPrograms) {
   // Racy-mode corpus: the sanitizer engine must be a perfect bystander —
-  // bitwise identical to Fast and Reference on every observable — while its
-  // hazard reports are (a) absent on the other engines and (b) bitwise
-  // reproducible across runs.  The corpus as a whole must actually tickle
-  // both hazard families, or the generator has gone stale.
+  // bitwise identical to Threaded and Reference on every observable — while
+  // its hazard reports are (a) absent on the other engines, (b) bitwise
+  // reproducible across runs and (c) the same on the threaded stream as on
+  // the reference interpreter, which runs a sanitized launch that profiles
+  // execution counts.  The corpus as a whole must actually tickle both
+  // hazard families, or the generator has gone stale.
   const std::uint64_t seed = env_u64("HAUBERK_FUZZ_SEED", 0xfa57'0003);
   const auto programs =
       static_cast<std::size_t>(env_u64("HAUBERK_FUZZ_PROGRAMS", 400)) / 2;
@@ -523,26 +517,25 @@ TEST(DifferentialFuzz, SanitizerAgreesOnRacyPrograms) {
     const FuzzProgram fp = gen.gen();
     const BytecodeProgram prog = lower(fp.kernel);
 
-    const EngineRun fast = run_engine(prog, fp, gpusim::ExecEngine::Fast, i, false);
-    const EngineRun ref =
-        run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false);
-    const EngineRun san =
-        run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false);
-    expect_identical(fast, ref, fp, i, "racy baseline");
-    expect_identical(fast, san, fp, i, "racy sanitizer");
+    const EngineRun ref = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false);
+    const EngineRun thr = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false);
+    const EngineRun san = run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false);
+    expect_identical(ref, thr, fp, i, "racy threaded");
+    expect_identical(ref, san, fp, i, "racy sanitizer");
 
-    // Threaded on the hazard-skewed corpus: barriers and atomics inside the
-    // superinstruction stream, small-warp device.
-    const EngineRun pfast =
-        run_engine(prog, fp, gpusim::ExecEngine::Fast, i, false, false);
-    const EngineRun pthr =
-        run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false, false);
-    expect_identical(pfast, pthr, fp, i, "racy threaded plain");
+    // The instrumented sanitized launch runs on the reference interpreter
+    // with the shadow attached; minus its profile it is the plain run.
+    EngineRun san_ref = run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false, true);
+    ASSERT_EQ(san.res.sanitizer_reports, san_ref.res.sanitizer_reports)
+        << "threaded and reference sanitizer reports differ on fuzz program " << i;
+    ASSERT_EQ(san.res.sanitizer_reports_dropped, san_ref.res.sanitizer_reports_dropped);
+    san_ref.exec_counts.clear();
+    san_ref.res.simt_cycles = 0;
+    expect_identical(ref, san_ref, fp, i, "racy sanitizer (reference path)");
 
-    ASSERT_TRUE(fast.res.sanitizer_reports.empty());
+    ASSERT_TRUE(thr.res.sanitizer_reports.empty());
     ASSERT_TRUE(ref.res.sanitizer_reports.empty());
-    const EngineRun again =
-        run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false);
+    const EngineRun again = run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false);
     ASSERT_EQ(san.res.sanitizer_reports, again.res.sanitizer_reports)
         << "sanitizer reports not reproducible on fuzz program " << i;
     ASSERT_EQ(san.res.sanitizer_reports_dropped,
@@ -563,6 +556,123 @@ TEST(DifferentialFuzz, SanitizerAgreesOnRacyPrograms) {
   EXPECT_GT(with_divergence, 0u) << "racy generator never diverged a barrier";
 }
 
+namespace {
+
+/// FNV-1a over a stream of 64-bit words (the pinned sanitizer digests).
+struct Fnv64 {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  template <class T>
+  void add_all(const std::vector<T>& v) {
+    add(v.size());
+    for (const T& x : v) add(static_cast<std::uint64_t>(x));
+  }
+};
+
+/// Every LaunchResult observable, sanitizer reports field by field.
+void digest_result(Fnv64& d, const gpusim::LaunchResult& r) {
+  for (const std::uint64_t v :
+       {static_cast<std::uint64_t>(r.status), std::uint64_t{r.sdc_alarm}, r.cycles,
+        r.loop_cycles, r.instructions, r.simt_cycles,
+        static_cast<std::uint64_t>(r.deadlock_pc),
+        static_cast<std::uint64_t>(r.deadlock_site), r.ecc_corrected,
+        r.sanitizer_reports_dropped})
+    d.add(v);
+  d.add(r.sanitizer_reports.size());
+  for (const gpusim::SanitizerReport& s : r.sanitizer_reports)
+    for (const std::uint64_t v :
+         {static_cast<std::uint64_t>(s.kind), std::uint64_t{s.block}, std::uint64_t{s.pc},
+          std::uint64_t{s.other_pc}, std::uint64_t{s.site}, std::uint64_t{s.thread},
+          std::uint64_t{s.other_thread}, std::uint64_t{s.addr}, std::uint64_t{s.epoch}})
+      d.add(v);
+}
+
+/// One workload launch under ExecEngine::Sanitizer, digested with its output
+/// (and its execution profile when `instrumented`).
+void digest_sanitized_workload(Fnv64& d, workloads::Workload& w, const workloads::Dataset& ds,
+                               const BytecodeProgram& prog, gpusim::LaunchHooks* hooks,
+                               bool instrumented) {
+  gpusim::Device dev;
+  dev.set_engine(gpusim::ExecEngine::Sanitizer);
+  auto job = w.make_job(ds);
+  const auto args = job->setup(dev);
+  gpusim::LaunchOptions opts;
+  opts.hooks = hooks;
+  std::vector<std::uint64_t> counts;
+  if (instrumented) {
+    opts.instr_exec_counts = &counts;
+    opts.simt_cost = true;
+  }
+  const gpusim::LaunchResult res = dev.launch(prog, job->config(), args, opts);
+  digest_result(d, res);
+  d.add_all(counts);
+  if (res.status == gpusim::LaunchStatus::Ok) d.add_all(job->read_output(dev).words);
+}
+
+}  // namespace
+
+TEST(DifferentialFuzz, SanitizerObservablesMatchPinnedGolden) {
+  // Pins the sanitizer's full output — reports, dropped counts and every
+  // other observable — on the racy corpus and on the 12 workloads, plain and
+  // instrumented (execution profile + SIMT costing).  The digests were
+  // captured before sanitized launches moved onto the threaded engine and
+  // instrumented ones onto the reference engine; any drift in hazard
+  // detection order, report fields or accounting shows up here.
+  // Regenerate after an intentional change with HAUBERK_GOLDEN_PRINT=1.
+  const std::uint64_t seed = 0xfa57'0003;  // deliberately not env-overridable
+  constexpr std::size_t kPrograms = 200;
+
+  Fnv64 corpus;
+  std::size_t reports = 0;
+  for (std::size_t i = 0; i < kPrograms; ++i) {
+    Rng rng = Rng::fork(seed, i);
+    ProgramGen gen(rng, /*racy=*/true);
+    const FuzzProgram fp = gen.gen();
+    const BytecodeProgram prog = lower(fp.kernel);
+    for (const bool instrumented : {false, true}) {
+      const EngineRun r =
+          run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false, instrumented);
+      digest_result(corpus, r.res);
+      corpus.add_all(r.mem);
+      corpus.add_all(r.exec_counts);
+      reports += r.res.sanitizer_reports.size();
+    }
+  }
+
+  Fnv64 suite;
+  std::size_t workloads_run = 0;
+  std::vector<std::unique_ptr<workloads::Workload>> all;
+  for (auto& w : workloads::hpc_suite()) all.push_back(std::move(w));
+  for (auto& w : workloads::graphics_suite()) all.push_back(std::move(w));
+  for (auto& w : workloads::cpu_suite()) all.push_back(std::move(w));
+  all.push_back(workloads::make_cpu_matmul());
+  for (auto& w : all) {
+    const workloads::Dataset ds = w->make_dataset(20260806, workloads::Scale::Tiny);
+    const auto v = core::build_variants(w->build_kernel(workloads::Scale::Tiny));
+    digest_sanitized_workload(suite, *w, ds, v.baseline, nullptr, false);
+    digest_sanitized_workload(suite, *w, ds, v.baseline, nullptr, true);
+    core::ControlBlock cb(v.ft);
+    digest_sanitized_workload(suite, *w, ds, v.ft, &cb, false);
+    ++workloads_run;
+  }
+
+  if (std::getenv("HAUBERK_GOLDEN_PRINT")) {
+    std::printf("corpus 0x%016llx suite 0x%016llx reports %zu\n",
+                static_cast<unsigned long long>(corpus.h),
+                static_cast<unsigned long long>(suite.h), reports);
+    return;
+  }
+  EXPECT_EQ(workloads_run, 12u);
+  EXPECT_GT(reports, 0u) << "racy corpus produced no sanitizer reports";
+  EXPECT_EQ(corpus.h, 0x080ac7c45ca17fb9ULL) << "racy-corpus sanitizer digest drifted";
+  EXPECT_EQ(suite.h, 0x107d94ab89028d33ULL) << "12-workload sanitizer digest drifted";
+}
+
 TEST(DifferentialFuzz, CampaignsAgreeAcrossEnginesAndWorkerCounts) {
   // Memory-fault campaigns over generated programs: the (engine x workers)
   // matrix must yield bitwise-identical per-trial outcomes.
@@ -578,7 +688,7 @@ TEST(DifferentialFuzz, CampaignsAgreeAcrossEnginesAndWorkerCounts) {
     const BytecodeProgram prog = lower(fp.kernel);
 
     // Only campaign on programs whose golden run completes.
-    if (run_engine(prog, fp, gpusim::ExecEngine::Fast, i, false).res.status !=
+    if (run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false).res.status !=
         gpusim::LaunchStatus::Ok)
       continue;
     ++campaigns;
@@ -616,19 +726,13 @@ TEST(DifferentialFuzz, CampaignsAgreeAcrossEnginesAndWorkerCounts) {
       ASSERT_EQ(res.per_fault, base.per_fault)
           << "worker count " << workers << " diverged on fuzz program " << i;
     }
+    // `base` ran the default (threaded) engine; the oracle must agree.
     swifi::CampaignConfig rcfg = ccfg;
     rcfg.engine = gpusim::ExecEngine::Reference;
     swifi::CampaignExecutor ref_ex(4);
     const auto ref = ref_ex.run_memory_faults(prog, factory, seed + i, 40, 2, req, rcfg);
     ASSERT_EQ(ref.per_fault, base.per_fault)
         << "reference-engine campaign diverged on fuzz program " << i;
-
-    swifi::CampaignConfig tcfg = ccfg;
-    tcfg.engine = gpusim::ExecEngine::Threaded;
-    swifi::CampaignExecutor thr_ex(4);
-    const auto thr = thr_ex.run_memory_faults(prog, factory, seed + i, 40, 2, req, tcfg);
-    ASSERT_EQ(thr.per_fault, base.per_fault)
-        << "threaded-engine campaign diverged on fuzz program " << i;
   }
   EXPECT_EQ(campaigns, 3u) << "not enough clean fuzz programs for campaigns";
 }
@@ -649,7 +753,7 @@ TEST(DifferentialFuzz, SanitizedCampaignsDeterministicAcrossWorkers) {
 
     // Only campaign on programs whose golden run completes (divergent
     // barriers in the corpus make many of them deadlock outright).
-    if (run_engine(prog, fp, gpusim::ExecEngine::Fast, i, false).res.status !=
+    if (run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false).res.status !=
         gpusim::LaunchStatus::Ok)
       continue;
     ++campaigns;
@@ -711,9 +815,9 @@ TEST(DifferentialFuzz, SanitizedCampaignsDeterministicAcrossWorkers) {
 TEST(DifferentialFuzz, EnginesAgreeUnderEccProtection) {
   // Protected-mode corpus: every program runs with a raw memory-cell upset
   // planted after staging (single data bit, check bit, or a double-bit
-  // codeword) on a Hsiao SEC-DED device.  All four engines route global
-  // memory through the EDC-checked load/store path (flat_arena() is empty),
-  // and must stay bitwise identical on every observable — including the
+  // codeword) on a Hsiao SEC-DED device.  Every engine routes global memory
+  // through the EDC-checked load/store path (flat_arena() is empty), and
+  // must stay bitwise identical on every observable — including the
   // correction counters, the EccUncorrectable status, the scrubbed data
   // arena, and the shadow check arena.
   const std::uint64_t seed = env_u64("HAUBERK_FUZZ_SEED", 0xfa57'0005);
@@ -729,32 +833,26 @@ TEST(DifferentialFuzz, EnginesAgreeUnderEccProtection) {
     const BytecodeProgram prog = lower(fp.kernel);
     constexpr auto kProt = gpusim::ecc::Scheme::Hsiao;
 
-    const EngineRun fast =
-        run_engine(prog, fp, gpusim::ExecEngine::Fast, i, false, true, kProt);
     const EngineRun ref =
-        run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false, true, kProt);
-    expect_identical(fast, ref, fp, i, "ecc baseline");
-    const EngineRun san =
-        run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false, true, kProt);
-    expect_identical(fast, san, fp, i, "ecc sanitizer");
-
-    const EngineRun pfast =
-        run_engine(prog, fp, gpusim::ExecEngine::Fast, i, false, false, kProt);
-    const EngineRun pthr =
+        run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false, false, kProt);
+    const EngineRun thr =
         run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false, false, kProt);
-    expect_identical(pfast, pthr, fp, i, "ecc threaded plain");
+    expect_identical(ref, thr, fp, i, "ecc threaded");
+    const EngineRun san =
+        run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false, false, kProt);
+    expect_identical(ref, san, fp, i, "ecc sanitizer");
 
     // Hamming spot check on a slice: same contract, different H matrix.
     if (i % 11 == 0) {
-      const EngineRun hf = run_engine(prog, fp, gpusim::ExecEngine::Fast, i, false,
-                                      true, gpusim::ecc::Scheme::Hamming);
-      const EngineRun hr = run_engine(prog, fp, gpusim::ExecEngine::Reference, i,
-                                      false, true, gpusim::ecc::Scheme::Hamming);
-      expect_identical(hf, hr, fp, i, "ecc hamming");
+      const EngineRun hr = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false,
+                                      false, gpusim::ecc::Scheme::Hamming);
+      const EngineRun ht = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false,
+                                      false, gpusim::ecc::Scheme::Hamming);
+      expect_identical(hr, ht, fp, i, "ecc hamming");
     }
 
-    corrected += fast.ecc_corrected;
-    uncorrectable_runs += fast.res.status == gpusim::LaunchStatus::EccUncorrectable;
+    corrected += ref.ecc_corrected;
+    uncorrectable_runs += ref.res.status == gpusim::LaunchStatus::EccUncorrectable;
     if (::testing::Test::HasFailure()) break;
   }
   // The corpus must actually exercise both halves of the SEC-DED contract.
@@ -777,7 +875,7 @@ TEST(DifferentialFuzz, ProtectionNoneCampaignMatchesPinnedGoldens) {
     FuzzProgram fp = gen.gen();
     fp.mem_model = gpusim::MemoryModel::FlatGpu;
     const BytecodeProgram prog = lower(fp.kernel);
-    if (run_engine(prog, fp, gpusim::ExecEngine::Fast, i, false).res.status !=
+    if (run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false).res.status !=
         gpusim::LaunchStatus::Ok)
       continue;
 

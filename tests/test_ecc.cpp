@@ -281,7 +281,7 @@ TEST_P(ProtectedMem, OutOfBoundsIsNotAnEccFault) {
 }
 
 TEST_P(ProtectedMem, FlatArenaFastPathIsDisabled) {
-  // Protected mode must route the fast/threaded engines' flat-arena accesses
+  // Protected mode must route the threaded engine's flat-arena accesses
   // through load()/store(), or reads would skip the EDC check entirely.
   DeviceMemory mem(MemoryModel::FlatGpu, 1u << 12, GetParam());
   EXPECT_TRUE(mem.flat_arena().empty());

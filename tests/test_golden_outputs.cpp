@@ -3,8 +3,8 @@
 // modeled cycle total are pinned here.  Any change to interpreter semantics,
 // cost accounting, lowering, or instrumentation that moves an observable
 // shows up as a hash/cycle mismatch — and because each workload is executed
-// on both interpreter engines, the table also pins the engines to each
-// other on real programs (complementing the random programs of
+// on every engine (reference, threaded, sanitizer), the table also pins the
+// engines to each other on real programs (complementing the random programs of
 // test_differential_fuzz.cpp).
 //
 // Regenerating after an *intentional* behavior change:
@@ -71,7 +71,7 @@ RunHash run_hashed(Workload& w, const Dataset& ds, const kir::BytecodeProgram& p
 }
 
 /// Pinned goldens.  Keys are workload names; values were captured on the
-/// reference engine and must hold on both.
+/// reference engine and must hold on every engine.
 const std::map<std::string, Golden>& goldens() {
   static const std::map<std::string, Golden> g = {
       {"CP", {0x8c30eec42cc1148bULL, 53760ULL, 0x8c30eec42cc1148bULL, 56736ULL}},
@@ -108,8 +108,8 @@ TEST(GoldenOutputs, AllWorkloadsMatchPinnedHashesOnBothEngines) {
     const Dataset ds = w->make_dataset(kDatasetSeed, Scale::Tiny);
     auto v = core::build_variants(w->build_kernel(Scale::Tiny));
 
-    for (const auto engine : {gpusim::ExecEngine::Fast, gpusim::ExecEngine::Reference,
-                              gpusim::ExecEngine::Threaded}) {
+    for (const auto engine : {gpusim::ExecEngine::Reference, gpusim::ExecEngine::Threaded,
+                              gpusim::ExecEngine::Sanitizer}) {
       const RunHash base = run_hashed(*w, ds, v.baseline, engine, nullptr);
       core::ControlBlock cb(v.ft);
       const RunHash ft = run_hashed(*w, ds, v.ft, engine, &cb);

@@ -400,9 +400,9 @@ BytecodeProgram detector_program() {
 TEST(Cost, DetectorOpcodeCyclesMatchCostModelOnBothEngines) {
   // Pins the per-opcode charge of the Hauberk detector instructions
   // (Table I's runtime overhead mechanism) to the cost model, on both the
-  // predecoded fast engine and the reference switch interpreter.
+  // threaded-code engine and the reference switch interpreter.
   const auto prog = detector_program();
-  for (const auto engine : {ExecEngine::Fast, ExecEngine::Reference}) {
+  for (const auto engine : {ExecEngine::Threaded, ExecEngine::Reference}) {
     Device dev(small_props());
     dev.set_engine(engine);
     const CostModel& cm = dev.cost_model();
@@ -428,7 +428,7 @@ TEST(Cost, DetectorSdcBitRaisesAlarmIdenticallyOnBothEngines) {
   // Re-point ChkValidate at the still-zero slot0 so only DupCmp fires.
   std::uint64_t cycles[2] = {0, 0};
   int i = 0;
-  for (const auto engine : {ExecEngine::Fast, ExecEngine::Reference}) {
+  for (const auto engine : {ExecEngine::Threaded, ExecEngine::Reference}) {
     Device dev(small_props());
     dev.set_engine(engine);
     const auto res = dev.launch(prog, LaunchConfig{}, {});

@@ -298,9 +298,9 @@ TEST(PipelineFor, CompositionMatchesMode) {
 }
 
 TEST(HardeningPlanAPI, SelectiveHardeningDropsAPassForOneKernel) {
-  // The structured replacement for the pipeline_override scenario below:
-  // a plan entry for "loopy" turning the non-loop detectors off must equal
-  // the Hauberk-L reference build, while other kernels are untouched.
+  // Selective hardening through a plan: an entry for "loopy" turning the
+  // non-loop detectors off must equal the Hauberk-L reference build, while
+  // other kernels are untouched.
   const auto k = loop_kernel();
   TranslateOptions plain;
   plain.mode = LibMode::FT;
@@ -326,33 +326,6 @@ TEST(HardeningPlanAPI, SelectiveHardeningDropsAPassForOneKernel) {
   const auto full = translate(other, sel, &full_rep);
   EXPECT_GT(count_kind(full.body, kir::StmtKind::ChecksumValidate), 0);
   EXPECT_EQ(full_rep.pipeline, "ft");
-}
-
-// Backward-compatibility shim: the deprecated stringly hook still composes
-// with (and runs after) plan resolution.
-TEST(PipelineOverride, SelectiveHardeningDropsAPassForOneKernel) {
-  const auto k = loop_kernel();
-  TranslateOptions plain;
-  plain.mode = LibMode::FT;
-  plain.protect_nonloop = false;  // Hauberk-L reference
-  const auto reference = translate(k, plain);
-
-  TranslateOptions sel;
-  sel.mode = LibMode::FT;
-  sel.pipeline_override = [](const std::string& kernel_name, PassPipeline& pipe) {
-    if (kernel_name == "loopy") pipe.remove("nonloop-checksum");
-  };
-  TranslateReport rep;
-  const auto overridden = translate(k, sel, &rep);
-  EXPECT_EQ(kir::print_kernel(overridden), kir::print_kernel(reference))
-      << "dropping the non-loop pass must equal the Hauberk-L build";
-
-  // A kernel with a different name keeps the full pipeline.
-  auto other = kir::clone_kernel(k);
-  other.name = "other";
-  TranslateReport full_rep;
-  const auto full = translate(other, sel, &full_rep);
-  EXPECT_GT(count_kind(full.body, kir::StmtKind::ChecksumValidate), 0);
 }
 
 // ---------------------------------------------------------------------------

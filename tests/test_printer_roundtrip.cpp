@@ -128,3 +128,36 @@ TEST(PrinterRoundTrip, MalformedInputThrows) {
   for (std::size_t cut = 0; cut + 1 < good.size(); cut += 7)
     EXPECT_THROW((void)kir::parse_kernel(good.substr(0, cut)), std::runtime_error);
 }
+
+TEST(PrinterRoundTrip, DeepNestingIsCappedNotFatal) {
+  // A 1k-deep expression — far past any real kernel (the workloads and the
+  // translator configurations nest at most 15 levels) — still round-trips.
+  kir::KernelBuilder kb("deep");
+  auto out = kb.param_ptr("out");
+  auto x = kir::i32c(0);
+  for (int i = 0; i < 1000; ++i) x = x + kir::i32c(i);
+  kb.store(out, x);
+  expect_roundtrip(kb.build(), "1k-deep expression");
+
+  // Hostile input: one statement whose value is a `depth`-deep chain of
+  // expression nodes (the parser checks structure, not semantics, so every
+  // enum field is 0).  100k levels would overflow the stack without the
+  // nesting cap; with it the parser throws its documented error.
+  const auto nested = [](int depth) {
+    std::string value;
+    for (int i = 0; i < depth; ++i) value += "(e 0 0 0 0 0 0 0 0 0 ";
+    value += "_ _ _)";
+    for (int i = 1; i < depth; ++i) value += " _ _)";
+    return "(kernel \"k\" 0 0 (params) (vars) ((s 0 0 0 0 0 0 0 0 0 \"\" " + value +
+           " _ _ _ _ _ () ())))";
+  };
+  EXPECT_NO_THROW((void)kir::parse_kernel(nested(3)));
+  try {
+    (void)kir::parse_kernel(nested(100'000));
+    FAIL() << "100k-deep expression parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("kir::parse_kernel: nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+}

@@ -3,7 +3,9 @@
 // at distinct sites, exit-while-peers-wait deadlock, shared out-of-bounds,
 // uninitialized shared read), clean-kernel negative pins (zero false
 // positives, including the GT200 warp-synchronous idiom), engine equality
-// on every observable, the CrashBarrierDeadlock site diagnostic, the
+// on every observable, report equality between the threaded stream and the
+// reference interpreter (the path instrumented sanitized launches and
+// delegated slices take), the CrashBarrierDeadlock site diagnostic, the
 // decoded site table, and SWIFI outcome reclassification under
 // CampaignConfig::sanitize.
 //
@@ -24,6 +26,7 @@
 #include "hauberk/runtime.hpp"
 #include "kir/builder.hpp"
 #include "kir/bytecode.hpp"
+#include "kir/threaded.hpp"
 #include "swifi/campaign.hpp"
 #include "workloads/workload.hpp"
 
@@ -50,8 +53,12 @@ struct EngineOut {
 };
 
 /// Launch `prog` (single ptr param -> zeroed out buffer) on one engine.
+/// `instrumented` asks for an execution profile, which routes the launch to
+/// the reference interpreter (with the shadow attached under Sanitizer).
 EngineOut run_engine(const kir::BytecodeProgram& prog, const DeviceProps& props,
-                     ExecEngine engine, std::uint32_t threads = 8) {
+                     ExecEngine engine, std::uint32_t threads = 8,
+                     bool instrumented = false,
+                     std::uint64_t watchdog = LaunchOptions{}.watchdog_instructions) {
   Device dev(props);
   dev.set_engine(engine);
   constexpr std::uint32_t kOutWords = 64;
@@ -59,33 +66,45 @@ EngineOut run_engine(const kir::BytecodeProgram& prog, const DeviceProps& props,
   std::vector<std::uint32_t> zero(kOutWords, 0);
   dev.mem().copy_in(out, zero);
   const Value args[] = {Value::ptr(out)};
+  LaunchOptions opts;
+  opts.watchdog_instructions = watchdog;
+  std::vector<std::uint64_t> counts;
+  if (instrumented) opts.instr_exec_counts = &counts;
   EngineOut r;
-  r.res = dev.launch(prog, LaunchConfig{1, 1, threads, 1}, args);
+  r.res = dev.launch(prog, LaunchConfig{1, 1, threads, 1}, args, opts);
   r.out.resize(kOutWords);
   dev.mem().copy_out(out, r.out);
   return r;
 }
 
-/// Run on all three engines; assert Fast/Reference/Sanitizer agree on every
-/// observable and only the sanitizer carries reports.  Returns the
-/// sanitizer run (after pinning a second sanitizer run to identical
-/// reports).
+/// Assert the sanitized launch `san` matches `base` on every observable.
+void expect_same_observables(const EngineOut& base, const EngineOut& san) {
+  EXPECT_EQ(san.res.status, base.res.status);
+  EXPECT_EQ(san.res.cycles, base.res.cycles);
+  EXPECT_EQ(san.res.instructions, base.res.instructions);
+  EXPECT_EQ(san.res.sdc_alarm, base.res.sdc_alarm);
+  EXPECT_EQ(san.res.deadlock_pc, base.res.deadlock_pc);
+  EXPECT_EQ(san.res.deadlock_site, base.res.deadlock_site);
+  EXPECT_EQ(san.out, base.out);
+}
+
+/// Run on every engine; assert Reference/Threaded/Sanitizer agree on every
+/// observable, only the sanitizer carries reports, and the sanitizer's
+/// reports are the same on the threaded stream as on the reference path
+/// (an instrumented sanitized launch).  Returns the sanitizer run (after
+/// pinning a second sanitizer run to identical reports).
 EngineOut run_all_engines(const kir::BytecodeProgram& prog, const DeviceProps& props,
                           std::uint32_t threads = 8) {
-  const EngineOut fast = run_engine(prog, props, ExecEngine::Fast, threads);
   const EngineOut ref = run_engine(prog, props, ExecEngine::Reference, threads);
+  const EngineOut thr = run_engine(prog, props, ExecEngine::Threaded, threads);
   const EngineOut san = run_engine(prog, props, ExecEngine::Sanitizer, threads);
-  for (const EngineOut* e : {&ref, &san}) {
-    EXPECT_EQ(e->res.status, fast.res.status);
-    EXPECT_EQ(e->res.cycles, fast.res.cycles);
-    EXPECT_EQ(e->res.instructions, fast.res.instructions);
-    EXPECT_EQ(e->res.sdc_alarm, fast.res.sdc_alarm);
-    EXPECT_EQ(e->res.deadlock_pc, fast.res.deadlock_pc);
-    EXPECT_EQ(e->res.deadlock_site, fast.res.deadlock_site);
-    EXPECT_EQ(e->out, fast.out);
-  }
-  EXPECT_TRUE(fast.res.sanitizer_reports.empty());
+  const EngineOut san_ref =
+      run_engine(prog, props, ExecEngine::Sanitizer, threads, /*instrumented=*/true);
+  for (const EngineOut* e : {&thr, &san, &san_ref}) expect_same_observables(ref, *e);
+  EXPECT_TRUE(thr.res.sanitizer_reports.empty());
   EXPECT_TRUE(ref.res.sanitizer_reports.empty());
+  EXPECT_EQ(san_ref.res.sanitizer_reports, san.res.sanitizer_reports);
+  EXPECT_EQ(san_ref.res.sanitizer_reports_dropped, san.res.sanitizer_reports_dropped);
   // Report determinism: a second sanitized launch is bitwise identical.
   const EngineOut again = run_engine(prog, props, ExecEngine::Sanitizer, threads);
   EXPECT_EQ(san.res.sanitizer_reports, again.res.sanitizer_reports);
@@ -281,8 +300,8 @@ TEST(Sanitizer, WarpSynchronousIdiomIsNotReported) {
 TEST(Sanitizer, AllWorkloadsCleanUnderSanitizerWithIdenticalObservables) {
   // Every shipped workload (the paper's 9 GPU programs + the CPU rows) runs
   // report-free under the sanitizer, with output and cycle totals bitwise
-  // equal to the fast engine — the zero-overhead/zero-noise pin that makes
-  // `--sanitize` safe to leave on in campaigns.
+  // equal to the unsanitized threaded engine — the zero-overhead/zero-noise
+  // pin that makes `--sanitize` safe to leave on in campaigns.
   constexpr std::uint64_t kDatasetSeed = 20260806;  // test_golden_outputs.cpp
   std::vector<std::unique_ptr<workloads::Workload>> all;
   for (auto& w : workloads::hpc_suite()) all.push_back(std::move(w));
@@ -294,18 +313,18 @@ TEST(Sanitizer, AllWorkloadsCleanUnderSanitizerWithIdenticalObservables) {
   for (auto& w : all) {
     const workloads::Dataset ds = w->make_dataset(kDatasetSeed, workloads::Scale::Tiny);
     const auto v = core::build_variants(w->build_kernel(workloads::Scale::Tiny));
-    LaunchResult fast_res, san_res;
-    core::ProgramOutput fast_out, san_out;
-    for (const auto engine : {ExecEngine::Fast, ExecEngine::Sanitizer}) {
+    LaunchResult thr_res, san_res;
+    core::ProgramOutput thr_out, san_out;
+    for (const auto engine : {ExecEngine::Threaded, ExecEngine::Sanitizer}) {
       Device dev;
       dev.set_engine(engine);
       auto job = w->make_job(ds);
       const auto args = job->setup(dev);
       const auto res = dev.launch(v.baseline, job->config(), args);
       ASSERT_EQ(res.status, LaunchStatus::Ok) << w->name();
-      if (engine == ExecEngine::Fast) {
-        fast_res = res;
-        fast_out = job->read_output(dev);
+      if (engine == ExecEngine::Threaded) {
+        thr_res = res;
+        thr_out = job->read_output(dev);
       } else {
         san_res = res;
         san_out = job->read_output(dev);
@@ -317,10 +336,76 @@ TEST(Sanitizer, AllWorkloadsCleanUnderSanitizerWithIdenticalObservables) {
                 ? std::string()
                 : sanitizer_report_to_string(san_res.sanitizer_reports[0]));
     EXPECT_EQ(san_res.sanitizer_reports_dropped, 0u) << w->name();
-    EXPECT_EQ(san_out.words, fast_out.words) << w->name();
-    EXPECT_EQ(san_res.cycles, fast_res.cycles) << w->name();
-    EXPECT_EQ(san_res.instructions, fast_res.instructions) << w->name();
+    EXPECT_EQ(san_out.words, thr_out.words) << w->name();
+    EXPECT_EQ(san_res.cycles, thr_res.cycles) << w->name();
+    EXPECT_EQ(san_res.instructions, thr_res.instructions) << w->name();
   }
+}
+
+// --- threaded stream vs the reference path ---
+
+TEST(Sanitizer, DelegatedSlicesReportLikeTheReferencePath) {
+  // Straight-line code around racy shared accesses: the sanitized threaded
+  // stream compiles the arithmetic into runs and keeps every shared access
+  // a shadow-observing single.  Sweeping the watchdog over every per-thread
+  // budget lands boundaries inside RunHeads, where the threaded engine
+  // hands the slice to the reference interpreter; the second kernel ends in
+  // a shared out-of-bounds store after a run.  Every launch must match the
+  // reference path — an instrumented sanitized launch — on reports and
+  // observables alike.
+  KernelBuilder race("deleg_race", 16);
+  {
+    auto out = race.param_ptr("out");
+    auto tid = race.tid_x();
+    auto x = race.let("x", tid * i32c(3) + i32c(1));
+    auto y = race.let("y", (x ^ i32c(5)) * x + (tid << i32c(2)) - i32c(9));
+    race.shstore(i32c(0), y);  // cross-warp write-write race
+    auto z = race.let("z", race.shload_i32(i32c(0)) + y * i32c(7) - (x & i32c(12)));
+    race.barrier();
+    race.shstore(tid, z ^ x);
+    race.store(out + tid, race.shload_i32(i32c(0)) + z * x - (y | i32c(3)));
+  }
+  KernelBuilder oob("deleg_oob", 16);
+  {
+    auto out = oob.param_ptr("out");
+    auto tid = oob.tid_x();
+    auto x = oob.let("x", tid * i32c(5) + i32c(2));
+    auto y = oob.let("y", (x ^ i32c(3)) * x + (tid << i32c(1)));
+    oob.shstore(tid, y);
+    oob.store(out + tid, y - x);
+    oob.shstore(x * i32c(4) + i32c(16), y);  // out of bounds for every thread
+  }
+
+  std::size_t hangs = 0, oob_crashes = 0;
+  for (const kir::Kernel& kernel : {race.build(), oob.build()}) {
+    const auto prog = lower(kernel);
+    // The sanitized stream really has runs and no naked shared access.
+    const std::vector<std::uint32_t> unit_costs(prog.code.size(), 1);
+    const kir::ThreadedProgram tp = kir::compile_threaded(
+        kir::decode_program(prog, unit_costs), prog.num_slots, true, true, /*sanitize=*/true);
+    EXPECT_GT(tp.run_heads, 0u) << kernel.name;
+    for (const auto& ti : tp.code) {
+      EXPECT_NE(ti.op, static_cast<std::uint16_t>(kir::TOp::Nk_LoadS));
+      EXPECT_NE(ti.op, static_cast<std::uint16_t>(kir::TOp::Nk_StoreS));
+    }
+
+    const EngineOut full = run_engine(prog, cross_warp_props(), ExecEngine::Sanitizer);
+    ASSERT_FALSE(full.res.sanitizer_reports.empty());
+    // The launch total bounds every thread's budget, the crashing one's too.
+    for (std::uint64_t w = 0; w <= full.res.instructions; ++w) {
+      const EngineOut thr =
+          run_engine(prog, cross_warp_props(), ExecEngine::Sanitizer, 8, false, w);
+      const EngineOut ref =
+          run_engine(prog, cross_warp_props(), ExecEngine::Sanitizer, 8, true, w);
+      expect_same_observables(ref, thr);
+      EXPECT_EQ(thr.res.sanitizer_reports, ref.res.sanitizer_reports) << "watchdog " << w;
+      EXPECT_EQ(thr.res.sanitizer_reports_dropped, ref.res.sanitizer_reports_dropped);
+      hangs += thr.res.status == LaunchStatus::Hang;
+      oob_crashes += thr.res.status == LaunchStatus::CrashSharedOutOfBounds;
+    }
+  }
+  EXPECT_GT(hangs, 10u);
+  EXPECT_GT(oob_crashes, 0u);
 }
 
 // --- decoded site table ---
@@ -417,7 +502,7 @@ TEST(Sanitizer, SanitizedMemoryFaultCampaignReclassifiesSilentRaces) {
 
   auto run_trials = [&](bool sanitize) {
     Device dev(cross_warp_props());
-    dev.set_engine(sanitize ? ExecEngine::Sanitizer : ExecEngine::Fast);
+    dev.set_engine(sanitize ? ExecEngine::Sanitizer : ExecEngine::Threaded);
     GateJob job;
     const auto gold = swifi::golden_run(dev, prog, job);
     const std::uint64_t watchdog = swifi::campaign_watchdog(gold, {});

@@ -1,9 +1,10 @@
 // Threaded-code engine tests: decode/emitter completeness (every kir opcode
-// has a single-op translation in every engine), compiler fusion behavior on
-// the real workload kernels, bitwise engine equality against the fast
-// engine (complementing test_differential_fuzz's random programs and
-// test_golden_outputs' pinned digests), watchdog-boundary delegation, and
-// the launch-plan cache's engine-in-key behavior.
+// has a single-op translation, sanitized plans included), compiler fusion
+// behavior on the real workload kernels, bitwise engine equality against
+// the reference interpreter (complementing test_differential_fuzz's random
+// programs and test_golden_outputs' pinned digests), watchdog-boundary
+// delegation, the routing of instrumented launches to the reference
+// interpreter, and the launch-plan cache's engine-in-key behavior.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -98,55 +99,130 @@ TEST(Threaded, EveryDecodedOpHasAThreadedEmitter) {
     EXPECT_EQ(tp.code[pc].op, static_cast<std::uint8_t>(d.code[pc].op)) << "pc " << pc;
     EXPECT_EQ(tp.code[pc].len, 1) << "pc " << pc;
   }
-  // Every fused opcode has a name too (the dispatch table is fully wired).
+  // A sanitized plan differs only in its shared accesses, which become the
+  // shadow-observing singles.
+  const kir::ThreadedProgram st = kir::compile_threaded(d, 8, true, false, /*sanitize=*/true);
+  for (std::size_t pc = 0; pc < d.code.size(); ++pc) {
+    TOp want = kir::threaded_single_op(d.code[pc].op);
+    if (want == TOp::LoadS) want = TOp::SanLoadS;
+    if (want == TOp::StoreS) want = TOp::SanStoreS;
+    EXPECT_EQ(st.code[pc].op, static_cast<std::uint16_t>(want)) << "pc " << pc;
+  }
+  // Every fused opcode has a name too (the dispatch table is fully wired);
+  // the sanitizer singles close the table and are not fused.
+  const auto san_begin = static_cast<unsigned>(TOp::SanLoadS);
   for (unsigned v = kir::kTOpFusedBegin; v < kir::kNumTOps; ++v) {
-    EXPECT_TRUE(kir::top_is_fused(static_cast<TOp>(v)));
-    EXPECT_STRNE(kir::top_name(static_cast<TOp>(v)), "?") << "unnamed fused TOp " << v;
+    EXPECT_EQ(kir::top_is_fused(static_cast<TOp>(v)), v < san_begin) << "TOp " << v;
+    EXPECT_STRNE(kir::top_name(static_cast<TOp>(v)), "?") << "unnamed TOp " << v;
   }
 }
 
-// The threaded engine must be bitwise identical to the fast engine on every
-// workload, base and FT variants, including cycle/instruction totals.
-TEST(Threaded, MatchesFastEngineOnAllWorkloads) {
+// The threaded engine must be bitwise identical to the reference engine on
+// every workload, base and FT variants, including cycle/instruction totals.
+TEST(Threaded, MatchesReferenceEngineOnAllWorkloads) {
   for (auto& w : all_workloads()) {
     const Dataset ds = w->make_dataset(kDatasetSeed, Scale::Tiny);
     auto v = core::build_variants(w->build_kernel(Scale::Tiny));
 
-    const RunObs base_fast = run_workload(*w, ds, v.baseline, gpusim::ExecEngine::Fast, nullptr);
+    const RunObs base_ref =
+        run_workload(*w, ds, v.baseline, gpusim::ExecEngine::Reference, nullptr);
     const RunObs base_thr =
         run_workload(*w, ds, v.baseline, gpusim::ExecEngine::Threaded, nullptr);
-    EXPECT_EQ(base_fast, base_thr) << w->name() << " baseline";
+    EXPECT_EQ(base_ref, base_thr) << w->name() << " baseline";
 
-    core::ControlBlock cb_fast(v.ft);
-    const RunObs ft_fast = run_workload(*w, ds, v.ft, gpusim::ExecEngine::Fast, &cb_fast);
+    core::ControlBlock cb_ref(v.ft);
+    const RunObs ft_ref = run_workload(*w, ds, v.ft, gpusim::ExecEngine::Reference, &cb_ref);
     core::ControlBlock cb_thr(v.ft);
     const RunObs ft_thr = run_workload(*w, ds, v.ft, gpusim::ExecEngine::Threaded, &cb_thr);
-    EXPECT_EQ(ft_fast, ft_thr) << w->name() << " FT";
+    EXPECT_EQ(ft_ref, ft_thr) << w->name() << " FT";
   }
 }
 
 // Watchdog boundaries must land on the same instruction with the same
 // partial cycle charge in both engines — including budgets that expire in
-// the *middle* of a fused region, where the threaded engine delegates to
-// the single-op stream.  Sweep a window of budgets around full completion
-// and a window of tiny budgets (mid-loop-head boundaries).
-TEST(Threaded, WatchdogBoundariesMatchFastEngine) {
+// the *middle* of a fused region, where the threaded engine delegates the
+// slice to the reference interpreter.  Sweep a window of budgets around
+// full completion and a window of tiny budgets (mid-loop-head boundaries).
+TEST(Threaded, WatchdogBoundariesMatchReferenceEngine) {
   auto workloads = all_workloads();
   ASSERT_FALSE(workloads.empty());
   Workload& w = *workloads.front();  // CP: flat memory, dense loop fusion
   const Dataset ds = w.make_dataset(kDatasetSeed, Scale::Tiny);
   auto v = core::build_variants(w.build_kernel(Scale::Tiny));
 
-  const RunObs full = run_workload(w, ds, v.baseline, gpusim::ExecEngine::Fast, nullptr);
+  const RunObs full = run_workload(w, ds, v.baseline, gpusim::ExecEngine::Reference, nullptr);
   ASSERT_EQ(full.status, gpusim::LaunchStatus::Ok);
 
   std::vector<std::uint64_t> budgets;
   for (std::uint64_t b = 1; b <= 40; ++b) budgets.push_back(b);
   for (std::uint64_t b = 90; b <= 130; ++b) budgets.push_back(b);
   for (auto b : budgets) {
-    const RunObs f = run_workload(w, ds, v.baseline, gpusim::ExecEngine::Fast, nullptr, b);
+    const RunObs r = run_workload(w, ds, v.baseline, gpusim::ExecEngine::Reference, nullptr, b);
     const RunObs t = run_workload(w, ds, v.baseline, gpusim::ExecEngine::Threaded, nullptr, b);
-    EXPECT_EQ(f, t) << "watchdog " << b;
+    EXPECT_EQ(r, t) << "watchdog " << b;
+  }
+}
+
+// Launches that profile execution counts, cost SIMT serialization or run
+// under an installed hardware fault model take the reference interpreter on
+// a Threaded device (BlockExec::run), so they must match a Reference device
+// bitwise: profile, SIMT cycles, cycle/instruction totals, memory image.
+TEST(Threaded, InstrumentedLaunchesRouteToReference) {
+  struct Obs {
+    gpusim::LaunchStatus status{};
+    std::uint64_t cycles = 0, instructions = 0, simt_cycles = 0;
+    std::vector<std::uint64_t> counts;
+    std::vector<std::uint32_t> mem;
+    bool operator==(const Obs&) const = default;
+  };
+  enum class Mode { Counts, Simt, Fault };
+  auto run = [](Workload& w, const Dataset& ds, const kir::BytecodeProgram& prog,
+                gpusim::ExecEngine engine, Mode mode) {
+    gpusim::Device dev;
+    dev.set_engine(engine);
+    auto job = w.make_job(ds);
+    const auto args = job->setup(dev);
+    gpusim::LaunchOptions opts;
+    opts.max_workers = 1;  // the fault model's op counter is launch-global
+    Obs o;
+    if (mode == Mode::Counts) opts.instr_exec_counts = &o.counts;
+    if (mode == Mode::Simt) opts.simt_cost = true;
+    if (mode == Mode::Fault) {
+      gpusim::DeviceFaultModel fm;
+      fm.kind = gpusim::DeviceFaultModel::Kind::Intermittent;
+      fm.component = gpusim::DeviceFaultModel::Component::FPU;
+      fm.mask = 0x00400000;
+      fm.period = 7;
+      fm.duration_ops = 40;
+      dev.install_fault(fm);
+    }
+    const auto res = dev.launch(prog, job->config(), args, opts);
+    o.status = res.status;
+    o.cycles = res.cycles;
+    o.instructions = res.instructions;
+    o.simt_cycles = res.simt_cycles;
+    o.mem = dev.mem().image();
+    return o;
+  };
+  auto workloads = all_workloads();
+  for (std::size_t i = 0; i < 3; ++i) {  // CP, MRI-FHD, MRI-Q: float-heavy loops
+    Workload& w = *workloads[i];
+    const Dataset ds = w.make_dataset(kDatasetSeed, Scale::Tiny);
+    auto v = core::build_variants(w.build_kernel(Scale::Tiny));
+    for (const Mode mode : {Mode::Counts, Mode::Simt, Mode::Fault}) {
+      const Obs ref = run(w, ds, v.baseline, gpusim::ExecEngine::Reference, mode);
+      const Obs thr = run(w, ds, v.baseline, gpusim::ExecEngine::Threaded, mode);
+      EXPECT_EQ(ref, thr) << w.name() << " mode " << static_cast<int>(mode);
+      if (mode == Mode::Counts) {
+        EXPECT_FALSE(thr.counts.empty());
+      } else if (mode == Mode::Simt) {
+        EXPECT_GT(thr.simt_cycles, 0u);
+      }
+    }
+    // The fault model really corrupted something: the plain launch differs.
+    const Obs plain = run(w, ds, v.baseline, gpusim::ExecEngine::Threaded, Mode::Simt);
+    const Obs faulty = run(w, ds, v.baseline, gpusim::ExecEngine::Threaded, Mode::Fault);
+    EXPECT_NE(plain.mem, faulty.mem) << w.name();
   }
 }
 
@@ -214,8 +290,10 @@ TEST(Threaded, StraightLineCompilesToRun) {
 }
 
 // Flipping engines on a live device mid-campaign must never serve a plan
-// compiled for the previous engine: the engine kind is part of the plan
-// cache key, so each engine's first launch misses and later launches hit.
+// compiled for the previous engine (a Reference plan has no threaded
+// stream, a Sanitizer plan has shadow-observing shared accesses): the
+// engine kind is part of the plan cache key, so each engine's first launch
+// misses and later launches hit.
 TEST(Threaded, EngineFlipMidCampaignNeverServesStalePlan) {
   auto workloads = all_workloads();
   Workload& w = *workloads.front();
@@ -226,10 +304,10 @@ TEST(Threaded, EngineFlipMidCampaignNeverServesStalePlan) {
   auto job = w.make_job(ds);
   const auto args = job->setup(dev);
 
-  RunObs per_engine[2];
-  const gpusim::ExecEngine seq[] = {gpusim::ExecEngine::Fast, gpusim::ExecEngine::Threaded,
-                                    gpusim::ExecEngine::Fast, gpusim::ExecEngine::Threaded,
-                                    gpusim::ExecEngine::Threaded, gpusim::ExecEngine::Fast};
+  RunObs per_engine[3];
+  const gpusim::ExecEngine seq[] = {gpusim::ExecEngine::Reference, gpusim::ExecEngine::Threaded,
+                                    gpusim::ExecEngine::Sanitizer, gpusim::ExecEngine::Threaded,
+                                    gpusim::ExecEngine::Sanitizer, gpusim::ExecEngine::Reference};
   for (const auto engine : seq) {
     dev.set_engine(engine);
     dev.reset_memory();
@@ -243,16 +321,17 @@ TEST(Threaded, EngineFlipMidCampaignNeverServesStalePlan) {
     o.loop_cycles = res.loop_cycles;
     o.instructions = res.instructions;
     o.output = job->read_output(dev).words;
-    RunObs& pinned = per_engine[engine == gpusim::ExecEngine::Threaded];
+    RunObs& pinned = per_engine[static_cast<std::size_t>(engine)];
     if (pinned.output.empty())
       pinned = o;
     else
       EXPECT_EQ(pinned, o) << gpusim::exec_engine_name(engine);
   }
-  // Both engines observed identical results...
+  // All engines observed identical results...
   EXPECT_EQ(per_engine[0], per_engine[1]);
-  // ...and the cache missed exactly once per engine kind (4 of the 6
+  EXPECT_EQ(per_engine[0], per_engine[2]);
+  // ...and the cache missed exactly once per engine kind (3 of the 6
   // launches hit).
-  EXPECT_EQ(dev.plan_cache_misses(), 2u);
-  EXPECT_EQ(dev.plan_cache_hits(), 4u);
+  EXPECT_EQ(dev.plan_cache_misses(), 3u);
+  EXPECT_EQ(dev.plan_cache_hits(), 3u);
 }

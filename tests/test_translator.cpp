@@ -269,7 +269,7 @@ namespace {
 /// execute cleanly in every library mode.
 void expect_transparent_on_both_engines(const kir::Kernel& k, const gpusim::LaunchConfig& cfg) {
   auto v = build_variants(k);
-  for (const auto engine : {gpusim::ExecEngine::Fast, gpusim::ExecEngine::Reference}) {
+  for (const auto engine : {gpusim::ExecEngine::Threaded, gpusim::ExecEngine::Reference}) {
     const char* en = gpusim::exec_engine_name(engine);
     gpusim::Device dev;
     dev.set_engine(engine);
@@ -307,7 +307,7 @@ TEST(TranslatorEdge, SingleInstructionKernelKeepsItsOneEffect) {
   const auto k = kb.build();
   auto v = build_variants(k);
   EXPECT_EQ(v.ft_report.params_protected, 1);
-  for (const auto engine : {gpusim::ExecEngine::Fast, gpusim::ExecEngine::Reference}) {
+  for (const auto engine : {gpusim::ExecEngine::Threaded, gpusim::ExecEngine::Reference}) {
     gpusim::Device dev;
     dev.set_engine(engine);
     const auto oa = dev.mem().alloc(1, gpusim::AllocClass::F32Data);
@@ -338,7 +338,7 @@ TEST(TranslatorEdge, BarrierOnlyKernelSurvivesEveryMode) {
       if (in.op == kir::OpCode::Barrier) ++barriers;
     EXPECT_EQ(barriers, 2) << p->name;
   }
-  for (const auto engine : {gpusim::ExecEngine::Fast, gpusim::ExecEngine::Reference}) {
+  for (const auto engine : {gpusim::ExecEngine::Threaded, gpusim::ExecEngine::Reference}) {
     gpusim::Device dev;
     dev.set_engine(engine);
     const auto res = dev.launch(v.ft, gpusim::LaunchConfig{2, 1, 32, 1}, {});
@@ -369,7 +369,7 @@ TEST(TranslatorEdge, MaxDepthNestedLoopsAreInstrumentedTransparently) {
 
   auto v = build_variants(kb.build());
   ASSERT_FALSE(v.ft_report.loop_detectors.empty());
-  for (const auto engine : {gpusim::ExecEngine::Fast, gpusim::ExecEngine::Reference}) {
+  for (const auto engine : {gpusim::ExecEngine::Threaded, gpusim::ExecEngine::Reference}) {
     const char* en = gpusim::exec_engine_name(engine);
     gpusim::Device dev;
     dev.set_engine(engine);
