@@ -1,13 +1,13 @@
-// Campaign-engine throughput: trials/second of the sequential run_campaign
-// baseline versus the parallel CampaignExecutor at increasing worker counts,
-// plus the effect of the device's launch-plan cache (spill analysis and the
+// Campaign-driver throughput: trials/second of a one-worker CampaignExecutor
+// baseline versus the same executor at increasing worker counts, plus the
+// effect of the device's launch-plan cache (spill analysis and the
 // per-instruction cost vector are computed once per program instead of once
 // per launch).
 //
-// The worker sweep reports speedup relative to the sequential baseline; on a
-// single-core host the parallel engine matches the baseline (within pool
+// The worker sweep reports speedup relative to the one-worker baseline; on a
+// single-core host the parallel rows match the baseline (within thread
 // overhead) and the gains appear with the cores.  Outcomes are checked to be
-// identical across all engines before anything is printed.
+// identical across all rows before anything is printed.
 //
 // Knobs: --program (default CP), --vars (default 16), --masks (default 8),
 // --workers-list=1,2,4,0 (0 = hardware concurrency), --sanitize (run the
@@ -18,7 +18,7 @@
 // baseline and executor campaigns; default threaded), --protection=none|hamming|
 // hsiao (hardware ECC on every campaign device; the dedicated protected-mode
 // section below always measures none-vs-hsiao regardless), --json=FILE
-// (write the engine sweep + executor + protection rows as JSON).
+// (write the engine sweep + service + protection rows as JSON).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +26,7 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "common/worker_pool.hpp"
 #include "swifi/service.hpp"
 
 using namespace hauberk;
@@ -95,63 +96,52 @@ int main(int argc, char** argv) {
   const auto factory = context_factory(*ctx.workload, ctx.dataset, props, &ctx.variants.fift,
                                        &ctx.profile);
 
-  print_header("Campaign throughput: sequential baseline vs parallel executor");
+  print_header("Campaign throughput: one-worker baseline vs parallel executor");
   std::printf("program %s, %zu trials, host concurrency %u%s\n", ctx.workload->name().c_str(),
               specs.size(), common::WorkerPool::default_workers(),
               sanitize ? ", sanitizer ON" : "");
+  const auto& req = ctx.workload->requirement();
 
-  // Sequential baseline: run_campaign on one device (launch-plan cache on).
+  // Baseline: one campaign worker (launch-plan cache on).
   swifi::CampaignResult base_res;
   const double base_s = seconds([&] {
-    base_res = swifi::run_campaign(*ctx.device, ctx.variants.fift, *ctx.job, ctx.cb.get(),
-                                   specs, ctx.workload->requirement(), cfg);
+    base_res = swifi::CampaignExecutor(1).run(ctx.variants.fift, factory, specs, req, cfg);
   });
 
-  common::Table t({"Engine", "Workers", "Seconds", "Trials/sec", "Speedup"});
-  t.add_row({"run_campaign", "1", common::Table::num(base_s, 3),
+  common::Table t({"Driver", "Workers", "Seconds", "Trials/sec", "Speedup"});
+  t.add_row({"executor", "1", common::Table::num(base_s, 3),
              common::Table::num(n / base_s, 1), "1.00x"});
 
   bool deterministic = true;
   for (const int workers : worker_list) {
     swifi::CampaignExecutor ex(workers);
     swifi::CampaignResult res;
-    const double s = seconds([&] {
-      res = ex.run(ctx.variants.fift, factory, specs, ctx.workload->requirement(), cfg);
-    });
+    const double s = seconds([&] { res = ex.run(ctx.variants.fift, factory, specs, req, cfg); });
     deterministic = deterministic && same_outcomes(base_res, res);
     t.add_row({"executor", std::to_string(ex.workers()), common::Table::num(s, 3),
                common::Table::num(n / s, 1),
                common::Table::num(base_s / s, 2) + "x"});
   }
   t.print();
-  std::printf("\noutcome determinism across engines and worker counts: %s\n",
+  std::printf("\noutcome determinism across worker counts: %s\n",
               deterministic ? "OK (bitwise identical)" : "MISMATCH (bug!)");
 
-  // Campaign service vs in-process executor: the streaming/checkpointing
-  // layer must cost almost nothing on top of the trial work itself (the
-  // acceptance bar is within 10% of CampaignExecutor), and periodic
-  // checkpoints should stay in the noise at a sane interval.
-  double service_s = 0, service_ex_s = 0, service_ckpt_s = 0;
+  // Campaign service: the same trial pump with streaming aggregation, and
+  // with periodic checkpoints plus a result log — the checkpoint overhead
+  // should stay in the noise at a sane interval.
+  double service_s = 0, service_ckpt_s = 0;
   {
-    swifi::CampaignExecutor ex(0);
-    swifi::CampaignResult ex_res;
-    service_ex_s = seconds([&] {
-      ex_res = ex.run(ctx.variants.fift, factory, specs, ctx.workload->requirement(), cfg);
-    });
-
     swifi::ServiceConfig scfg;
     scfg.campaign = cfg;
     scfg.workers = 0;
     swifi::ServiceResult sres;
     service_s = seconds([&] {
-      sres = swifi::CampaignService(scfg).run(ctx.variants.fift, factory, specs,
-                                              ctx.workload->requirement());
+      sres = swifi::CampaignService(scfg).run(ctx.variants.fift, factory, specs, req);
     });
-    deterministic = deterministic &&
-                    sres.counts.undetected == ex_res.counts.undetected &&
-                    sres.counts.detected == ex_res.counts.detected &&
-                    sres.counts.masked == ex_res.counts.masked &&
-                    sres.counts.failure == ex_res.counts.failure;
+    deterministic = deterministic && sres.counts.undetected == base_res.counts.undetected &&
+                    sres.counts.detected == base_res.counts.detected &&
+                    sres.counts.masked == base_res.counts.masked &&
+                    sres.counts.failure == base_res.counts.failure;
 
     swifi::ServiceConfig ccfg = scfg;
     ccfg.checkpoint_every = 50;
@@ -159,29 +149,23 @@ int main(int argc, char** argv) {
                            "/bench_campaignd.ckpt";
     ccfg.resultlog_path = ccfg.checkpoint_path + ".log";
     service_ckpt_s = seconds([&] {
-      sres = swifi::CampaignService(ccfg).run(ctx.variants.fift, factory, specs,
-                                              ctx.workload->requirement());
+      sres = swifi::CampaignService(ccfg).run(ctx.variants.fift, factory, specs, req);
     });
     std::remove(ccfg.checkpoint_path.c_str());
     std::remove(ccfg.resultlog_path.c_str());
 
-    common::Table st({"Driver", "Seconds", "Trials/sec", "vs executor"});
-    st.add_row({"executor", common::Table::num(service_ex_s, 3),
-                common::Table::num(n / service_ex_s, 1), "1.00x"});
+    common::Table st({"Driver", "Seconds", "Trials/sec", "vs service"});
     st.add_row({"service", common::Table::num(service_s, 3),
-                common::Table::num(n / service_s, 1),
-                common::Table::num(service_ex_s / service_s, 2) + "x"});
+                common::Table::num(n / service_s, 1), "1.00x"});
     st.add_row({"service+ckpt/50", common::Table::num(service_ckpt_s, 3),
                 common::Table::num(n / service_ckpt_s, 1),
-                common::Table::num(service_ex_s / service_ckpt_s, 2) + "x"});
+                common::Table::num(service_s / service_ckpt_s, 2) + "x"});
     std::printf("\ncampaign service (streaming aggregation, default workers):\n");
     st.print();
-    std::printf("service overhead vs executor: %.1f%%, checkpoint overhead: %.1f%%\n",
-                100.0 * (service_s / service_ex_s - 1.0),
-                100.0 * (service_ckpt_s / service_s - 1.0));
+    std::printf("checkpoint overhead: %.1f%%\n", 100.0 * (service_ckpt_s / service_s - 1.0));
   }
 
-  // Interpreter-engine sweep: the same sequential campaign on each execution
+  // Interpreter-engine sweep: the same one-worker campaign on each execution
   // engine (the baseline above runs --engine, default threaded).  Outcomes must
   // be identical across the sweep; the sanitizer row is informational when
   // --sanitize distorted the baseline.
@@ -192,15 +176,14 @@ int main(int argc, char** argv) {
                                         gpusim::ExecEngine::Sanitizer,
                                         gpusim::ExecEngine::Threaded};
     swifi::CampaignResult ref_res;
+    const auto row_factory = context_factory(*ctx.workload, ctx.dataset, {},
+                                             &ctx.variants.fift, &ctx.profile);
     for (const auto engine : sweep) {
       swifi::CampaignConfig rcfg;
       rcfg.engine = engine;
-      gpusim::Device dev;
-      auto job = ctx.workload->make_job(ctx.dataset);
       swifi::CampaignResult res;
       const double s = seconds([&] {
-        res = swifi::run_campaign(dev, ctx.variants.fift, *job, ctx.cb.get(), specs,
-                                  ctx.workload->requirement(), rcfg);
+        res = swifi::CampaignExecutor(1).run(ctx.variants.fift, row_factory, specs, req, rcfg);
       });
       const char* en = gpusim::exec_engine_name(engine);
       engine_s[en] = s;
@@ -211,14 +194,14 @@ int main(int argc, char** argv) {
       et.add_row({en, common::Table::num(s, 3), common::Table::num(n / s, 1),
                   common::Table::num(engine_s["reference"] / s, 2) + "x"});
     }
-    std::printf("\nsequential campaign per engine (plan cache on):\n");
+    std::printf("\none-worker campaign per engine (plan cache on):\n");
     et.print();
     std::printf("threaded vs reference: %.2fx trials/sec\n",
                 engine_s["reference"] / engine_s["threaded"]);
   }
 
   // Protected-memory (hardware ECC) overhead on the threaded engine: the
-  // same sequential campaign with a (72,64) SEC-DED code on device memory.
+  // same one-worker campaign with a (72,64) SEC-DED code on device memory.
   // Protection closes the flat-arena shortcut — every global access takes
   // the EDC-checked load()/store() path — so this is the full cost of the
   // checked path, not just the modeled cycle surcharge.  Acceptance bar
@@ -232,16 +215,15 @@ int main(int argc, char** argv) {
     for (const auto scheme : {gpusim::ecc::Scheme::None, gpusim::ecc::Scheme::Hsiao}) {
       gpusim::DeviceProps pprops;
       pprops.protection = scheme;
-      gpusim::Device dev(pprops);
-      auto job = ctx.workload->make_job(ctx.dataset);
       swifi::CampaignConfig pcfg;
       pcfg.engine = gpusim::ExecEngine::Threaded;
       pcfg.protection = scheme;
       pcfg.pipeline = cfg.pipeline;
+      const auto row_factory = context_factory(*ctx.workload, ctx.dataset, pprops,
+                                               &ctx.variants.fift, &ctx.profile);
       swifi::CampaignResult res;
       const double s = seconds([&] {
-        res = swifi::run_campaign(dev, ctx.variants.fift, *job, ctx.cb.get(), specs,
-                                  ctx.workload->requirement(), pcfg);
+        res = swifi::CampaignExecutor(1).run(ctx.variants.fift, row_factory, specs, req, pcfg);
       });
       if (scheme == gpusim::ecc::Scheme::None) {
         prot_none_s = s;
@@ -254,7 +236,7 @@ int main(int argc, char** argv) {
                   common::Table::num(n / s, 1),
                   common::Table::num(s / prot_none_s, 2) + "x"});
     }
-    std::printf("\nprotected memory (threaded engine, sequential campaign):\n");
+    std::printf("\nprotected memory (threaded engine, one-worker campaign):\n");
     pt.print();
     std::printf("hsiao slowdown vs none: %.2fx (acceptance: <= 2x)\n",
                 prot_hsiao_s / prot_none_s);
@@ -273,22 +255,20 @@ int main(int argc, char** argv) {
                 100.0 * rep.analysis_cache.hit_rate());
   }
 
-  // Launch-plan cache ablation: same sequential campaign with the cache off.
+  // Launch-plan cache ablation: the baseline campaign with the cache off.
   {
-    gpusim::Device cold(props);
-    cold.set_plan_cache_enabled(false);
-    auto job = ctx.workload->make_job(ctx.dataset);
+    const auto cold_factory = [&] {
+      swifi::WorkerContext c = factory();
+      c.device->set_plan_cache_enabled(false);
+      return c;
+    };
     swifi::CampaignResult res;
     const double cold_s = seconds([&] {
-      res = swifi::run_campaign(cold, ctx.variants.fift, *job, ctx.cb.get(), specs,
-                                ctx.workload->requirement(), cfg);
+      res = swifi::CampaignExecutor(1).run(ctx.variants.fift, cold_factory, specs, req, cfg);
     });
     deterministic = deterministic && same_outcomes(base_res, res);
-    std::printf("\nlaunch-plan cache: on %.3fs (hits %llu, misses %llu) vs off %.3fs "
-                "-> %.2fx, outcomes %s\n",
-                base_s, static_cast<unsigned long long>(ctx.device->plan_cache_hits()),
-                static_cast<unsigned long long>(ctx.device->plan_cache_misses()), cold_s,
-                cold_s / base_s, same_outcomes(base_res, res) ? "identical" : "MISMATCH");
+    std::printf("\nlaunch-plan cache: on %.3fs vs off %.3fs -> %.2fx, outcomes %s\n", base_s,
+                cold_s, cold_s / base_s, same_outcomes(base_res, res) ? "identical" : "MISMATCH");
   }
 
   if (!json_path.empty()) {
@@ -307,9 +287,8 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  },\n  \"speedup_threaded_vs_reference\": %.4f,\n",
                  engine_s.at("reference") / engine_s.at("threaded"));
     std::fprintf(f, "  \"service\": {\"seconds\": %.6f, \"trials_per_sec\": %.2f,\n"
-                 "    \"vs_executor\": %.4f, \"checkpoint_overhead\": %.4f},\n",
-                 service_s, n / service_s, service_s / service_ex_s,
-                 service_ckpt_s / service_s);
+                 "    \"checkpoint_overhead\": %.4f},\n",
+                 service_s, n / service_s, service_ckpt_s / service_s);
     std::fprintf(f, "  \"protection\": {\"threaded_none\": {\"seconds\": %.6f, "
                  "\"trials_per_sec\": %.2f},\n    \"threaded_hsiao\": {\"seconds\": %.6f, "
                  "\"trials_per_sec\": %.2f},\n    \"hsiao_slowdown_vs_none\": %.4f},\n",

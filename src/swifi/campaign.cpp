@@ -209,27 +209,6 @@ std::uint64_t campaign_watchdog(const GoldenRun& gold, const CampaignConfig& cfg
                       static_cast<double>(gold.per_thread_instructions) * cfg.hang_factor));
 }
 
-CampaignResult run_campaign(Device& dev, const kir::BytecodeProgram& program,
-                            core::KernelJob& job, core::ControlBlock* cb,
-                            const std::vector<FaultSpec>& specs,
-                            const workloads::Requirement& req, const CampaignConfig& cfg) {
-  dev.set_engine(cfg.effective_engine());
-  const GoldenRun gold = golden_run(dev, program, job, cb, cfg.launch_workers);
-  const std::uint64_t watchdog = campaign_watchdog(gold, cfg);
-  CampaignResult result;
-  result.pipeline = cfg.pipeline.name;
-  if (cfg.pipeline.report) result.remark_digest = core::remark_digest(*cfg.pipeline.report);
-  result.per_fault.reserve(specs.size());
-  TrialStage stage(dev, job);
-  for (const FaultSpec& spec : specs) {
-    const Outcome o = run_one_fault(dev, program, job, cb, spec, gold.output, req, watchdog,
-                                    cfg.launch_workers, cfg.sanitize_cap, &stage);
-    result.counts.add(o);
-    result.per_fault.push_back(o);
-  }
-  return result;
-}
-
 // ---------------------------------------------------------------------------
 // Memory / code faults
 // ---------------------------------------------------------------------------

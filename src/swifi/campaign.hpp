@@ -70,7 +70,9 @@ struct CampaignConfig {
   /// Run trials under ExecEngine::Sanitizer (overrides `engine`): identical
   /// observables, but trials whose fault induced a shared-memory race or
   /// barrier divergence reclassify as Outcome::RaceDetected /
-  /// Outcome::BarrierDivergence instead of Failure/other classes.
+  /// Outcome::BarrierDivergence instead of Failure/other classes.  Since
+  /// that changes outcomes, CampaignService folds a Sanitizer effective
+  /// engine into the campaign digest.
   bool sanitize = false;
   /// Per-block sanitizer report cap forwarded to every trial launch (and the
   /// golden run) as LaunchOptions::sanitize_report_cap.  Only consulted when
@@ -123,10 +125,10 @@ struct CampaignResult {
 
 /// Caches the staged device image for repeated trials of one (device, job)
 /// pair.  KernelJob::setup rebuilds the same allocation layout and contents
-/// on every call for a fixed dataset (the executor's determinism contract
-/// already depends on this), so the stage runs setup once and resets every
-/// later trial with a flat image restore — no per-trial allocation, no
-/// host->device re-upload, bitwise-identical device state.
+/// on every call for a fixed dataset (the campaign drivers' worker-count
+/// determinism already depends on this), so the stage runs setup once and
+/// resets every later trial with a flat image restore — no per-trial
+/// allocation, no host->device re-upload, bitwise-identical device state.
 class TrialStage {
  public:
   TrialStage(gpusim::Device& dev, core::KernelJob& job) : dev_(&dev), job_(&job) {}
@@ -149,7 +151,7 @@ class TrialStage {
 /// Run one injection experiment.  `cb` may be null (FI without FT).
 /// `launch_workers` caps block-level workers of the trial launch (0 = hw).
 /// `stage`, when given, re-stages memory via its cached image instead of a
-/// fresh job.setup() — the campaign drivers pass one stage per device.
+/// fresh job.setup() — the campaign drivers keep one stage per worker device.
 [[nodiscard]] Outcome run_one_fault(gpusim::Device& dev, const kir::BytecodeProgram& program,
                                     core::KernelJob& job, core::ControlBlock* cb,
                                     const FaultSpec& spec,
@@ -160,17 +162,6 @@ class TrialStage {
                                     std::size_t sanitize_cap =
                                         gpusim::SharedShadow::kMaxReportsPerBlock,
                                     TrialStage* stage = nullptr);
-
-/// Run a whole campaign on one device: one launch per spec against a shared
-/// golden run, trials strictly in spec order.  This is the single-worker
-/// path; CampaignExecutor (swifi/executor.hpp) runs the same trials across
-/// a worker pool with bitwise-identical results.
-[[nodiscard]] CampaignResult run_campaign(gpusim::Device& dev,
-                                          const kir::BytecodeProgram& program,
-                                          core::KernelJob& job, core::ControlBlock* cb,
-                                          const std::vector<FaultSpec>& specs,
-                                          const workloads::Requirement& req,
-                                          const CampaignConfig& cfg = {});
 
 // ---------------------------------------------------------------------------
 // Memory-data and code-segment faults (Fig. 1 CPU rows)

@@ -1,20 +1,25 @@
-// Parallel SWIFI campaign engine.
+// In-process SWIFI campaign driver.
 //
 // A campaign is thousands of independent fault-injection trials: each trial
 // re-stages device memory via its job's setup(), launches once, and
 // classifies the outcome against a shared golden run.  Trials never share
-// mutable state, so the executor runs them concurrently across a persistent
-// pool of campaign workers, each owning a private simulated Device (plus its
-// own KernelJob staging and ControlBlock clone).  The parallelism is
-// inverted relative to a single launch: trial launches run with one
-// block-worker (CampaignConfig::launch_workers = 1 — no nested pool churn,
-// no core oversubscription) while campaign workers scale to hardware
-// concurrency.
+// mutable state, so they run concurrently on campaign workers, each owning
+// a private simulated Device (plus its own KernelJob staging and
+// ControlBlock clone).  The parallelism is inverted relative to a single
+// launch: trial launches run with one block-worker
+// (CampaignConfig::launch_workers = 1 — no nested pool churn, no core
+// oversubscription) while campaign workers scale to hardware concurrency.
+//
+// CampaignExecutor and CampaignService (swifi/service.hpp) share one trial
+// pump: workers claim trial indices from an atomic counter and the calling
+// thread commits outcomes strictly in index order.  The executor's commit
+// writes per_fault[i] and adds the trial's weight to OutcomeCounts; it keeps
+// no checkpoint and no log.
 //
 // Determinism guarantee: results are bitwise identical for every worker
-// count.  Outcomes are written into per_fault by trial index, OutcomeCounts
-// is reduced from that vector afterwards, and any per-trial randomness is
-// forked from (seed, trial_index) rather than drawn from a shared stream.
+// count.  Outcomes are committed in trial order, and any per-trial
+// randomness is forked from (seed, trial_index) rather than drawn from a
+// shared stream.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +27,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/worker_pool.hpp"
 #include "gpusim/device.hpp"
 #include "hauberk/control_block.hpp"
 #include "hauberk/program.hpp"
@@ -46,23 +50,18 @@ struct WorkerContext {
 /// outcomes (the executor never tells the factory which worker it serves).
 using WorkerContextFactory = std::function<WorkerContext()>;
 
-/// Persistent campaign engine.  Construct once, reuse across campaigns:
-/// the worker threads survive between run() calls, only the per-campaign
-/// contexts are rebuilt (programs, datasets and detector configurations
-/// change between campaigns; threads need not).
+/// In-memory campaign driver: the shared trial pump with a per-trial
+/// outcome vector as its only sink.  Holds nothing but its worker count;
+/// every run() builds and drops its own worker contexts and threads.
 class CampaignExecutor {
  public:
   /// `workers` == 0 selects hardware concurrency.
   explicit CampaignExecutor(int workers = 0);
-  ~CampaignExecutor();
-  CampaignExecutor(const CampaignExecutor&) = delete;
-  CampaignExecutor& operator=(const CampaignExecutor&) = delete;
 
-  [[nodiscard]] int workers() const noexcept;
+  [[nodiscard]] int workers() const noexcept { return workers_; }
 
-  /// Run a planned-fault campaign (the run_campaign trial semantics, fanned
-  /// out across workers).  Equivalent to run_campaign on one device: same
-  /// per_fault vector, same counts, for any worker count.
+  /// Run a planned-fault campaign: trial i is run_one_fault(specs[i]) against
+  /// one golden run.  Same per_fault vector and counts for any worker count.
   [[nodiscard]] CampaignResult run(const kir::BytecodeProgram& program,
                                    const WorkerContextFactory& make_context,
                                    const std::vector<FaultSpec>& specs,
@@ -88,16 +87,7 @@ class CampaignExecutor {
                                                const CampaignConfig& cfg = {});
 
  private:
-  /// Shared fan-out: builds one context per participating worker, runs the
-  /// golden run on the first, then distributes trial indices dynamically.
-  /// `trial(ctx, gold, watchdog, index)` must be pure per index.
-  [[nodiscard]] CampaignResult run_trials(
-      const kir::BytecodeProgram& program, const WorkerContextFactory& make_context,
-      std::size_t trial_count, const CampaignConfig& cfg,
-      const std::function<Outcome(WorkerContext&, const GoldenRun&, std::uint64_t,
-                                  std::size_t)>& trial);
-
-  common::WorkerPool pool_;
+  int workers_;
 };
 
 }  // namespace hauberk::swifi

@@ -4,14 +4,17 @@
 #include <atomic>
 #include <bit>
 #include <exception>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/bitops.hpp"
+#include "common/rng.hpp"
 #include "common/worker_pool.hpp"
 #include "hauberk/checkpoint.hpp"
-#include "swifi/queue.hpp"
 #include "swifi/resultlog.hpp"
 
 namespace hauberk::swifi {
@@ -40,7 +43,7 @@ std::uint64_t campaign_digest(const kir::BytecodeProgram& program,
                               std::uint64_t remark_digest,
                               gpusim::ecc::Scheme protection,
                               std::uint64_t plan_digest,
-                              std::uint64_t prune_digest) {
+                              std::uint64_t prune_digest, bool sanitize) {
   std::uint64_t h = kFnvOffset;
   fnv(h, kir::program_digest(program));
   fnv(h, specs.size());
@@ -78,6 +81,9 @@ std::uint64_t campaign_digest(const kir::BytecodeProgram& program,
     fnv(h, 0x5052ull);
     fnv(h, prune_digest);
   }
+  // And for the sanitizer taxonomy: unsanitized campaigns keep their
+  // historic digests.
+  if (sanitize) fnv(h, 0x53414Eull);
   return h;
 }
 
@@ -172,6 +178,198 @@ CampaignService::CampaignService(ServiceConfig cfg) : cfg_(std::move(cfg)) {
         "CampaignService: checkpointing/resume requires a checkpoint path");
 }
 
+// ---------------------------------------------------------------------------
+// The trial pump: the one place trials reach workers and outcomes commit.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Runs ordinal `k` on a worker's context; must be a pure function of `k`.
+using TrialFn =
+    std::function<Outcome(WorkerContext&, const GoldenRun&, std::uint64_t watchdog,
+                          std::uint64_t k)>;
+/// Receives every ordinal's outcome on the calling thread, strictly in
+/// ordinal order.  May throw; the pump then stops its workers and rethrows.
+using CommitFn = std::function<void(std::uint64_t k, Outcome)>;
+
+/// Runs ordinals [begin, end): builds min(workers, end - begin) contexts,
+/// runs the golden run on the first, lets workers claim ordinals from one
+/// atomic counter, and commits outcomes in ordinal order through a bounded
+/// reorder window.  An empty range builds nothing and runs nothing.
+void pump_trials(const kir::BytecodeProgram& program, const WorkerContextFactory& make_context,
+                 const CampaignConfig& cfg, int workers, std::uint64_t begin,
+                 std::uint64_t end, const TrialFn& trial, const CommitFn& commit) {
+  if (begin >= end) return;
+  const std::uint64_t hw = workers > 0 ? static_cast<std::uint64_t>(workers)
+                                       : common::WorkerPool::default_workers();
+  const auto nw = static_cast<std::size_t>(std::min(hw, end - begin));
+  std::vector<WorkerContext> ctxs;
+  ctxs.reserve(nw);
+  for (std::size_t i = 0; i < nw; ++i) {
+    ctxs.push_back(make_context());
+    if (!ctxs.back().device || !ctxs.back().job)
+      throw std::invalid_argument(
+          "swifi: WorkerContextFactory must provide a device and a job");
+    ctxs.back().device->set_engine(cfg.effective_engine());
+  }
+  // One golden run serves every trial; run_one_* re-stage memory themselves.
+  const GoldenRun gold = golden_run(*ctxs[0].device, program, *ctxs[0].job, ctxs[0].cb.get(),
+                                    cfg.launch_workers);
+  const std::uint64_t watchdog = campaign_watchdog(gold, cfg);
+
+  // The reorder window bounds how far execution may run ahead of the
+  // committer: it is the entire per-trial memory footprint, independent of
+  // campaign size.  Ordinal k publishes into slot k % window once
+  // k < committed + window; the committer's release store of `committed`
+  // hands the slot it just drained back to the next ordinal that maps there.
+  const std::size_t window = std::max<std::size_t>(256, nw * 16);
+  struct Slot {
+    std::atomic<std::uint32_t> ready{0};
+    std::uint8_t outcome = 0;
+  };
+  std::vector<Slot> slots(window);
+  std::atomic<std::uint64_t> next{begin};
+  std::atomic<std::uint64_t> committed{begin};
+  std::atomic<bool> abort{false};
+  std::mutex error_mu;
+  std::exception_ptr first_error;
+
+  const auto worker_main = [&](WorkerContext& ctx) {
+    try {
+      for (;;) {
+        const std::uint64_t k = next.fetch_add(1, std::memory_order_relaxed);
+        if (k >= end) return;
+        // Cannot deadlock: ordinals are claimed in increasing order, so the
+        // lowest uncommitted one is held by a worker that never waits here.
+        while (k >= committed.load(std::memory_order_acquire) + window) {
+          if (abort.load(std::memory_order_acquire)) return;
+          std::this_thread::yield();
+        }
+        if (abort.load(std::memory_order_acquire)) return;
+        const Outcome o = trial(ctx, gold, watchdog, k);
+        Slot& slot = slots[k % window];
+        slot.outcome = static_cast<std::uint8_t>(o);
+        slot.ready.store(1, std::memory_order_release);
+      }
+    } catch (...) {
+      {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+      abort.store(true, std::memory_order_release);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  threads.reserve(nw);
+  const auto shutdown = [&] {
+    abort.store(true, std::memory_order_release);
+    for (auto& t : threads)
+      if (t.joinable()) t.join();
+  };
+  try {
+    for (std::size_t i = 0; i < nw; ++i) threads.emplace_back(worker_main, std::ref(ctxs[i]));
+    for (std::uint64_t k = begin; k < end;) {
+      if (abort.load(std::memory_order_acquire)) break;
+      Slot& slot = slots[k % window];
+      if (slot.ready.load(std::memory_order_acquire) != 1) {
+        std::this_thread::yield();
+        continue;
+      }
+      const auto o = static_cast<Outcome>(slot.outcome);
+      slot.ready.store(0, std::memory_order_relaxed);
+      committed.store(++k, std::memory_order_release);
+      commit(k - 1, o);
+    }
+  } catch (...) {
+    shutdown();
+    throw;
+  }
+  shutdown();
+  if (first_error) std::rethrow_exception(first_error);
+}
+
+/// A planned-fault trial on a worker context, staged through its TrialStage.
+Outcome planned_trial(WorkerContext& ctx, const kir::BytecodeProgram& program,
+                      const FaultSpec& spec, const GoldenRun& gold,
+                      const workloads::Requirement& req, std::uint64_t watchdog,
+                      const CampaignConfig& cfg) {
+  if (!ctx.stage) ctx.stage = std::make_unique<TrialStage>(*ctx.device, *ctx.job);
+  return run_one_fault(*ctx.device, program, *ctx.job, ctx.cb.get(), spec, gold.output, req,
+                       watchdog, cfg.launch_workers, cfg.sanitize_cap, ctx.stage.get());
+}
+
+/// The executor's whole campaign: `trial_count` ordinals into per_fault,
+/// counts weighted by CampaignConfig::trial_weight.
+CampaignResult run_in_memory(const kir::BytecodeProgram& program,
+                             const WorkerContextFactory& make_context, int workers,
+                             std::size_t trial_count, const CampaignConfig& cfg,
+                             const TrialFn& trial) {
+  CampaignResult result;
+  result.pipeline = cfg.pipeline.name;
+  if (cfg.pipeline.report) result.remark_digest = core::remark_digest(*cfg.pipeline.report);
+  result.per_fault.resize(trial_count);
+  pump_trials(program, make_context, cfg, workers, 0, trial_count, trial,
+              [&](std::uint64_t i, Outcome o) {
+                result.per_fault[i] = o;
+                result.counts.add(o, cfg.trial_weight(i));
+              });
+  return result;
+}
+
+}  // namespace
+
+CampaignExecutor::CampaignExecutor(int workers)
+    : workers_(workers > 0 ? workers
+                           : static_cast<int>(common::WorkerPool::default_workers())) {}
+
+CampaignResult CampaignExecutor::run(const kir::BytecodeProgram& program,
+                                     const WorkerContextFactory& make_context,
+                                     const std::vector<FaultSpec>& specs,
+                                     const workloads::Requirement& req,
+                                     const CampaignConfig& cfg) {
+  return run_in_memory(program, make_context, workers_, specs.size(), cfg,
+                       [&](WorkerContext& ctx, const GoldenRun& gold, std::uint64_t watchdog,
+                           std::uint64_t i) {
+                         return planned_trial(ctx, program, specs[i], gold, req, watchdog, cfg);
+                       });
+}
+
+CampaignResult CampaignExecutor::run_memory_faults(const kir::BytecodeProgram& program,
+                                                   const WorkerContextFactory& make_context,
+                                                   std::uint64_t seed, int trials,
+                                                   int error_bits,
+                                                   const workloads::Requirement& req,
+                                                   const CampaignConfig& cfg) {
+  const std::size_t n = trials > 0 ? static_cast<std::size_t>(trials) : 0;
+  return run_in_memory(program, make_context, workers_, n, cfg,
+                       [&](WorkerContext& ctx, const GoldenRun& gold, std::uint64_t watchdog,
+                           std::uint64_t i) {
+                         common::Rng rng = common::Rng::fork(seed, i);
+                         const std::uint32_t mask = common::random_mask(rng, error_bits);
+                         return run_one_memory_fault(*ctx.device, program, *ctx.job, rng, mask,
+                                                     gold.output, req, watchdog,
+                                                     cfg.launch_workers, cfg.sanitize_cap,
+                                                     ctx.cb.get());
+                       });
+}
+
+CampaignResult CampaignExecutor::run_code_faults(const kir::BytecodeProgram& program,
+                                                 const WorkerContextFactory& make_context,
+                                                 std::uint64_t seed, int trials,
+                                                 const workloads::Requirement& req,
+                                                 const CampaignConfig& cfg) {
+  const std::size_t n = trials > 0 ? static_cast<std::size_t>(trials) : 0;
+  return run_in_memory(program, make_context, workers_, n, cfg,
+                       [&](WorkerContext& ctx, const GoldenRun& gold, std::uint64_t watchdog,
+                           std::uint64_t i) {
+                         common::Rng rng = common::Rng::fork(seed, i);
+                         return run_one_code_fault(*ctx.device, program, *ctx.job, rng,
+                                                   gold.output, req, watchdog,
+                                                   cfg.launch_workers, cfg.sanitize_cap);
+                       });
+}
+
 ServiceResult CampaignService::run(const kir::BytecodeProgram& program,
                                    const WorkerContextFactory& make_context,
                                    const std::vector<FaultSpec>& specs,
@@ -186,9 +384,10 @@ ServiceResult CampaignService::run(const kir::BytecodeProgram& program,
   std::uint64_t remark_digest = 0;
   if (cfg_.campaign.pipeline.report)
     remark_digest = core::remark_digest(*cfg_.campaign.pipeline.report);
-  const std::uint64_t digest =
-      campaign_digest(program, specs, req, remark_digest, cfg_.campaign.protection,
-                      cfg_.campaign.plan_digest, cfg_.campaign.prune_digest);
+  const std::uint64_t digest = campaign_digest(
+      program, specs, req, remark_digest, cfg_.campaign.protection, cfg_.campaign.plan_digest,
+      cfg_.campaign.prune_digest,
+      cfg_.campaign.effective_engine() == gpusim::ExecEngine::Sanitizer);
 
   ServiceResult result;
   result.pipeline = cfg_.campaign.pipeline.name;
@@ -241,8 +440,8 @@ ServiceResult CampaignService::run(const kir::BytecodeProgram& program,
       log.create(cfg_.resultlog_path, log_header);
   }
 
-  const auto write_checkpoint = [&](std::uint64_t committed, std::uint64_t written,
-                                    bool invoke_hook) {
+  std::uint64_t written = 0;
+  const auto write_checkpoint = [&](std::uint64_t committed, bool invoke_hook) {
     log.flush();
     CampaignCheckpoint ck;
     ck.config_digest = digest;
@@ -261,136 +460,45 @@ ServiceResult CampaignService::run(const kir::BytecodeProgram& program,
     if (invoke_hook && cfg_.on_checkpoint) cfg_.on_checkpoint(ck);
   };
 
-  if (watermark >= mine) {
-    // Nothing left to run (fresh empty shard, or resume of a finished one).
-    if (!cfg_.checkpoint_path.empty()) write_checkpoint(mine, 0, false);
-    log.close();
-    return result;
-  }
-
-  // --- contexts and golden run ---------------------------------------------
-  const std::uint64_t remaining = mine - watermark;
-  const unsigned hw = cfg_.workers > 0 ? static_cast<unsigned>(cfg_.workers)
-                                       : common::WorkerPool::default_workers();
-  const std::size_t nw =
-      std::min<std::size_t>(hw, static_cast<std::size_t>(std::max<std::uint64_t>(remaining, 1)));
-  std::vector<WorkerContext> ctxs;
-  ctxs.reserve(nw);
-  for (std::size_t i = 0; i < nw; ++i) {
-    ctxs.push_back(make_context());
-    if (!ctxs.back().device || !ctxs.back().job)
-      throw std::invalid_argument(
-          "swifi: WorkerContextFactory must provide a device and a job");
-    ctxs.back().device->set_engine(cfg_.campaign.effective_engine());
-  }
-  const GoldenRun gold = golden_run(*ctxs[0].device, program, *ctxs[0].job, ctxs[0].cb.get(),
-                                    cfg_.campaign.launch_workers);
-  const std::uint64_t watchdog = campaign_watchdog(gold, cfg_.campaign);
-
-  // --- trial pump -----------------------------------------------------------
-  // The reorder window bounds how far execution may run ahead of the
-  // in-order committer; together with the queue capacity it is the entire
-  // per-trial memory footprint, independent of campaign size.
-  const std::size_t window = std::max<std::size_t>(256, nw * 16);
-  struct Slot {
-    std::atomic<std::uint32_t> ready{0};
-    std::uint8_t outcome = 0;
-  };
-  std::vector<Slot> slots(window);
-  TrialQueue queue(window);
-  std::atomic<bool> abort{false};
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-
-  const auto worker_main = [&](WorkerContext& ctx) {
-    try {
-      if (!ctx.stage) ctx.stage = std::make_unique<TrialStage>(*ctx.device, *ctx.job);
-      std::uint64_t k;
-      for (;;) {
-        if (abort.load(std::memory_order_acquire)) return;
-        if (!queue.try_pop(k)) {
-          if (queue.closed()) return;
-          std::this_thread::yield();
-          continue;
-        }
-        const std::uint64_t trial = I + k * K;
-        const Outcome o = run_one_fault(
-            *ctx.device, program, *ctx.job, ctx.cb.get(), specs[trial], gold.output, req,
-            watchdog, cfg_.campaign.launch_workers, cfg_.campaign.sanitize_cap,
-            ctx.stage.get());
-        Slot& slot = slots[k % window];
-        slot.outcome = static_cast<std::uint8_t>(o);
-        slot.ready.store(1, std::memory_order_release);
-      }
-    } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      abort.store(true, std::memory_order_release);
+  // Aggregation, the result log and periodic checkpoints all live in the
+  // commit function, so they see trials in shard-ordinal order only.
+  std::uint64_t last_ckpt = watermark;
+  const auto commit = [&](std::uint64_t k, Outcome o) {
+    const std::uint64_t trial = I + k * K;
+    const std::uint64_t weight = cfg_.campaign.trial_weight(trial);
+    result.counts.add(o, weight);
+    result.site_hist.add(specs[trial].site_id, weight);
+    if (o == Outcome::Undetected) result.sdc_site_hist.add(specs[trial].site_id, weight);
+    if (log.is_open()) {
+      ResultRecord rec;
+      rec.trial = static_cast<std::uint32_t>(trial);
+      rec.outcome = static_cast<std::uint8_t>(o);
+      rec.set_weight(weight);
+      log.append(rec);
     }
-  };
-
-  std::vector<std::thread> workers;
-  workers.reserve(nw);
-  for (std::size_t i = 0; i < nw; ++i) workers.emplace_back(worker_main, std::ref(ctxs[i]));
-
-  const auto shutdown = [&] {
-    abort.store(true, std::memory_order_release);
-    queue.close();
-    for (auto& t : workers)
-      if (t.joinable()) t.join();
+    ++result.trials_run;
+    const std::uint64_t committed = k + 1;
+    if (cfg_.checkpoint_every > 0 && committed < mine &&
+        committed - last_ckpt >= cfg_.checkpoint_every) {
+      result.checkpoints_written = ++written;
+      write_checkpoint(committed, true);
+      last_ckpt = committed;
+    }
   };
 
   try {
-    std::uint64_t next = watermark;      // next ordinal to enqueue
-    std::uint64_t committed = watermark; // ordinals committed in order
-    std::uint64_t last_ckpt = watermark;
-    std::uint64_t written = 0;
-    while (committed < mine) {
-      if (abort.load(std::memory_order_acquire)) break;
-      // Feed the queue up to the window edge.
-      while (next < mine && next < committed + window && queue.try_push(next)) ++next;
-      // Commit every contiguous completed trial, in trial order.
-      bool progressed = false;
-      while (committed < mine) {
-        Slot& slot = slots[committed % window];
-        if (slot.ready.load(std::memory_order_acquire) != 1) break;
-        const auto o = static_cast<Outcome>(slot.outcome);
-        slot.ready.store(0, std::memory_order_relaxed);
-        const std::uint64_t trial = I + committed * K;
-        const std::uint64_t weight = cfg_.campaign.trial_weight(trial);
-        result.counts.add(o, weight);
-        result.site_hist.add(specs[trial].site_id, weight);
-        if (o == Outcome::Undetected) result.sdc_site_hist.add(specs[trial].site_id, weight);
-        if (log.is_open()) {
-          ResultRecord rec;
-          rec.trial = static_cast<std::uint32_t>(trial);
-          rec.outcome = static_cast<std::uint8_t>(o);
-          rec.set_weight(weight);
-          log.append(rec);
-        }
-        ++committed;
-        ++result.trials_run;
-        progressed = true;
-        if (cfg_.checkpoint_every > 0 && committed < mine &&
-            committed - last_ckpt >= cfg_.checkpoint_every) {
-          ++written;
-          result.checkpoints_written = written;
-          write_checkpoint(committed, written, true);
-          last_ckpt = committed;
-        }
-      }
-      if (!progressed) std::this_thread::yield();
-    }
-    shutdown();
-    if (first_error) std::rethrow_exception(first_error);
+    pump_trials(program, make_context, cfg_.campaign, cfg_.workers, watermark, mine,
+                [&](WorkerContext& ctx, const GoldenRun& gold, std::uint64_t watchdog,
+                    std::uint64_t k) {
+                  return planned_trial(ctx, program, specs[I + k * K], gold, req, watchdog,
+                                       cfg_.campaign);
+                },
+                commit);
     // Completion checkpoint: records watermark == mine so a redundant
     // resume is a no-op.  No hook — the campaign is done, there is nothing
     // a kill here could lose.
-    if (!cfg_.checkpoint_path.empty()) write_checkpoint(mine, written, false);
+    if (!cfg_.checkpoint_path.empty()) write_checkpoint(mine, false);
   } catch (...) {
-    shutdown();
     log.close();
     throw;
   }

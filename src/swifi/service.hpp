@@ -4,8 +4,8 @@
 // this process, and give me the outcome vector".  The campaign sizes the
 // paper's methodology actually needs — millions of trials per configuration
 // for tight SDC-coverage confidence intervals — outlive single processes
-// and single machines, so CampaignService promotes that loop to a
-// production-shaped driver:
+// and single machines, so CampaignService adds what such runs need on top
+// of the same trial pump:
 //
 //  * Sharding.  Trial i belongs to shard (i mod K); a service instance runs
 //    one shard I of K.  The assignment is a pure function of the trial
@@ -13,12 +13,12 @@
 //    coordination, and the merged results are bitwise identical to one
 //    process running everything.
 //
-//  * Lock-free trial distribution.  Within a shard, worker threads pull
-//    trial ordinals from a bounded MPMC queue (swifi/queue.hpp) and publish
-//    outcomes into a fixed reorder window; the service thread commits
-//    outcomes strictly in trial order.  Results never depend on scheduling:
-//    the same bitwise-invariance contract as CampaignExecutor, now extended
-//    across shard counts and process restarts.
+//  * One trial pump.  Within a shard, worker threads claim trial ordinals
+//    from one atomic counter and publish outcomes into a fixed reorder
+//    window; the calling thread commits outcomes strictly in trial order.
+//    The executor runs on the same pump with a different commit function,
+//    so results never depend on scheduling, worker count, shard split or
+//    process restarts.
 //
 //  * Checkpoint / resume.  Every checkpoint_every committed trials the
 //    service writes a versioned, CRC-guarded campaign checkpoint
@@ -50,22 +50,27 @@ namespace hauberk::swifi {
 /// Identity of a campaign for checkpoint/result-log validation: digests the
 /// program, every fault spec, the correctness requirement and the pipeline
 /// remark digest.  Deliberately excludes the shard split, worker count and
-/// interpreter engine — all of those are execution details that cannot
-/// change outcomes, so a campaign may legitimately resume with a different
-/// engine or worker count, and per-shard artifacts of one campaign share
-/// one digest (which is how the merge tool pairs them up).  Memory
-/// protection *is* part of the identity — an ECC campaign has different
-/// outcomes — but ecc::Scheme::None contributes nothing, so every digest
-/// (and checkpoint, and result log) minted before protection existed stays
-/// valid.  A selective-hardening plan is identity the same way: a nonzero
-/// `plan_digest` (core::plan_digest of the plan the injected program was
-/// built under) is folded in, while the trivial-plan digest 0 contributes
-/// nothing, keeping plan-free campaign digests bitwise stable.  A campaign
-/// pruned under a PruningPlan folds `prune_digest`
-/// (hauberk::prune::pruning_plan_digest) the same way — note the pruned
-/// spec list *already* differs from the full campaign's, but the digest
-/// additionally separates "these specs happen to coincide" from "these
-/// specs were chosen as class representatives with population weights".
+/// which plain interpreter runs the trials — those are execution details
+/// that cannot change outcomes, so a campaign may legitimately resume with
+/// a different worker count or switch between the reference and threaded
+/// engines, and per-shard artifacts of one campaign share one digest (which
+/// is how the merge tool pairs them up).  Everything that *can* change an
+/// outcome is folded in, each only when it departs from the default, so
+/// digests (and checkpoints, and result logs) minted before the option
+/// existed stay valid:
+///  * `protection` — an ECC campaign has different outcomes; Scheme::None
+///    contributes nothing.
+///  * `plan_digest` — core::plan_digest of the selective-hardening plan the
+///    injected program was built under; the trivial plan's 0 contributes
+///    nothing.
+///  * `prune_digest` — hauberk::prune::pruning_plan_digest of the plan the
+///    spec list was pruned under.  The pruned spec list already differs from
+///    the full campaign's, but the digest additionally separates "these
+///    specs happen to coincide" from "these specs were chosen as class
+///    representatives with population weights".
+///  * `sanitize` — the effective engine is ExecEngine::Sanitizer, whose
+///    trials may reclassify as RaceDetected / BarrierDivergence; a plain
+///    checkpoint must never resume as a sanitized campaign, or vice versa.
 [[nodiscard]] std::uint64_t campaign_digest(const kir::BytecodeProgram& program,
                                             const std::vector<FaultSpec>& specs,
                                             const workloads::Requirement& req,
@@ -73,7 +78,8 @@ namespace hauberk::swifi {
                                             gpusim::ecc::Scheme protection =
                                                 gpusim::ecc::Scheme::None,
                                             std::uint64_t plan_digest = 0,
-                                            std::uint64_t prune_digest = 0);
+                                            std::uint64_t prune_digest = 0,
+                                            bool sanitize = false);
 
 /// The on-disk campaign checkpoint (magic "HBKC", version
 /// kCampaignCheckpointVersion).  Everything needed to resume shard I of K
@@ -147,8 +153,8 @@ class CampaignService {
   explicit CampaignService(ServiceConfig cfg);
 
   /// Run (or resume) this shard of a planned-fault campaign.  Semantics per
-  /// trial are exactly run_one_fault / CampaignExecutor::run; aggregation
-  /// is streaming.  Throws core::CheckpointError when a resume checkpoint
+  /// trial are exactly run_one_fault / CampaignExecutor::run (the same pump);
+  /// aggregation is streaming.  Throws core::CheckpointError when a resume checkpoint
   /// or result log is missing, corrupt, or from a different campaign.
   [[nodiscard]] ServiceResult run(const kir::BytecodeProgram& program,
                                   const WorkerContextFactory& make_context,

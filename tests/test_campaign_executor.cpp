@@ -1,10 +1,16 @@
-// Determinism tests for the parallel campaign engine (swifi/executor.hpp):
+// Determinism tests for the in-memory campaign driver (swifi/executor.hpp):
 // identical seeds and specs must produce bitwise-identical per-fault
 // outcomes and counts for every worker count, and the executor must agree
-// exactly with the single-device run_campaign path.
+// exactly with a plain single-device loop written out in this file.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <stdexcept>
+
 #include "hauberk/runtime.hpp"
+#include "common/bitops.hpp"
+#include "common/rng.hpp"
 #include "swifi/campaign.hpp"
 #include "swifi/executor.hpp"
 #include "workloads/workload.hpp"
@@ -43,6 +49,49 @@ struct Fixture {
   }
 };
 
+/// The independent oracle: trials 0..n-1 in order on one device against one
+/// golden run, written here rather than shared with the library's pump.
+/// `trial(dev, job, gold, watchdog, i)` runs trial i.
+template <typename Trial>
+CampaignResult single_device_loop(const Fixture& f, const kir::BytecodeProgram& prog,
+                                  std::size_t n, Trial&& trial) {
+  const CampaignConfig cfg;
+  gpusim::Device dev;
+  dev.set_engine(cfg.effective_engine());
+  auto job = f.w->make_job(f.ds);
+  const GoldenRun gold = golden_run(dev, prog, *job, nullptr, cfg.launch_workers);
+  const std::uint64_t watchdog = campaign_watchdog(gold, cfg);
+  CampaignResult res;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Outcome o = trial(dev, *job, gold, watchdog, i);
+    res.per_fault.push_back(o);
+    res.counts.add(o);
+  }
+  return res;
+}
+
+/// A job that throws from setup() once `calls` setups have run in total
+/// across every worker sharing `calls` — a trial failing mid-campaign.
+class ThrowingJob : public core::KernelJob {
+ public:
+  ThrowingJob(std::unique_ptr<core::KernelJob> inner, std::shared_ptr<std::atomic<int>> calls,
+              int throw_at)
+      : inner_(std::move(inner)), calls_(std::move(calls)), throw_at_(throw_at) {}
+  std::vector<kir::Value> setup(gpusim::Device& dev) override {
+    if (calls_->fetch_add(1) + 1 == throw_at_) throw std::runtime_error("trial setup failed");
+    return inner_->setup(dev);
+  }
+  [[nodiscard]] gpusim::LaunchConfig config() const override { return inner_->config(); }
+  [[nodiscard]] core::ProgramOutput read_output(const gpusim::Device& dev) const override {
+    return inner_->read_output(dev);
+  }
+
+ private:
+  std::unique_ptr<core::KernelJob> inner_;
+  std::shared_ptr<std::atomic<int>> calls_;
+  int throw_at_;
+};
+
 void expect_same_result(const CampaignResult& a, const CampaignResult& b, const char* what) {
   ASSERT_EQ(a.per_fault.size(), b.per_fault.size()) << what;
   for (std::size_t i = 0; i < a.per_fault.size(); ++i)
@@ -77,20 +126,103 @@ TEST(CampaignExecutor, PlannedCampaignInvariantAcrossWorkerCounts) {
   }
 }
 
-TEST(CampaignExecutor, MatchesSingleDeviceRunCampaign) {
+TEST(CampaignExecutor, MatchesPlainSingleDeviceLoop) {
   Fixture f(make_mri_q());
+  const auto req = f.w->requirement();
+  const CampaignConfig cfg;
+  CampaignExecutor ex(4);
+
   PlanOptions opt;
   opt.max_vars = 6;
   opt.masks_per_var = 4;
   const auto specs = plan_faults(f.v.fi, f.pd, opt);
+  ASSERT_FALSE(specs.empty());
+  std::unique_ptr<TrialStage> stage;
+  const auto planned = single_device_loop(
+      f, f.v.fi, specs.size(),
+      [&](gpusim::Device& dev, core::KernelJob& job, const GoldenRun& gold,
+          std::uint64_t watchdog, std::size_t i) {
+        if (!stage) stage = std::make_unique<TrialStage>(dev, job);
+        return run_one_fault(dev, f.v.fi, job, nullptr, specs[i], gold.output, req, watchdog,
+                             cfg.launch_workers, cfg.sanitize_cap, stage.get());
+      });
+  expect_same_result(planned, ex.run(f.v.fi, f.factory(false), specs, req),
+                     "planned faults: loop vs executor");
 
-  gpusim::Device dev;
-  auto job = f.w->make_job(f.ds);
-  const auto serial = run_campaign(dev, f.v.fi, *job, nullptr, specs, f.w->requirement());
+  const auto memory = single_device_loop(
+      f, f.v.baseline, 30,
+      [&](gpusim::Device& dev, core::KernelJob& job, const GoldenRun& gold,
+          std::uint64_t watchdog, std::size_t i) {
+        common::Rng rng = common::Rng::fork(11, i);
+        const std::uint32_t mask = common::random_mask(rng, 3);
+        return run_one_memory_fault(dev, f.v.baseline, job, rng, mask, gold.output, req,
+                                    watchdog, cfg.launch_workers, cfg.sanitize_cap);
+      });
+  expect_same_result(memory, ex.run_memory_faults(f.v.baseline, f.factory(false), 11, 30, 3, req),
+                     "memory faults: loop vs executor");
 
-  CampaignExecutor ex(4);
-  const auto parallel = ex.run(f.v.fi, f.factory(false), specs, f.w->requirement());
-  expect_same_result(serial, parallel, "run_campaign vs executor");
+  const auto code = single_device_loop(
+      f, f.v.baseline, 30,
+      [&](gpusim::Device& dev, core::KernelJob& job, const GoldenRun& gold,
+          std::uint64_t watchdog, std::size_t i) {
+        common::Rng rng = common::Rng::fork(9, i);
+        return run_one_code_fault(dev, f.v.baseline, job, rng, gold.output, req, watchdog,
+                                  cfg.launch_workers, cfg.sanitize_cap);
+      });
+  expect_same_result(code, ex.run_code_faults(f.v.baseline, f.factory(false), 9, 30, req),
+                     "code faults: loop vs executor");
+}
+
+TEST(CampaignExecutor, CountsAreWeightedByTrialWeights) {
+  Fixture f(make_cp());
+  PlanOptions opt;
+  opt.max_vars = 4;
+  opt.masks_per_var = 3;
+  const auto specs = plan_faults(f.v.fi, f.pd, opt);
+  ASSERT_FALSE(specs.empty());
+  CampaignConfig cfg;
+  std::uint64_t population = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    cfg.trial_weights.push_back(static_cast<std::uint32_t>(1 + i % 4));
+    population += 1 + i % 4;
+  }
+  const auto res = CampaignExecutor(2).run(f.v.fi, f.factory(false), specs,
+                                           f.w->requirement(), cfg);
+  OutcomeCounts expected;
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    expected.add(res.per_fault[i], cfg.trial_weight(i));
+  EXPECT_EQ(res.counts.activated() + res.counts.not_activated, population);
+  EXPECT_EQ(res.counts.masked, expected.masked);
+  EXPECT_EQ(res.counts.undetected, expected.undetected);
+  EXPECT_EQ(res.counts.failure, expected.failure);
+  EXPECT_EQ(res.counts.not_activated, expected.not_activated);
+}
+
+TEST(CampaignExecutor, MoreTrialsThanTheReorderWindowInvariant) {
+  // 300 trials overrun the 256-slot reorder window at 8 workers, so slots
+  // are reused while later ordinals wait for the committer.
+  Fixture f(make_pns());
+  const auto base = CampaignExecutor(1).run_code_faults(f.v.baseline, f.factory(false), 13, 300,
+                                                        f.w->requirement());
+  ASSERT_EQ(base.per_fault.size(), 300u);
+  const auto res = CampaignExecutor(8).run_code_faults(f.v.baseline, f.factory(false), 13, 300,
+                                                       f.w->requirement());
+  expect_same_result(base, res, "window wrap at 8 workers");
+}
+
+TEST(CampaignExecutor, TrialThatThrowsRethrowsAndJoins) {
+  Fixture f(make_sad());
+  const auto calls = std::make_shared<std::atomic<int>>(0);
+  const WorkerContextFactory throwing = [&f, calls] {
+    WorkerContext ctx;
+    ctx.device = std::make_unique<gpusim::Device>();
+    ctx.job = std::make_unique<ThrowingJob>(f.w->make_job(f.ds), calls, 150);
+    return ctx;
+  };
+  CampaignExecutor ex(8);
+  EXPECT_THROW((void)ex.run_memory_faults(f.v.baseline, throwing, 11, 300, 1, f.w->requirement()),
+               std::runtime_error);
+  EXPECT_GE(calls->load(), 150);
 }
 
 TEST(CampaignExecutor, FiFtCampaignWithControlBlockInvariant) {

@@ -9,6 +9,7 @@
 // exactly the on-disk state a SIGKILL at that instant would.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -492,6 +493,126 @@ TEST(CampaignService, MergeRejectsForeignResults) {
   ServiceResult b;
   b.config_digest = 2;
   EXPECT_THROW(a.merge(b), std::invalid_argument);
+}
+
+TEST(CampaignService, MoreTrialsThanTheReorderWindowLogBytesInvariant) {
+  // 320 trials overrun the 256-slot reorder window at 8 workers.
+  Fixture f(make_cp());
+  PlanOptions opt;
+  opt.max_vars = 20;
+  opt.masks_per_var = 16;
+  const auto specs = plan_faults(f.prog(), f.pd, opt);
+  ASSERT_GT(specs.size(), 256u);
+  std::string ref_bytes;
+  for (const int workers : {1, 8}) {
+    ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.resultlog_path = tmp_path("wrap_" + std::to_string(workers) + ".log");
+    const auto res = CampaignService(cfg).run(f.prog(), f.factory(), specs, f.w->requirement());
+    EXPECT_EQ(res.trials_run, specs.size());
+    if (workers == 1)
+      ref_bytes = read_bytes(cfg.resultlog_path);
+    else
+      EXPECT_EQ(read_bytes(cfg.resultlog_path), ref_bytes)
+          << "result log must be byte-identical past the reorder window";
+  }
+}
+
+TEST(CampaignService, TrialThatThrowsRethrowsAndJoins) {
+  // A job whose output readout fails once the campaign is under way: the
+  // worker's exception must surface from run() after every worker joined.
+  struct FailingReadout : core::KernelJob {
+    std::unique_ptr<core::KernelJob> inner;
+    std::shared_ptr<std::atomic<int>> reads;
+    std::vector<kir::Value> setup(gpusim::Device& dev) override { return inner->setup(dev); }
+    [[nodiscard]] gpusim::LaunchConfig config() const override { return inner->config(); }
+    [[nodiscard]] core::ProgramOutput read_output(const gpusim::Device& dev) const override {
+      if (reads->fetch_add(1) + 1 == 12) throw std::runtime_error("readout failed");
+      return inner->read_output(dev);
+    }
+  };
+  Fixture f(make_cp());
+  const auto reads = std::make_shared<std::atomic<int>>(0);
+  const WorkerContextFactory failing = [&f, reads] {
+    auto job = std::make_unique<FailingReadout>();
+    job->inner = f.w->make_job(f.ds);
+    job->reads = reads;
+    WorkerContext ctx;
+    ctx.device = std::make_unique<gpusim::Device>();
+    ctx.job = std::move(job);
+    return ctx;
+  };
+  ServiceConfig cfg;
+  cfg.workers = 8;
+  cfg.resultlog_path = tmp_path("throwing.log");
+  EXPECT_THROW((void)CampaignService(cfg).run(f.prog(), failing, f.specs, f.w->requirement()),
+               std::runtime_error);
+  EXPECT_GE(reads->load(), 12);
+}
+
+// ---------------------------------------------------------------------------
+// Sanitized campaigns.  Sanitizer trials may reclassify as RaceDetected /
+// BarrierDivergence, so the sanitizer taxonomy is part of the campaign
+// identity: checkpoints, result logs and shard merges never mix the two.
+
+TEST(CampaignServiceSanitize, UnsanitizedDigestIsUnchanged) {
+  Fixture f(make_cp());
+  const auto plain = campaign_digest(f.prog(), f.specs, f.w->requirement(), 0);
+  EXPECT_EQ(plain, campaign_digest(f.prog(), f.specs, f.w->requirement(), 0,
+                                   gpusim::ecc::Scheme::None, 0, 0, false));
+  // The value this campaign's digest had before the sanitizer was folded in.
+  EXPECT_EQ(plain, 14115790252397422542ull);
+  const auto sanitized = campaign_digest(f.prog(), f.specs, f.w->requirement(), 0,
+                                         gpusim::ecc::Scheme::None, 0, 0, true);
+  EXPECT_NE(plain, sanitized);
+  EXPECT_NE(sanitized, campaign_digest(f.prog(), f.specs, f.w->requirement(), 0,
+                                       gpusim::ecc::Scheme::Hsiao, 0, 0, true));
+
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  EXPECT_EQ(CampaignService(cfg).run(f.prog(), f.factory(), {}, f.w->requirement()).config_digest,
+            campaign_digest(f.prog(), {}, f.w->requirement(), 0));
+  cfg.campaign.engine = gpusim::ExecEngine::Sanitizer;  // sanitizing via the engine counts too
+  EXPECT_EQ(CampaignService(cfg).run(f.prog(), f.factory(), {}, f.w->requirement()).config_digest,
+            campaign_digest(f.prog(), {}, f.w->requirement(), 0, gpusim::ecc::Scheme::None, 0,
+                            0, true));
+}
+
+TEST(CampaignServiceSanitize, ResumeRejectsCheckpointAcrossTaxonomies) {
+  Fixture f(make_cp());
+  for (const bool writer_sanitizes : {false, true}) {
+    ServiceConfig cfg;
+    cfg.workers = 2;
+    cfg.campaign.sanitize = writer_sanitizes;
+    cfg.checkpoint_path = tmp_path("xsan.ckpt");
+    (void)CampaignService(cfg).run(f.prog(), f.factory(), f.specs, f.w->requirement());
+
+    cfg.resume = true;
+    cfg.campaign.sanitize = !writer_sanitizes;
+    EXPECT_THROW((void)CampaignService(cfg).run(f.prog(), f.factory(), f.specs,
+                                                f.w->requirement()),
+                 core::CheckpointError)
+        << (writer_sanitizes ? "sanitized checkpoint, plain resume"
+                             : "plain checkpoint, sanitized resume");
+  }
+}
+
+TEST(CampaignServiceSanitize, MergeRejectsMixedShards) {
+  Fixture f(make_cp());
+  std::vector<ServiceResult> shards;
+  std::vector<ResultLogData> logs;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    ServiceConfig cfg;
+    cfg.workers = 2;
+    cfg.shards = 2;
+    cfg.shard_index = i;
+    cfg.campaign.sanitize = i == 1;
+    cfg.resultlog_path = tmp_path("xsan_shard_" + std::to_string(i) + ".log");
+    shards.push_back(CampaignService(cfg).run(f.prog(), f.factory(), f.specs, f.w->requirement()));
+    logs.push_back(read_result_log(cfg.resultlog_path));
+  }
+  EXPECT_THROW(shards[0].merge(shards[1]), std::invalid_argument);
+  EXPECT_THROW((void)merge_result_logs(logs), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include "kir/builder.hpp"
 #include "swifi/baselines.hpp"
 #include "swifi/campaign.hpp"
+#include "swifi/executor.hpp"
 #include "workloads/workload.hpp"
 
 using namespace hauberk;
@@ -254,7 +255,13 @@ TEST_P(CampaignInvariants, OutcomesPartitionAndCoverageBounded) {
   const auto ds = w->make_dataset(6, workloads::Scale::Tiny);
   auto job = w->make_job(ds);
   const auto pd = core::profile(dev, v, {job.get()});
-  auto cb = core::make_configured_control_block(v.fift, pd);
+  const swifi::WorkerContextFactory factory = [&] {
+    swifi::WorkerContext ctx;
+    ctx.device = std::make_unique<gpusim::Device>();
+    ctx.job = w->make_job(ds);
+    ctx.cb = core::make_configured_control_block(v.fift, pd);
+    return ctx;
+  };
 
   swifi::PlanOptions opt;
   opt.max_vars = 10;
@@ -262,7 +269,8 @@ TEST_P(CampaignInvariants, OutcomesPartitionAndCoverageBounded) {
   opt.error_bits = 3;
   const auto specs = swifi::plan_faults(v.fift, pd, opt);
   ASSERT_FALSE(specs.empty());
-  const auto res = swifi::run_campaign(dev, v.fift, *job, cb.get(), specs, w->requirement());
+  swifi::CampaignExecutor ex(1);
+  const auto res = ex.run(v.fift, factory, specs, w->requirement());
 
   // Outcomes partition the experiments.
   EXPECT_EQ(res.counts.activated() + res.counts.not_activated, specs.size());
@@ -273,7 +281,7 @@ TEST_P(CampaignInvariants, OutcomesPartitionAndCoverageBounded) {
   EXPECT_LE(cov, 1.0);
   EXPECT_NEAR(cov, 1.0 - res.counts.ratio(res.counts.undetected), 1e-12);
   // The campaign must be reproducible.
-  const auto res2 = swifi::run_campaign(dev, v.fift, *job, cb.get(), specs, w->requirement());
+  const auto res2 = ex.run(v.fift, factory, specs, w->requirement());
   EXPECT_EQ(res2.per_fault, res.per_fault);
 }
 

@@ -8,6 +8,7 @@
 #include "hauberk/runtime.hpp"
 #include "swifi/baselines.hpp"
 #include "swifi/campaign.hpp"
+#include "swifi/executor.hpp"
 #include "workloads/workload.hpp"
 
 using namespace hauberk;
@@ -19,6 +20,20 @@ namespace {
 struct Suite {
   std::vector<std::unique_ptr<Workload>> programs = hpc_suite();
 };
+
+/// Worker contexts over one workload + dataset; with `fift`/`pd`, each gets
+/// its own identically configured control block.
+swifi::WorkerContextFactory factory_for(const Workload& w, const Dataset& ds,
+                                        const kir::BytecodeProgram* fift = nullptr,
+                                        const core::ProfileData* pd = nullptr) {
+  return [&w, &ds, fift, pd] {
+    swifi::WorkerContext ctx;
+    ctx.device = std::make_unique<gpusim::Device>();
+    ctx.job = w.make_job(ds);
+    if (fift && pd) ctx.cb = core::make_configured_control_block(*fift, *pd);
+    return ctx;
+  };
+}
 
 OutcomeCounts sensitivity(Workload& w, kir::DType type, int bits = 1,
                           Scale scale = Scale::Tiny) {
@@ -33,7 +48,7 @@ OutcomeCounts sensitivity(Workload& w, kir::DType type, int bits = 1,
   opt.error_bits = bits;
   opt.type_filter = type;
   const auto specs = swifi::plan_faults(v.fi, pd, opt);
-  return swifi::run_campaign(dev, v.fi, *job, nullptr, specs, w.requirement()).counts;
+  return swifi::CampaignExecutor(1).run(v.fi, factory_for(w, ds), specs, w.requirement()).counts;
 }
 
 }  // namespace
@@ -159,16 +174,15 @@ TEST(PaperClaims, HauberkCoverageBeatsBaselineOnEveryProgram) {
     const auto ds = w->make_dataset(2, Scale::Tiny);
     auto job = w->make_job(ds);
     const auto pd = core::profile(dev, v, {job.get()});
-    auto cb = core::make_configured_control_block(v.fift, pd);
     swifi::PlanOptions opt;
     opt.max_vars = 14;
     opt.masks_per_var = 6;
     opt.error_bits = 6;
-    const auto fi = swifi::run_campaign(dev, v.fi, *job, nullptr,
-                                        swifi::plan_faults(v.fi, pd, opt), w->requirement());
-    const auto fift = swifi::run_campaign(dev, v.fift, *job, cb.get(),
-                                          swifi::plan_faults(v.fift, pd, opt),
-                                          w->requirement());
+    swifi::CampaignExecutor ex(1);
+    const auto fi = ex.run(v.fi, factory_for(*w, ds), swifi::plan_faults(v.fi, pd, opt),
+                           w->requirement());
+    const auto fift = ex.run(v.fift, factory_for(*w, ds, &v.fift, &pd),
+                             swifi::plan_faults(v.fift, pd, opt), w->requirement());
     EXPECT_GE(fift.counts.coverage() + 0.02, fi.counts.coverage()) << w->name();
     // PNS's floor is inherently lower: corrupting its LCG state diverts the
     // whole stochastic trajectory while every detector-visible statistic

@@ -6,6 +6,7 @@
 #include "kir/builder.hpp"
 #include "swifi/baselines.hpp"
 #include "swifi/campaign.hpp"
+#include "swifi/executor.hpp"
 #include "swifi/injector.hpp"
 #include "workloads/workload.hpp"
 
@@ -30,6 +31,17 @@ struct Fixture {
         ds(w->make_dataset(seed, Scale::Tiny)),
         job(w->make_job(ds)) {
     pd = core::profile(dev, v, {job.get()});
+  }
+
+  /// One worker's private device, job and (optionally) control block.
+  [[nodiscard]] WorkerContextFactory factory(bool with_cb = false) const {
+    return [this, with_cb] {
+      WorkerContext ctx;
+      ctx.device = std::make_unique<gpusim::Device>();
+      ctx.job = w->make_job(ds);
+      if (with_cb) ctx.cb = core::make_configured_control_block(v.fift, pd);
+      return ctx;
+    };
   }
 };
 
@@ -131,7 +143,7 @@ TEST(Injection, CampaignProducesAllCountsConsistently) {
   opt.max_vars = 10;
   opt.masks_per_var = 5;
   const auto specs = plan_faults(f.v.fi, f.pd, opt);
-  const auto res = run_campaign(f.dev, f.v.fi, *f.job, nullptr, specs, f.w->requirement());
+  const auto res = CampaignExecutor(1).run(f.v.fi, f.factory(), specs, f.w->requirement());
   EXPECT_EQ(res.per_fault.size(), specs.size());
   EXPECT_EQ(res.counts.activated() + res.counts.not_activated, specs.size());
   // Without detectors there can be no detected outcomes.
@@ -148,12 +160,11 @@ TEST(Injection, FtDetectorsConvertUndetectedToDetected) {
   opt.seed = 5;
   opt.error_bits = 6;
   const auto fi_specs = plan_faults(f.v.fi, f.pd, opt);
-  const auto fi = run_campaign(f.dev, f.v.fi, *f.job, nullptr, fi_specs, f.w->requirement());
+  CampaignExecutor ex(1);
+  const auto fi = ex.run(f.v.fi, f.factory(), fi_specs, f.w->requirement());
 
-  auto cb = core::make_configured_control_block(f.v.fift, f.pd);
   const auto fift_specs = plan_faults(f.v.fift, f.pd, opt);
-  const auto fift =
-      run_campaign(f.dev, f.v.fift, *f.job, cb.get(), fift_specs, f.w->requirement());
+  const auto fift = ex.run(f.v.fift, f.factory(true), fift_specs, f.w->requirement());
 
   EXPECT_GT(fift.counts.detected + fift.counts.detected_masked, 0u)
       << "Hauberk detectors must catch some injected faults";
