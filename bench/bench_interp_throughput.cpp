@@ -6,6 +6,13 @@
 // figure — used to size fault-injection campaigns and to gate the threaded
 // engine's speedup over the reference.
 //
+// Each workload also runs its FI&FT build under a disarmed SWIFI injector —
+// the launch every campaign trial pays, minus the one armed hook — and
+// reports that launch's time over the FT build's.  The instruction ratio
+// is fixed by the instrumentation; the time ratio staying near 1 on the
+// threaded engine shows the FI-specialized stream is in use (unarmed hooks
+// compiled away), not the generic one that dispatches every hook.
+//
 // All engines are pinned bitwise-identical by test_differential_fuzz and
 // test_golden_outputs; this harness only measures, but it still verifies
 // status/instruction equality across engines before reporting.
@@ -19,6 +26,9 @@
 //   --json=FILE                write rows + geomeans as JSON
 //   --min-speedup=X            exit nonzero unless the threaded engine's
 //                              geomean instr/sec >= X * the reference's
+//
+// JSON: per-engine geomeans of baseline instr/sec and of the FI&FT/FT
+// launch-time ratio (`geomean_fift_ft_time_ratio`).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -26,6 +36,7 @@
 
 #include "bench_common.hpp"
 #include "hauberk/control_block.hpp"
+#include "swifi/injector.hpp"
 
 using namespace hauberk;
 using namespace hauberk::bench;
@@ -39,6 +50,10 @@ struct Cell {
   double seconds = 0.0;
   std::uint64_t launches = 0;
   std::uint64_t instructions_per_launch = 0;
+
+  [[nodiscard]] double seconds_per_launch() const noexcept {
+    return launches ? seconds / static_cast<double>(launches) : 0.0;
+  }
 };
 
 struct Entry {
@@ -118,7 +133,8 @@ double geomean(const std::vector<double>& xs) {
 void write_json(const std::string& path, const std::string& scale,
                 const std::vector<Cell>& cells,
                 const std::vector<gpusim::ExecEngine>& engines,
-                const std::map<std::string, double>& geo) {
+                const std::map<std::string, double>& geo,
+                const std::map<std::string, double>& fift_geo) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "error: cannot write --json file '%s'\n", path.c_str());
@@ -142,6 +158,11 @@ void write_json(const std::string& path, const std::string& scale,
   for (std::size_t i = 0; i < engines.size(); ++i) {
     const char* en = gpusim::exec_engine_name(engines[i]);
     std::fprintf(f, "%s\"%s\": %.6e", i ? ", " : "", en, geo.at(en));
+  }
+  std::fprintf(f, "},\n  \"geomean_fift_ft_time_ratio\": {");
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    const char* en = gpusim::exec_engine_name(engines[i]);
+    std::fprintf(f, "%s\"%s\": %.4f", i ? ", " : "", en, fift_geo.at(en));
   }
   std::fprintf(f, "}");
   if (geo.count("threaded") && geo.count("reference"))
@@ -171,10 +192,12 @@ int main(int argc, char** argv) {
   print_header("Interpreter throughput: instructions/second per engine");
 
   std::vector<Cell> cells;
-  // Per-engine geomean inputs: baseline-variant rates, one per workload.
-  std::map<std::string, std::vector<double>> base_rates;
+  // Per-engine geomean inputs, one per workload: baseline-variant rates and
+  // FI&FT/FT launch-time ratios.
+  std::map<std::string, std::vector<double>> base_rates, fift_ratios;
 
-  common::Table t({"Workload", "Engine", "Base Minstr/s", "FT Minstr/s"});
+  common::Table t({"Workload", "Engine", "Base Minstr/s", "FT Minstr/s", "FI&FT Minstr/s",
+                   "FI&FT/FT time"});
   for (auto& e : all_workloads()) {
     auto& w = e.workload;
     const auto ds = w->make_dataset(seed, scale);
@@ -207,27 +230,43 @@ int main(int argc, char** argv) {
       const Cell ft =
           time_cell(*w, engine, v.ft, ftjob->config(), fargs, ftdev, &cb, min_time, "ft");
 
+      gpusim::Device fiftdev(props);
+      fiftdev.set_engine(engine);
+      auto fiftjob = w->make_job(ds);
+      const auto fiftargs = fiftjob->setup(fiftdev);
+      core::ControlBlock fift_cb(v.fift);
+      swifi::InjectingHooks disarmed(v.fift, &fift_cb);
+      const Cell fift = time_cell(*w, engine, v.fift, fiftjob->config(), fiftargs, fiftdev,
+                                  &disarmed, min_time, "fift");
+      const double ratio = fift.seconds_per_launch() / ft.seconds_per_launch();
+
       base_rates[base.engine].push_back(base.instr_per_sec);
+      fift_ratios[base.engine].push_back(ratio);
       t.add_row({w->name(), base.engine, common::Table::num(base.instr_per_sec / 1e6, 2),
-                 common::Table::num(ft.instr_per_sec / 1e6, 2)});
+                 common::Table::num(ft.instr_per_sec / 1e6, 2),
+                 common::Table::num(fift.instr_per_sec / 1e6, 2),
+                 common::Table::num(ratio, 3)});
       cells.push_back(base);
       cells.push_back(ft);
+      cells.push_back(fift);
     }
   }
   t.print();
 
-  std::map<std::string, double> geo;
-  std::printf("\ngeomean instructions/sec over %zu workloads (baseline variant):\n",
+  std::map<std::string, double> geo, fift_geo;
+  std::printf("\ngeomean over %zu workloads: baseline instructions/sec, FI&FT/FT launch time:\n",
               base_rates.begin()->second.size());
   for (const auto engine : engines) {
     const char* en = gpusim::exec_engine_name(engine);
     geo[en] = geomean(base_rates[en]);
-    std::printf("  %-10s %8.2f Minstr/s\n", en, geo[en] / 1e6);
+    fift_geo[en] = geomean(fift_ratios[en]);
+    std::printf("  %-10s %8.2f Minstr/s  %6.3fx\n", en, geo[en] / 1e6, fift_geo[en]);
   }
   if (geo.count("threaded") && geo.count("reference"))
     std::printf("threaded vs reference: %.2fx\n", geo["threaded"] / geo["reference"]);
 
-  if (!json_path.empty()) write_json(json_path, args.get("scale", "small"), cells, engines, geo);
+  if (!json_path.empty())
+    write_json(json_path, args.get("scale", "small"), cells, engines, geo, fift_geo);
 
   if (min_speedup > 0.0) {
     if (!geo.count("reference") || !geo.count("threaded")) {

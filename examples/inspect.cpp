@@ -1,11 +1,16 @@
 // Kernel inspection CLI: dump any benchmark program's source, instrumented
 // source, bytecode disassembly, dataflow graphs, FI-site table, detector
-// table and per-variant resource statistics.
+// table, per-variant resource statistics and threaded-stream statistics.
 //
 // Usage:
-//   inspect --program=CP [--what=source|ft|disasm|dataflow|sites|stats|all]
+//   inspect --program=CP [--what=source|ft|disasm|dataflow|sites|stats|threaded|all]
 //   inspect --program=CP --print-passes [--mode=ft] [--maxvar=N] [--naive]
 //   inspect --program=CP --dump-passes=DIR [--mode=ft]
+//
+// --what=threaded prints, per build, what the threaded-code compiler makes
+// of it: straight-line run coverage, fused superinstruction heads and FI
+// hooks — for the generic stream and for the FI-specialized stream a
+// disarmed injector's launch runs (unarmed hooks dropped from runs).
 //
 // --print-passes shows the pass pipeline composed for the selected library
 // mode plus the structured remarks each pass emitted (detector placed or
@@ -20,12 +25,16 @@
 #include <fstream>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "common/cli.hpp"
+#include "gpusim/cost.hpp"
+#include "gpusim/device.hpp"
 #include "hauberk/passes/pass_manager.hpp"
 #include "hauberk/plan.hpp"
 #include "hauberk/runtime.hpp"
 #include "kir/printer.hpp"
+#include "kir/threaded.hpp"
 #include "workloads/workload.hpp"
 
 using namespace hauberk;
@@ -144,22 +153,52 @@ int inspect_lint(const kir::Kernel& kernel, const common::CliArgs& args) {
   return rep.lint.errors > 0 ? 1 : 0;
 }
 
+struct VariantRow {
+  const char* name;
+  const kir::BytecodeProgram* p;
+};
+
+std::vector<VariantRow> variant_rows(const core::KernelVariants& v) {
+  return {{"baseline", &v.baseline}, {"profiler", &v.profiler}, {"ft", &v.ft},
+          {"fi", &v.fi},             {"fi+ft", &v.fift}};
+}
+
 void print_stats(const core::KernelVariants& v) {
   std::printf("variant statistics:\n");
   std::printf("  %-10s %-8s %-8s %-10s %-10s\n", "variant", "instrs", "regs", "detectors",
               "fi-sites");
-  const struct {
-    const char* name;
-    const kir::BytecodeProgram* p;
-  } rows[] = {{"baseline", &v.baseline}, {"profiler", &v.profiler}, {"ft", &v.ft},
-              {"fi", &v.fi},             {"fi+ft", &v.fift}};
-  for (const auto& r : rows)
+  for (const auto& r : variant_rows(v))
     std::printf("  %-10s %-8zu %-8u %-10zu %-10zu\n", r.name, r.p->code.size(),
                 r.p->register_demand(), r.p->detectors.size(), r.p->fi_sites.size());
   std::printf("  shared memory: %u bytes; translator: %d non-loop vars, %zu loop detectors, "
               "%.3f ms\n",
               v.ft.shared_mem_words * 4, v.ft_report.nonloop_protected,
               v.ft_report.loop_detectors.size(), v.ft_report.transform_seconds * 1e3);
+}
+
+/// --what=threaded: each build's threaded stream as a default device
+/// compiles it, generic and — for builds with FI hooks — specialized to a
+/// disarmed injector (FI filter None).
+void print_threaded(const core::KernelVariants& v) {
+  std::printf("threaded streams (default device, FlatGpu):\n");
+  std::printf("  %-9s %-9s %-7s %-5s %-9s %-6s %-9s %-8s %s\n", "variant", "stream", "instrs",
+              "runs", "run-cover", "fused", "fi-hooks", "dropped", "nop-hooks");
+  const gpusim::DeviceProps props;
+  for (const auto& r : variant_rows(v)) {
+    const auto costs =
+        gpusim::instruction_costs(*r.p, gpusim::CostModel{}, props.regs_per_thread, false);
+    const kir::DecodedProgram d = kir::decode_program(*r.p, costs);
+    for (const auto kind : {kir::FIFilter::Kind::Generic, kir::FIFilter::Kind::None}) {
+      const kir::ThreadedProgram tp =
+          kir::compile_threaded(d, r.p->num_slots, true, true, false, kir::FIFilter{kind});
+      if (kind == kir::FIFilter::Kind::None && tp.fi_hooks == 0) continue;
+      const double cover =
+          tp.code.empty() ? 0.0 : 100.0 * tp.run_covered / static_cast<double>(tp.code.size());
+      std::printf("  %-9s %-9s %-7zu %-5u %7.1f%%  %-6u %-9u %-8u %u\n", r.name,
+                  kind == kir::FIFilter::Kind::Generic ? "generic" : "disarmed", tp.code.size(),
+                  tp.run_heads, cover, tp.fused_heads, tp.fi_hooks, tp.fi_dropped, tp.fi_nops);
+    }
+  }
 }
 
 }  // namespace
@@ -205,5 +244,6 @@ int main(int argc, char** argv) {
     std::printf("=== baseline disassembly ===\n%s\n", kir::disassemble(v.baseline).c_str());
   if (all || what == "sites") print_sites(v.fi);
   if (all || what == "stats") print_stats(v);
+  if (what == "threaded") print_threaded(v);  // compiler view: only on request
   return 0;
 }

@@ -264,10 +264,12 @@ class BlockExec {
  public:
   BlockExec(Device& dev, const kir::BytecodeProgram& prog, const LaunchConfig& cfg,
             const LaunchOptions& opts, const std::vector<std::uint32_t>& costs,
-            const kir::DecodedProgram& decoded, const kir::ThreadedProgram& threaded,
-            std::uint32_t block_linear, std::vector<SanitizerReport>* report_sink)
+            const kir::DecodedProgram& decoded, const kir::ThreadedProgram* threaded,
+            std::uint32_t fi_thread, std::uint32_t block_linear,
+            std::vector<SanitizerReport>* report_sink)
       : dev_(dev), prog_(prog), cfg_(cfg), opts_(opts), costs_(costs),
-        tcode_(threaded.code.empty() ? nullptr : threaded.code.data()),
+        tcode_(threaded && !threaded->code.empty() ? threaded->code.data() : nullptr),
+        fi_thread_(fi_thread),
         sites_(decoded.sanitizer_sites.data()),
         block_linear_(block_linear),
         sm_(block_linear % dev.props().num_sms),
@@ -324,13 +326,15 @@ class BlockExec {
   const LaunchConfig& cfg_;
   const LaunchOptions& opts_;
   const std::vector<std::uint32_t>& costs_;
-  const kir::ThreadedInstr* tcode_;  ///< threaded-code stream; null for Reference plans
+  /// Threaded-code stream this launch runs; null when it runs on the
+  /// reference interpreter (Device::launch decides).
+  const kir::ThreadedInstr* tcode_;
+  std::uint32_t fi_thread_;       ///< armed thread of an Armed FI-specialized stream
   const std::uint32_t* sites_;    ///< per-pc sanitizer site ids (all engines)
   std::uint32_t block_linear_, sm_, bx_, by_, threads_per_block_;
   std::vector<std::uint32_t> shared_;
   std::unique_ptr<SharedShadow> shadow_;  ///< non-null only under ExecEngine::Sanitizer
   std::uint32_t epoch_ = 0;  ///< barrier epoch, bumped at every successful release
-  bool threaded_ = false;   ///< run(): this launch's engine choice
 };
 
 std::uint32_t BlockExec::builtin_value(const ThreadCtx& t, BuiltinVal b) const noexcept {
@@ -566,7 +570,7 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
 /// accesses are the SanLoadS/SanStoreS singles, which report to the shadow
 /// exactly where run_thread does.  Launches that profile execution counts,
 /// cost SIMT serialization or carry a hardware fault model run on
-/// run_thread instead (see BlockExec::run), so instrumentation semantics
+/// run_thread instead (see Device::launch), so instrumentation semantics
 /// live in one place.
 ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_status) {
   using kir::TOp;
@@ -756,6 +760,8 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
       &&lbl_NkLoadConst,
       &&lbl_SanLoadS,
       &&lbl_SanStoreS,
+      &&lbl_FIHookArmed,
+      &&lbl_Nk_FIHookArmed,
   };
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kir::kNumTOps);
   T_NEXT();
@@ -1050,6 +1056,13 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     if (opts_.hooks) opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]);
     T_NEXT();
   }
+  // The armed site's hook in an FI-specialized stream: only the armed
+  // thread calls it (the filter promises every other call is a no-op).
+  T_LABEL(FIHookArmed) : {
+    T_STEP1();
+    if (t.linear == fi_thread_) opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]);
+    T_NEXT();
+  }
   T_LABEL(Invalid) : {
     T_STEP1();
     T_CRASH(LaunchStatus::CrashInvalidInstr);
@@ -1165,10 +1178,13 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   // region, then dispatch the head op's naked handler (`in` unchanged —
   // the head slot carries that op's operands).  A budget boundary inside
   // the region delegates *before* any charge, so the reference replays
-  // it per-instruction and stops exactly where the reference would.
+  // it per-instruction and stops exactly where the reference would.  In
+  // an FI-specialized stream `skip` jumps over the slots of the hooks the
+  // region charges but never dispatches (0 otherwise).
   T_LABEL(RunHead) : {
     if (left < in->len) T_DELEGATE();
     T_CHARGE(in->len);
+    pc += in->skip;
     T_DISPATCH_D();
   }
 
@@ -1412,6 +1428,11 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     ++pc;
     T_NEXT();
   }
+  T_LABEL(Nk_FIHookArmed) : {
+    if (t.linear == fi_thread_) opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]);
+    ++pc;
+    T_NEXT();
+  }
 
   // Naked fused pairs: two ops, one dispatch, zero accounting.
 #define T_NK_ALUFUSE(K)                                                      \
@@ -1582,21 +1603,15 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
 }
 
 /// Engine dispatch for one thread time-slice (the choice is made once per
-/// launch in run()).
+/// launch in Device::launch).
 ThreadStop BlockExec::step_thread(ThreadCtx& t, LaunchStatus& crash_status) {
-  return threaded_ ? run_thread_threaded(t, crash_status) : run_thread(t, crash_status);
+  return tcode_ ? run_thread_threaded(t, crash_status) : run_thread(t, crash_status);
 }
 
 LaunchStatus BlockExec::run(std::span<const kir::Value> args) {
   if (opts_.instr_exec_counts) exec_counts.assign(prog_.code.size(), 0);
   if (opts_.simt_cost)
     thread_counts.assign(static_cast<std::size_t>(threads_per_block_) * prog_.code.size(), 0);
-  // Which interpreter runs this launch.  Plain and sanitized launches run
-  // the threaded stream (compiled for Threaded and Sanitizer plans); launches
-  // that profile execution counts, cost SIMT serialization or carry a
-  // hardware fault model — one-off profiling and BIST runs — run on the
-  // reference interpreter, the only place those semantics are implemented.
-  threaded_ = tcode_ && exec_counts.empty() && thread_counts.empty() && !dev_.has_fault();
   const std::uint32_t slots = prog_.num_slots;
   std::vector<std::uint32_t> reg_slab(
       static_cast<std::size_t>(threads_per_block_) * slots, 0u);
@@ -1744,11 +1759,7 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
                                     props_.protection != ecc::Scheme::None);
     plan->decoded = kir::decode_program(program, plan->costs);
     if (engine_ != ExecEngine::Reference)
-      plan->threaded =
-          kir::compile_threaded(plan->decoded, program.num_slots,
-                                props_.memory_model == MemoryModel::FlatGpu &&
-                                    props_.protection == ecc::Scheme::None,
-                                /*form_runs=*/true, engine_ == ExecEngine::Sanitizer);
+      plan->threaded = compile_stream(plan->decoded, program.num_slots, kir::FIFilter{});
     return std::shared_ptr<const LaunchPlan>(std::move(plan));
   };
   if (!plan_cache_enabled_) {
@@ -1778,6 +1789,30 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
   return plan;
 }
 
+kir::ThreadedProgram Device::compile_stream(const kir::DecodedProgram& decoded,
+                                            std::uint16_t num_slots,
+                                            const kir::FIFilter& fi) const {
+  return kir::compile_threaded(decoded, num_slots,
+                               props_.memory_model == MemoryModel::FlatGpu &&
+                                   props_.protection == ecc::Scheme::None,
+                               /*form_runs=*/true, engine_ == ExecEngine::Sanitizer, fi);
+}
+
+std::shared_ptr<const kir::ThreadedProgram> Device::fi_stream(const LaunchPlan& plan,
+                                                              std::uint16_t num_slots,
+                                                              const kir::FIFilter& fi) const {
+  // One specialized stream per plan: campaigns plan each site's trials
+  // consecutively, and an Armed stream serves every thread of its site, so
+  // rebuilds happen once per site, not per trial.
+  std::lock_guard<std::mutex> lk(plan.fi_mu);
+  if (!plan.fi_stream || !plan.fi_filter.same_stream(fi)) {
+    plan.fi_stream = std::make_shared<const kir::ThreadedProgram>(
+        compile_stream(plan.decoded, num_slots, fi));
+    plan.fi_filter = fi;
+  }
+  return plan.fi_stream;
+}
+
 LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchConfig& cfg,
                             std::span<const kir::Value> args, const LaunchOptions& opts) {
   LaunchResult res;
@@ -1794,6 +1829,22 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   const auto plan = launch_plan(program);
   const std::vector<std::uint32_t>& costs = plan->costs;
   const bool sanitize = engine_ == ExecEngine::Sanitizer;
+  // Which interpreter runs this launch.  Plain and sanitized launches run
+  // the threaded stream (compiled for Threaded and Sanitizer plans); launches
+  // that profile execution counts, cost SIMT serialization or carry a
+  // hardware fault model — one-off profiling and BIST runs — run on the
+  // reference interpreter (stream null), the only place those semantics are
+  // implemented.  When the hooks report an FI filter, the threaded stream is
+  // the plan's FI-specialized one, held until the launch returns.
+  const bool threaded = !plan->threaded.code.empty() && !opts.instr_exec_counts &&
+                        !opts.simt_cost && !has_fault();
+  const kir::ThreadedProgram* stream = threaded ? &plan->threaded : nullptr;
+  std::shared_ptr<const kir::ThreadedProgram> specialized;
+  const kir::FIFilter fi = opts.hooks ? opts.hooks->fi_filter() : kir::FIFilter{};
+  if (threaded && fi.kind != kir::FIFilter::Kind::Generic && plan->threaded.fi_hooks > 0) {
+    specialized = fi_stream(*plan, program.num_slots, fi);
+    stream = specialized.get();
+  }
   // Corrections are counted by the memory itself (it scrubs each corrupted
   // codeword exactly once); the delta across the launch is this launch's
   // corrected count, deterministic because the set of pairs read is.
@@ -1821,7 +1872,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
         return;
       const std::uint32_t b = next_block.fetch_add(1, std::memory_order_relaxed);
       if (b >= num_blocks) return;
-      BlockExec exec(*this, program, cfg, opts, costs, plan->decoded, plan->threaded, b,
+      BlockExec exec(*this, program, cfg, opts, costs, plan->decoded, stream, fi.thread, b,
                      sanitize ? &block_reports[b] : nullptr);
       const LaunchStatus st = exec.run(args);
       cycles.fetch_add(exec.cycles, std::memory_order_relaxed);

@@ -89,7 +89,7 @@ enum class LaunchStatus : std::uint8_t {
 
 /// Interpreter engine selection.  There are two interpreters — the
 /// reference switch interpreter and the threaded-code engine — and
-/// BlockExec::run picks one per launch:
+/// Device::launch picks one per launch:
 ///
 ///  * Threaded — the default.  The launch plan predecodes the bytecode
 ///    (kir::DecodedProgram: type-resolved opcodes, costs pre-folded) and
@@ -167,12 +167,25 @@ struct LaunchResult {
   std::uint64_t sanitizer_reports_dropped = 0;
 };
 
+/// FI filter of the hook contract (see LaunchHooks::fi_filter).
+using FIFilter = kir::FIFilter;
+
 /// Callbacks from the interpreter into the Hauberk runtime (range checks,
 /// profiling) and the SWIFI injector.  Implementations must be thread-safe:
 /// blocks may execute on concurrent workers.
 class LaunchHooks {
  public:
   virtual ~LaunchHooks() = default;
+  /// Which fi_hook calls can have an effect this launch.  Queried once per
+  /// launch, before any thread runs.  The default, Generic, makes the
+  /// threaded engine call fi_hook at every executed FIHook.  A hook that
+  /// reports None promises fi_hook is a no-op (returns false, leaves the
+  /// value alone, keeps no state) for every call; Armed promises the same
+  /// for every call outside (filter.site, filter.thread).  The threaded
+  /// engine then compiles the other FIHooks away (DESIGN §10); the
+  /// reference interpreter ignores the filter and calls fi_hook at every
+  /// FIHook, which is what makes it the oracle for the promise.
+  [[nodiscard]] virtual FIFilter fi_filter() const { return {}; }
   /// Loop-detector range check; return true when the value is an outlier
   /// (sets the kernel's SDC bit).  `detector` indexes program.detectors.
   virtual bool check_range(int detector, kir::Value value) {
@@ -296,6 +309,12 @@ class Device {
     std::vector<std::uint32_t> costs;
     kir::DecodedProgram decoded;
     kir::ThreadedProgram threaded;
+    /// The FI-specialized threaded stream for the most recent non-Generic
+    /// filter (kir::FIFilter::same_stream), rebuilt when the filter changes.
+    /// A launch holds its shared_ptr for the whole launch.
+    mutable std::mutex fi_mu;
+    mutable kir::FIFilter fi_filter;
+    mutable std::shared_ptr<const kir::ThreadedProgram> fi_stream;
   };
   struct PlanEntry {
     std::uint64_t key = 0;
@@ -309,6 +328,15 @@ class Device {
   /// eviction.
   [[nodiscard]] std::shared_ptr<const LaunchPlan> launch_plan(
       const kir::BytecodeProgram& program);
+  /// The threaded stream of `decoded` for this device's memory model,
+  /// protection and engine, specialized to `fi`.
+  [[nodiscard]] kir::ThreadedProgram compile_stream(const kir::DecodedProgram& decoded,
+                                                    std::uint16_t num_slots,
+                                                    const kir::FIFilter& fi) const;
+  /// The plan's stream specialized to `fi` (built or reused under the
+  /// plan's lock).
+  [[nodiscard]] std::shared_ptr<const kir::ThreadedProgram> fi_stream(
+      const LaunchPlan& plan, std::uint16_t num_slots, const kir::FIFilter& fi) const;
 
   DeviceProps props_;
   CostModel cost_;

@@ -19,6 +19,17 @@
 //     Segments of exactly 2-3 ops keep the classic one-dispatch fused
 //     forms (ConstBin/LoadBinStore/...) instead, which charge once anyway.
 //
+// FI specialization (a non-Generic FIFilter) changes only FIHooks.  In
+// pass 1 unarmed hooks become Nop and the armed site's hooks FIHookArmed.
+// In pass 3 a run tiles only its *executed* ops: unarmed hooks are left
+// out, the executed ops are placed right-aligned against the run's end (op
+// j of m at slot e - m + j, so every handler's `pc += len` still ends at e)
+// and the RunHead's `skip` jumps over the gap.  The head still charges the
+// whole region, hooks included, and refund fields are sums over original
+// positions, so a crash bills exactly what the reference bills.  A run
+// whose first executed op would be crashable keeps its leading hook as a
+// naked Nop head (the head slot has no room for refund data).
+//
 // Fused-field layout (the interpreter in gpusim/device.cpp must agree):
 //
 //   CmpJz_K        [Cmp_K dst,a,b][Jz dst,aux]
@@ -332,24 +343,37 @@ const char* top_name(TOp op) noexcept {
     case TOp::NkLoadConst: return "NkLoadConst";
     case TOp::SanLoadS: return "SanLoadS";
     case TOp::SanStoreS: return "SanStoreS";
+    case TOp::FIHookArmed: return "FIHookArmed";
+    case TOp::Nk_FIHookArmed: return "Nk_FIHookArmed";
     case TOp::Count_: break;
   }
   return "?";
 }
 
 ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slots,
-                                 bool flat_global_memory, bool form_runs, bool sanitize) {
+                                 bool flat_global_memory, bool form_runs, bool sanitize,
+                                 const FIFilter& fi) {
   ThreadedProgram out;
   const std::size_t n = d.code.size();
   out.code.resize(n);
   const auto shared_access = [](DecodedOp op) {
     return op == DecodedOp::LoadS || op == DecodedOp::StoreS;
   };
+  // FIHooks that keep their hook call under `fi`, and those `fi` proves are
+  // no-ops (none in a Generic stream).
+  const auto fi_armed = [&](const DecodedInstr& in) {
+    return in.op == DecodedOp::FIHook && fi.kind == FIFilter::Kind::Armed &&
+           in.aux == fi.site;
+  };
+  const auto fi_dead = [&](const DecodedInstr& in) {
+    return in.op == DecodedOp::FIHook && fi.kind != FIFilter::Kind::Generic && !fi_armed(in);
+  };
 
-  // Pass 1: singles.  TOp mirrors DecodedOp, so this is a field copy.
-  for (std::size_t pc = 0; pc < n; ++pc) {
+  // Single-op translation: a field copy (TOp mirrors DecodedOp), with the
+  // sanitizer's shared accesses and the FI specialization applied.
+  const auto single_of = [&](std::size_t pc) {
     const DecodedInstr& in = d.code[pc];
-    ThreadedInstr& ti = out.code[pc];
+    ThreadedInstr ti;
     ti.op = static_cast<std::uint16_t>(threaded_single_op(in.op));
     ti.t = in.t;
     ti.dst = in.dst;
@@ -363,7 +387,19 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     if (sanitize && shared_access(in.op))
       ti.op = static_cast<std::uint16_t>(in.op == DecodedOp::LoadS ? TOp::SanLoadS
                                                                    : TOp::SanStoreS);
+    if (fi_armed(in)) ti.op = static_cast<std::uint16_t>(TOp::FIHookArmed);
+    if (fi_dead(in)) ti.op = static_cast<std::uint16_t>(TOp::Nop);
+    return ti;
+  };
+
+  // Pass 1: singles.
+  std::uint32_t fi_dead_total = 0;
+  for (std::size_t pc = 0; pc < n; ++pc) {
+    out.code[pc] = single_of(pc);
+    const DecodedInstr& in = d.code[pc];
     if (in.op == DecodedOp::Barrier) out.has_barriers = true;
+    if (in.op == DecodedOp::FIHook) ++out.fi_hooks;
+    if (fi_dead(in)) ++fi_dead_total;
   }
 
   // Divergence stats (branch uniformity) for inspect/tests.
@@ -564,6 +600,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     for (std::size_t pc = 0; pc < n; ++pc) {
       if (try_control3(pc) || try_lbs(pc) || try_control2(pc) || try_pair(pc)) continue;
     }
+    out.fi_nops = fi_dead_total;
     return out;
   }
 
@@ -602,20 +639,25 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     return static_cast<std::uint32_t>(x) | (static_cast<std::uint32_t>(y) << 16);
   };
 
-  // Widest naked tile at `pos` (region limit `e`).  Head tiles share the
-  // RunHead's slot, so they must be crash-free (cost/loop_cost/len carry
-  // the region sums) and must not use the d field (the dispatch target).
-  // Returns the tile length (2-3) with `ti` filled, or 0 for no tile.
-  auto match_tile = [&](std::size_t pos, std::size_t e, bool at_head,
+  // The current run's executed ops, as source positions: all of [s, e) in
+  // a Generic stream, without the unarmed FIHooks in a specialized one.
+  std::vector<std::size_t> ops;
+
+  // Widest naked tile at executed op `j` of the run ending at `e`.  Head
+  // tiles share the RunHead's slot, so they must be crash-free
+  // (cost/loop_cost/len carry the region sums) and must not use the d field
+  // (the dispatch target).  Returns the tile length (2-3) with `ti` filled,
+  // or 0 for no tile.
+  auto match_tile = [&](std::size_t j, std::size_t e, bool at_head,
                         ThreadedInstr& ti) -> std::size_t {
-    if (pos + 1 >= e) return 0;
-    const DecodedInstr& i0 = d.code[pos];
-    const DecodedInstr& i1 = d.code[pos + 1];
+    if (j + 1 >= ops.size()) return 0;
+    const DecodedInstr& i0 = d.code[ops[j]];
+    const DecodedInstr& i1 = d.code[ops[j + 1]];
     // The 3-op addressing idiom: reloaded offset, address arithmetic, load.
-    if (!at_head && pos + 2 < e && i0.op == DecodedOp::Const &&
-        d.code[pos + 2].op == DecodedOp::LoadG) {
+    if (!at_head && j + 2 < ops.size() && i0.op == DecodedOp::Const &&
+        d.code[ops[j + 2]].op == DecodedOp::LoadG) {
       if (const TOp p = naked_const_bin_load_top(i1.op); p != TOp::Invalid) {
-        const DecodedInstr& i2 = d.code[pos + 2];
+        const DecodedInstr& i2 = d.code[ops[j + 2]];
         ti.op = static_cast<std::uint16_t>(p);
         ti.dst = i0.dst;
         ti.imm = i0.imm;
@@ -623,7 +665,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
         ti.aux = pack2(i1.a, i1.b);
         ti.b = i2.dst;
         ti.a = i2.a;
-        set_refund(ti, pos + 2, e);
+        set_refund(ti, ops[j + 2], e);
         return 3;
       }
     }
@@ -698,7 +740,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
           ti.a = i0.a;
           ti.c = i1.dst;
           ti.aux = pack2(i1.a, i1.b);
-          set_refund(ti, pos, e);
+          set_refund(ti, ops[j], e);
           return 2;
         }
         if (i1.op == DecodedOp::Const) {
@@ -707,7 +749,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
           ti.a = i0.a;
           ti.c = i1.dst;
           ti.imm = i1.imm;
-          set_refund(ti, pos, e);
+          set_refund(ti, ops[j], e);
           return 2;
         }
       }
@@ -719,7 +761,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
           ti.b = i0.b;
           ti.c = i1.dst;
           ti.d = i1.a;
-          set_refund(ti, pos + 1, e);
+          set_refund(ti, ops[j + 1], e);
           return 2;
         }
       }
@@ -744,6 +786,14 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     return 0;
   };
 
+  // The naked form of the op at `pos` inside a run.
+  const auto naked_at = [&](std::size_t pos) {
+    const DecodedInstr& in = d.code[pos];
+    if (fi_armed(in)) return TOp::Nk_FIHookArmed;
+    if (fi_dead(in)) return TOp::Nk_Nop;
+    return naked_top(in.op);
+  };
+
   auto emit_run = [&](std::size_t s, std::size_t e) {
     const std::size_t len = e - s;
     std::uint32_t cost = 0, loop = 0;
@@ -751,15 +801,26 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
       cost += d.code[i].cost;
       loop += d.code[i].loop_cost;
     }
+    ops.clear();
+    for (std::size_t i = s; i < e; ++i)
+      if (!fi_dead(d.code[i])) ops.push_back(i);
+    // The head op must not crash; if dropping the hooks would put a
+    // crashable op (or nothing) first, the leading hook stays as the head.
+    if (ops.empty() || can_crash(d.code[ops.front()].op)) ops.insert(ops.begin(), s);
+    // Executed op j lives at slot base + j: right-aligned against e.
+    const std::size_t base = e - ops.size();
+    out.fi_dropped += static_cast<std::uint32_t>(base - s);
+
     // Head: RunHead dispatching the first tile (or the first op's naked
     // single) through `d`.  The tile's operand fields share the head slot;
     // len/cost/loop_cost carry the region sums.
     ThreadedInstr ht;
-    std::size_t hl = match_tile(s, e, /*at_head=*/true, ht);
+    std::size_t hl = match_tile(0, e, /*at_head=*/true, ht);
     ThreadedInstr& h = out.code[s];
     if (hl == 0) {
       hl = 1;
-      h.d = static_cast<std::uint16_t>(naked_top(d.code[s].op));
+      h = single_of(ops[0]);
+      h.d = static_cast<std::uint16_t>(naked_at(ops[0]));
     } else {
       const std::uint16_t tile = ht.op;
       h = ht;
@@ -769,28 +830,28 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     h.len = static_cast<std::uint8_t>(len);
     h.cost = cost;
     h.loop_cost = loop;
+    h.skip = static_cast<std::uint16_t>(base - s);
     role[s] = 3;
-    for (std::size_t i = s + 1; i < s + hl; ++i) role[i] = 4;
+    for (std::size_t i = s + 1; i < e; ++i) role[i] = 4;
 
     // Interior: greedy naked tiling, naked singles elsewhere.
-    std::size_t pos = s + hl;
-    while (pos < e) {
+    std::size_t j = hl;
+    while (j < ops.size()) {
       ThreadedInstr ti;
-      if (const std::size_t tl = match_tile(pos, e, /*at_head=*/false, ti); tl != 0) {
-        out.code[pos] = ti;
-        for (std::size_t i = pos; i < pos + tl; ++i) role[i] = 4;
-        pos += tl;
+      if (const std::size_t tl = match_tile(j, e, /*at_head=*/false, ti); tl != 0) {
+        out.code[base + j] = ti;
+        j += tl;
         continue;
       }
-      // Naked single: opcode rewrite in place.  Crashable ops repurpose
-      // cost/loop_cost/len as the *suffix* charge to refund on crash, so
-      // the launch bills exactly the prefix up to and including the
-      // crashing op — the reference interpreter's charge-to-crash semantics.
-      ThreadedInstr& nt = out.code[pos];
-      nt.op = static_cast<std::uint16_t>(naked_top(d.code[pos].op));
-      if (can_crash(d.code[pos].op)) set_refund(nt, pos, e);
-      role[pos] = 4;
-      ++pos;
+      // Naked single.  Crashable ops repurpose cost/loop_cost/len as the
+      // *suffix* charge to refund on crash, so the launch bills exactly the
+      // prefix up to and including the crashing op — the reference
+      // interpreter's charge-to-crash semantics.
+      ThreadedInstr nt = single_of(ops[j]);
+      nt.op = static_cast<std::uint16_t>(naked_at(ops[j]));
+      if (can_crash(d.code[ops[j]].op)) set_refund(nt, ops[j], e);
+      out.code[base + j] = nt;
+      ++j;
     }
     ++out.run_heads;
     out.run_covered += static_cast<std::uint32_t>(len);
@@ -827,6 +888,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     if (e - rs >= 2) emit_run(rs, e);
     s = e;
   }
+  out.fi_nops = fi_dead_total - out.fi_dropped;
   return out;
 }
 

@@ -37,6 +37,16 @@
 //  * sanitized plans (`sanitize`): shared loads and stores compile to the
 //    shadow-observing singles SanLoadS/SanStoreS and never enter a run, so
 //    every shared access reaches the sanitizer's shadow in program order.
+//  * per-trial FI specialization (`FIFilter`): a SWIFI trial arms one
+//    (site, thread, occurrence), so every other FIHook is a no-op.  Unarmed
+//    hooks inside runs get no slot at all — the run's executed ops are
+//    packed right-aligned against the run's end and the RunHead skips the
+//    gap, so the tiles the hooks used to split re-form — while the RunHead
+//    still charges them (instruction and cycle totals unchanged) and crash
+//    refunds are computed from original positions.  Unarmed hooks outside
+//    runs become Nop singles.  The armed site's hooks compile to
+//    FIHookArmed/Nk_FIHookArmed, which test the thread inline and call the
+//    hook only in the launch's armed thread.
 //
 // Determinism contract: a fused handler must be bit-identical to running
 // its singles back to back.  Anything it cannot replicate exactly — a
@@ -196,6 +206,10 @@ enum class TOp : std::uint16_t {
   // --- sanitizer singles (sanitized plans only, never fused) ---
   // LoadS/StoreS that report every access to the block's SharedShadow.
   SanLoadS, SanStoreS,
+  // --- FI-specialized hooks (Armed filters only, never fused) ---
+  // The armed site's FIHook, accounted and naked: calls the hook only when
+  // the executing thread is the launch's armed thread.
+  FIHookArmed, Nk_FIHookArmed,
   Count_,
 };
 
@@ -238,6 +252,7 @@ struct ThreadedInstr {
   std::uint16_t b = 0;
   std::uint16_t c = 0;       ///< fused: extra slot (folded Const dst, 2nd ChkXor dst, ...)
   std::uint16_t d = 0;       ///< fused: extra slot
+  std::uint16_t skip = 0;    ///< RunHead: slots of dropped FIHooks to jump over (else 0)
   std::uint32_t aux = 0;
   std::uint32_t imm = 0;
   std::uint32_t cost = 0;
@@ -262,12 +277,35 @@ struct ThreadedProgram {
   std::uint32_t fused_covered = 0;  ///< source instructions covered by fused heads
   std::uint32_t run_heads = 0;      ///< straight-line runs emitted
   std::uint32_t run_covered = 0;    ///< source instructions inside runs (incl. heads)
+  std::uint32_t fi_hooks = 0;       ///< FIHook instructions in the program
+  /// FI specialization: unarmed FIHooks inside runs that got no slot (the
+  /// RunHead charges them), and unarmed FIHooks still dispatched as a Nop
+  /// (outside runs, or kept as a run's head).
+  std::uint32_t fi_dropped = 0;
+  std::uint32_t fi_nops = 0;
   /// Divergence dataflow results (the bytecode mirror of the kir divergence
   /// analysis): branches whose condition only depends on thread-uniform
   /// inputs (params, block builtins, constants) vs. thread-dependent ones.
   std::uint32_t uniform_branches = 0;
   std::uint32_t divergent_branches = 0;
   bool has_barriers = false;
+};
+
+/// The FI filter of the hook contract (gpusim::LaunchHooks::fi_filter):
+/// which FIHook executions can have any effect.  Generic — every FIHook
+/// calls the hook.  None — no FIHook has an effect.  Armed — only the
+/// FIHooks whose site index (their `aux`, the hook's `site_index`) is
+/// `site`, and only in global linear thread `thread`.
+struct FIFilter {
+  enum class Kind : std::uint8_t { Generic, None, Armed };
+  Kind kind = Kind::Generic;
+  std::uint32_t site = 0;
+  std::uint32_t thread = 0;
+
+  /// Same compiled stream: the thread is tested at run time, not compiled in.
+  [[nodiscard]] bool same_stream(const FIFilter& o) const noexcept {
+    return kind == o.kind && (kind != Kind::Armed || site == o.site);
+  }
 };
 
 /// Compile a predecoded stream into threaded-code form.  `num_slots` is the
@@ -280,10 +318,15 @@ struct ThreadedProgram {
 /// identity-translation test and the inspect tool's per-op view).
 /// `sanitize` compiles LoadS/StoreS to the shadow-observing SanLoadS/
 /// SanStoreS singles and keeps them out of runs (ExecEngine::Sanitizer).
+/// `fi` specializes the FIHooks (see FIFilter and the header comment); the
+/// default Generic filter compiles every FIHook to a hook call.  An Armed
+/// stream serves every thread: the interpreter compares against the
+/// launch's filter thread.
 [[nodiscard]] ThreadedProgram compile_threaded(const DecodedProgram& d,
                                                std::uint16_t num_slots,
                                                bool flat_global_memory,
                                                bool form_runs = true,
-                                               bool sanitize = false);
+                                               bool sanitize = false,
+                                               const FIFilter& fi = {});
 
 }  // namespace hauberk::kir

@@ -1,7 +1,8 @@
 // The SWIFI runtime: LaunchHooks implementation that arms one FaultSpec per
 // launch, corrupts the targeted definition via the FIHook instruction, and
 // forwards detector callbacks to a Hauberk control block when one is present
-// (the FI&FT configuration of Fig. 7).
+// (the FI&FT configuration of Fig. 7).  It reports the armed (site, thread)
+// as its FI filter, so the threaded engine compiles every other FIHook away.
 #pragma once
 
 #include <atomic>
@@ -12,7 +13,7 @@
 
 namespace hauberk::swifi {
 
-class InjectingHooks final : public gpusim::LaunchHooks {
+class InjectingHooks : public gpusim::LaunchHooks {
  public:
   /// `cb` may be null (plain FI build: sensitivity measurement, Fig. 1).
   InjectingHooks(const kir::BytecodeProgram& program, core::ControlBlock* cb)
@@ -24,13 +25,26 @@ class InjectingHooks final : public gpusim::LaunchHooks {
     armed_ = true;
     activated_.store(false, std::memory_order_relaxed);
     occurrence_seen_ = 0;
+    // fi_hook matches on FISite::site_id; the filter names the site by the
+    // index the hook receives (one index per site id).  A site id the
+    // program does not have can never fire.
+    filter_ = {gpusim::FIFilter::Kind::None};
+    for (std::uint32_t i = 0; i < prog_->fi_sites.size(); ++i)
+      if (prog_->fi_sites[i].site_id == spec.site_id)
+        filter_ = {gpusim::FIFilter::Kind::Armed, i, spec.thread};
   }
-  void disarm() { armed_ = false; }
+  void disarm() {
+    armed_ = false;
+    filter_ = {gpusim::FIFilter::Kind::None};
+  }
   [[nodiscard]] bool activated() const noexcept {
     return activated_.load(std::memory_order_relaxed);
   }
 
   // --- LaunchHooks ---
+  /// None when disarmed, else the armed (site, thread): fi_hook is a no-op
+  /// for every other call.
+  [[nodiscard]] gpusim::FIFilter fi_filter() const override { return filter_; }
   bool fi_hook(std::uint32_t site_index, std::uint32_t thread_linear,
                std::uint32_t& value_bits) override {
     if (!armed_) return false;
@@ -62,6 +76,7 @@ class InjectingHooks final : public gpusim::LaunchHooks {
   core::ControlBlock* cb_;
   FaultSpec spec_{};
   bool armed_ = false;
+  gpusim::FIFilter filter_{gpusim::FIFilter::Kind::None};
   std::uint64_t occurrence_seen_ = 0;
   std::atomic<bool> activated_{false};
 };

@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "hauberk/checkpoint.hpp"
+#include "hauberk/prune.hpp"
 #include "hauberk/runtime.hpp"
+#include "swifi/prune.hpp"
 #include "swifi/resultlog.hpp"
 #include "swifi/service.hpp"
 #include "workloads/workload.hpp"
@@ -444,6 +446,88 @@ TEST(CampaignService, FiFtCampaignWithControlBlockSurvivesKillResume) {
   }
   EXPECT_GT(crashes, 0);
   expect_same_aggregates(ref, res, "FI&FT kill/resume");
+}
+
+// The threaded engine runs each trial on a stream specialized to the armed
+// fault (DESIGN §10); none of that may reach a persisted byte.  An FI&FT
+// campaign's result log is byte-identical between the reference
+// interpreter and the threaded engine at 1/2/8 workers and across
+// kill/resume — and so is a pruned campaign's, whose representatives
+// interleave sites, so every worker's specialized stream is rebuilt often.
+TEST(CampaignService, FiFtLogBytesMatchReferenceEngine) {
+  Fixture f(make_cp(), /*with_ft=*/true);
+  ASSERT_FALSE(f.specs.empty());
+  prune::PruningPlan plan;
+  plan.kernels.push_back(prune::build_kernel_prune_facts(f.v.fift_source, f.v.fift));
+  const auto pruned = prune_specs(plan, plan.kernels[0].kernel, f.v.fift, f.specs);
+  ASSERT_LT(pruned.specs.size(), f.specs.size());
+
+  struct Campaign {
+    const char* name;
+    std::vector<FaultSpec> specs;
+    std::vector<std::uint32_t> weights;
+    std::uint64_t prune_digest;
+  };
+  for (const Campaign& c : {Campaign{"full", f.specs, {}, 0},
+                            Campaign{"pruned", pruned.specs, pruned.weights,
+                                     pruned.plan_digest}}) {
+    auto config = [&](gpusim::ExecEngine engine, int workers, const std::string& tag) {
+      ServiceConfig cfg;
+      cfg.workers = workers;
+      cfg.campaign.engine = engine;
+      cfg.campaign.pipeline = PipelineSpec::from_report(f.v.fift_report);
+      cfg.campaign.trial_weights = c.weights;
+      cfg.campaign.prune_digest = c.prune_digest;
+      cfg.resultlog_path = tmp_path(std::string("fispec_") + c.name + "_" + tag + ".log");
+      std::remove(cfg.resultlog_path.c_str());
+      return cfg;
+    };
+    const ServiceConfig ref_cfg = config(gpusim::ExecEngine::Reference, 1, "ref");
+    const auto ref =
+        CampaignService(ref_cfg).run(f.prog(true), f.factory(true), c.specs, f.w->requirement());
+    const std::string ref_bytes = read_bytes(ref_cfg.resultlog_path);
+    ASSERT_FALSE(ref_bytes.empty());
+
+    for (const int workers : {1, 2, 8}) {
+      const ServiceConfig cfg =
+          config(gpusim::ExecEngine::Threaded, workers, std::to_string(workers) + "w");
+      const auto res =
+          CampaignService(cfg).run(f.prog(true), f.factory(true), c.specs, f.w->requirement());
+      expect_same_aggregates(ref, res, c.name);
+      EXPECT_EQ(read_bytes(cfg.resultlog_path), ref_bytes)
+          << c.name << ": threaded log differs from the reference at " << workers
+          << " workers";
+    }
+
+    ServiceConfig kill = config(gpusim::ExecEngine::Threaded, 2, "kill");
+    kill.checkpoint_every = 5;
+    kill.checkpoint_path = tmp_path(std::string("fispec_") + c.name + ".ckpt");
+    std::remove(kill.checkpoint_path.c_str());
+    int crashes = 0;
+    ServiceResult res;
+    for (int cycle = 0; cycle < 100; ++cycle) {
+      ServiceConfig attempt = kill;
+      attempt.resume = cycle > 0;
+      auto armed = std::make_shared<bool>(true);
+      attempt.on_checkpoint = [armed](const CampaignCheckpoint&) {
+        if (*armed) {
+          *armed = false;
+          throw CrashInjected();
+        }
+      };
+      try {
+        res = CampaignService(attempt).run(f.prog(true), f.factory(true), c.specs,
+                                           f.w->requirement());
+        break;
+      } catch (const CrashInjected&) {
+        ++crashes;
+      }
+    }
+    EXPECT_GT(crashes, 0) << c.name;
+    expect_same_aggregates(ref, res, c.name);
+    EXPECT_EQ(read_bytes(kill.resultlog_path), ref_bytes)
+        << c.name << ": threaded kill/resume log differs from the reference";
+  }
 }
 
 TEST(CampaignService, EmptyCampaignAndEmptyShard) {

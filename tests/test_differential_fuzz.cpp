@@ -14,6 +14,14 @@
 // with 1 vs N workers across engines; a protected-memory corpus repeats the
 // engine comparison on a SEC-DED device.
 //
+// An FI mode instruments generated programs with the FI and FI&FT
+// pipelines, adds global loads (occasionally wild, so some crash right
+// after a hook), arms a random (site, thread, occurrence, mask) and sweeps
+// watchdog budgets through the armed thread's execution: the threaded
+// engine's FI-specialized stream (unarmed hooks compiled away, the armed
+// one testing its thread inline) must match the reference interpreter and
+// the unspecialized stream on every observable, activation included.
+//
 // A second generator mode (racy) skews the distribution toward shared-memory
 // conflicts and divergent barriers on a small-warp device; on those programs
 // the sanitizer must agree with the other engines on every observable while
@@ -46,7 +54,9 @@
 #include "kir/builder.hpp"
 #include "kir/bytecode.hpp"
 #include "kir/printer.hpp"
+#include "kir/threaded.hpp"
 #include "swifi/executor.hpp"
+#include "swifi/injector.hpp"
 #include "workloads/workload.hpp"
 
 using namespace hauberk;
@@ -81,7 +91,10 @@ struct FuzzProgram {
 /// for the sanitizer engine.
 class ProgramGen {
  public:
-  explicit ProgramGen(Rng& rng, bool racy = false) : rng_(rng), racy_(racy) {}
+  /// `loads` adds global-load statements (FI mode); off, the generator's
+  /// draws — and so every other corpus — are unchanged.
+  explicit ProgramGen(Rng& rng, bool racy = false, bool loads = false)
+      : rng_(rng), racy_(racy), loads_(loads) {}
 
   FuzzProgram gen() {
     FuzzProgram fp;
@@ -218,6 +231,19 @@ class ProgramGen {
       racy_statement(kb, depth);
       return;
     }
+    if (loads_ && chance(15)) {  // global load, occasionally wild
+      // Half of them load through a fresh address variable, so the
+      // variable's FIHook sits between the address arithmetic and the load.
+      const ExprH at = chance(50) ? kb.let("p" + std::to_string(serial_++), addr()) : addr();
+      if (chance(50)) {
+        ExprH v = kb.let("g" + std::to_string(serial_++), kb.load_f32(at));
+        f32s_.push_back(v);
+      } else {
+        ExprH v = kb.let("g" + std::to_string(serial_++), kb.load_i32(at));
+        i32s_.push_back(v);
+      }
+      return;
+    }
     const std::uint64_t roll = rng_.next_below(100);
     if (roll < 22) {  // new f32 variable
       ExprH v = kb.let("f" + std::to_string(serial_++), f32_expr());
@@ -286,6 +312,7 @@ class ProgramGen {
 
   Rng& rng_;
   bool racy_ = false;
+  bool loads_ = false;
   std::uint32_t shared_words_ = 0;
   int serial_ = 0;
   std::vector<ExprH> ptrs_, i32s_, f32s_;
@@ -305,6 +332,21 @@ struct EngineRun {
   bool cb_sdc = false;
   std::uint64_t cb_checks = 0, cb_violations = 0;
   std::uint64_t ecc_corrected = 0, ecc_uncorrectable = 0;  ///< device counters
+  bool fi_activated = false;                ///< armed FI trials only
+};
+
+/// An armed SWIFI trial for run_engine.
+struct FiArm {
+  swifi::FaultSpec spec;
+  std::uint64_t watchdog = 10'000;
+  bool generic = false;  ///< the injector reports Generic: the unspecialized stream
+};
+
+/// InjectingHooks that reports the Generic filter.
+class GenericInjector : public swifi::InjectingHooks {
+ public:
+  using InjectingHooks::InjectingHooks;
+  [[nodiscard]] gpusim::FIFilter fi_filter() const override { return {}; }
 };
 
 /// Deterministic input staging shared by both engines.
@@ -320,7 +362,8 @@ void stage_input(std::vector<std::uint32_t>& words, std::uint64_t salt) {
 EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
                      gpusim::ExecEngine engine, std::uint64_t salt,
                      bool with_cb, bool instrumented = false,
-                     gpusim::ecc::Scheme protection = gpusim::ecc::Scheme::None) {
+                     gpusim::ecc::Scheme protection = gpusim::ecc::Scheme::None,
+                     const FiArm* fi = nullptr) {
   gpusim::DeviceProps props;
   props.global_mem_words = 1u << 16;
   props.memory_model = fp.mem_model;
@@ -366,6 +409,15 @@ EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
   // threaded-code engine actually executes (campaigns run plain).
   opts.simt_cost = instrumented;
   opts.hooks = with_cb ? &cb : nullptr;
+  std::unique_ptr<swifi::InjectingHooks> injector;
+  if (fi) {
+    core::ControlBlock* const cbp = with_cb ? &cb : nullptr;
+    injector = fi->generic ? std::make_unique<GenericInjector>(prog, cbp)
+                           : std::make_unique<swifi::InjectingHooks>(prog, cbp);
+    injector->arm(fi->spec);
+    opts.hooks = injector.get();
+    opts.watchdog_instructions = fi->watchdog;
+  }
   EngineRun r;
   std::vector<std::uint64_t> counts;
   if (instrumented) opts.instr_exec_counts = &counts;
@@ -375,6 +427,7 @@ EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
   r.exec_counts = std::move(counts);
   r.ecc_corrected = dev.mem().ecc_corrected();
   r.ecc_uncorrectable = dev.mem().ecc_uncorrectable();
+  if (injector) r.fi_activated = injector->activated();
   if (with_cb) {
     r.cb_sdc = cb.sdc_detected();
     r.cb_checks = cb.total_checks();
@@ -402,7 +455,8 @@ void expect_identical(const EngineRun& ref, const EngineRun& other,
                     other.res.ecc_corrected == ref.res.ecc_corrected &&
                     other.check_mem == ref.check_mem &&
                     other.ecc_corrected == ref.ecc_corrected &&
-                    other.ecc_uncorrectable == ref.ecc_uncorrectable;
+                    other.ecc_uncorrectable == ref.ecc_uncorrectable &&
+                    other.fi_activated == ref.fi_activated;
   if (same) return;
 
   std::string mem_diff;
@@ -421,10 +475,12 @@ void expect_identical(const EngineRun& ref, const EngineRun& other,
                 << " instr=" << other.res.instructions
                 << " simt=" << other.res.simt_cycles << " sdc=" << other.res.sdc_alarm
                 << " ecc=" << other.ecc_corrected << "/" << other.ecc_uncorrectable
+                << " fi=" << other.fi_activated
                 << "\n  ref:   status=" << gpusim::launch_status_name(ref.res.status)
                 << " cycles=" << ref.res.cycles << " instr=" << ref.res.instructions
                 << " simt=" << ref.res.simt_cycles << " sdc=" << ref.res.sdc_alarm
                 << " ecc=" << ref.ecc_corrected << "/" << ref.ecc_uncorrectable
+                << " fi=" << ref.fi_activated
                 << "\n  mem equal=" << (other.mem == ref.mem)
                 << " check equal=" << (other.check_mem == ref.check_mem)
                 << " profile equal=" << (other.exec_counts == ref.exec_counts)
@@ -554,6 +610,88 @@ TEST(DifferentialFuzz, SanitizerAgreesOnRacyPrograms) {
   }
   EXPECT_GT(with_race, 0u) << "racy generator never produced a shared race";
   EXPECT_GT(with_divergence, 0u) << "racy generator never diverged a barrier";
+}
+
+TEST(DifferentialFuzz, ArmedFIHooksMatchReferenceEverywhere) {
+  // FI-mode corpus: programs with global loads, instrumented by the FI or
+  // FI&FT pipeline, one random armed fault each.  Every budget of the sweep
+  // runs on Reference (which ignores the FI filter), Threaded and Sanitizer
+  // (the FI-specialized stream) and Threaded with an injector reporting
+  // Generic (the unspecialized stream).  Budgets are drawn inside the
+  // per-thread instruction count, so they land on and inside runs whose
+  // unarmed hooks the specialized stream dropped; wild loads after a
+  // dropped hook crash through the refund path.
+  const std::uint64_t seed = env_u64("HAUBERK_FUZZ_SEED", 0xfa57'0005);
+  const auto programs =
+      static_cast<std::size_t>(env_u64("HAUBERK_FUZZ_PROGRAMS", 400)) / 2;
+
+  std::size_t compared = 0, activated = 0, crash = 0, budget_hang = 0, dropped = 0;
+  for (std::size_t i = 0; i < programs; ++i) {
+    Rng rng = Rng::fork(seed, i);
+    ProgramGen gen(rng, /*racy=*/false, /*loads=*/true);
+    const FuzzProgram fp = gen.gen();
+    const bool fift = i % 2 == 1;
+    BytecodeProgram prog;
+    try {
+      core::TranslateOptions topt;
+      topt.mode = fift ? core::LibMode::FIFT : core::LibMode::FI;
+      prog = lower(core::translate(fp.kernel, topt));
+    } catch (const std::exception&) {
+      continue;  // the translator may reject exotic generated kernels
+    }
+    if (prog.fi_sites.empty()) continue;
+    {
+      const std::vector<std::uint32_t> unit(prog.code.size(), 1);
+      const auto tp = compile_threaded(decode_program(prog, unit), prog.num_slots, true, true,
+                                       false, FIFilter{FIFilter::Kind::None});
+      dropped += tp.fi_dropped > 0;
+    }
+
+    Rng arm = Rng::fork(seed ^ 0xf1f1, i);
+    FiArm fi;
+    fi.spec.site_id = prog.fi_sites[arm.next_below(prog.fi_sites.size())].site_id;
+    fi.spec.thread = static_cast<std::uint32_t>(arm.next_below(fp.cfg.total_threads()));
+    fi.spec.occurrence = 1 + static_cast<std::uint32_t>(arm.next_below(2));
+    fi.spec.mask = arm.next_below(4) == 0 ? static_cast<std::uint32_t>(arm.next_u32() | 1u)
+                                          : 1u << arm.next_below(32);
+
+    const EngineRun full =
+        run_engine(prog, fp, gpusim::ExecEngine::Reference, i, fift, false,
+                   gpusim::ecc::Scheme::None, &fi);
+    const std::uint64_t per_thread =
+        1 + full.res.instructions / std::max<std::uint64_t>(1, fp.cfg.total_threads());
+    std::vector<std::uint64_t> budgets = {fi.watchdog};
+    for (int b = 0; b < 3; ++b) budgets.push_back(1 + arm.next_below(2 * per_thread));
+
+    for (const std::uint64_t budget : budgets) {
+      fi.watchdog = budget;
+      fi.generic = false;
+      const EngineRun ref = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, fift, false,
+                                       gpusim::ecc::Scheme::None, &fi);
+      const EngineRun thr = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift, false,
+                                       gpusim::ecc::Scheme::None, &fi);
+      expect_identical(ref, thr, fp, i, "fi threaded");
+      const EngineRun san = run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, fift, false,
+                                       gpusim::ecc::Scheme::None, &fi);
+      expect_identical(ref, san, fp, i, "fi sanitizer");
+      fi.generic = true;
+      const EngineRun gen_thr = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift,
+                                           false, gpusim::ecc::Scheme::None, &fi);
+      expect_identical(ref, gen_thr, fp, i, "fi threaded (generic filter)");
+      ++compared;
+      activated += ref.fi_activated;
+      if (ref.res.status == gpusim::LaunchStatus::Hang && budget != budgets.front())
+        ++budget_hang;
+      else if (gpusim::is_crash(ref.res.status))
+        ++crash;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(compared, programs) << "too few FI programs compared";
+  EXPECT_GT(activated, compared / 16) << "armed faults rarely fire";
+  EXPECT_GT(crash, 0u) << "no FI trial crashed";
+  EXPECT_GT(budget_hang, compared / 8) << "budgets rarely land inside the run";
+  EXPECT_GT(dropped, programs / 2) << "specialized streams rarely drop a hook";
 }
 
 namespace {

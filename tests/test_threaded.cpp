@@ -4,12 +4,18 @@
 // the reference interpreter (complementing test_differential_fuzz's random
 // programs and test_golden_outputs' pinned digests), watchdog-boundary
 // delegation, the routing of instrumented launches to the reference
-// interpreter, and the launch-plan cache's engine-in-key behavior.
+// interpreter, the launch-plan cache's engine-in-key behavior, and the
+// per-trial FI specialization (armed SWIFI trials on the FI and FI&FT
+// builds of every workload against the reference interpreter and against
+// the unspecialized stream).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpusim/device.hpp"
@@ -17,6 +23,8 @@
 #include "hauberk/runtime.hpp"
 #include "kir/bytecode.hpp"
 #include "kir/threaded.hpp"
+#include "swifi/campaign.hpp"
+#include "swifi/injector.hpp"
 #include "workloads/workload.hpp"
 
 using namespace hauberk;
@@ -109,7 +117,8 @@ TEST(Threaded, EveryDecodedOpHasAThreadedEmitter) {
     EXPECT_EQ(st.code[pc].op, static_cast<std::uint16_t>(want)) << "pc " << pc;
   }
   // Every fused opcode has a name too (the dispatch table is fully wired);
-  // the sanitizer singles close the table and are not fused.
+  // the sanitizer and FI-specialized singles close the table and are not
+  // fused.
   const auto san_begin = static_cast<unsigned>(TOp::SanLoadS);
   for (unsigned v = kir::kTOpFusedBegin; v < kir::kNumTOps; ++v) {
     EXPECT_EQ(kir::top_is_fused(static_cast<TOp>(v)), v < san_begin) << "TOp " << v;
@@ -165,7 +174,7 @@ TEST(Threaded, WatchdogBoundariesMatchReferenceEngine) {
 
 // Launches that profile execution counts, cost SIMT serialization or run
 // under an installed hardware fault model take the reference interpreter on
-// a Threaded device (BlockExec::run), so they must match a Reference device
+// a Threaded device (Device::launch), so they must match a Reference device
 // bitwise: profile, SIMT cycles, cycle/instruction totals, memory image.
 TEST(Threaded, InstrumentedLaunchesRouteToReference) {
   struct Obs {
@@ -334,4 +343,276 @@ TEST(Threaded, EngineFlipMidCampaignNeverServesStalePlan) {
   // launches hit).
   EXPECT_EQ(dev.plan_cache_misses(), 3u);
   EXPECT_EQ(dev.plan_cache_hits(), 3u);
+}
+
+// FI specialization on a synthetic run: unarmed hooks get no slot, the
+// executed ops are right-aligned against the run's end with the RunHead
+// skipping the gap, the tile the hook used to split re-forms, and the
+// RunHead still charges the hooks.  The armed site keeps a thread-testing
+// hook; a leading hook whose next op could crash stays as a Nop head.
+TEST(Threaded, FISpecializationDropsUnarmedHooksFromRuns) {
+  using kir::DecodedOp;
+  using kir::FIFilter;
+  using kir::TOp;
+  kir::DecodedProgram d;
+  auto push = [&](DecodedOp op, std::uint32_t cost, std::uint32_t aux = 0) {
+    kir::DecodedInstr in;
+    in.op = op;
+    in.cost = cost;
+    in.aux = aux;
+    d.code.push_back(in);
+  };
+  push(DecodedOp::Mov, 1);        // 0: head
+  push(DecodedOp::AddW, 2);       // 1
+  push(DecodedOp::FIHook, 0, 0);  // 2: site 0
+  push(DecodedOp::ChkXor, 3);     // 3: [AddW][ChkXor] once the hook is gone
+  push(DecodedOp::FIHook, 0, 1);  // 4: site 1
+  push(DecodedOp::LoadG, 5);      // 5: crashable
+  push(DecodedOp::MulF, 4);       // 6
+  push(DecodedOp::Halt, 1);       // 7: terminator
+  auto op_at = [](const kir::ThreadedProgram& tp, std::size_t pc) {
+    return static_cast<TOp>(tp.code[pc].op);
+  };
+
+  // Generic: the hooks are dispatched naked and split the tiles.
+  const kir::ThreadedProgram gen = kir::compile_threaded(d, 8, true);
+  ASSERT_EQ(gen.run_heads, 1u);
+  EXPECT_EQ(gen.fi_hooks, 2u);
+  EXPECT_EQ(gen.fi_dropped, 0u);
+  EXPECT_EQ(gen.code[0].skip, 0);
+  EXPECT_EQ(op_at(gen, 2), TOp::Nk_FIHook);
+
+  // None: both hooks dropped; 5 executed ops at slots 2..6.
+  const kir::ThreadedProgram none =
+      kir::compile_threaded(d, 8, true, true, false, FIFilter{FIFilter::Kind::None});
+  ASSERT_EQ(none.run_heads, 1u);
+  EXPECT_EQ(none.fi_dropped, 2u);
+  EXPECT_EQ(none.fi_nops, 0u);
+  EXPECT_EQ(op_at(none, 0), TOp::RunHead);
+  EXPECT_EQ(none.code[0].len, 7);                        // hooks still charged
+  EXPECT_EQ(none.code[0].cost, 1u + 2u + 3u + 5u + 4u);
+  EXPECT_EQ(none.code[0].skip, 2);
+  EXPECT_EQ(none.code[0].d, static_cast<std::uint16_t>(TOp::Nk_Mov));
+  EXPECT_EQ(op_at(none, 3), TOp::NkBinChkXor_AddW);      // re-formed tile
+  EXPECT_EQ(op_at(none, 5), TOp::NkLoadBin_MulF);
+  EXPECT_EQ(none.code[5].len, 1);                        // refund: the MulF after the load
+  EXPECT_EQ(none.code[5].cost, 4u);
+  EXPECT_EQ(op_at(none, 7), TOp::Halt);
+
+  // Armed at site 1: site 0 dropped, site 1 tests its thread inline.
+  const kir::ThreadedProgram armed = kir::compile_threaded(
+      d, 8, true, true, false, FIFilter{FIFilter::Kind::Armed, 1, 5});
+  EXPECT_EQ(armed.fi_dropped, 1u);
+  EXPECT_EQ(armed.code[0].skip, 1);
+  EXPECT_EQ(op_at(armed, 2), TOp::NkBinChkXor_AddW);
+  EXPECT_EQ(op_at(armed, 4), TOp::Nk_FIHookArmed);
+  EXPECT_EQ(op_at(armed, 5), TOp::NkLoadBin_MulF);
+  // The thread is not compiled in: one stream serves every thread.
+  EXPECT_TRUE((FIFilter{FIFilter::Kind::Armed, 1, 5}.same_stream(
+      FIFilter{FIFilter::Kind::Armed, 1, 9})));
+  EXPECT_FALSE((FIFilter{FIFilter::Kind::Armed, 1, 5}.same_stream(
+      FIFilter{FIFilter::Kind::Armed, 0, 5})));
+
+  // A run that would start at a crashable op keeps its leading hook as the
+  // head; a lone hook outside any run becomes a Nop single.
+  kir::DecodedProgram d2;
+  auto push2 = [&](DecodedOp op, std::uint32_t cost) {
+    kir::DecodedInstr in;
+    in.op = op;
+    in.cost = cost;
+    d2.code.push_back(in);
+  };
+  push2(DecodedOp::Mov, 1);     // 0: single (region of one op before the Jmp)
+  push2(DecodedOp::Jmp, 1);     // 1
+  push2(DecodedOp::FIHook, 0);  // 2: run head, kept as Nk_Nop
+  push2(DecodedOp::LoadG, 3);   // 3
+  push2(DecodedOp::AddF, 2);    // 4
+  push2(DecodedOp::Jmp, 1);     // 5
+  push2(DecodedOp::FIHook, 0);  // 6: lone hook
+  push2(DecodedOp::Halt, 1);    // 7
+  d2.code[1].aux = 2;
+  d2.code[5].aux = 6;
+  const kir::ThreadedProgram lead =
+      kir::compile_threaded(d2, 8, true, true, false, FIFilter{FIFilter::Kind::None});
+  EXPECT_EQ(op_at(lead, 2), TOp::RunHead);
+  EXPECT_EQ(lead.code[2].d, static_cast<std::uint16_t>(TOp::Nk_Nop));
+  EXPECT_EQ(lead.code[2].skip, 0);
+  EXPECT_EQ(op_at(lead, 6), TOp::Nop);
+  EXPECT_EQ(lead.fi_dropped, 0u);
+  EXPECT_EQ(lead.fi_nops, 2u);
+}
+
+namespace {
+
+/// A SWIFI injector that reports the Generic filter — the threaded engine
+/// then runs the unspecialized stream and calls fi_hook at every FIHook —
+/// and records every call's (site, value after injection) per thread.
+class RecordingInjector : public swifi::InjectingHooks {
+ public:
+  using InjectingHooks::InjectingHooks;
+  [[nodiscard]] gpusim::FIFilter fi_filter() const override { return {}; }
+  bool fi_hook(std::uint32_t site, std::uint32_t thread, std::uint32_t& value) override {
+    const bool hit = InjectingHooks::fi_hook(site, thread, value);
+    const std::lock_guard<std::mutex> lk(mu_);
+    seen[thread].emplace_back(site, value);
+    return hit;
+  }
+  std::map<std::uint32_t, std::vector<std::pair<std::uint32_t, std::uint32_t>>> seen;
+
+ private:
+  std::mutex mu_;
+};
+
+/// Everything one armed trial launch exposes.
+struct TrialObs {
+  gpusim::LaunchStatus status{};
+  std::uint64_t instructions = 0, cycles = 0, loop_cycles = 0;
+  bool sdc = false, cb_sdc = false, activated = false;
+  std::vector<std::uint32_t> mem;
+  std::vector<gpusim::SanitizerReport> reports;
+  bool operator==(const TrialObs&) const = default;
+};
+
+TrialObs armed_launch(gpusim::Device& dev, swifi::TrialStage& stage, core::KernelJob& job,
+                      const kir::BytecodeProgram& prog, core::ControlBlock* cb,
+                      swifi::InjectingHooks& hooks, const swifi::FaultSpec& spec,
+                      std::uint64_t watchdog) {
+  hooks.arm(spec);
+  const auto& args = stage.stage();
+  if (cb) cb->reset_results();
+  gpusim::LaunchOptions opts;
+  opts.hooks = &hooks;
+  opts.watchdog_instructions = watchdog;
+  opts.max_workers = 1;
+  const auto res = dev.launch(prog, job.config(), args, opts);
+  TrialObs o;
+  o.status = res.status;
+  o.instructions = res.instructions;
+  o.cycles = res.cycles;
+  o.loop_cycles = res.loop_cycles;
+  o.sdc = res.sdc_alarm;
+  o.cb_sdc = cb && cb->sdc_detected();
+  o.activated = hooks.activated();
+  o.mem = dev.mem().image();
+  o.reports = res.sanitizer_reports;
+  return o;
+}
+
+}  // namespace
+
+// The FI-specialized stream is an optimization of the threaded engine
+// only, so an armed trial must observe exactly what the reference
+// interpreter (which ignores the filter) observes.  For the FI and FI&FT
+// builds of every workload: every executed FI site x 2 masks x {first,
+// last} occurrence, on Reference, Threaded and Sanitizer — same Outcome
+// through run_one_fault, same activation, status, instruction, cycle and
+// loop-cycle totals and memory image through a direct launch; the
+// specialized stream equals the unspecialized one (an injector reporting
+// Generic) on Threaded and Sanitizer, sanitizer reports included; and
+// every FIHook call sees the same per-thread (site, value) sequence on
+// the reference interpreter and the unspecialized threaded stream.
+TEST(Threaded, ArmedFIHooksMatchReferenceOnAllWorkloads) {
+  using gpusim::ExecEngine;
+  constexpr ExecEngine kEngines[] = {ExecEngine::Reference, ExecEngine::Threaded,
+                                     ExecEngine::Sanitizer};
+  std::size_t trials = 0, activated = 0, crashed = 0;
+  for (auto& w : all_workloads()) {
+    const Dataset ds = w->make_dataset(kDatasetSeed, Scale::Tiny);
+    const auto v = core::build_variants(w->build_kernel(Scale::Tiny));
+    gpusim::Device prof_dev;
+    auto prof_job = w->make_job(ds);
+    const core::ProfileData pd = core::profile(prof_dev, v, {prof_job.get()});
+    const auto req = w->requirement();
+
+    for (const bool fift : {false, true}) {
+      const kir::BytecodeProgram& prog = fift ? v.fift : v.fi;
+      struct Rig {
+        gpusim::Device dev;
+        std::unique_ptr<core::KernelJob> job;
+        std::unique_ptr<core::ControlBlock> cb;
+        std::unique_ptr<swifi::TrialStage> stage;
+      };
+      Rig rigs[3];
+      swifi::GoldenRun gold;
+      std::uint64_t watchdog = 0;
+      for (std::size_t e = 0; e < 3; ++e) {
+        Rig& r = rigs[e];
+        r.dev.set_engine(kEngines[e]);
+        r.job = w->make_job(ds);
+        if (fift) r.cb = core::make_configured_control_block(prog, pd);
+        if (e == 0) {
+          gold = swifi::golden_run(r.dev, prog, *r.job, r.cb.get(), 1);
+          watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
+        }
+        r.stage = std::make_unique<swifi::TrialStage>(r.dev, *r.job);
+      }
+
+      for (std::uint32_t si = 0; si < prog.fi_sites.size() && si < pd.exec_counts.size();
+           ++si) {
+        std::vector<std::uint32_t> threads;
+        for (std::uint32_t t = 0; t < pd.exec_counts[si].size(); ++t)
+          if (pd.exec_counts[si][t] > 0) threads.push_back(t);
+        if (threads.empty()) continue;
+        for (int m = 0; m < 2; ++m) {
+          for (const bool last : {false, true}) {
+            swifi::FaultSpec spec;
+            spec.site_id = prog.fi_sites[si].site_id;
+            spec.thread = threads[(si * 7u + static_cast<std::uint32_t>(m)) % threads.size()];
+            spec.occurrence = last ? pd.exec_counts[si][spec.thread] : 1;
+            spec.mask = m == 0 ? 1u << (si % 32) : 0x80000000u | (0x3u << ((si * 5) % 30));
+            const std::string what = w->name() + (fift ? " fi+ft" : " fi") + " site " +
+                                     std::to_string(spec.site_id) + " thread " +
+                                     std::to_string(spec.thread) + " occ " +
+                                     std::to_string(spec.occurrence) + " mask " +
+                                     std::to_string(spec.mask);
+
+            swifi::Outcome outcome[3];
+            TrialObs spec_obs[3];
+            for (std::size_t e = 0; e < 3; ++e) {
+              Rig& r = rigs[e];
+              outcome[e] = swifi::run_one_fault(r.dev, prog, *r.job, r.cb.get(), spec,
+                                                gold.output, req, watchdog, 1,
+                                                gpusim::SharedShadow::kMaxReportsPerBlock,
+                                                r.stage.get());
+              swifi::InjectingHooks hooks(prog, r.cb.get());
+              spec_obs[e] = armed_launch(r.dev, *r.stage, *r.job, prog, r.cb.get(), hooks,
+                                         spec, watchdog);
+            }
+            // Reference vs the specialized threaded and sanitized streams.
+            EXPECT_EQ(outcome[0], outcome[1]) << what;
+            const bool san_class = outcome[2] == swifi::Outcome::RaceDetected ||
+                                   outcome[2] == swifi::Outcome::BarrierDivergence;
+            EXPECT_TRUE(outcome[0] == outcome[2] || san_class) << what;
+            TrialObs san_plain = spec_obs[2];
+            san_plain.reports.clear();
+            EXPECT_EQ(spec_obs[0], spec_obs[1]) << what;
+            EXPECT_EQ(spec_obs[0], san_plain) << what;
+
+            // Specialized vs unspecialized stream, and the per-thread hook
+            // value sequences on the reference vs the unspecialized stream.
+            RecordingInjector rec_ref(prog, rigs[0].cb.get());
+            (void)armed_launch(rigs[0].dev, *rigs[0].stage, *rigs[0].job, prog,
+                               rigs[0].cb.get(), rec_ref, spec, watchdog);
+            for (std::size_t e = 1; e < 3; ++e) {
+              Rig& r = rigs[e];
+              RecordingInjector rec(prog, r.cb.get());
+              const TrialObs generic =
+                  armed_launch(r.dev, *r.stage, *r.job, prog, r.cb.get(), rec, spec, watchdog);
+              EXPECT_EQ(spec_obs[e], generic) << what << " " << gpusim::exec_engine_name(kEngines[e]);
+              EXPECT_EQ(rec_ref.seen, rec.seen) << what << " " << gpusim::exec_engine_name(kEngines[e]);
+            }
+            ++trials;
+            activated += spec_obs[0].activated;
+            crashed += gpusim::is_crash(spec_obs[0].status);
+            if (::testing::Test::HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  // The sweep must reach the interesting cases: injections that fire, and
+  // some that crash (a crash inside a run exercises the refund path).
+  EXPECT_GT(trials, 500u);
+  EXPECT_GT(activated, trials / 2);
+  EXPECT_GT(crashed, 0u);
 }
