@@ -1,8 +1,13 @@
 #include "gpusim/memory.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstring>
 #include <new>
 #include <stdexcept>
+#include <utility>
 
 namespace hauberk::gpusim {
 
@@ -11,7 +16,60 @@ namespace {
 /// allocations so that bit-flipped addresses rarely stay inside a mapping.
 constexpr std::uint32_t kPageWords = 1024;
 constexpr std::uint32_t kGapWords = 257 * kPageWords;  // prime-ish page stride
+
+/// Codewords span aligned pairs of words; keep the arena pair-complete.
+std::uint32_t pair_capacity(std::uint32_t words) {
+  const std::uint32_t rounded = words + (words & 1u);  // UINT32_MAX wraps to 0
+  if (rounded == 0)
+    throw std::invalid_argument("DeviceMemory: capacity must be 1..UINT32_MAX-1 words");
+  return rounded;
+}
 }  // namespace
+
+ZeroPages::ZeroPages(std::size_t bytes) {
+  if (bytes == 0) return;
+  // MAP_NORESERVE: the arena is mostly never touched, so do not charge its
+  // full size against the commit limit.
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  base_ = p;
+  bytes_ = bytes;
+}
+
+ZeroPages::~ZeroPages() {
+  if (base_ != nullptr) ::munmap(base_, bytes_);
+}
+
+ZeroPages::ZeroPages(ZeroPages&& other) noexcept
+    : base_(std::exchange(other.base_, nullptr)), bytes_(std::exchange(other.bytes_, 0)) {}
+
+ZeroPages& ZeroPages::operator=(ZeroPages&& other) noexcept {
+  std::swap(base_, other.base_);
+  std::swap(bytes_, other.bytes_);
+  return *this;
+}
+
+void ZeroPages::zero(std::size_t from, std::size_t to) noexcept {
+  to = std::min(to, bytes_);
+  if (from >= to) return;
+  auto* const p = static_cast<unsigned char*>(base_);
+#if defined(__linux__)
+  // Linux guarantees that a private anonymous page dropped by MADV_DONTNEED
+  // reads back zero-filled; other systems only promise "may be discarded".
+  if (to - from >= kReleaseBytes) {
+    static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t lo = (from + page - 1) / page * page;  // base_ is page-aligned
+    const std::size_t hi = to / page * page;
+    if (lo < hi && ::madvise(p + lo, hi - lo, MADV_DONTNEED) == 0) {
+      std::memset(p + from, 0, lo - from);
+      std::memset(p + hi, 0, to - hi);
+      return;
+    }
+  }
+#endif
+  std::memset(p + from, 0, to - from);
+}
 
 thread_local bool DeviceMemory::tl_ecc_fault_ = false;
 
@@ -19,12 +77,13 @@ DeviceMemory::DeviceMemory(MemoryModel model, std::uint32_t capacity_words,
                            ecc::Scheme protection)
     : model_(model),
       protection_(protection),
-      // Codewords span aligned pairs of words; keep the arena pair-complete.
-      capacity_(capacity_words + (capacity_words & 1u)),
-      words_(capacity_, 0) {
+      capacity_(pair_capacity(capacity_words)),
+      word_pages_(std::size_t{capacity_} * sizeof(std::uint32_t)),
+      words_(word_pages_.view<std::uint32_t>()) {
   if (protection_ != ecc::Scheme::None) {
     code_ = &ecc::code(protection_);
-    check_.assign(capacity_ / 2, 0);  // zero data encodes to zero check bits
+    check_pages_ = ZeroPages(capacity_ / 2);  // zero data encodes to zero check bits
+    check_ = check_pages_.view<std::uint8_t>();
   }
   // Start CPU placements away from address 0 so null-ish pointers fault.
   next_base_ = model_ == MemoryModel::PagedCpu ? 16 * kPageWords : 0;
@@ -39,9 +98,7 @@ void DeviceMemory::reset() {
   // path notes its physical index), so the wipe only has to cover the dirty
   // prefix — O(touched), not O(capacity).
   const std::size_t hi = dirty_hi_.load(std::memory_order_relaxed);
-  std::fill(words_.begin(),
-            words_.begin() + static_cast<long>(hi < words_.size() ? hi : words_.size()),
-            0u);
+  zero_word_tail(0, hi);
   zero_check_tail(0, hi);
   for (auto& c : class_words_) c = 0;
   dirty_hi_.store(0, std::memory_order_relaxed);
@@ -159,13 +216,13 @@ void DeviceMemory::reencode_prefix(std::size_t n) noexcept {
   }
 }
 
+void DeviceMemory::zero_word_tail(std::size_t n, std::size_t hi) noexcept {
+  word_pages_.zero(n * sizeof(std::uint32_t), hi * sizeof(std::uint32_t));
+}
+
 void DeviceMemory::zero_check_tail(std::size_t n, std::size_t hi) noexcept {
   if (protection_ == ecc::Scheme::None) return;
-  const std::size_t from = check_prefix(n);
-  const std::size_t to = check_prefix(hi < words_.size() ? hi : words_.size());
-  if (to > from)
-    std::fill(check_.begin() + static_cast<long>(from),
-              check_.begin() + static_cast<long>(to), std::uint8_t{0});
+  check_pages_.zero(check_prefix(n), check_prefix(hi));
 }
 
 }  // namespace hauberk::gpusim

@@ -30,10 +30,15 @@
 // mode also empties flat_arena(), which routes the threaded engine's raw
 // flat-arena accesses through load()/store() — one hook point, every
 // engine, bitwise-identical observables.
+//
+// Both arenas (words and check bytes) live on ZeroPages: a device costs the
+// pages its trials touch, not its capacity, and wiping a large dirty range
+// hands its whole pages back to the kernel instead of writing zeros.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <span>
@@ -48,8 +53,46 @@ enum class MemoryModel { FlatGpu, PagedCpu };
 /// Classification of one allocation, for the Fig. 2 footprint accounting.
 enum class AllocClass : std::uint8_t { F32Data, I32Data, PtrData, Other };
 
+/// A fixed-size, zero-filled byte arena on a private anonymous mapping.
+/// Construction is O(1): the kernel supplies zero pages on first touch, so
+/// nothing is written up front and untouched pages cost no resident memory.
+/// zero() is the one way to clear a range: below kReleaseBytes it memsets;
+/// from kReleaseBytes up it memsets the page-unaligned edges and returns the
+/// whole pages in between with madvise(MADV_DONTNEED), after which they read
+/// as zero again and leave the resident set (Linux; a failed madvise, or any
+/// other platform, falls back to memset).  Move-only: one owner unmaps.
+class ZeroPages {
+ public:
+  /// Ranges at least this long are released page-wise instead of memset.
+  static constexpr std::size_t kReleaseBytes = std::size_t{64} << 10;
+
+  ZeroPages() noexcept = default;
+  /// Maps `bytes` zero bytes (none for 0); throws std::bad_alloc on failure.
+  explicit ZeroPages(std::size_t bytes);
+  ~ZeroPages();
+  ZeroPages(ZeroPages&& other) noexcept;
+  ZeroPages& operator=(ZeroPages&& other) noexcept;
+  ZeroPages(const ZeroPages&) = delete;
+  ZeroPages& operator=(const ZeroPages&) = delete;
+
+  /// The arena as an array of trivial `T` (valid until this object dies).
+  template <class T>
+  [[nodiscard]] std::span<T> view() noexcept {
+    return {static_cast<T*>(base_), bytes_ / sizeof(T)};
+  }
+  /// Zero bytes [from, to); `to` is clamped to the arena size.
+  void zero(std::size_t from, std::size_t to) noexcept;
+
+ private:
+  void* base_ = nullptr;
+  std::size_t bytes_ = 0;
+};
+
 class DeviceMemory {
  public:
+  /// `capacity_words` is rounded up to whole codeword pairs; a capacity that
+  /// rounds to zero (0, or UINT32_MAX, which wraps) throws
+  /// std::invalid_argument.
   explicit DeviceMemory(MemoryModel model = MemoryModel::FlatGpu,
                         std::uint32_t capacity_words = 16u << 20,
                         ecc::Scheme protection = ecc::Scheme::None);
@@ -163,36 +206,29 @@ class DeviceMemory {
   /// clear the words above it up to the store high-water mark.  The clear
   /// matters on FlatGpu, where there is no page protection and a faulty
   /// launch may have scribbled physical words that were never allocated;
-  /// reset() would have zeroed those too, but by wiping the entire arena —
-  /// the watermark keeps the per-trial cost proportional to what the trial
-  /// actually touched instead of to device capacity.  `check_img` (from
-  /// check_image(), empty when unprotected) restores the shadow check arena
-  /// the same way: staged prefix copied back, dirty tail zeroed (the zero
-  /// word encodes to a zero check byte under both linear codes).
+  /// reset() would have zeroed those too.  The watermark bounds the range
+  /// and ZeroPages::zero() bounds the work: a stray store near the arena
+  /// top costs the pages it touched, not the words below it.  `check_img`
+  /// (from check_image(), empty when unprotected) restores the shadow check
+  /// arena the same way: staged prefix copied back, dirty tail zeroed (the
+  /// zero word encodes to a zero check byte under both linear codes).
   void restore_trial(std::span<const std::uint32_t> img,
                      std::span<const std::uint8_t> check_img = {}) {
     const std::size_t n = img.size() < words_.size() ? img.size() : words_.size();
     const std::size_t hi = dirty_hi_.load(std::memory_order_relaxed);
     std::copy(img.begin(), img.begin() + static_cast<long>(n), words_.begin());
-    if (hi > n)
-      std::fill(words_.begin() + static_cast<long>(n),
-                words_.begin() + static_cast<long>(hi < words_.size() ? hi : words_.size()),
-                0u);
+    zero_word_tail(n, hi);
     if (protection_ != ecc::Scheme::None) {
       const std::size_t cn = check_prefix(n);
       if (check_img.size() >= cn) {
         std::copy(check_img.begin(), check_img.begin() + static_cast<long>(cn),
                   check_.begin());
-        const std::size_t chi = check_prefix(hi < words_.size() ? hi : words_.size());
-        if (chi > cn)
-          std::fill(check_.begin() + static_cast<long>(cn),
-                    check_.begin() + static_cast<long>(chi), std::uint8_t{0});
       } else {
         // No staged check image (caller predates protection): fall back to
         // re-encoding, which is bitwise what a fresh stage would hold.
         reencode_prefix(n);
-        zero_check_tail(n, hi);
       }
+      zero_check_tail(n, hi);
     }
     dirty_hi_.store(static_cast<std::uint32_t>(n), std::memory_order_relaxed);
   }
@@ -274,18 +310,26 @@ class DeviceMemory {
   [[nodiscard]] bool repair_pair(std::uint32_t pair) noexcept;
 
   void reencode_prefix(std::size_t n) noexcept;
+  /// Zero words [n, hi), resp. the check bytes of their pairs: the tail
+  /// above a staged prefix of n words, up to the watermark hi (clamped to
+  /// the arena).  Both go through ZeroPages::zero().
+  void zero_word_tail(std::size_t n, std::size_t hi) noexcept;
   void zero_check_tail(std::size_t n, std::size_t hi) noexcept;
 
   MemoryModel model_;
   ecc::Scheme protection_;
   const ecc::Code* code_ = nullptr;  ///< tables when protected, else nullptr
   std::uint32_t capacity_;
-  std::vector<std::uint32_t> words_;
+  /// Word arena: `words_` views `word_pages_`.  Invariant: every word at or
+  /// above dirty_hi_ is zero — true from construction (zero pages) on.
+  ZeroPages word_pages_;
+  std::span<std::uint32_t> words_;
   /// Shadow check-bit arena: one byte per aligned pair of words (empty when
-  /// unprotected).  Invariant outside injected faults: check_[p] ==
-  /// encode(words_[2p] | words_[2p+1] << 32); the all-zero arena satisfies
-  /// it for free because the codes are linear.
-  std::vector<std::uint8_t> check_;
+  /// unprotected), mapped like the word arena.  Invariant outside injected
+  /// faults: check_[p] == encode(words_[2p] | words_[2p+1] << 32); the
+  /// all-zero arena satisfies it for free because the codes are linear.
+  ZeroPages check_pages_;
+  std::span<std::uint8_t> check_;
   std::uint32_t used_ = 0;           // FlatGpu high-water mark / PagedCpu storage cursor
   std::uint32_t next_base_ = 0;      // PagedCpu virtual placement cursor
   std::vector<Extent> extents_;      // PagedCpu live allocations (sorted by base)

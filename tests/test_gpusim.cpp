@@ -2,7 +2,18 @@
 // crash/hang detection, barriers/atomics, cost attribution, fault model.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <fstream>
+#include <memory>
+#include <random>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "gpusim/device.hpp"
 #include "kir/builder.hpp"
@@ -717,3 +728,317 @@ TEST(RestoreTrial, NoteStoreGrowsTheWatermarkMonotonically) {
   ASSERT_TRUE(m.load(5, v));
   EXPECT_EQ(v, 0u);
 }
+
+// --- device arena: zero-page mappings against the std::vector semantics ---
+
+namespace {
+
+/// The arena as specified before it moved onto zero pages: plain vectors,
+/// a store watermark and eager fills, with every operation the oracle test
+/// drives spelled out the way DeviceMemory used to do it.
+struct VectorArena {
+  const ecc::Code* code;  // nullptr when unprotected
+  std::vector<std::uint32_t> words;
+  std::vector<std::uint8_t> check;
+  std::size_t hi = 0;  // store watermark
+
+  VectorArena(std::size_t capacity, ecc::Scheme scheme)
+      : code(scheme == ecc::Scheme::None ? nullptr : &ecc::code(scheme)),
+        words(capacity, 0),
+        check(code ? capacity / 2 : 0, 0) {}
+
+  static std::size_t pairs(std::size_t n) { return (n + 1) / 2; }
+  std::uint64_t pair(std::size_t p) const {
+    return words[2 * p] | (std::uint64_t{words[2 * p + 1]} << 32);
+  }
+  void reencode(std::size_t n) {
+    for (std::size_t p = 0; p < pairs(n); ++p) check[p] = ecc::encode(*code, pair(p));
+  }
+  void note(std::size_t i) { hi = std::max(hi, i + 1); }
+  /// EDC check of word i's pair: scrub a single-bit error, refuse a double.
+  bool edc(std::size_t i) {
+    if (!code) return true;
+    const std::size_t p = i / 2;
+    const auto d = ecc::decode(*code, pair(p), check[p]);
+    if (d.bit == ecc::kUncorrectable) return false;
+    words[2 * p] = static_cast<std::uint32_t>(d.data);
+    words[2 * p + 1] = static_cast<std::uint32_t>(d.data >> 32);
+    check[p] = d.check;
+    return true;
+  }
+  bool load(std::size_t i, std::uint32_t& out) {
+    if (!edc(i)) return false;
+    out = words[i];
+    return true;
+  }
+  bool store(std::size_t i, std::uint32_t value) {
+    if (!edc(i)) return false;
+    words[i] = value;
+    if (code) check[i / 2] = ecc::encode(*code, pair(i / 2));
+    note(i);
+    return true;
+  }
+  void zero_words(std::size_t from, std::size_t to) {
+    to = std::min(to, words.size());
+    if (from < to) std::fill(words.begin() + static_cast<long>(from),
+                             words.begin() + static_cast<long>(to), 0u);
+  }
+  void zero_check(std::size_t from, std::size_t to) {
+    if (!code) return;
+    from = pairs(from);
+    to = pairs(std::min(to, words.size()));
+    if (from < to) std::fill(check.begin() + static_cast<long>(from),
+                             check.begin() + static_cast<long>(to), std::uint8_t{0});
+  }
+  void restore_trial(std::span<const std::uint32_t> img, std::span<const std::uint8_t> cimg) {
+    const std::size_t n = img.size();
+    std::copy(img.begin(), img.end(), words.begin());
+    zero_words(n, hi);
+    if (code) {
+      if (cimg.size() >= pairs(n))
+        std::copy(cimg.begin(), cimg.begin() + static_cast<long>(pairs(n)), check.begin());
+      else
+        reencode(n);
+      zero_check(n, hi);
+    }
+    hi = n;
+  }
+  void reset() {
+    zero_words(0, hi);
+    zero_check(0, hi);
+    hi = 0;
+  }
+  void restore(std::span<const std::uint32_t> img) {
+    std::copy(img.begin(), img.end(), words.begin());
+    if (!img.empty()) note(img.size() - 1);
+    if (code) reencode(img.size());
+  }
+  void corrupt_word(std::size_t i, std::uint32_t mask) {
+    if (mask == 0) return;
+    words[i] ^= mask;
+    note(i);
+  }
+  void corrupt_check(std::size_t i, std::uint8_t mask) {
+    if (code) check[i / 2] ^= mask;
+  }
+};
+
+/// Index of the first element where a and b differ, or -1 when equal.
+template <class T>
+long first_diff(const std::vector<T>& a, const std::vector<T>& b) {
+  if (a.size() != b.size()) return static_cast<long>(std::min(a.size(), b.size()));
+  const auto it = std::mismatch(a.begin(), a.end(), b.begin());
+  return it.first == a.end() ? -1 : it.first - a.begin();
+}
+
+class DeviceArenaOracle
+    : public ::testing::TestWithParam<std::tuple<MemoryModel, ecc::Scheme>> {};
+
+}  // namespace
+
+TEST_P(DeviceArenaOracle, MatchesVectorModel) {
+  const auto [model, scheme] = GetParam();
+  // Dirty-range lengths (in words) at which the word tail and the check
+  // tail reach ZeroPages' release threshold.
+  constexpr std::size_t kWordT = ZeroPages::kReleaseBytes / sizeof(std::uint32_t);
+  constexpr std::size_t kCheckT = ZeroPages::kReleaseBytes * 2;
+  // Room for a check-threshold tail above a staged prefix; neither arena
+  // ends on a page boundary (4 * kCap and kCap / 2 bytes).
+  constexpr std::uint32_t kCap = 3 * kCheckT + 6;
+  DeviceMemory m(model, kCap, scheme);
+  VectorArena v(kCap, scheme);
+  // The whole arena is one live allocation, so image() and check_image()
+  // show every data word and check byte.
+  std::uint32_t base = m.alloc(kCap);
+
+  std::mt19937_64 rng(0x5eed15);
+  const auto below = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  const auto clamp = [&](long x) {
+    return static_cast<std::size_t>(std::clamp<long>(x, 0, static_cast<long>(kCap)));
+  };
+  // A length or index close to a threshold distance from `from`: exactly
+  // on it, or a word or two either side.
+  const auto near = [&](std::size_t from, long sign) {
+    const auto t = static_cast<long>(below(2) ? kWordT : kCheckT);
+    return clamp(static_cast<long>(from) + sign * t + static_cast<long>(below(5)) - 2);
+  };
+  const auto pick = [&]() -> std::size_t {
+    switch (below(6)) {
+      case 0: return kCap - 1;  // the stray store at the arena top
+      case 1: return below(kCap);
+      case 2: return below(4096);
+      default: return std::min<std::size_t>(near(v.hi, +1), kCap - 1);
+    }
+  };
+  const auto prefix = [&]() -> std::size_t {
+    switch (below(4)) {
+      case 0: return 0;
+      case 1: return below(kCap);
+      default: return near(v.hi, -1);  // dirty tail [n, hi) straddles a threshold
+    }
+  };
+
+  // Stage: upload a random prefix, as a job's setup would.
+  std::vector<std::uint32_t> upload(5000);
+  for (auto& w : upload) w = static_cast<std::uint32_t>(rng());
+  m.copy_in(base, upload);
+  for (std::size_t i = 0; i < upload.size(); ++i) ASSERT_TRUE(v.store(i, upload[i]));
+  const auto staged = m.image();
+  const auto staged_check = m.check_image();
+  ASSERT_EQ(staged.size(), kCap);
+
+  for (int step = 0; step < 400; ++step) {
+    std::string op;
+    switch (below(9)) {
+      case 0: {
+        const std::size_t i = pick();
+        const auto val = static_cast<std::uint32_t>(rng());
+        op = "store " + std::to_string(i);
+        ASSERT_EQ(m.store(base + static_cast<std::uint32_t>(i), val), v.store(i, val)) << op;
+        break;
+      }
+      case 1: {
+        const std::size_t i = pick();
+        op = "rmw " + std::to_string(i);
+        const auto f = [](std::uint32_t x) { return x * 3 + 1; };
+        std::uint32_t cur = 0;
+        const bool ok = v.load(i, cur) && v.store(i, f(cur));
+        ASSERT_EQ(m.rmw(base + static_cast<std::uint32_t>(i), f), ok) << op;
+        break;
+      }
+      case 2: {
+        const std::size_t i = pick();
+        op = "load " + std::to_string(i);
+        std::uint32_t got = 0, want = 0;
+        const bool ok = v.load(i, want);
+        ASSERT_EQ(m.load(base + static_cast<std::uint32_t>(i), got), ok) << op;
+        if (ok) {
+          ASSERT_EQ(got, want) << op;
+        }
+        break;
+      }
+      case 3: {
+        const std::size_t i = pick();
+        // Mostly single-bit upsets; sometimes a multi-bit one (uncorrectable
+        // under protection, so later accesses of that pair fail).
+        const auto mask = below(4) ? 1u << below(32) : static_cast<std::uint32_t>(rng());
+        op = "corrupt_word " + std::to_string(i);
+        m.corrupt_word(static_cast<std::uint32_t>(i), mask);
+        v.corrupt_word(i, mask);
+        break;
+      }
+      case 4: {
+        const std::size_t i = pick();
+        const auto mask = static_cast<std::uint8_t>(1u << below(8));
+        op = "corrupt_check " + std::to_string(i);
+        m.corrupt_check(static_cast<std::uint32_t>(i), mask);
+        v.corrupt_check(i, mask);
+        break;
+      }
+      case 5:
+      case 6: {
+        const std::size_t n = prefix();
+        const bool with_check = below(2) != 0;
+        op = "restore_trial n=" + std::to_string(n) + " hi=" + std::to_string(v.hi) +
+             (with_check ? " +check" : "");
+        const auto img = std::span<const std::uint32_t>(staged).first(n);
+        const auto cimg = with_check ? std::span<const std::uint8_t>(staged_check)
+                                           .first(std::min(staged_check.size(), (n + 1) / 2))
+                                     : std::span<const std::uint8_t>{};
+        m.restore_trial(img, cimg);
+        v.restore_trial(img, cimg);
+        break;
+      }
+      case 7: {
+        const std::size_t n = prefix();
+        op = "restore n=" + std::to_string(n);
+        const auto img = std::span<const std::uint32_t>(staged).first(n);
+        m.restore(img);
+        v.restore(img);
+        break;
+      }
+      default: {
+        op = "reset hi=" + std::to_string(v.hi);
+        m.reset();
+        v.reset();
+        base = m.alloc(kCap);
+        break;
+      }
+    }
+    ASSERT_EQ(first_diff(m.image(), v.words), -1) << "data word differs after step " << step
+                                                  << ": " << op;
+    ASSERT_EQ(first_diff(m.check_image(), v.check), -1)
+        << "check byte differs after step " << step << ": " << op;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Arenas, DeviceArenaOracle,
+    ::testing::Combine(::testing::Values(MemoryModel::FlatGpu, MemoryModel::PagedCpu),
+                       ::testing::Values(ecc::Scheme::None, ecc::Scheme::Hsiao)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == MemoryModel::FlatGpu ? "FlatGpu"
+                                                                          : "PagedCpu") +
+             "_" + ecc::scheme_name(std::get<1>(info.param));
+    });
+
+TEST(DeviceArena, ZeroCapacityIsRejected) {
+  EXPECT_THROW(DeviceMemory(MemoryModel::FlatGpu, 0), std::invalid_argument);
+  // Pair rounding wraps UINT32_MAX to 0 words.
+  EXPECT_THROW(DeviceMemory(MemoryModel::FlatGpu, UINT32_MAX), std::invalid_argument);
+  EXPECT_THROW(DeviceMemory(MemoryModel::PagedCpu, 0, ecc::Scheme::Hsiao),
+               std::invalid_argument);
+  DeviceProps props;
+  props.global_mem_words = 0;
+  EXPECT_THROW(Device{props}, std::invalid_argument);
+  DeviceMemory one(MemoryModel::FlatGpu, 1, ecc::Scheme::Hsiao);  // rounds up to a pair
+  EXPECT_TRUE(one.store(1, 7));
+  EXPECT_FALSE(one.valid(2));
+}
+
+TEST(DeviceArena, ZeroPagesMoveHandsOverTheMapping) {
+  ZeroPages a(ZeroPages::kReleaseBytes);
+  a.view<std::uint32_t>()[3] = 42;
+  ZeroPages b(std::move(a));
+  EXPECT_TRUE(a.view<std::uint32_t>().empty());
+  ASSERT_EQ(b.view<std::uint32_t>().size(), ZeroPages::kReleaseBytes / 4);
+  EXPECT_EQ(b.view<std::uint32_t>()[3], 42u);
+  ZeroPages c;
+  c = std::move(b);
+  EXPECT_EQ(c.view<std::uint32_t>()[3], 42u);
+  c.zero(0, ZeroPages::kReleaseBytes);  // the page-release path
+  EXPECT_EQ(c.view<std::uint32_t>()[3], 0u);
+}
+
+#if defined(__linux__)
+namespace {
+/// Resident set size of this process, from /proc/self/statm.
+long resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long size = 0, resident = 0;
+  statm >> size >> resident;
+  return resident * ::sysconf(_SC_PAGESIZE);
+}
+}  // namespace
+
+TEST(DeviceArena, ResidentMemoryFollowsTouchedPages) {
+  // Construction maps zero pages and writes none of them (default
+  // capacity: 64 MiB per device).
+  const long before = resident_bytes();
+  std::vector<std::unique_ptr<Device>> devices;
+  for (int i = 0; i < 8; ++i) devices.push_back(std::make_unique<Device>(DeviceProps{}));
+  EXPECT_LT(resident_bytes() - before, 16l << 20) << "constructing 8 devices";
+
+  // A stray store at the top of the arena dirties one page; restore_trial
+  // hands the pages back instead of writing zeros over the whole range.
+  DeviceMemory& mem = devices[0]->mem();
+  const auto staged = mem.image();
+  const long clean = resident_bytes();
+  ASSERT_TRUE(mem.store(DeviceProps{}.global_mem_words - 1, 0xdeadbeefu));
+  mem.restore_trial(staged);
+  EXPECT_LT(resident_bytes() - clean, 1l << 20) << "after restore_trial of a stray store";
+  std::uint32_t v = 1;
+  ASSERT_TRUE(mem.load(DeviceProps{}.global_mem_words - 1, v));
+  EXPECT_EQ(v, 0u);
+}
+#endif
