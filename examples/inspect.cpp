@@ -3,7 +3,7 @@
 // table, per-variant resource statistics and threaded-stream statistics.
 //
 // Usage:
-//   inspect --program=CP [--what=source|ft|disasm|dataflow|sites|stats|threaded|all]
+//   inspect --program=CP [--what=source|ft|disasm|dataflow|sites|stats|threaded|journal|all]
 //   inspect --program=CP --print-passes [--mode=ft] [--maxvar=N] [--naive]
 //   inspect --program=CP --dump-passes=DIR [--mode=ft]
 //
@@ -11,6 +11,12 @@
 // of it: straight-line run coverage, fused superinstruction heads and FI
 // hooks — for the generic stream and for the FI-specialized stream a
 // disarmed injector's launch runs (unarmed hooks dropped from runs).
+//
+// --what=journal prints, per build, the golden-launch journal a SWIFI
+// campaign records for segment replay (dataset seed 1, one block worker):
+// segments, first-read and write entries, its size, and the share of
+// segments a disarmed replay of the same launch applies (all of them,
+// unless the journal and the engine disagree).
 //
 // --print-passes shows the pass pipeline composed for the selected library
 // mode plus the structured remarks each pass emitted (detector placed or
@@ -35,6 +41,8 @@
 #include "hauberk/runtime.hpp"
 #include "kir/printer.hpp"
 #include "kir/threaded.hpp"
+#include "swifi/campaign.hpp"
+#include "swifi/injector.hpp"
 #include "workloads/workload.hpp"
 
 using namespace hauberk;
@@ -201,6 +209,43 @@ void print_threaded(const core::KernelVariants& v) {
   }
 }
 
+/// --what=journal: the golden journal of each build on dataset seed 1, and
+/// what a disarmed replay of that launch applies.
+void print_journal(const workloads::Workload& w, const core::KernelVariants& v) {
+  const workloads::Dataset ds = w.make_dataset(1, workloads::Scale::Small);
+  std::printf("golden journals (%s, dataset seed 1, one block worker):\n", w.name().c_str());
+  std::printf("  %-9s %-9s %-8s %-12s %-12s %-9s %-10s %s\n", "variant", "segments", "threads",
+              "first-reads", "writes", "reg-words", "KiB", "disarmed-applied");
+  for (const auto& r : variant_rows(v)) {
+    if (r.p == &v.profiler) continue;  // profiling launches run instrumented, never replayed
+    gpusim::Device dev;
+    auto job = w.make_job(ds);
+    const swifi::GoldenRun gold = swifi::golden_run(dev, *r.p, *job, nullptr, 1);
+    if (!gold.journal) {
+      std::printf("  %-9s (no journal)\n", r.name);
+      continue;
+    }
+    const gpusim::LaunchJournal& j = *gold.journal;
+    std::uint64_t reads = 0, writes = 0;
+    for (const auto& s : j.segments) {
+      reads += s.global_reads + s.shared_reads;
+      writes += s.writes + s.shared_writes;
+    }
+    swifi::InjectingHooks disarmed(*r.p, nullptr);
+    gpusim::LaunchOptions opts;
+    opts.hooks = &disarmed;
+    opts.max_workers = 1;
+    opts.journal = &j;
+    const auto res = dev.launch(*r.p, job->config(), job->setup(dev), opts);
+    std::printf("  %-9s %-9zu %-8zu %-12llu %-12llu %-9zu %-10.1f %.1f%%\n", r.name,
+                j.segments.size(), j.thread_begin.size() - 1,
+                static_cast<unsigned long long>(reads), static_cast<unsigned long long>(writes),
+                j.regs.size(), static_cast<double>(j.bytes()) / 1024.0,
+                100.0 * static_cast<double>(res.replayed_segments) /
+                    static_cast<double>(j.segments.size()));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -245,5 +290,6 @@ int main(int argc, char** argv) {
   if (all || what == "sites") print_sites(v.fi);
   if (all || what == "stats") print_stats(v);
   if (what == "threaded") print_threaded(v);  // compiler view: only on request
+  if (what == "journal") print_journal(*w, v);  // runs the golden launches: only on request
   return 0;
 }

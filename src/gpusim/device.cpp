@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -259,17 +260,145 @@ std::uint32_t eval_un(UnOp op, DType t, std::uint32_t a) noexcept {
 
 enum class ThreadStop : std::uint8_t { Done, Barrier, Crash, Budget };
 
+/// Builds a LaunchJournal during a serial reference launch.  Every segment
+/// gets a serial stamp; per-address stamps (dense arrays, grown to the
+/// highest address touched) tell a first read from a re-read of the
+/// segment's own store without any per-segment clearing.
+class JournalRecorder {
+ public:
+  using J = LaunchJournal;
+
+  JournalRecorder(LaunchJournal& j, std::uint32_t shared_words) : j_(j), sstamp_(shared_words) {}
+
+  void begin(std::uint32_t thread_slot) {
+    ++stamp_;
+    slots_.push_back(thread_slot);
+    seg_ = J::Segment{};
+    seg_.first_reads = static_cast<std::uint32_t>(j_.reads.size());
+    seg_.first_write = static_cast<std::uint32_t>(j_.writes.size());
+    seg_.first_shared_write = static_cast<std::uint32_t>(j_.shared_writes.size());
+    shared_reads_.clear();
+  }
+
+  void global_load(std::uint32_t addr, std::uint32_t value) {
+    Cell& c = cell(addr);
+    if (c.stamp != stamp_) {
+      c.stamp = stamp_;
+      c.pending = false;
+      j_.reads.push_back({addr, value});
+    } else if (c.pending) {
+      // Only atomics touched it so far: the load sees their sum over the
+      // pre-segment value, which is therefore an input.
+      c.pending = false;
+      j_.reads.push_back({addr, c.pre});
+    }
+  }
+  void global_store(std::uint32_t addr, std::uint32_t value) {
+    write(addr, value, J::WriteKind::Store);
+    Cell& c = cell(addr);
+    c.stamp = stamp_;
+    c.pending = false;  // later loads see the segment's own value
+  }
+  void global_atomic(std::uint32_t addr, std::uint32_t addend, J::WriteKind kind,
+                     std::uint32_t pre) {
+    write(addr, addend, kind);
+    Cell& c = cell(addr);
+    if (c.stamp != stamp_) {
+      c.stamp = stamp_;
+      c.pending = true;
+      c.pre = pre;
+    }
+  }
+  void shared_load(std::uint32_t addr, std::uint32_t value) {
+    if (sstamp_[addr] != stamp_) {
+      sstamp_[addr] = stamp_;
+      shared_reads_.push_back({addr, value});
+    }
+  }
+  void shared_store(std::uint32_t addr, std::uint32_t value) {
+    sstamp_[addr] = stamp_;
+    j_.shared_writes.push_back({addr, value});
+  }
+
+  /// Close the segment begun last: the deltas, the sdc bit and the thread's
+  /// state after its stop (registers only at a Barrier).
+  void end(std::uint64_t instructions, std::uint64_t cycles, std::uint64_t loop_cycles,
+           bool sdc, std::uint64_t budget_after, std::uint32_t pc, std::uint32_t barrier_pc,
+           bool done, std::span<const std::uint32_t> regs) {
+    seg_.instructions = instructions;
+    seg_.cycles = cycles;
+    seg_.loop_cycles = loop_cycles;
+    seg_.sdc = sdc;
+    seg_.budget_after = budget_after;
+    seg_.pc = pc;
+    seg_.barrier_pc = barrier_pc;
+    seg_.done = done;
+    seg_.global_reads = static_cast<std::uint32_t>(j_.reads.size()) - seg_.first_reads;
+    seg_.shared_reads = static_cast<std::uint32_t>(shared_reads_.size());
+    j_.reads.insert(j_.reads.end(), shared_reads_.begin(), shared_reads_.end());
+    seg_.writes = static_cast<std::uint32_t>(j_.writes.size()) - seg_.first_write;
+    seg_.shared_writes =
+        static_cast<std::uint32_t>(j_.shared_writes.size()) - seg_.first_shared_write;
+    if (!done) {
+      seg_.regs = static_cast<std::uint32_t>(j_.regs.size());
+      j_.regs.insert(j_.regs.end(), regs.begin(), regs.end());
+    }
+    j_.segments.push_back(seg_);
+  }
+
+  /// Group the serial-order segments per thread (stable, so each thread's
+  /// stay in epoch order) and fill thread_begin.
+  void finish(std::uint32_t num_threads) {
+    std::vector<std::uint32_t> begin(static_cast<std::size_t>(num_threads) + 1, 0);
+    for (const std::uint32_t s : slots_) ++begin[s + 1];
+    for (std::size_t i = 1; i < begin.size(); ++i) begin[i] += begin[i - 1];
+    std::vector<J::Segment> grouped(j_.segments.size());
+    std::vector<std::uint32_t> next(begin.begin(), begin.end() - 1);
+    for (std::size_t i = 0; i < slots_.size(); ++i) grouped[next[slots_[i]]++] = j_.segments[i];
+    j_.segments = std::move(grouped);
+    j_.thread_begin = std::move(begin);
+  }
+
+ private:
+  struct Cell {
+    std::uint32_t stamp = 0;
+    std::uint32_t pre = 0;  ///< pre-segment value when only atomics touched it
+    bool pending = false;
+  };
+  Cell& cell(std::uint32_t addr) {
+    if (addr >= cells_.size())
+      cells_.resize(std::max<std::size_t>(addr + std::size_t{1}, cells_.size() * 2));
+    return cells_[addr];
+  }
+  void write(std::uint32_t addr, std::uint32_t value, J::WriteKind kind) {
+    j_.writes.push_back({addr, value, kind});
+    seg_.write_hi = std::max(seg_.write_hi, addr + 1);
+  }
+
+  LaunchJournal& j_;
+  std::uint32_t stamp_ = 0;
+  J::Segment seg_;
+  std::vector<Cell> cells_;
+  std::vector<std::uint32_t> sstamp_;
+  std::vector<J::Word> shared_reads_;
+  std::vector<std::uint32_t> slots_;  ///< thread slot of each serial segment
+};
+
 /// Executes all threads of one block.
 class BlockExec {
  public:
   BlockExec(Device& dev, const kir::BytecodeProgram& prog, const LaunchConfig& cfg,
             const LaunchOptions& opts, const std::vector<std::uint32_t>& costs,
             const kir::DecodedProgram& decoded, const kir::ThreadedProgram* threaded,
-            std::uint32_t fi_thread, std::uint32_t block_linear,
-            std::vector<SanitizerReport>* report_sink)
+            const kir::FIFilter& fi, std::uint32_t block_linear,
+            std::vector<SanitizerReport>* report_sink, const LaunchJournal* journal,
+            JournalRecorder* recorder)
       : dev_(dev), prog_(prog), cfg_(cfg), opts_(opts), costs_(costs),
         tcode_(threaded && !threaded->code.empty() ? threaded->code.data() : nullptr),
-        fi_thread_(fi_thread),
+        fi_thread_(fi.thread),
+        armed_(fi.kind == kir::FIFilter::Kind::Armed),
+        journal_(journal),
+        rec_(recorder),
         sites_(decoded.sanitizer_sites.data()),
         block_linear_(block_linear),
         sm_(block_linear % dev.props().num_sms),
@@ -293,6 +422,7 @@ class BlockExec {
   std::vector<std::uint32_t> thread_counts;  ///< [thread][pc], when SIMT costing
   std::int64_t deadlock_pc = -1;    ///< barrier pc on CrashBarrierDeadlock
   std::int64_t deadlock_site = -1;  ///< its sanitizer site id
+  std::uint64_t replayed = 0;       ///< segments applied from the journal
 
   [[nodiscard]] std::uint64_t sanitizer_dropped() const noexcept {
     return shadow_ ? shadow_->dropped() : 0;
@@ -308,9 +438,15 @@ class BlockExec {
     std::uint32_t barrier_pc = 0;   // pc of the barrier this thread last stopped at
     bool done = false;
     std::uint32_t* regs = nullptr;
+    // Replay only: the thread's next journal segment, and whether its
+    // registers have left the golden run's (it was interpreted).
+    std::uint32_t segment = 0;
+    bool diverged = false;
   };
 
   ThreadStop run_thread(ThreadCtx& t, LaunchStatus& crash_status);
+  bool apply_segment(ThreadCtx& t);
+  ThreadStop record_segment(ThreadCtx& t, LaunchStatus& crash_status);
   ThreadStop run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_status);
   ThreadStop step_thread(ThreadCtx& t, LaunchStatus& crash_status);
   void finish_simt_cost();
@@ -330,6 +466,9 @@ class BlockExec {
   /// reference interpreter (Device::launch decides).
   const kir::ThreadedInstr* tcode_;
   std::uint32_t fi_thread_;       ///< armed thread of an Armed FI-specialized stream
+  bool armed_;                    ///< the launch's FI filter is Armed
+  const LaunchJournal* journal_;  ///< non-null on a replaying launch
+  JournalRecorder* rec_;          ///< non-null on a recording launch
   const std::uint32_t* sites_;    ///< per-pc sanitizer site ids (all engines)
   std::uint32_t block_linear_, sm_, bx_, by_, threads_per_block_;
   std::vector<std::uint32_t> shared_;
@@ -437,19 +576,23 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
       case OpCode::Select:
         regs[in.dst] = regs[in.a] != 0 ? regs[in.b] : regs[static_cast<std::uint16_t>(in.imm)];
         break;
-      case OpCode::LoadG:
-        if (!mem.load(regs[in.a], regs[in.dst])) {
+      case OpCode::LoadG: {
+        const std::uint32_t addr = regs[in.a];
+        if (!mem.load(addr, regs[in.dst])) {
           crash_status = mem_fail_status();
           finish();
           return ThreadStop::Crash;
         }
+        if (rec_) rec_->global_load(addr, regs[in.dst]);
         break;
+      }
       case OpCode::StoreG:
         if (!mem.store(regs[in.a], regs[in.b])) {
           crash_status = mem_fail_status();
           finish();
           return ThreadStop::Crash;
         }
+        if (rec_) rec_->global_store(regs[in.a], regs[in.b]);
         break;
       case OpCode::LoadS:
       case OpCode::StoreS: {
@@ -464,27 +607,39 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
         if (in.op == OpCode::LoadS) {
           if (shadow_) shadow_->on_load(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
           regs[in.dst] = shared_[addr];
+          if (rec_) rec_->shared_load(addr, regs[in.dst]);
         } else {
           if (shadow_) shadow_->on_store(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
           shared_[addr] = regs[in.b];
+          if (rec_) rec_->shared_store(addr, regs[in.b]);
         }
         break;
       }
       case OpCode::AtomicAddG: {
         std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
+        const bool is_f = aux_type(in.aux) == DType::F32;
+        std::uint32_t pre = 0;
         const bool ok =
-            aux_type(in.aux) == DType::F32
-                ? mem.rmw(regs[in.a],
-                          [&](std::uint32_t w) { return fadd_bits(w, regs[in.b]); })
-                : mem.rmw(regs[in.a], [&](std::uint32_t w) {
-                    return i_bits(static_cast<std::int32_t>(
-                        static_cast<std::int64_t>(as_i(w)) + as_i(regs[in.b])));
-                  });
+            is_f ? mem.rmw(regs[in.a],
+                           [&](std::uint32_t w) {
+                             pre = w;
+                             return fadd_bits(w, regs[in.b]);
+                           })
+                 : mem.rmw(regs[in.a], [&](std::uint32_t w) {
+                     pre = w;
+                     return i_bits(static_cast<std::int32_t>(
+                         static_cast<std::int64_t>(as_i(w)) + as_i(regs[in.b])));
+                   });
         if (!ok) {
           crash_status = mem_fail_status();
           finish();
           return ThreadStop::Crash;
         }
+        if (rec_)
+          rec_->global_atomic(regs[in.a], regs[in.b],
+                              is_f ? LaunchJournal::WriteKind::AtomicAddF
+                                   : LaunchJournal::WriteKind::AtomicAddI,
+                              pre);
         break;
       }
       case OpCode::Jmp:
@@ -1608,6 +1763,83 @@ ThreadStop BlockExec::step_thread(ThreadCtx& t, LaunchStatus& crash_status) {
   return tcode_ ? run_thread_threaded(t, crash_status) : run_thread(t, crash_status);
 }
 
+/// Replay: apply thread t's next journal segment if it would provably run
+/// exactly as it did in the golden launch — the thread still holds its
+/// golden registers, it is not the armed thread (whose FIHooks must run),
+/// the segment fits this launch's watchdog, and every first read returns
+/// its golden value.  Otherwise the thread diverges: it takes its
+/// registers from the previous segment's Barrier snapshot and is
+/// interpreted from here on.  Addresses need no bounds checks: the journal
+/// fingerprint pins the memory geometry, and the golden accesses were
+/// in bounds.
+bool BlockExec::apply_segment(ThreadCtx& t) {
+  if (t.diverged) return false;
+  const LaunchJournal& j = *journal_;
+  const std::uint32_t slot = block_linear_ * threads_per_block_ + t.block_index;
+  const std::uint32_t k = t.segment++;
+  const LaunchJournal::Segment& s = j.segment(slot, k);
+  // The interpreter executes an instruction iff the thread's count before
+  // it is <= watchdog, so a segment of n >= 1 instructions completes iff
+  // budget_after - 1 <= watchdog.
+  bool apply = !(armed_ && t.linear == fi_thread_) &&
+               s.budget_after - 1 <= opts_.watchdog_instructions;
+  std::uint32_t* const gmem = dev_.mem().flat_arena().data();
+  const LaunchJournal::Word* r = j.reads.data() + s.first_reads;
+  for (const LaunchJournal::Word* e = r + s.global_reads; apply && r != e; ++r)
+    apply = gmem[r->addr] == r->value;
+  for (const LaunchJournal::Word* e = r + s.shared_reads; apply && r != e; ++r)
+    apply = shared_[r->addr] == r->value;
+  if (!apply) {
+    t.diverged = true;
+    if (k > 0) {
+      const std::uint32_t* snap = j.regs.data() + j.segment(slot, k - 1).regs;
+      std::copy(snap, snap + prog_.num_slots, t.regs);
+    }
+    return false;
+  }
+
+  for (std::uint32_t i = 0; i < s.writes; ++i) {
+    const LaunchJournal::Write& w = j.writes[s.first_write + i];
+    std::uint32_t& m = gmem[w.addr];
+    switch (w.kind) {
+      case LaunchJournal::WriteKind::Store: m = w.value; break;
+      case LaunchJournal::WriteKind::AtomicAddF: m = fadd_bits(m, w.value); break;
+      case LaunchJournal::WriteKind::AtomicAddI:
+        m = i_bits(static_cast<std::int32_t>(static_cast<std::int64_t>(as_i(m)) +
+                                             as_i(w.value)));
+        break;
+    }
+  }
+  if (s.write_hi > 0) dev_.mem().note_store(s.write_hi - 1);
+  for (std::uint32_t i = 0; i < s.shared_writes; ++i) {
+    const LaunchJournal::Word& w = j.shared_writes[s.first_shared_write + i];
+    shared_[w.addr] = w.value;
+  }
+  instructions += s.instructions;
+  cycles += s.cycles;
+  loop_cycles += s.loop_cycles;
+  if (s.sdc) sdc = true;
+  t.pc = s.pc;
+  t.barrier_pc = s.barrier_pc;
+  t.budget_used = s.budget_after;
+  t.done = s.done;
+  ++replayed;
+  return true;
+}
+
+/// Record: one reference time-slice, bracketed as a journal segment.
+ThreadStop BlockExec::record_segment(ThreadCtx& t, LaunchStatus& crash_status) {
+  const std::uint64_t i0 = instructions, c0 = cycles, l0 = loop_cycles;
+  const bool sdc0 = sdc;
+  sdc = false;
+  rec_->begin(block_linear_ * threads_per_block_ + t.block_index);
+  const ThreadStop stop = run_thread(t, crash_status);
+  rec_->end(instructions - i0, cycles - c0, loop_cycles - l0, sdc, t.budget_used, t.pc,
+            t.barrier_pc, stop == ThreadStop::Done, {t.regs, prog_.num_slots});
+  sdc = sdc || sdc0;
+  return stop;
+}
+
 LaunchStatus BlockExec::run(std::span<const kir::Value> args) {
   if (opts_.instr_exec_counts) exec_counts.assign(prog_.code.size(), 0);
   if (opts_.simt_cost)
@@ -1635,7 +1867,11 @@ LaunchStatus BlockExec::run(std::span<const kir::Value> args) {
         continue;
       }
       LaunchStatus crash = LaunchStatus::Ok;
-      switch (step_thread(t, crash)) {
+      const ThreadStop stop = journal_ && apply_segment(t) ? (t.done ? ThreadStop::Done
+                                                                      : ThreadStop::Barrier)
+                              : rec_                       ? record_segment(t, crash)
+                                                           : step_thread(t, crash);
+      switch (stop) {
         case ThreadStop::Done: ++done; break;
         case ThreadStop::Barrier: ++at_barrier; break;
         case ThreadStop::Crash: return crash;
@@ -1742,6 +1978,23 @@ std::uint64_t plan_fingerprint(const kir::BytecodeProgram& program, const CostMo
   return h;
 }
 
+/// Identity of a journaled launch: the plan key (program, cost model,
+/// register budget, engine, protection), the launch configuration, the
+/// arguments, and the memory geometry the journal's addresses assume.
+std::uint64_t journal_fingerprint(std::uint64_t plan_key, const kir::BytecodeProgram& program,
+                                  const LaunchConfig& cfg, std::span<const kir::Value> args,
+                                  std::uint32_t global_words) noexcept {
+  std::uint64_t h = fp_mix(plan_key, 0x4A524E4CULL);
+  for (std::uint64_t v : {std::uint64_t{cfg.grid_x}, std::uint64_t{cfg.grid_y},
+                          std::uint64_t{cfg.block_x}, std::uint64_t{cfg.block_y},
+                          std::uint64_t{program.shared_mem_words}, std::uint64_t{global_words},
+                          std::uint64_t{args.size()}})
+    h = fp_mix(h, v);
+  for (const kir::Value& a : args)
+    h = fp_mix(h, (static_cast<std::uint64_t>(a.type) << 32) | a.bits);
+  return h;
+}
+
 }  // namespace
 
 std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
@@ -1753,8 +2006,11 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
   // shadow-observing shared accesses) — the engine kind is part of the
   // cache key, so flipping set_engine() between launches misses once per
   // engine and can never serve a plan built for another.
+  const std::uint64_t key =
+      plan_fingerprint(program, cost_, props_.regs_per_thread, engine_, props_.protection);
   auto build = [&] {
     auto plan = std::make_shared<LaunchPlan>();
+    plan->key = key;
     plan->costs = instruction_costs(program, cost_, props_.regs_per_thread,
                                     props_.protection != ecc::Scheme::None);
     plan->decoded = kir::decode_program(program, plan->costs);
@@ -1766,8 +2022,6 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
     plan_misses_.fetch_add(1, std::memory_order_relaxed);
     return build();
   }
-  const std::uint64_t key =
-      plan_fingerprint(program, cost_, props_.regs_per_thread, engine_, props_.protection);
   {
     std::lock_guard<std::mutex> lk(plan_mu_);
     for (auto it = plan_cache_.begin(); it != plan_cache_.end(); ++it) {
@@ -1816,6 +2070,7 @@ std::shared_ptr<const kir::ThreadedProgram> Device::fi_stream(const LaunchPlan& 
 LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchConfig& cfg,
                             std::span<const kir::Value> args, const LaunchOptions& opts) {
   LaunchResult res;
+  if (opts.record_journal) *opts.record_journal = LaunchJournal{};
   if (disabled_) {
     res.status = LaunchStatus::DeviceDisabled;
     return res;
@@ -1829,18 +2084,48 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   const auto plan = launch_plan(program);
   const std::vector<std::uint32_t>& costs = plan->costs;
   const bool sanitize = engine_ == ExecEngine::Sanitizer;
+  const std::uint32_t num_blocks = cfg.grid_x * cfg.grid_y;
+  const unsigned hw = common::WorkerPool::default_workers();
+  unsigned nw = opts.max_workers > 0 ? static_cast<unsigned>(opts.max_workers) : hw;
+  nw = std::min({nw, static_cast<unsigned>(num_blocks), static_cast<unsigned>(props_.num_sms)});
+  const kir::FIFilter fi = opts.hooks ? opts.hooks->fi_filter() : kir::FIFilter{};
+  // Segment replay (DESIGN §10) is decided here and nowhere else.  Recording
+  // and replay need a serial flat launch: one block worker (the journal's
+  // segment order), the unprotected flat arena (gather-compare and direct
+  // writes), and the threaded engine's plain semantics (no sanitizer shadow,
+  // profiling counters or hardware fault model, which a journal cannot
+  // reproduce).  Replay also needs a non-Generic FI filter: it names the
+  // only thread whose hooks can have an effect.  A recording launch runs on
+  // the reference interpreter.
+  const bool serial_flat = engine_ == ExecEngine::Threaded && nw <= 1 &&
+                           props_.memory_model == MemoryModel::FlatGpu &&
+                           props_.protection == ecc::Scheme::None && !has_fault() &&
+                           !opts.instr_exec_counts && !opts.simt_cost;
+  const bool record = opts.record_journal && serial_flat;
+  const bool replay =
+      opts.journal && serial_flat && !record && fi.kind != kir::FIFilter::Kind::Generic;
+  const std::uint64_t journal_key =
+      record || replay
+          ? journal_fingerprint(plan->key, program, cfg, args, props_.global_mem_words)
+          : 0;
+  if (replay && opts.journal->fingerprint != journal_key)
+    throw std::invalid_argument(
+        "Device::launch: the journal was recorded for a different launch");
+  std::optional<JournalRecorder> recorder;
+  if (record) recorder.emplace(*opts.record_journal, program.shared_mem_words);
+
   // Which interpreter runs this launch.  Plain and sanitized launches run
   // the threaded stream (compiled for Threaded and Sanitizer plans); launches
   // that profile execution counts, cost SIMT serialization or carry a
-  // hardware fault model — one-off profiling and BIST runs — run on the
-  // reference interpreter (stream null), the only place those semantics are
-  // implemented.  When the hooks report an FI filter, the threaded stream is
-  // the plan's FI-specialized one, held until the launch returns.
+  // hardware fault model — one-off profiling and BIST runs — and journal
+  // recordings run on the reference interpreter (stream null), the only
+  // place those semantics are implemented.  When the hooks report an FI
+  // filter, the threaded stream is the plan's FI-specialized one, held until
+  // the launch returns.
   const bool threaded = !plan->threaded.code.empty() && !opts.instr_exec_counts &&
-                        !opts.simt_cost && !has_fault();
+                        !opts.simt_cost && !has_fault() && !record;
   const kir::ThreadedProgram* stream = threaded ? &plan->threaded : nullptr;
   std::shared_ptr<const kir::ThreadedProgram> specialized;
-  const kir::FIFilter fi = opts.hooks ? opts.hooks->fi_filter() : kir::FIFilter{};
   if (threaded && fi.kind != kir::FIFilter::Kind::Generic && plan->threaded.fi_hooks > 0) {
     specialized = fi_stream(*plan, program.num_slots, fi);
     stream = specialized.get();
@@ -1850,10 +2135,9 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   // corrected count, deterministic because the set of pairs read is.
   const std::uint64_t ecc_before = mem_->ecc_corrected();
 
-  const std::uint32_t num_blocks = cfg.grid_x * cfg.grid_y;
   std::atomic<std::uint32_t> next_block{0};
   std::atomic<std::uint64_t> cycles{0}, loop_cycles{0}, instructions{0}, simt_cycles{0};
-  std::atomic<std::uint64_t> reports_dropped{0};
+  std::atomic<std::uint64_t> reports_dropped{0}, replayed{0};
   std::atomic<bool> sdc{false};
   std::atomic<int> bad_status{static_cast<int>(LaunchStatus::Ok)};
   std::mutex profile_mu;
@@ -1872,14 +2156,16 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
         return;
       const std::uint32_t b = next_block.fetch_add(1, std::memory_order_relaxed);
       if (b >= num_blocks) return;
-      BlockExec exec(*this, program, cfg, opts, costs, plan->decoded, stream, fi.thread, b,
-                     sanitize ? &block_reports[b] : nullptr);
+      BlockExec exec(*this, program, cfg, opts, costs, plan->decoded, stream, fi, b,
+                     sanitize ? &block_reports[b] : nullptr, replay ? opts.journal : nullptr,
+                     recorder ? &*recorder : nullptr);
       const LaunchStatus st = exec.run(args);
       cycles.fetch_add(exec.cycles, std::memory_order_relaxed);
       loop_cycles.fetch_add(exec.loop_cycles, std::memory_order_relaxed);
       instructions.fetch_add(exec.instructions, std::memory_order_relaxed);
       simt_cycles.fetch_add(exec.simt_cycles, std::memory_order_relaxed);
       reports_dropped.fetch_add(exec.sanitizer_dropped(), std::memory_order_relaxed);
+      replayed.fetch_add(exec.replayed, std::memory_order_relaxed);
       if (exec.sdc) sdc.store(true, std::memory_order_relaxed);
       if (opts.instr_exec_counts) {
         std::lock_guard<std::mutex> lk(profile_mu);
@@ -1898,9 +2184,6 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
     }
   };
 
-  const unsigned hw = common::WorkerPool::default_workers();
-  unsigned nw = opts.max_workers > 0 ? static_cast<unsigned>(opts.max_workers) : hw;
-  nw = std::min({nw, static_cast<unsigned>(num_blocks), static_cast<unsigned>(props_.num_sms)});
   if (nw <= 1) {
     worker();
   } else {
@@ -1931,6 +2214,16 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   res.instructions = instructions.load();
   res.simt_cycles = simt_cycles.load();
   res.threads = cfg.total_threads();
+  res.replayed_segments = replayed.load();
+  if (recorder) {
+    // Only a fault-free launch is a golden run worth journaling.
+    if (res.status == LaunchStatus::Ok) {
+      recorder->finish(num_blocks * (cfg.block_x * cfg.block_y));
+      opts.record_journal->fingerprint = journal_key;
+    } else {
+      *opts.record_journal = LaunchJournal{};
+    }
+  }
   // Per-correction scrub write-back: charged flat per corrected codeword
   // (the per-access check/encode cost is already folded into the plan's
   // static costs, so only the rare correction path is charged here).

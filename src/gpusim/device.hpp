@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "gpusim/cost.hpp"
+#include "gpusim/journal.hpp"
 #include "gpusim/memory.hpp"
 #include "gpusim/sanitizer.hpp"
 #include "kir/bytecode.hpp"
@@ -112,7 +113,8 @@ enum class LaunchStatus : std::uint8_t {
 /// (LaunchOptions::simt_cost) or runs with an installed DeviceFaultModel
 /// runs on the reference interpreter — those are one-off profiling and BIST
 /// runs, and the reference is the one place their semantics live (with the
-/// sanitizer shadow still attached under Sanitizer).  The threaded engine
+/// sanitizer shadow still attached under Sanitizer).  So does a launch that
+/// records a segment journal (LaunchOptions::record_journal).  The threaded engine
 /// also hands a thread's slice to the reference when a fused region hits
 /// the watchdog boundary or an out-of-bounds access.
 ///
@@ -165,6 +167,12 @@ struct LaunchResult {
   std::vector<SanitizerReport> sanitizer_reports;
   /// Reports suppressed by the per-block cap (SharedShadow::kMaxReportsPerBlock).
   std::uint64_t sanitizer_reports_dropped = 0;
+
+  /// Segments this launch applied from LaunchOptions::journal instead of
+  /// interpreting them (0 when the launch was not replay-eligible).  A
+  /// diagnostic like the sanitizer fields: every other field is the same
+  /// as a full launch's, and no digest, checkpoint or log folds it.
+  std::uint64_t replayed_segments = 0;
 };
 
 /// FI filter of the hook contract (see LaunchHooks::fi_filter).
@@ -235,6 +243,27 @@ struct LaunchOptions {
   std::size_t sanitize_report_cap = SharedShadow::kMaxReportsPerBlock;
   /// Compute LaunchResult::simt_cycles (per-thread counting; slower).
   bool simt_cost = false;
+
+  // --- segment replay (gpusim/journal.hpp, DESIGN §10) ---
+  // Both fields only take effect on a *serial flat* launch: ExecEngine::
+  // Threaded, one block worker, FlatGpu memory without protection, no
+  // installed DeviceFaultModel, and neither instr_exec_counts nor simt_cost.
+  // Other launches ignore them (a requested journal comes back empty), so a
+  // caller may always ask.
+  /// When non-null, cleared and — on a serial flat launch — filled with the
+  /// launch's per-segment journal.  A recording launch runs on the reference
+  /// interpreter; it is the fault-free golden run a campaign makes anyway.
+  LaunchJournal* record_journal = nullptr;
+  /// A journal recorded by a launch of the same program, LaunchConfig,
+  /// arguments and memory geometry (anything else throws
+  /// std::invalid_argument).  A serial flat launch whose hooks report a
+  /// non-Generic fi_filter() then applies every segment whose thread has
+  /// not diverged, is not the armed thread, fits this launch's watchdog
+  /// and finds its first reads unchanged, and interprets the rest.  The
+  /// LaunchResult and memory equal a full launch's; the hook calls of
+  /// applied segments (detector checks, ControlBlock counters and
+  /// outliers) do not happen.
+  const LaunchJournal* journal = nullptr;
 };
 
 /// A simulated GPU (or CPU when props.memory_model == PagedCpu).
@@ -306,6 +335,7 @@ class Device {
   /// Threaded and Sanitizer plans — the threaded-code stream compiled from
   /// it (empty for Reference).
   struct LaunchPlan {
+    std::uint64_t key = 0;  ///< plan fingerprint (the cache key)
     std::vector<std::uint32_t> costs;
     kir::DecodedProgram decoded;
     kir::ThreadedProgram threaded;

@@ -1,0 +1,89 @@
+// The golden-launch journal behind segment replay (DESIGN §10).
+//
+// A *segment* is one (block, barrier epoch, thread) slice of a launch in
+// single-block-worker order: what one BlockExec::step_thread call executes.
+// A segment is a pure function of the thread's registers at its start and
+// of the memory words it reads before writing them.  The journal records,
+// per segment of one fault-free launch, exactly those inputs (the register
+// file at the previous Barrier stop, and the *first reads*) together with
+// the segment's effects (global writes in program order, shared stores,
+// instruction/cycle deltas, the detector bit, where it stopped).  A later
+// launch of the same program, configuration and arguments may then *apply*
+// a segment instead of interpreting it whenever its thread still holds its
+// golden registers and every first read still returns its golden value —
+// the segment would provably execute exactly as it did.
+//
+// Device::launch records a journal on request (LaunchOptions::record_journal)
+// and replays one (LaunchOptions::journal) when the launch is eligible; see
+// device.hpp for the contract.  A journal is immutable once recorded and is
+// shared read-only by every campaign worker.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+namespace hauberk::gpusim {
+
+struct LaunchJournal {
+  /// A (word address, value) pair: a first read, or a shared-memory store.
+  struct Word {
+    std::uint32_t addr = 0;
+    std::uint32_t value = 0;
+  };
+  /// How a global write combines with memory.  An atomic is a blind update
+  /// (the segment reads nothing through it), so it replays as `op(mem, value)`.
+  enum class WriteKind : std::uint8_t { Store, AtomicAddI, AtomicAddF };
+  struct Write {
+    std::uint32_t addr = 0;
+    std::uint32_t value = 0;  ///< stored value, or the atomic's addend
+    WriteKind kind = WriteKind::Store;
+  };
+  static constexpr std::uint32_t kNoRegs = ~std::uint32_t{0};
+
+  struct Segment {
+    std::uint64_t instructions = 0, cycles = 0, loop_cycles = 0;
+    /// The thread's watchdog budget used after the segment (cumulative).
+    std::uint64_t budget_after = 0;
+    /// First reads: reads[first_reads, first_reads + global_reads) are
+    /// global words, the next shared_reads entries shared words.
+    std::uint32_t first_reads = 0, global_reads = 0, shared_reads = 0;
+    std::uint32_t first_write = 0, writes = 0;  ///< into `writes`
+    std::uint32_t first_shared_write = 0, shared_writes = 0;  ///< into `shared_writes`
+    /// One past the highest global address written (0: no global write).
+    std::uint32_t write_hi = 0;
+    /// Offset of the register file at a Barrier stop in `regs`; kNoRegs
+    /// for a Done stop.
+    std::uint32_t regs = kNoRegs;
+    std::uint32_t pc = 0, barrier_pc = 0;  ///< ThreadCtx fields after the stop
+    bool done = false;  ///< stopped at Halt (else at a Barrier)
+    bool sdc = false;   ///< a detector set the SDC bit inside the segment
+  };
+
+  /// Identity of the recorded launch: program plan, launch configuration,
+  /// arguments and memory geometry (Device::launch computes and compares it).
+  std::uint64_t fingerprint = 0;
+  /// Segments grouped per thread: with T threads per block, thread (block
+  /// b, index i)'s segments, in epoch order, are
+  /// segments[thread_begin[b * T + i] .. thread_begin[b * T + i + 1]).
+  std::vector<std::uint32_t> thread_begin;
+  std::vector<Segment> segments;
+  std::vector<Word> reads;
+  std::vector<Write> writes;
+  std::vector<Word> shared_writes;
+  std::vector<std::uint32_t> regs;
+
+  [[nodiscard]] bool empty() const noexcept { return segments.empty(); }
+  [[nodiscard]] const Segment& segment(std::uint32_t thread_slot,
+                                       std::uint32_t k) const noexcept {
+    return segments[thread_begin[thread_slot] + k];
+  }
+  /// Heap bytes the journal holds.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return thread_begin.size() * sizeof(std::uint32_t) + segments.size() * sizeof(Segment) +
+           reads.size() * sizeof(Word) + writes.size() * sizeof(Write) +
+           shared_writes.size() * sizeof(Word) + regs.size() * sizeof(std::uint32_t);
+  }
+};
+
+}  // namespace hauberk::gpusim

@@ -245,6 +245,10 @@ class DeviceMemory {
   void corrupt_check(std::uint32_t idx, std::uint8_t mask) noexcept {
     if (protection_ == ecc::Scheme::None || idx >= words_.size()) return;
     check_[idx / 2] ^= mask;
+    // Like every write path: reset() and restore_trial() must clear the
+    // flipped byte, or it outlives the trial and the next job on this
+    // device corrects (and counts) an upset it never had.
+    note_store(idx);
   }
 
   [[nodiscard]] MemoryModel model() const noexcept { return model_; }

@@ -91,10 +91,12 @@ struct FuzzProgram {
 /// for the sanitizer engine.
 class ProgramGen {
  public:
-  /// `loads` adds global-load statements (FI mode); off, the generator's
+  /// `loads` adds global-load statements (FI mode); `int_atomics` adds
+  /// integer atomicAdds next to them (replay mode).  Off, the generator's
   /// draws — and so every other corpus — are unchanged.
-  explicit ProgramGen(Rng& rng, bool racy = false, bool loads = false)
-      : rng_(rng), racy_(racy), loads_(loads) {}
+  explicit ProgramGen(Rng& rng, bool racy = false, bool loads = false,
+                      bool int_atomics = false)
+      : rng_(rng), racy_(racy), loads_(loads), int_atomics_(int_atomics) {}
 
   FuzzProgram gen() {
     FuzzProgram fp;
@@ -244,6 +246,10 @@ class ProgramGen {
       }
       return;
     }
+    if (int_atomics_ && chance(8)) {  // integer atomic accumulation
+      kb.atomic_add(safe_addr(), i32_expr());
+      return;
+    }
     const std::uint64_t roll = rng_.next_below(100);
     if (roll < 22) {  // new f32 variable
       ExprH v = kb.let("f" + std::to_string(serial_++), f32_expr());
@@ -313,6 +319,7 @@ class ProgramGen {
   Rng& rng_;
   bool racy_ = false;
   bool loads_ = false;
+  bool int_atomics_ = false;
   std::uint32_t shared_words_ = 0;
   int serial_ = 0;
   std::vector<ExprH> ptrs_, i32s_, f32s_;
@@ -340,6 +347,8 @@ struct FiArm {
   swifi::FaultSpec spec;
   std::uint64_t watchdog = 10'000;
   bool generic = false;  ///< the injector reports Generic: the unspecialized stream
+  /// Golden journal to replay (LaunchOptions::journal); null = full launch.
+  const gpusim::LaunchJournal* journal = nullptr;
 };
 
 /// InjectingHooks that reports the Generic filter.
@@ -363,7 +372,7 @@ EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
                      gpusim::ExecEngine engine, std::uint64_t salt,
                      bool with_cb, bool instrumented = false,
                      gpusim::ecc::Scheme protection = gpusim::ecc::Scheme::None,
-                     const FiArm* fi = nullptr) {
+                     const FiArm* fi = nullptr, gpusim::LaunchJournal* record = nullptr) {
   gpusim::DeviceProps props;
   props.global_mem_words = 1u << 16;
   props.memory_model = fp.mem_model;
@@ -417,7 +426,9 @@ EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
     injector->arm(fi->spec);
     opts.hooks = injector.get();
     opts.watchdog_instructions = fi->watchdog;
+    opts.journal = fi->journal;
   }
+  opts.record_journal = record;
   EngineRun r;
   std::vector<std::uint64_t> counts;
   if (instrumented) opts.instr_exec_counts = &counts;
@@ -692,6 +703,87 @@ TEST(DifferentialFuzz, ArmedFIHooksMatchReferenceEverywhere) {
   EXPECT_GT(crash, 0u) << "no FI trial crashed";
   EXPECT_GT(budget_hang, compared / 8) << "budgets rarely land inside the run";
   EXPECT_GT(dropped, programs / 2) << "specialized streams rarely drop a hook";
+}
+
+TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
+  // Replay corpus: FI-mode programs plus integer atomics — cross-thread
+  // global reads and writes (every thread computes its addresses into the
+  // shared in/out buffers, so stray stores land in other threads' inputs),
+  // barriers, shared memory and f32/i32 atomics.  A fault-free Threaded
+  // launch records the journal (on the reference interpreter); then each
+  // armed fault at each budget of the sweep runs in full on Reference and
+  // Threaded and replayed on Threaded, and all three must agree on every
+  // observable.  The control block's own counters are the exception by
+  // contract: applied segments make no hook calls (DESIGN §10), so the
+  // replayed run's cb counters are not compared — its SDC alarm is.
+  const std::uint64_t seed = env_u64("HAUBERK_FUZZ_SEED", 0xfa57'0016);
+  const auto programs =
+      static_cast<std::size_t>(env_u64("HAUBERK_FUZZ_PROGRAMS", 400)) / 2;
+
+  std::size_t compared = 0, partial = 0, whole = 0, activated = 0, budget_hang = 0;
+  for (std::size_t i = 0; i < programs; ++i) {
+    Rng rng = Rng::fork(seed, i);
+    ProgramGen gen(rng, /*racy=*/false, /*loads=*/true, /*int_atomics=*/true);
+    const FuzzProgram fp = gen.gen();
+    if (fp.mem_model != gpusim::MemoryModel::FlatGpu) continue;  // replay-ineligible
+    const bool fift = i % 2 == 1;
+    BytecodeProgram prog;
+    try {
+      core::TranslateOptions topt;
+      topt.mode = fift ? core::LibMode::FIFT : core::LibMode::FI;
+      prog = lower(core::translate(fp.kernel, topt));
+    } catch (const std::exception&) {
+      continue;
+    }
+    if (prog.fi_sites.empty()) continue;
+    gpusim::LaunchJournal journal;
+    const EngineRun golden = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift, false,
+                                        gpusim::ecc::Scheme::None, nullptr, &journal);
+    if (golden.res.status != gpusim::LaunchStatus::Ok) continue;  // no golden, no journal
+    ASSERT_FALSE(journal.empty()) << "program " << i;
+
+    Rng arm = Rng::fork(seed ^ 0x5e65, i);
+    FiArm fi;
+    fi.spec.site_id = prog.fi_sites[arm.next_below(prog.fi_sites.size())].site_id;
+    fi.spec.thread = static_cast<std::uint32_t>(arm.next_below(fp.cfg.total_threads()));
+    fi.spec.occurrence = 1 + static_cast<std::uint32_t>(arm.next_below(2));
+    fi.spec.mask = arm.next_below(4) == 0 ? static_cast<std::uint32_t>(arm.next_u32() | 1u)
+                                          : 1u << arm.next_below(32);
+    const std::uint64_t per_thread =
+        1 + golden.res.instructions / std::max<std::uint64_t>(1, fp.cfg.total_threads());
+    std::vector<std::uint64_t> budgets = {fi.watchdog};
+    for (int b = 0; b < 3; ++b) budgets.push_back(1 + arm.next_below(2 * per_thread));
+
+    for (const std::uint64_t budget : budgets) {
+      fi.watchdog = budget;
+      fi.journal = nullptr;
+      const EngineRun ref = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, fift, false,
+                                       gpusim::ecc::Scheme::None, &fi);
+      const EngineRun full = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift, false,
+                                        gpusim::ecc::Scheme::None, &fi);
+      expect_identical(ref, full, fp, i, "replay corpus: full threaded");
+      fi.journal = &journal;
+      EngineRun rep = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift, false,
+                                 gpusim::ecc::Scheme::None, &fi);
+      const std::uint64_t applied = rep.res.replayed_segments;
+      rep.cb_sdc = ref.cb_sdc;
+      rep.cb_checks = ref.cb_checks;
+      rep.cb_violations = ref.cb_violations;
+      expect_identical(ref, rep, fp, i, "replay corpus: replayed");
+      ++compared;
+      activated += ref.fi_activated;
+      whole += applied == journal.segments.size();
+      partial += applied > 0 && applied < journal.segments.size();
+      if (ref.res.status == gpusim::LaunchStatus::Hang && budget != budgets.front())
+        ++budget_hang;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(compared, programs) << "too few replay programs compared";
+  EXPECT_GT(activated, compared / 16) << "armed faults rarely fire";
+  EXPECT_GT(partial, compared / 4) << "replays rarely mix applied and interpreted segments";
+  EXPECT_GT(budget_hang, compared / 8) << "budgets rarely land inside the run";
+  EXPECT_EQ(whole, 0u) << "the armed thread's segments must always be interpreted";
 }
 
 namespace {

@@ -819,7 +819,9 @@ struct VectorArena {
     note(i);
   }
   void corrupt_check(std::size_t i, std::uint8_t mask) {
-    if (code) check[i / 2] ^= mask;
+    if (!code) return;
+    check[i / 2] ^= mask;
+    note(i);
   }
 };
 
