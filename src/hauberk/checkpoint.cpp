@@ -1,6 +1,11 @@
 #include "hauberk/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
@@ -24,11 +29,11 @@ struct FileHeader {
 };
 constexpr std::size_t kHeaderBytes = 20;  // packed on disk; struct padding ignored
 
-void write_header(std::FILE* f, const FileHeader& h) {
-  if (std::fwrite(&h.magic, 4, 1, f) != 1 || std::fwrite(&h.version, 4, 1, f) != 1 ||
-      std::fwrite(&h.payload_bytes, 8, 1, f) != 1 ||
-      std::fwrite(&h.payload_crc, 4, 1, f) != 1)
-    throw CheckpointError("checkpoint: short header write");
+void put_header(std::uint8_t* out, const FileHeader& h) {
+  std::memcpy(out, &h.magic, 4);
+  std::memcpy(out + 4, &h.version, 4);
+  std::memcpy(out + 8, &h.payload_bytes, 8);
+  std::memcpy(out + 16, &h.payload_crc, 4);
 }
 
 bool read_header(std::FILE* f, FileHeader& h) {
@@ -62,27 +67,39 @@ void CheckpointWriter::str(const std::string& s) {
 void CheckpointWriter::save_atomic(const std::string& path, std::uint32_t magic,
                                    std::uint32_t version) const {
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) throw CheckpointError("checkpoint: cannot open '" + tmp + "' for writing");
-  try {
-    FileHeader h;
-    h.magic = magic;
-    h.version = version;
-    h.payload_bytes = payload_.size();
-    h.payload_crc = common::crc32(payload_.data(), payload_.size());
-    write_header(f, h);
-    if (!payload_.empty() && std::fwrite(payload_.data(), 1, payload_.size(), f) !=
-                                 payload_.size())
-      throw CheckpointError("checkpoint: short payload write to '" + tmp + "'");
-  } catch (...) {
-    std::fclose(f);
-    std::remove(tmp.c_str());
-    throw;
+  std::vector<std::uint8_t> image(kHeaderBytes + payload_.size());
+  put_header(image.data(), {magic, version, payload_.size(),
+                            common::crc32(payload_.data(), payload_.size())});
+  std::copy(payload_.begin(), payload_.end(), image.begin() + kHeaderBytes);
+
+  // No O_TRUNC: the temp file is the checkpoint before last (see below), so
+  // overwriting it in place reuses its allocated blocks instead of creating
+  // delayed-allocation data that the rename would have to flush.
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0666);
+  if (fd < 0) throw CheckpointError("checkpoint: cannot open '" + tmp + "' for writing");
+  std::size_t done = 0;
+  while (done < image.size()) {
+    const ssize_t n = ::pwrite(fd, image.data() + done, image.size() - done,
+                               static_cast<off_t>(done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<std::size_t>(n);
   }
-  if (std::fclose(f) != 0) {
+  const bool sized =
+      done == image.size() && ::ftruncate(fd, static_cast<off_t>(image.size())) == 0;
+  if (::close(fd) != 0 || !sized) {
     std::remove(tmp.c_str());
-    throw CheckpointError("checkpoint: close failed for '" + tmp + "'");
+    throw CheckpointError("checkpoint: short write to '" + tmp + "'");
   }
+  // Swap the names rather than rename over `path`: the old checkpoint's
+  // inode becomes the next save's temp file.  On ext4 a rename that
+  // replaces a file first flushes the new file's data, so every save would
+  // wait on the disk's write-back queue.  Either way `path` names a
+  // complete file at every instant.  The first save (no `path` yet) and
+  // file systems without RENAME_EXCHANGE rename.
+#ifdef RENAME_EXCHANGE
+  if (::renameat2(AT_FDCWD, tmp.c_str(), AT_FDCWD, path.c_str(), RENAME_EXCHANGE) == 0) return;
+#endif
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     throw CheckpointError("checkpoint: rename '" + tmp + "' -> '" + path + "' failed");

@@ -11,7 +11,7 @@
 //
 //  * CheckpointWriter / CheckpointReader — the on-disk generalization the
 //    campaign service builds on: a versioned binary file whose payload is
-//    CRC-32-guarded and whose write is atomic (temp file + rename), so a
+//    CRC-32-guarded and whose write is atomic (temp file + name swap), so a
 //    process killed mid-write can never leave a checkpoint that parses as a
 //    newer-but-torn state.  Readers reject wrong magic, wrong version,
 //    truncation and bit flips with a CheckpointError instead of resuming
@@ -47,9 +47,12 @@ class CheckpointError : public std::runtime_error {
 ///   16      4     CRC-32 of the payload bytes
 ///   20      n     payload
 ///
-/// save_atomic() writes to `path + ".tmp"` and renames over `path`, so the
-/// previous checkpoint survives any crash during the write and a stale temp
-/// file left by a killed run is simply overwritten next time.
+/// save_atomic() writes the file image to `path + ".tmp"` and then swaps
+/// the two names (rename(2) where a swap is not available), so the previous
+/// checkpoint survives a process killed during the write and a stale temp
+/// file left by a killed run is simply overwritten next time.  After a swap
+/// the temp file holds the checkpoint before the new one; loaders never
+/// read it.  Neither file is fsync'ed: a save is atomic, not durable.
 class CheckpointWriter {
  public:
   void u8(std::uint8_t v) { payload_.push_back(v); }

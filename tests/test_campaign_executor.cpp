@@ -199,13 +199,13 @@ TEST(CampaignExecutor, CountsAreWeightedByTrialWeights) {
 }
 
 TEST(CampaignExecutor, MoreTrialsThanTheReorderWindowInvariant) {
-  // 300 trials overrun the 256-slot reorder window at 8 workers, so slots
+  // 4400 trials overrun the 4096-slot reorder window at 8 workers, so slots
   // are reused while later ordinals wait for the committer.
   Fixture f(make_pns());
-  const auto base = CampaignExecutor(1).run_code_faults(f.v.baseline, f.factory(false), 13, 300,
+  const auto base = CampaignExecutor(1).run_code_faults(f.v.baseline, f.factory(false), 13, 4400,
                                                         f.w->requirement());
-  ASSERT_EQ(base.per_fault.size(), 300u);
-  const auto res = CampaignExecutor(8).run_code_faults(f.v.baseline, f.factory(false), 13, 300,
+  ASSERT_EQ(base.per_fault.size(), 4400u);
+  const auto res = CampaignExecutor(8).run_code_faults(f.v.baseline, f.factory(false), 13, 4400,
                                                        f.w->requirement());
   expect_same_result(base, res, "window wrap at 8 workers");
 }

@@ -580,13 +580,16 @@ TEST(CampaignService, MergeRejectsForeignResults) {
 }
 
 TEST(CampaignService, MoreTrialsThanTheReorderWindowLogBytesInvariant) {
-  // 320 trials overrun the 256-slot reorder window at 8 workers.
+  // 14 copies of a 320-trial plan overrun the 4096-slot reorder window at
+  // 8 workers.
   Fixture f(make_cp());
   PlanOptions opt;
   opt.max_vars = 20;
   opt.masks_per_var = 16;
-  const auto specs = plan_faults(f.prog(), f.pd, opt);
-  ASSERT_GT(specs.size(), 256u);
+  const auto plan = plan_faults(f.prog(), f.pd, opt);
+  std::vector<FaultSpec> specs;
+  for (int copy = 0; copy < 14; ++copy) specs.insert(specs.end(), plan.begin(), plan.end());
+  ASSERT_GT(specs.size(), 4096u);
   std::string ref_bytes;
   for (const int workers : {1, 8}) {
     ServiceConfig cfg;

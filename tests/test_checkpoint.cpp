@@ -176,6 +176,20 @@ TEST(CheckpointFormat, SaveIsAtomicUnderStaleTempFile) {
   EXPECT_EQ(r.u8(), 0xab);
 }
 
+TEST(CheckpointFormat, SaveOverLongerStaleTempFileLeavesNoTail) {
+  // The temp file is overwritten in place, so a stale one longer than the
+  // new image must be cut to it: the saved file is exactly header + payload.
+  const auto path = tmp_path("tail.ckpt");
+  spit(path + ".tmp", std::vector<char>(4096, 'x'));
+  const CheckpointWriter w = sample_writer();
+  w.save_atomic(path, kMagic, kVersion);
+  EXPECT_EQ(slurp(path).size(), 20 + w.payload().size());
+  w.save_atomic(path, kMagic, kVersion);  // and again over the swapped-out file
+  EXPECT_EQ(slurp(path).size(), 20 + w.payload().size());
+  auto r = CheckpointReader::load(path, kMagic, kVersion);
+  EXPECT_EQ(r.u8(), 0xab);
+}
+
 TEST(CheckpointFormat, OverwriteReplacesPreviousContents) {
   const auto path = tmp_path("overwrite.ckpt");
   CheckpointWriter first;
