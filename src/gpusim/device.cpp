@@ -1763,15 +1763,31 @@ ThreadStop BlockExec::step_thread(ThreadCtx& t, LaunchStatus& crash_status) {
   return tcode_ ? run_thread_threaded(t, crash_status) : run_thread(t, crash_status);
 }
 
+/// Whether segment `s` reads or writes a word of one of `latent` pairs.
+bool touches_latent(const LaunchJournal& j, const LaunchJournal::Segment& s,
+                    std::span<const std::uint32_t> latent) noexcept {
+  const auto listed = [&](std::uint32_t addr) {
+    return std::find(latent.begin(), latent.end(), addr / 2) != latent.end();
+  };
+  const LaunchJournal::Word* r = j.reads.data() + s.first_reads;
+  for (const LaunchJournal::Word* e = r + s.global_reads; r != e; ++r)
+    if (listed(r->addr)) return true;
+  const LaunchJournal::Write* w = j.writes.data() + s.first_write;
+  for (const LaunchJournal::Write* e = w + s.writes; w != e; ++w)
+    if (listed(w->addr)) return true;
+  return false;
+}
+
 /// Replay: apply thread t's next journal segment if it would provably run
 /// exactly as it did in the golden launch — the thread still holds its
 /// golden registers, it is not the armed thread (whose FIHooks must run),
-/// the segment fits this launch's watchdog, and every first read returns
-/// its golden value.  Otherwise the thread diverges: it takes its
-/// registers from the previous segment's Barrier snapshot and is
-/// interpreted from here on.  Addresses need no bounds checks: the journal
-/// fingerprint pins the memory geometry, and the golden accesses were
-/// in bounds.
+/// the segment fits this launch's watchdog, it touches no latent pair
+/// (protected memory: its first access there must correct or fail), and
+/// every first read returns its golden value.  Otherwise the thread
+/// diverges: it takes its registers from the previous segment's Barrier
+/// snapshot and is interpreted from here on.  Addresses need no bounds
+/// checks: the journal fingerprint pins the memory geometry, and the
+/// golden accesses were in bounds.
 bool BlockExec::apply_segment(ThreadCtx& t) {
   if (t.diverged) return false;
   const LaunchJournal& j = *journal_;
@@ -1781,9 +1797,11 @@ bool BlockExec::apply_segment(ThreadCtx& t) {
   // The interpreter executes an instruction iff the thread's count before
   // it is <= watchdog, so a segment of n >= 1 instructions completes iff
   // budget_after - 1 <= watchdog.
+  DeviceMemory& mem = dev_.mem();
   bool apply = !(armed_ && t.linear == fi_thread_) &&
-               s.budget_after - 1 <= opts_.watchdog_instructions;
-  std::uint32_t* const gmem = dev_.mem().flat_arena().data();
+               s.budget_after - 1 <= opts_.watchdog_instructions &&
+               (mem.latent_pairs().empty() || !touches_latent(j, s, mem.latent_pairs()));
+  std::uint32_t* const gmem = mem.flat_words().data();
   const LaunchJournal::Word* r = j.reads.data() + s.first_reads;
   for (const LaunchJournal::Word* e = r + s.global_reads; apply && r != e; ++r)
     apply = gmem[r->addr] == r->value;
@@ -1798,6 +1816,7 @@ bool BlockExec::apply_segment(ThreadCtx& t) {
     return false;
   }
 
+  const bool checked = mem.protection() != ecc::Scheme::None;
   for (std::uint32_t i = 0; i < s.writes; ++i) {
     const LaunchJournal::Write& w = j.writes[s.first_write + i];
     std::uint32_t& m = gmem[w.addr];
@@ -1809,8 +1828,9 @@ bool BlockExec::apply_segment(ThreadCtx& t) {
                                              as_i(w.value)));
         break;
     }
+    if (checked) mem.reencode_pair(w.addr / 2);
   }
-  if (s.write_hi > 0) dev_.mem().note_store(s.write_hi - 1);
+  if (s.write_hi > 0) mem.note_store(s.write_hi - 1);
   for (std::uint32_t i = 0; i < s.shared_writes; ++i) {
     const LaunchJournal::Word& w = j.shared_writes[s.first_shared_write + i];
     shared_[w.addr] = w.value;
@@ -2091,19 +2111,19 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   const kir::FIFilter fi = opts.hooks ? opts.hooks->fi_filter() : kir::FIFilter{};
   // Segment replay (DESIGN §10) is decided here and nowhere else.  Recording
   // and replay need a serial flat launch: one block worker (the journal's
-  // segment order), the unprotected flat arena (gather-compare and direct
-  // writes), and the threaded engine's plain semantics (no sanitizer shadow,
-  // profiling counters or hardware fault model, which a journal cannot
-  // reproduce).  Replay also needs a non-Generic FI filter: it names the
-  // only thread whose hooks can have an effect.  A recording launch runs on
-  // the reference interpreter.
+  // segment order), the flat arena (gather-compare and direct writes; under
+  // protection the latent pairs name the words that must still take the
+  // checked path), and the threaded engine's plain semantics (no sanitizer
+  // shadow, profiling counters or hardware fault model, which a journal
+  // cannot reproduce).  Replay also needs that no fi_hook outside the armed
+  // (site, thread) can act: no hooks, or a non-Generic FI filter.  A
+  // recording launch runs on the reference interpreter.
   const bool serial_flat = engine_ == ExecEngine::Threaded && nw <= 1 &&
-                           props_.memory_model == MemoryModel::FlatGpu &&
-                           props_.protection == ecc::Scheme::None && !has_fault() &&
+                           props_.memory_model == MemoryModel::FlatGpu && !has_fault() &&
                            !opts.instr_exec_counts && !opts.simt_cost;
   const bool record = opts.record_journal && serial_flat;
-  const bool replay =
-      opts.journal && serial_flat && !record && fi.kind != kir::FIFilter::Kind::Generic;
+  const bool replay = opts.journal && serial_flat && !record &&
+                      (!opts.hooks || fi.kind != kir::FIFilter::Kind::Generic);
   const std::uint64_t journal_key =
       record || replay
           ? journal_fingerprint(plan->key, program, cfg, args, props_.global_mem_words)

@@ -246,7 +246,7 @@ struct LaunchOptions {
 
   // --- segment replay (gpusim/journal.hpp, DESIGN §10) ---
   // Both fields only take effect on a *serial flat* launch: ExecEngine::
-  // Threaded, one block worker, FlatGpu memory without protection, no
+  // Threaded, one block worker, FlatGpu memory (unprotected or SEC-DED), no
   // installed DeviceFaultModel, and neither instr_exec_counts nor simt_cost.
   // Other launches ignore them (a requested journal comes back empty), so a
   // caller may always ask.
@@ -255,14 +255,15 @@ struct LaunchOptions {
   /// interpreter; it is the fault-free golden run a campaign makes anyway.
   LaunchJournal* record_journal = nullptr;
   /// A journal recorded by a launch of the same program, LaunchConfig,
-  /// arguments and memory geometry (anything else throws
-  /// std::invalid_argument).  A serial flat launch whose hooks report a
-  /// non-Generic fi_filter() then applies every segment whose thread has
-  /// not diverged, is not the armed thread, fits this launch's watchdog
-  /// and finds its first reads unchanged, and interprets the rest.  The
-  /// LaunchResult and memory equal a full launch's; the hook calls of
-  /// applied segments (detector checks, ControlBlock counters and
-  /// outliers) do not happen.
+  /// arguments, protection and memory geometry (anything else throws
+  /// std::invalid_argument).  A serial flat launch without hooks, or whose
+  /// hooks report a non-Generic fi_filter(), then applies every segment
+  /// whose thread has not diverged, is not the armed thread, fits this
+  /// launch's watchdog, touches no DeviceMemory::latent_pairs() word and
+  /// finds its first reads unchanged, and interprets the rest.  The
+  /// LaunchResult and memory (check bytes included) equal a full launch's;
+  /// the hook calls of applied segments (detector checks, ControlBlock
+  /// counters and outliers) do not happen.
   const LaunchJournal* journal = nullptr;
 };
 

@@ -101,6 +101,7 @@ void DeviceMemory::reset() {
   zero_word_tail(0, hi);
   zero_check_tail(0, hi);
   for (auto& c : class_words_) c = 0;
+  latent_.clear();
   dirty_hi_.store(0, std::memory_order_relaxed);
 }
 
@@ -193,6 +194,7 @@ bool DeviceMemory::repair_pair(std::uint32_t pair) noexcept {
   const std::uint64_t data = static_cast<std::uint64_t>(words_[2 * pair]) |
                              (static_cast<std::uint64_t>(words_[2 * pair + 1]) << 32);
   const auto dec = ecc::decode(*code_, data, check_[pair]);
+  if (dec.bit != ecc::kUncorrectable) std::erase(latent_, pair);
   if (dec.bit == ecc::kNoError) return true;  // another thread scrubbed it first
   if (dec.bit == ecc::kUncorrectable) {
     ecc_uncorrectable_.fetch_add(1, std::memory_order_relaxed);
@@ -209,11 +211,7 @@ bool DeviceMemory::repair_pair(std::uint32_t pair) noexcept {
 void DeviceMemory::reencode_prefix(std::size_t n) noexcept {
   if (protection_ == ecc::Scheme::None) return;
   const std::size_t pairs = check_prefix(n);
-  for (std::size_t p = 0; p < pairs; ++p) {
-    const std::uint64_t data = static_cast<std::uint64_t>(words_[2 * p]) |
-                               (static_cast<std::uint64_t>(words_[2 * p + 1]) << 32);
-    check_[p] = ecc::encode(*code_, data);
-  }
+  for (std::size_t p = 0; p < pairs; ++p) reencode_pair(static_cast<std::uint32_t>(p));
 }
 
 void DeviceMemory::zero_word_tail(std::size_t n, std::size_t hi) noexcept {

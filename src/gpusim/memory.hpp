@@ -31,6 +31,13 @@
 // flat-arena accesses through load()/store() — one hook point, every
 // engine, bitwise-identical observables.
 //
+// Under protection the memory also keeps its *latent pairs*: a conservative
+// list of the pairs an injected upset may still sit in, because no access
+// has corrected (scrubbed) it yet.  Segment replay (DESIGN §10) reads it to
+// tell which journal segments a planted upset cannot have reached, and
+// applies those through flat_words() and reencode_pair(); unprotected
+// memory needs no list, since a struck word differs from its golden value.
+//
 // Both arenas (words and check bytes) live on ZeroPages: a device costs the
 // pages its trials touch, not its capacity, and wiping a large dirty range
 // hands its whole pages back to the kernel instead of writing zeros.
@@ -173,8 +180,32 @@ class DeviceMemory {
   /// EDC check — callers must fall back to load()/store().
   [[nodiscard]] std::span<std::uint32_t> flat_arena() noexcept {
     return model_ == MemoryModel::FlatGpu && protection_ == ecc::Scheme::None
-               ? std::span<std::uint32_t>(words_)
+               ? flat_words()
                : std::span<std::uint32_t>{};
+  }
+  /// The FlatGpu word arena whatever the protection (empty for PagedCpu):
+  /// raw words, no EDC check.  For segment replay only, which compares and
+  /// writes words outside the latent pairs and re-encodes what it writes.
+  [[nodiscard]] std::span<std::uint32_t> flat_words() noexcept {
+    return model_ == MemoryModel::FlatGpu ? std::span<std::uint32_t>(words_)
+                                          : std::span<std::uint32_t>{};
+  }
+  /// Re-encode the check byte of pair `pair` from its words (no-op when
+  /// unprotected): what store() does after a raw write through flat_words().
+  void reencode_pair(std::uint32_t pair) noexcept {
+    if (protection_ == ecc::Scheme::None) return;
+    check_[pair] = ecc::encode(*code_, static_cast<std::uint64_t>(words_[2 * pair]) |
+                                           (static_cast<std::uint64_t>(words_[2 * pair + 1])
+                                            << 32));
+  }
+  /// Pairs that may hold an injected upset no access has scrubbed yet, in
+  /// no particular order (always empty when unprotected).  A superset:
+  /// corrupt_word() and corrupt_check() add their pair, a repair removes
+  /// it, and reset(), restore() and restore_trial() clear what they
+  /// rewrite.  Not synchronized: read it only between launches or from a
+  /// single-worker launch.
+  [[nodiscard]] std::span<const std::uint32_t> latent_pairs() const noexcept {
+    return latent_;
   }
 
   /// Checkpoint support (CheCUDA-style, Section VI(i)): snapshot the live
@@ -200,6 +231,7 @@ class DeviceMemory {
     // bytes.  Raw fault injection (corrupt_word / corrupt_check) happens
     // *after* the restore, so the codeword actually disagrees with the data.
     reencode_prefix(n);
+    std::erase_if(latent_, [&](std::uint32_t p) { return p < check_prefix(n); });
   }
   /// Exact equivalent of reset() + re-allocation + re-upload for a layout
   /// that has not changed between launches: restore the staged prefix and
@@ -230,6 +262,9 @@ class DeviceMemory {
       }
       zero_check_tail(n, hi);
     }
+    // Every upset notes its word, so the prefix copy and the tail wipe
+    // rewrote every pair one could sit in.
+    latent_.clear();
     dirty_hi_.store(static_cast<std::uint32_t>(n), std::memory_order_relaxed);
   }
 
@@ -237,18 +272,21 @@ class DeviceMemory {
   /// (physical index, as used by image()) or into the check byte of the
   /// word's pair, *without* re-encoding — the codeword is left disagreeing
   /// with itself exactly as a particle strike would leave a DRAM row.
-  void corrupt_word(std::uint32_t idx, std::uint32_t mask) noexcept {
+  /// Under protection the pair joins latent_pairs().
+  void corrupt_word(std::uint32_t idx, std::uint32_t mask) {
     if (idx >= words_.size() || mask == 0) return;
     words_[idx] ^= mask;
     note_store(idx);
+    if (protection_ != ecc::Scheme::None) note_latent(idx / 2);
   }
-  void corrupt_check(std::uint32_t idx, std::uint8_t mask) noexcept {
+  void corrupt_check(std::uint32_t idx, std::uint8_t mask) {
     if (protection_ == ecc::Scheme::None || idx >= words_.size()) return;
     check_[idx / 2] ^= mask;
     // Like every write path: reset() and restore_trial() must clear the
     // flipped byte, or it outlives the trial and the next job on this
     // device corrects (and counts) an upset it never had.
     note_store(idx);
+    note_latent(idx / 2);
   }
 
   [[nodiscard]] MemoryModel model() const noexcept { return model_; }
@@ -312,6 +350,10 @@ class DeviceMemory {
   /// (and scrubbed) exactly once no matter how many threads race on it.
   bool repair_and_load(std::uint32_t idx, std::uint32_t& out) const noexcept;
   [[nodiscard]] bool repair_pair(std::uint32_t pair) noexcept;
+  void note_latent(std::uint32_t pair) {
+    if (std::find(latent_.begin(), latent_.end(), pair) == latent_.end())
+      latent_.push_back(pair);
+  }
 
   void reencode_prefix(std::size_t n) noexcept;
   /// Zero words [n, hi), resp. the check bytes of their pairs: the tail
@@ -343,6 +385,8 @@ class DeviceMemory {
   /// worker threads note stores concurrently; relaxed order is enough since
   /// restore_trial only runs between launches, after the pool joined).
   std::atomic<std::uint32_t> dirty_hi_{0};
+  /// See latent_pairs(); repair_pair() edits it under scrub_mutex_.
+  std::vector<std::uint32_t> latent_;
   /// Scrub serialization + deterministic correction counting (cold path).
   mutable std::mutex scrub_mutex_;
   mutable std::atomic<std::uint64_t> ecc_corrected_{0};

@@ -81,6 +81,11 @@ class ControlBlock : public gpusim::LaunchHooks {
   }
 
   // --- LaunchHooks ---
+  /// None: the control block never overrides fi_hook, so no FIHook can act
+  /// (the threaded engine drops them, and segment replay may serve it).
+  [[nodiscard]] gpusim::FIFilter fi_filter() const override {
+    return {gpusim::FIFilter::Kind::None};
+  }
   bool check_range(int detector, kir::Value value) override;
   void equal_check_failed(int detector) override;
   void profile_value(int detector, kir::Value value) override;

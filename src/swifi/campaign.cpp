@@ -223,26 +223,25 @@ Outcome run_one_memory_fault(Device& dev, const kir::BytecodeProgram& program,
                              const core::ProgramOutput& golden,
                              const workloads::Requirement& req,
                              std::uint64_t watchdog_instructions, int launch_workers,
-                             std::size_t sanitize_cap, core::ControlBlock* cb) {
-  const auto args = job.setup(dev);
-  // Corrupt one random live word of device memory ("data segment" fault).
+                             std::size_t sanitize_cap, core::ControlBlock* cb,
+                             const gpusim::LaunchJournal* journal, TrialStage* stage) {
+  std::vector<kir::Value> own_args;
+  if (!stage) own_args = job.setup(dev);
+  const std::vector<kir::Value>& args = stage ? stage->stage() : own_args;
+  // Corrupt one random live word of device memory ("data segment" fault),
+  // by physical index: PagedCpu addresses are sparse, the storage is not.
   const std::uint32_t used = dev.mem().used_words();
   if (used == 0) return Outcome::NotActivated;
-  // Addresses in PagedCpu mode are sparse; walk allocations via image().
-  auto img = dev.mem().image();
-  const std::uint32_t idx = static_cast<std::uint32_t>(rng.next_below(img.size()));
+  const auto idx = static_cast<std::uint32_t>(rng.next_below(used));
   if (dev.mem().protection() == gpusim::ecc::Scheme::None) {
-    img[idx] ^= mask;
-    dev.mem().restore(img);
+    dev.mem().corrupt_word(idx, mask);
   } else {
-    // Protected arena: restore() models an ECC-clean host upload and
-    // re-encodes, so the memory-cell upset must be planted raw *after*
-    // staging.  Check-bit cells are DRAM too: 8 of the codeword's 72 bit
-    // positions live in the shadow byte, so with probability 8/72 the strike
-    // lands there instead (a single check-bit flip — correctable, and a
-    // correct model of a one-cell upset in the check storage).  The extra
-    // draw only happens under protection, keeping the unprotected RNG
-    // sequence — and therefore every existing golden — bitwise unchanged.
+    // Check-bit cells are DRAM too: 8 of the codeword's 72 bit positions
+    // live in the shadow byte, so with probability 8/72 the strike lands
+    // there instead (a single check-bit flip — correctable, and a correct
+    // model of a one-cell upset in the check storage).  The extra draw only
+    // happens under protection, keeping the unprotected RNG sequence — and
+    // therefore every existing golden — bitwise unchanged.
     const std::uint32_t r =
         static_cast<std::uint32_t>(rng.next_below(gpusim::ecc::kCodeBits));
     if (r >= gpusim::ecc::kDataBits)
@@ -258,6 +257,7 @@ Outcome run_one_memory_fault(Device& dev, const kir::BytecodeProgram& program,
   opts.watchdog_instructions = watchdog_instructions;
   opts.max_workers = launch_workers;
   opts.sanitize_report_cap = sanitize_cap;
+  opts.journal = journal;
   const auto res = dev.launch(program, job.config(), args, opts);
   if (const auto so = sanitizer_outcome(dev, res)) return *so;
   if (res.status != LaunchStatus::Ok)

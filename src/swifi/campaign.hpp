@@ -173,11 +173,15 @@ class TrialStage {
 // Memory-data and code-segment faults (Fig. 1 CPU rows)
 // ---------------------------------------------------------------------------
 
-/// Flip `mask` into a uniformly chosen live memory word after job setup,
-/// then run and classify.  On a protected device the flip is planted raw
-/// (corrupt_word / corrupt_check) after staging, so hardware ECC actually
-/// sees a cell upset; `cb`, when given, arms Hauberk's range detectors for
-/// the run (the hardware-vs-Hauberk study runs all four combinations).
+/// Flip `mask` into a uniformly chosen live memory word after staging, then
+/// run and classify.  The flip is planted raw (corrupt_word / corrupt_check),
+/// so on a protected device hardware ECC actually sees a cell upset; `cb`,
+/// when given, arms Hauberk's range detectors for the run (the
+/// hardware-vs-Hauberk study runs all four combinations).  `journal` and
+/// `stage` work as in run_one_fault: the golden journal lets an eligible
+/// launch replay every segment before the struck word's first reader, and
+/// the stage replaces a fresh job.setup().  Without them the call is a full
+/// launch on freshly set-up memory, the oracle for both.
 [[nodiscard]] Outcome run_one_memory_fault(gpusim::Device& dev,
                                            const kir::BytecodeProgram& program,
                                            core::KernelJob& job, common::Rng& rng,
@@ -188,7 +192,9 @@ class TrialStage {
                                            int launch_workers = 0,
                                            std::size_t sanitize_cap =
                                                gpusim::SharedShadow::kMaxReportsPerBlock,
-                                           core::ControlBlock* cb = nullptr);
+                                           core::ControlBlock* cb = nullptr,
+                                           const gpusim::LaunchJournal* journal = nullptr,
+                                           TrialStage* stage = nullptr);
 
 /// Flip one random bit in one random instruction encoding ("code segment"
 /// fault).  Structurally invalid mutants are classified as Failure without

@@ -1,7 +1,8 @@
 // In-process SWIFI campaign driver.
 //
 // A campaign is thousands of independent fault-injection trials: each trial
-// re-stages device memory via its job's setup(), launches once, and
+// re-stages device memory (a TrialStage restore, or a code-fault trial's
+// job setup()), launches once, and
 // classifies the outcome against a shared golden run.  Trials never share
 // mutable state, so they run concurrently on campaign workers, each owning
 // a private simulated Device (plus its own KernelJob staging and

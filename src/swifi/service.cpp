@@ -212,7 +212,9 @@ void pump_trials(const kir::BytecodeProgram& program, const WorkerContextFactory
           "swifi: WorkerContextFactory must provide a device and a job");
     ctxs.back().device->set_engine(cfg.effective_engine());
   }
-  // One golden run serves every trial; run_one_* re-stage memory themselves.
+  // One golden run serves every trial; planned- and memory-fault trials
+  // re-stage memory through their context's TrialStage, code-fault trials
+  // through job setup.
   const GoldenRun gold = golden_run(*ctxs[0].device, program, *ctxs[0].job, ctxs[0].cb.get(),
                                     cfg.launch_workers);
   const std::uint64_t watchdog = campaign_watchdog(gold, cfg);
@@ -294,14 +296,19 @@ void pump_trials(const kir::BytecodeProgram& program, const WorkerContextFactory
   if (first_error) std::rethrow_exception(first_error);
 }
 
+/// The worker context's TrialStage, created on first use.
+TrialStage& stage_of(WorkerContext& ctx) {
+  if (!ctx.stage) ctx.stage = std::make_unique<TrialStage>(*ctx.device, *ctx.job);
+  return *ctx.stage;
+}
+
 /// A planned-fault trial on a worker context, staged through its TrialStage.
 Outcome planned_trial(WorkerContext& ctx, const kir::BytecodeProgram& program,
                       const FaultSpec& spec, const GoldenRun& gold,
                       const workloads::Requirement& req, std::uint64_t watchdog,
                       const CampaignConfig& cfg) {
-  if (!ctx.stage) ctx.stage = std::make_unique<TrialStage>(*ctx.device, *ctx.job);
   return run_one_fault(*ctx.device, program, *ctx.job, ctx.cb.get(), spec, gold.output, req,
-                       watchdog, cfg.launch_workers, cfg.sanitize_cap, ctx.stage.get(),
+                       watchdog, cfg.launch_workers, cfg.sanitize_cap, &stage_of(ctx),
                        gold.journal.get());
 }
 
@@ -356,7 +363,8 @@ CampaignResult CampaignExecutor::run_memory_faults(const kir::BytecodeProgram& p
                          return run_one_memory_fault(*ctx.device, program, *ctx.job, rng, mask,
                                                      gold.output, req, watchdog,
                                                      cfg.launch_workers, cfg.sanitize_cap,
-                                                     ctx.cb.get());
+                                                     ctx.cb.get(), gold.journal.get(),
+                                                     &stage_of(ctx));
                        });
 }
 

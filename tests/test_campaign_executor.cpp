@@ -70,19 +70,18 @@ CampaignResult single_device_loop(const Fixture& f, const kir::BytecodeProgram& 
   return res;
 }
 
-/// A job that throws from setup() once `calls` setups have run in total
-/// across every worker sharing `calls` — a trial failing mid-campaign.
+/// A job that throws from read_output() once `calls` read-outs have run in
+/// total across every worker sharing `calls` — a trial failing mid-campaign.
+/// (Read-out, not setup: a staged worker runs setup() only once.)
 class ThrowingJob : public core::KernelJob {
  public:
   ThrowingJob(std::unique_ptr<core::KernelJob> inner, std::shared_ptr<std::atomic<int>> calls,
               int throw_at)
       : inner_(std::move(inner)), calls_(std::move(calls)), throw_at_(throw_at) {}
-  std::vector<kir::Value> setup(gpusim::Device& dev) override {
-    if (calls_->fetch_add(1) + 1 == throw_at_) throw std::runtime_error("trial setup failed");
-    return inner_->setup(dev);
-  }
+  std::vector<kir::Value> setup(gpusim::Device& dev) override { return inner_->setup(dev); }
   [[nodiscard]] gpusim::LaunchConfig config() const override { return inner_->config(); }
   [[nodiscard]] core::ProgramOutput read_output(const gpusim::Device& dev) const override {
+    if (calls_->fetch_add(1) + 1 == throw_at_) throw std::runtime_error("trial read-out failed");
     return inner_->read_output(dev);
   }
 

@@ -351,6 +351,14 @@ struct FiArm {
   const gpusim::LaunchJournal* journal = nullptr;
 };
 
+/// A memory-cell upset planted after staging: `mask` XORed raw into word
+/// `idx`, or into the check byte of its pair.
+struct Upset {
+  std::uint32_t idx = 0;
+  std::uint32_t mask = 0;
+  bool check = false;
+};
+
 /// InjectingHooks that reports the Generic filter.
 class GenericInjector : public swifi::InjectingHooks {
  public:
@@ -372,7 +380,8 @@ EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
                      gpusim::ExecEngine engine, std::uint64_t salt,
                      bool with_cb, bool instrumented = false,
                      gpusim::ecc::Scheme protection = gpusim::ecc::Scheme::None,
-                     const FiArm* fi = nullptr, gpusim::LaunchJournal* record = nullptr) {
+                     const FiArm* fi = nullptr, gpusim::LaunchJournal* record = nullptr,
+                     const std::vector<Upset>* upsets = nullptr) {
   gpusim::DeviceProps props;
   props.global_mem_words = 1u << 16;
   props.memory_model = fp.mem_model;
@@ -386,7 +395,15 @@ EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
   std::vector<std::uint32_t> input(kBufWords);
   stage_input(input, salt);
   dev.mem().copy_in(in_a, input);
-  if (protection != gpusim::ecc::Scheme::None) {
+  if (upsets) {
+    // Exactly these upsets (none: a clean device, e.g. a golden run).
+    for (const Upset& u : *upsets) {
+      if (u.check)
+        dev.mem().corrupt_check(u.idx, static_cast<std::uint8_t>(u.mask));
+      else
+        dev.mem().corrupt_word(u.idx, u.mask);
+    }
+  } else if (protection != gpusim::ecc::Scheme::None) {
     // Plant a deterministic raw memory-cell upset in the input buffer: a
     // single-bit data flip (corrected on first read), a check-bit flip, or a
     // double-bit flip in one codeword (uncorrectable if the pair is read).
@@ -631,12 +648,14 @@ TEST(DifferentialFuzz, ArmedFIHooksMatchReferenceEverywhere) {
   // Generic (the unspecialized stream).  Budgets are drawn inside the
   // per-thread instruction count, so they land on and inside runs whose
   // unarmed hooks the specialized stream dropped; wild loads after a
-  // dropped hook crash through the refund path.
+  // dropped hook crash through the refund path.  Each FI&FT program also
+  // runs with its control block as the only hooks, which reports the None
+  // filter: Threaded (every hook dropped) against Reference.
   const std::uint64_t seed = env_u64("HAUBERK_FUZZ_SEED", 0xfa57'0005);
   const auto programs =
       static_cast<std::size_t>(env_u64("HAUBERK_FUZZ_PROGRAMS", 400)) / 2;
 
-  std::size_t compared = 0, activated = 0, crash = 0, budget_hang = 0, dropped = 0;
+  std::size_t compared = 0, activated = 0, crash = 0, budget_hang = 0, dropped = 0, cb_only = 0;
   for (std::size_t i = 0; i < programs; ++i) {
     Rng rng = Rng::fork(seed, i);
     ProgramGen gen(rng, /*racy=*/false, /*loads=*/true);
@@ -674,6 +693,14 @@ TEST(DifferentialFuzz, ArmedFIHooksMatchReferenceEverywhere) {
     std::vector<std::uint64_t> budgets = {fi.watchdog};
     for (int b = 0; b < 3; ++b) budgets.push_back(1 + arm.next_below(2 * per_thread));
 
+    if (fift) {
+      // The control block alone as hooks: it reports the None filter, so
+      // the threaded engine runs the FI build with every hook dropped.
+      const EngineRun cref = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, true);
+      const EngineRun cthr = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, true);
+      expect_identical(cref, cthr, fp, i, "fi+ft control block only");
+      ++cb_only;
+    }
     for (const std::uint64_t budget : budgets) {
       fi.watchdog = budget;
       fi.generic = false;
@@ -703,24 +730,102 @@ TEST(DifferentialFuzz, ArmedFIHooksMatchReferenceEverywhere) {
   EXPECT_GT(crash, 0u) << "no FI trial crashed";
   EXPECT_GT(budget_hang, compared / 8) << "budgets rarely land inside the run";
   EXPECT_GT(dropped, programs / 2) << "specialized streams rarely drop a hook";
+  EXPECT_GT(cb_only, programs / 4) << "too few control-block-only FI&FT launches";
 }
+
+namespace {
+
+/// How the golden launch first touches the pair holding word `struck`, in
+/// serial segment order (blocks in order, then barrier epochs, then
+/// threads).  A segment that first-reads either word counts as a read;
+/// otherwise its first write there decides (a store to `struck`, a store to
+/// its sibling, or an atomic).
+enum class FirstTouch { None, Read, Store, SiblingStore, Atomic };
+
+FirstTouch first_touch(const gpusim::LaunchJournal& j, const gpusim::LaunchConfig& cfg,
+                       std::uint32_t struck) {
+  const std::uint32_t pair = struck / 2;
+  const auto threads = static_cast<std::uint32_t>(cfg.block_x * cfg.block_y);
+  for (std::uint32_t b = 0; b < cfg.grid_x * cfg.grid_y; ++b) {
+    for (std::uint32_t e = 0;; ++e) {
+      bool any = false;
+      for (std::uint32_t t = 0; t < threads; ++t) {
+        const std::uint32_t slot = b * threads + t;
+        if (j.thread_begin[slot] + e >= j.thread_begin[slot + 1]) continue;
+        any = true;
+        const gpusim::LaunchJournal::Segment& sg = j.segment(slot, e);
+        for (std::uint32_t r = 0; r < sg.global_reads; ++r)
+          if (j.reads[sg.first_reads + r].addr / 2 == pair) return FirstTouch::Read;
+        for (std::uint32_t w = 0; w < sg.writes; ++w) {
+          const gpusim::LaunchJournal::Write& wr = j.writes[sg.first_write + w];
+          if (wr.addr / 2 != pair) continue;
+          if (wr.kind != gpusim::LaunchJournal::WriteKind::Store) return FirstTouch::Atomic;
+          return wr.addr == struck ? FirstTouch::Store : FirstTouch::SiblingStore;
+        }
+      }
+      if (!any) break;
+    }
+  }
+  return FirstTouch::None;
+}
+
+/// One upset for a replay trial on a protected device: a data bit, a check
+/// bit or a double data bit, in a word the golden launch reads, the sibling
+/// of a word it stores, a word it updates atomically, or any word of the
+/// two buffers.
+Upset draw_upset(Rng& r, const gpusim::LaunchJournal& j) {
+  std::vector<std::uint32_t> reads, stores, atomics;
+  for (const gpusim::LaunchJournal::Segment& sg : j.segments)
+    for (std::uint32_t k = 0; k < sg.global_reads; ++k)
+      reads.push_back(j.reads[sg.first_reads + k].addr);
+  for (const gpusim::LaunchJournal::Write& w : j.writes)
+    (w.kind == gpusim::LaunchJournal::WriteKind::Store ? stores : atomics).push_back(w.addr);
+  const auto pick = [&](const std::vector<std::uint32_t>& v) {
+    return v[r.next_below(v.size())];
+  };
+  Upset u;
+  switch (r.next_below(4)) {
+    case 0: u.idx = reads.empty() ? 0 : pick(reads); break;
+    case 1: u.idx = stores.empty() ? 0 : pick(stores) ^ 1u; break;
+    case 2: u.idx = atomics.empty() ? 0 : pick(atomics); break;
+    default: u.idx = static_cast<std::uint32_t>(r.next_below(2 * kBufWords)); break;
+  }
+  const auto bit = static_cast<std::uint32_t>(r.next_below(32));
+  switch (r.next_below(3)) {
+    case 0: u.mask = 1u << bit; break;
+    case 1:
+      u.check = true;
+      u.mask = 1u << (bit % 8);
+      break;
+    default: u.mask = (1u << bit) | (1u << ((bit + 1 + r.next_below(31)) % 32)); break;
+  }
+  return u;
+}
+
+}  // namespace
 
 TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
   // Replay corpus: FI-mode programs plus integer atomics — cross-thread
   // global reads and writes (every thread computes its addresses into the
   // shared in/out buffers, so stray stores land in other threads' inputs),
-  // barriers, shared memory and f32/i32 atomics.  A fault-free Threaded
-  // launch records the journal (on the reference interpreter); then each
-  // armed fault at each budget of the sweep runs in full on Reference and
-  // Threaded and replayed on Threaded, and all three must agree on every
-  // observable.  The control block's own counters are the exception by
-  // contract: applied segments make no hook calls (DESIGN §10), so the
-  // replayed run's cb counters are not compared — its SDC alarm is.
+  // barriers, shared memory and f32/i32 atomics — on an unprotected and a
+  // Hsiao device.  A fault-free Threaded launch records each device's
+  // journal (on the reference interpreter); then each armed fault at each
+  // budget of the sweep runs in full on Reference and Threaded and replayed
+  // on Threaded, and all three must agree on every observable.  On the
+  // Hsiao device every trial also carries one planted upset (data bit,
+  // check bit or double bit) in a pair the golden launch reads, stores to
+  // the sibling of, or updates atomically, so replay must leave each
+  // pair's first touch to the checked path.  The control block's own
+  // counters are the exception by contract: applied segments make no hook
+  // calls (DESIGN §10), so the replayed run's cb counters are not compared
+  // — its SDC alarm is.
   const std::uint64_t seed = env_u64("HAUBERK_FUZZ_SEED", 0xfa57'0016);
   const auto programs =
       static_cast<std::size_t>(env_u64("HAUBERK_FUZZ_PROGRAMS", 400)) / 2;
 
   std::size_t compared = 0, partial = 0, whole = 0, activated = 0, budget_hang = 0;
+  std::size_t ecc_corrected = 0, ecc_failed = 0, sibling_store_first = 0, atomic_first = 0;
   for (std::size_t i = 0; i < programs; ++i) {
     Rng rng = Rng::fork(seed, i);
     ProgramGen gen(rng, /*racy=*/false, /*loads=*/true, /*int_atomics=*/true);
@@ -736,47 +841,64 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
       continue;
     }
     if (prog.fi_sites.empty()) continue;
-    gpusim::LaunchJournal journal;
-    const EngineRun golden = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift, false,
-                                        gpusim::ecc::Scheme::None, nullptr, &journal);
-    if (golden.res.status != gpusim::LaunchStatus::Ok) continue;  // no golden, no journal
-    ASSERT_FALSE(journal.empty()) << "program " << i;
+    for (const auto scheme : {gpusim::ecc::Scheme::None, gpusim::ecc::Scheme::Hsiao}) {
+      const bool ecc = scheme != gpusim::ecc::Scheme::None;
+      const std::vector<Upset> clean;
+      gpusim::LaunchJournal journal;
+      const EngineRun golden = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift,
+                                          false, scheme, nullptr, &journal, &clean);
+      if (golden.res.status != gpusim::LaunchStatus::Ok) continue;  // no golden, no journal
+      ASSERT_FALSE(journal.empty()) << "program " << i;
 
-    Rng arm = Rng::fork(seed ^ 0x5e65, i);
-    FiArm fi;
-    fi.spec.site_id = prog.fi_sites[arm.next_below(prog.fi_sites.size())].site_id;
-    fi.spec.thread = static_cast<std::uint32_t>(arm.next_below(fp.cfg.total_threads()));
-    fi.spec.occurrence = 1 + static_cast<std::uint32_t>(arm.next_below(2));
-    fi.spec.mask = arm.next_below(4) == 0 ? static_cast<std::uint32_t>(arm.next_u32() | 1u)
-                                          : 1u << arm.next_below(32);
-    const std::uint64_t per_thread =
-        1 + golden.res.instructions / std::max<std::uint64_t>(1, fp.cfg.total_threads());
-    std::vector<std::uint64_t> budgets = {fi.watchdog};
-    for (int b = 0; b < 3; ++b) budgets.push_back(1 + arm.next_below(2 * per_thread));
+      Rng arm = Rng::fork(seed ^ 0x5e65, i);
+      FiArm fi;
+      fi.spec.site_id = prog.fi_sites[arm.next_below(prog.fi_sites.size())].site_id;
+      fi.spec.thread = static_cast<std::uint32_t>(arm.next_below(fp.cfg.total_threads()));
+      fi.spec.occurrence = 1 + static_cast<std::uint32_t>(arm.next_below(2));
+      fi.spec.mask = arm.next_below(4) == 0 ? static_cast<std::uint32_t>(arm.next_u32() | 1u)
+                                            : 1u << arm.next_below(32);
+      const std::uint64_t per_thread =
+          1 + golden.res.instructions / std::max<std::uint64_t>(1, fp.cfg.total_threads());
+      std::vector<std::uint64_t> budgets = {fi.watchdog};
+      for (int b = 0; b < 3; ++b) budgets.push_back(1 + arm.next_below(2 * per_thread));
 
-    for (const std::uint64_t budget : budgets) {
-      fi.watchdog = budget;
-      fi.journal = nullptr;
-      const EngineRun ref = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, fift, false,
-                                       gpusim::ecc::Scheme::None, &fi);
-      const EngineRun full = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift, false,
-                                        gpusim::ecc::Scheme::None, &fi);
-      expect_identical(ref, full, fp, i, "replay corpus: full threaded");
-      fi.journal = &journal;
-      EngineRun rep = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift, false,
-                                 gpusim::ecc::Scheme::None, &fi);
-      const std::uint64_t applied = rep.res.replayed_segments;
-      rep.cb_sdc = ref.cb_sdc;
-      rep.cb_checks = ref.cb_checks;
-      rep.cb_violations = ref.cb_violations;
-      expect_identical(ref, rep, fp, i, "replay corpus: replayed");
-      ++compared;
-      activated += ref.fi_activated;
-      whole += applied == journal.segments.size();
-      partial += applied > 0 && applied < journal.segments.size();
-      if (ref.res.status == gpusim::LaunchStatus::Hang && budget != budgets.front())
-        ++budget_hang;
-      if (::testing::Test::HasFailure()) return;
+      Rng strike = Rng::fork(seed ^ 0x0ecc, i);
+      for (const std::uint64_t budget : budgets) {
+        std::vector<Upset> upsets;
+        if (ecc) {
+          upsets.push_back(draw_upset(strike, journal));
+          switch (first_touch(journal, fp.cfg, upsets.front().idx)) {
+            case FirstTouch::SiblingStore: ++sibling_store_first; break;
+            case FirstTouch::Atomic: ++atomic_first; break;
+            default: break;
+          }
+        }
+        fi.watchdog = budget;
+        fi.journal = nullptr;
+        const EngineRun ref = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, fift,
+                                         false, scheme, &fi, nullptr, &upsets);
+        const EngineRun full = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift,
+                                          false, scheme, &fi, nullptr, &upsets);
+        expect_identical(ref, full, fp, i, "replay corpus: full threaded");
+        fi.journal = &journal;
+        EngineRun rep = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift, false,
+                                   scheme, &fi, nullptr, &upsets);
+        const std::uint64_t applied = rep.res.replayed_segments;
+        rep.cb_sdc = ref.cb_sdc;
+        rep.cb_checks = ref.cb_checks;
+        rep.cb_violations = ref.cb_violations;
+        expect_identical(ref, rep, fp, i, ecc ? "replay corpus: replayed, hsiao"
+                                              : "replay corpus: replayed");
+        ++compared;
+        activated += ref.fi_activated;
+        whole += applied == journal.segments.size();
+        partial += applied > 0 && applied < journal.segments.size();
+        ecc_corrected += ref.res.ecc_corrected > 0;
+        ecc_failed += ref.res.status == gpusim::LaunchStatus::EccUncorrectable;
+        if (ref.res.status == gpusim::LaunchStatus::Hang && budget != budgets.front())
+          ++budget_hang;
+        if (::testing::Test::HasFailure()) return;
+      }
     }
   }
   EXPECT_GT(compared, programs) << "too few replay programs compared";
@@ -784,6 +906,10 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
   EXPECT_GT(partial, compared / 4) << "replays rarely mix applied and interpreted segments";
   EXPECT_GT(budget_hang, compared / 8) << "budgets rarely land inside the run";
   EXPECT_EQ(whole, 0u) << "the armed thread's segments must always be interpreted";
+  EXPECT_GT(ecc_corrected, compared / 16) << "planted upsets are rarely corrected";
+  EXPECT_GT(ecc_failed, compared / 32) << "planted double-bit upsets rarely fail a launch";
+  EXPECT_GT(sibling_store_first, 0u) << "no upset is first touched by a sibling store";
+  EXPECT_GT(atomic_first, 0u) << "no upset is first touched by an atomic";
 }
 
 namespace {

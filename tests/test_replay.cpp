@@ -3,9 +3,10 @@
 // have reached and interprets the rest.  The oracle is the same trial
 // without the journal (a full launch): for every executed FI site of the FI
 // and FI&FT builds of all 12 workloads, replay must give the same outcome
-// and the same LaunchResult and memory image.  The remaining tests pin the
-// eligibility predicate (ineligible launches apply nothing), the watchdog
-// rule, and the fingerprint check.
+// and the same LaunchResult and memory image.  Memory-cell faults get the
+// same check on unprotected and Hsiao devices, check bytes and ECC counts
+// included.  The remaining tests pin the eligibility predicate (ineligible
+// launches apply nothing), the watchdog rule, and the fingerprint check.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bitops.hpp"
+#include "common/rng.hpp"
 #include "gpusim/device.hpp"
 #include "hauberk/control_block.hpp"
 #include "hauberk/runtime.hpp"
@@ -137,7 +140,126 @@ swifi::FaultSpec first_fault(const Built& b, const kir::BytecodeProgram& prog) {
   return {};
 }
 
+/// A planted memory-cell upset: `mask` XORed into word `idx`, or into the
+/// check byte of its pair.
+struct Strike {
+  std::uint32_t idx = 0;
+  std::uint32_t mask = 0;
+  bool check = false;
+};
+
+/// What a memory-fault launch exposes, ECC state included.
+struct MemObs {
+  gpusim::LaunchStatus status{};
+  std::uint64_t instructions = 0, cycles = 0, loop_cycles = 0, ecc_corrected = 0;
+  bool sdc = false, cb_sdc = false;
+  std::vector<std::uint32_t> mem;
+  std::vector<std::uint8_t> check;
+  bool operator==(const MemObs&) const = default;
+};
+
+/// Stage `r`, plant `st`, launch with the rig's control block as the only
+/// hooks (null for the FI build), and count applied segments.
+MemObs strike_launch(Rig& r, const kir::BytecodeProgram& prog, const Strike& st,
+                     std::uint64_t watchdog, const gpusim::LaunchJournal* journal,
+                     std::uint64_t& replayed) {
+  const auto& args = r.stage->stage();
+  if (st.check)
+    r.dev.mem().corrupt_check(st.idx, static_cast<std::uint8_t>(st.mask));
+  else
+    r.dev.mem().corrupt_word(st.idx, st.mask);
+  if (r.cb) r.cb->reset_results();
+  gpusim::LaunchOptions opts;
+  opts.hooks = r.cb.get();
+  opts.watchdog_instructions = watchdog;
+  opts.max_workers = 1;
+  opts.journal = journal;
+  const auto res = r.dev.launch(prog, r.job->config(), args, opts);
+  replayed += res.replayed_segments;
+  MemObs o;
+  o.status = res.status;
+  o.instructions = res.instructions;
+  o.cycles = res.cycles;
+  o.loop_cycles = res.loop_cycles;
+  o.ecc_corrected = res.ecc_corrected;
+  o.sdc = res.sdc_alarm;
+  o.cb_sdc = r.cb && r.cb->sdc_detected();
+  o.mem = r.dev.mem().image();
+  o.check = r.dev.mem().check_image();
+  return o;
+}
+
 }  // namespace
+
+// Memory-cell faults on the 9 GPU workloads: the FI build without hooks and
+// the FT build with its configured control block, on unprotected and Hsiao
+// devices, with 1- and 2-bit upsets in a uniformly drawn live word or (on
+// Hsiao, every third trial) in its pair's check byte.  Replaying the golden
+// journal must match the journal-less launch on status, totals, ECC
+// corrections, both alarms and the word and check arenas.  The applied
+// segment count is pinned, and the sweep must see corrections and
+// uncorrectable pairs.
+TEST(Replay, MemoryFaultsMatchFullLaunchOnAllWorkloads) {
+  constexpr int kTrials = 60;
+  std::size_t trials = 0, corrected = 0, uncorrectable = 0;
+  std::uint64_t replayed = 0;
+  std::vector<std::unique_ptr<Workload>> gpu = hpc_suite();
+  for (auto& w : graphics_suite()) gpu.push_back(std::move(w));
+  ASSERT_EQ(gpu.size(), 9u);
+  for (auto& wl : gpu) {
+    const Built b = build(std::move(wl));
+    for (const bool ft : {false, true}) {
+      const kir::BytecodeProgram& prog = ft ? b.v.ft : b.v.fi;
+      for (const auto scheme : {gpusim::ecc::Scheme::None, gpusim::ecc::Scheme::Hsiao}) {
+        gpusim::DeviceProps props;
+        props.protection = scheme;
+        Rig full(b, prog, ft, props), rep(b, prog, ft, props);
+        const swifi::GoldenRun gold = swifi::golden_run(rep.dev, prog, *rep.job, rep.cb.get(), 1);
+        ASSERT_TRUE(gold.journal) << b.w->name();
+        const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
+        (void)rep.stage->stage();
+        const std::uint32_t used = rep.dev.mem().used_words();
+
+        for (const int bits : {1, 2}) {
+          common::Rng rng = common::Rng::fork(kDatasetSeed, trials);
+          std::uint64_t cell_replayed = 0, full_replayed = 0;
+          for (int i = 0; i < kTrials; ++i) {
+            Strike st;
+            st.idx = static_cast<std::uint32_t>(rng.next_below(used));
+            st.check = scheme != gpusim::ecc::Scheme::None && i % 3 == 2;
+            if (st.check) {
+              const auto b0 = static_cast<std::uint32_t>(rng.next_below(8));
+              st.mask = 1u << b0;
+              if (bits == 2) st.mask |= 1u << ((b0 + 1 + rng.next_below(7)) % 8);
+            } else {
+              st.mask = common::random_mask(rng, bits);
+            }
+            const std::string what = b.w->name() + (ft ? " ft" : " fi") +
+                                     (scheme == gpusim::ecc::Scheme::None ? " none" : " hsiao") +
+                                     " word " + std::to_string(st.idx) + " mask " +
+                                     std::to_string(st.mask) + (st.check ? " check" : " data");
+            const MemObs f = strike_launch(full, prog, st, watchdog, nullptr, full_replayed);
+            const MemObs r = strike_launch(rep, prog, st, watchdog, gold.journal.get(),
+                                           cell_replayed);
+            EXPECT_EQ(f, r) << what;
+            EXPECT_EQ(full_replayed, 0u) << what;
+            ++trials;
+            corrected += f.ecc_corrected > 0;
+            uncorrectable += f.status == gpusim::LaunchStatus::EccUncorrectable;
+            if (::testing::Test::HasFailure()) return;
+          }
+          EXPECT_GT(cell_replayed, 0u) << b.w->name() << (ft ? " ft" : " fi");
+          replayed += cell_replayed;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(trials, 9u * 2 * 2 * 2 * kTrials);
+  EXPECT_GT(corrected, trials / 10);
+  EXPECT_GT(uncorrectable, trials / 10);
+  // Golden count: applied segments over the whole sweep.
+  EXPECT_EQ(replayed, 129807u) << "trials " << trials;
+}
 
 // For the FI and FI&FT builds of every workload: every executed FI site x 2
 // masks x {first, last} occurrence, replayed against the golden journal
@@ -250,10 +372,11 @@ TEST(Replay, WatchdogBelowGoldenBudgetForcesRerun) {
 }
 
 // Launches the journal cannot serve apply nothing and behave exactly like
-// the same launch without it: the Sanitizer and Reference engines, a
-// protected or paged device, two block workers, an injector reporting the
-// Generic filter, and an installed hardware fault model.  On those devices
-// golden_run records no journal either.
+// the same launch without it: the Sanitizer and Reference engines, a paged
+// device, two block workers, an injector reporting the Generic filter, and
+// an installed hardware fault model.  On those devices golden_run records
+// no journal either.  A Hsiao device is eligible: it replays its own
+// golden journal.
 TEST(Replay, IneligibleLaunchesApplyNothing) {
   Built b = [] {
     for (auto& w : hpc_suite()) {
@@ -277,6 +400,20 @@ TEST(Replay, IneligibleLaunchesApplyNothing) {
                   .replayed,
               0u);
   }
+  {  // eligible on a Hsiao device, with a journal recorded there
+    gpusim::DeviceProps hsiao;
+    hsiao.protection = gpusim::ecc::Scheme::Hsiao;
+    Rig g(b, prog, false, hsiao), with(b, prog, false, hsiao), without(b, prog, false, hsiao);
+    const swifi::GoldenRun hgold = swifi::golden_run(g.dev, prog, *g.job, nullptr, 1);
+    ASSERT_TRUE(hgold.journal);
+    swifi::InjectingHooks hw(prog, nullptr), hwo(prog, nullptr);
+    const Launched lw =
+        launch(with.dev, *with.stage, *with.job, prog, hw, &spec, watchdog, hgold.journal.get());
+    const Launched lwo =
+        launch(without.dev, *without.stage, *without.job, prog, hwo, &spec, watchdog, nullptr);
+    EXPECT_GT(lw.replayed, 0u);
+    EXPECT_EQ(lw.obs, lwo.obs);
+  }
 
   struct Case {
     std::string name;
@@ -286,13 +423,11 @@ TEST(Replay, IneligibleLaunchesApplyNothing) {
     bool generic = false;
     bool fault_model = false;
   };
-  gpusim::DeviceProps hsiao, paged;
-  hsiao.protection = gpusim::ecc::Scheme::Hsiao;
+  gpusim::DeviceProps paged;
   paged.memory_model = gpusim::MemoryModel::PagedCpu;
   const Case cases[] = {
       {"sanitizer", {}, gpusim::ExecEngine::Sanitizer},
       {"reference", {}, gpusim::ExecEngine::Reference},
-      {"hsiao", hsiao},
       {"paged", paged},
       {"two workers", {}, gpusim::ExecEngine::Threaded, 2},
       {"generic filter", {}, gpusim::ExecEngine::Threaded, 1, true},
@@ -334,7 +469,8 @@ TEST(Replay, IneligibleLaunchesApplyNothing) {
 }
 
 // The journal names the launch it was recorded from; replaying it against
-// different arguments (or another program) is a caller bug and throws.
+// different arguments, another program or another protection scheme is a
+// caller bug and throws.
 TEST(Replay, JournalFromOtherLaunchThrows) {
   auto suite = hpc_suite();
   const Built b = build(std::move(suite.front()));
@@ -355,4 +491,9 @@ TEST(Replay, JournalFromOtherLaunchThrows) {
   EXPECT_THROW((void)r.dev.launch(b.v.fift, r.job->config(), args, opts),
                std::invalid_argument);
   EXPECT_NO_THROW((void)r.dev.launch(prog, r.job->config(), args, opts));
+  gpusim::DeviceProps hsiao;
+  hsiao.protection = gpusim::ecc::Scheme::Hsiao;
+  Rig h(b, prog, false, hsiao);
+  const std::vector<kir::Value> hargs = h.stage->stage();
+  EXPECT_THROW((void)h.dev.launch(prog, h.job->config(), hargs, opts), std::invalid_argument);
 }
