@@ -1,8 +1,6 @@
 // Campaign-driver throughput: trials/second of a one-worker CampaignExecutor
-// baseline versus the same executor at increasing worker counts, plus the
-// effect of the device's launch-plan cache (spill analysis and the
-// per-instruction cost vector are computed once per program instead of once
-// per launch).
+// baseline versus the same executor at increasing worker counts, the
+// campaign service, each interpreter engine, and protected memory.
 //
 // The worker sweep reports speedup relative to the one-worker baseline; on a
 // single-core host the parallel rows match the baseline (within thread
@@ -10,13 +8,12 @@
 // identical across all rows before anything is printed.
 //
 // Knobs: --program (default CP), --vars (default 16), --masks (default 8),
-// --workers-list=1,2,4,0 (0 = hardware concurrency), --sanitize (run the
-// baseline/executor/cache campaigns under the sanitizer engine — measures
-// the shadow's overhead; the engine-sweep rows stay unsanitized and their
-// outcome comparison is skipped, since sanitized trials may legitimately
-// reclassify), --engine=reference|sanitizer|threaded (engine for the
-// baseline and executor campaigns; default threaded), --protection=none|hamming|
-// hsiao (hardware ECC on every campaign device; the dedicated protected-mode
+// --workers-list=1,2,4,0 (0 = hardware concurrency), --sanitize (sanitize
+// the baseline, executor and service campaigns — measures the shadow's
+// overhead; the engine-sweep and protection rows stay unsanitized),
+// --engine=reference|threaded (engine for the baseline, executor and
+// service campaigns; default threaded), --protection=none|hamming|hsiao
+// (hardware ECC on every campaign device; the dedicated protected-mode
 // section below always measures none-vs-hsiao regardless), --json=FILE
 // (write the engine sweep + service + protection rows and the device
 // construction time as JSON).
@@ -104,7 +101,7 @@ int main(int argc, char** argv) {
               sanitize ? ", sanitizer ON" : "");
   const auto& req = ctx.workload->requirement();
 
-  // Baseline: one campaign worker (launch-plan cache on).
+  // Baseline: one campaign worker.
   swifi::CampaignResult base_res;
   const double base_s = seconds([&] {
     base_res = swifi::CampaignExecutor(1).run(ctx.variants.fift, factory, specs, req, cfg);
@@ -167,18 +164,16 @@ int main(int argc, char** argv) {
     std::printf("checkpoint overhead: %.1f%%\n", 100.0 * (service_ckpt_s / service_s - 1.0));
   }
 
-  // Interpreter-engine sweep: the same one-worker campaign on each execution
-  // engine (the baseline above runs --engine, default threaded).  Outcomes must
-  // be identical across the sweep; the sanitizer row is informational when
-  // --sanitize distorted the baseline.  The threaded row's trials replay the
-  // golden journal (DESIGN §10) while reference and sanitizer trials run full
-  // launches, so its ratio is replayed-vs-full, not interpreter speed alone
-  // (bench_interp_throughput measures that).
+  // Interpreter-engine sweep: the same unsanitized one-worker campaign on
+  // each execution engine (the baseline above runs --engine, default
+  // threaded).  Outcomes must be identical across the sweep.  The threaded
+  // row's trials replay the golden journal (DESIGN §10) while reference
+  // trials run full launches, so its ratio is replayed-vs-full, not
+  // interpreter speed alone (bench_interp_throughput measures that).
   std::map<std::string, double> engine_s;
   {
     common::Table et({"Engine", "Seconds", "Trials/sec", "vs reference"});
     const gpusim::ExecEngine sweep[] = {gpusim::ExecEngine::Reference,
-                                        gpusim::ExecEngine::Sanitizer,
                                         gpusim::ExecEngine::Threaded};
     swifi::CampaignResult ref_res;
     const auto row_factory = context_factory(*ctx.workload, ctx.dataset, {},
@@ -199,7 +194,7 @@ int main(int argc, char** argv) {
       et.add_row({en, common::Table::num(s, 3), common::Table::num(n / s, 1),
                   common::Table::num(engine_s["reference"] / s, 2) + "x"});
     }
-    std::printf("\none-worker campaign per engine (plan cache on):\n");
+    std::printf("\none-worker campaign per engine:\n");
     et.print();
     std::printf("threaded (segment replay) vs reference (full launches): %.2fx trials/sec\n",
                 engine_s["reference"] / engine_s["threaded"]);
@@ -274,22 +269,6 @@ int main(int argc, char** argv) {
     device_init_us = us[us.size() / 2];
     std::printf("\ndevice construction (%u words): %.1f us (median of %zu)\n",
                 gpusim::DeviceProps{}.global_mem_words, device_init_us, us.size());
-  }
-
-  // Launch-plan cache ablation: the baseline campaign with the cache off.
-  {
-    const auto cold_factory = [&] {
-      swifi::WorkerContext c = factory();
-      c.device->set_plan_cache_enabled(false);
-      return c;
-    };
-    swifi::CampaignResult res;
-    const double cold_s = seconds([&] {
-      res = swifi::CampaignExecutor(1).run(ctx.variants.fift, cold_factory, specs, req, cfg);
-    });
-    deterministic = deterministic && same_outcomes(base_res, res);
-    std::printf("\nlaunch-plan cache: on %.3fs vs off %.3fs -> %.2fx, outcomes %s\n", base_s,
-                cold_s, cold_s / base_s, same_outcomes(base_res, res) ? "identical" : "MISMATCH");
   }
 
   if (!json_path.empty()) {

@@ -74,8 +74,6 @@ inline std::uint64_t plan_digest_of(const core::TranslateOptions& topt) {
 // headers are visible.
 static_assert(static_cast<int>(common::EngineKind::Reference) ==
               static_cast<int>(gpusim::ExecEngine::Reference));
-static_assert(static_cast<int>(common::EngineKind::Sanitizer) ==
-              static_cast<int>(gpusim::ExecEngine::Sanitizer));
 static_assert(static_cast<int>(common::EngineKind::Threaded) ==
               static_cast<int>(gpusim::ExecEngine::Threaded));
 

@@ -26,7 +26,7 @@
 //
 // Knobs: --trials (per program per config, default 120), --scheme=hamming|
 // hsiao (ECC code used by the ecc arms; default hsiao), --workers,
-// --engine=reference|sanitizer|threaded, --scale, --seed.
+// --engine=reference|threaded, --scale, --seed.
 #include "bench_common.hpp"
 
 using namespace hauberk;

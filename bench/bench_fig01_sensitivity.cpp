@@ -12,7 +12,7 @@
 //
 // Knobs: --vars (per program, default 20), --masks (per var, default 10),
 // --workers (campaign workers, 0 = hardware concurrency; default 0),
-// --engine=reference|sanitizer|threaded (trial interpreter; default threaded
+// --engine=reference|threaded (trial interpreter; default threaded
 // — engines are bitwise identical, so this only changes wall-clock).
 #include "bench_common.hpp"
 #include "common/bitops.hpp"

@@ -9,8 +9,8 @@
 //
 // Knobs: --vars (default 20), --masks (default 10), --bits=1,3,6,10,15,
 // --workers (campaign workers, 0 = hardware concurrency; default 0),
-// --sanitize (run trials under the sanitizer engine and add Race /
-// Divergence outcome columns), --engine=reference|sanitizer|threaded
+// --sanitize (sanitize every trial, on either engine, and add Race /
+// Divergence outcome columns), --engine=reference|threaded
 // (trial interpreter; default threaded — outcomes are engine-invariant).
 #include <sstream>
 

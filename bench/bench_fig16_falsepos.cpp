@@ -11,7 +11,7 @@
 //
 // Knobs: --repeats, --datasets (default 52), --workers (campaign workers for
 // the IX.C coverage sweep, 0 = hardware concurrency; default 0),
-// --engine=reference|sanitizer|threaded (interpreter for the test runs
+// --engine=reference|threaded (interpreter for the test runs
 // and the IX.C campaigns; default threaded — results are engine-invariant).
 #include <map>
 

@@ -1,8 +1,9 @@
 // Substrate micro-benchmark: simulated-GPU interpreter throughput
 // (instructions per second) for every workload on every execution engine —
-// the reference switch interpreter, the threaded-code engine (computed-goto
-// dispatch + launch-plan-specialized superinstructions) and the sanitizer
-// engine (threaded code with shadow-observing shared accesses).  Not a paper
+// the reference switch interpreter and the threaded-code engine
+// (computed-goto dispatch + launch-plan-specialized superinstructions) —
+// plus a sanitized threaded arm (Device::set_sanitize: shadow-observing
+// shared accesses), reported under the "sanitizer" key.  Not a paper
 // figure — used to size fault-injection campaigns and to gate the threaded
 // engine's speedup over the reference.
 //
@@ -13,21 +14,21 @@
 // threaded engine shows the FI-specialized stream is in use (unarmed hooks
 // compiled away), not the generic one that dispatches every hook.
 //
-// All engines are pinned bitwise-identical by test_differential_fuzz and
+// All arms are pinned bitwise-identical by test_differential_fuzz and
 // test_golden_outputs; this harness only measures, but it still verifies
-// status/instruction equality across engines before reporting.
+// status/instruction equality across arms before reporting.
 //
 // Knobs:
 //   --scale=tiny|small|medium  problem size (default small)
 //   --seed=N                   dataset seed (default 1)
-//   --engine=K                 measure only one engine
-//                              (reference|sanitizer|threaded)
+//   --engine=K                 measure only one engine, unsanitized
+//                              (reference|threaded)
 //   --min-time=S               seconds of timed launches per cell (default 0.15)
 //   --json=FILE                write rows + geomeans as JSON
 //   --min-speedup=X            exit nonzero unless the threaded engine's
 //                              geomean instr/sec >= X * the reference's
 //
-// JSON: per-engine geomeans of baseline instr/sec and of the FI&FT/FT
+// JSON: per-arm geomeans of baseline instr/sec and of the FI&FT/FT
 // launch-time ratio (`geomean_fift_ft_time_ratio`).
 #include <chrono>
 #include <cmath>
@@ -54,6 +55,13 @@ struct Cell {
   [[nodiscard]] double seconds_per_launch() const noexcept {
     return launches ? seconds / static_cast<double>(launches) : 0.0;
   }
+};
+
+/// One measured configuration: an engine, sanitizing or not.
+struct Arm {
+  const char* name;
+  gpusim::ExecEngine engine;
+  bool sanitize;
 };
 
 struct Entry {
@@ -86,7 +94,7 @@ gpusim::DeviceProps props_for(const Entry& e) {
 /// host->device copies) stays outside, so the cell isolates *interpreter*
 /// throughput; trip counts come from params, so relaunching over stale
 /// buffers executes the same instruction stream every iteration.
-Cell time_cell(Workload& w, gpusim::ExecEngine engine, const kir::BytecodeProgram& prog,
+Cell time_cell(Workload& w, const Arm& arm, const kir::BytecodeProgram& prog,
                const gpusim::LaunchConfig& cfg, const std::vector<kir::Value>& args,
                gpusim::Device& dev, gpusim::LaunchHooks* hooks, double min_time,
                const char* variant) {
@@ -95,7 +103,7 @@ Cell time_cell(Workload& w, gpusim::ExecEngine engine, const kir::BytecodeProgra
 
   Cell c;
   c.workload = w.name();
-  c.engine = gpusim::exec_engine_name(engine);
+  c.engine = arm.name;
   c.variant = variant;
 
   // Warmup launch: compiles and caches the launch plan (decode + threaded
@@ -132,7 +140,7 @@ double geomean(const std::vector<double>& xs) {
 
 void write_json(const std::string& path, const std::string& scale,
                 const std::vector<Cell>& cells,
-                const std::vector<gpusim::ExecEngine>& engines,
+                const std::vector<Arm>& arms,
                 const std::map<std::string, double>& geo,
                 const std::map<std::string, double>& fift_geo) {
   FILE* f = std::fopen(path.c_str(), "w");
@@ -155,15 +163,11 @@ void write_json(const std::string& path, const std::string& scale,
                  i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"geomean_instr_per_sec\": {");
-  for (std::size_t i = 0; i < engines.size(); ++i) {
-    const char* en = gpusim::exec_engine_name(engines[i]);
-    std::fprintf(f, "%s\"%s\": %.6e", i ? ", " : "", en, geo.at(en));
-  }
+  for (std::size_t i = 0; i < arms.size(); ++i)
+    std::fprintf(f, "%s\"%s\": %.6e", i ? ", " : "", arms[i].name, geo.at(arms[i].name));
   std::fprintf(f, "},\n  \"geomean_fift_ft_time_ratio\": {");
-  for (std::size_t i = 0; i < engines.size(); ++i) {
-    const char* en = gpusim::exec_engine_name(engines[i]);
-    std::fprintf(f, "%s\"%s\": %.4f", i ? ", " : "", en, fift_geo.at(en));
-  }
+  for (std::size_t i = 0; i < arms.size(); ++i)
+    std::fprintf(f, "%s\"%s\": %.4f", i ? ", " : "", arms[i].name, fift_geo.at(arms[i].name));
   std::fprintf(f, "}");
   if (geo.count("threaded") && geo.count("reference"))
     std::fprintf(f, ",\n  \"speedup_threaded_vs_reference\": %.4f",
@@ -184,15 +188,18 @@ int main(int argc, char** argv) {
   const auto cflags = campaign_flags_from(args);
   if (report_flag_errors(args)) return 2;
 
-  std::vector<gpusim::ExecEngine> engines = {gpusim::ExecEngine::Reference,
-                                             gpusim::ExecEngine::Sanitizer,
-                                             gpusim::ExecEngine::Threaded};
-  if (args.has("engine")) engines = {engine_from(cflags)};
+  std::vector<Arm> arms = {{"reference", gpusim::ExecEngine::Reference, false},
+                           {"sanitizer", gpusim::ExecEngine::Threaded, true},
+                           {"threaded", gpusim::ExecEngine::Threaded, false}};
+  if (args.has("engine")) {
+    const gpusim::ExecEngine engine = engine_from(cflags);
+    arms = {{gpusim::exec_engine_name(engine), engine, false}};
+  }
 
   print_header("Interpreter throughput: instructions/second per engine");
 
   std::vector<Cell> cells;
-  // Per-engine geomean inputs, one per workload: baseline-variant rates and
+  // Per-arm geomean inputs, one per workload: baseline-variant rates and
   // FI&FT/FT launch-time ratios.
   std::map<std::string, std::vector<double>> base_rates, fift_ratios;
 
@@ -204,16 +211,17 @@ int main(int argc, char** argv) {
     const auto v = core::build_variants(w->build_kernel(scale));
     const auto props = props_for(e);
 
-    // Engine-equality sanity: identical status + instruction totals across
-    // the measured engines (the bitwise pinning lives in the test suite).
+    // Arm-equality sanity: identical status + instruction totals across
+    // the measured arms (the bitwise pinning lives in the test suite).
     std::uint64_t pinned_instr = 0;
 
-    for (const auto engine : engines) {
+    for (const Arm& arm : arms) {
       gpusim::Device dev(props);
-      dev.set_engine(engine);
+      dev.set_engine(arm.engine);
+      dev.set_sanitize(arm.sanitize);
       auto job = w->make_job(ds);
       const auto bargs = job->setup(dev);
-      const Cell base = time_cell(*w, engine, v.baseline, job->config(), bargs, dev,
+      const Cell base = time_cell(*w, arm, v.baseline, job->config(), bargs, dev,
                                   nullptr, min_time, "base");
       if (pinned_instr == 0) pinned_instr = base.instructions_per_launch;
       if (base.instructions_per_launch != pinned_instr) {
@@ -223,20 +231,22 @@ int main(int argc, char** argv) {
       }
 
       gpusim::Device ftdev(props);
-      ftdev.set_engine(engine);
+      ftdev.set_engine(arm.engine);
+      ftdev.set_sanitize(arm.sanitize);
       auto ftjob = w->make_job(ds);
       const auto fargs = ftjob->setup(ftdev);
       core::ControlBlock cb(v.ft);
       const Cell ft =
-          time_cell(*w, engine, v.ft, ftjob->config(), fargs, ftdev, &cb, min_time, "ft");
+          time_cell(*w, arm, v.ft, ftjob->config(), fargs, ftdev, &cb, min_time, "ft");
 
       gpusim::Device fiftdev(props);
-      fiftdev.set_engine(engine);
+      fiftdev.set_engine(arm.engine);
+      fiftdev.set_sanitize(arm.sanitize);
       auto fiftjob = w->make_job(ds);
       const auto fiftargs = fiftjob->setup(fiftdev);
       core::ControlBlock fift_cb(v.fift);
       swifi::InjectingHooks disarmed(v.fift, &fift_cb);
-      const Cell fift = time_cell(*w, engine, v.fift, fiftjob->config(), fiftargs, fiftdev,
+      const Cell fift = time_cell(*w, arm, v.fift, fiftjob->config(), fiftargs, fiftdev,
                                   &disarmed, min_time, "fift");
       const double ratio = fift.seconds_per_launch() / ft.seconds_per_launch();
 
@@ -256,8 +266,8 @@ int main(int argc, char** argv) {
   std::map<std::string, double> geo, fift_geo;
   std::printf("\ngeomean over %zu workloads: baseline instructions/sec, FI&FT/FT launch time:\n",
               base_rates.begin()->second.size());
-  for (const auto engine : engines) {
-    const char* en = gpusim::exec_engine_name(engine);
+  for (const Arm& arm : arms) {
+    const char* en = arm.name;
     geo[en] = geomean(base_rates[en]);
     fift_geo[en] = geomean(fift_ratios[en]);
     std::printf("  %-10s %8.2f Minstr/s  %6.3fx\n", en, geo[en] / 1e6, fift_geo[en]);
@@ -266,7 +276,7 @@ int main(int argc, char** argv) {
     std::printf("threaded vs reference: %.2fx\n", geo["threaded"] / geo["reference"]);
 
   if (!json_path.empty())
-    write_json(json_path, args.get("scale", "small"), cells, engines, geo, fift_geo);
+    write_json(json_path, args.get("scale", "small"), cells, arms, geo, fift_geo);
 
   if (min_speedup > 0.0) {
     if (!geo.count("reference") || !geo.count("threaded")) {

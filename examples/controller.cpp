@@ -10,7 +10,7 @@
 //
 // Usage: controller [--program=CP] [--scale=small] [--ranges=/tmp/cp.ranges]
 //        [--workers=N]   (campaign workers for steps 4/5; 0 = hw concurrency)
-//        [--engine=reference|sanitizer|threaded]
+//        [--engine=reference|threaded]
 //                        (campaign trial interpreter; default threaded)
 //        [--protection=none|hamming|hsiao]
 //                        (hardware ECC on every device, steps 1-5)

@@ -6,11 +6,11 @@
 //   fault_campaign --program=MRI-Q [--bits=1] [--vars=20] [--masks=10]
 //                  [--protected] [--scale=tiny|small|medium] [--seed=N]
 //                  [--workers=N]   (campaign workers; 0 = hardware concurrency)
-//                  [--sanitize]    (run trials under the sanitizer engine:
+//                  [--sanitize]    (sanitize every trial, on either engine:
 //                                   races / barrier divergence become their
 //                                   own outcome classes)
 //                  [--sanitize-cap=N]  (per-block sanitizer report cap)
-//                  [--engine=reference|sanitizer|threaded]
+//                  [--engine=reference|threaded]
 //                                  (trial interpreter; default threaded — engines
 //                                   are bitwise identical, only speed differs)
 //                  [--protection=none|hamming|hsiao]

@@ -94,14 +94,13 @@ std::vector<std::string> CliArgs::unknown_flags(
 const char* engine_kind_name(EngineKind k) noexcept {
   switch (k) {
     case EngineKind::Reference: return "reference";
-    case EngineKind::Sanitizer: return "sanitizer";
     case EngineKind::Threaded: return "threaded";
   }
   return "?";
 }
 
 bool parse_engine_kind(std::string_view text, EngineKind& out) noexcept {
-  for (const auto k : {EngineKind::Reference, EngineKind::Sanitizer, EngineKind::Threaded}) {
+  for (const auto k : {EngineKind::Reference, EngineKind::Threaded}) {
     if (text == engine_kind_name(k)) {
       out = k;
       return true;
@@ -206,7 +205,7 @@ CampaignFlags parse_campaign_flags(const CliArgs& args, int default_datasets) {
     const std::string text = args.get("engine");
     if (!parse_engine_kind(text, f.engine))
       args.note_error("--engine: unknown engine '" + text +
-                      "' (expected reference|sanitizer|threaded)");
+                      "' (expected reference|threaded)");
   }
   if (args.has("protection")) {
     const std::string text = args.get("protection");

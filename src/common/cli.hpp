@@ -46,13 +46,13 @@ class CliArgs {
 /// Interpreter engine selection, mirroring gpusim::ExecEngine value for
 /// value (common cannot link gpusim; static_asserts in bench_common.hpp pin
 /// the correspondence where both headers are visible).
-enum class EngineKind : std::uint8_t { Reference, Sanitizer, Threaded };
+enum class EngineKind : std::uint8_t { Reference, Threaded };
 
 /// Canonical spelling accepted by --engine and printed in reports.
 [[nodiscard]] const char* engine_kind_name(EngineKind k) noexcept;
 
 /// Parse an --engine value; returns false (out untouched) on any string
-/// that is not one of reference|sanitizer|threaded.
+/// that is not one of reference|threaded.
 [[nodiscard]] bool parse_engine_kind(std::string_view text, EngineKind& out) noexcept;
 
 /// Hardware memory-protection selection, mirroring gpusim::ecc::Scheme value
@@ -70,13 +70,12 @@ enum class ProtectionKind : std::uint8_t { None, Hamming, Hsiao };
 /// The campaign-control flags shared by every SWIFI-running tool
 /// (fault_campaign, controller, campaignd, and the bench harnesses):
 ///   --workers=N           campaign workers (0 = hardware concurrency)
-///   --sanitize            run trials under the sanitizer engine
+///   --sanitize            attach the shared-memory hazard shadow to every
+///                         trial (on either engine)
 ///   --datasets=N          independent datasets per experiment
 ///   --sanitize-cap=N      per-block sanitizer report cap (default 64)
-///   --engine=K            interpreter engine: reference|sanitizer|threaded
-///                         (default threaded; reference is the oracle,
-///                         sanitizer is threaded plus the shared-memory
-///                         hazard shadow)
+///   --engine=K            interpreter engine: reference|threaded
+///                         (default threaded; reference is the oracle)
 ///   --shards=K or K/I     split the campaign into K shards; run shard I
 ///                         (trial t belongs to shard t mod K; default 1/0)
 ///   --checkpoint=FILE     campaign checkpoint file to write

@@ -22,7 +22,6 @@ using kir::UnOp;
 const char* exec_engine_name(ExecEngine e) noexcept {
   switch (e) {
     case ExecEngine::Reference: return "reference";
-    case ExecEngine::Sanitizer: return "sanitizer";
     case ExecEngine::Threaded: return "threaded";
   }
   return "?";
@@ -472,7 +471,7 @@ class BlockExec {
   const std::uint32_t* sites_;    ///< per-pc sanitizer site ids (all engines)
   std::uint32_t block_linear_, sm_, bx_, by_, threads_per_block_;
   std::vector<std::uint32_t> shared_;
-  std::unique_ptr<SharedShadow> shadow_;  ///< non-null only under ExecEngine::Sanitizer
+  std::unique_ptr<SharedShadow> shadow_;  ///< non-null only on a sanitizing device
   std::uint32_t epoch_ = 0;  ///< barrier epoch, bumped at every successful release
 };
 
@@ -721,7 +720,7 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
 ///    ends inside that region (budget exhausted or crash), so the reference
 ///    runs at most one region's worth of instructions.
 ///
-/// Sanitized plans (ExecEngine::Sanitizer) run here too: their shared
+/// Sanitized plans (Device::set_sanitize) run here too: their shared
 /// accesses are the SanLoadS/SanStoreS singles, which report to the shadow
 /// exactly where run_thread does.  Launches that profile execution counts,
 /// cost SIMT serialization or carry a hardware fault model run on
@@ -1964,19 +1963,20 @@ constexpr std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) noexcept {
 }
 
 /// Fingerprint of everything the plan's contents depend on: the instruction
-/// stream, the slot count, the register budget, the cost model, and the
-/// engine kind (the threaded stream is only compiled for Threaded and
-/// Sanitizer plans, with different shared-access ops, so flipping
-/// set_engine() on a live device must miss rather than serve the wrong
-/// stream).  Hashed field-by-field (never
+/// stream, the slot count, the register budget, the cost model, the engine
+/// kind and the sanitize bit (the threaded stream is only compiled for
+/// Threaded plans, with shadow-observing shared accesses when sanitizing,
+/// so flipping set_engine() or set_sanitize() on a live device must miss
+/// rather than serve the wrong stream).  Hashed field-by-field (never
 /// raw struct bytes, which would include indeterminate padding).
 std::uint64_t plan_fingerprint(const kir::BytecodeProgram& program, const CostModel& cm,
-                               std::uint32_t regs_per_thread, ExecEngine engine,
+                               std::uint32_t regs_per_thread, ExecEngine engine, bool sanitize,
                                ecc::Scheme protection) noexcept {
   std::uint64_t h = fp_mix(0x48415542ULL, program.code.size());
   h = fp_mix(h, program.num_slots);
   h = fp_mix(h, regs_per_thread);
   h = fp_mix(h, static_cast<std::uint64_t>(engine));
+  h = fp_mix(h, static_cast<std::uint64_t>(sanitize));
   // Protection folds ECC surcharges into the cost vector and switches the
   // threaded compile off the flat-arena specializations; a plan built for
   // one mode must never be served to the other.
@@ -1999,7 +1999,7 @@ std::uint64_t plan_fingerprint(const kir::BytecodeProgram& program, const CostMo
 }
 
 /// Identity of a journaled launch: the plan key (program, cost model,
-/// register budget, engine, protection), the launch configuration, the
+/// register budget, engine, sanitize, protection), the launch configuration, the
 /// arguments, and the memory geometry the journal's addresses assume.
 std::uint64_t journal_fingerprint(std::uint64_t plan_key, const kir::BytecodeProgram& program,
                                   const LaunchConfig& cfg, std::span<const kir::Value> args,
@@ -2022,26 +2022,12 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
   // The decoded stream is always built alongside the cost vector: decoding
   // is a single O(n) pass (trivial next to the spill analysis), and its
   // sanitizer site table serves every engine.  The threaded-code stream is
-  // compiled for Threaded and Sanitizer plans (the latter with
-  // shadow-observing shared accesses) — the engine kind is part of the
-  // cache key, so flipping set_engine() between launches misses once per
-  // engine and can never serve a plan built for another.
-  const std::uint64_t key =
-      plan_fingerprint(program, cost_, props_.regs_per_thread, engine_, props_.protection);
-  auto build = [&] {
-    auto plan = std::make_shared<LaunchPlan>();
-    plan->key = key;
-    plan->costs = instruction_costs(program, cost_, props_.regs_per_thread,
-                                    props_.protection != ecc::Scheme::None);
-    plan->decoded = kir::decode_program(program, plan->costs);
-    if (engine_ != ExecEngine::Reference)
-      plan->threaded = compile_stream(plan->decoded, program.num_slots, kir::FIFilter{});
-    return std::shared_ptr<const LaunchPlan>(std::move(plan));
-  };
-  if (!plan_cache_enabled_) {
-    plan_misses_.fetch_add(1, std::memory_order_relaxed);
-    return build();
-  }
+  // compiled for Threaded plans (with shadow-observing shared accesses when
+  // sanitizing) — the engine kind and the sanitize bit are part of the
+  // cache key, so flipping set_engine() or set_sanitize() between launches
+  // misses once per setting and can never serve a plan built for another.
+  const std::uint64_t key = plan_fingerprint(program, cost_, props_.regs_per_thread, engine_,
+                                             sanitize_, props_.protection);
   {
     std::lock_guard<std::mutex> lk(plan_mu_);
     for (auto it = plan_cache_.begin(); it != plan_cache_.end(); ++it) {
@@ -2055,7 +2041,13 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
     }
   }
   plan_misses_.fetch_add(1, std::memory_order_relaxed);
-  auto plan = build();
+  auto plan = std::make_shared<LaunchPlan>();
+  plan->key = key;
+  plan->costs = instruction_costs(program, cost_, props_.regs_per_thread,
+                                  props_.protection != ecc::Scheme::None);
+  plan->decoded = kir::decode_program(program, plan->costs);
+  if (engine_ == ExecEngine::Threaded)
+    plan->threaded = compile_stream(plan->decoded, program.num_slots, kir::FIFilter{});
   std::lock_guard<std::mutex> lk(plan_mu_);
   if (plan_cache_.size() >= kPlanCacheCapacity)
     plan_cache_.erase(plan_cache_.begin());  // evict least recently used
@@ -2069,7 +2061,7 @@ kir::ThreadedProgram Device::compile_stream(const kir::DecodedProgram& decoded,
   return kir::compile_threaded(decoded, num_slots,
                                props_.memory_model == MemoryModel::FlatGpu &&
                                    props_.protection == ecc::Scheme::None,
-                               /*form_runs=*/true, engine_ == ExecEngine::Sanitizer, fi);
+                               /*form_runs=*/true, sanitize_, fi);
 }
 
 std::shared_ptr<const kir::ThreadedProgram> Device::fi_stream(const LaunchPlan& plan,
@@ -2103,7 +2095,6 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
 
   const auto plan = launch_plan(program);
   const std::vector<std::uint32_t>& costs = plan->costs;
-  const bool sanitize = engine_ == ExecEngine::Sanitizer;
   const std::uint32_t num_blocks = cfg.grid_x * cfg.grid_y;
   const unsigned hw = common::WorkerPool::default_workers();
   unsigned nw = opts.max_workers > 0 ? static_cast<unsigned>(opts.max_workers) : hw;
@@ -2118,7 +2109,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   // cannot reproduce).  Replay also needs that no fi_hook outside the armed
   // (site, thread) can act: no hooks, or a non-Generic FI filter.  A
   // recording launch runs on the reference interpreter.
-  const bool serial_flat = engine_ == ExecEngine::Threaded && nw <= 1 &&
+  const bool serial_flat = engine_ == ExecEngine::Threaded && !sanitize_ && nw <= 1 &&
                            props_.memory_model == MemoryModel::FlatGpu && !has_fault() &&
                            !opts.instr_exec_counts && !opts.simt_cost;
   const bool record = opts.record_journal && serial_flat;
@@ -2135,7 +2126,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   if (record) recorder.emplace(*opts.record_journal, program.shared_mem_words);
 
   // Which interpreter runs this launch.  Plain and sanitized launches run
-  // the threaded stream (compiled for Threaded and Sanitizer plans); launches
+  // the threaded stream (compiled for Threaded plans); launches
   // that profile execution counts, cost SIMT serialization or carry a
   // hardware fault model — one-off profiling and BIST runs — and journal
   // recordings run on the reference interpreter (stream null), the only
@@ -2164,7 +2155,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   if (opts.instr_exec_counts) opts.instr_exec_counts->assign(program.code.size(), 0);
   // Per-block report sinks, flattened in block order after the join, so the
   // sanitizer's report stream does not depend on worker scheduling.
-  std::vector<std::vector<SanitizerReport>> block_reports(sanitize ? num_blocks : 0);
+  std::vector<std::vector<SanitizerReport>> block_reports(sanitize_ ? num_blocks : 0);
   // Deadlock diagnostics from the block whose failure won the status race;
   // written only by the CAS winner, read after the pool join (synchronized).
   std::int64_t deadlock_pc = -1, deadlock_site = -1;
@@ -2177,7 +2168,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
       const std::uint32_t b = next_block.fetch_add(1, std::memory_order_relaxed);
       if (b >= num_blocks) return;
       BlockExec exec(*this, program, cfg, opts, costs, plan->decoded, stream, fi, b,
-                     sanitize ? &block_reports[b] : nullptr, replay ? opts.journal : nullptr,
+                     sanitize_ ? &block_reports[b] : nullptr, replay ? opts.journal : nullptr,
                      recorder ? &*recorder : nullptr);
       const LaunchStatus st = exec.run(args);
       cycles.fetch_add(exec.cycles, std::memory_order_relaxed);
@@ -2221,7 +2212,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   res.sdc_alarm = sdc.load();
   res.deadlock_pc = deadlock_pc;
   res.deadlock_site = deadlock_site;
-  if (sanitize) {
+  if (sanitize_) {
     std::size_t total = 0;
     for (const auto& v : block_reports) total += v.size();
     res.sanitizer_reports.reserve(total);

@@ -99,31 +99,35 @@ enum class LaunchStatus : std::uint8_t {
 ///    dispatched with computed goto when the toolchain supports
 ///    labels-as-values (CMake option HAUBERK_COMPUTED_GOTO; a portable
 ///    switch fallback is bitwise identical).
-///  * Sanitizer — the threaded engine over a stream compiled with
-///    shadow-observing shared loads/stores (racecheck analog, see
-///    gpusim/sanitizer.hpp): detects WW/RW races between barrier epochs,
-///    barrier divergence, out-of-bounds and uninitialized shared reads, and
-///    fills LaunchResult::sanitizer_reports.  Opt-in and diagnostic-only:
-///    it adds observations, never behavior.
 ///  * Reference — the switch interpreter over raw bytecode, kept as the
 ///    behavioral oracle.
 ///
-/// Under Threaded and Sanitizer, a launch that profiles execution counts
+/// Sanitizing is not an engine but a device bit (Device::set_sanitize) that
+/// works on both: the shared-memory shadow (racecheck analog, see
+/// gpusim/sanitizer.hpp) detects WW/RW races between barrier epochs,
+/// barrier divergence, out-of-bounds and uninitialized shared reads, and
+/// fills LaunchResult::sanitizer_reports.  The reference interpreter
+/// consults the shadow directly; the threaded stream is compiled with
+/// shadow-observing shared loads/stores.  Opt-in and diagnostic-only: it
+/// adds observations, never behavior.
+///
+/// Under Threaded, a launch that profiles execution counts
 /// (LaunchOptions::instr_exec_counts), costs SIMT serialization
 /// (LaunchOptions::simt_cost) or runs with an installed DeviceFaultModel
 /// runs on the reference interpreter — those are one-off profiling and BIST
 /// runs, and the reference is the one place their semantics live (with the
-/// sanitizer shadow still attached under Sanitizer).  So does a launch that
+/// sanitizer shadow still attached when sanitizing).  So does a launch that
 /// records a segment journal (LaunchOptions::record_journal).  The threaded engine
 /// also hands a thread's slice to the reference when a fused region hits
 /// the watchdog boundary or an out-of-bounds access.
 ///
-/// All engines are bitwise identical on every observable: registers,
-/// memory, cycle/instruction counts, SIMT cost, crash/hang status, detector
-/// verdicts, and FI outcomes.  tests/test_differential_fuzz.cpp holds this
-/// guarantee in place with a seeded program generator; any divergence is a
-/// bug in the threaded or sanitizer engine, never an accepted tradeoff.
-enum class ExecEngine : std::uint8_t { Reference, Sanitizer, Threaded };
+/// Both engines are bitwise identical on every observable, sanitized or
+/// not: registers, memory, cycle/instruction counts, SIMT cost, crash/hang
+/// status, detector verdicts, FI outcomes and sanitizer reports.
+/// tests/test_differential_fuzz.cpp holds this guarantee in place with a
+/// seeded program generator; any divergence is a bug in the threaded
+/// engine, never an accepted tradeoff.
+enum class ExecEngine : std::uint8_t { Reference, Threaded };
 
 [[nodiscard]] const char* exec_engine_name(ExecEngine e) noexcept;
 [[nodiscard]] constexpr bool is_crash(LaunchStatus s) noexcept {
@@ -160,10 +164,10 @@ struct LaunchResult {
   std::int64_t deadlock_pc = -1;
   std::int64_t deadlock_site = -1;
 
-  /// ExecEngine::Sanitizer findings, concatenated per block in block order
-  /// (deterministic and worker-count-invariant for crash-free launches and
-  /// for single-worker launches, the campaign configuration).  Always empty
-  /// on the other engines.
+  /// Sanitizer findings (Device::set_sanitize), concatenated per block in
+  /// block order (deterministic and worker-count-invariant for crash-free
+  /// launches and for single-worker launches, the campaign configuration).
+  /// Always empty on an unsanitized device.
   std::vector<SanitizerReport> sanitizer_reports;
   /// Reports suppressed by the per-block cap (SharedShadow::kMaxReportsPerBlock).
   std::uint64_t sanitizer_reports_dropped = 0;
@@ -237,7 +241,7 @@ struct LaunchOptions {
   /// number of times each instruction executed (all threads summed) — the
   /// basis for cycle-breakdown profiling (see bench_overhead_breakdown).
   std::vector<std::uint64_t>* instr_exec_counts = nullptr;
-  /// Per-block sanitizer report cap (ExecEngine::Sanitizer only): further
+  /// Per-block sanitizer report cap (sanitizing devices only): further
   /// hazards in a block only bump LaunchResult::sanitizer_reports_dropped.
   /// 0 is clamped to 1.
   std::size_t sanitize_report_cap = SharedShadow::kMaxReportsPerBlock;
@@ -305,17 +309,21 @@ class Device {
   /// results are bitwise identical either way, only wall-clock changes.
   void set_engine(ExecEngine e) noexcept { engine_ = e; }
   [[nodiscard]] ExecEngine engine() const noexcept { return engine_; }
+  /// Attach the shared-memory sanitizer shadow to every launch, on either
+  /// engine (see ExecEngine).  Takes effect on the next launch; adds
+  /// LaunchResult::sanitizer_reports, every other observable is unchanged.
+  void set_sanitize(bool on) noexcept { sanitize_ = on; }
+  [[nodiscard]] bool sanitize() const noexcept { return sanitize_; }
 
   // --- launch-plan cache ---
   // The spill analysis, per-instruction cost vector and compiled streams
-  // depend only on the program, the cost model, the register budget and the
-  // selected engine, yet a SWIFI campaign launches the same program
-  // thousands of times.  The device therefore caches recent plans keyed by
-  // a fingerprint of those inputs; mutating cost_model() or flipping
-  // set_engine() simply changes the fingerprint, so stale entries (e.g. a
-  // plan without the threaded stream) can never be served.
-  void set_plan_cache_enabled(bool on) noexcept { plan_cache_enabled_ = on; }
-  [[nodiscard]] bool plan_cache_enabled() const noexcept { return plan_cache_enabled_; }
+  // depend only on the program, the cost model, the register budget, the
+  // selected engine and the sanitize bit, yet a SWIFI campaign launches the
+  // same program thousands of times.  The device therefore caches recent
+  // plans keyed by a fingerprint of those inputs; mutating cost_model() or
+  // flipping set_engine()/set_sanitize() simply changes the fingerprint, so
+  // stale entries (e.g. a plan without the threaded stream) can never be
+  // served.
   [[nodiscard]] std::uint64_t plan_cache_hits() const noexcept {
     return plan_hits_.load(std::memory_order_relaxed);
   }
@@ -329,12 +337,12 @@ class Device {
   std::atomic<std::uint64_t> fault_injected_ops_{0};
 
  private:
-  /// Everything derived from (program, cost model, register budget, engine)
-  /// that a launch needs: the per-instruction cost vector (reference engine,
-  /// SIMT costing), the predecoded instruction stream with those costs
-  /// folded in (threaded-compiler input, sanitizer site table), and — for
-  /// Threaded and Sanitizer plans — the threaded-code stream compiled from
-  /// it (empty for Reference).
+  /// Everything derived from (program, cost model, register budget, engine,
+  /// sanitize) that a launch needs: the per-instruction cost vector
+  /// (reference engine, SIMT costing), the predecoded instruction stream
+  /// with those costs folded in (threaded-compiler input, sanitizer site
+  /// table), and — for Threaded plans — the threaded-code stream compiled
+  /// from it (empty for Reference).
   struct LaunchPlan {
     std::uint64_t key = 0;  ///< plan fingerprint (the cache key)
     std::vector<std::uint32_t> costs;
@@ -360,7 +368,7 @@ class Device {
   [[nodiscard]] std::shared_ptr<const LaunchPlan> launch_plan(
       const kir::BytecodeProgram& program);
   /// The threaded stream of `decoded` for this device's memory model,
-  /// protection and engine, specialized to `fi`.
+  /// protection and sanitize bit, specialized to `fi`.
   [[nodiscard]] kir::ThreadedProgram compile_stream(const kir::DecodedProgram& decoded,
                                                     std::uint16_t num_slots,
                                                     const kir::FIFilter& fi) const;
@@ -375,8 +383,8 @@ class Device {
   std::mutex atomic_mu_;
   bool disabled_ = false;
   ExecEngine engine_ = ExecEngine::Threaded;
+  bool sanitize_ = false;
 
-  bool plan_cache_enabled_ = true;
   std::vector<PlanEntry> plan_cache_;  ///< LRU order: most recent at the back
   std::mutex plan_mu_;
   std::atomic<std::uint64_t> plan_hits_{0}, plan_misses_{0};

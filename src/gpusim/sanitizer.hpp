@@ -1,4 +1,4 @@
-// Shared-memory sanitizer shadow state (ExecEngine::Sanitizer), the
+// Shared-memory sanitizer shadow state (Device::set_sanitize), the
 // simulator's cuda-memcheck/racecheck analog.
 //
 // Per shared-memory word the shadow tracks the last writer and last reader

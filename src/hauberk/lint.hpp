@@ -19,7 +19,8 @@
 //     same barrier epoch whose affine-in-tid footprints can collide between
 //     distinct threads of a block (exact divisibility test for affine
 //     addresses, conservative interval overlap otherwise).  The dynamic
-//     Sanitizer engine (PR 3) confirms these classes at run time.
+//     sanitizer (gpusim::Device::set_sanitize) confirms these classes at
+//     run time.
 //  4. Detector coverage: which virtual variables / dataflow edges of an
 //     *instrumented* kernel are backward-reachable from no detector
 //     (ChkXor / DupCmp / RangeCheck / accumulator), as `UncoveredVariable` /

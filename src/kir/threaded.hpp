@@ -1,6 +1,6 @@
 // Threaded-code execution form: the compiled stream behind
-// gpusim::ExecEngine::Threaded (and ExecEngine::Sanitizer, compiled with
-// `sanitize`).
+// gpusim::ExecEngine::Threaded (compiled with `sanitize` on a sanitizing
+// device, gpusim::Device::set_sanitize).
 //
 // The predecoded stream (kir::DecodedProgram) already folds operator,
 // operand type and cycle cost into one flat instruction, but an
@@ -317,7 +317,7 @@ struct FIFilter {
 /// `form_runs` enables the straight-line-run pass (off only for the
 /// identity-translation test and the inspect tool's per-op view).
 /// `sanitize` compiles LoadS/StoreS to the shadow-observing SanLoadS/
-/// SanStoreS singles and keeps them out of runs (ExecEngine::Sanitizer).
+/// SanStoreS singles and keeps them out of runs (Device::set_sanitize).
 /// `fi` specializes the FIHooks (see FIFilter and the header comment); the
 /// default Generic filter compiles every FIHook to a hook call.  An Armed
 /// stream serves every thread: the interpreter compares against the

@@ -147,13 +147,13 @@ Outcome classify(const gpusim::LaunchResult& res, bool alarm, const core::Progra
   return correct ? Outcome::Masked : Outcome::Undetected;
 }
 
-/// Sanitizer-based reclassification: when the trial ran under
-/// ExecEngine::Sanitizer, faults that turned the kernel racy or broke
+/// Sanitizer-based reclassification: when the trial ran on a sanitizing
+/// device (either engine), faults that turned the kernel racy or broke
 /// barrier uniformity are reported as their own outcome classes instead of
 /// disappearing into Failure (or worse, Masked).  Out-of-bounds reports do
 /// not reclassify — the crash status already names those precisely.
 std::optional<Outcome> sanitizer_outcome(const Device& dev, const gpusim::LaunchResult& res) {
-  if (dev.engine() != gpusim::ExecEngine::Sanitizer) return std::nullopt;
+  if (!dev.sanitize()) return std::nullopt;
   bool divergence = res.status == LaunchStatus::CrashBarrierDeadlock;
   bool race = false;
   for (const auto& r : res.sanitizer_reports) {

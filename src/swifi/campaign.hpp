@@ -66,19 +66,19 @@ struct CampaignConfig {
   int launch_workers = 1;
   /// Interpreter engine for every campaign device (golden run and trials
   /// alike).  Engines are bitwise identical, so this only changes campaign
-  /// wall-clock; Reference exists as the oracle for differential testing.
+  /// wall-clock; Reference is the oracle, sanitized or not.
   gpusim::ExecEngine engine = gpusim::ExecEngine::Threaded;
-  /// Run trials under ExecEngine::Sanitizer (overrides `engine`): identical
-  /// observables, but trials whose fault induced a shared-memory race or
-  /// barrier divergence reclassify as Outcome::RaceDetected /
+  /// Sanitize every campaign device (Device::set_sanitize) on `engine`:
+  /// identical observables, but trials whose fault induced a shared-memory
+  /// race or barrier divergence reclassify as Outcome::RaceDetected /
   /// Outcome::BarrierDivergence instead of Failure/other classes.  Since
-  /// that changes outcomes, CampaignService folds a Sanitizer effective
-  /// engine into the campaign digest.
+  /// that changes outcomes, CampaignService folds it into the campaign
+  /// digest.
   bool sanitize = false;
   /// Per-block sanitizer report cap forwarded to every trial launch (and the
   /// golden run) as LaunchOptions::sanitize_report_cap.  Only consulted when
-  /// the effective engine is Sanitizer; 0 clamps to 1 so the first hazard per
-  /// block always survives.
+  /// `sanitize` is set; 0 clamps to 1 so the first hazard per block always
+  /// survives.
   std::size_t sanitize_cap = gpusim::SharedShadow::kMaxReportsPerBlock;
   /// Hardware memory protection every campaign device must be built with
   /// (DeviceProps::protection).  The campaign drivers construct their own
@@ -110,10 +110,6 @@ struct CampaignConfig {
   /// Weight of trial `i` under trial_weights (1 when unpruned).
   [[nodiscard]] std::uint64_t trial_weight(std::size_t i) const noexcept {
     return i < trial_weights.size() && trial_weights[i] != 0 ? trial_weights[i] : 1;
-  }
-
-  [[nodiscard]] gpusim::ExecEngine effective_engine() const noexcept {
-    return sanitize ? gpusim::ExecEngine::Sanitizer : engine;
   }
 };
 

@@ -210,7 +210,8 @@ void pump_trials(const kir::BytecodeProgram& program, const WorkerContextFactory
     if (!ctxs.back().device || !ctxs.back().job)
       throw std::invalid_argument(
           "swifi: WorkerContextFactory must provide a device and a job");
-    ctxs.back().device->set_engine(cfg.effective_engine());
+    ctxs.back().device->set_engine(cfg.engine);
+    ctxs.back().device->set_sanitize(cfg.sanitize);
   }
   // One golden run serves every trial; planned- and memory-fault trials
   // re-stage memory through their context's TrialStage, code-fault trials
@@ -400,8 +401,7 @@ ServiceResult CampaignService::run(const kir::BytecodeProgram& program,
     remark_digest = core::remark_digest(*cfg_.campaign.pipeline.report);
   const std::uint64_t digest = campaign_digest(
       program, specs, req, remark_digest, cfg_.campaign.protection, cfg_.campaign.plan_digest,
-      cfg_.campaign.prune_digest,
-      cfg_.campaign.effective_engine() == gpusim::ExecEngine::Sanitizer);
+      cfg_.campaign.prune_digest, cfg_.campaign.sanitize);
 
   ServiceResult result;
   result.pipeline = cfg_.campaign.pipeline.name;

@@ -68,8 +68,8 @@ namespace hauberk::swifi {
 ///    the full campaign's, but the digest additionally separates "these
 ///    specs happen to coincide" from "these specs were chosen as class
 ///    representatives with population weights".
-///  * `sanitize` — the effective engine is ExecEngine::Sanitizer, whose
-///    trials may reclassify as RaceDetected / BarrierDivergence; a plain
+///  * `sanitize` — CampaignConfig::sanitize: sanitized trials (on either
+///    engine) may reclassify as RaceDetected / BarrierDivergence; a plain
 ///    checkpoint must never resume as a sanitized campaign, or vice versa.
 [[nodiscard]] std::uint64_t campaign_digest(const kir::BytecodeProgram& program,
                                             const std::vector<FaultSpec>& specs,

@@ -57,7 +57,8 @@ CampaignResult single_device_loop(const Fixture& f, const kir::BytecodeProgram& 
                                   std::size_t n, Trial&& trial) {
   const CampaignConfig cfg;
   gpusim::Device dev;
-  dev.set_engine(cfg.effective_engine());
+  dev.set_engine(cfg.engine);
+  dev.set_sanitize(cfg.sanitize);
   auto job = f.w->make_job(f.ds);
   const GoldenRun gold = golden_run(dev, prog, *job, nullptr, cfg.launch_workers);
   const std::uint64_t watchdog = campaign_watchdog(gold, cfg);

@@ -659,7 +659,8 @@ TEST(CampaignServiceSanitize, UnsanitizedDigestIsUnchanged) {
   cfg.workers = 1;
   EXPECT_EQ(CampaignService(cfg).run(f.prog(), f.factory(), {}, f.w->requirement()).config_digest,
             campaign_digest(f.prog(), {}, f.w->requirement(), 0));
-  cfg.campaign.engine = gpusim::ExecEngine::Sanitizer;  // sanitizing via the engine counts too
+  cfg.campaign.engine = gpusim::ExecEngine::Reference;  // sanitizing on the oracle counts too
+  cfg.campaign.sanitize = true;
   EXPECT_EQ(CampaignService(cfg).run(f.prog(), f.factory(), {}, f.w->requirement()).config_digest,
             campaign_digest(f.prog(), {}, f.w->requirement(), 0, gpusim::ecc::Scheme::None, 0,
                             0, true));

@@ -5,8 +5,8 @@
 // shared memory, atomics, nested loops, divergent branches, barriers (some
 // deliberately deadlocking), division by zero and intentional hangs — lowers
 // them, and runs each program through the threaded-code engine, the
-// sanitizer engine (threaded code with shadow-observing shared accesses)
-// and the reference switch interpreter.  Every observable must match
+// sanitized threaded engine (shadow-observing shared accesses) and the
+// reference switch interpreter.  Every observable must match
 // bitwise: status, SDC alarm, cycle/loop-cycle/instruction totals, deadlock
 // diagnostics and the entire device memory image (which covers partial
 // state of crashed runs).  A subset is additionally run through the Hauberk
@@ -88,7 +88,7 @@ struct FuzzProgram {
 /// pair fully reproduces a program.  In `racy` mode every program has shared
 /// memory, blocks span several 4-thread warps, and the statement mix is
 /// skewed toward conflicting shared accesses and divergent barriers — food
-/// for the sanitizer engine.
+/// for the sanitizer.
 class ProgramGen {
  public:
   /// `loads` adds global-load statements (FI mode); `int_atomics` adds
@@ -376,8 +376,18 @@ void stage_input(std::vector<std::uint32_t>& words, std::uint64_t salt) {
   }
 }
 
+/// An interpreter setting for run_engine: the engine plus the device's
+/// sanitize bit.  A bare engine converts to its unsanitized setting.
+struct Setting {
+  Setting(gpusim::ExecEngine e, bool s = false) : engine(e), sanitize(s) {}
+  gpusim::ExecEngine engine;
+  bool sanitize;
+};
+const Setting kSanitized{gpusim::ExecEngine::Threaded, true};
+const Setting kSanitizedReference{gpusim::ExecEngine::Reference, true};
+
 EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
-                     gpusim::ExecEngine engine, std::uint64_t salt,
+                     Setting setting, std::uint64_t salt,
                      bool with_cb, bool instrumented = false,
                      gpusim::ecc::Scheme protection = gpusim::ecc::Scheme::None,
                      const FiArm* fi = nullptr, gpusim::LaunchJournal* record = nullptr,
@@ -388,7 +398,8 @@ EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
   props.warp_size = fp.warp_size;
   props.protection = protection;
   gpusim::Device dev(props);
-  dev.set_engine(engine);
+  dev.set_engine(setting.engine);
+  dev.set_sanitize(setting.sanitize);
 
   const std::uint32_t out_a = dev.mem().alloc(kBufWords, gpusim::AllocClass::F32Data);
   const std::uint32_t in_a = dev.mem().alloc(kBufWords, gpusim::AllocClass::F32Data);
@@ -545,7 +556,7 @@ TEST(DifferentialFuzz, ThreadedEngineMatchesReferenceEverywhere) {
     const EngineRun ref = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false);
     const EngineRun thr = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false);
     expect_identical(ref, thr, fp, i, "threaded");
-    const EngineRun san = run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false);
+    const EngineRun san = run_engine(prog, fp, kSanitized, i, false);
     expect_identical(ref, san, fp, i, "sanitizer");
 
     switch (ref.res.status) {
@@ -583,13 +594,13 @@ TEST(DifferentialFuzz, ThreadedEngineMatchesReferenceEverywhere) {
 }
 
 TEST(DifferentialFuzz, SanitizerAgreesOnRacyPrograms) {
-  // Racy-mode corpus: the sanitizer engine must be a perfect bystander —
-  // bitwise identical to Threaded and Reference on every observable — while
-  // its hazard reports are (a) absent on the other engines, (b) bitwise
-  // reproducible across runs and (c) the same on the threaded stream as on
-  // the reference interpreter, which runs a sanitized launch that profiles
-  // execution counts.  The corpus as a whole must actually tickle both
-  // hazard families, or the generator has gone stale.
+  // Racy-mode corpus: the sanitizer must be a perfect bystander — bitwise
+  // identical to unsanitized Threaded and Reference on every observable —
+  // while its hazard reports are (a) absent on unsanitized launches, (b)
+  // bitwise reproducible across runs and (c) the same on the threaded
+  // stream as on the sanitized reference interpreter.  The corpus as a
+  // whole must actually tickle both hazard families, or the generator has
+  // gone stale.
   const std::uint64_t seed = env_u64("HAUBERK_FUZZ_SEED", 0xfa57'0003);
   const auto programs =
       static_cast<std::size_t>(env_u64("HAUBERK_FUZZ_PROGRAMS", 400)) / 2;
@@ -603,23 +614,19 @@ TEST(DifferentialFuzz, SanitizerAgreesOnRacyPrograms) {
 
     const EngineRun ref = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false);
     const EngineRun thr = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false);
-    const EngineRun san = run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false);
+    const EngineRun san = run_engine(prog, fp, kSanitized, i, false);
     expect_identical(ref, thr, fp, i, "racy threaded");
     expect_identical(ref, san, fp, i, "racy sanitizer");
 
-    // The instrumented sanitized launch runs on the reference interpreter
-    // with the shadow attached; minus its profile it is the plain run.
-    EngineRun san_ref = run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false, true);
+    const EngineRun san_ref = run_engine(prog, fp, kSanitizedReference, i, false);
     ASSERT_EQ(san.res.sanitizer_reports, san_ref.res.sanitizer_reports)
         << "threaded and reference sanitizer reports differ on fuzz program " << i;
     ASSERT_EQ(san.res.sanitizer_reports_dropped, san_ref.res.sanitizer_reports_dropped);
-    san_ref.exec_counts.clear();
-    san_ref.res.simt_cycles = 0;
-    expect_identical(ref, san_ref, fp, i, "racy sanitizer (reference path)");
+    expect_identical(ref, san_ref, fp, i, "racy sanitizer (reference)");
 
     ASSERT_TRUE(thr.res.sanitizer_reports.empty());
     ASSERT_TRUE(ref.res.sanitizer_reports.empty());
-    const EngineRun again = run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false);
+    const EngineRun again = run_engine(prog, fp, kSanitized, i, false);
     ASSERT_EQ(san.res.sanitizer_reports, again.res.sanitizer_reports)
         << "sanitizer reports not reproducible on fuzz program " << i;
     ASSERT_EQ(san.res.sanitizer_reports_dropped,
@@ -643,9 +650,9 @@ TEST(DifferentialFuzz, SanitizerAgreesOnRacyPrograms) {
 TEST(DifferentialFuzz, ArmedFIHooksMatchReferenceEverywhere) {
   // FI-mode corpus: programs with global loads, instrumented by the FI or
   // FI&FT pipeline, one random armed fault each.  Every budget of the sweep
-  // runs on Reference (which ignores the FI filter), Threaded and Sanitizer
-  // (the FI-specialized stream) and Threaded with an injector reporting
-  // Generic (the unspecialized stream).  Budgets are drawn inside the
+  // runs on Reference (which ignores the FI filter), Threaded and sanitized
+  // Threaded (the FI-specialized stream) and Threaded with an injector
+  // reporting Generic (the unspecialized stream).  Budgets are drawn inside the
   // per-thread instruction count, so they land on and inside runs whose
   // unarmed hooks the specialized stream dropped; wild loads after a
   // dropped hook crash through the refund path.  Each FI&FT program also
@@ -709,8 +716,8 @@ TEST(DifferentialFuzz, ArmedFIHooksMatchReferenceEverywhere) {
       const EngineRun thr = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift, false,
                                        gpusim::ecc::Scheme::None, &fi);
       expect_identical(ref, thr, fp, i, "fi threaded");
-      const EngineRun san = run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, fift, false,
-                                       gpusim::ecc::Scheme::None, &fi);
+      const EngineRun san =
+          run_engine(prog, fp, kSanitized, i, fift, false, gpusim::ecc::Scheme::None, &fi);
       expect_identical(ref, san, fp, i, "fi sanitizer");
       fi.generic = true;
       const EngineRun gen_thr = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift,
@@ -948,13 +955,13 @@ void digest_result(Fnv64& d, const gpusim::LaunchResult& r) {
       d.add(v);
 }
 
-/// One workload launch under ExecEngine::Sanitizer, digested with its output
+/// One sanitized workload launch on the default engine, digested with its output
 /// (and its execution profile when `instrumented`).
 void digest_sanitized_workload(Fnv64& d, workloads::Workload& w, const workloads::Dataset& ds,
                                const BytecodeProgram& prog, gpusim::LaunchHooks* hooks,
                                bool instrumented) {
   gpusim::Device dev;
-  dev.set_engine(gpusim::ExecEngine::Sanitizer);
+  dev.set_sanitize(true);
   auto job = w.make_job(ds);
   const auto args = job->setup(dev);
   gpusim::LaunchOptions opts;
@@ -992,7 +999,7 @@ TEST(DifferentialFuzz, SanitizerObservablesMatchPinnedGolden) {
     const BytecodeProgram prog = lower(fp.kernel);
     for (const bool instrumented : {false, true}) {
       const EngineRun r =
-          run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false, instrumented);
+          run_engine(prog, fp, kSanitized, i, false, instrumented);
       digest_result(corpus, r.res);
       corpus.add_all(r.mem);
       corpus.add_all(r.exec_counts);
@@ -1095,8 +1102,10 @@ TEST(DifferentialFuzz, CampaignsAgreeAcrossEnginesAndWorkerCounts) {
 
 TEST(DifferentialFuzz, SanitizedCampaignsDeterministicAcrossWorkers) {
   // CampaignConfig::sanitize over racy fuzz programs: per-trial outcomes are
-  // worker-count invariant, and against the unsanitized campaign each trial
-  // either keeps its outcome or is reclassified into a sanitizer class.
+  // worker-count invariant, equal to the same sanitized campaign on the
+  // reference engine (the oracle), and against the unsanitized campaign
+  // each trial either keeps its outcome or is reclassified into a sanitizer
+  // class.
   const std::uint64_t seed = env_u64("HAUBERK_FUZZ_SEED", 0xfa57'0004);
   using workloads::BufferJob;
 
@@ -1162,6 +1171,14 @@ TEST(DifferentialFuzz, SanitizedCampaignsDeterministicAcrossWorkers) {
           << "sanitized campaign with " << workers
           << " workers diverged on fuzz program " << i;
     }
+    // `on` ran the default (threaded) engine; the oracle must agree.
+    swifi::CampaignConfig sanitized_ref = sanitized;
+    sanitized_ref.engine = gpusim::ExecEngine::Reference;
+    const auto ref =
+        swifi::CampaignExecutor(4).run_memory_faults(prog, factory, seed + i, 40, 2, req,
+                                                     sanitized_ref);
+    ASSERT_EQ(ref.per_fault, on.per_fault)
+        << "reference-engine sanitized campaign diverged on fuzz program " << i;
   }
   EXPECT_EQ(campaigns, 3u) << "not enough clean racy programs for campaigns";
   EXPECT_GT(reclassified, 0u)
@@ -1195,7 +1212,7 @@ TEST(DifferentialFuzz, EnginesAgreeUnderEccProtection) {
         run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false, false, kProt);
     expect_identical(ref, thr, fp, i, "ecc threaded");
     const EngineRun san =
-        run_engine(prog, fp, gpusim::ExecEngine::Sanitizer, i, false, false, kProt);
+        run_engine(prog, fp, kSanitized, i, false, false, kProt);
     expect_identical(ref, san, fp, i, "ecc sanitizer");
 
     // Hamming spot check on a slice: same contract, different H matrix.

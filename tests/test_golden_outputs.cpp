@@ -3,9 +3,9 @@
 // modeled cycle total are pinned here.  Any change to interpreter semantics,
 // cost accounting, lowering, or instrumentation that moves an observable
 // shows up as a hash/cycle mismatch — and because each workload is executed
-// on every engine (reference, threaded, sanitizer), the table also pins the
-// engines to each other on real programs (complementing the random programs of
-// test_differential_fuzz.cpp).
+// on both engines (reference, threaded), sanitized and not, the table also
+// pins the four settings to each other on real programs (complementing the
+// random programs of test_differential_fuzz.cpp).
 //
 // Regenerating after an *intentional* behavior change:
 //   HAUBERK_GOLDEN_PRINT=1 ./test_golden_outputs
@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "gpusim/device.hpp"
 #include "hauberk/control_block.hpp"
@@ -54,9 +55,10 @@ struct RunHash {
 };
 
 RunHash run_hashed(Workload& w, const Dataset& ds, const kir::BytecodeProgram& prog,
-                   gpusim::ExecEngine engine, gpusim::LaunchHooks* hooks) {
+                   gpusim::ExecEngine engine, bool sanitize, gpusim::LaunchHooks* hooks) {
   gpusim::Device dev;
   dev.set_engine(engine);
+  dev.set_sanitize(sanitize);
   auto job = w.make_job(ds);
   const auto args = job->setup(dev);
   gpusim::LaunchOptions opts;
@@ -108,14 +110,19 @@ TEST(GoldenOutputs, AllWorkloadsMatchPinnedHashesOnBothEngines) {
     const Dataset ds = w->make_dataset(kDatasetSeed, Scale::Tiny);
     auto v = core::build_variants(w->build_kernel(Scale::Tiny));
 
-    for (const auto engine : {gpusim::ExecEngine::Reference, gpusim::ExecEngine::Threaded,
-                              gpusim::ExecEngine::Sanitizer}) {
-      const RunHash base = run_hashed(*w, ds, v.baseline, engine, nullptr);
+    // Every (engine, sanitize) setting.
+    const std::pair<gpusim::ExecEngine, bool> settings[] = {
+        {gpusim::ExecEngine::Reference, false},
+        {gpusim::ExecEngine::Threaded, false},
+        {gpusim::ExecEngine::Reference, true},
+        {gpusim::ExecEngine::Threaded, true}};
+    for (const auto& [engine, sanitize] : settings) {
+      const RunHash base = run_hashed(*w, ds, v.baseline, engine, sanitize, nullptr);
       core::ControlBlock cb(v.ft);
-      const RunHash ft = run_hashed(*w, ds, v.ft, engine, &cb);
+      const RunHash ft = run_hashed(*w, ds, v.ft, engine, sanitize, &cb);
 
       if (print) {
-        if (engine == gpusim::ExecEngine::Reference)
+        if (engine == gpusim::ExecEngine::Reference && !sanitize)
           std::printf("      {\"%s\", {0x%016llxULL, %lluULL, 0x%016llxULL, %lluULL}},\n",
                       w->name().c_str(),
                       static_cast<unsigned long long>(base.hash),
@@ -128,7 +135,8 @@ TEST(GoldenOutputs, AllWorkloadsMatchPinnedHashesOnBothEngines) {
       const auto it = goldens().find(w->name());
       ASSERT_NE(it, goldens().end()) << "no golden pinned for " << w->name()
                                      << " — run with HAUBERK_GOLDEN_PRINT=1";
-      const char* en = gpusim::exec_engine_name(engine);
+      const std::string en =
+          std::string(gpusim::exec_engine_name(engine)) + (sanitize ? "+sanitize" : "");
       EXPECT_EQ(base.hash, it->second.base_hash) << w->name() << " baseline output (" << en << ")";
       EXPECT_EQ(base.cycles, it->second.base_cycles) << w->name() << " baseline cycles (" << en << ")";
       EXPECT_EQ(ft.hash, it->second.ft_hash) << w->name() << " FT output (" << en << ")";
@@ -140,6 +148,6 @@ TEST(GoldenOutputs, AllWorkloadsMatchPinnedHashesOnBothEngines) {
     }
   }
   if (!print) {
-    EXPECT_EQ(checked, 3 * goldens().size());
+    EXPECT_EQ(checked, 4 * goldens().size());
   }
 }

@@ -7,7 +7,7 @@
 //    diagnostic class — PossibleOob, NonUniformBarrier, SharedWriteOverlap,
 //    StaticRangeUnsound, RangeTighterThanStatic, UncoveredVariable,
 //    UncoveredEdge;
-//  * dynamic cross-validation against the PR 3 Sanitizer engine: every
+//  * dynamic cross-validation against the dynamic sanitizer: every
 //    statically flagged concurrency/bounds defect is confirmed by a
 //    sanitized run, and a lint-clean kernel is sanitizer-report-free;
 //  * the stock-workload sweep (all 12 programs at Tiny): zero lint errors
@@ -69,7 +69,7 @@ gpusim::DeviceProps cross_warp_props() {
 
 gpusim::LaunchResult run_sanitized(const kir::BytecodeProgram& prog, std::uint32_t threads = 8) {
   gpusim::Device dev(cross_warp_props());
-  dev.set_engine(gpusim::ExecEngine::Sanitizer);
+  dev.set_sanitize(true);
   const auto out = dev.mem().alloc(64, gpusim::AllocClass::I32Data);
   std::vector<std::uint32_t> zero(64, 0);
   dev.mem().copy_in(out, zero);
@@ -521,7 +521,7 @@ TEST(LintDiag, CoverageSkippedWithoutDetectors) {
 }
 
 // ---------------------------------------------------------------------------
-// Dynamic cross-validation against the Sanitizer engine
+// Dynamic cross-validation against the dynamic sanitizer
 // ---------------------------------------------------------------------------
 
 TEST(LintSanitizer, SharedWriteOverlapConfirmedDynamically) {

@@ -117,9 +117,11 @@ struct Rig {
   std::unique_ptr<swifi::TrialStage> stage;
 
   Rig(const Built& b, const kir::BytecodeProgram& prog, bool with_cb,
-      gpusim::DeviceProps props = {}, gpusim::ExecEngine engine = gpusim::ExecEngine::Threaded)
+      gpusim::DeviceProps props = {}, gpusim::ExecEngine engine = gpusim::ExecEngine::Threaded,
+      bool sanitize = false)
       : dev(props), job(b.w->make_job(b.ds)) {
     dev.set_engine(engine);
+    dev.set_sanitize(sanitize);
     if (with_cb) cb = core::make_configured_control_block(prog, b.pd);
     stage = std::make_unique<swifi::TrialStage>(dev, *job);
   }
@@ -372,11 +374,11 @@ TEST(Replay, WatchdogBelowGoldenBudgetForcesRerun) {
 }
 
 // Launches the journal cannot serve apply nothing and behave exactly like
-// the same launch without it: the Sanitizer and Reference engines, a paged
-// device, two block workers, an injector reporting the Generic filter, and
-// an installed hardware fault model.  On those devices golden_run records
-// no journal either.  A Hsiao device is eligible: it replays its own
-// golden journal.
+// the same launch without it: a sanitizing Threaded device, the Reference
+// engine, a paged device, two block workers, an injector reporting the
+// Generic filter, and an installed hardware fault model.  On those devices
+// golden_run records no journal either.  A Hsiao device is eligible: it
+// replays its own golden journal.
 TEST(Replay, IneligibleLaunchesApplyNothing) {
   Built b = [] {
     for (auto& w : hpc_suite()) {
@@ -419,6 +421,7 @@ TEST(Replay, IneligibleLaunchesApplyNothing) {
     std::string name;
     gpusim::DeviceProps props;
     gpusim::ExecEngine engine = gpusim::ExecEngine::Threaded;
+    bool sanitize = false;
     int workers = 1;
     bool generic = false;
     bool fault_model = false;
@@ -426,19 +429,20 @@ TEST(Replay, IneligibleLaunchesApplyNothing) {
   gpusim::DeviceProps paged;
   paged.memory_model = gpusim::MemoryModel::PagedCpu;
   const Case cases[] = {
-      {"sanitizer", {}, gpusim::ExecEngine::Sanitizer},
+      {"sanitizer", {}, gpusim::ExecEngine::Threaded, true},
       {"reference", {}, gpusim::ExecEngine::Reference},
       {"paged", paged},
-      {"two workers", {}, gpusim::ExecEngine::Threaded, 2},
-      {"generic filter", {}, gpusim::ExecEngine::Threaded, 1, true},
-      {"fault model", {}, gpusim::ExecEngine::Threaded, 1, false, true},
+      {"two workers", {}, gpusim::ExecEngine::Threaded, false, 2},
+      {"generic filter", {}, gpusim::ExecEngine::Threaded, false, 1, true},
+      {"fault model", {}, gpusim::ExecEngine::Threaded, false, 1, false, true},
   };
   gpusim::DeviceFaultModel fm;
   fm.kind = gpusim::DeviceFaultModel::Kind::Permanent;
   fm.component = gpusim::DeviceFaultModel::Component::ALU;
   fm.period = 97;
   for (const Case& c : cases) {
-    Rig with(b, prog, false, c.props, c.engine), without(b, prog, false, c.props, c.engine);
+    Rig with(b, prog, false, c.props, c.engine, c.sanitize),
+        without(b, prog, false, c.props, c.engine, c.sanitize);
     std::unique_ptr<swifi::InjectingHooks> hw, hwo;
     if (c.generic) {
       hw = std::make_unique<GenericInjector>(prog, nullptr);
@@ -459,7 +463,7 @@ TEST(Replay, IneligibleLaunchesApplyNothing) {
     EXPECT_EQ(lw.obs, lwo.obs) << c.name;
 
     if (c.workers == 1 && !c.generic && !c.fault_model) {
-      Rig g(b, prog, false, c.props, c.engine);
+      Rig g(b, prog, false, c.props, c.engine, c.sanitize);
       EXPECT_FALSE(swifi::golden_run(g.dev, prog, *g.job, nullptr, 1).journal) << c.name;
     }
   }

@@ -1,13 +1,13 @@
-// ExecEngine::Sanitizer tests: one deterministic positive test per hazard
-// class (write-write race, read-write race both orders, barrier divergence
-// at distinct sites, exit-while-peers-wait deadlock, shared out-of-bounds,
-// uninitialized shared read), clean-kernel negative pins (zero false
-// positives, including the GT200 warp-synchronous idiom), engine equality
-// on every observable, report equality between the threaded stream and the
-// reference interpreter (the path instrumented sanitized launches and
-// delegated slices take), the CrashBarrierDeadlock site diagnostic, the
-// decoded site table, and SWIFI outcome reclassification under
-// CampaignConfig::sanitize.
+// Sanitizer tests (Device::set_sanitize): one deterministic positive test
+// per hazard class (write-write race, read-write race both orders, barrier
+// divergence at distinct sites, exit-while-peers-wait deadlock, shared
+// out-of-bounds, uninitialized shared read), clean-kernel negative pins
+// (zero false positives, including the GT200 warp-synchronous idiom),
+// engine equality on every observable, report equality between the
+// sanitized threaded stream and the sanitized reference interpreter (the
+// oracle, and the path instrumented sanitized launches and delegated slices
+// take), the CrashBarrierDeadlock site diagnostic, the decoded site table,
+// and SWIFI outcome reclassification under CampaignConfig::sanitize.
 //
 // Hazard kernels run on a warp_size=4 device with 8-thread blocks so the
 // two warps {0..3} and {4..7} exercise the cross-warp hazard rules; threads
@@ -52,15 +52,17 @@ struct EngineOut {
   std::vector<std::uint32_t> out;
 };
 
-/// Launch `prog` (single ptr param -> zeroed out buffer) on one engine.
-/// `instrumented` asks for an execution profile, which routes the launch to
-/// the reference interpreter (with the shadow attached under Sanitizer).
+/// Launch `prog` (single ptr param -> zeroed out buffer) on one engine,
+/// sanitizing or not.  `instrumented` asks for an execution profile, which
+/// routes the launch to the reference interpreter (with the shadow attached
+/// when sanitizing).
 EngineOut run_engine(const kir::BytecodeProgram& prog, const DeviceProps& props,
-                     ExecEngine engine, std::uint32_t threads = 8,
+                     ExecEngine engine, bool sanitize, std::uint32_t threads = 8,
                      bool instrumented = false,
                      std::uint64_t watchdog = LaunchOptions{}.watchdog_instructions) {
   Device dev(props);
   dev.set_engine(engine);
+  dev.set_sanitize(sanitize);
   constexpr std::uint32_t kOutWords = 64;
   const auto out = dev.mem().alloc(kOutWords, AllocClass::I32Data);
   std::vector<std::uint32_t> zero(kOutWords, 0);
@@ -88,25 +90,29 @@ void expect_same_observables(const EngineOut& base, const EngineOut& san) {
   EXPECT_EQ(san.out, base.out);
 }
 
-/// Run on every engine; assert Reference/Threaded/Sanitizer agree on every
-/// observable, only the sanitizer carries reports, and the sanitizer's
-/// reports are the same on the threaded stream as on the reference path
-/// (an instrumented sanitized launch).  Returns the sanitizer run (after
-/// pinning a second sanitizer run to identical reports).
+/// Run on both engines, sanitized and not; assert every setting agrees on
+/// every observable, only sanitized launches carry reports, and the
+/// sanitized threaded stream reports exactly what the sanitized reference
+/// interpreter reports — as does an instrumented sanitized Threaded launch,
+/// which routes to the reference path.  Returns the sanitized threaded run
+/// (after pinning a second one to identical reports).
 EngineOut run_all_engines(const kir::BytecodeProgram& prog, const DeviceProps& props,
                           std::uint32_t threads = 8) {
-  const EngineOut ref = run_engine(prog, props, ExecEngine::Reference, threads);
-  const EngineOut thr = run_engine(prog, props, ExecEngine::Threaded, threads);
-  const EngineOut san = run_engine(prog, props, ExecEngine::Sanitizer, threads);
-  const EngineOut san_ref =
-      run_engine(prog, props, ExecEngine::Sanitizer, threads, /*instrumented=*/true);
-  for (const EngineOut* e : {&thr, &san, &san_ref}) expect_same_observables(ref, *e);
+  const EngineOut ref = run_engine(prog, props, ExecEngine::Reference, false, threads);
+  const EngineOut thr = run_engine(prog, props, ExecEngine::Threaded, false, threads);
+  const EngineOut san = run_engine(prog, props, ExecEngine::Threaded, true, threads);
+  const EngineOut san_ref = run_engine(prog, props, ExecEngine::Reference, true, threads);
+  const EngineOut san_instr =
+      run_engine(prog, props, ExecEngine::Threaded, true, threads, /*instrumented=*/true);
+  for (const EngineOut* e : {&thr, &san, &san_ref, &san_instr}) expect_same_observables(ref, *e);
   EXPECT_TRUE(thr.res.sanitizer_reports.empty());
   EXPECT_TRUE(ref.res.sanitizer_reports.empty());
-  EXPECT_EQ(san_ref.res.sanitizer_reports, san.res.sanitizer_reports);
-  EXPECT_EQ(san_ref.res.sanitizer_reports_dropped, san.res.sanitizer_reports_dropped);
+  for (const EngineOut* e : {&san_ref, &san_instr}) {
+    EXPECT_EQ(e->res.sanitizer_reports, san.res.sanitizer_reports);
+    EXPECT_EQ(e->res.sanitizer_reports_dropped, san.res.sanitizer_reports_dropped);
+  }
   // Report determinism: a second sanitized launch is bitwise identical.
-  const EngineOut again = run_engine(prog, props, ExecEngine::Sanitizer, threads);
+  const EngineOut again = run_engine(prog, props, ExecEngine::Threaded, true, threads);
   EXPECT_EQ(san.res.sanitizer_reports, again.res.sanitizer_reports);
   EXPECT_EQ(san.res.sanitizer_reports_dropped, again.res.sanitizer_reports_dropped);
   return san;
@@ -315,14 +321,14 @@ TEST(Sanitizer, AllWorkloadsCleanUnderSanitizerWithIdenticalObservables) {
     const auto v = core::build_variants(w->build_kernel(workloads::Scale::Tiny));
     LaunchResult thr_res, san_res;
     core::ProgramOutput thr_out, san_out;
-    for (const auto engine : {ExecEngine::Threaded, ExecEngine::Sanitizer}) {
+    for (const bool sanitize : {false, true}) {
       Device dev;
-      dev.set_engine(engine);
+      dev.set_sanitize(sanitize);
       auto job = w->make_job(ds);
       const auto args = job->setup(dev);
       const auto res = dev.launch(v.baseline, job->config(), args);
       ASSERT_EQ(res.status, LaunchStatus::Ok) << w->name();
-      if (engine == ExecEngine::Threaded) {
+      if (!sanitize) {
         thr_res = res;
         thr_out = job->read_output(dev);
       } else {
@@ -351,8 +357,7 @@ TEST(Sanitizer, DelegatedSlicesReportLikeTheReferencePath) {
   // budget lands boundaries inside RunHeads, where the threaded engine
   // hands the slice to the reference interpreter; the second kernel ends in
   // a shared out-of-bounds store after a run.  Every launch must match the
-  // reference path — an instrumented sanitized launch — on reports and
-  // observables alike.
+  // sanitized reference interpreter on reports and observables alike.
   KernelBuilder race("deleg_race", 16);
   {
     auto out = race.param_ptr("out");
@@ -389,14 +394,14 @@ TEST(Sanitizer, DelegatedSlicesReportLikeTheReferencePath) {
       EXPECT_NE(ti.op, static_cast<std::uint16_t>(kir::TOp::Nk_StoreS));
     }
 
-    const EngineOut full = run_engine(prog, cross_warp_props(), ExecEngine::Sanitizer);
+    const EngineOut full = run_engine(prog, cross_warp_props(), ExecEngine::Threaded, true);
     ASSERT_FALSE(full.res.sanitizer_reports.empty());
     // The launch total bounds every thread's budget, the crashing one's too.
     for (std::uint64_t w = 0; w <= full.res.instructions; ++w) {
       const EngineOut thr =
-          run_engine(prog, cross_warp_props(), ExecEngine::Sanitizer, 8, false, w);
+          run_engine(prog, cross_warp_props(), ExecEngine::Threaded, true, 8, false, w);
       const EngineOut ref =
-          run_engine(prog, cross_warp_props(), ExecEngine::Sanitizer, 8, true, w);
+          run_engine(prog, cross_warp_props(), ExecEngine::Reference, true, 8, false, w);
       expect_same_observables(ref, thr);
       EXPECT_EQ(thr.res.sanitizer_reports, ref.res.sanitizer_reports) << "watchdog " << w;
       EXPECT_EQ(thr.res.sanitizer_reports_dropped, ref.res.sanitizer_reports_dropped);
@@ -502,7 +507,7 @@ TEST(Sanitizer, SanitizedMemoryFaultCampaignReclassifiesSilentRaces) {
 
   auto run_trials = [&](bool sanitize) {
     Device dev(cross_warp_props());
-    dev.set_engine(sanitize ? ExecEngine::Sanitizer : ExecEngine::Threaded);
+    dev.set_sanitize(sanitize);
     GateJob job;
     const auto gold = swifi::golden_run(dev, prog, job);
     const std::uint64_t watchdog = swifi::campaign_watchdog(gold, {});
@@ -550,7 +555,7 @@ TEST(Sanitizer, ReportCapIsConfigurablePerLaunch) {
   const auto prog = lower(kb.build());
 
   Device dev(cross_warp_props());
-  dev.set_engine(ExecEngine::Sanitizer);
+  dev.set_sanitize(true);
   const auto out_buf = dev.mem().alloc(64, AllocClass::I32Data);
   const Value args[] = {Value::ptr(out_buf)};
   const LaunchConfig cfg{1, 1, 8, 1};

@@ -298,11 +298,12 @@ TEST(Threaded, StraightLineCompilesToRun) {
   EXPECT_EQ(tp.code[4].op, static_cast<std::uint16_t>(TOp::Halt));
 }
 
-// Flipping engines on a live device mid-campaign must never serve a plan
-// compiled for the previous engine (a Reference plan has no threaded
-// stream, a Sanitizer plan has shadow-observing shared accesses): the
-// engine kind is part of the plan cache key, so each engine's first launch
-// misses and later launches hit.
+// Flipping the engine or the sanitize bit on a live device mid-campaign
+// must never serve a plan compiled for the previous setting (a Reference
+// plan has no threaded stream, a sanitized Threaded plan has
+// shadow-observing shared accesses): both are part of the plan cache key,
+// so each (engine, sanitize) setting's first launch misses and later
+// launches hit.
 TEST(Threaded, EngineFlipMidCampaignNeverServesStalePlan) {
   auto workloads = all_workloads();
   Workload& w = *workloads.front();
@@ -313,12 +314,16 @@ TEST(Threaded, EngineFlipMidCampaignNeverServesStalePlan) {
   auto job = w.make_job(ds);
   const auto args = job->setup(dev);
 
-  RunObs per_engine[3];
-  const gpusim::ExecEngine seq[] = {gpusim::ExecEngine::Reference, gpusim::ExecEngine::Threaded,
-                                    gpusim::ExecEngine::Sanitizer, gpusim::ExecEngine::Threaded,
-                                    gpusim::ExecEngine::Sanitizer, gpusim::ExecEngine::Reference};
-  for (const auto engine : seq) {
+  using gpusim::ExecEngine;
+  RunObs per_setting[4];
+  const std::pair<ExecEngine, bool> seq[] = {
+      {ExecEngine::Reference, false}, {ExecEngine::Threaded, false},
+      {ExecEngine::Threaded, true},   {ExecEngine::Reference, true},
+      {ExecEngine::Threaded, false},  {ExecEngine::Threaded, true},
+      {ExecEngine::Reference, true},  {ExecEngine::Reference, false}};
+  for (const auto& [engine, sanitize] : seq) {
     dev.set_engine(engine);
+    dev.set_sanitize(sanitize);
     dev.reset_memory();
     job->setup(dev);
     const auto res = dev.launch(v.baseline, job->config(), args, {});
@@ -330,19 +335,18 @@ TEST(Threaded, EngineFlipMidCampaignNeverServesStalePlan) {
     o.loop_cycles = res.loop_cycles;
     o.instructions = res.instructions;
     o.output = job->read_output(dev).words;
-    RunObs& pinned = per_engine[static_cast<std::size_t>(engine)];
+    RunObs& pinned = per_setting[2 * static_cast<std::size_t>(engine) + (sanitize ? 1 : 0)];
     if (pinned.output.empty())
       pinned = o;
     else
-      EXPECT_EQ(pinned, o) << gpusim::exec_engine_name(engine);
+      EXPECT_EQ(pinned, o) << gpusim::exec_engine_name(engine) << " sanitize " << sanitize;
   }
-  // All engines observed identical results...
-  EXPECT_EQ(per_engine[0], per_engine[1]);
-  EXPECT_EQ(per_engine[0], per_engine[2]);
-  // ...and the cache missed exactly once per engine kind (3 of the 6
-  // launches hit).
-  EXPECT_EQ(dev.plan_cache_misses(), 3u);
-  EXPECT_EQ(dev.plan_cache_hits(), 3u);
+  // All settings observed identical results...
+  for (const RunObs& o : per_setting) EXPECT_EQ(per_setting[0], o);
+  // ...and the cache missed exactly once per setting (4 of the 8 launches
+  // hit).
+  EXPECT_EQ(dev.plan_cache_misses(), 4u);
+  EXPECT_EQ(dev.plan_cache_hits(), 4u);
 }
 
 // FI specialization on a synthetic run: unarmed hooks get no slot, the
@@ -504,17 +508,18 @@ TrialObs armed_launch(gpusim::Device& dev, swifi::TrialStage& stage, core::Kerne
 // only, so an armed trial must observe exactly what the reference
 // interpreter (which ignores the filter) observes.  For the FI and FI&FT
 // builds of every workload: every executed FI site x 2 masks x {first,
-// last} occurrence, on Reference, Threaded and Sanitizer — same Outcome
-// through run_one_fault, same activation, status, instruction, cycle and
-// loop-cycle totals and memory image through a direct launch; the
+// last} occurrence, on Reference, Threaded and sanitized Threaded — same
+// Outcome through run_one_fault, same activation, status, instruction,
+// cycle and loop-cycle totals and memory image through a direct launch; the
 // specialized stream equals the unspecialized one (an injector reporting
-// Generic) on Threaded and Sanitizer, sanitizer reports included; and
+// Generic) on both Threaded settings, sanitizer reports included; and
 // every FIHook call sees the same per-thread (site, value) sequence on
 // the reference interpreter and the unspecialized threaded stream.
 TEST(Threaded, ArmedFIHooksMatchReferenceOnAllWorkloads) {
   using gpusim::ExecEngine;
-  constexpr ExecEngine kEngines[] = {ExecEngine::Reference, ExecEngine::Threaded,
-                                     ExecEngine::Sanitizer};
+  constexpr std::pair<ExecEngine, bool> kSettings[] = {
+      {ExecEngine::Reference, false}, {ExecEngine::Threaded, false}, {ExecEngine::Threaded, true}};
+  const char* const kNames[] = {"reference", "threaded", "threaded+sanitize"};
   std::size_t trials = 0, activated = 0, crashed = 0;
   for (auto& w : all_workloads()) {
     const Dataset ds = w->make_dataset(kDatasetSeed, Scale::Tiny);
@@ -537,7 +542,8 @@ TEST(Threaded, ArmedFIHooksMatchReferenceOnAllWorkloads) {
       std::uint64_t watchdog = 0;
       for (std::size_t e = 0; e < 3; ++e) {
         Rig& r = rigs[e];
-        r.dev.set_engine(kEngines[e]);
+        r.dev.set_engine(kSettings[e].first);
+        r.dev.set_sanitize(kSettings[e].second);
         r.job = w->make_job(ds);
         if (fift) r.cb = core::make_configured_control_block(prog, pd);
         if (e == 0) {
@@ -598,8 +604,8 @@ TEST(Threaded, ArmedFIHooksMatchReferenceOnAllWorkloads) {
               RecordingInjector rec(prog, r.cb.get());
               const TrialObs generic =
                   armed_launch(r.dev, *r.stage, *r.job, prog, r.cb.get(), rec, spec, watchdog);
-              EXPECT_EQ(spec_obs[e], generic) << what << " " << gpusim::exec_engine_name(kEngines[e]);
-              EXPECT_EQ(rec_ref.seen, rec.seen) << what << " " << gpusim::exec_engine_name(kEngines[e]);
+              EXPECT_EQ(spec_obs[e], generic) << what << " " << kNames[e];
+              EXPECT_EQ(rec_ref.seen, rec.seen) << what << " " << kNames[e];
             }
             ++trials;
             activated += spec_obs[0].activated;

@@ -8,7 +8,7 @@
 // Usage:
 //   campaignd run --program=CP [--protected] [--bits=1] [--vars=20] [--masks=10]
 //                 [--scale=tiny|small] [--seed=N]
-//                 [--workers=N] [--engine=reference|sanitizer|threaded]
+//                 [--workers=N] [--engine=reference|threaded]
 //                 [--sanitize] [--sanitize-cap=N]
 //                 [--protection=none|hamming|hsiao]
 //                                         hardware ECC on every campaign device
@@ -60,7 +60,7 @@ int usage(const char* argv0) {
                "usage: %s run --program=NAME [--protected] [--shards=K/I]\n"
                "       [--checkpoint=FILE --checkpoint-every=N | --resume=FILE]\n"
                "       [--resultlog=FILE] [--workers=N]\n"
-               "       [--engine=reference|sanitizer|threaded]  (default threaded)\n"
+               "       [--engine=reference|threaded]  (default threaded)\n"
                "       [--protection=none|hamming|hsiao] [--crash-after=N]\n",
                argv0);
   return 2;
