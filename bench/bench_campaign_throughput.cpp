@@ -1,22 +1,26 @@
 // Campaign-driver throughput: trials/second of a one-worker CampaignExecutor
-// baseline versus the same executor at increasing worker counts, the
-// campaign service, each interpreter engine, and protected memory.
+// baseline versus the same executor at increasing worker counts, each
+// interpreter engine, and protected memory.
 //
 // The worker sweep reports speedup relative to the one-worker baseline; on a
 // single-core host the parallel rows match the baseline (within thread
 // overhead) and the gains appear with the cores.  Outcomes are checked to be
-// identical across all rows before anything is printed.
+// identical across all rows before anything is printed.  Every row is one
+// timed run; perfbench (perfbench/README.md) measures campaign throughput,
+// checkpointing included, as medians over repeated runs.
 //
-// Knobs: --program (default CP), --vars (default 16), --masks (default 8),
+// Knobs: --program (default CP), --scale=tiny|small|medium (default small),
+// --seed (default 1), --vars (default 16), --masks (default 8),
 // --workers-list=1,2,4,0 (0 = hardware concurrency), --sanitize (sanitize
-// the baseline, executor and service campaigns — measures the shadow's
-// overhead; the engine-sweep and protection rows stay unsanitized),
-// --engine=reference|threaded (engine for the baseline, executor and
-// service campaigns; default threaded), --protection=none|hamming|hsiao
-// (hardware ECC on every campaign device; the dedicated protected-mode
-// section below always measures none-vs-hsiao regardless), --json=FILE
-// (write the engine sweep + service + protection rows and the device
-// construction time as JSON).
+// the baseline and executor campaigns — measures the shadow's overhead; the
+// engine-sweep and protection rows stay unsanitized), --sanitize-cap=N
+// (sanitizer reports kept per block), --engine=reference|threaded (engine
+// for the baseline and executor campaigns; default threaded),
+// --protection=none|hamming|hsiao (hardware ECC on the baseline and
+// executor devices; the protected-mode section below always measures
+// none-vs-hsiao regardless), --json=FILE (write the engine sweep and
+// protection rows, the device construction time and the determinism
+// verdict as JSON).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -26,7 +30,6 @@
 
 #include "bench_common.hpp"
 #include "common/worker_pool.hpp"
-#include "swifi/service.hpp"
 
 using namespace hauberk;
 using namespace hauberk::bench;
@@ -124,45 +127,6 @@ int main(int argc, char** argv) {
   t.print();
   std::printf("\noutcome determinism across worker counts: %s\n",
               deterministic ? "OK (bitwise identical)" : "MISMATCH (bug!)");
-
-  // Campaign service: the same trial pump with streaming aggregation, and
-  // with periodic checkpoints plus a result log — the checkpoint overhead
-  // should stay in the noise at a sane interval.
-  double service_s = 0, service_ckpt_s = 0;
-  {
-    swifi::ServiceConfig scfg;
-    scfg.campaign = cfg;
-    scfg.workers = 0;
-    swifi::ServiceResult sres;
-    service_s = seconds([&] {
-      sres = swifi::CampaignService(scfg).run(ctx.variants.fift, factory, specs, req);
-    });
-    deterministic = deterministic && sres.counts.undetected == base_res.counts.undetected &&
-                    sres.counts.detected == base_res.counts.detected &&
-                    sres.counts.masked == base_res.counts.masked &&
-                    sres.counts.failure == base_res.counts.failure;
-
-    swifi::ServiceConfig ccfg = scfg;
-    ccfg.checkpoint_every = 50;
-    ccfg.checkpoint_path = std::string(::getenv("TMPDIR") ? ::getenv("TMPDIR") : "/tmp") +
-                           "/bench_campaignd.ckpt";
-    ccfg.resultlog_path = ccfg.checkpoint_path + ".log";
-    service_ckpt_s = seconds([&] {
-      sres = swifi::CampaignService(ccfg).run(ctx.variants.fift, factory, specs, req);
-    });
-    std::remove(ccfg.checkpoint_path.c_str());
-    std::remove(ccfg.resultlog_path.c_str());
-
-    common::Table st({"Driver", "Seconds", "Trials/sec", "vs service"});
-    st.add_row({"service", common::Table::num(service_s, 3),
-                common::Table::num(n / service_s, 1), "1.00x"});
-    st.add_row({"service+ckpt/50", common::Table::num(service_ckpt_s, 3),
-                common::Table::num(n / service_ckpt_s, 1),
-                common::Table::num(service_s / service_ckpt_s, 2) + "x"});
-    std::printf("\ncampaign service (streaming aggregation, default workers):\n");
-    st.print();
-    std::printf("checkpoint overhead: %.1f%%\n", 100.0 * (service_ckpt_s / service_s - 1.0));
-  }
 
   // Interpreter-engine sweep: the same unsanitized one-worker campaign on
   // each execution engine (the baseline above runs --engine, default
@@ -286,9 +250,6 @@ int main(int argc, char** argv) {
                    en.c_str(), s, n / s, ++i < engine_s.size() ? "," : "");
     std::fprintf(f, "  },\n  \"speedup_threaded_vs_reference\": %.4f,\n",
                  engine_s.at("reference") / engine_s.at("threaded"));
-    std::fprintf(f, "  \"service\": {\"seconds\": %.6f, \"trials_per_sec\": %.2f,\n"
-                 "    \"checkpoint_overhead\": %.4f},\n",
-                 service_s, n / service_s, service_ckpt_s / service_s);
     std::fprintf(f, "  \"protection\": {\"threaded_none\": {\"seconds\": %.6f, "
                  "\"trials_per_sec\": %.2f},\n    \"threaded_hsiao\": {\"seconds\": %.6f, "
                  "\"trials_per_sec\": %.2f},\n    \"hsiao_slowdown_vs_none\": %.4f},\n",

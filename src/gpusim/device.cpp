@@ -82,6 +82,13 @@ constexpr float as_f(std::uint32_t b) noexcept { return std::bit_cast<float>(b);
 constexpr std::uint32_t f_bits(float v) noexcept { return std::bit_cast<std::uint32_t>(v); }
 constexpr std::int32_t as_i(std::uint32_t b) noexcept { return static_cast<std::int32_t>(b); }
 constexpr std::uint32_t i_bits(std::int32_t v) noexcept { return static_cast<std::uint32_t>(v); }
+/// Integer negation and |x| on the bits, negated as unsigned: the same
+/// two's-complement results without signed overflow, so -INT32_MIN and
+/// abs(INT32_MIN) are 0x80000000.  Shared by both engines' handlers.
+constexpr std::uint32_t neg_i_bits(std::uint32_t b) noexcept { return 0u - b; }
+constexpr std::uint32_t abs_i_bits(std::uint32_t b) noexcept {
+  return as_i(b) < 0 ? neg_i_bits(b) : b;
+}
 
 /// CUDA-like saturating f32 -> i32 conversion; NaN -> 0.  Shared by the
 /// reference evaluator and the threaded engine's F2I handlers so the two
@@ -243,10 +250,10 @@ std::uint32_t eval_un(UnOp op, DType t, std::uint32_t a) noexcept {
   // I32 / PTR source.
   const std::int32_t x = as_i(a);
   switch (op) {
-    case UnOp::Neg: return i_bits(-x);
+    case UnOp::Neg: return neg_i_bits(a);
     case UnOp::LogicalNot: return a == 0;
     case UnOp::BitNot: return ~a;
-    case UnOp::Abs: return i_bits(x < 0 ? -x : x);
+    case UnOp::Abs: return abs_i_bits(a);
     case UnOp::CastF32:
       return t == DType::PTR ? f_bits(static_cast<float>(a)) : f_bits(static_cast<float>(x));
     case UnOp::CastI32: return a;
@@ -939,17 +946,12 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
       T_SET(regs[in->a] != 0 ? regs[in->b] : regs[static_cast<std::uint16_t>(in->imm)]);
 
   T_LABEL(NegF) : T_SET(f_bits(-as_f(regs[in->a])));
-  T_LABEL(NegI) : T_SET(i_bits(-as_i(regs[in->a])));
+  T_LABEL(NegI) : T_SET(neg_i_bits(regs[in->a]));
   T_LABEL(NotF) : T_SET(as_f(regs[in->a]) == 0.0f);
   T_LABEL(NotW) : T_SET(regs[in->a] == 0);
   T_LABEL(BitNot) : T_SET(~regs[in->a]);
   T_LABEL(AbsF) : T_SET(f_bits(std::fabs(as_f(regs[in->a]))));
-  T_LABEL(AbsI) : {
-    T_STEP1();
-    const std::int32_t x = as_i(regs[in->a]);
-    regs[in->dst] = i_bits(x < 0 ? -x : x);
-    T_NEXT();
-  }
+  T_LABEL(AbsI) : T_SET(abs_i_bits(regs[in->a]));
   T_LABEL(SqrtF) : T_SET(f_bits(std::sqrt(as_f(regs[in->a]))));
   T_LABEL(RsqrtF) : T_SET(f_bits(1.0f / std::sqrt(as_f(regs[in->a]))));
   T_LABEL(ExpF) : T_SET(f_bits(std::exp(as_f(regs[in->a]))));
@@ -1363,17 +1365,12 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
       T_NSET(regs[in->a] != 0 ? regs[in->b] : regs[static_cast<std::uint16_t>(in->imm)]);
 
   T_LABEL(Nk_NegF) : T_NSET(f_bits(-as_f(regs[in->a])));
-  T_LABEL(Nk_NegI) : T_NSET(i_bits(-as_i(regs[in->a])));
+  T_LABEL(Nk_NegI) : T_NSET(neg_i_bits(regs[in->a]));
   T_LABEL(Nk_NotF) : T_NSET(as_f(regs[in->a]) == 0.0f);
   T_LABEL(Nk_NotW) : T_NSET(regs[in->a] == 0);
   T_LABEL(Nk_BitNot) : T_NSET(~regs[in->a]);
   T_LABEL(Nk_AbsF) : T_NSET(f_bits(std::fabs(as_f(regs[in->a]))));
-  T_LABEL(Nk_AbsI) : {
-    const std::int32_t x = as_i(regs[in->a]);
-    regs[in->dst] = i_bits(x < 0 ? -x : x);
-    ++pc;
-    T_NEXT();
-  }
+  T_LABEL(Nk_AbsI) : T_NSET(abs_i_bits(regs[in->a]));
   T_LABEL(Nk_SqrtF) : T_NSET(f_bits(std::sqrt(as_f(regs[in->a]))));
   T_LABEL(Nk_RsqrtF) : T_NSET(f_bits(1.0f / std::sqrt(as_f(regs[in->a]))));
   T_LABEL(Nk_ExpF) : T_NSET(f_bits(std::exp(as_f(regs[in->a]))));

@@ -1,13 +1,14 @@
 #include "hauberk/plan.hpp"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
+#include <cstdint>
 
+#include "common/fnv.hpp"
+#include "common/sexpr.hpp"
 #include "hauberk/passes/pass_manager.hpp"
 
 namespace hauberk::core {
+
+namespace sexpr = common::sexpr;
 
 const char* tri_name(Tri t) noexcept {
   switch (t) {
@@ -60,20 +61,6 @@ bool HardeningPlan::trivial() const noexcept {
 
 namespace {
 
-void write_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  out += '"';
-}
-
 constexpr int kPlanVersion = 1;
 
 }  // namespace
@@ -82,7 +69,7 @@ std::string serialize_plan(const HardeningPlan& plan) {
   std::string out = "(hauberk-plan " + std::to_string(kPlanVersion);
   for (const KernelPlan& kp : plan.kernels) {
     out += "\n (kernel ";
-    write_string(out, kp.kernel);
+    sexpr::write_string(out, kp.kernel);
     out += " (maxvar " + std::to_string(kp.maxvar) + ")";
     out += " (loops " + std::string(tri_name(kp.loops)) + ")";
     out += " (nonloop " + std::string(tri_name(kp.nonloop)) + ")";
@@ -91,7 +78,7 @@ std::string serialize_plan(const HardeningPlan& plan) {
       out += " (loop " + std::to_string(id) + (on ? " on)" : " off)");
     for (const auto& [name, on] : kp.var_actions) {
       out += " (var ";
-      write_string(out, name);
+      sexpr::write_string(out, name);
       out += on ? " on)" : " off)";
     }
     out += ")";
@@ -101,202 +88,86 @@ std::string serialize_plan(const HardeningPlan& plan) {
 }
 
 // ---------------------------------------------------------------------------
-// Parser (strict recursive descent over a tiny token stream)
+// Parser (the field grammar over the shared strict reader)
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct Tok {
-  enum Kind { LParen, RParen, Atom, Str, End } kind = End;
-  std::string text;
-};
+using sexpr::Tok;
 
-class Lexer {
- public:
-  explicit Lexer(const std::string& src) : src_(src) {}
+Tri read_tri(sexpr::Reader& r, const std::string& what) {
+  if (r.accept_atom("on")) return Tri::On;
+  if (r.accept_atom("off")) return Tri::Off;
+  if (r.accept_atom("default")) return Tri::Default;
+  r.fail(what + " must be on/off/default");
+}
 
-  Tok next() {
-    while (pos_ < src_.size() &&
-           (src_[pos_] == ' ' || src_[pos_] == '\n' || src_[pos_] == '\t' ||
-            src_[pos_] == '\r'))
-      ++pos_;
-    if (pos_ >= src_.size()) return {Tok::End, ""};
-    const char c = src_[pos_];
-    if (c == '(') { ++pos_; return {Tok::LParen, "("}; }
-    if (c == ')') { ++pos_; return {Tok::RParen, ")"}; }
-    if (c == '"') {
-      ++pos_;
-      std::string s;
-      while (pos_ < src_.size() && src_[pos_] != '"') {
-        char ch = src_[pos_++];
-        if (ch == '\\') {
-          if (pos_ >= src_.size()) fail("unterminated escape");
-          const char e = src_[pos_++];
-          switch (e) {
-            case '"': ch = '"'; break;
-            case '\\': ch = '\\'; break;
-            case 'n': ch = '\n'; break;
-            case 't': ch = '\t'; break;
-            default: fail("bad escape");
-          }
-        }
-        s += ch;
-      }
-      if (pos_ >= src_.size()) fail("unterminated string");
-      ++pos_;  // closing quote
-      return {Tok::Str, std::move(s)};
-    }
-    std::string a;
-    while (pos_ < src_.size() && src_[pos_] != '(' && src_[pos_] != ')' &&
-           src_[pos_] != '"' && src_[pos_] != ' ' && src_[pos_] != '\n' &&
-           src_[pos_] != '\t' && src_[pos_] != '\r')
-      a += src_[pos_++];
-    return {Tok::Atom, std::move(a)};
+bool read_on_off(sexpr::Reader& r, const std::string& what) {
+  if (r.accept_atom("on")) return true;
+  if (r.accept_atom("off")) return false;
+  r.fail(what + " must be on or off");
+}
+
+void read_field(sexpr::Reader& r, KernelPlan& kp) {
+  const std::string field = r.atom("field name");
+  if (field == "maxvar") {
+    kp.maxvar = static_cast<int>(r.integer(-1, 1 << 20, "maxvar"));
+  } else if (field == "loops") {
+    kp.loops = read_tri(r, "loops");
+  } else if (field == "nonloop") {
+    kp.nonloop = read_tri(r, "nonloop");
+  } else if (field == "naive") {
+    kp.naive = read_tri(r, "naive");
+  } else if (field == "loop") {
+    const auto id = static_cast<std::uint32_t>(r.integer(0, 0xfffffffeLL, "loop id"));
+    if (!kp.loop_actions.emplace(id, read_on_off(r, "loop action")).second)
+      r.fail("duplicate loop entry " + std::to_string(id));
+  } else if (field == "var") {
+    const std::string name = r.string("var name");
+    if (!kp.var_actions.emplace(name, read_on_off(r, "var action")).second)
+      r.fail("duplicate var entry \"" + name + "\"");
+  } else {
+    r.fail("unknown field '" + field + "'");
   }
+}
 
-  [[noreturn]] static void fail(const std::string& why) {
-    throw std::runtime_error("hauberk-plan parse error: " + why);
+KernelPlan read_kernel(sexpr::Reader& r, const HardeningPlan& so_far) {
+  r.expect(Tok::LParen, "expected '(kernel ...)'");
+  r.expect_atom("kernel");
+  KernelPlan kp;
+  kp.kernel = r.string("kernel name");
+  for (const KernelPlan& prev : so_far.kernels)
+    if (prev.kernel == kp.kernel) r.fail("duplicate kernel entry \"" + kp.kernel + "\"");
+  while (r.accept(Tok::LParen)) {
+    read_field(r, kp);
+    r.expect(Tok::RParen, "expected ')' closing field");
   }
-
- private:
-  const std::string& src_;
-  std::size_t pos_ = 0;
-};
-
-class PlanParser {
- public:
-  explicit PlanParser(const std::string& src) : lex_(src) { advance(); }
-
-  HardeningPlan parse() {
-    expect(Tok::LParen, "plan must start with '('");
-    expect_atom("hauberk-plan");
-    const long long ver = expect_int("version");
-    if (ver != kPlanVersion)
-      Lexer::fail("unsupported version " + std::to_string(ver));
-    HardeningPlan plan;
-    while (cur_.kind == Tok::LParen) plan.kernels.push_back(parse_kernel(plan));
-    expect(Tok::RParen, "expected ')' closing hauberk-plan");
-    if (cur_.kind != Tok::End) Lexer::fail("trailing garbage after plan");
-    return plan;
-  }
-
- private:
-  KernelPlan parse_kernel(const HardeningPlan& so_far) {
-    expect(Tok::LParen, "expected '(kernel ...)'");
-    expect_atom("kernel");
-    KernelPlan kp;
-    if (cur_.kind != Tok::Str) Lexer::fail("kernel name must be a quoted string");
-    kp.kernel = cur_.text;
-    advance();
-    for (const KernelPlan& prev : so_far.kernels)
-      if (prev.kernel == kp.kernel)
-        Lexer::fail("duplicate kernel entry \"" + kp.kernel + "\"");
-    while (cur_.kind == Tok::LParen) parse_field(kp);
-    expect(Tok::RParen, "expected ')' closing kernel entry");
-    return kp;
-  }
-
-  void parse_field(KernelPlan& kp) {
-    advance();  // consume '('
-    if (cur_.kind != Tok::Atom) Lexer::fail("expected field name");
-    const std::string field = cur_.text;
-    advance();
-    if (field == "maxvar") {
-      const long long v = expect_int("maxvar");
-      if (v < -1 || v > 1 << 20) Lexer::fail("maxvar out of range");
-      kp.maxvar = static_cast<int>(v);
-    } else if (field == "loops") {
-      kp.loops = expect_tri("loops");
-    } else if (field == "nonloop") {
-      kp.nonloop = expect_tri("nonloop");
-    } else if (field == "naive") {
-      kp.naive = expect_tri("naive");
-    } else if (field == "loop") {
-      const long long id = expect_int("loop id");
-      if (id < 0 || id > 0xfffffffeLL) Lexer::fail("loop id out of range");
-      const bool on = expect_on_off("loop action");
-      if (!kp.loop_actions.emplace(static_cast<std::uint32_t>(id), on).second)
-        Lexer::fail("duplicate loop entry " + std::to_string(id));
-    } else if (field == "var") {
-      if (cur_.kind != Tok::Str) Lexer::fail("var name must be a quoted string");
-      const std::string name = cur_.text;
-      advance();
-      const bool on = expect_on_off("var action");
-      if (!kp.var_actions.emplace(name, on).second)
-        Lexer::fail("duplicate var entry \"" + name + "\"");
-    } else {
-      Lexer::fail("unknown field '" + field + "'");
-    }
-    expect(Tok::RParen, "expected ')' closing field");
-  }
-
-  long long expect_int(const std::string& what) {
-    if (cur_.kind != Tok::Atom) Lexer::fail(what + " must be an integer");
-    const std::string& t = cur_.text;
-    std::size_t i = t[0] == '-' ? 1 : 0;
-    if (i >= t.size()) Lexer::fail(what + " must be an integer");
-    for (; i < t.size(); ++i)
-      if (t[i] < '0' || t[i] > '9') Lexer::fail(what + " must be an integer");
-    const long long v = std::stoll(t);
-    advance();
-    return v;
-  }
-
-  Tri expect_tri(const std::string& what) {
-    if (cur_.kind != Tok::Atom) Lexer::fail(what + " must be on/off/default");
-    Tri t;
-    if (cur_.text == "on") t = Tri::On;
-    else if (cur_.text == "off") t = Tri::Off;
-    else if (cur_.text == "default") t = Tri::Default;
-    else { Lexer::fail(what + " must be on/off/default"); }
-    advance();
-    return t;
-  }
-
-  bool expect_on_off(const std::string& what) {
-    if (cur_.kind != Tok::Atom || (cur_.text != "on" && cur_.text != "off"))
-      Lexer::fail(what + " must be on or off");
-    const bool on = cur_.text == "on";
-    advance();
-    return on;
-  }
-
-  void expect_atom(const std::string& word) {
-    if (cur_.kind != Tok::Atom || cur_.text != word)
-      Lexer::fail("expected '" + word + "'");
-    advance();
-  }
-
-  void expect(Tok::Kind k, const std::string& why) {
-    if (cur_.kind != k) Lexer::fail(why);
-    advance();
-  }
-
-  void advance() { cur_ = lex_.next(); }
-
-  Lexer lex_;
-  Tok cur_;
-};
+  r.expect(Tok::RParen, "expected ')' closing kernel entry");
+  return kp;
+}
 
 }  // namespace
 
-HardeningPlan parse_plan(const std::string& text) { return PlanParser(text).parse(); }
+HardeningPlan parse_plan(const std::string& text) {
+  sexpr::Reader r(text, "hauberk-plan parse error: ");
+  r.expect(Tok::LParen, "plan must start with '('");
+  r.expect_atom("hauberk-plan");
+  const std::int64_t ver = r.integer(INT64_MIN, INT64_MAX, "version");
+  if (ver != kPlanVersion) r.fail("unsupported version " + std::to_string(ver));
+  HardeningPlan plan;
+  while (r.at(Tok::LParen)) plan.kernels.push_back(read_kernel(r, plan));
+  r.expect(Tok::RParen, "expected ')' closing hauberk-plan");
+  r.expect_end("trailing garbage after plan");
+  return plan;
+}
 
 HardeningPlan load_plan(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("hauberk-plan: cannot read '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_plan(buf.str());
+  return parse_plan(sexpr::read_file(path, "hauberk-plan"));
 }
 
 std::uint64_t plan_digest(const HardeningPlan& plan) noexcept {
   if (plan.trivial()) return 0;  // plan-free campaign digests must not move
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  for (const char c : serialize_plan(plan)) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
+  const std::uint64_t h = common::fnv1a(common::kFnvTruncatedBasis, serialize_plan(plan));
   return h ? h : 1;
 }
 

@@ -6,8 +6,8 @@
 // checksum+duplication, the naive Fig. 8(b) shadow-duplication ablation —
 // or nothing at all.  Plans
 //
-//   * serialize to / parse from a small s-expression (mirroring
-//     kir::serialize_kernel's flat, strict format),
+//   * serialize to / parse from a small s-expression in the strict dialect
+//     kernels and pruning plans share (common/sexpr.hpp),
 //   * carry a digest that campaign results fold into campaign_digest so a
 //     stored run is bound to the exact plan that produced it, and
 //   * adapt onto the existing pass framework via apply_plan() /
@@ -82,8 +82,9 @@ struct HardeningPlan {
 [[nodiscard]] std::string serialize_plan(const HardeningPlan& plan);
 
 /// Strict parser for the serialize_plan format; throws std::runtime_error
-/// with a diagnostic on any malformed input (unknown atom, bad arity,
-/// duplicate kernel entry, trailing garbage, out-of-range numbers).
+/// "hauberk-plan parse error: <why> at offset <n>" on any malformed input
+/// (unknown atom, bad arity, duplicate kernel entry, trailing garbage,
+/// out-of-range numbers, and everything the shared dialect rejects).
 [[nodiscard]] HardeningPlan parse_plan(const std::string& text);
 
 /// Read and parse a plan file (the --plan=FILE form every campaign tool
@@ -93,7 +94,7 @@ struct HardeningPlan {
 
 /// Stable identity for campaign binding: 0 for a trivial plan (so digests
 /// of plan-free campaigns never move), otherwise a nonzero FNV-1a over the
-/// canonical serialization.
+/// canonical serialization (common::kFnvTruncatedBasis).
 [[nodiscard]] std::uint64_t plan_digest(const HardeningPlan& plan) noexcept;
 
 /// Resolve `plan` for one kernel: returns `opt` with the kernel's master

@@ -10,6 +10,8 @@
 #include <cstring>
 #include <thread>
 
+#include "common/fnv.hpp"
+
 namespace hauberk::core {
 
 const char* process_verdict_name(ProcessOutcome::Verdict v) noexcept {
@@ -25,13 +27,7 @@ const char* process_verdict_name(ProcessOutcome::Verdict v) noexcept {
 }
 
 std::uint64_t PosixGuardian::digest(const void* data, std::size_t bytes) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return common::fnv1a(common::kFnvTruncatedBasis, data, bytes);
 }
 
 SupervisedRun PosixGuardian::run_once(const std::function<ChildReport()>& child) const {

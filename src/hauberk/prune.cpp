@@ -1,15 +1,17 @@
 #include "hauberk/prune.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
+#include <cstdint>
 
+#include "common/fnv.hpp"
+#include "common/sexpr.hpp"
 #include "kir/analysis.hpp"
 #include "kir/analysis_manager.hpp"
 #include "kir/defuse.hpp"
 
 namespace hauberk::prune {
+
+namespace sexpr = common::sexpr;
 
 const SiteFacts* KernelPruneFacts::find(std::uint32_t site_id) const noexcept {
   const auto it = std::lower_bound(
@@ -27,15 +29,6 @@ const KernelPruneFacts* PruningPlan::find(const std::string& kernel) const noexc
 // ---------------------------------------------------------------------------
 // Facts builder
 // ---------------------------------------------------------------------------
-
-namespace {
-
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  return h * 0x100000001b3ull;
-}
-
-}  // namespace
 
 KernelPruneFacts build_kernel_prune_facts(const kir::Kernel& instrumented,
                                           const kir::BytecodeProgram& program,
@@ -71,12 +64,13 @@ KernelPruneFacts build_kernel_prune_facts(const kir::Kernel& instrumented,
       f.occ_symmetric = du.occurrence_symmetric(site.var) && !iterator_site;
       // Fold the site-level attributes the cone hash cannot see from the
       // variable alone: hw component, dtype, loop membership, dead window.
-      f.cone_sig = fnv(v.cone_sig, static_cast<std::uint64_t>(site.hw));
-      f.cone_sig = fnv(f.cone_sig, static_cast<std::uint64_t>(site.type));
-      f.cone_sig = fnv(f.cone_sig, (site.in_loop ? 2u : 0u) | (site.dead_window ? 1u : 0u));
+      f.cone_sig = common::fnv_mix(v.cone_sig, static_cast<std::uint64_t>(site.hw));
+      f.cone_sig = common::fnv_mix(f.cone_sig, static_cast<std::uint64_t>(site.type));
+      f.cone_sig = common::fnv_mix(f.cone_sig,
+                                   (site.in_loop ? 2u : 0u) | (site.dead_window ? 1u : 0u));
     } else {
       f.live_mask = 0xffffffffu;  // unknown var: never prune
-      f.cone_sig = fnv(0x6261Dull, site.site_id);
+      f.cone_sig = common::fnv_mix(0x6261Dull, site.site_id);
     }
     out.sites.push_back(f);
   }
@@ -93,44 +87,18 @@ namespace {
 
 constexpr int kPruneVersion = 1;
 
-void write_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  out += '"';
-}
-
-std::string hex(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  if (v == 0) return "0";
-  char buf[16];
-  int i = 16;
-  while (v != 0) {
-    buf[--i] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return std::string(buf + i, buf + 16);
-}
-
 }  // namespace
 
 std::string serialize_pruning_plan(const PruningPlan& plan) {
   std::string out = "(hauberk-prune " + std::to_string(kPruneVersion);
   for (const KernelPruneFacts& k : plan.kernels) {
     out += "\n (kernel ";
-    write_string(out, k.kernel);
-    out += " (program " + hex(k.program_digest) + ")";
+    sexpr::write_string(out, k.kernel);
+    out += " (program " + sexpr::hex(k.program_digest) + ")";
     for (const SiteFacts& f : k.sites) {
       out += "\n  (site " + std::to_string(f.site_id);
-      out += " (live " + hex(f.live_mask) + ")";
-      out += " (cone " + hex(f.cone_sig) + ")";
+      out += " (live " + sexpr::hex(f.live_mask) + ")";
+      out += " (cone " + sexpr::hex(f.cone_sig) + ")";
       out += std::string(" (uniform ") + (f.uniform ? "1)" : "0)");
       out += std::string(" (occsym ") + (f.occ_symmetric ? "1)" : "0)");
       out += ")";
@@ -142,197 +110,89 @@ std::string serialize_pruning_plan(const PruningPlan& plan) {
 }
 
 // ---------------------------------------------------------------------------
-// Parser (same strict tokenizer dialect as hauberk/plan.cpp)
+// Parser (the field grammar over the shared strict reader)
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct Tok {
-  enum Kind { LParen, RParen, Atom, Str, End } kind = End;
-  std::string text;
-};
+using sexpr::Tok;
 
-class Lexer {
- public:
-  explicit Lexer(const std::string& src) : src_(src) {}
+bool read_bit(sexpr::Reader& r, const std::string& what) {
+  if (r.accept_atom("1")) return true;
+  if (r.accept_atom("0")) return false;
+  r.fail(what + " must be 0 or 1");
+}
 
-  Tok next() {
-    while (pos_ < src_.size() &&
-           (src_[pos_] == ' ' || src_[pos_] == '\n' || src_[pos_] == '\t' ||
-            src_[pos_] == '\r'))
-      ++pos_;
-    if (pos_ >= src_.size()) return {Tok::End, ""};
-    const char c = src_[pos_];
-    if (c == '(') { ++pos_; return {Tok::LParen, "("}; }
-    if (c == ')') { ++pos_; return {Tok::RParen, ")"}; }
-    if (c == '"') {
-      ++pos_;
-      std::string s;
-      while (pos_ < src_.size() && src_[pos_] != '"') {
-        char ch = src_[pos_++];
-        if (ch == '\\') {
-          if (pos_ >= src_.size()) fail("unterminated escape");
-          const char e = src_[pos_++];
-          switch (e) {
-            case '"': ch = '"'; break;
-            case '\\': ch = '\\'; break;
-            case 'n': ch = '\n'; break;
-            case 't': ch = '\t'; break;
-            default: fail("bad escape");
-          }
-        }
-        s += ch;
-      }
-      if (pos_ >= src_.size()) fail("unterminated string");
-      ++pos_;  // closing quote
-      return {Tok::Str, std::move(s)};
+void read_site(sexpr::Reader& r, KernelPruneFacts& k) {
+  r.expect_atom("site");
+  SiteFacts f;
+  // Site ids are written in decimal but read as hex, so ids of 10 and up
+  // come back renumbered.  Campaigns pruned from plan files (and the
+  // read-back digest pin) depend on this reading; mending it must move
+  // those pins on purpose.
+  f.site_id = static_cast<std::uint32_t>(r.hex(0xffffffffull, "site id"));
+  if (std::any_of(k.sites.begin(), k.sites.end(),
+                  [&](const SiteFacts& s) { return s.site_id == f.site_id; }))
+    r.fail("duplicate site entry " + std::to_string(f.site_id));
+  while (r.accept(Tok::LParen)) {
+    const std::string field = r.atom("site field name");
+    if (field == "live") {
+      f.live_mask = static_cast<std::uint32_t>(r.hex(0xffffffffull, "live mask"));
+    } else if (field == "cone") {
+      f.cone_sig = r.hex(UINT64_MAX, "cone signature");
+    } else if (field == "uniform") {
+      f.uniform = read_bit(r, "uniform");
+    } else if (field == "occsym") {
+      f.occ_symmetric = read_bit(r, "occsym");
+    } else {
+      r.fail("unknown site field '" + field + "'");
     }
-    std::string a;
-    while (pos_ < src_.size() && src_[pos_] != '(' && src_[pos_] != ')' &&
-           src_[pos_] != '"' && src_[pos_] != ' ' && src_[pos_] != '\n' &&
-           src_[pos_] != '\t' && src_[pos_] != '\r')
-      a += src_[pos_++];
-    return {Tok::Atom, std::move(a)};
+    r.expect(Tok::RParen, "expected ')' closing site field");
   }
+  r.expect(Tok::RParen, "expected ')' closing site entry");
+  k.sites.push_back(f);
+}
 
-  [[noreturn]] static void fail(const std::string& why) {
-    throw std::runtime_error("hauberk-prune parse error: " + why);
-  }
-
- private:
-  const std::string& src_;
-  std::size_t pos_ = 0;
-};
-
-class PruneParser {
- public:
-  explicit PruneParser(const std::string& src) : lex_(src) { advance(); }
-
-  PruningPlan parse() {
-    expect(Tok::LParen, "plan must start with '('");
-    expect_atom("hauberk-prune");
-    const std::uint64_t ver = expect_hex("version");
-    if (ver != static_cast<std::uint64_t>(kPruneVersion))
-      Lexer::fail("unsupported version " + std::to_string(ver));
-    PruningPlan plan;
-    while (cur_.kind == Tok::LParen) plan.kernels.push_back(parse_kernel(plan));
-    expect(Tok::RParen, "expected ')' closing hauberk-prune");
-    if (cur_.kind != Tok::End) Lexer::fail("trailing garbage after plan");
-    return plan;
-  }
-
- private:
-  KernelPruneFacts parse_kernel(const PruningPlan& so_far) {
-    expect(Tok::LParen, "expected '(kernel ...)'");
-    expect_atom("kernel");
-    KernelPruneFacts k;
-    if (cur_.kind != Tok::Str) Lexer::fail("kernel name must be a quoted string");
-    k.kernel = cur_.text;
-    advance();
-    for (const KernelPruneFacts& prev : so_far.kernels)
-      if (prev.kernel == k.kernel)
-        Lexer::fail("duplicate kernel entry \"" + k.kernel + "\"");
-    expect(Tok::LParen, "expected '(program ...)'");
-    expect_atom("program");
-    k.program_digest = expect_hex("program digest");
-    expect(Tok::RParen, "expected ')' closing program");
-    while (cur_.kind == Tok::LParen) parse_site(k);
-    expect(Tok::RParen, "expected ')' closing kernel entry");
-    return k;
-  }
-
-  void parse_site(KernelPruneFacts& k) {
-    advance();  // consume '('
-    expect_atom("site");
-    SiteFacts f;
-    const std::uint64_t id = expect_hex("site id");
-    if (id > 0xffffffffull) Lexer::fail("site id out of range");
-    f.site_id = static_cast<std::uint32_t>(id);
-    if (std::any_of(k.sites.begin(), k.sites.end(),
-                    [&](const SiteFacts& s) { return s.site_id == f.site_id; }))
-      Lexer::fail("duplicate site entry " + std::to_string(f.site_id));
-    while (cur_.kind == Tok::LParen) {
-      advance();
-      if (cur_.kind != Tok::Atom) Lexer::fail("expected site field name");
-      const std::string field = cur_.text;
-      advance();
-      if (field == "live") {
-        const std::uint64_t v = expect_hex("live mask");
-        if (v > 0xffffffffull) Lexer::fail("live mask out of range");
-        f.live_mask = static_cast<std::uint32_t>(v);
-      } else if (field == "cone") {
-        f.cone_sig = expect_hex("cone signature");
-      } else if (field == "uniform") {
-        f.uniform = expect_bit("uniform");
-      } else if (field == "occsym") {
-        f.occ_symmetric = expect_bit("occsym");
-      } else {
-        Lexer::fail("unknown site field '" + field + "'");
-      }
-      expect(Tok::RParen, "expected ')' closing site field");
-    }
-    expect(Tok::RParen, "expected ')' closing site entry");
-    k.sites.push_back(f);
-  }
-
-  std::uint64_t expect_hex(const std::string& what) {
-    if (cur_.kind != Tok::Atom || cur_.text.empty() || cur_.text.size() > 16)
-      Lexer::fail(what + " must be a hex number");
-    std::uint64_t v = 0;
-    for (const char c : cur_.text) {
-      v <<= 4;
-      if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-      else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
-      else Lexer::fail(what + " must be a hex number");
-    }
-    advance();
-    return v;
-  }
-
-  bool expect_bit(const std::string& what) {
-    if (cur_.kind != Tok::Atom || (cur_.text != "0" && cur_.text != "1"))
-      Lexer::fail(what + " must be 0 or 1");
-    const bool on = cur_.text == "1";
-    advance();
-    return on;
-  }
-
-  void expect_atom(const std::string& word) {
-    if (cur_.kind != Tok::Atom || cur_.text != word)
-      Lexer::fail("expected '" + word + "'");
-    advance();
-  }
-
-  void expect(Tok::Kind kd, const std::string& why) {
-    if (cur_.kind != kd) Lexer::fail(why);
-    advance();
-  }
-
-  void advance() { cur_ = lex_.next(); }
-
-  Lexer lex_;
-  Tok cur_;
-};
+KernelPruneFacts read_kernel(sexpr::Reader& r, const PruningPlan& so_far) {
+  r.expect(Tok::LParen, "expected '(kernel ...)'");
+  r.expect_atom("kernel");
+  KernelPruneFacts k;
+  k.kernel = r.string("kernel name");
+  for (const KernelPruneFacts& prev : so_far.kernels)
+    if (prev.kernel == k.kernel) r.fail("duplicate kernel entry \"" + k.kernel + "\"");
+  r.expect(Tok::LParen, "expected '(program ...)'");
+  r.expect_atom("program");
+  k.program_digest = r.hex(UINT64_MAX, "program digest");
+  r.expect(Tok::RParen, "expected ')' closing program");
+  while (r.accept(Tok::LParen)) read_site(r, k);
+  r.expect(Tok::RParen, "expected ')' closing kernel entry");
+  return k;
+}
 
 }  // namespace
 
-PruningPlan parse_pruning_plan(const std::string& text) { return PruneParser(text).parse(); }
+PruningPlan parse_pruning_plan(const std::string& text) {
+  sexpr::Reader r(text, "hauberk-prune parse error: ");
+  r.expect(Tok::LParen, "plan must start with '('");
+  r.expect_atom("hauberk-prune");
+  const std::uint64_t ver = r.hex(UINT64_MAX, "version");
+  if (ver != static_cast<std::uint64_t>(kPruneVersion))
+    r.fail("unsupported version " + std::to_string(ver));
+  PruningPlan plan;
+  while (r.at(Tok::LParen)) plan.kernels.push_back(read_kernel(r, plan));
+  r.expect(Tok::RParen, "expected ')' closing hauberk-prune");
+  r.expect_end("trailing garbage after plan");
+  return plan;
+}
 
 PruningPlan load_pruning_plan(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("hauberk-prune: cannot read '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_pruning_plan(buf.str());
+  return parse_pruning_plan(sexpr::read_file(path, "hauberk-prune"));
 }
 
 std::uint64_t pruning_plan_digest(const PruningPlan& plan) noexcept {
   if (plan.trivial()) return 0;  // prune-free campaign digests must not move
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  for (const char c : serialize_pruning_plan(plan)) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
+  const std::uint64_t h =
+      common::fnv1a(common::kFnvTruncatedBasis, serialize_pruning_plan(plan));
   return h ? h : 1;
 }
 

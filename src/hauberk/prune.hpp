@@ -20,8 +20,8 @@
 //     (not loop-carried, not control-steering, not a scheduler/iterator
 //     site).
 //
-// Plans serialize to the same strict s-expression dialect as HardeningPlan
-// (hauberk/plan.hpp), round-trip exactly, and carry a digest that
+// Plans serialize to the strict s-expression dialect HardeningPlan and
+// kernels share (common/sexpr.hpp) and carry a digest that
 // swifi::campaign_digest folds in so stored campaign results are bound to
 // the exact pruning decisions that produced them.  Each kernel entry also
 // pins the bytecode program digest it was derived from; consumers reject a
@@ -96,15 +96,19 @@ struct PruningPlan {
 ///       (site 0 (live ffffffff) (cone a1b2c3d4e5f60718) (uniform 0) (occsym 1))))
 [[nodiscard]] std::string serialize_pruning_plan(const PruningPlan& plan);
 
-/// Strict parser; throws std::runtime_error on malformed input (unknown
-/// atom, bad arity, duplicate kernel/site entry, trailing garbage).
+/// Strict parser; throws std::runtime_error "hauberk-prune parse error:
+/// <why> at offset <n>" on malformed input (unknown atom, bad arity,
+/// duplicate kernel/site entry, trailing garbage, and everything the shared
+/// dialect rejects).  Site ids are read as hex although they are written in
+/// decimal, so ids of 10 and up do not round-trip (DESIGN.md §14).
 [[nodiscard]] PruningPlan parse_pruning_plan(const std::string& text);
 
 /// Read and parse a plan file (--prune=FILE); throws naming the path.
 [[nodiscard]] PruningPlan load_pruning_plan(const std::string& path);
 
 /// 0 for a trivial plan (prune-free campaign digests never move), else a
-/// nonzero FNV-1a over the canonical serialization.
+/// nonzero FNV-1a over the canonical serialization
+/// (common::kFnvTruncatedBasis).
 [[nodiscard]] std::uint64_t pruning_plan_digest(const PruningPlan& plan) noexcept;
 
 }  // namespace hauberk::prune

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "common/fnv.hpp"
 #include "hauberk/cost.hpp"
 #include "hauberk/passes/pass_manager.hpp"
 #include "hauberk/plan.hpp"
@@ -32,18 +33,10 @@ bool any_internal(const StmtList& body) {
   return false;
 }
 
-void fnv(std::uint64_t& h, const void* data, std::size_t n) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-}
-
-void fnv_str(std::uint64_t& h, const std::string& s) noexcept {
+/// String with a u64 length prefix (program_digest's prefix is u32).
+std::uint64_t fnv_str(std::uint64_t h, const std::string& s) noexcept {
   const std::uint64_t len = s.size();
-  fnv(h, &len, sizeof len);
-  fnv(h, s.data(), s.size());
+  return common::fnv1a(common::fnv1a(h, &len, sizeof len), s);
 }
 
 }  // namespace
@@ -51,14 +44,13 @@ void fnv_str(std::uint64_t& h, const std::string& s) noexcept {
 bool is_instrumented(const Kernel& k) { return any_internal(k.body); }
 
 std::uint64_t remark_digest(const TranslateReport& report) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  fnv_str(h, report.pipeline);
+  std::uint64_t h = fnv_str(common::kFnvStandardBasis, report.pipeline);
   for (const PassRemark& r : report.remarks) {
-    fnv_str(h, r.pass);
-    fnv_str(h, r.message);
-    fnv(h, &r.loop_id, sizeof r.loop_id);
-    fnv(h, &r.var, sizeof r.var);
-    fnv(h, &r.detector, sizeof r.detector);
+    h = fnv_str(h, r.pass);
+    h = fnv_str(h, r.message);
+    h = common::fnv1a(h, &r.loop_id, sizeof r.loop_id);
+    h = common::fnv1a(h, &r.var, sizeof r.var);
+    h = common::fnv1a(h, &r.detector, sizeof r.detector);
   }
   return h;
 }

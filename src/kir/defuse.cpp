@@ -3,8 +3,13 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "common/fnv.hpp"
+
 namespace hauberk::kir {
 namespace {
+
+using common::fnv_mix;
+using common::kFnvStandardBasis;
 
 constexpr std::uint32_t kAllBits = 0xffffffffu;
 
@@ -29,39 +34,34 @@ bool const_shift(const ExprPtr& e, std::uint32_t& amount) {
   return true;
 }
 
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  return h * 0x100000001b3ull;
-}
-
 /// Structural hash of an expression with variable/parameter identities and
 /// constant values erased; used for cone signatures so symmetric register
 /// lanes (same computation over different inputs/offsets) hash equal.
 std::uint64_t expr_shape(const ExprPtr& e) {
   if (!e) return 0x9e3779b97f4a7c15ull;
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  h = fnv(h, static_cast<std::uint64_t>(e->kind));
-  h = fnv(h, static_cast<std::uint64_t>(e->type));
+  std::uint64_t h = kFnvStandardBasis;
+  h = fnv_mix(h, static_cast<std::uint64_t>(e->kind));
+  h = fnv_mix(h, static_cast<std::uint64_t>(e->type));
   switch (e->kind) {
     case ExprKind::Const:
     case ExprKind::VarRef:
     case ExprKind::ParamRef:
       break;  // identity/value erased
     case ExprKind::Builtin:
-      h = fnv(h, static_cast<std::uint64_t>(e->builtin));
+      h = fnv_mix(h, static_cast<std::uint64_t>(e->builtin));
       break;
     case ExprKind::Unary:
-      h = fnv(h, static_cast<std::uint64_t>(e->un));
+      h = fnv_mix(h, static_cast<std::uint64_t>(e->un));
       break;
     case ExprKind::Binary:
-      h = fnv(h, static_cast<std::uint64_t>(e->bin));
+      h = fnv_mix(h, static_cast<std::uint64_t>(e->bin));
       break;
     default:
       break;
   }
-  if (e->a) h = fnv(h, expr_shape(e->a));
-  if (e->b) h = fnv(h, expr_shape(e->b));
-  if (e->c) h = fnv(h, expr_shape(e->c));
+  if (e->a) h = fnv_mix(h, expr_shape(e->a));
+  if (e->b) h = fnv_mix(h, expr_shape(e->b));
+  if (e->c) h = fnv_mix(h, expr_shape(e->c));
   return h;
 }
 
@@ -96,7 +96,7 @@ struct Builder {
     for (std::size_t i = 0; i < n; ++i) vars[i].var = static_cast<VarId>(i);
     root_use.assign(n, 0);
     deps.assign(n, {});
-    local_shape.assign(n, 0xcbf29ce484222325ull);
+    local_shape.assign(n, kFnvStandardBasis);
     first_def_ord.assign(n, static_cast<std::size_t>(-1));
     first_use_ord.assign(n, static_cast<std::size_t>(-1));
   }
@@ -108,11 +108,11 @@ struct Builder {
     if (v == kInvalidVar || v >= vars.size()) return;
     ++vars[v].defs;
     first_def_ord[v] = std::min(first_def_ord[v], ord);
-    std::uint64_t h = fnv(local_shape[v], shape_tag);
+    std::uint64_t h = fnv_mix(local_shape[v], shape_tag);
     std::vector<VarId> r;
     for (const ExprPtr* e : {&reads_a, &reads_b, &reads_c}) {
       if (*e) {
-        h = fnv(h, expr_shape(*e));
+        h = fnv_mix(h, expr_shape(*e));
         collect_reads(*e, r);
       }
     }
@@ -447,8 +447,8 @@ struct Builder {
     // rounds the signature covers the depth-K forward propagation cone.
     std::vector<std::uint64_t> sig(vars.size()), next(vars.size());
     for (std::size_t v = 0; v < vars.size(); ++v)
-      sig[v] = fnv(fnv(local_shape[v], root_use[v]),
-                   static_cast<std::uint64_t>(k.vars[v].type));
+      sig[v] = fnv_mix(fnv_mix(local_shape[v], root_use[v]),
+                       static_cast<std::uint64_t>(k.vars[v].type));
     constexpr int kRounds = 8;
     for (int r = 0; r < kRounds; ++r) {
       for (std::size_t v = 0; v < vars.size(); ++v) {
@@ -456,8 +456,8 @@ struct Builder {
         cs.reserve(consumers[v].size());
         for (VarId c : consumers[v]) cs.push_back(sig[c]);
         std::sort(cs.begin(), cs.end());
-        std::uint64_t h = fnv(sig[v], 0x57ull);
-        for (std::uint64_t c : cs) h = fnv(h, c);
+        std::uint64_t h = fnv_mix(sig[v], 0x57ull);
+        for (std::uint64_t c : cs) h = fnv_mix(h, c);
         next[v] = h;
       }
       sig.swap(next);

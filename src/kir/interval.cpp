@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/fnv.hpp"
+
 namespace hauberk::kir {
 
 namespace {
@@ -98,13 +100,8 @@ ValInterval widen(const ValInterval& prev, const ValInterval& next, DType t) noe
 }
 
 std::uint64_t IntervalEnv::digest() const noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = common::kFnvTruncatedBasis;
+  const auto mix = [&h](std::uint64_t v) { h = common::fnv1a_u64(h, v); };
   mix(block_x);
   mix(block_y);
   mix(grid_x);

@@ -2,6 +2,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "common/fnv.hpp"
 #include "kir/bytecode.hpp"
 
 namespace hauberk::kir {
@@ -477,14 +478,8 @@ std::string disassemble(const BytecodeProgram& p) {
 namespace {
 
 struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void bytes(const void* p, std::size_t n) noexcept {
-    const auto* c = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= c[i];
-      h *= 1099511628211ull;
-    }
-  }
+  std::uint64_t h = common::kFnvTruncatedBasis;
+  void bytes(const void* p, std::size_t n) noexcept { h = common::fnv1a(h, p, n); }
   template <typename T>
   void pod(T v) noexcept {
     bytes(&v, sizeof v);

@@ -10,7 +10,8 @@
 // field is written out (Value payloads as exact bit patterns, labels and
 // names escaped), so lowering the parsed kernel yields a bytecode program
 // bit-identical to lowering the original — `kir::program_digest` is the
-// equality oracle the round-trip tests pin on.
+// equality oracle the round-trip tests pin on.  The text is the strict
+// s-expression dialect plans share (common/sexpr.hpp).
 #pragma once
 
 #include <string>
@@ -28,8 +29,10 @@ std::string print_loop_dataflow(const Kernel& k, const LoopDataflow& df);
 /// human-readable print_kernel syntax).
 [[nodiscard]] std::string serialize_kernel(const Kernel& k);
 
-/// Inverse of serialize_kernel.  Throws std::runtime_error on malformed
-/// input (truncated stream, unknown tags, out-of-range enum payloads).
+/// Inverse of serialize_kernel.  Throws std::runtime_error
+/// "kir::parse_kernel: <why> at offset <n>" on malformed input (truncated
+/// stream, unknown tags, out-of-range fields, trailing bytes, CR bytes,
+/// nesting deeper than common::sexpr::kMaxNesting).
 [[nodiscard]] Kernel parse_kernel(const std::string& text);
 
 }  // namespace hauberk::kir

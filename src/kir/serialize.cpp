@@ -6,46 +6,34 @@
 // "printer dropped a field the lowering reads" class of round-trip bug —
 // there is no per-kind field selection to get wrong.  Value payloads are
 // written as raw 32-bit bit patterns (floats never go through decimal),
-// and names/labels are quoted with C-style escapes.
+// and names/labels are quoted with C-style escapes.  The lexical dialect,
+// the nesting cap and the error form are common/sexpr.hpp's.
 #include <cstdint>
-#include <cstdio>
-#include <stdexcept>
 #include <string>
 
+#include "common/sexpr.hpp"
 #include "kir/printer.hpp"
 
 namespace hauberk::kir {
 
 namespace {
 
+namespace sexpr = common::sexpr;
+using sexpr::Tok;
+
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
 
-void write_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  out += '"';
+/// One positional integer field: a space, then the decimal value.
+void put(std::string& out, std::int64_t v) {
+  out += ' ';
+  out += std::to_string(v);
 }
 
-void write_u32(std::string& out, std::uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%u", v);
-  out += buf;
-}
-
-void write_i32(std::string& out, std::int32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%d", v);
-  out += buf;
+template <typename E>
+std::int64_t u(E v) {
+  return static_cast<std::int64_t>(static_cast<std::uint32_t>(v));
 }
 
 void write_expr(std::string& out, const ExprPtr& e) {
@@ -53,24 +41,16 @@ void write_expr(std::string& out, const ExprPtr& e) {
     out += " _";
     return;
   }
-  out += " (e ";
-  write_u32(out, static_cast<std::uint32_t>(e->kind));
-  out += ' ';
-  write_u32(out, static_cast<std::uint32_t>(e->type));
-  out += ' ';
-  write_u32(out, static_cast<std::uint32_t>(e->constant.type));
-  out += ' ';
-  write_u32(out, e->constant.bits);
-  out += ' ';
-  write_u32(out, e->var);
-  out += ' ';
-  write_u32(out, e->param);
-  out += ' ';
-  write_u32(out, static_cast<std::uint32_t>(e->builtin));
-  out += ' ';
-  write_u32(out, static_cast<std::uint32_t>(e->un));
-  out += ' ';
-  write_u32(out, static_cast<std::uint32_t>(e->bin));
+  out += " (e";
+  put(out, u(e->kind));
+  put(out, u(e->type));
+  put(out, u(e->constant.type));
+  put(out, e->constant.bits);
+  put(out, e->var);
+  put(out, e->param);
+  put(out, u(e->builtin));
+  put(out, u(e->un));
+  put(out, u(e->bin));
   write_expr(out, e->a);
   write_expr(out, e->b);
   write_expr(out, e->c);
@@ -80,26 +60,18 @@ void write_expr(std::string& out, const ExprPtr& e) {
 void write_stmts(std::string& out, const StmtList& body);
 
 void write_stmt(std::string& out, const StmtPtr& s) {
-  out += " (s ";
-  write_u32(out, static_cast<std::uint32_t>(s->kind));
+  out += " (s";
+  put(out, u(s->kind));
+  put(out, s->var);
+  put(out, s->detector_id);
+  put(out, s->site);
+  put(out, u(s->hw));
+  put(out, s->loop_id);
+  put(out, s->extra_flags);
+  put(out, s->hauberk_internal ? 1 : 0);
+  put(out, s->fi_dead_window ? 1 : 0);
   out += ' ';
-  write_u32(out, s->var);
-  out += ' ';
-  write_i32(out, s->detector_id);
-  out += ' ';
-  write_u32(out, s->site);
-  out += ' ';
-  write_u32(out, static_cast<std::uint32_t>(s->hw));
-  out += ' ';
-  write_u32(out, s->loop_id);
-  out += ' ';
-  write_u32(out, s->extra_flags);
-  out += ' ';
-  write_u32(out, s->hauberk_internal ? 1 : 0);
-  out += ' ';
-  write_u32(out, s->fi_dead_window ? 1 : 0);
-  out += ' ';
-  write_string(out, s->label);
+  sexpr::write_string(out, s->label);
   write_expr(out, s->value);
   write_expr(out, s->addr);
   write_expr(out, s->rhs);
@@ -118,186 +90,54 @@ void write_stmts(std::string& out, const StmtList& body) {
 }
 
 // ---------------------------------------------------------------------------
-// Reader
+// Reader (recursion is bounded by the reader's nesting cap)
 // ---------------------------------------------------------------------------
 
-class Reader {
- public:
-  explicit Reader(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c)
-      fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  /// True (and consumed) when the next token starts with `c`.
-  bool accept(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect_tag(const char* tag) {
-    skip_ws();
-    for (const char* t = tag; *t; ++t) {
-      if (pos_ >= text_.size() || text_[pos_] != *t)
-        fail(std::string("expected tag '") + tag + "'");
-      ++pos_;
-    }
-  }
-
-  std::uint32_t read_u32() {
-    const auto [v, neg] = read_digits();
-    if (neg) fail("unexpected negative integer");
-    return static_cast<std::uint32_t>(v);
-  }
-
-  std::int32_t read_i32() {
-    const auto [v, neg] = read_digits();
-    return neg ? -static_cast<std::int32_t>(v) : static_cast<std::int32_t>(v);
-  }
-
-  std::string read_string() {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != '"') fail("expected string");
-    ++pos_;
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("truncated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          default: fail("unknown escape");
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error("kir::parse_kernel: " + why + " at offset " +
-                             std::to_string(pos_));
-  }
-
-  /// Nesting limit for the recursive descent: every expression and statement
-  /// level counts one.  The deepest kernel the 12 workloads and the 216
-  /// translator configurations produce nests 15 levels, so this leaves over
-  /// two orders of magnitude of headroom while keeping hostile input (a
-  /// 100k-deep expression) from overflowing the stack.
-  static constexpr std::size_t kMaxNesting = 4096;
-
-  /// RAII nesting level; throws past kMaxNesting.
-  class Nest {
-   public:
-    explicit Nest(Reader& r) : r_(r) {
-      if (r_.depth_ == kMaxNesting)
-        r_.fail("nesting deeper than " + std::to_string(kMaxNesting) + " levels");
-      ++r_.depth_;
-    }
-    ~Nest() { --r_.depth_; }
-    Nest(const Nest&) = delete;
-    Nest& operator=(const Nest&) = delete;
-
-   private:
-    Reader& r_;
-  };
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t'))
-      ++pos_;
-  }
-
-  struct Digits {
-    std::uint64_t value;
-    bool negative;
-  };
-  Digits read_digits() {
-    skip_ws();
-    bool neg = false;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      neg = true;
-      ++pos_;
-    }
-    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9')
-      fail("expected integer");
-    std::uint64_t v = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      v = v * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
-      if (v > 0xffffffffull) fail("integer out of range");
-      ++pos_;
-    }
-    return {v, neg};
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::size_t depth_ = 0;
-};
-
-template <typename E>
-E read_enum(Reader& r, std::uint32_t max, const char* what) {
-  const std::uint32_t v = r.read_u32();
-  if (v > max) r.fail(std::string("out-of-range ") + what);
-  return static_cast<E>(v);
+std::uint32_t read_u32(sexpr::Reader& r, const char* what) {
+  return static_cast<std::uint32_t>(r.integer(0, UINT32_MAX, what));
 }
 
-ExprPtr read_expr(Reader& r) {
-  if (r.accept('_')) return nullptr;
-  const Reader::Nest nest(r);
-  r.expect('(');
-  r.expect_tag("e");
+template <typename E>
+E read_enum(sexpr::Reader& r, E max, const char* what) {
+  return static_cast<E>(r.integer(0, u(max), what));
+}
+
+ExprPtr read_expr(sexpr::Reader& r) {
+  if (r.accept_atom("_")) return nullptr;
+  r.expect(Tok::LParen, "expected expression");
+  r.expect_atom("e");
   auto e = std::make_shared<Expr>();
-  e->kind = read_enum<ExprKind>(r, static_cast<std::uint32_t>(ExprKind::Select), "ExprKind");
-  e->type = read_enum<DType>(r, static_cast<std::uint32_t>(DType::PTR), "DType");
-  e->constant.type = read_enum<DType>(r, static_cast<std::uint32_t>(DType::PTR), "DType");
-  e->constant.bits = r.read_u32();
-  e->var = r.read_u32();
-  e->param = r.read_u32();
-  e->builtin =
-      read_enum<BuiltinVal>(r, static_cast<std::uint32_t>(BuiltinVal::ThreadLinear), "BuiltinVal");
-  e->un = read_enum<UnOp>(r, static_cast<std::uint32_t>(UnOp::CastI32), "UnOp");
-  e->bin = read_enum<BinOp>(r, static_cast<std::uint32_t>(BinOp::LogicalOr), "BinOp");
+  e->kind = read_enum(r, ExprKind::Select, "ExprKind");
+  e->type = read_enum(r, DType::PTR, "DType");
+  e->constant.type = read_enum(r, DType::PTR, "DType");
+  e->constant.bits = read_u32(r, "constant bits");
+  e->var = read_u32(r, "var");
+  e->param = read_u32(r, "param");
+  e->builtin = read_enum(r, BuiltinVal::ThreadLinear, "BuiltinVal");
+  e->un = read_enum(r, UnOp::CastI32, "UnOp");
+  e->bin = read_enum(r, BinOp::LogicalOr, "BinOp");
   e->a = read_expr(r);
   e->b = read_expr(r);
   e->c = read_expr(r);
-  r.expect(')');
+  r.expect(Tok::RParen, "expected ')' closing expression");
   return e;
 }
 
-StmtList read_stmts(Reader& r);
+StmtList read_stmts(sexpr::Reader& r);
 
-StmtPtr read_stmt(Reader& r) {
-  const Reader::Nest nest(r);
-  r.expect_tag("s");
+StmtPtr read_stmt(sexpr::Reader& r) {
+  r.expect_atom("s");
   auto s = std::make_shared<Stmt>();
-  s->kind = read_enum<StmtKind>(r, static_cast<std::uint32_t>(StmtKind::FIHook), "StmtKind");
-  s->var = r.read_u32();
-  s->detector_id = r.read_i32();
-  s->site = r.read_u32();
-  s->hw = read_enum<HwComponent>(r, static_cast<std::uint32_t>(HwComponent::Memory),
-                                 "HwComponent");
-  s->loop_id = r.read_u32();
-  const std::uint32_t flags = r.read_u32();
-  if (flags > 0xffu) r.fail("extra_flags out of range");
-  s->extra_flags = static_cast<std::uint8_t>(flags);
-  s->hauberk_internal = r.read_u32() != 0;
-  s->fi_dead_window = r.read_u32() != 0;
-  s->label = r.read_string();
+  s->kind = read_enum(r, StmtKind::FIHook, "StmtKind");
+  s->var = read_u32(r, "var");
+  s->detector_id = static_cast<int>(r.integer(INT32_MIN, INT32_MAX, "detector id"));
+  s->site = read_u32(r, "site");
+  s->hw = read_enum(r, HwComponent::Memory, "HwComponent");
+  s->loop_id = read_u32(r, "loop id");
+  s->extra_flags = static_cast<std::uint8_t>(r.integer(0, 0xff, "extra_flags"));
+  s->hauberk_internal = read_u32(r, "internal flag") != 0;
+  s->fi_dead_window = read_u32(r, "dead-window flag") != 0;
+  s->label = r.string("label");
   s->value = read_expr(r);
   s->addr = read_expr(r);
   s->rhs = read_expr(r);
@@ -306,15 +146,15 @@ StmtPtr read_stmt(Reader& r) {
   s->step = read_expr(r);
   s->body = read_stmts(r);
   s->else_body = read_stmts(r);
-  r.expect(')');
+  r.expect(Tok::RParen, "expected ')' closing statement");
   return s;
 }
 
-StmtList read_stmts(Reader& r) {
-  r.expect('(');
+StmtList read_stmts(sexpr::Reader& r) {
+  r.expect(Tok::LParen, "expected statement list");
   StmtList out;
-  while (!r.accept(')')) {
-    r.expect('(');
+  while (!r.accept(Tok::RParen)) {
+    r.expect(Tok::LParen, "expected statement");
     out.push_back(read_stmt(r));
   }
   return out;
@@ -324,27 +164,22 @@ StmtList read_stmts(Reader& r) {
 
 std::string serialize_kernel(const Kernel& k) {
   std::string out = "(kernel ";
-  write_string(out, k.name);
-  out += ' ';
-  write_u32(out, k.shared_mem_words);
-  out += ' ';
-  write_u32(out, k.num_loops);
+  sexpr::write_string(out, k.name);
+  put(out, k.shared_mem_words);
+  put(out, k.num_loops);
   out += "\n (params";
   for (const auto& p : k.params) {
     out += " (";
-    write_string(out, p.name);
-    out += ' ';
-    write_u32(out, static_cast<std::uint32_t>(p.type));
+    sexpr::write_string(out, p.name);
+    put(out, u(p.type));
     out += ')';
   }
   out += ")\n (vars";
   for (const auto& v : k.vars) {
     out += " (";
-    write_string(out, v.name);
-    out += ' ';
-    write_u32(out, static_cast<std::uint32_t>(v.type));
-    out += ' ';
-    write_u32(out, v.scatter_shadow ? 1 : 0);
+    sexpr::write_string(out, v.name);
+    put(out, u(v.type));
+    put(out, v.scatter_shadow ? 1 : 0);
     out += ')';
   }
   out += ")\n";
@@ -354,36 +189,37 @@ std::string serialize_kernel(const Kernel& k) {
 }
 
 Kernel parse_kernel(const std::string& text) {
-  Reader r(text);
+  sexpr::Reader r(text, "kir::parse_kernel: ");
   Kernel k;
-  r.expect('(');
-  r.expect_tag("kernel");
-  k.name = r.read_string();
-  k.shared_mem_words = r.read_u32();
-  k.num_loops = r.read_u32();
-  r.expect('(');
-  r.expect_tag("params");
-  while (r.accept('(')) {
+  r.expect(Tok::LParen, "expected '('");
+  r.expect_atom("kernel");
+  k.name = r.string("kernel name");
+  k.shared_mem_words = read_u32(r, "shared_mem_words");
+  k.num_loops = read_u32(r, "num_loops");
+  r.expect(Tok::LParen, "expected '(params ...)'");
+  r.expect_atom("params");
+  while (r.accept(Tok::LParen)) {
     KernelParam p;
-    p.name = r.read_string();
-    p.type = read_enum<DType>(r, static_cast<std::uint32_t>(DType::PTR), "DType");
-    r.expect(')');
+    p.name = r.string("param name");
+    p.type = read_enum(r, DType::PTR, "DType");
+    r.expect(Tok::RParen, "expected ')' closing param");
     k.params.push_back(std::move(p));
   }
-  r.expect(')');
-  r.expect('(');
-  r.expect_tag("vars");
-  while (r.accept('(')) {
+  r.expect(Tok::RParen, "expected ')' closing params");
+  r.expect(Tok::LParen, "expected '(vars ...)'");
+  r.expect_atom("vars");
+  while (r.accept(Tok::LParen)) {
     VarInfo v;
-    v.name = r.read_string();
-    v.type = read_enum<DType>(r, static_cast<std::uint32_t>(DType::PTR), "DType");
-    v.scatter_shadow = r.read_u32() != 0;
-    r.expect(')');
+    v.name = r.string("var name");
+    v.type = read_enum(r, DType::PTR, "DType");
+    v.scatter_shadow = read_u32(r, "scatter_shadow") != 0;
+    r.expect(Tok::RParen, "expected ')' closing var");
     k.vars.push_back(std::move(v));
   }
-  r.expect(')');
+  r.expect(Tok::RParen, "expected ')' closing vars");
   k.body = read_stmts(r);
-  r.expect(')');
+  r.expect(Tok::RParen, "expected ')' closing kernel");
+  r.expect_end("trailing garbage after kernel");
   return k;
 }
 

@@ -76,13 +76,6 @@ namespace hauberk::kir {
 
 namespace {
 
-constexpr bool is_bin(DecodedOp op) noexcept {
-  return op >= DecodedOp::AddF && op <= DecodedOp::BinGeneric;
-}
-constexpr bool is_un(DecodedOp op) noexcept {
-  return op >= DecodedOp::NegF && op <= DecodedOp::UnGeneric;
-}
-
 constexpr TOp cmp_jz_top(DecodedOp k) noexcept {
   switch (k) {
 #define HAUBERK_TOP_M(n) \
@@ -243,54 +236,6 @@ constexpr bool can_crash(DecodedOp op) noexcept {
   }
 }
 
-/// Flow-insensitive divergence dataflow over register slots, mirroring the
-/// kir divergence analysis at bytecode level: a slot is thread-divergent
-/// once it can ever hold a value derived from a thread-local input (thread
-/// builtins, memory loads, FI corruption).  Params, constants and block
-/// builtins are uniform.  Monotone (divergence only spreads), iterated to
-/// fixpoint so loop-carried dependencies converge.
-std::vector<bool> divergent_slots(const DecodedProgram& d, std::uint16_t num_slots) {
-  std::vector<bool> div(num_slots, false);
-  auto mark = [&](std::uint16_t slot, bool v, bool& changed) {
-    if (v && slot < num_slots && !div[slot]) {
-      div[slot] = true;
-      changed = true;
-    }
-  };
-  auto read = [&](std::uint16_t slot) { return slot < num_slots && div[slot]; };
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const DecodedInstr& in : d.code) {
-      const auto op = in.op;
-      if (op == DecodedOp::Builtin) {
-        const auto b = static_cast<BuiltinVal>(in.aux);
-        mark(in.dst,
-             b == BuiltinVal::ThreadIdxX || b == BuiltinVal::ThreadIdxY ||
-                 b == BuiltinVal::ThreadLinear,
-             changed);
-      } else if (op == DecodedOp::Mov || is_un(op)) {
-        mark(in.dst, read(in.a), changed);
-      } else if (is_bin(op)) {
-        mark(in.dst, read(in.a) || read(in.b), changed);
-      } else if (op == DecodedOp::Select) {
-        mark(in.dst,
-             read(in.a) || read(in.b) || read(static_cast<std::uint16_t>(in.imm)),
-             changed);
-      } else if (op == DecodedOp::LoadG || op == DecodedOp::LoadS) {
-        // Memory contents are thread-dependent in general; stay conservative.
-        mark(in.dst, true, changed);
-      } else if (op == DecodedOp::ChkXor) {
-        mark(in.dst, read(in.dst) || read(in.a), changed);
-      } else if (op == DecodedOp::FIHook) {
-        // The injector may corrupt this slot for selected threads only.
-        mark(in.a, true, changed);
-      }
-    }
-  }
-  return div;
-}
-
 }  // namespace
 
 const char* top_name(TOp op) noexcept {
@@ -350,7 +295,7 @@ const char* top_name(TOp op) noexcept {
   return "?";
 }
 
-ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slots,
+ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_slots*/,
                                  bool flat_global_memory, bool form_runs, bool sanitize,
                                  const FIFilter& fi) {
   ThreadedProgram out;
@@ -400,16 +345,6 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     if (in.op == DecodedOp::Barrier) out.has_barriers = true;
     if (in.op == DecodedOp::FIHook) ++out.fi_hooks;
     if (fi_dead(in)) ++fi_dead_total;
-  }
-
-  // Divergence stats (branch uniformity) for inspect/tests.
-  const std::vector<bool> div = divergent_slots(d, num_slots);
-  for (const DecodedInstr& in : d.code) {
-    if (in.op != DecodedOp::Jz) continue;
-    if (in.a < num_slots && div[in.a])
-      ++out.divergent_branches;
-    else
-      ++out.uniform_branches;
   }
 
   // Pass 2: fusion.  Each head is rewritten in place; covered slots keep

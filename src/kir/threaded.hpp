@@ -283,11 +283,6 @@ struct ThreadedProgram {
   /// (outside runs, or kept as a run's head).
   std::uint32_t fi_dropped = 0;
   std::uint32_t fi_nops = 0;
-  /// Divergence dataflow results (the bytecode mirror of the kir divergence
-  /// analysis): branches whose condition only depends on thread-uniform
-  /// inputs (params, block builtins, constants) vs. thread-dependent ones.
-  std::uint32_t uniform_branches = 0;
-  std::uint32_t divergent_branches = 0;
   bool has_barriers = false;
 };
 
@@ -308,8 +303,9 @@ struct FIFilter {
   }
 };
 
-/// Compile a predecoded stream into threaded-code form.  `num_slots` is the
-/// program's register-slot count (divergence dataflow); `flat_global_memory`
+/// Compile a predecoded stream into threaded-code form.  `num_slots` (the
+/// program's register-slot count) is not read; it stays because
+/// perfbench/trial_bench.cpp calls this signature.  `flat_global_memory`
 /// is whether the target device uses the FlatGpu arena — load/store fusions
 /// are only emitted there, because only the flat model's bounds are
 /// checkable before any side effect (the PagedCpu fallback keeps singles,

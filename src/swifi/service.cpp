@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/bitops.hpp"
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "common/worker_pool.hpp"
 #include "hauberk/checkpoint.hpp"
@@ -21,15 +22,7 @@ namespace hauberk::swifi {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv(std::uint64_t& h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
+void fnv(std::uint64_t& h, std::uint64_t v) noexcept { h = common::fnv1a_u64(h, v); }
 
 void fnv_f64(std::uint64_t& h, double v) noexcept {
   fnv(h, std::bit_cast<std::uint64_t>(v));
@@ -44,7 +37,7 @@ std::uint64_t campaign_digest(const kir::BytecodeProgram& program,
                               gpusim::ecc::Scheme protection,
                               std::uint64_t plan_digest,
                               std::uint64_t prune_digest, bool sanitize) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = common::kFnvTruncatedBasis;
   fnv(h, kir::program_digest(program));
   fnv(h, specs.size());
   for (const FaultSpec& s : specs) {

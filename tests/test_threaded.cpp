@@ -21,6 +21,7 @@
 #include "gpusim/device.hpp"
 #include "hauberk/control_block.hpp"
 #include "hauberk/runtime.hpp"
+#include "kir/builder.hpp"
 #include "kir/bytecode.hpp"
 #include "kir/threaded.hpp"
 #include "swifi/campaign.hpp"
@@ -262,6 +263,53 @@ TEST(Threaded, WorkloadKernelsFuseTheirLoops) {
     // Every kernel body has at least one straight-line region long enough
     // to compile as a zero-accounting run.
     EXPECT_GT(tp.run_heads, 0u) << w->name();
+  }
+}
+
+// Integer negation and |x| of INT32_MIN wrap to 0x80000000 (two's
+// complement, no signed overflow) on both engines.  The kernel places abs
+// and neg both inside a straight-line run (naked handlers) and on a branch
+// arm (single handlers); the reference engine evaluates them generically.
+TEST(Threaded, IntegerAbsAndNegOfMinIntWrapOnBothEngines) {
+  kir::KernelBuilder kb("absmin");
+  auto x = kb.param_i32("x");
+  auto out = kb.param_ptr("out");
+  kb.store(out, kir::abs_(x));
+  kb.store(out + kir::i32c(1), -x);
+  auto a = kb.let("a", kir::i32c(0));
+  kb.if_then_else(x < kir::i32c(0), [&] { kb.assign(a, kir::abs_(x)); },
+                  [&] { kb.assign(a, -x); });
+  kb.store(out + kir::i32c(2), a);
+  const auto prog = kir::lower(kb.build());
+
+  // The threaded stream really holds both handler forms.
+  const std::vector<std::uint32_t> costs(prog.code.size(), 1);
+  const auto tp = kir::compile_threaded(kir::decode_program(prog, costs), prog.num_slots, true);
+  const auto has = [&](kir::TOp op) {
+    for (const auto& t : tp.code)
+      if (t.op == static_cast<std::uint16_t>(op) ||
+          (t.op == static_cast<std::uint16_t>(kir::TOp::RunHead) &&
+           t.d == static_cast<std::uint16_t>(op)))
+        return true;
+    return false;
+  };
+  EXPECT_TRUE(has(kir::TOp::AbsI));
+  EXPECT_TRUE(has(kir::TOp::Nk_AbsI));
+
+  for (const auto engine : {gpusim::ExecEngine::Reference, gpusim::ExecEngine::Threaded}) {
+    for (const std::int32_t in : {INT32_MIN, -5}) {
+      gpusim::Device dev;
+      dev.set_engine(engine);
+      const auto oa = dev.mem().alloc(3, gpusim::AllocClass::I32Data);
+      const kir::Value args[] = {kir::Value::i32(in), kir::Value::ptr(oa)};
+      ASSERT_EQ(dev.launch(prog, gpusim::LaunchConfig{}, args).status,
+                gpusim::LaunchStatus::Ok);
+      std::vector<std::uint32_t> got(3);
+      dev.mem().copy_out(oa, got);
+      const std::uint32_t want = in == INT32_MIN ? 0x80000000u : 5u;
+      EXPECT_EQ(got, (std::vector<std::uint32_t>{want, want, want}))
+          << gpusim::exec_engine_name(engine) << " x=" << in;
+    }
   }
 }
 
