@@ -19,8 +19,8 @@
 // --protection=none|hamming|hsiao (hardware ECC on the baseline and
 // executor devices; the protected-mode section below always measures
 // none-vs-hsiao regardless), --json=FILE (write the engine sweep and
-// protection rows, the device construction time and the determinism
-// verdict as JSON).
+// protection rows, the device construction time, the per-launch host
+// overhead and the determinism verdict as JSON).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -30,6 +30,8 @@
 
 #include "bench_common.hpp"
 #include "common/worker_pool.hpp"
+#include "kir/builder.hpp"
+#include "kir/bytecode.hpp"
 
 using namespace hauberk;
 using namespace hauberk::bench;
@@ -235,6 +237,30 @@ int main(int argc, char** argv) {
                 gpusim::DeviceProps{}.global_mem_words, device_init_us, us.size());
   }
 
+  // Fixed host cost of a launch: an empty one-thread kernel on a warm
+  // threaded device with one block worker, so nothing is interpreted and
+  // what remains is plan lookup, the worker-count choice and result
+  // assembly.  A replayed trial interprets only microseconds of kernel, so
+  // this cost is paid at the same scale; median of 2000 launches.
+  double launch_overhead_us = 0;
+  {
+    gpusim::Device dev;
+    const auto empty = kir::lower(kir::KernelBuilder("empty").build());
+    gpusim::LaunchOptions lo;
+    lo.max_workers = 1;
+    if (dev.launch(empty, {}, {}, lo).status != gpusim::LaunchStatus::Ok) {
+      std::fprintf(stderr, "error: the empty kernel did not launch\n");
+      return 1;
+    }
+    std::vector<double> us(2000);
+    for (double& u : us) u = 1e6 * seconds([&] { (void)dev.launch(empty, {}, {}, lo); });
+    std::sort(us.begin(), us.end());
+    launch_overhead_us = us[us.size() / 2];
+    std::printf("launch overhead (empty one-thread kernel, warm device): %.2f us "
+                "(median of %zu)\n",
+                launch_overhead_us, us.size());
+  }
+
   if (!json_path.empty()) {
     FILE* f = std::fopen(json_path.c_str(), "w");
     if (!f) {
@@ -256,6 +282,7 @@ int main(int argc, char** argv) {
                  prot_none_s, n / prot_none_s, prot_hsiao_s, n / prot_hsiao_s,
                  prot_hsiao_s / prot_none_s);
     std::fprintf(f, "  \"device_init_us\": %.2f,\n", device_init_us);
+    std::fprintf(f, "  \"launch_overhead_us\": %.3f,\n", launch_overhead_us);
     std::fprintf(f, "  \"deterministic\": %s\n}\n", deterministic ? "true" : "false");
     std::fclose(f);
   }

@@ -21,8 +21,11 @@ WorkerPool::~WorkerPool() {
 }
 
 unsigned WorkerPool::default_workers() noexcept {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  // hardware_concurrency() re-reads the online-CPU set from the kernel on
+  // every call (a few microseconds on glibc), and Device::launch asks once
+  // per launch; the answer is read once per process instead.
+  static const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  return hw;
 }
 
 void WorkerPool::run(unsigned n, const std::function<void(unsigned)>& fn) {

@@ -42,6 +42,8 @@ class WorkerPool {
   void run(unsigned n, const std::function<void(unsigned)>& fn);
 
   /// Hardware concurrency, at least 1 (hardware_concurrency may report 0).
+  /// Read once per process: a CPU brought on- or offline later does not
+  /// change the answer, and a call costs no system call.
   [[nodiscard]] static unsigned default_workers() noexcept;
 
  private:

@@ -66,6 +66,8 @@ struct CostModel {
   std::uint32_t ecc_check = 2;    ///< syndrome check per global load
   std::uint32_t ecc_encode = 2;   ///< check-bit encode per global store
   std::uint32_t ecc_scrub = 120;  ///< array write-back per corrected codeword
+
+  bool operator==(const CostModel&) const = default;
 };
 
 /// Overhead-anatomy attribution of one instruction (the categories behind

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "common/worker_pool.hpp"
 
@@ -1960,17 +1962,19 @@ constexpr std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) noexcept {
 }
 
 /// Fingerprint of everything the plan's contents depend on: the instruction
-/// stream, the slot count, the register budget, the cost model, the engine
-/// kind and the sanitize bit (the threaded stream is only compiled for
-/// Threaded plans, with shadow-observing shared accesses when sanitizing,
-/// so flipping set_engine() or set_sanitize() on a live device must miss
-/// rather than serve the wrong stream).  Hashed field-by-field (never
-/// raw struct bytes, which would include indeterminate padding).
+/// stream, the slot count, the detector value types, the register budget,
+/// the cost model, the engine kind, the sanitize bit and the protection
+/// scheme.  It names the plan inside journal fingerprints; the plan cache
+/// compares the inputs themselves (PlanEntry::built_from).  Hashed
+/// field-by-field (never raw struct bytes, which would include indeterminate
+/// padding).
 std::uint64_t plan_fingerprint(const kir::BytecodeProgram& program, const CostModel& cm,
                                std::uint32_t regs_per_thread, ExecEngine engine, bool sanitize,
                                ecc::Scheme protection) noexcept {
   std::uint64_t h = fp_mix(0x48415542ULL, program.code.size());
   h = fp_mix(h, program.num_slots);
+  for (const kir::DetectorMeta& d : program.detectors)
+    h = fp_mix(h, static_cast<std::uint64_t>(d.value_type));
   h = fp_mix(h, regs_per_thread);
   h = fp_mix(h, static_cast<std::uint64_t>(engine));
   h = fp_mix(h, static_cast<std::uint64_t>(sanitize));
@@ -2014,41 +2018,59 @@ std::uint64_t journal_fingerprint(std::uint64_t plan_key, const kir::BytecodePro
 
 }  // namespace
 
+// Instr has no padding, so equal bytes are equal instructions and the cache
+// can compare whole instruction streams with one memcmp.
+static_assert(std::has_unique_object_representations_v<kir::Instr>);
+
+bool Device::PlanEntry::built_from(const kir::BytecodeProgram& program, const CostModel& cm,
+                                   ExecEngine e, bool san) const noexcept {
+  if (engine != e || sanitize != san || num_slots != program.num_slots || cost != cm ||
+      code.size() != program.code.size() || detector_types.size() != program.detectors.size())
+    return false;
+  for (std::size_t i = 0; i < detector_types.size(); ++i)
+    if (detector_types[i] != program.detectors[i].value_type) return false;
+  return code.empty() ||
+         std::memcmp(code.data(), program.code.data(), code.size() * sizeof(kir::Instr)) == 0;
+}
+
 std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
     const kir::BytecodeProgram& program) {
   // The decoded stream is always built alongside the cost vector: decoding
   // is a single O(n) pass (trivial next to the spill analysis), and its
   // sanitizer site table serves every engine.  The threaded-code stream is
   // compiled for Threaded plans (with shadow-observing shared accesses when
-  // sanitizing) — the engine kind and the sanitize bit are part of the
-  // cache key, so flipping set_engine() or set_sanitize() between launches
-  // misses once per setting and can never serve a plan built for another.
-  const std::uint64_t key = plan_fingerprint(program, cost_, props_.regs_per_thread, engine_,
-                                             sanitize_, props_.protection);
+  // sanitizing).  A plan is served only to a launch that would build it from
+  // equal inputs, so flipping set_engine() or set_sanitize(), editing
+  // cost_model() or editing the program in place misses once and can never
+  // serve a plan built for another.
   {
     std::lock_guard<std::mutex> lk(plan_mu_);
-    for (auto it = plan_cache_.begin(); it != plan_cache_.end(); ++it) {
-      if (it->key == key && it->code_size == program.code.size()) {
-        plan_hits_.fetch_add(1, std::memory_order_relaxed);
-        PlanEntry hit = *it;
-        plan_cache_.erase(it);
-        plan_cache_.push_back(hit);  // LRU: refresh
-        return hit.plan;
-      }
+    // Most recent first: a campaign relaunches the program it just ran.
+    for (auto it = plan_cache_.rbegin(); it != plan_cache_.rend(); ++it) {
+      if (!it->built_from(program, cost_, engine_, sanitize_)) continue;
+      plan_hits_.fetch_add(1, std::memory_order_relaxed);
+      if (it != plan_cache_.rbegin())  // LRU: refresh
+        std::rotate(std::prev(it.base()), it.base(), plan_cache_.end());
+      return plan_cache_.back().plan;
     }
   }
   plan_misses_.fetch_add(1, std::memory_order_relaxed);
   auto plan = std::make_shared<LaunchPlan>();
-  plan->key = key;
+  plan->key = plan_fingerprint(program, cost_, props_.regs_per_thread, engine_, sanitize_,
+                               props_.protection);
   plan->costs = instruction_costs(program, cost_, props_.regs_per_thread,
                                   props_.protection != ecc::Scheme::None);
   plan->decoded = kir::decode_program(program, plan->costs);
   if (engine_ == ExecEngine::Threaded)
     plan->threaded = compile_stream(plan->decoded, program.num_slots, kir::FIFilter{});
+  PlanEntry entry{program.code, program.num_slots, {}, cost_, engine_, sanitize_, plan};
+  entry.detector_types.reserve(program.detectors.size());
+  for (const kir::DetectorMeta& d : program.detectors)
+    entry.detector_types.push_back(d.value_type);
   std::lock_guard<std::mutex> lk(plan_mu_);
   if (plan_cache_.size() >= kPlanCacheCapacity)
     plan_cache_.erase(plan_cache_.begin());  // evict least recently used
-  plan_cache_.push_back(PlanEntry{key, program.code.size(), plan});
+  plan_cache_.push_back(std::move(entry));
   return plan;
 }
 

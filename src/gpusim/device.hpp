@@ -317,12 +317,14 @@ class Device {
 
   // --- launch-plan cache ---
   // The spill analysis, per-instruction cost vector and compiled streams
-  // depend only on the program, the cost model, the register budget, the
-  // selected engine and the sanitize bit, yet a SWIFI campaign launches the
-  // same program thousands of times.  The device therefore caches recent
-  // plans keyed by a fingerprint of those inputs; mutating cost_model() or
-  // flipping set_engine()/set_sanitize() simply changes the fingerprint, so
-  // stale entries (e.g. a plan without the threaded stream) can never be
+  // depend only on the program's instructions, slot count and detector
+  // value types, the cost model, the selected engine and the sanitize bit
+  // (plus the register budget, memory model and protection, fixed at
+  // construction), yet a SWIFI campaign launches the same program thousands
+  // of times.  The device therefore caches recent plans together with a copy
+  // of those inputs and serves a plan only when they compare equal; editing
+  // a program in place, mutating cost_model() or flipping
+  // set_engine()/set_sanitize() misses, so a stale plan can never be
   // served.
   [[nodiscard]] std::uint64_t plan_cache_hits() const noexcept {
     return plan_hits_.load(std::memory_order_relaxed);
@@ -338,13 +340,13 @@ class Device {
 
  private:
   /// Everything derived from (program, cost model, register budget, engine,
-  /// sanitize) that a launch needs: the per-instruction cost vector
+  /// sanitize, protection) that a launch needs: the per-instruction cost vector
   /// (reference engine, SIMT costing), the predecoded instruction stream
   /// with those costs folded in (threaded-compiler input, sanitizer site
   /// table), and — for Threaded plans — the threaded-code stream compiled
   /// from it (empty for Reference).
   struct LaunchPlan {
-    std::uint64_t key = 0;  ///< plan fingerprint (the cache key)
+    std::uint64_t key = 0;  ///< plan fingerprint (folded into journal fingerprints)
     std::vector<std::uint32_t> costs;
     kir::DecodedProgram decoded;
     kir::ThreadedProgram threaded;
@@ -355,10 +357,20 @@ class Device {
     mutable kir::FIFilter fi_filter;
     mutable std::shared_ptr<const kir::ThreadedProgram> fi_stream;
   };
+  /// A cached plan and the launch-varying inputs it was built from.
   struct PlanEntry {
-    std::uint64_t key = 0;
-    std::size_t code_size = 0;  ///< cheap secondary check against hash collisions
+    std::vector<kir::Instr> code;
+    std::uint16_t num_slots = 0;
+    std::vector<kir::DType> detector_types;
+    CostModel cost;
+    ExecEngine engine = ExecEngine::Threaded;
+    bool sanitize = false;
     std::shared_ptr<const LaunchPlan> plan;
+
+    /// True iff this plan was built from exactly what launching `program`
+    /// with (cost, engine, sanitize) would build it from.
+    [[nodiscard]] bool built_from(const kir::BytecodeProgram& program, const CostModel& cm,
+                                  ExecEngine e, bool san) const noexcept;
   };
   static constexpr std::size_t kPlanCacheCapacity = 16;
 

@@ -126,11 +126,7 @@ bool read_bit(sexpr::Reader& r, const std::string& what) {
 void read_site(sexpr::Reader& r, KernelPruneFacts& k) {
   r.expect_atom("site");
   SiteFacts f;
-  // Site ids are written in decimal but read as hex, so ids of 10 and up
-  // come back renumbered.  Campaigns pruned from plan files (and the
-  // read-back digest pin) depend on this reading; mending it must move
-  // those pins on purpose.
-  f.site_id = static_cast<std::uint32_t>(r.hex(0xffffffffull, "site id"));
+  f.site_id = static_cast<std::uint32_t>(r.integer(0, 0xffffffffll, "site id"));
   if (std::any_of(k.sites.begin(), k.sites.end(),
                   [&](const SiteFacts& s) { return s.site_id == f.site_id; }))
     r.fail("duplicate site entry " + std::to_string(f.site_id));
@@ -175,8 +171,8 @@ PruningPlan parse_pruning_plan(const std::string& text) {
   sexpr::Reader r(text, "hauberk-prune parse error: ");
   r.expect(Tok::LParen, "plan must start with '('");
   r.expect_atom("hauberk-prune");
-  const std::uint64_t ver = r.hex(UINT64_MAX, "version");
-  if (ver != static_cast<std::uint64_t>(kPruneVersion))
+  const std::int64_t ver = r.integer(INT64_MIN, INT64_MAX, "version");
+  if (ver != kPruneVersion)
     r.fail("unsupported version " + std::to_string(ver));
   PruningPlan plan;
   while (r.at(Tok::LParen)) plan.kernels.push_back(read_kernel(r, plan));

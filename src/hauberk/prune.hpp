@@ -57,6 +57,8 @@ struct SiteFacts {
   bool uniform = false;
   /// Faults in different dynamic occurrences are interchangeable.
   bool occ_symmetric = false;
+
+  bool operator==(const SiteFacts&) const = default;
 };
 
 /// Facts for every site of one lowered kernel build.
@@ -68,6 +70,7 @@ struct KernelPruneFacts {
   std::vector<SiteFacts> sites;  ///< sorted by site_id
 
   [[nodiscard]] const SiteFacts* find(std::uint32_t site_id) const noexcept;
+  bool operator==(const KernelPruneFacts&) const = default;
 };
 
 struct PruningPlan {
@@ -75,6 +78,7 @@ struct PruningPlan {
 
   [[nodiscard]] const KernelPruneFacts* find(const std::string& kernel) const noexcept;
   [[nodiscard]] bool trivial() const noexcept { return kernels.empty(); }
+  bool operator==(const PruningPlan&) const = default;
 };
 
 /// Is a flip of `mask` at this site statically Benign?
@@ -99,8 +103,8 @@ struct PruningPlan {
 /// Strict parser; throws std::runtime_error "hauberk-prune parse error:
 /// <why> at offset <n>" on malformed input (unknown atom, bad arity,
 /// duplicate kernel/site entry, trailing garbage, and everything the shared
-/// dialect rejects).  Site ids are read as hex although they are written in
-/// decimal, so ids of 10 and up do not round-trip (DESIGN.md §14).
+/// dialect rejects).  The version and site ids are decimal, every other
+/// number hex, both ways, so parse(serialize(plan)) == plan.
 [[nodiscard]] PruningPlan parse_pruning_plan(const std::string& text);
 
 /// Read and parse a plan file (--prune=FILE); throws naming the path.

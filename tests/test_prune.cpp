@@ -6,7 +6,10 @@
 // campaign-digest binding).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "hauberk/prune.hpp"
 #include "hauberk/runtime.hpp"
@@ -295,6 +298,34 @@ TEST(PruningPlan, ParserRejectsMalformedInput) {
                    "(site 0 (live 1) (cone 1) (uniform 0) (occsym 0)) "
                    "(site 0 (live 1) (cone 1) (uniform 0) (occsym 0))))"),
                std::runtime_error);
+}
+
+// Every plan kirprune emits reads back as itself, with the same digest: all
+// 12 workloads, FI and --protected (FI&FT) builds.  Site ids are decimal in
+// the text, so ids of 10 and up are the ones a misread would renumber.
+TEST(PruningPlan, KirprunePlansRoundTripOnEveryWorkload) {
+  std::vector<std::unique_ptr<workloads::Workload>> all;
+  for (auto& w : workloads::hpc_suite()) all.push_back(std::move(w));
+  for (auto& w : workloads::graphics_suite()) all.push_back(std::move(w));
+  for (auto& w : workloads::cpu_suite()) all.push_back(std::move(w));
+  all.push_back(workloads::make_cpu_matmul());
+  ASSERT_EQ(all.size(), 12u);
+  prune::PruningPlan fi, fift;
+  std::size_t max_site = 0;
+  for (auto& w : all) {
+    const auto v = core::build_variants(w->build_kernel(workloads::Scale::Tiny));
+    fi.kernels.push_back(prune::build_kernel_prune_facts(v.fi_source, v.fi));
+    fift.kernels.push_back(prune::build_kernel_prune_facts(v.fift_source, v.fift));
+    fi.kernels.back().kernel = fift.kernels.back().kernel = w->name();
+    for (const auto& s : fi.kernels.back().sites)
+      max_site = std::max<std::size_t>(max_site, s.site_id);
+  }
+  EXPECT_GE(max_site, 10u);  // ids a hex misread would renumber
+  for (const auto* plan : {&fi, &fift}) {
+    const auto back = prune::parse_pruning_plan(prune::serialize_pruning_plan(*plan));
+    EXPECT_EQ(back, *plan);
+    EXPECT_EQ(prune::pruning_plan_digest(back), prune::pruning_plan_digest(*plan));
+  }
 }
 
 // --- build_kernel_prune_facts over a real instrumented workload ---

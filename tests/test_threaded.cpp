@@ -4,7 +4,8 @@
 // the reference interpreter (complementing test_differential_fuzz's random
 // programs and test_golden_outputs' pinned digests), watchdog-boundary
 // delegation, the routing of instrumented launches to the reference
-// interpreter, the launch-plan cache's engine-in-key behavior, and the
+// interpreter, the launch-plan cache's exact keying (engine, sanitize bit,
+// detector value types, in-place program and cost-model edits), and the
 // per-trial FI specialization (armed SWIFI trials on the FI and FI&FT
 // builds of every workload against the reference interpreter and against
 // the unspecialized stream).
@@ -14,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,11 +46,12 @@ struct RunObs {
   bool operator==(const RunObs&) const = default;
 };
 
-RunObs run_workload(Workload& w, const Dataset& ds, const kir::BytecodeProgram& prog,
-                    gpusim::ExecEngine engine, gpusim::LaunchHooks* hooks,
-                    std::uint64_t watchdog = 50'000'000) {
-  gpusim::Device dev;
-  dev.set_engine(engine);
+// One job of `w` on `dev`, memory reset first, so a warm device observes
+// what a fresh one would.
+RunObs run_on(gpusim::Device& dev, Workload& w, const Dataset& ds,
+              const kir::BytecodeProgram& prog, gpusim::LaunchHooks* hooks,
+              std::uint64_t watchdog = 50'000'000) {
+  dev.reset_memory();
   auto job = w.make_job(ds);
   const auto args = job->setup(dev);
   gpusim::LaunchOptions opts;
@@ -63,6 +66,14 @@ RunObs run_workload(Workload& w, const Dataset& ds, const kir::BytecodeProgram& 
   o.instructions = res.instructions;
   if (res.status == gpusim::LaunchStatus::Ok) o.output = job->read_output(dev).words;
   return o;
+}
+
+RunObs run_workload(Workload& w, const Dataset& ds, const kir::BytecodeProgram& prog,
+                    gpusim::ExecEngine engine, gpusim::LaunchHooks* hooks,
+                    std::uint64_t watchdog = 50'000'000) {
+  gpusim::Device dev;
+  dev.set_engine(engine);
+  return run_on(dev, w, ds, prog, hooks, watchdog);
 }
 
 std::vector<std::unique_ptr<Workload>> all_workloads() {
@@ -395,6 +406,95 @@ TEST(Threaded, EngineFlipMidCampaignNeverServesStalePlan) {
   // hit).
   EXPECT_EQ(dev.plan_cache_misses(), 4u);
   EXPECT_EQ(dev.plan_cache_hits(), 4u);
+}
+
+namespace {
+
+// Records which value types each detector's check_range calls carried.
+class RangeTypeRecorder : public gpusim::LaunchHooks {
+ public:
+  bool check_range(int detector, kir::Value value) override {
+    std::lock_guard<std::mutex> lk(mu_);
+    seen_[detector].insert(value.type);
+    return false;
+  }
+  [[nodiscard]] std::map<int, std::set<kir::DType>> seen() const { return seen_; }
+
+ private:
+  std::mutex mu_;
+  std::map<int, std::set<kir::DType>> seen_;
+};
+
+std::map<int, std::set<kir::DType>> range_types(gpusim::Device& dev, Workload& w,
+                                                const Dataset& ds,
+                                                const kir::BytecodeProgram& prog) {
+  RangeTypeRecorder rec;
+  EXPECT_EQ(run_on(dev, w, ds, prog, &rec).status, gpusim::LaunchStatus::Ok);
+  return rec.seen();
+}
+
+}  // namespace
+
+// The decoder bakes each detector's value type into the plan, so a program
+// that differs from a cached one only in detector value types must get its
+// own plan: a warm device must hand check_range the new types, exactly as
+// a fresh device does.
+TEST(Threaded, DetectorValueTypeEditMissesThePlanCache) {
+  int exercised = 0;
+  for (auto& w : all_workloads()) {
+    const Dataset ds = w->make_dataset(kDatasetSeed, Scale::Tiny);
+    const auto v = core::build_variants(w->build_kernel(Scale::Tiny));
+    gpusim::Device warm;
+    if (range_types(warm, *w, ds, v.ft).empty()) continue;
+    ++exercised;
+    kir::BytecodeProgram retyped = v.ft;
+    for (kir::DetectorMeta& d : retyped.detectors)
+      d.value_type = d.value_type == kir::DType::F32 ? kir::DType::I32 : kir::DType::F32;
+    const auto warm_types = range_types(warm, *w, ds, retyped);
+    gpusim::Device fresh;
+    EXPECT_EQ(warm_types, range_types(fresh, *w, ds, retyped)) << w->name();
+    for (const auto& [detector, types] : warm_types)
+      EXPECT_EQ(types, std::set<kir::DType>{retyped.detectors.at(detector).value_type})
+          << w->name() << " detector " << detector;
+    EXPECT_EQ(warm.plan_cache_misses(), 2u) << w->name();
+  }
+  EXPECT_GT(exercised, 0);
+}
+
+// An instruction edited in place (same program object, same size) and an
+// edit through cost_model() both miss, and the warm device then observes
+// exactly what a fresh device does.
+TEST(Threaded, InPlaceProgramAndCostEditsMissThePlanCache) {
+  auto workloads = all_workloads();
+  Workload& w = *workloads.front();
+  const Dataset ds = w.make_dataset(kDatasetSeed, Scale::Tiny);
+  const kir::BytecodeProgram built = core::build_variants(w.build_kernel(Scale::Tiny)).baseline;
+  kir::BytecodeProgram prog = built;
+  const auto observe = [&](gpusim::Device& dev) { return run_on(dev, w, ds, prog, nullptr); };
+
+  gpusim::Device warm;
+  const RunObs original = observe(warm);
+  EXPECT_EQ(observe(warm), original);  // unchanged program: a hit
+  EXPECT_EQ(warm.plan_cache_misses(), 1u);
+  EXPECT_EQ(warm.plan_cache_hits(), 1u);
+
+  prog.code.front() = kir::Instr{kir::OpCode::Halt};  // same size, new first op
+  const RunObs halted = observe(warm);
+  EXPECT_EQ(warm.plan_cache_misses(), 2u);
+  EXPECT_NE(halted, original);
+  {
+    gpusim::Device fresh;
+    EXPECT_EQ(halted, observe(fresh));
+  }
+
+  prog = built;
+  warm.cost_model().alu += 3;
+  const RunObs costed = observe(warm);
+  EXPECT_EQ(warm.plan_cache_misses(), 3u);
+  EXPECT_NE(costed.cycles, original.cycles);
+  gpusim::Device fresh;
+  fresh.cost_model().alu += 3;
+  EXPECT_EQ(costed, observe(fresh));
 }
 
 // FI specialization on a synthetic run: unarmed hooks get no slot, the
