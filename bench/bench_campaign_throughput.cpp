@@ -19,9 +19,10 @@
 // --protection=none|hamming|hsiao (hardware ECC on the baseline and
 // executor devices; the protected-mode section below always measures
 // none-vs-hsiao regardless), --json=FILE (write the engine sweep and
-// protection rows, the device construction time, the per-launch host
-// overhead and the determinism verdict as JSON).
+// protection rows, the golden-recording times, the device construction
+// time, the per-launch host overhead and the determinism verdict as JSON).
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -221,6 +222,36 @@ int main(int argc, char** argv) {
                 100.0 * rep.analysis_cache.hit_rate());
   }
 
+  // Golden recording: each campaign opens with a golden run of the FI&FT
+  // build under its control block, which records the segment journal its
+  // trials replay.  Recording follows the device's engine, so each engine
+  // gets a row: median and interquartile range of 11 golden runs on a warm
+  // device (the first run, which builds the launch plan, is not counted).
+  std::map<std::string, std::array<double, 3>> record_ms;  // engine -> {q1, median, q3}
+  {
+    std::printf("\ngolden recording (FI&FT build, control block, 11 runs):\n");
+    for (const auto engine : {gpusim::ExecEngine::Reference, gpusim::ExecEngine::Threaded}) {
+      gpusim::Device dev;
+      dev.set_engine(engine);
+      auto job = ctx.workload->make_job(ctx.dataset);
+      std::vector<double> ms;
+      for (int i = 0; i < 12; ++i) {
+        const double s = seconds([&] {
+          (void)swifi::golden_run(dev, ctx.variants.fift, *job, ctx.cb.get(), 1);
+        });
+        if (i > 0) ms.push_back(1e3 * s);
+      }
+      std::sort(ms.begin(), ms.end());
+      const std::array<double, 3> q = {ms[ms.size() / 4], ms[ms.size() / 2],
+                                       ms[3 * ms.size() / 4]};
+      record_ms[gpusim::exec_engine_name(engine)] = q;
+      std::printf("  %-10s %.3f ms (IQR %.3f-%.3f)\n", gpusim::exec_engine_name(engine), q[1],
+                  q[0], q[2]);
+    }
+    std::printf("  reference / threaded: %.2fx\n",
+                record_ms["reference"][1] / record_ms["threaded"][1]);
+  }
+
   // Device construction: every campaign worker builds one per start and
   // resume.  The arenas are zero-page mappings, so this should not scale
   // with the default capacity; median of 9 to shed one-off page faults.
@@ -281,6 +312,13 @@ int main(int argc, char** argv) {
                  "\"trials_per_sec\": %.2f},\n    \"hsiao_slowdown_vs_none\": %.4f},\n",
                  prot_none_s, n / prot_none_s, prot_hsiao_s, n / prot_hsiao_s,
                  prot_hsiao_s / prot_none_s);
+    std::fprintf(f, "  \"golden_record_ms\": {\n");
+    i = 0;
+    for (const auto& [en, q] : record_ms)
+      std::fprintf(f, "    \"%s\": {\"median\": %.4f, \"iqr\": %.4f, \"runs\": 11}%s\n",
+                   en.c_str(), q[1], q[2] - q[0], ++i < record_ms.size() ? "," : "");
+    std::fprintf(f, "  },\n  \"record_speedup_threaded_vs_reference\": %.4f,\n",
+                 record_ms.at("reference")[1] / record_ms.at("threaded")[1]);
     std::fprintf(f, "  \"device_init_us\": %.2f,\n", device_init_us);
     std::fprintf(f, "  \"launch_overhead_us\": %.3f,\n", launch_overhead_us);
     std::fprintf(f, "  \"deterministic\": %s\n}\n", deterministic ? "true" : "false");

@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -198,7 +199,8 @@ void print_threaded(const core::KernelVariants& v) {
     const kir::DecodedProgram d = kir::decode_program(*r.p, costs);
     for (const auto kind : {kir::FIFilter::Kind::Generic, kir::FIFilter::Kind::None}) {
       const kir::ThreadedProgram tp =
-          kir::compile_threaded(d, r.p->num_slots, true, true, false, kir::FIFilter{kind});
+          kir::compile_threaded(d, r.p->num_slots, true, true, kir::MemInstr::None,
+                                kir::FIFilter{kind});
       if (kind == kir::FIFilter::Kind::None && tp.fi_hooks == 0) continue;
       const double cover =
           tp.code.empty() ? 0.0 : 100.0 * tp.run_covered / static_cast<double>(tp.code.size());
@@ -209,13 +211,16 @@ void print_threaded(const core::KernelVariants& v) {
   }
 }
 
-/// --what=journal: the golden journal of each build on dataset seed 1, and
-/// what a disarmed replay of that launch applies.
+/// --what=journal: the golden journal of each build on dataset seed 1 — its
+/// segments, first reads and writes, register snapshots, launch-start image
+/// words and reader-index entries (global + shared) — and what a disarmed
+/// replay of that launch applies.
 void print_journal(const workloads::Workload& w, const core::KernelVariants& v) {
   const workloads::Dataset ds = w.make_dataset(1, workloads::Scale::Small);
   std::printf("golden journals (%s, dataset seed 1, one block worker):\n", w.name().c_str());
-  std::printf("  %-9s %-9s %-8s %-12s %-12s %-9s %-10s %s\n", "variant", "segments", "threads",
-              "first-reads", "writes", "reg-words", "KiB", "disarmed-applied");
+  std::printf("  %-9s %-9s %-8s %-12s %-12s %-9s %-8s %-16s %-10s %s\n", "variant", "segments",
+              "threads", "first-reads", "writes", "reg-words", "image", "index(g+s)", "KiB",
+              "disarmed-applied");
   for (const auto& r : variant_rows(v)) {
     if (r.p == &v.profiler) continue;  // profiling launches run instrumented, never replayed
     gpusim::Device dev;
@@ -237,10 +242,13 @@ void print_journal(const workloads::Workload& w, const core::KernelVariants& v) 
     opts.max_workers = 1;
     opts.journal = &j;
     const auto res = dev.launch(*r.p, job->config(), job->setup(dev), opts);
-    std::printf("  %-9s %-9zu %-8zu %-12llu %-12llu %-9zu %-10.1f %.1f%%\n", r.name,
+    const std::string index =
+        std::to_string(j.global_index.size()) + "+" + std::to_string(j.shared_index.size());
+    std::printf("  %-9s %-9zu %-8zu %-12llu %-12llu %-9zu %-8zu %-16s %-10.1f %.1f%%\n", r.name,
                 j.segments.size(), j.thread_begin.size() - 1,
                 static_cast<unsigned long long>(reads), static_cast<unsigned long long>(writes),
-                j.regs.size(), static_cast<double>(j.bytes()) / 1024.0,
+                j.regs.size(), j.start_image.size(), index.c_str(),
+                static_cast<double>(j.bytes()) / 1024.0,
                 100.0 * static_cast<double>(res.replayed_segments) /
                     static_cast<double>(j.segments.size()));
   }

@@ -268,10 +268,18 @@ std::uint32_t eval_un(UnOp op, DType t, std::uint32_t a) noexcept {
 
 enum class ThreadStop : std::uint8_t { Done, Barrier, Crash, Budget };
 
-/// Builds a LaunchJournal during a serial reference launch.  Every segment
-/// gets a serial stamp; per-address stamps (dense arrays, grown to the
-/// highest address touched) tell a first read from a re-read of the
-/// segment's own store without any per-segment clearing.
+/// Reader-index order by address alone (entries of one address are kept in
+/// (segment, read) order by construction).
+bool addr_less(const LaunchJournal::Access& a, const LaunchJournal::Access& b) noexcept {
+  return a.addr < b.addr;
+}
+
+/// Builds a LaunchJournal during a serial launch, fed by the reference
+/// interpreter's accesses or the threaded stream's Rec* ops (both report
+/// at the same points).  Every segment gets a serial stamp; per-address
+/// stamps (dense arrays, grown to the highest address touched) tell a first
+/// read from a re-read of the segment's own store without any per-segment
+/// clearing.
 class JournalRecorder {
  public:
   using J = LaunchJournal;
@@ -355,8 +363,10 @@ class JournalRecorder {
   }
 
   /// Group the serial-order segments per thread (stable, so each thread's
-  /// stay in epoch order) and fill thread_begin.
-  void finish(std::uint32_t num_threads) {
+  /// stay in epoch order), fill thread_begin, and build the reader index
+  /// over the grouped segment numbers.
+  void finish(std::uint32_t num_blocks, std::uint32_t threads_per_block) {
+    const std::uint32_t num_threads = num_blocks * threads_per_block;
     std::vector<std::uint32_t> begin(static_cast<std::size_t>(num_threads) + 1, 0);
     for (const std::uint32_t s : slots_) ++begin[s + 1];
     for (std::size_t i = 1; i < begin.size(); ++i) begin[i] += begin[i - 1];
@@ -365,6 +375,33 @@ class JournalRecorder {
     for (std::size_t i = 0; i < slots_.size(); ++i) grouped[next[slots_[i]]++] = j_.segments[i];
     j_.segments = std::move(grouped);
     j_.thread_begin = std::move(begin);
+
+    // Entries are made in (segment, read) order, writes after a segment's
+    // reads, so a stable sort by address alone orders them (addr, segment,
+    // read).  Grouping is thread-major: block b owns the contiguous segment
+    // range [thread_begin[b * T], thread_begin[(b + 1) * T]).
+    std::vector<J::Access> global, shared;
+    j_.shared_index_begin.assign(static_cast<std::size_t>(num_blocks) + 1, 0);
+    for (std::uint32_t b = 0; b < num_blocks; ++b) {
+      shared.clear();
+      for (std::uint32_t g = j_.thread_begin[b * threads_per_block];
+           g < j_.thread_begin[(b + 1) * threads_per_block]; ++g) {
+        const J::Segment& s = j_.segments[g];
+        for (std::uint32_t r = s.first_reads; r < s.first_reads + s.global_reads; ++r)
+          global.push_back({j_.reads[r].addr, g, r});
+        for (std::uint32_t w = s.first_write; w < s.first_write + s.writes; ++w)
+          global.push_back({j_.writes[w].addr, g, J::kWrite});
+        for (std::uint32_t r = s.first_reads + s.global_reads;
+             r < s.first_reads + s.global_reads + s.shared_reads; ++r)
+          shared.push_back({j_.reads[r].addr, g, r});
+      }
+      const std::vector<J::Access> sorted = sort_by_addr(shared);
+      j_.shared_index.insert(j_.shared_index.end(), sorted.begin(), sorted.end());
+      j_.shared_index_begin[b + 1] = static_cast<std::uint32_t>(j_.shared_index.size());
+    }
+    j_.global_index = sort_by_addr(global);
+    j_.global_index.erase(std::unique(j_.global_index.begin(), j_.global_index.end()),
+                          j_.global_index.end());
   }
 
  private:
@@ -382,6 +419,24 @@ class JournalRecorder {
     j_.writes.push_back({addr, value, kind});
     seg_.write_hi = std::max(seg_.write_hi, addr + 1);
   }
+  /// Stable sort by address: a counting sort over the address range when
+  /// that is no wider than a few entries per word (golden launches touch a
+  /// compact range), std::stable_sort otherwise.
+  static std::vector<J::Access> sort_by_addr(const std::vector<J::Access>& in) {
+    std::uint32_t hi = 0;
+    for (const J::Access& a : in) hi = std::max(hi, a.addr + 1);
+    if (hi > 4 * in.size() + 4096) {
+      std::vector<J::Access> out = in;
+      std::stable_sort(out.begin(), out.end(), addr_less);
+      return out;
+    }
+    std::vector<std::uint32_t> at(static_cast<std::size_t>(hi) + 1, 0);
+    for (const J::Access& a : in) ++at[a.addr + 1];
+    for (std::size_t i = 1; i < at.size(); ++i) at[i] += at[i - 1];
+    std::vector<J::Access> out(in.size());
+    for (const J::Access& a : in) out[at[a.addr]++] = a;
+    return out;
+  }
 
   LaunchJournal& j_;
   std::uint32_t stamp_ = 0;
@@ -392,6 +447,203 @@ class JournalRecorder {
   std::vector<std::uint32_t> slots_;  ///< thread slot of each serial segment
 };
 
+/// Replay's delta set S (DESIGN §10): the global words, and the current
+/// block's shared words, where memory may differ from the golden run's at
+/// the current point of the serial schedule.  Every word outside S holds its
+/// golden value there, so a first read outside S needs no compare.  S only
+/// grows: the launch-start diff seeds it, and an interpreted slice adds its
+/// own writes and its golden counterpart's unless the two write sequences
+/// are equal (compared as the writes happen, reported by run_thread and the
+/// stream's Rec* ops, so even a slice that stores until the watchdog
+/// keeps nothing).  A word joining S queues its reader-index entries on
+/// their segments; a segment then compares exactly its queued reads.
+class DeltaSet {
+ public:
+  explicit DeltaSet(const LaunchJournal& j)
+      : j_(j), indexed_(j.global_index.empty() ? 0 : j.global_index.back().addr + 1) {}
+
+  /// Seed S with every word where `words` differs from the golden
+  /// launch-start image (zero at and above it; `words` is zero at and above
+  /// `watermark`).  Only words some segment reads or writes can matter.
+  void seed(std::span<const std::uint32_t> words, std::uint32_t watermark) {
+    const std::vector<std::uint32_t>& img = j_.start_image;
+    const std::size_t end = std::min<std::size_t>(indexed_, words.size());
+    const std::size_t n = std::min(img.size(), end);
+    constexpr std::size_t kChunk = 256;
+    for (std::size_t c = 0; c < n; c += kChunk) {
+      const std::size_t e = std::min(n, c + kChunk);
+      if (std::memcmp(words.data() + c, img.data() + c, (e - c) * sizeof(std::uint32_t)) == 0)
+        continue;
+      for (std::size_t i = c; i < e; ++i)
+        if (words[i] != img[i]) add_global(static_cast<std::uint32_t>(i));
+    }
+    for (std::size_t i = n; i < std::min<std::size_t>(watermark, end); ++i)
+      if (words[i] != 0) add_global(static_cast<std::uint32_t>(i));
+  }
+
+  /// A new block: its shared memory starts zeroed in both runs.
+  void begin_block(std::uint32_t block, std::uint32_t shared_words) {
+    block_ = block;
+    shared_.assign((shared_words + 63) / 64, 0);
+  }
+
+  /// Add global word `addr` to S.  S is kept only below the highest indexed
+  /// address: a word above it has no reader to queue, so a stray store far
+  /// up the arena costs nothing.
+  void add_global(std::uint32_t addr) {
+    if (addr >= indexed_ || !insert(global_, addr)) return;
+    const auto [lo, hi] = std::equal_range(j_.global_index.begin(), j_.global_index.end(),
+                                           LaunchJournal::Access{addr, 0, 0}, addr_less);
+    for (auto it = lo; it != hi; ++it)
+      if (it->read != LaunchJournal::kWrite) queue(it->segment, it->read);
+  }
+  void add_shared(std::uint32_t addr) {
+    if (!insert(shared_, addr)) return;
+    const auto from = j_.shared_index.begin() + j_.shared_index_begin[block_];
+    const auto to = j_.shared_index.begin() + j_.shared_index_begin[block_ + 1];
+    const auto [lo, hi] =
+        std::equal_range(from, to, LaunchJournal::Access{addr, 0, 0}, addr_less);
+    for (auto it = lo; it != hi; ++it) queue(it->segment, it->read);
+  }
+
+  /// Whether every first read of segment `g` (= `s`) returns its golden
+  /// value: the reads queued on it, against global `gmem` and block-shared
+  /// `smem`.
+  [[nodiscard]] bool reads_match(std::uint32_t g, const LaunchJournal::Segment& s,
+                                 const std::uint32_t* gmem,
+                                 const std::uint32_t* smem) const noexcept {
+    if (head_.empty()) return true;
+    for (std::uint32_t c = head_[g]; c != kNone; c = checks_[c].next) {
+      const LaunchJournal::Word& r = j_.reads[checks_[c].read];
+      const bool global = checks_[c].read < s.first_reads + s.global_reads;
+      if ((global ? gmem : smem)[r.addr] != r.value) return false;
+    }
+    return true;
+  }
+
+  /// Whether segment `g` first-reads or writes a word of one of `latent` pairs.
+  [[nodiscard]] bool touches(std::uint32_t g,
+                             std::span<const std::uint32_t> latent) const noexcept {
+    for (const std::uint32_t pair : latent)
+      for (const std::uint32_t addr : {2 * pair, 2 * pair + 1}) {
+        const auto [lo, hi] = std::equal_range(j_.global_index.begin(), j_.global_index.end(),
+                                               LaunchJournal::Access{addr, 0, 0}, addr_less);
+        if (std::binary_search(lo, hi, LaunchJournal::Access{addr, g, 0}, by_segment))
+          return true;
+      }
+    return false;
+  }
+
+  /// Thread `slot` is about to interpret its slice `k`: its writes are
+  /// compared, as they happen, with those of golden segment k (none when
+  /// the golden thread had halted by then).
+  void begin_slice(std::uint32_t slot, std::uint32_t k) {
+    first_ = j_.thread_begin[slot];
+    count_ = j_.thread_begin[slot + 1] - first_;
+    k_ = k;
+    const LaunchJournal::Segment* gold = golden();
+    gw_ = gold ? gold->first_write : 0;
+    gw_end_ = gold ? gold->first_write + gold->writes : 0;
+    gs_ = gold ? gold->first_shared_write : 0;
+    gs_end_ = gold ? gold->first_shared_write + gold->shared_writes : 0;
+    gdiff_ = sdiff_ = false;
+  }
+  /// The slice's next global write (a store's value, or an atomic's addend).
+  void global_write(std::uint32_t addr, std::uint32_t value, LaunchJournal::WriteKind kind) {
+    if (!gdiff_) {
+      if (gw_ < gw_end_ && j_.writes[gw_] == LaunchJournal::Write{addr, value, kind}) {
+        ++gw_;
+        return;
+      }
+      global_differs();
+    }
+    add_global(addr);
+  }
+  void shared_write(std::uint32_t addr, std::uint32_t value) {
+    if (!sdiff_) {
+      if (gs_ < gs_end_ && j_.shared_writes[gs_] == LaunchJournal::Word{addr, value}) {
+        ++gs_;
+        return;
+      }
+      shared_differs();
+    }
+    add_shared(addr);
+  }
+  /// The slice stopped at a Barrier or (`done`) at Halt.  A write sequence
+  /// shorter than the golden one differs too.  A thread that halts before
+  /// its golden run did also puts its remaining golden segments' writes
+  /// into S: the golden run made them, this one never will.
+  void end_slice(bool done) {
+    if (!gdiff_ && gw_ != gw_end_) global_differs();
+    if (!sdiff_ && gs_ != gs_end_) shared_differs();
+    if (!done) return;
+    for (std::uint32_t later = k_ + 1; later < count_; ++later) {
+      const LaunchJournal::Segment& s = j_.segments[first_ + later];
+      for (std::uint32_t w = 0; w < s.writes; ++w) add_global(j_.writes[s.first_write + w].addr);
+      for (std::uint32_t w = 0; w < s.shared_writes; ++w)
+        add_shared(j_.shared_writes[s.first_shared_write + w].addr);
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  /// A queued first read (index into j_.reads) and the next one queued on
+  /// the same segment.
+  struct Check {
+    std::uint32_t read;
+    std::uint32_t next;
+  };
+  static bool by_segment(const LaunchJournal::Access& a,
+                         const LaunchJournal::Access& b) noexcept {
+    return a.segment < b.segment;
+  }
+  /// Set bit `addr`; false if it was set already.
+  static bool insert(std::vector<std::uint64_t>& bits, std::uint32_t addr) {
+    const std::size_t w = addr / 64;
+    if (w >= bits.size()) bits.resize(w + 1, 0);
+    const std::uint64_t m = std::uint64_t{1} << (addr % 64);
+    if (bits[w] & m) return false;
+    bits[w] |= m;
+    return true;
+  }
+  [[nodiscard]] const LaunchJournal::Segment* golden() const noexcept {
+    return k_ < count_ ? &j_.segments[first_ + k_] : nullptr;
+  }
+  /// The slice's global writes left the golden sequence: every golden write
+  /// of the segment joins S (the slice's own writes so far equal a prefix
+  /// of them), and so will each later write of the slice.
+  void global_differs() {
+    gdiff_ = true;
+    if (const LaunchJournal::Segment* gold = golden())
+      for (std::uint32_t w = 0; w < gold->writes; ++w)
+        add_global(j_.writes[gold->first_write + w].addr);
+  }
+  void shared_differs() {
+    sdiff_ = true;
+    if (const LaunchJournal::Segment* gold = golden())
+      for (std::uint32_t w = 0; w < gold->shared_writes; ++w)
+        add_shared(j_.shared_writes[gold->first_shared_write + w].addr);
+  }
+  void queue(std::uint32_t g, std::uint32_t read) {
+    if (head_.empty()) head_.assign(j_.segments.size(), kNone);
+    checks_.push_back({read, head_[g]});
+    head_[g] = static_cast<std::uint32_t>(checks_.size() - 1);
+  }
+
+  const LaunchJournal& j_;
+  std::uint32_t indexed_;  ///< one past the highest address in the global index
+  std::uint32_t block_ = 0;
+  std::vector<std::uint64_t> global_, shared_;  ///< S as bitmaps, grown on demand
+  std::vector<std::uint32_t> head_;  ///< per segment: last queued check (empty: none yet)
+  std::vector<Check> checks_;
+  // The interpreted slice: its thread's segments [first_, first_ + count_),
+  // its number k_, the next golden writes to match (gw_, gs_) and whether
+  // its writes already differ (gdiff_, sdiff_).
+  std::uint32_t first_ = 0, count_ = 0, k_ = 0;
+  std::uint32_t gw_ = 0, gw_end_ = 0, gs_ = 0, gs_end_ = 0;
+  bool gdiff_ = false, sdiff_ = false;
+};
+
 /// Executes all threads of one block.
 class BlockExec {
  public:
@@ -400,12 +652,13 @@ class BlockExec {
             const kir::DecodedProgram& decoded, const kir::ThreadedProgram* threaded,
             const kir::FIFilter& fi, std::uint32_t block_linear,
             std::vector<SanitizerReport>* report_sink, const LaunchJournal* journal,
-            JournalRecorder* recorder)
+            DeltaSet* delta, JournalRecorder* recorder)
       : dev_(dev), prog_(prog), cfg_(cfg), opts_(opts), costs_(costs),
         tcode_(threaded && !threaded->code.empty() ? threaded->code.data() : nullptr),
         fi_thread_(fi.thread),
         armed_(fi.kind == kir::FIFilter::Kind::Armed),
         journal_(journal),
+        delta_(delta),
         rec_(recorder),
         sites_(decoded.sanitizer_sites.data()),
         block_linear_(block_linear),
@@ -417,6 +670,7 @@ class BlockExec {
       shadow_ = std::make_unique<SharedShadow>(
           static_cast<std::uint32_t>(shared_.size()), dev.props().warp_size,
           block_linear, *report_sink, opts.sanitize_report_cap);
+    if (delta_) delta_->begin_block(block_linear, prog.shared_mem_words);
   }
 
   LaunchStatus run(std::span<const kir::Value> args);
@@ -446,14 +700,16 @@ class BlockExec {
     std::uint32_t barrier_pc = 0;   // pc of the barrier this thread last stopped at
     bool done = false;
     std::uint32_t* regs = nullptr;
-    // Replay only: the thread's next journal segment, and whether its
-    // registers have left the golden run's (it was interpreted).
+    // Replay only: the thread's next slice (its golden counterpart is the
+    // journal segment of that number), and whether its registers have left
+    // the golden run's (it was interpreted).
     std::uint32_t segment = 0;
     bool diverged = false;
   };
 
   ThreadStop run_thread(ThreadCtx& t, LaunchStatus& crash_status);
-  bool apply_segment(ThreadCtx& t);
+  bool apply_segment(ThreadCtx& t, std::uint32_t slot, std::uint32_t k);
+  ThreadStop replay_slice(ThreadCtx& t, LaunchStatus& crash_status);
   ThreadStop record_segment(ThreadCtx& t, LaunchStatus& crash_status);
   ThreadStop run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_status);
   ThreadStop step_thread(ThreadCtx& t, LaunchStatus& crash_status);
@@ -476,6 +732,9 @@ class BlockExec {
   std::uint32_t fi_thread_;       ///< armed thread of an Armed FI-specialized stream
   bool armed_;                    ///< the launch's FI filter is Armed
   const LaunchJournal* journal_;  ///< non-null on a replaying launch
+  /// The replaying launch's delta set, fed the interpreted slices' writes
+  /// by run_thread and the stream's Rec* ops.
+  DeltaSet* delta_;
   JournalRecorder* rec_;          ///< non-null on a recording launch
   const std::uint32_t* sites_;    ///< per-pc sanitizer site ids (all engines)
   std::uint32_t block_linear_, sm_, bx_, by_, threads_per_block_;
@@ -600,7 +859,10 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
           finish();
           return ThreadStop::Crash;
         }
-        if (rec_) rec_->global_store(regs[in.a], regs[in.b]);
+        if (rec_)
+          rec_->global_store(regs[in.a], regs[in.b]);
+        else if (delta_)
+          delta_->global_write(regs[in.a], regs[in.b], LaunchJournal::WriteKind::Store);
         break;
       case OpCode::LoadS:
       case OpCode::StoreS: {
@@ -619,7 +881,10 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
         } else {
           if (shadow_) shadow_->on_store(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
           shared_[addr] = regs[in.b];
-          if (rec_) rec_->shared_store(addr, regs[in.b]);
+          if (rec_)
+            rec_->shared_store(addr, regs[in.b]);
+          else if (delta_)
+            delta_->shared_write(addr, regs[in.b]);
         }
         break;
       }
@@ -643,11 +908,12 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
           finish();
           return ThreadStop::Crash;
         }
+        const auto kind =
+            is_f ? LaunchJournal::WriteKind::AtomicAddF : LaunchJournal::WriteKind::AtomicAddI;
         if (rec_)
-          rec_->global_atomic(regs[in.a], regs[in.b],
-                              is_f ? LaunchJournal::WriteKind::AtomicAddF
-                                   : LaunchJournal::WriteKind::AtomicAddI,
-                              pre);
+          rec_->global_atomic(regs[in.a], regs[in.b], kind, pre);
+        else if (delta_)
+          delta_->global_write(regs[in.a], regs[in.b], kind);
         break;
       }
       case OpCode::Jmp:
@@ -731,7 +997,10 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
 ///
 /// Sanitized plans (Device::set_sanitize) run here too: their shared
 /// accesses are the SanLoadS/SanStoreS singles, which report to the shadow
-/// exactly where run_thread does.  Launches that profile execution counts,
+/// exactly where run_thread does.  So do recording and replaying launches:
+/// their Rec* ops report to the JournalRecorder (or, replaying, to the
+/// delta set) where run_thread does.
+/// Launches that profile execution counts,
 /// cost SIMT serialization or carry a hardware fault model run on
 /// run_thread instead (see Device::launch), so instrumentation semantics
 /// live in one place.
@@ -923,6 +1192,18 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
       &&lbl_NkLoadConst,
       &&lbl_SanLoadS,
       &&lbl_SanStoreS,
+      &&lbl_RecLoadG,
+      &&lbl_RecStoreG,
+      &&lbl_RecLoadS,
+      &&lbl_RecStoreS,
+      &&lbl_RecAtomicAddF,
+      &&lbl_RecAtomicAddI,
+      &&lbl_Nk_RecLoadG,
+      &&lbl_Nk_RecStoreG,
+      &&lbl_Nk_RecLoadS,
+      &&lbl_Nk_RecStoreS,
+      &&lbl_Nk_RecAtomicAddF,
+      &&lbl_Nk_RecAtomicAddI,
       &&lbl_FIHookArmed,
       &&lbl_Nk_FIHookArmed,
   };
@@ -1142,6 +1423,118 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     }
     T_NEXT();
   }
+
+  // Recorded accesses (recording and write-tracking streams): the LoadG/
+  // StoreG/LoadS/StoreS/AtomicAdd bodies, then the access reported at
+  // run_thread's points (after it succeeded) to the recorder, or — in a
+  // replaying launch, whose stream has no Rec loads — to the delta set.
+  // Each comes accounted (PRE = T_STEP1, crash exit T_CRASH) and naked
+  // inside a run (PRE = ++pc, crash exit T_NK_CRASH with its refund).
+#define T_REC_LOADG(PRE, CRASH)                                                    \
+  {                                                                                \
+    PRE;                                                                           \
+    const std::uint32_t addr = regs[in->a];                                        \
+    if (gmem) {                                                                    \
+      if (addr >= gsize) CRASH(LaunchStatus::CrashOutOfBounds);                    \
+      regs[in->dst] = gmem[addr];                                                  \
+    } else if (!mem.load(addr, regs[in->dst])) {                                   \
+      CRASH(mem_fail_status());                                                    \
+    }                                                                              \
+    rec_->global_load(addr, regs[in->dst]);                                        \
+    T_NEXT();                                                                      \
+  }
+#define T_REC_STOREG(PRE, CRASH)                                                   \
+  {                                                                                \
+    PRE;                                                                           \
+    const std::uint32_t addr = regs[in->a];                                        \
+    const std::uint32_t value = regs[in->b];                                       \
+    if (gmem) {                                                                    \
+      if (addr >= gsize) CRASH(LaunchStatus::CrashOutOfBounds);                    \
+      gmem[addr] = value;                                                          \
+      mem.note_store(addr);                                                        \
+    } else if (!mem.store(addr, value)) {                                          \
+      CRASH(mem_fail_status());                                                    \
+    }                                                                              \
+    if (rec_)                                                                      \
+      rec_->global_store(addr, value);                                             \
+    else                                                                           \
+      delta_->global_write(addr, value, LaunchJournal::WriteKind::Store);          \
+    T_NEXT();                                                                      \
+  }
+#define T_REC_LOADS(PRE, CRASH)                                                    \
+  {                                                                                \
+    PRE;                                                                           \
+    const std::uint32_t addr = regs[in->a];                                        \
+    if (addr >= ssize) CRASH(LaunchStatus::CrashSharedOutOfBounds);                \
+    regs[in->dst] = shared_[addr];                                                 \
+    rec_->shared_load(addr, regs[in->dst]);                                        \
+    T_NEXT();                                                                      \
+  }
+#define T_REC_STORES(PRE, CRASH)                                                   \
+  {                                                                                \
+    PRE;                                                                           \
+    const std::uint32_t addr = regs[in->a];                                        \
+    if (addr >= ssize) CRASH(LaunchStatus::CrashSharedOutOfBounds);                \
+    shared_[addr] = regs[in->b];                                                   \
+    if (rec_)                                                                      \
+      rec_->shared_store(addr, regs[in->b]);                                       \
+    else                                                                           \
+      delta_->shared_write(addr, regs[in->b]);                                     \
+    T_NEXT();                                                                      \
+  }
+// The lock_guard stays in an inner block (see the AtomicAdd handlers).
+#define T_REC_ATOMIC(PRE, CRASH, KIND, OP)                                         \
+  {                                                                                \
+    PRE;                                                                           \
+    const std::uint32_t addr = regs[in->a];                                        \
+    const std::uint32_t addend = regs[in->b];                                      \
+    std::uint32_t pre = 0;                                                         \
+    const auto add = [&](std::uint32_t w) {                                        \
+      pre = w;                                                                     \
+      return OP(w, addend);                                                        \
+    };                                                                             \
+    {                                                                              \
+      std::lock_guard<std::mutex> lk(dev_.atomic_mutex());                         \
+      if (gmem) {                                                                  \
+        if (addr >= gsize) CRASH(LaunchStatus::CrashOutOfBounds);                  \
+        mem.note_store(addr);                                                      \
+        gmem[addr] = add(gmem[addr]);                                              \
+      } else if (!mem.rmw(addr, add)) {                                            \
+        CRASH(mem_fail_status());                                                  \
+      }                                                                            \
+    }                                                                              \
+    if (rec_)                                                                      \
+      rec_->global_atomic(addr, addend, KIND, pre);                                \
+    else                                                                           \
+      delta_->global_write(addr, addend, KIND);                                    \
+    T_NEXT();                                                                      \
+  }
+#define T_ADDI(A, B) \
+  i_bits(static_cast<std::int32_t>(static_cast<std::int64_t>(as_i(A)) + as_i(B)))
+#define T_PC1 ++pc
+  T_LABEL(RecLoadG) : T_REC_LOADG(T_STEP1(), T_CRASH)
+  T_LABEL(RecStoreG) : T_REC_STOREG(T_STEP1(), T_CRASH)
+  T_LABEL(RecLoadS) : T_REC_LOADS(T_STEP1(), T_CRASH)
+  T_LABEL(RecStoreS) : T_REC_STORES(T_STEP1(), T_CRASH)
+  T_LABEL(RecAtomicAddF) :
+      T_REC_ATOMIC(T_STEP1(), T_CRASH, LaunchJournal::WriteKind::AtomicAddF, fadd_bits)
+  T_LABEL(RecAtomicAddI) :
+      T_REC_ATOMIC(T_STEP1(), T_CRASH, LaunchJournal::WriteKind::AtomicAddI, T_ADDI)
+  T_LABEL(Nk_RecLoadG) : T_REC_LOADG(T_PC1, T_NK_CRASH)
+  T_LABEL(Nk_RecStoreG) : T_REC_STOREG(T_PC1, T_NK_CRASH)
+  T_LABEL(Nk_RecLoadS) : T_REC_LOADS(T_PC1, T_NK_CRASH)
+  T_LABEL(Nk_RecStoreS) : T_REC_STORES(T_PC1, T_NK_CRASH)
+  T_LABEL(Nk_RecAtomicAddF) :
+      T_REC_ATOMIC(T_PC1, T_NK_CRASH, LaunchJournal::WriteKind::AtomicAddF, fadd_bits)
+  T_LABEL(Nk_RecAtomicAddI) :
+      T_REC_ATOMIC(T_PC1, T_NK_CRASH, LaunchJournal::WriteKind::AtomicAddI, T_ADDI)
+#undef T_PC1
+#undef T_ADDI
+#undef T_REC_LOADG
+#undef T_REC_STOREG
+#undef T_REC_LOADS
+#undef T_REC_STORES
+#undef T_REC_ATOMIC
 
   T_LABEL(Jmp) : {
     T_STEP1();
@@ -1761,54 +2154,35 @@ ThreadStop BlockExec::step_thread(ThreadCtx& t, LaunchStatus& crash_status) {
   return tcode_ ? run_thread_threaded(t, crash_status) : run_thread(t, crash_status);
 }
 
-/// Whether segment `s` reads or writes a word of one of `latent` pairs.
-bool touches_latent(const LaunchJournal& j, const LaunchJournal::Segment& s,
-                    std::span<const std::uint32_t> latent) noexcept {
-  const auto listed = [&](std::uint32_t addr) {
-    return std::find(latent.begin(), latent.end(), addr / 2) != latent.end();
-  };
-  const LaunchJournal::Word* r = j.reads.data() + s.first_reads;
-  for (const LaunchJournal::Word* e = r + s.global_reads; r != e; ++r)
-    if (listed(r->addr)) return true;
-  const LaunchJournal::Write* w = j.writes.data() + s.first_write;
-  for (const LaunchJournal::Write* e = w + s.writes; w != e; ++w)
-    if (listed(w->addr)) return true;
-  return false;
-}
-
-/// Replay: apply thread t's next journal segment if it would provably run
-/// exactly as it did in the golden launch — the thread still holds its
-/// golden registers, it is not the armed thread (whose FIHooks must run),
-/// the segment fits this launch's watchdog, it touches no latent pair
-/// (protected memory: its first access there must correct or fail), and
-/// every first read returns its golden value.  Otherwise the thread
-/// diverges: it takes its registers from the previous segment's Barrier
-/// snapshot and is interpreted from here on.  Addresses need no bounds
-/// checks: the journal fingerprint pins the memory geometry, and the
-/// golden accesses were in bounds.
-bool BlockExec::apply_segment(ThreadCtx& t) {
+/// Replay: apply thread t's slice k from journal segment k if it would
+/// provably run exactly as it did in the golden launch — the thread still
+/// holds its golden registers, it is not the armed thread (whose FIHooks
+/// must run), the segment fits this launch's watchdog, it touches no latent
+/// pair (protected memory: its first access there must correct or fail),
+/// and every first read returns its golden value.  Only the reads of words
+/// in the delta set can differ, so only those are compared (DeltaSet).
+/// Otherwise the thread diverges: it takes its registers from the previous
+/// segment's Barrier snapshot and is interpreted from here on.  Addresses
+/// need no bounds checks: the journal fingerprint pins the memory geometry,
+/// and the golden accesses were in bounds.
+bool BlockExec::apply_segment(ThreadCtx& t, std::uint32_t slot, std::uint32_t k) {
   if (t.diverged) return false;
   const LaunchJournal& j = *journal_;
-  const std::uint32_t slot = block_linear_ * threads_per_block_ + t.block_index;
-  const std::uint32_t k = t.segment++;
-  const LaunchJournal::Segment& s = j.segment(slot, k);
+  const std::uint32_t g = j.thread_begin[slot] + k;
+  const LaunchJournal::Segment& s = j.segments[g];
   // The interpreter executes an instruction iff the thread's count before
   // it is <= watchdog, so a segment of n >= 1 instructions completes iff
   // budget_after - 1 <= watchdog.
   DeviceMemory& mem = dev_.mem();
-  bool apply = !(armed_ && t.linear == fi_thread_) &&
-               s.budget_after - 1 <= opts_.watchdog_instructions &&
-               (mem.latent_pairs().empty() || !touches_latent(j, s, mem.latent_pairs()));
   std::uint32_t* const gmem = mem.flat_words().data();
-  const LaunchJournal::Word* r = j.reads.data() + s.first_reads;
-  for (const LaunchJournal::Word* e = r + s.global_reads; apply && r != e; ++r)
-    apply = gmem[r->addr] == r->value;
-  for (const LaunchJournal::Word* e = r + s.shared_reads; apply && r != e; ++r)
-    apply = shared_[r->addr] == r->value;
+  const bool apply = !(armed_ && t.linear == fi_thread_) &&
+                     s.budget_after - 1 <= opts_.watchdog_instructions &&
+                     (mem.latent_pairs().empty() || !delta_->touches(g, mem.latent_pairs())) &&
+                     delta_->reads_match(g, s, gmem, shared_.data());
   if (!apply) {
     t.diverged = true;
     if (k > 0) {
-      const std::uint32_t* snap = j.regs.data() + j.segment(slot, k - 1).regs;
+      const std::uint32_t* snap = j.regs.data() + j.segments[g - 1].regs;
       std::copy(snap, snap + prog_.num_slots, t.regs);
     }
     return false;
@@ -1845,13 +2219,28 @@ bool BlockExec::apply_segment(ThreadCtx& t) {
   return true;
 }
 
-/// Record: one reference time-slice, bracketed as a journal segment.
+/// Replay: one time-slice of thread t — applied from the journal, or
+/// interpreted with its writes reported to the delta set, which grows when
+/// they differ from the golden counterpart's.
+ThreadStop BlockExec::replay_slice(ThreadCtx& t, LaunchStatus& crash_status) {
+  const std::uint32_t slot = block_linear_ * threads_per_block_ + t.block_index;
+  const std::uint32_t k = t.segment++;
+  if (apply_segment(t, slot, k)) return t.done ? ThreadStop::Done : ThreadStop::Barrier;
+  delta_->begin_slice(slot, k);
+  const ThreadStop stop = step_thread(t, crash_status);
+  if (stop == ThreadStop::Done || stop == ThreadStop::Barrier)
+    delta_->end_slice(stop == ThreadStop::Done);
+  return stop;
+}
+
+/// Record: one time-slice on this launch's engine, bracketed as a journal
+/// segment.
 ThreadStop BlockExec::record_segment(ThreadCtx& t, LaunchStatus& crash_status) {
   const std::uint64_t i0 = instructions, c0 = cycles, l0 = loop_cycles;
   const bool sdc0 = sdc;
   sdc = false;
   rec_->begin(block_linear_ * threads_per_block_ + t.block_index);
-  const ThreadStop stop = run_thread(t, crash_status);
+  const ThreadStop stop = step_thread(t, crash_status);
   rec_->end(instructions - i0, cycles - c0, loop_cycles - l0, sdc, t.budget_used, t.pc,
             t.barrier_pc, stop == ThreadStop::Done, {t.regs, prog_.num_slots});
   sdc = sdc || sdc0;
@@ -1885,10 +2274,9 @@ LaunchStatus BlockExec::run(std::span<const kir::Value> args) {
         continue;
       }
       LaunchStatus crash = LaunchStatus::Ok;
-      const ThreadStop stop = journal_ && apply_segment(t) ? (t.done ? ThreadStop::Done
-                                                                      : ThreadStop::Barrier)
-                              : rec_                       ? record_segment(t, crash)
-                                                           : step_thread(t, crash);
+      const ThreadStop stop = journal_ ? replay_slice(t, crash)
+                              : rec_   ? record_segment(t, crash)
+                                       : step_thread(t, crash);
       switch (stop) {
         case ThreadStop::Done: ++done; break;
         case ThreadStop::Barrier: ++at_barrier; break;
@@ -1961,23 +2349,22 @@ constexpr std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) noexcept {
   return h ^ (h >> 29);
 }
 
-/// Fingerprint of everything the plan's contents depend on: the instruction
-/// stream, the slot count, the detector value types, the register budget,
-/// the cost model, the engine kind, the sanitize bit and the protection
-/// scheme.  It names the plan inside journal fingerprints; the plan cache
-/// compares the inputs themselves (PlanEntry::built_from).  Hashed
-/// field-by-field (never raw struct bytes, which would include indeterminate
-/// padding).
+/// Fingerprint of everything a plan's launch semantics depend on: the
+/// instruction stream, the slot count, the detector value types, the
+/// register budget, the cost model and the protection scheme.  It names the
+/// plan inside journal fingerprints; the plan cache compares the inputs
+/// themselves (PlanEntry::built_from).  The engine and the sanitize bit are
+/// left out: both engines execute bitwise the same launch, so a journal
+/// recorded on either serves the other, and journals are never recorded or
+/// replayed sanitized.  Hashed field-by-field (never raw struct bytes, which
+/// would include indeterminate padding).
 std::uint64_t plan_fingerprint(const kir::BytecodeProgram& program, const CostModel& cm,
-                               std::uint32_t regs_per_thread, ExecEngine engine, bool sanitize,
-                               ecc::Scheme protection) noexcept {
+                               std::uint32_t regs_per_thread, ecc::Scheme protection) noexcept {
   std::uint64_t h = fp_mix(0x48415542ULL, program.code.size());
   h = fp_mix(h, program.num_slots);
   for (const kir::DetectorMeta& d : program.detectors)
     h = fp_mix(h, static_cast<std::uint64_t>(d.value_type));
   h = fp_mix(h, regs_per_thread);
-  h = fp_mix(h, static_cast<std::uint64_t>(engine));
-  h = fp_mix(h, static_cast<std::uint64_t>(sanitize));
   // Protection folds ECC surcharges into the cost vector and switches the
   // threaded compile off the flat-arena specializations; a plan built for
   // one mode must never be served to the other.
@@ -2000,7 +2387,7 @@ std::uint64_t plan_fingerprint(const kir::BytecodeProgram& program, const CostMo
 }
 
 /// Identity of a journaled launch: the plan key (program, cost model,
-/// register budget, engine, sanitize, protection), the launch configuration, the
+/// register budget, protection), the launch configuration, the
 /// arguments, and the memory geometry the journal's addresses assume.
 std::uint64_t journal_fingerprint(std::uint64_t plan_key, const kir::BytecodeProgram& program,
                                   const LaunchConfig& cfg, std::span<const kir::Value> args,
@@ -2056,13 +2443,13 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
   }
   plan_misses_.fetch_add(1, std::memory_order_relaxed);
   auto plan = std::make_shared<LaunchPlan>();
-  plan->key = plan_fingerprint(program, cost_, props_.regs_per_thread, engine_, sanitize_,
-                               props_.protection);
+  plan->key = plan_fingerprint(program, cost_, props_.regs_per_thread, props_.protection);
   plan->costs = instruction_costs(program, cost_, props_.regs_per_thread,
                                   props_.protection != ecc::Scheme::None);
   plan->decoded = kir::decode_program(program, plan->costs);
   if (engine_ == ExecEngine::Threaded)
-    plan->threaded = compile_stream(plan->decoded, program.num_slots, kir::FIFilter{});
+    plan->threaded =
+        compile_stream(plan->decoded, program.num_slots, kir::FIFilter{}, plain_instr());
   PlanEntry entry{program.code, program.num_slots, {}, cost_, engine_, sanitize_, plan};
   entry.detector_types.reserve(program.detectors.size());
   for (const kir::DetectorMeta& d : program.detectors)
@@ -2075,25 +2462,27 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
 }
 
 kir::ThreadedProgram Device::compile_stream(const kir::DecodedProgram& decoded,
-                                            std::uint16_t num_slots,
-                                            const kir::FIFilter& fi) const {
+                                            std::uint16_t num_slots, const kir::FIFilter& fi,
+                                            kir::MemInstr mem) const {
   return kir::compile_threaded(decoded, num_slots,
                                props_.memory_model == MemoryModel::FlatGpu &&
                                    props_.protection == ecc::Scheme::None,
-                               /*form_runs=*/true, sanitize_, fi);
+                               /*form_runs=*/true, mem, fi);
 }
 
 std::shared_ptr<const kir::ThreadedProgram> Device::fi_stream(const LaunchPlan& plan,
                                                               std::uint16_t num_slots,
-                                                              const kir::FIFilter& fi) const {
+                                                              const kir::FIFilter& fi,
+                                                              kir::MemInstr mem) const {
   // One specialized stream per plan: campaigns plan each site's trials
   // consecutively, and an Armed stream serves every thread of its site, so
   // rebuilds happen once per site, not per trial.
   std::lock_guard<std::mutex> lk(plan.fi_mu);
-  if (!plan.fi_stream || !plan.fi_filter.same_stream(fi)) {
+  if (!plan.fi_stream || !plan.fi_filter.same_stream(fi) || plan.fi_mem != mem) {
     plan.fi_stream = std::make_shared<const kir::ThreadedProgram>(
-        compile_stream(plan.decoded, num_slots, fi));
+        compile_stream(plan.decoded, num_slots, fi, mem));
     plan.fi_filter = fi;
+    plan.fi_mem = mem;
   }
   return plan.fi_stream;
 }
@@ -2121,18 +2510,19 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   const kir::FIFilter fi = opts.hooks ? opts.hooks->fi_filter() : kir::FIFilter{};
   // Segment replay (DESIGN §10) is decided here and nowhere else.  Recording
   // and replay need a serial flat launch: one block worker (the journal's
-  // segment order), the flat arena (gather-compare and direct writes; under
-  // protection the latent pairs name the words that must still take the
-  // checked path), and the threaded engine's plain semantics (no sanitizer
-  // shadow, profiling counters or hardware fault model, which a journal
-  // cannot reproduce).  Replay also needs that no fi_hook outside the armed
-  // (site, thread) can act: no hooks, or a non-Generic FI filter.  A
-  // recording launch runs on the reference interpreter.
-  const bool serial_flat = engine_ == ExecEngine::Threaded && !sanitize_ && nw <= 1 &&
+  // segment order), the flat arena (launch-start diff, compares and direct
+  // writes; under protection the latent pairs name the words that must
+  // still take the checked path), and plain semantics (no sanitizer shadow,
+  // profiling counters or hardware fault model, which a journal cannot
+  // reproduce).  A recording launch runs on the device's engine.  Replay
+  // also needs the threaded engine and that no fi_hook outside the armed
+  // (site, thread) can act: no hooks, or a non-Generic FI filter.
+  const bool serial_flat = !sanitize_ && nw <= 1 &&
                            props_.memory_model == MemoryModel::FlatGpu && !has_fault() &&
                            !opts.instr_exec_counts && !opts.simt_cost;
   const bool record = opts.record_journal && serial_flat;
   const bool replay = opts.journal && serial_flat && !record &&
+                      engine_ == ExecEngine::Threaded &&
                       (!opts.hooks || fi.kind != kir::FIFilter::Kind::Generic);
   const std::uint64_t journal_key =
       record || replay
@@ -2141,23 +2531,39 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   if (replay && opts.journal->fingerprint != journal_key)
     throw std::invalid_argument(
         "Device::launch: the journal was recorded for a different launch");
+  // A recording launch feeds the recorder; a replaying one seeds its delta
+  // set from the launch-start diff and reports its interpreted writes to it.
   std::optional<JournalRecorder> recorder;
-  if (record) recorder.emplace(*opts.record_journal, program.shared_mem_words);
+  std::optional<DeltaSet> delta;
+  if (record) {
+    recorder.emplace(*opts.record_journal, program.shared_mem_words);
+    const auto words = mem_->flat_words();
+    opts.record_journal->start_image.assign(words.begin(),
+                                            words.begin() + mem_->store_watermark());
+  } else if (replay) {
+    delta.emplace(*opts.journal);
+    delta->seed(mem_->flat_words(), mem_->store_watermark());
+  }
 
-  // Which interpreter runs this launch.  Plain and sanitized launches run
-  // the threaded stream (compiled for Threaded plans); launches
-  // that profile execution counts, cost SIMT serialization or carry a
-  // hardware fault model — one-off profiling and BIST runs — and journal
-  // recordings run on the reference interpreter (stream null), the only
-  // place those semantics are implemented.  When the hooks report an FI
-  // filter, the threaded stream is the plan's FI-specialized one, held until
-  // the launch returns.
+  // Which interpreter runs this launch.  Plain, sanitized, recording and
+  // replaying launches run the threaded stream (compiled for Threaded plans);
+  // launches that profile execution counts, cost SIMT serialization or carry
+  // a hardware fault model — one-off profiling and BIST runs — run on the
+  // reference interpreter (stream null), the only place those semantics are
+  // implemented.  A recording launch runs the plan's recording stream, a
+  // replaying one its write-tracking stream, and when the hooks report an FI
+  // filter the stream is also FI-specialized; the specialized stream is held
+  // until the launch returns.
   const bool threaded = !plan->threaded.code.empty() && !opts.instr_exec_counts &&
-                        !opts.simt_cost && !has_fault() && !record;
+                        !opts.simt_cost && !has_fault();
   const kir::ThreadedProgram* stream = threaded ? &plan->threaded : nullptr;
+  const kir::MemInstr mem_instr = record   ? kir::MemInstr::Record
+                                  : replay ? kir::MemInstr::Writes
+                                           : plain_instr();
   std::shared_ptr<const kir::ThreadedProgram> specialized;
-  if (threaded && fi.kind != kir::FIFilter::Kind::Generic && plan->threaded.fi_hooks > 0) {
-    specialized = fi_stream(*plan, program.num_slots, fi);
+  if (threaded && (mem_instr != plain_instr() ||
+                   (fi.kind != kir::FIFilter::Kind::Generic && plan->threaded.fi_hooks > 0))) {
+    specialized = fi_stream(*plan, program.num_slots, fi, mem_instr);
     stream = specialized.get();
   }
   // Corrections are counted by the memory itself (it scrubs each corrupted
@@ -2188,7 +2594,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
       if (b >= num_blocks) return;
       BlockExec exec(*this, program, cfg, opts, costs, plan->decoded, stream, fi, b,
                      sanitize_ ? &block_reports[b] : nullptr, replay ? opts.journal : nullptr,
-                     recorder ? &*recorder : nullptr);
+                     delta ? &*delta : nullptr, recorder ? &*recorder : nullptr);
       const LaunchStatus st = exec.run(args);
       cycles.fetch_add(exec.cycles, std::memory_order_relaxed);
       loop_cycles.fetch_add(exec.loop_cycles, std::memory_order_relaxed);
@@ -2245,10 +2651,10 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   res.simt_cycles = simt_cycles.load();
   res.threads = cfg.total_threads();
   res.replayed_segments = replayed.load();
-  if (recorder) {
+  if (record) {
     // Only a fault-free launch is a golden run worth journaling.
     if (res.status == LaunchStatus::Ok) {
-      recorder->finish(num_blocks * (cfg.block_x * cfg.block_y));
+      recorder->finish(num_blocks, cfg.block_x * cfg.block_y);
       opts.record_journal->fingerprint = journal_key;
     } else {
       *opts.record_journal = LaunchJournal{};

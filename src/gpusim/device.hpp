@@ -116,10 +116,12 @@ enum class LaunchStatus : std::uint8_t {
 /// (LaunchOptions::simt_cost) or runs with an installed DeviceFaultModel
 /// runs on the reference interpreter — those are one-off profiling and BIST
 /// runs, and the reference is the one place their semantics live (with the
-/// sanitizer shadow still attached when sanitizing).  So does a launch that
-/// records a segment journal (LaunchOptions::record_journal).  The threaded engine
-/// also hands a thread's slice to the reference when a fused region hits
-/// the watchdog boundary or an out-of-bounds access.
+/// sanitizer shadow still attached when sanitizing).  A launch that records
+/// a segment journal (LaunchOptions::record_journal) runs on the device's
+/// engine: the threaded one records through a stream whose memory accesses
+/// report to the recorder.  The threaded engine also hands a thread's slice
+/// to the reference when a fused region hits the watchdog boundary or an
+/// out-of-bounds access.
 ///
 /// Both engines are bitwise identical on every observable, sanitized or
 /// not: registers, memory, cycle/instruction counts, SIMT cost, crash/hang
@@ -249,25 +251,26 @@ struct LaunchOptions {
   bool simt_cost = false;
 
   // --- segment replay (gpusim/journal.hpp, DESIGN §10) ---
-  // Both fields only take effect on a *serial flat* launch: ExecEngine::
-  // Threaded, one block worker, FlatGpu memory (unprotected or SEC-DED), no
+  // Both fields only take effect on a *serial flat* launch: an unsanitized
+  // device, one block worker, FlatGpu memory (unprotected or SEC-DED), no
   // installed DeviceFaultModel, and neither instr_exec_counts nor simt_cost.
-  // Other launches ignore them (a requested journal comes back empty), so a
-  // caller may always ask.
-  /// When non-null, cleared and — on a serial flat launch — filled with the
-  /// launch's per-segment journal.  A recording launch runs on the reference
-  /// interpreter; it is the fault-free golden run a campaign makes anyway.
+  // Replay also needs ExecEngine::Threaded.  Other launches ignore them (a
+  // requested journal comes back empty), so a caller may always ask.
+  /// When non-null, cleared and — on a serial flat launch that ends Ok —
+  /// filled with the launch's per-segment journal.  A recording launch runs
+  /// on the device's engine, and both engines record byte-equal journals; it
+  /// is the fault-free golden run a campaign makes anyway.
   LaunchJournal* record_journal = nullptr;
   /// A journal recorded by a launch of the same program, LaunchConfig,
   /// arguments, protection and memory geometry (anything else throws
-  /// std::invalid_argument).  A serial flat launch without hooks, or whose
-  /// hooks report a non-Generic fi_filter(), then applies every segment
-  /// whose thread has not diverged, is not the armed thread, fits this
-  /// launch's watchdog, touches no DeviceMemory::latent_pairs() word and
-  /// finds its first reads unchanged, and interprets the rest.  The
-  /// LaunchResult and memory (check bytes included) equal a full launch's;
-  /// the hook calls of applied segments (detector checks, ControlBlock
-  /// counters and outliers) do not happen.
+  /// std::invalid_argument); memory may differ in any way.  A serial flat
+  /// Threaded launch without hooks, or whose hooks report a non-Generic
+  /// fi_filter(), then applies every segment whose thread has not diverged,
+  /// is not the armed thread, fits this launch's watchdog, touches no
+  /// DeviceMemory::latent_pairs() word and finds its first reads unchanged,
+  /// and interprets the rest.  The LaunchResult and memory (check bytes
+  /// included) equal a full launch's; the hook calls of applied segments
+  /// (detector checks, ControlBlock counters and outliers) do not happen.
   const LaunchJournal* journal = nullptr;
 };
 
@@ -350,11 +353,13 @@ class Device {
     std::vector<std::uint32_t> costs;
     kir::DecodedProgram decoded;
     kir::ThreadedProgram threaded;
-    /// The FI-specialized threaded stream for the most recent non-Generic
-    /// filter (kir::FIFilter::same_stream), rebuilt when the filter changes.
-    /// A launch holds its shared_ptr for the whole launch.
+    /// The specialized threaded stream for the most recent FI filter
+    /// (kir::FIFilter::same_stream) and memory instrumentation (recording or
+    /// write-tracking), rebuilt when either changes.  A launch holds its
+    /// shared_ptr for the whole launch.
     mutable std::mutex fi_mu;
     mutable kir::FIFilter fi_filter;
+    mutable kir::MemInstr fi_mem = kir::MemInstr::None;
     mutable std::shared_ptr<const kir::ThreadedProgram> fi_stream;
   };
   /// A cached plan and the launch-varying inputs it was built from.
@@ -379,15 +384,21 @@ class Device {
   /// eviction.
   [[nodiscard]] std::shared_ptr<const LaunchPlan> launch_plan(
       const kir::BytecodeProgram& program);
-  /// The threaded stream of `decoded` for this device's memory model,
-  /// protection and sanitize bit, specialized to `fi`.
+  /// The threaded stream of `decoded` for this device's memory model and
+  /// protection, specialized to `fi` and instrumented per `mem`.
   [[nodiscard]] kir::ThreadedProgram compile_stream(const kir::DecodedProgram& decoded,
                                                     std::uint16_t num_slots,
-                                                    const kir::FIFilter& fi) const;
-  /// The plan's stream specialized to `fi` (built or reused under the
-  /// plan's lock).
+                                                    const kir::FIFilter& fi,
+                                                    kir::MemInstr mem) const;
+  /// The plan's stream specialized to `fi` and `mem` (built or reused under
+  /// the plan's lock).
   [[nodiscard]] std::shared_ptr<const kir::ThreadedProgram> fi_stream(
-      const LaunchPlan& plan, std::uint16_t num_slots, const kir::FIFilter& fi) const;
+      const LaunchPlan& plan, std::uint16_t num_slots, const kir::FIFilter& fi,
+      kir::MemInstr mem) const;
+  /// The instrumentation of an ordinary launch: the sanitize bit's.
+  [[nodiscard]] kir::MemInstr plain_instr() const noexcept {
+    return sanitize_ ? kir::MemInstr::Sanitize : kir::MemInstr::None;
+  }
 
   DeviceProps props_;
   CostModel cost_;

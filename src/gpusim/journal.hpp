@@ -13,12 +13,19 @@
 // golden registers and every first read still returns its golden value —
 // the segment would provably execute exactly as it did.
 //
+// Two more fields serve replay's delta set (DESIGN §10): the launch-start
+// word image, so a replay can find every word where its memory starts out
+// different from the golden run's, and a reader index from each word to the
+// segments that first-read it (and, for global memory, write it), so only
+// reads of words that may differ are ever compared.
+//
 // Device::launch records a journal on request (LaunchOptions::record_journal)
 // and replays one (LaunchOptions::journal) when the launch is eligible; see
 // device.hpp for the contract.  A journal is immutable once recorded and is
 // shared read-only by every campaign worker.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -30,6 +37,7 @@ struct LaunchJournal {
   struct Word {
     std::uint32_t addr = 0;
     std::uint32_t value = 0;
+    bool operator==(const Word&) const = default;
   };
   /// How a global write combines with memory.  An atomic is a blind update
   /// (the segment reads nothing through it), so it replays as `op(mem, value)`.
@@ -38,8 +46,18 @@ struct LaunchJournal {
     std::uint32_t addr = 0;
     std::uint32_t value = 0;  ///< stored value, or the atomic's addend
     WriteKind kind = WriteKind::Store;
+    bool operator==(const Write&) const = default;
   };
   static constexpr std::uint32_t kNoRegs = ~std::uint32_t{0};
+  /// One reader-index entry: segment `segment` (an index into `segments`)
+  /// first-reads word `addr` at reads[read], or writes it (read == kWrite).
+  struct Access {
+    std::uint32_t addr = 0;
+    std::uint32_t segment = 0;
+    std::uint32_t read = 0;
+    auto operator<=>(const Access&) const = default;
+  };
+  static constexpr std::uint32_t kWrite = ~std::uint32_t{0};
 
   struct Segment {
     std::uint64_t instructions = 0, cycles = 0, loop_cycles = 0;
@@ -58,6 +76,7 @@ struct LaunchJournal {
     std::uint32_t pc = 0, barrier_pc = 0;  ///< ThreadCtx fields after the stop
     bool done = false;  ///< stopped at Halt (else at a Barrier)
     bool sdc = false;   ///< a detector set the SDC bit inside the segment
+    bool operator==(const Segment&) const = default;
   };
 
   /// Identity of the recorded launch: program plan, launch configuration,
@@ -72,6 +91,20 @@ struct LaunchJournal {
   std::vector<Write> writes;
   std::vector<Word> shared_writes;
   std::vector<std::uint32_t> regs;
+  /// Global memory when the launch began, below its store watermark (every
+  /// word at or above it was zero).
+  std::vector<std::uint32_t> start_image;
+  /// Global first reads and writes, sorted (addr, segment, read), one writer
+  /// entry per (addr, segment).
+  std::vector<Access> global_index;
+  /// Shared first reads, block by block: block b's entries are
+  /// shared_index[shared_index_begin[b] .. shared_index_begin[b + 1]),
+  /// sorted (addr, segment, read).
+  std::vector<Access> shared_index;
+  std::vector<std::uint32_t> shared_index_begin;
+
+  /// Field-wise equality: both engines record equal journals of a launch.
+  bool operator==(const LaunchJournal&) const = default;
 
   [[nodiscard]] bool empty() const noexcept { return segments.empty(); }
   [[nodiscard]] const Segment& segment(std::uint32_t thread_slot,
@@ -82,7 +115,10 @@ struct LaunchJournal {
   [[nodiscard]] std::size_t bytes() const noexcept {
     return thread_begin.size() * sizeof(std::uint32_t) + segments.size() * sizeof(Segment) +
            reads.size() * sizeof(Word) + writes.size() * sizeof(Write) +
-           shared_writes.size() * sizeof(Word) + regs.size() * sizeof(std::uint32_t);
+           shared_writes.size() * sizeof(Word) + regs.size() * sizeof(std::uint32_t) +
+           start_image.size() * sizeof(std::uint32_t) +
+           (global_index.size() + shared_index.size()) * sizeof(Access) +
+           shared_index_begin.size() * sizeof(std::uint32_t);
   }
 };
 

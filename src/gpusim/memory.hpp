@@ -170,6 +170,13 @@ class DeviceMemory {
     }
   }
 
+  /// One past the highest physical word that may be nonzero: every word at
+  /// or above it is zero.  Read it only between launches or from a
+  /// single-worker launch.
+  [[nodiscard]] std::uint32_t store_watermark() const noexcept {
+    return dirty_hi_.load(std::memory_order_relaxed);
+  }
+
   [[nodiscard]] bool valid(std::uint32_t addr) const noexcept;
 
   /// Fast-path view for the threaded interpreter: when the model uses flat

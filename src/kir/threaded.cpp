@@ -19,6 +19,11 @@
 //     Segments of exactly 2-3 ops keep the classic one-dispatch fused
 //     forms (ConstBin/LoadBinStore/...) instead, which charge once anyway.
 //
+// Memory instrumentation (a MemInstr other than None) changes only the
+// instrumented accesses: pass 1 gives them their San*/Rec* singles, no fused
+// head or tile covers one, and runs keep Rec* accesses as naked Nk_Rec* ops
+// but end at San* ones.
+//
 // FI specialization (a non-Generic FIFilter) changes only FIHooks.  In
 // pass 1 unarmed hooks become Nop and the armed site's hooks FIHookArmed.
 // In pass 3 a run tiles only its *executed* ops: unarmed hooks are left
@@ -288,6 +293,18 @@ const char* top_name(TOp op) noexcept {
     case TOp::NkLoadConst: return "NkLoadConst";
     case TOp::SanLoadS: return "SanLoadS";
     case TOp::SanStoreS: return "SanStoreS";
+    case TOp::RecLoadG: return "RecLoadG";
+    case TOp::RecStoreG: return "RecStoreG";
+    case TOp::RecLoadS: return "RecLoadS";
+    case TOp::RecStoreS: return "RecStoreS";
+    case TOp::RecAtomicAddF: return "RecAtomicAddF";
+    case TOp::RecAtomicAddI: return "RecAtomicAddI";
+    case TOp::Nk_RecLoadG: return "Nk_RecLoadG";
+    case TOp::Nk_RecStoreG: return "Nk_RecStoreG";
+    case TOp::Nk_RecLoadS: return "Nk_RecLoadS";
+    case TOp::Nk_RecStoreS: return "Nk_RecStoreS";
+    case TOp::Nk_RecAtomicAddF: return "Nk_RecAtomicAddF";
+    case TOp::Nk_RecAtomicAddI: return "Nk_RecAtomicAddI";
     case TOp::FIHookArmed: return "FIHookArmed";
     case TOp::Nk_FIHookArmed: return "Nk_FIHookArmed";
     case TOp::Count_: break;
@@ -296,13 +313,42 @@ const char* top_name(TOp op) noexcept {
 }
 
 ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_slots*/,
-                                 bool flat_global_memory, bool form_runs, bool sanitize,
+                                 bool flat_global_memory, bool form_runs, MemInstr mem,
                                  const FIFilter& fi) {
   ThreadedProgram out;
   const std::size_t n = d.code.size();
   out.code.resize(n);
-  const auto shared_access = [](DecodedOp op) {
-    return op == DecodedOp::LoadS || op == DecodedOp::StoreS;
+  // The instrumented single of `op` under `mem`; Invalid when `op` stays a
+  // plain access.
+  const auto instrumented = [mem](DecodedOp op) {
+    const bool rec = mem == MemInstr::Record;
+    const bool writes = rec || mem == MemInstr::Writes;
+    switch (op) {
+      case DecodedOp::LoadS:
+        return mem == MemInstr::Sanitize ? TOp::SanLoadS : rec ? TOp::RecLoadS : TOp::Invalid;
+      case DecodedOp::StoreS:
+        return mem == MemInstr::Sanitize ? TOp::SanStoreS
+               : writes                  ? TOp::RecStoreS
+                                         : TOp::Invalid;
+      case DecodedOp::LoadG: return rec ? TOp::RecLoadG : TOp::Invalid;
+      case DecodedOp::StoreG: return writes ? TOp::RecStoreG : TOp::Invalid;
+      case DecodedOp::AtomicAddF: return writes ? TOp::RecAtomicAddF : TOp::Invalid;
+      case DecodedOp::AtomicAddI: return writes ? TOp::RecAtomicAddI : TOp::Invalid;
+      default: return TOp::Invalid;
+    }
+  };
+  const auto plain = [&](DecodedOp op) { return instrumented(op) == TOp::Invalid; };
+  // The naked form of a recorded access inside a run.
+  const auto naked_rec = [](TOp op) {
+    switch (op) {
+      case TOp::RecLoadG: return TOp::Nk_RecLoadG;
+      case TOp::RecStoreG: return TOp::Nk_RecStoreG;
+      case TOp::RecLoadS: return TOp::Nk_RecLoadS;
+      case TOp::RecStoreS: return TOp::Nk_RecStoreS;
+      case TOp::RecAtomicAddF: return TOp::Nk_RecAtomicAddF;
+      case TOp::RecAtomicAddI: return TOp::Nk_RecAtomicAddI;
+      default: return TOp::Invalid;
+    }
   };
   // FIHooks that keep their hook call under `fi`, and those `fi` proves are
   // no-ops (none in a Generic stream).
@@ -315,7 +361,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
   };
 
   // Single-op translation: a field copy (TOp mirrors DecodedOp), with the
-  // sanitizer's shared accesses and the FI specialization applied.
+  // instrumented accesses and the FI specialization applied.
   const auto single_of = [&](std::size_t pc) {
     const DecodedInstr& in = d.code[pc];
     ThreadedInstr ti;
@@ -329,9 +375,8 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
     ti.cost = in.cost;
     ti.loop_cost = in.loop_cost;
     ti.len = 1;
-    if (sanitize && shared_access(in.op))
-      ti.op = static_cast<std::uint16_t>(in.op == DecodedOp::LoadS ? TOp::SanLoadS
-                                                                   : TOp::SanStoreS);
+    if (const TOp op = instrumented(in.op); op != TOp::Invalid)
+      ti.op = static_cast<std::uint16_t>(op);
     if (fi_armed(in)) ti.op = static_cast<std::uint16_t>(TOp::FIHookArmed);
     if (fi_dead(in)) ti.op = static_cast<std::uint16_t>(TOp::Nop);
     return ti;
@@ -442,13 +487,15 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
   };
 
   // [LoadG][Bin][StoreG]: global read-modify-write with a pre-computed
-  // store address (FlatGpu only — bounds checkable before any write).
+  // store address (FlatGpu only — bounds checkable before any write), when
+  // neither access is instrumented.
   auto try_lbs = [&](std::size_t pc) -> bool {
     if (pc + 2 >= n || !flat_global_memory) return false;
     const DecodedInstr& i0 = d.code[pc];
     const DecodedInstr& i1 = d.code[pc + 1];
     const DecodedInstr& i2 = d.code[pc + 2];
-    if (i0.op != DecodedOp::LoadG) return false;
+    if (i0.op != DecodedOp::LoadG || !plain(DecodedOp::LoadG) || !plain(DecodedOp::StoreG))
+      return false;
     if (const TOp top = load_bin_store_top(i1.op);
         top != TOp::Invalid && i2.op == DecodedOp::StoreG && i2.b == i1.dst &&
         i2.a != i0.dst && i2.a != i1.dst) {
@@ -588,8 +635,10 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
     if (j + 1 >= ops.size()) return 0;
     const DecodedInstr& i0 = d.code[ops[j]];
     const DecodedInstr& i1 = d.code[ops[j + 1]];
+    // Tiles with a load are for plain loads only.
+    const bool plain_loads = plain(DecodedOp::LoadG);
     // The 3-op addressing idiom: reloaded offset, address arithmetic, load.
-    if (!at_head && j + 2 < ops.size() && i0.op == DecodedOp::Const &&
+    if (!at_head && plain_loads && j + 2 < ops.size() && i0.op == DecodedOp::Const &&
         d.code[ops[j + 2]].op == DecodedOp::LoadG) {
       if (const TOp p = naked_const_bin_load_top(i1.op); p != TOp::Invalid) {
         const DecodedInstr& i2 = d.code[ops[j + 2]];
@@ -667,7 +716,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
         return 2;
       }
     }
-    if (!at_head) {
+    if (!at_head && plain_loads) {
       if (i0.op == DecodedOp::LoadG) {
         if (const TOp p = naked_load_bin_top(i1.op); p != TOp::Invalid) {
           ti.op = static_cast<std::uint16_t>(p);
@@ -700,6 +749,8 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
           return 2;
         }
       }
+    }
+    if (!at_head) {
       if (i0.op == DecodedOp::ChkXor && i1.op == DecodedOp::ChkXor) {
         ti.op = static_cast<std::uint16_t>(TOp::NkChkXor2);
         ti.dst = i0.dst;
@@ -726,6 +777,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
     const DecodedInstr& in = d.code[pos];
     if (fi_armed(in)) return TOp::Nk_FIHookArmed;
     if (fi_dead(in)) return TOp::Nk_Nop;
+    if (const TOp rec = naked_rec(instrumented(in.op)); rec != TOp::Invalid) return rec;
     return naked_top(in.op);
   };
 
@@ -792,10 +844,11 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
     out.run_covered += static_cast<std::uint32_t>(len);
   };
 
-  // Sanitized plans keep shared accesses as accounted singles: they end
-  // runs exactly like control transfers do.
+  // Sanitized accesses stay accounted singles: they end runs exactly like
+  // control transfers do.  Recorded ones run naked.
   const auto runnable = [&](DecodedOp op) {
-    return naked_top(op) != TOp::Invalid && !(sanitize && shared_access(op));
+    return naked_top(op) != TOp::Invalid &&
+           (plain(op) || naked_rec(instrumented(op)) != TOp::Invalid);
   };
   std::size_t s = 0;
   while (s < n) {

@@ -1,6 +1,7 @@
 // Threaded-code execution form: the compiled stream behind
-// gpusim::ExecEngine::Threaded (compiled with `sanitize` on a sanitizing
-// device, gpusim::Device::set_sanitize).
+// gpusim::ExecEngine::Threaded (compiled with a MemInstr mode: sanitized on a
+// sanitizing device, gpusim::Device::set_sanitize; recording or
+// write-tracking for segment-replay launches).
 //
 // The predecoded stream (kir::DecodedProgram) already folds operator,
 // operand type and cycle cost into one flat instruction, but an
@@ -34,9 +35,15 @@
 //    Const+compare and Const+add idioms are folded into the
 //    superinstruction immediate, and the watchdog budget becomes one
 //    countdown decremented once per (super)instruction or run.
-//  * sanitized plans (`sanitize`): shared loads and stores compile to the
-//    shadow-observing singles SanLoadS/SanStoreS and never enter a run, so
-//    every shared access reaches the sanitizer's shadow in program order.
+//  * memory instrumentation (`MemInstr`): a sanitized stream compiles
+//    shared loads and stores to the shadow-observing singles SanLoadS/
+//    SanStoreS, which never enter a run; a recording stream compiles every
+//    global and shared load, store and atomic to the Rec* ops that feed the
+//    golden journal's recorder, and a write-tracking stream (segment
+//    replay) does the same for stores and atomics only.  Rec* ops stay in
+//    runs as their naked Nk_Rec* forms.  No instrumented access is ever
+//    part of a fused head or tile, so each one reaches its observer in
+//    program order.
 //  * per-trial FI specialization (`FIFilter`): a SWIFI trial arms one
 //    (site, thread, occurrence), so every other FIHook is a no-op.  Unarmed
 //    hooks inside runs get no slot at all — the run's executed ops are
@@ -206,6 +213,13 @@ enum class TOp : std::uint16_t {
   // --- sanitizer singles (sanitized plans only, never fused) ---
   // LoadS/StoreS that report every access to the block's SharedShadow.
   SanLoadS, SanStoreS,
+  // --- recorded accesses (recording and write-tracking streams, never fused
+  // into tiles) ---
+  // Global/shared accesses that report to the launch's journal recorder or
+  // delta set after the access: accounted singles, and their naked forms
+  // inside runs (crashable, so they carry suffix refunds like Nk_LoadG).
+  RecLoadG, RecStoreG, RecLoadS, RecStoreS, RecAtomicAddF, RecAtomicAddI,
+  Nk_RecLoadG, Nk_RecStoreG, Nk_RecLoadS, Nk_RecStoreS, Nk_RecAtomicAddF, Nk_RecAtomicAddI,
   // --- FI-specialized hooks (Armed filters only, never fused) ---
   // The armed site's FIHook, accounted and naked: calls the hook only when
   // the executing thread is the launch's armed thread.
@@ -303,6 +317,15 @@ struct FIFilter {
   }
 };
 
+/// Which memory accesses a stream reports, and to whom.  One mode per
+/// stream: sanitizing, recording and replay launches exclude each other.
+enum class MemInstr : std::uint8_t {
+  None,      ///< plain accesses, free to fuse and join runs
+  Sanitize,  ///< LoadS/StoreS -> SanLoadS/SanStoreS (the sanitizer shadow)
+  Record,    ///< every global/shared load, store and atomic -> Rec*/Nk_Rec* (golden journal)
+  Writes,    ///< global/shared stores and atomics -> Rec*/Nk_Rec* (replay's write tracking)
+};
+
 /// Compile a predecoded stream into threaded-code form.  `num_slots` (the
 /// program's register-slot count) is not read; it stays because
 /// perfbench/trial_bench.cpp calls this signature.  `flat_global_memory`
@@ -312,8 +335,8 @@ struct FIFilter {
 /// which handle paged memory exactly like the reference interpreter).
 /// `form_runs` enables the straight-line-run pass (off only for the
 /// identity-translation test and the inspect tool's per-op view).
-/// `sanitize` compiles LoadS/StoreS to the shadow-observing SanLoadS/
-/// SanStoreS singles and keeps them out of runs (Device::set_sanitize).
+/// `mem` picks the instrumented accesses (see MemInstr): they stay out of
+/// fused heads and tiles; sanitized ones also stay out of runs.
 /// `fi` specializes the FIHooks (see FIFilter and the header comment); the
 /// default Generic filter compiles every FIHook to a hook call.  An Armed
 /// stream serves every thread: the interpreter compares against the
@@ -322,7 +345,7 @@ struct FIFilter {
                                                std::uint16_t num_slots,
                                                bool flat_global_memory,
                                                bool form_runs = true,
-                                               bool sanitize = false,
+                                               MemInstr mem = MemInstr::None,
                                                const FIFilter& fi = {});
 
 }  // namespace hauberk::kir

@@ -351,12 +351,14 @@ struct FiArm {
   const gpusim::LaunchJournal* journal = nullptr;
 };
 
-/// A memory-cell upset planted after staging: `mask` XORed raw into word
-/// `idx`, or into the check byte of its pair.
+/// A change to memory after staging: `mask` XORed raw into word `idx` (a
+/// memory-cell upset), into the check byte of its pair, or — `host` — into
+/// the word by a host copy_in, which stores (and re-encodes) like any write.
 struct Upset {
   std::uint32_t idx = 0;
   std::uint32_t mask = 0;
   bool check = false;
+  bool host = false;
 };
 
 /// InjectingHooks that reports the Generic filter.
@@ -409,10 +411,16 @@ EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
   if (upsets) {
     // Exactly these upsets (none: a clean device, e.g. a golden run).
     for (const Upset& u : *upsets) {
-      if (u.check)
+      if (u.host) {
+        std::uint32_t w = 0;
+        dev.mem().copy_out(u.idx, std::span<std::uint32_t>(&w, 1));
+        w ^= u.mask;
+        dev.mem().copy_in(u.idx, std::span<const std::uint32_t>(&w, 1));
+      } else if (u.check) {
         dev.mem().corrupt_check(u.idx, static_cast<std::uint8_t>(u.mask));
-      else
+      } else {
         dev.mem().corrupt_word(u.idx, u.mask);
+      }
     }
   } else if (protection != gpusim::ecc::Scheme::None) {
     // Plant a deterministic raw memory-cell upset in the input buffer: a
@@ -680,7 +688,7 @@ TEST(DifferentialFuzz, ArmedFIHooksMatchReferenceEverywhere) {
     {
       const std::vector<std::uint32_t> unit(prog.code.size(), 1);
       const auto tp = compile_threaded(decode_program(prog, unit), prog.num_slots, true, true,
-                                       false, FIFilter{FIFilter::Kind::None});
+                                       kir::MemInstr::None, FIFilter{FIFilter::Kind::None});
       dropped += tp.fi_dropped > 0;
     }
 
@@ -816,22 +824,28 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
   // global reads and writes (every thread computes its addresses into the
   // shared in/out buffers, so stray stores land in other threads' inputs),
   // barriers, shared memory and f32/i32 atomics — on an unprotected and a
-  // Hsiao device.  A fault-free Threaded launch records each device's
-  // journal (on the reference interpreter); then each armed fault at each
-  // budget of the sweep runs in full on Reference and Threaded and replayed
-  // on Threaded, and all three must agree on every observable.  On the
-  // Hsiao device every trial also carries one planted upset (data bit,
-  // check bit or double bit) in a pair the golden launch reads, stores to
-  // the sibling of, or updates atomically, so replay must leave each
-  // pair's first touch to the checked path.  The control block's own
-  // counters are the exception by contract: applied segments make no hook
-  // calls (DESIGN §10), so the replayed run's cb counters are not compared
-  // — its SDC alarm is.
+  // Hsiao device.  A fault-free launch records each device's journal on
+  // both engines, and the two journals must be equal; then each armed fault
+  // at each budget of the sweep runs in full on Reference and Threaded
+  // (both recording, so budgets inside a fused region hand a recorded slice
+  // to the reference interpreter; the recordings must be equal too) and
+  // replayed on Threaded, and all three must agree on every observable.
+  // Memory changes between staging and launch, so the launch-start diff is
+  // exercised: on the Hsiao device every trial carries one planted upset
+  // (data bit, check bit or double bit) in a pair the golden launch reads,
+  // stores to the sibling of, or updates atomically, so replay must leave
+  // each pair's first touch to the checked path; and every trial also gets
+  // a second change to such a word — a host copy_in on even trials, on the
+  // unprotected device a raw corrupt_word on odd ones.  The control block's
+  // own counters are the exception by contract: applied segments make no
+  // hook calls (DESIGN §10), so the replayed run's cb counters are not
+  // compared — its SDC alarm is.
   const std::uint64_t seed = env_u64("HAUBERK_FUZZ_SEED", 0xfa57'0016);
   const auto programs =
       static_cast<std::size_t>(env_u64("HAUBERK_FUZZ_PROGRAMS", 400)) / 2;
 
   std::size_t compared = 0, partial = 0, whole = 0, activated = 0, budget_hang = 0;
+  std::size_t host_writes = 0, raw_upsets = 0, recorded = 0;
   std::size_t ecc_corrected = 0, ecc_failed = 0, sibling_store_first = 0, atomic_first = 0;
   for (std::size_t i = 0; i < programs; ++i) {
     Rng rng = Rng::fork(seed, i);
@@ -851,9 +865,12 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
     for (const auto scheme : {gpusim::ecc::Scheme::None, gpusim::ecc::Scheme::Hsiao}) {
       const bool ecc = scheme != gpusim::ecc::Scheme::None;
       const std::vector<Upset> clean;
-      gpusim::LaunchJournal journal;
+      gpusim::LaunchJournal journal, ref_journal;
       const EngineRun golden = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift,
                                           false, scheme, nullptr, &journal, &clean);
+      (void)run_engine(prog, fp, gpusim::ExecEngine::Reference, i, fift, false, scheme, nullptr,
+                       &ref_journal, &clean);
+      EXPECT_TRUE(journal == ref_journal) << "program " << i << ": golden journals differ";
       if (golden.res.status != gpusim::LaunchStatus::Ok) continue;  // no golden, no journal
       ASSERT_FALSE(journal.empty()) << "program " << i;
 
@@ -870,7 +887,9 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
       for (int b = 0; b < 3; ++b) budgets.push_back(1 + arm.next_below(2 * per_thread));
 
       Rng strike = Rng::fork(seed ^ 0x0ecc, i);
-      for (const std::uint64_t budget : budgets) {
+      Rng change = Rng::fork(seed ^ 0x4057, i);
+      for (std::size_t bi = 0; bi < budgets.size(); ++bi) {
+        const std::uint64_t budget = budgets[bi];
         std::vector<Upset> upsets;
         if (ecc) {
           upsets.push_back(draw_upset(strike, journal));
@@ -880,13 +899,26 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
             default: break;
           }
         }
+        Upset second = draw_upset(change, journal);
+        second.check = false;
+        second.host = bi % 2 == 0;
+        if (second.host || !ecc) {
+          // Host writes go first: they store through the checked path, so
+          // they must not meet a pair the raw upset already broke.
+          upsets.insert(second.host ? upsets.begin() : upsets.end(), second);
+          ++(second.host ? host_writes : raw_upsets);
+        }
         fi.watchdog = budget;
         fi.journal = nullptr;
+        gpusim::LaunchJournal rec_ref, rec_full;
         const EngineRun ref = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, fift,
-                                         false, scheme, &fi, nullptr, &upsets);
+                                         false, scheme, &fi, &rec_ref, &upsets);
         const EngineRun full = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift,
-                                          false, scheme, &fi, nullptr, &upsets);
+                                          false, scheme, &fi, &rec_full, &upsets);
         expect_identical(ref, full, fp, i, "replay corpus: full threaded");
+        EXPECT_TRUE(rec_ref == rec_full) << "program " << i << " budget " << budget
+                                         << ": recordings differ";
+        recorded += !rec_full.empty();
         fi.journal = &journal;
         EngineRun rep = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift, false,
                                    scheme, &fi, nullptr, &upsets);
@@ -917,6 +949,9 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
   EXPECT_GT(ecc_failed, compared / 32) << "planted double-bit upsets rarely fail a launch";
   EXPECT_GT(sibling_store_first, 0u) << "no upset is first touched by a sibling store";
   EXPECT_GT(atomic_first, 0u) << "no upset is first touched by an atomic";
+  EXPECT_GT(host_writes, compared / 3) << "too few host writes between staging and launch";
+  EXPECT_GT(raw_upsets, compared / 8) << "too few unprotected upsets";
+  EXPECT_GT(recorded, compared / 4) << "trial launches rarely record a journal";
 }
 
 namespace {

@@ -9,17 +9,21 @@
 // launches apply nothing), the watchdog rule, and the fingerprint check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
+#include "gpusim/cost.hpp"
 #include "gpusim/device.hpp"
 #include "hauberk/control_block.hpp"
 #include "hauberk/runtime.hpp"
+#include "kir/builder.hpp"
 #include "swifi/campaign.hpp"
 #include "swifi/injector.hpp"
 #include "workloads/workload.hpp"
@@ -377,8 +381,9 @@ TEST(Replay, WatchdogBelowGoldenBudgetForcesRerun) {
 // the same launch without it: a sanitizing Threaded device, the Reference
 // engine, a paged device, two block workers, an injector reporting the
 // Generic filter, and an installed hardware fault model.  On those devices
-// golden_run records no journal either.  A Hsiao device is eligible: it
-// replays its own golden journal.
+// golden_run records no journal either, except on the Reference engine:
+// recording follows the device's engine, replay is Threaded-only.  A Hsiao
+// device is eligible: it replays its own golden journal.
 TEST(Replay, IneligibleLaunchesApplyNothing) {
   Built b = [] {
     for (auto& w : hpc_suite()) {
@@ -464,7 +469,9 @@ TEST(Replay, IneligibleLaunchesApplyNothing) {
 
     if (c.workers == 1 && !c.generic && !c.fault_model) {
       Rig g(b, prog, false, c.props, c.engine, c.sanitize);
-      EXPECT_FALSE(swifi::golden_run(g.dev, prog, *g.job, nullptr, 1).journal) << c.name;
+      EXPECT_EQ(swifi::golden_run(g.dev, prog, *g.job, nullptr, 1).journal != nullptr,
+                c.engine == gpusim::ExecEngine::Reference)
+          << c.name;
     }
   }
   // A golden run with more than one block worker records nothing either.
@@ -500,4 +507,253 @@ TEST(Replay, JournalFromOtherLaunchThrows) {
   Rig h(b, prog, false, hsiao);
   const std::vector<kir::Value> hargs = h.stage->stage();
   EXPECT_THROW((void)h.dev.launch(prog, h.job->config(), hargs, opts), std::invalid_argument);
+}
+
+// Recording follows the device's engine, and both engines record the same
+// journal: the threaded recording stream reports every access where the
+// reference interpreter does.  Golden runs of the FI, FT and FI&FT builds of
+// all 12 workloads, unprotected and on Hsiao, must give equal journals
+// (segments, reads, writes, register snapshots, launch-start image and
+// reader index).
+TEST(Replay, ThreadedRecordingMatchesReference) {
+  std::size_t journals = 0;
+  for (auto& wl : all_workloads()) {
+    const Built b = build(std::move(wl));
+    struct Arm {
+      const char* name;
+      const kir::BytecodeProgram* prog;
+      bool cb;
+    };
+    for (const Arm& a : {Arm{"fi", &b.v.fi, false}, Arm{"ft", &b.v.ft, true},
+                         Arm{"fi+ft", &b.v.fift, true}}) {
+      for (const auto scheme : {gpusim::ecc::Scheme::None, gpusim::ecc::Scheme::Hsiao}) {
+        gpusim::DeviceProps props;
+        props.protection = scheme;
+        Rig thr(b, *a.prog, a.cb, props),
+            ref(b, *a.prog, a.cb, props, gpusim::ExecEngine::Reference);
+        const swifi::GoldenRun gt = swifi::golden_run(thr.dev, *a.prog, *thr.job, thr.cb.get(), 1);
+        const swifi::GoldenRun gr = swifi::golden_run(ref.dev, *a.prog, *ref.job, ref.cb.get(), 1);
+        const std::string what = b.w->name() + " " + a.name + " " +
+                                 gpusim::ecc::scheme_name(scheme);
+        ASSERT_TRUE(gt.journal) << what;
+        ASSERT_TRUE(gr.journal) << what;
+        EXPECT_TRUE(*gt.journal == *gr.journal) << what;
+        EXPECT_FALSE(gt.journal->start_image.empty()) << what;
+        ++journals;
+      }
+    }
+  }
+  EXPECT_EQ(journals, 12u * 3 * 2);
+}
+
+// A recording launch whose watchdog runs out inside a fused region: the
+// threaded thread hands its slice to the reference interpreter mid-segment,
+// with the recorder attached.  A hand-off always ends its launch (the budget
+// runs out, or the access it could not check faults), so such a recording
+// keeps nothing; both engines must agree on the launch and leave the
+// journal empty.  The first budget lands inside the stream's first region,
+// which is a run; the sweep lands in many more.
+TEST(Replay, RecordingHandOffMatchesReference) {
+  auto suite = hpc_suite();
+  const Built b = build(std::move(suite.front()));
+  const kir::BytecodeProgram& prog = b.v.fi;
+  {
+    const auto costs = gpusim::instruction_costs(prog, gpusim::CostModel{},
+                                                 gpusim::DeviceProps{}.regs_per_thread, false);
+    const kir::ThreadedProgram tp = kir::compile_threaded(
+        kir::decode_program(prog, costs), prog.num_slots, true, true, kir::MemInstr::Record);
+    ASSERT_EQ(tp.code[0].op, static_cast<std::uint16_t>(kir::TOp::RunHead));
+    ASSERT_GT(tp.code[0].len, 2);
+  }
+  Rig thr(b, prog, false), ref(b, prog, false, {}, gpusim::ExecEngine::Reference);
+  const swifi::GoldenRun gold = swifi::golden_run(thr.dev, prog, *thr.job, nullptr, 1);
+  ASSERT_TRUE(gold.journal);
+  std::vector<std::uint64_t> budgets = {1};
+  for (std::uint64_t k = 1; k <= 24; ++k)
+    budgets.push_back(k * gold.per_thread_instructions / 25);
+  for (const std::uint64_t budget : budgets) {
+    gpusim::LaunchJournal jt, jr;
+    const auto run = [&](Rig& r, gpusim::LaunchJournal& j) {
+      gpusim::LaunchOptions opts;
+      opts.max_workers = 1;
+      opts.watchdog_instructions = budget;
+      opts.record_journal = &j;
+      const auto res = r.dev.launch(prog, r.job->config(), r.stage->stage(), opts);
+      return std::tuple(res.status, res.instructions, res.cycles, r.dev.mem().image());
+    };
+    const auto t = run(thr, jt);
+    EXPECT_EQ(t, run(ref, jr)) << "budget " << budget;
+    EXPECT_EQ(std::get<0>(t), gpusim::LaunchStatus::Hang) << "budget " << budget;
+    EXPECT_TRUE(jt.empty()) << "budget " << budget;
+    EXPECT_TRUE(jt == jr) << "budget " << budget;
+  }
+}
+
+// The reader index lists exactly every first read (global, and shared per
+// block) and one writer entry per (word, segment) that writes it, and the
+// launch-start image is global memory as the golden launch found it.
+TEST(Replay, ReaderIndexListsEveryFirstReadAndWrite) {
+  for (auto& wl : hpc_suite()) {
+    const Built b = build(std::move(wl));
+    for (const bool ft : {false, true}) {
+      const kir::BytecodeProgram& prog = ft ? b.v.ft : b.v.fi;
+      Rig r(b, prog, ft);
+      const swifi::GoldenRun gold = swifi::golden_run(r.dev, prog, *r.job, r.cb.get(), 1);
+      ASSERT_TRUE(gold.journal);
+      const gpusim::LaunchJournal& j = *gold.journal;
+      using A = gpusim::LaunchJournal::Access;
+      std::vector<A> global, shared;
+      const auto threads = r.job->config().block_x * r.job->config().block_y;
+      const auto blocks = static_cast<std::uint32_t>(j.thread_begin.size() - 1) / threads;
+      std::vector<std::uint32_t> shared_begin = {0};
+      for (std::uint32_t blk = 0; blk < blocks; ++blk) {
+        std::vector<A> block;
+        for (std::uint32_t g = j.thread_begin[blk * threads];
+             g < j.thread_begin[(blk + 1) * threads]; ++g) {
+          const auto& s = j.segments[g];
+          for (std::uint32_t k = 0; k < s.global_reads; ++k)
+            global.push_back({j.reads[s.first_reads + k].addr, g, s.first_reads + k});
+          for (std::uint32_t k = 0; k < s.writes; ++k)
+            global.push_back({j.writes[s.first_write + k].addr, g, gpusim::LaunchJournal::kWrite});
+          for (std::uint32_t k = s.global_reads; k < s.global_reads + s.shared_reads; ++k)
+            block.push_back({j.reads[s.first_reads + k].addr, g, s.first_reads + k});
+        }
+        std::sort(block.begin(), block.end());
+        shared.insert(shared.end(), block.begin(), block.end());
+        shared_begin.push_back(static_cast<std::uint32_t>(shared.size()));
+      }
+      std::sort(global.begin(), global.end());
+      global.erase(std::unique(global.begin(), global.end()), global.end());
+      const std::string what = b.w->name() + (ft ? " ft" : " fi");
+      EXPECT_TRUE(j.global_index == global) << what;
+      EXPECT_TRUE(j.shared_index == shared) << what;
+      EXPECT_EQ(j.shared_index_begin, shared_begin) << what;
+
+      gpusim::Device fresh;
+      auto job = b.w->make_job(b.ds);
+      (void)job->setup(fresh);
+      std::vector<std::uint32_t> start = fresh.mem().image();
+      start.resize(j.start_image.size(), 0);
+      EXPECT_EQ(j.start_image, start) << what;
+    }
+  }
+}
+
+// The launch-start diff: a host write between staging and a replayed
+// launch, to a word some segment first-reads, must send that reader (and
+// what it changes) down the interpreter, and the launch must equal the
+// full launch of the same memory.  A write the golden run never reads is
+// applied around: every segment replays.
+TEST(Replay, LaunchStartDiffCatchesHostWrites) {
+  for (auto& wl : hpc_suite()) {
+    const Built b = build(std::move(wl));
+    const kir::BytecodeProgram& prog = b.v.fi;
+    Rig full(b, prog, false), rep(b, prog, false);
+    const swifi::GoldenRun gold = swifi::golden_run(rep.dev, prog, *rep.job, nullptr, 1);
+    ASSERT_TRUE(gold.journal);
+    const gpusim::LaunchJournal& j = *gold.journal;
+    std::vector<std::uint32_t> read_words;
+    for (const auto& a : j.global_index)
+      if (a.read != gpusim::LaunchJournal::kWrite) read_words.push_back(a.addr);
+    ASSERT_FALSE(read_words.empty());
+    // A word the launch first-reads (halfway through the index), and one
+    // past everything it reads or writes.
+    const std::uint32_t read_word = read_words[read_words.size() / 2];
+    const std::uint32_t idle_word = j.global_index.back().addr + 1;
+    for (const std::uint32_t word : {read_word, idle_word}) {
+      Obs obs[2];
+      std::uint64_t replayed = 0;
+      for (int k = 0; k < 2; ++k) {
+        Rig& r = k == 0 ? full : rep;
+        const auto& args = r.stage->stage();
+        std::uint32_t v = 0;
+        r.dev.mem().copy_out(word, std::span<std::uint32_t>(&v, 1));
+        v ^= 0x00400001u;
+        r.dev.mem().copy_in(word, std::span<const std::uint32_t>(&v, 1));
+        gpusim::LaunchOptions opts;
+        opts.max_workers = 1;
+        opts.journal = k == 0 ? nullptr : &j;
+        const auto res = r.dev.launch(prog, r.job->config(), args, opts);
+        obs[k].status = res.status;
+        obs[k].instructions = res.instructions;
+        obs[k].cycles = res.cycles;
+        obs[k].loop_cycles = res.loop_cycles;
+        obs[k].sdc = res.sdc_alarm;
+        obs[k].mem = r.dev.mem().image();
+        replayed = res.replayed_segments;
+      }
+      const std::string what = b.w->name() + " word " + std::to_string(word);
+      EXPECT_EQ(obs[0], obs[1]) << what;
+      if (word == read_word)
+        EXPECT_LT(replayed, j.segments.size()) << what;
+      else
+        EXPECT_EQ(replayed, j.segments.size()) << what;
+    }
+  }
+}
+
+// A slice whose writes leave the golden addresses: thread 0 of block 0
+// stores (to shared and global memory) through an index it loads, and other
+// segments each read one word — the golden target or the trial's target.
+// Changing the index word between staging and launch retargets the writer;
+// every reader of either target must then be interpreted, because the
+// interpreted writes and their golden counterparts both joined the delta
+// set, so the replayed launch equals the full launch.
+TEST(Replay, RetargetedWritesSendBothTargetsReadersToTheInterpreter) {
+  kir::KernelBuilder kb("retarget", 8);
+  auto idx = kb.param_ptr("idx");
+  auto data = kb.param_ptr("data");
+  auto out = kb.param_ptr("out");
+  auto t = kb.let("t", kb.tid_x());
+  auto b = kb.let("b", kb.bid_x());
+  kb.if_then((t == kir::i32c(0)) && (b == kir::i32c(0)), [&] {
+    auto i = kb.let("i", kb.load_i32(idx));
+    kb.shstore(i, kir::i32c(77));
+    kb.store(data + i, kir::i32c(1000));
+  });
+  kb.barrier();
+  // Block b's threads 1 and 2 read the two shared candidates; block 1's
+  // threads 0 and 2 read the two global ones (one word per segment).
+  kb.if_then(t == kir::i32c(1),
+             [&] { kb.store(out + b * kir::i32c(4), kb.shload_i32(kir::i32c(0))); });
+  kb.if_then(t == kir::i32c(2), [&] {
+    kb.store(out + b * kir::i32c(4) + kir::i32c(1), kb.shload_i32(kir::i32c(5)));
+  });
+  kb.if_then((b == kir::i32c(1)) && (t == kir::i32c(0)),
+             [&] { kb.store(out + kir::i32c(6), kb.load_i32(data)); });
+  kb.if_then((b == kir::i32c(1)) && (t == kir::i32c(2)),
+             [&] { kb.store(out + kir::i32c(7), kb.load_i32(data + kir::i32c(5))); });
+  const kir::BytecodeProgram prog = kir::lower(kb.build());
+  gpusim::LaunchConfig cfg;
+  cfg.grid_x = 2;
+  cfg.block_x = 3;
+
+  // Stage idx = {index}, data and out zeroed, and launch.
+  const auto run = [&](gpusim::Device& dev, std::uint32_t index,
+                       gpusim::LaunchJournal* record, const gpusim::LaunchJournal* journal) {
+    dev.reset_memory();
+    const std::uint32_t ia = dev.mem().alloc(1), da = dev.mem().alloc(8), oa = dev.mem().alloc(8);
+    dev.mem().copy_in(ia, std::span<const std::uint32_t>(&index, 1));
+    const kir::Value args[] = {kir::Value::ptr(ia), kir::Value::ptr(da), kir::Value::ptr(oa)};
+    gpusim::LaunchOptions opts;
+    opts.max_workers = 1;
+    opts.record_journal = record;
+    opts.journal = journal;
+    const auto res = dev.launch(prog, cfg, args, opts);
+    return std::tuple(res.status, res.instructions, res.cycles, res.replayed_segments,
+                      dev.mem().image());
+  };
+  gpusim::Device gold_dev, full_dev, rep_dev;
+  gpusim::LaunchJournal j;
+  (void)run(gold_dev, 0, &j, nullptr);
+  ASSERT_FALSE(j.empty());
+  const auto full = run(full_dev, 5, nullptr, nullptr);
+  const auto rep = run(rep_dev, 5, nullptr, &j);
+  EXPECT_EQ(std::get<0>(full), gpusim::LaunchStatus::Ok);
+  EXPECT_EQ(std::get<0>(rep), std::get<0>(full));
+  EXPECT_EQ(std::get<1>(rep), std::get<1>(full));
+  EXPECT_EQ(std::get<2>(rep), std::get<2>(full));
+  EXPECT_EQ(std::get<4>(rep), std::get<4>(full));
+  // The writer's two slices and the four readers ran; the rest applied.
+  EXPECT_EQ(std::get<3>(rep), j.segments.size() - 6);
 }

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "gpusim/cost.hpp"
 #include "gpusim/device.hpp"
 #include "hauberk/control_block.hpp"
 #include "hauberk/runtime.hpp"
@@ -121,20 +122,77 @@ TEST(Threaded, EveryDecodedOpHasAThreadedEmitter) {
   }
   // A sanitized plan differs only in its shared accesses, which become the
   // shadow-observing singles.
-  const kir::ThreadedProgram st = kir::compile_threaded(d, 8, true, false, /*sanitize=*/true);
+  const kir::ThreadedProgram st = kir::compile_threaded(d, 8, true, false, kir::MemInstr::Sanitize);
   for (std::size_t pc = 0; pc < d.code.size(); ++pc) {
     TOp want = kir::threaded_single_op(d.code[pc].op);
     if (want == TOp::LoadS) want = TOp::SanLoadS;
     if (want == TOp::StoreS) want = TOp::SanStoreS;
     EXPECT_EQ(st.code[pc].op, static_cast<std::uint16_t>(want)) << "pc " << pc;
   }
+  // A recording plan turns every memory access into its Rec single, a
+  // write-tracking plan only the stores and atomics.
+  const auto rec = [](kir::DecodedOp op, bool loads) {
+    switch (op) {
+      case kir::DecodedOp::LoadG: return loads ? TOp::RecLoadG : TOp::LoadG;
+      case kir::DecodedOp::LoadS: return loads ? TOp::RecLoadS : TOp::LoadS;
+      case kir::DecodedOp::StoreG: return TOp::RecStoreG;
+      case kir::DecodedOp::StoreS: return TOp::RecStoreS;
+      case kir::DecodedOp::AtomicAddF: return TOp::RecAtomicAddF;
+      case kir::DecodedOp::AtomicAddI: return TOp::RecAtomicAddI;
+      default: return kir::threaded_single_op(op);
+    }
+  };
+  for (const auto mem : {kir::MemInstr::Record, kir::MemInstr::Writes}) {
+    const kir::ThreadedProgram rt = kir::compile_threaded(d, 8, true, false, mem);
+    for (std::size_t pc = 0; pc < d.code.size(); ++pc)
+      EXPECT_EQ(rt.code[pc].op,
+                static_cast<std::uint16_t>(rec(d.code[pc].op, mem == kir::MemInstr::Record)))
+          << "pc " << pc;
+  }
   // Every fused opcode has a name too (the dispatch table is fully wired);
-  // the sanitizer and FI-specialized singles close the table and are not
-  // fused.
+  // the sanitizer, recorded-access and FI-specialized ops close the table
+  // and are not fused.
   const auto san_begin = static_cast<unsigned>(TOp::SanLoadS);
   for (unsigned v = kir::kTOpFusedBegin; v < kir::kNumTOps; ++v) {
     EXPECT_EQ(kir::top_is_fused(static_cast<TOp>(v)), v < san_begin) << "TOp " << v;
     EXPECT_STRNE(kir::top_name(static_cast<TOp>(v)), "?") << "unnamed TOp " << v;
+  }
+}
+
+// Recording and write-tracking streams keep their runs: a recorded access
+// inside a run is its naked Nk_Rec form, and no fused head or tile covers
+// one (each must reach the recorder or the delta set on its own).  On every
+// workload's FI&FT build the recording stream has no plain memory access
+// left, and the write-tracking stream no plain store or atomic.
+TEST(Threaded, RecordedAccessesRunNakedAndNeverFuse) {
+  using kir::TOp;
+  for (auto& w : all_workloads()) {
+    auto v = core::build_variants(w->build_kernel(Scale::Tiny));
+    const auto costs = gpusim::instruction_costs(v.fift, gpusim::CostModel{},
+                                                 gpusim::DeviceProps{}.regs_per_thread, false);
+    const kir::DecodedProgram d = kir::decode_program(v.fift, costs);
+    const kir::ThreadedProgram plain = kir::compile_threaded(d, v.fift.num_slots, true);
+    for (const auto mem : {kir::MemInstr::Record, kir::MemInstr::Writes}) {
+      const kir::ThreadedProgram tp = kir::compile_threaded(d, v.fift.num_slots, true, true, mem);
+      const bool record = mem == kir::MemInstr::Record;
+      std::size_t naked = 0;
+      for (const kir::ThreadedInstr& ti : tp.code) {
+        const auto op = static_cast<TOp>(ti.op);
+        const std::string name = kir::top_name(op);
+        naked += name.rfind("Nk_Rec", 0) == 0;
+        EXPECT_EQ(name.find("LoadBinStore"), std::string::npos) << w->name();
+        for (const TOp banned : {TOp::StoreG, TOp::StoreS, TOp::AtomicAddF, TOp::AtomicAddI,
+                                 TOp::Nk_StoreG, TOp::Nk_StoreS, TOp::Nk_AtomicAddF,
+                                 TOp::Nk_AtomicAddI})
+          EXPECT_NE(op, banned) << w->name();
+        if (record && name.find("Load") != std::string::npos) {
+          EXPECT_NE(name.find("RecLoad"), std::string::npos) << w->name() << " " << name;
+        }
+      }
+      EXPECT_GT(naked, 0u) << w->name();
+      // The same regions form runs (a LoadBinStore triple becomes one).
+      EXPECT_GE(tp.run_heads, plain.run_heads) << w->name();
+    }
   }
 }
 
@@ -536,7 +594,7 @@ TEST(Threaded, FISpecializationDropsUnarmedHooksFromRuns) {
 
   // None: both hooks dropped; 5 executed ops at slots 2..6.
   const kir::ThreadedProgram none =
-      kir::compile_threaded(d, 8, true, true, false, FIFilter{FIFilter::Kind::None});
+      kir::compile_threaded(d, 8, true, true, kir::MemInstr::None, FIFilter{FIFilter::Kind::None});
   ASSERT_EQ(none.run_heads, 1u);
   EXPECT_EQ(none.fi_dropped, 2u);
   EXPECT_EQ(none.fi_nops, 0u);
@@ -553,7 +611,7 @@ TEST(Threaded, FISpecializationDropsUnarmedHooksFromRuns) {
 
   // Armed at site 1: site 0 dropped, site 1 tests its thread inline.
   const kir::ThreadedProgram armed = kir::compile_threaded(
-      d, 8, true, true, false, FIFilter{FIFilter::Kind::Armed, 1, 5});
+      d, 8, true, true, kir::MemInstr::None, FIFilter{FIFilter::Kind::Armed, 1, 5});
   EXPECT_EQ(armed.fi_dropped, 1u);
   EXPECT_EQ(armed.code[0].skip, 1);
   EXPECT_EQ(op_at(armed, 2), TOp::NkBinChkXor_AddW);
@@ -585,7 +643,7 @@ TEST(Threaded, FISpecializationDropsUnarmedHooksFromRuns) {
   d2.code[1].aux = 2;
   d2.code[5].aux = 6;
   const kir::ThreadedProgram lead =
-      kir::compile_threaded(d2, 8, true, true, false, FIFilter{FIFilter::Kind::None});
+      kir::compile_threaded(d2, 8, true, true, kir::MemInstr::None, FIFilter{FIFilter::Kind::None});
   EXPECT_EQ(op_at(lead, 2), TOp::RunHead);
   EXPECT_EQ(lead.code[2].d, static_cast<std::uint16_t>(TOp::Nk_Nop));
   EXPECT_EQ(lead.code[2].skip, 0);
