@@ -19,8 +19,9 @@
 // --protection=none|hamming|hsiao (hardware ECC on the baseline and
 // executor devices; the protected-mode section below always measures
 // none-vs-hsiao regardless), --json=FILE (write the engine sweep and
-// protection rows, the golden-recording times, the device construction
-// time, the per-launch host overhead and the determinism verdict as JSON).
+// protection rows, the golden-recording times, the interpreted-instruction
+// shares of replayed trials, the device construction time, the per-launch
+// host overhead and the determinism verdict as JSON).
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -31,8 +32,10 @@
 
 #include "bench_common.hpp"
 #include "common/worker_pool.hpp"
+#include "common/bitops.hpp"
 #include "kir/builder.hpp"
 #include "kir/bytecode.hpp"
+#include "swifi/injector.hpp"
 
 using namespace hauberk;
 using namespace hauberk::bench;
@@ -58,6 +61,21 @@ std::vector<int> parse_list(const std::string& s) {
 bool same_outcomes(const swifi::CampaignResult& a, const swifi::CampaignResult& b) {
   return a.per_fault == b.per_fault;
 }
+
+/// Instructions a set of replayed trials executed, and how many of them
+/// replay took from the golden journal instead of interpreting.
+struct Share {
+  std::uint64_t instructions = 0, replayed = 0;
+  void add(const gpusim::LaunchResult& r) {
+    instructions += r.instructions;
+    replayed += r.replayed_instructions;
+  }
+  [[nodiscard]] double interpreted() const {
+    return instructions == 0 ? 0.0
+                             : 1.0 - static_cast<double>(replayed) /
+                                         static_cast<double>(instructions);
+  }
+};
 
 }  // namespace
 
@@ -252,6 +270,69 @@ int main(int argc, char** argv) {
                 record_ms["reference"][1] / record_ms["threaded"][1]);
   }
 
+  // Interpreted-instruction share of replayed trials (DESIGN §10): the
+  // campaign's register faults on the FI&FT build, and 400 single-bit
+  // memory-cell faults on the FT build on a Hsiao device, each replayed
+  // against the golden journal and against the same journal without its
+  // snapshot table (whole segments only).  Every replayed trial's outcome is
+  // the full launch's (test_replay), so only the share moves.
+  std::array<Share, 2> reg_share, mem_share;  // [0] whole segments, [1] windows
+  {
+    for (const bool windows : {false, true}) {
+      gpusim::Device dev;
+      auto job = ctx.workload->make_job(ctx.dataset);
+      const swifi::GoldenRun gold =
+          swifi::golden_run(dev, ctx.variants.fift, *job, ctx.cb.get(), 1);
+      gpusim::LaunchJournal j = *gold.journal;
+      if (!windows) j.snapshots = {};
+      const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
+      swifi::TrialStage stage(dev, *job);
+      swifi::InjectingHooks hooks(ctx.variants.fift, ctx.cb.get());
+      for (const swifi::FaultSpec& spec : specs) {
+        hooks.arm(spec);
+        const auto& a = stage.stage();
+        ctx.cb->reset_results();
+        gpusim::LaunchOptions lo;
+        lo.hooks = &hooks;
+        lo.watchdog_instructions = watchdog;
+        lo.max_workers = 1;
+        lo.journal = &j;
+        reg_share[windows].add(dev.launch(ctx.variants.fift, job->config(), a, lo));
+      }
+    }
+    gpusim::DeviceProps hsiao;
+    hsiao.protection = gpusim::ecc::Scheme::Hsiao;
+    auto ft_cb = core::make_configured_control_block(ctx.variants.ft, ctx.profile);
+    for (const bool windows : {false, true}) {
+      gpusim::Device dev(hsiao);
+      auto job = ctx.workload->make_job(ctx.dataset);
+      const swifi::GoldenRun gold = swifi::golden_run(dev, ctx.variants.ft, *job, ft_cb.get(), 1);
+      gpusim::LaunchJournal j = *gold.journal;
+      if (!windows) j.snapshots = {};
+      const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
+      swifi::TrialStage stage(dev, *job);
+      common::Rng rng = common::Rng::fork(seed, 0x3e3);
+      for (int i = 0; i < 400; ++i) {
+        const auto& a = stage.stage();
+        dev.mem().corrupt_word(static_cast<std::uint32_t>(rng.next_below(dev.mem().used_words())),
+                               common::random_mask(rng, 1));
+        ft_cb->reset_results();
+        gpusim::LaunchOptions lo;
+        lo.hooks = ft_cb.get();
+        lo.watchdog_instructions = watchdog;
+        lo.max_workers = 1;
+        lo.journal = &j;
+        mem_share[windows].add(dev.launch(ctx.variants.ft, job->config(), a, lo));
+      }
+    }
+    std::printf("\ninterpreted share of replayed trial instructions (whole segments -> "
+                "windows):\n");
+    std::printf("  register faults (FI&FT, %zu trials): %.4f -> %.4f\n", specs.size(),
+                reg_share[0].interpreted(), reg_share[1].interpreted());
+    std::printf("  memory faults (FT, hsiao, 400 trials): %.4f -> %.4f\n",
+                mem_share[0].interpreted(), mem_share[1].interpreted());
+  }
+
   // Device construction: every campaign worker builds one per start and
   // resume.  The arenas are zero-page mappings, so this should not scale
   // with the default capacity; median of 9 to shed one-off page faults.
@@ -319,6 +400,12 @@ int main(int argc, char** argv) {
                    en.c_str(), q[1], q[2] - q[0], ++i < record_ms.size() ? "," : "");
     std::fprintf(f, "  },\n  \"record_speedup_threaded_vs_reference\": %.4f,\n",
                  record_ms.at("reference")[1] / record_ms.at("threaded")[1]);
+    std::fprintf(f,
+                 "  \"interpreted_share\": {\"register_faults\": {\"whole_segments\": %.4f, "
+                 "\"windows\": %.4f, \"trials\": %zu},\n    \"memory_faults_hsiao\": "
+                 "{\"whole_segments\": %.4f, \"windows\": %.4f, \"trials\": 400}},\n",
+                 reg_share[0].interpreted(), reg_share[1].interpreted(), specs.size(),
+                 mem_share[0].interpreted(), mem_share[1].interpreted());
     std::fprintf(f, "  \"device_init_us\": %.2f,\n", device_init_us);
     std::fprintf(f, "  \"launch_overhead_us\": %.3f,\n", launch_overhead_us);
     std::fprintf(f, "  \"deterministic\": %s\n}\n", deterministic ? "true" : "false");

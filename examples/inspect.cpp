@@ -27,11 +27,13 @@
 // Every mode accepts --plan=FILE (a kirtune --emit-plan hardening plan):
 // instrumented output, pipelines, remarks and lint reports then reflect the
 // plan's per-kernel/per-loop/per-variable selections.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -214,10 +216,13 @@ void print_threaded(const core::KernelVariants& v) {
 /// --what=journal: the golden journal of each build on dataset seed 1 — its
 /// segments, first reads and writes, register snapshots, launch-start image
 /// words and reader-index entries (global + shared) — and what a disarmed
-/// replay of that launch applies.
+/// replay of that launch applies; then each journal's snapshot table: the
+/// snapshots per thread, their spacing in instructions and the table's size
+/// (included in the first table's KiB).
 void print_journal(const workloads::Workload& w, const core::KernelVariants& v) {
   const workloads::Dataset ds = w.make_dataset(1, workloads::Scale::Small);
   std::printf("golden journals (%s, dataset seed 1, one block worker):\n", w.name().c_str());
+  std::vector<std::pair<const char*, gpusim::LaunchJournal>> tables;
   std::printf("  %-9s %-9s %-8s %-12s %-12s %-9s %-8s %-16s %-10s %s\n", "variant", "segments",
               "threads", "first-reads", "writes", "reg-words", "image", "index(g+s)", "KiB",
               "disarmed-applied");
@@ -251,6 +256,44 @@ void print_journal(const workloads::Workload& w, const core::KernelVariants& v) 
                 static_cast<double>(j.bytes()) / 1024.0,
                 100.0 * static_cast<double>(res.replayed_segments) /
                     static_cast<double>(j.segments.size()));
+    tables.push_back({r.name, j});
+  }
+
+  // Snapshot tables: per-thread counts (min/median/max), the instructions
+  // between consecutive snapshots of a segment (from its start for the
+  // first; median and max), the FI-site count columns and the bytes.
+  std::printf("snapshot tables (at most %u per segment, at taken backward jumps):\n",
+              gpusim::LaunchJournal::kSnapshotsPerSegment);
+  std::printf("  %-9s %-10s %-18s %-20s %-9s %s\n", "variant", "snapshots", "per-thread",
+              "spacing(med/max)", "columns", "KiB");
+  const auto median = [](std::vector<std::uint64_t> x) -> std::uint64_t {
+    if (x.empty()) return 0;
+    std::sort(x.begin(), x.end());
+    return x[x.size() / 2];
+  };
+  for (const auto& [name, j] : tables) {
+    const gpusim::LaunchJournal::SnapshotTable& t = j.snapshots;
+    std::vector<std::uint64_t> per_thread, gaps;
+    for (std::size_t slot = 0; slot + 1 < j.thread_begin.size(); ++slot) {
+      std::uint64_t n = 0;
+      for (std::uint32_t g = j.thread_begin[slot]; g < j.thread_begin[slot + 1]; ++g) {
+        if (t.empty()) continue;
+        std::uint64_t prev = 0;
+        for (std::uint32_t i = t.begin[g]; i < t.end[g]; ++i) {
+          gaps.push_back(t.list[i].instructions - prev);
+          prev = t.list[i].instructions;
+          ++n;
+        }
+      }
+      per_thread.push_back(n);
+    }
+    const std::string pt = std::to_string(per_thread.empty() ? 0 : *std::min_element(per_thread.begin(), per_thread.end())) +
+                           "/" + std::to_string(median(per_thread)) + "/" +
+                           std::to_string(per_thread.empty() ? 0 : *std::max_element(per_thread.begin(), per_thread.end()));
+    const std::string sp = std::to_string(median(gaps)) + "/" +
+                           std::to_string(gaps.empty() ? 0 : *std::max_element(gaps.begin(), gaps.end()));
+    std::printf("  %-9s %-10zu %-18s %-20s %-9u %.1f\n", name, t.list.size(), pt.c_str(),
+                sp.c_str(), t.width, static_cast<double>(t.bytes()) / 1024.0);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <thread>
 #include <type_traits>
 
+#include "common/fnv.hpp"
 #include "common/worker_pool.hpp"
 
 namespace hauberk::gpusim {
@@ -266,7 +267,10 @@ std::uint32_t eval_un(UnOp op, DType t, std::uint32_t a) noexcept {
   }
 }
 
-enum class ThreadStop : std::uint8_t { Done, Barrier, Crash, Budget };
+/// Why a thread's time-slice returned.  Snapshot: the thread took a backward
+/// jump at a point the recorder or replay asked to see (recording and
+/// write-tracking launches only); it resumes from t.pc as if never stopped.
+enum class ThreadStop : std::uint8_t { Done, Barrier, Crash, Budget, Snapshot };
 
 /// Reader-index order by address alone (entries of one address are kept in
 /// (segment, read) order by construction).
@@ -279,14 +283,50 @@ bool addr_less(const LaunchJournal::Access& a, const LaunchJournal::Access& b) n
 /// at the same points).  Every segment gets a serial stamp; per-address
 /// stamps (dense arrays, grown to the highest address touched) tell a first
 /// read from a re-read of the segment's own store without any per-segment
-/// clearing.
+/// clearing.  Snapshots are taken at taken backward jumps at least a
+/// spacing apart (in instructions, from the segment's start for the first):
+/// the interpreter offers one at the first such jump once the thread's
+/// budget reaches the recorder's next stop.  When more than
+/// kSnapshotsPerSegment would be kept, the spacing doubles and the kept ones
+/// are thinned to it.  A segment starts at the spacing that would have kept
+/// about kSnapshotsPerSegment of the previous segment (the threads of a
+/// block mostly run alike), and never below kSnapshotSpacing.
 class JournalRecorder {
  public:
   using J = LaunchJournal;
 
-  JournalRecorder(LaunchJournal& j, std::uint32_t shared_words) : j_(j), sstamp_(shared_words) {}
+  /// `stand`: kir::fi_count_sites of the recorded stream.  A site's count is
+  /// that of the site standing for it, the only one a recording stream
+  /// counts, so count rows hold one entry per counted site.  The snapshot
+  /// buffers are reserved for one full segment per thread of the launch's
+  /// `threads` with `slots` registers each, so they grow without copying
+  /// (untouched reserve costs no page).
+  JournalRecorder(LaunchJournal& j, std::uint32_t shared_words,
+                  const std::vector<std::uint32_t>& stand, std::size_t threads, std::size_t slots)
+      : j_(j), sstamp_(shared_words), sites_(static_cast<std::uint32_t>(stand.size())) {
+    std::vector<std::uint32_t> row(sites_);
+    for (std::uint32_t s = 0; s < sites_; ++s)
+      if (stand[s] == s) {
+        row[s] = static_cast<std::uint32_t>(counted_.size());
+        counted_.push_back(s);
+      }
+    for (std::uint32_t s = 0; s < sites_; ++s) site_row_.push_back(row[stand[s]]);
+    const std::size_t most = threads * J::kSnapshotsPerSegment;
+    snaps_.reserve(most);
+    snap_regs_.reserve(most * slots);
+    snap_counts_.reserve(most * counted_.size());
+    end_counts_.reserve(threads * counted_.size());
+    snap_first_.reserve(threads);
+  }
 
-  void begin(std::uint32_t thread_slot) {
+  /// A new block: its threads' FI-site counts start at zero.
+  void begin_block(std::uint32_t threads_per_block) {
+    counts_.assign(static_cast<std::size_t>(threads_per_block) * sites_, 0);
+  }
+  /// Begin a segment of thread `thread_slot` (index `block_index` in its
+  /// block); returns that thread's FI-site counters, which the interpreter
+  /// bumps at every FIHook.
+  std::uint32_t* begin(std::uint32_t thread_slot, std::uint32_t block_index) {
     ++stamp_;
     slots_.push_back(thread_slot);
     seg_ = J::Segment{};
@@ -294,6 +334,58 @@ class JournalRecorder {
     seg_.first_write = static_cast<std::uint32_t>(j_.writes.size());
     seg_.first_shared_write = static_cast<std::uint32_t>(j_.shared_writes.size());
     shared_reads_.clear();
+    pend_.clear();
+    pend_regs_.clear();
+    pend_counts_.clear();
+    spacing_ = std::max<std::uint64_t>(J::kSnapshotSpacing,
+                                       last_instructions_ / (J::kSnapshotsPerSegment + 1) + 1);
+    thread_counts_ = counts_.data() + static_cast<std::size_t>(block_index) * sites_;
+    return thread_counts_;
+  }
+  /// The budget at which a segment that began at budget `start` offers its
+  /// first snapshot.
+  [[nodiscard]] std::uint64_t first_stop(std::uint64_t start) const noexcept {
+    return start + spacing_;
+  }
+
+  /// A snapshot offer: the thread's state right after a taken backward jump,
+  /// with its segment-relative counts in `at`.  Returns the budget at which
+  /// to offer the next one.
+  std::uint64_t snapshot(J::Snapshot at, std::span<const std::uint32_t> regs) {
+    at.global_reads = static_cast<std::uint32_t>(j_.reads.size()) - seg_.first_reads;
+    at.shared_reads = static_cast<std::uint32_t>(shared_reads_.size());
+    at.writes = static_cast<std::uint32_t>(j_.writes.size()) - seg_.first_write;
+    at.shared_writes =
+        static_cast<std::uint32_t>(j_.shared_writes.size()) - seg_.first_shared_write;
+    pend_.push_back(at);
+    pend_regs_.insert(pend_regs_.end(), regs.begin(), regs.end());
+    append_counts(pend_counts_);
+    if (pend_.size() > J::kSnapshotsPerSegment) {
+      // Thin: double the spacing and keep each snapshot at least that far
+      // past the previous kept one.
+      spacing_ *= 2;
+      const std::size_t width = regs.size();
+      const std::size_t cw = counted_.size();
+      std::size_t out = 0;
+      std::uint64_t last = 0;
+      for (std::size_t i = 0; i < pend_.size(); ++i) {
+        if (pend_[i].instructions < last + spacing_) continue;
+        last = pend_[i].instructions;
+        pend_[out] = pend_[i];
+        std::copy_n(pend_regs_.begin() + static_cast<std::ptrdiff_t>(i * width), width,
+                    pend_regs_.begin() + static_cast<std::ptrdiff_t>(out * width));
+        std::copy_n(pend_counts_.begin() + static_cast<std::ptrdiff_t>(i * cw), cw,
+                    pend_counts_.begin() + static_cast<std::ptrdiff_t>(out * cw));
+        ++out;
+      }
+      pend_.resize(out);
+      pend_regs_.resize(out * width);
+      pend_counts_.resize(out * cw);
+    }
+    // The next offer: a spacing past the last kept snapshot (budget and
+    // instructions advance together within a segment).
+    const std::uint64_t last = pend_.empty() ? 0 : pend_.back().instructions;
+    return at.budget - at.instructions + last + spacing_;
   }
 
   void global_load(std::uint32_t addr, std::uint32_t value) {
@@ -341,6 +433,7 @@ class JournalRecorder {
   void end(std::uint64_t instructions, std::uint64_t cycles, std::uint64_t loop_cycles,
            bool sdc, std::uint64_t budget_after, std::uint32_t pc, std::uint32_t barrier_pc,
            bool done, std::span<const std::uint32_t> regs) {
+    last_instructions_ = instructions;
     seg_.instructions = instructions;
     seg_.cycles = cycles;
     seg_.loop_cycles = loop_cycles;
@@ -360,6 +453,17 @@ class JournalRecorder {
       j_.regs.insert(j_.regs.end(), regs.begin(), regs.end());
     }
     j_.segments.push_back(seg_);
+    // The kept snapshots (serial order; finish() regroups them with their
+    // segments) and the thread's counts at the segment's end.
+    snap_first_.push_back(static_cast<std::uint32_t>(snaps_.size()));
+    const auto base = static_cast<std::uint32_t>(snap_regs_.size());
+    for (std::size_t i = 0; i < pend_.size(); ++i) {
+      snaps_.push_back(pend_[i]);
+      snaps_.back().regs = base + static_cast<std::uint32_t>(i * regs.size());
+    }
+    snap_regs_.insert(snap_regs_.end(), pend_regs_.begin(), pend_regs_.end());
+    snap_counts_.insert(snap_counts_.end(), pend_counts_.begin(), pend_counts_.end());
+    append_counts(end_counts_);
   }
 
   /// Group the serial-order segments per thread (stable, so each thread's
@@ -372,9 +476,15 @@ class JournalRecorder {
     for (std::size_t i = 1; i < begin.size(); ++i) begin[i] += begin[i - 1];
     std::vector<J::Segment> grouped(j_.segments.size());
     std::vector<std::uint32_t> next(begin.begin(), begin.end() - 1);
-    for (std::size_t i = 0; i < slots_.size(); ++i) grouped[next[slots_[i]]++] = j_.segments[i];
+    std::vector<std::uint32_t> serial(slots_.size());  ///< grouped index -> serial index
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      const std::uint32_t g = next[slots_[i]]++;
+      grouped[g] = j_.segments[i];
+      serial[g] = static_cast<std::uint32_t>(i);
+    }
     j_.segments = std::move(grouped);
     j_.thread_begin = std::move(begin);
+    finish_snapshots(serial);
 
     // Entries are made in (segment, read) order, writes after a segment's
     // reads, so a stable sort by address alone orders them (addr, segment,
@@ -410,6 +520,87 @@ class JournalRecorder {
     std::uint32_t pre = 0;  ///< pre-segment value when only atomics touched it
     bool pending = false;
   };
+  /// Append the running thread's count row.
+  void append_counts(std::vector<std::uint32_t>& rows) const {
+    for (const std::uint32_t s : counted_) rows.push_back(thread_counts_[s]);
+  }
+
+  /// Point each grouped segment at its snapshots, and store the count rows
+  /// (snapshots in recording order, then segment ends in grouped order) with
+  /// equal columns merged.
+  void finish_snapshots(const std::vector<std::uint32_t>& serial) {
+    J::SnapshotTable& t = j_.snapshots;
+    const std::size_t cw = counted_.size();
+    snap_first_.push_back(static_cast<std::uint32_t>(snaps_.size()));
+    // Keep the table within kSnapshotTableBytes (counting count rows before
+    // their columns merge): halve every segment's snapshots, keeping every
+    // second one, until it fits.
+    const std::size_t width = snaps_.empty() ? 0 : snap_regs_.size() / snaps_.size();
+    const std::size_t fixed = (serial.size() * (2 + cw) + sites_) * sizeof(std::uint32_t);
+    const std::size_t per = sizeof(J::Snapshot) + (width + cw) * sizeof(std::uint32_t);
+    while (!snaps_.empty() && fixed + snaps_.size() * per > J::kSnapshotTableBytes) {
+      std::size_t out = 0;
+      for (std::size_t i = 0; i + 1 < snap_first_.size(); ++i) {
+        const std::uint32_t from = snap_first_[i], to = snap_first_[i + 1];
+        snap_first_[i] = static_cast<std::uint32_t>(out);
+        for (std::uint32_t k = from + 1; k < to; k += 2, ++out) {
+          snaps_[out] = snaps_[k];
+          snaps_[out].regs = static_cast<std::uint32_t>(out * width);
+          std::copy_n(snap_regs_.begin() + static_cast<std::ptrdiff_t>(k * width), width,
+                      snap_regs_.begin() + static_cast<std::ptrdiff_t>(out * width));
+          std::copy_n(snap_counts_.begin() + static_cast<std::ptrdiff_t>(k * cw), cw,
+                      snap_counts_.begin() + static_cast<std::ptrdiff_t>(out * cw));
+        }
+      }
+      snap_first_.back() = static_cast<std::uint32_t>(out);
+      snaps_.resize(out);
+      snap_regs_.resize(out * width);
+      snap_counts_.resize(out * cw);
+    }
+    t.begin.resize(serial.size());
+    t.end.resize(serial.size());
+    std::vector<std::uint32_t> ends;
+    ends.reserve(end_counts_.size());
+    for (std::size_t g = 0; g < serial.size(); ++g) {
+      t.begin[g] = snap_first_[serial[g]];
+      t.end[g] = snap_first_[serial[g] + 1];
+      ends.insert(ends.end(), end_counts_.begin() + std::size_t{serial[g]} * cw,
+                  end_counts_.begin() + (std::size_t{serial[g]} + 1) * cw);
+    }
+    end_counts_ = std::move(ends);
+    t.list = std::move(snaps_);
+    t.regs = std::move(snap_regs_);
+    if (cw == 0) return;
+    // Rows: snapshot i's is snap_counts_[i * cw], segment g's end
+    // end_counts_[g * cw].
+    const std::size_t nsnap = snap_counts_.size() / cw, nrows = nsnap + end_counts_.size() / cw;
+    const auto at = [&](std::size_t r, std::size_t c) {
+      return r < nsnap ? snap_counts_[r * cw + c] : end_counts_[(r - nsnap) * cw + c];
+    };
+    std::vector<std::uint64_t> hash(cw, common::kFnvStandardBasis);
+    for (std::size_t r = 0; r < nrows; ++r)
+      for (std::size_t c = 0; c < cw; ++c) hash[c] = common::fnv_mix(hash[c], at(r, c));
+    const auto same = [&](std::size_t a, std::size_t b) {
+      if (hash[a] != hash[b]) return false;
+      for (std::size_t r = 0; r < nrows; ++r)
+        if (at(r, a) != at(r, b)) return false;
+      return true;
+    };
+    std::vector<std::uint32_t> rep, column(cw);  // a counted column per merged one
+    for (std::size_t c = 0; c < cw; ++c) {
+      std::uint32_t m = 0;
+      while (m < rep.size() && !same(rep[m], c)) ++m;
+      if (m == rep.size()) rep.push_back(static_cast<std::uint32_t>(c));
+      column[c] = m;
+    }
+    t.width = static_cast<std::uint32_t>(rep.size());
+    t.site_column.resize(sites_);
+    for (std::uint32_t s = 0; s < sites_; ++s) t.site_column[s] = column[site_row_[s]];
+    t.counts.reserve(nrows * rep.size());
+    for (std::size_t r = 0; r < nrows; ++r)
+      for (const std::uint32_t c : rep) t.counts.push_back(at(r, c));
+  }
+
   Cell& cell(std::uint32_t addr) {
     if (addr >= cells_.size())
       cells_.resize(std::max<std::size_t>(addr + std::size_t{1}, cells_.size() * 2));
@@ -417,7 +608,6 @@ class JournalRecorder {
   }
   void write(std::uint32_t addr, std::uint32_t value, J::WriteKind kind) {
     j_.writes.push_back({addr, value, kind});
-    seg_.write_hi = std::max(seg_.write_hi, addr + 1);
   }
   /// Stable sort by address: a counting sort over the address range when
   /// that is no wider than a few entries per word (golden launches touch a
@@ -445,6 +635,21 @@ class JournalRecorder {
   std::vector<std::uint32_t> sstamp_;
   std::vector<J::Word> shared_reads_;
   std::vector<std::uint32_t> slots_;  ///< thread slot of each serial segment
+  // Snapshots: the current segment's kept ones (pending, thinned as they
+  // come), then every kept one in recording order with its registers and
+  // count row, the first of each serial segment, and each serial segment's
+  // end counts.
+  std::uint32_t sites_;
+  std::vector<std::uint32_t> counted_;   ///< the sites a recording stream counts
+  std::vector<std::uint32_t> site_row_;  ///< per site: its entry in a count row
+  std::uint64_t spacing_ = J::kSnapshotSpacing;
+  std::uint64_t last_instructions_ = 0;  ///< of the previous segment
+  std::vector<std::uint32_t> counts_;  ///< per thread of the block: FI-site counts
+  std::uint32_t* thread_counts_ = nullptr;
+  std::vector<J::Snapshot> pend_;
+  std::vector<std::uint32_t> pend_regs_, pend_counts_;
+  std::vector<J::Snapshot> snaps_;
+  std::vector<std::uint32_t> snap_first_, snap_regs_, snap_counts_, end_counts_;
 };
 
 /// Replay's delta set S (DESIGN §10): the global words, and the current
@@ -521,6 +726,49 @@ class DeltaSet {
     return true;
   }
 
+  /// Lower `gpos` / `spos` to the position, among segment g's global /
+  /// shared first reads, of the earliest queued read whose word no longer
+  /// holds its golden value: the segment runs as it did up to that read.
+  void first_mismatch(std::uint32_t g, const LaunchJournal::Segment& s,
+                      const std::uint32_t* gmem, const std::uint32_t* smem, std::uint32_t& gpos,
+                      std::uint32_t& spos) const noexcept {
+    if (head_.empty()) return;
+    for (std::uint32_t c = head_[g]; c != kNone; c = checks_[c].next) {
+      const std::uint32_t read = checks_[c].read;
+      const LaunchJournal::Word& r = j_.reads[read];
+      if (read < s.first_reads + s.global_reads) {
+        if (gmem[r.addr] != r.value) gpos = std::min(gpos, read - s.first_reads);
+      } else if (smem[r.addr] != r.value) {
+        spos = std::min(spos, read - s.first_reads - s.global_reads);
+      }
+    }
+  }
+
+  /// Lower `gpos` / `wpos` to the position of segment g's first read / first
+  /// write of a word of one of `latent` pairs: under protection, that access
+  /// must take the checked path.
+  void first_latent_touch(std::uint32_t g, const LaunchJournal::Segment& s,
+                          std::span<const std::uint32_t> latent, std::uint32_t& gpos,
+                          std::uint32_t& wpos) const noexcept {
+    for (const std::uint32_t pair : latent)
+      for (const std::uint32_t addr : {2 * pair, 2 * pair + 1}) {
+        // Entries of (addr, g): its first read, if any, then its writer entry.
+        auto it = std::lower_bound(j_.global_index.begin(), j_.global_index.end(),
+                                   LaunchJournal::Access{addr, g, 0});
+        for (; it != j_.global_index.end() && it->addr == addr && it->segment == g; ++it) {
+          if (it->read != LaunchJournal::kWrite) {
+            gpos = std::min(gpos, it->read - s.first_reads);
+            continue;
+          }
+          for (std::uint32_t w = 0; w < s.writes; ++w)
+            if (j_.writes[s.first_write + w].addr == addr) {
+              wpos = std::min(wpos, w);
+              break;
+            }
+        }
+      }
+  }
+
   /// Whether segment `g` first-reads or writes a word of one of `latent` pairs.
   [[nodiscard]] bool touches(std::uint32_t g,
                              std::span<const std::uint32_t> latent) const noexcept {
@@ -548,6 +796,21 @@ class DeltaSet {
     gs_end_ = gold ? gold->first_shared_write + gold->shared_writes : 0;
     gdiff_ = sdiff_ = false;
   }
+  /// The slice starts past a golden prefix that made the first `writes`
+  /// global and `shared_writes` shared writes of its segment.
+  void skip(std::uint32_t writes, std::uint32_t shared_writes) noexcept {
+    gw_ += writes;
+    gs_ += shared_writes;
+  }
+  /// Whether the slice's writes so far are exactly the first `writes`
+  /// global and `shared_writes` shared writes of its golden segment.
+  [[nodiscard]] bool wrote_golden_prefix(std::uint32_t writes,
+                                         std::uint32_t shared_writes) const noexcept {
+    const LaunchJournal::Segment* gold = golden();
+    return gold && !gdiff_ && !sdiff_ && gw_ == gold->first_write + writes &&
+           gs_ == gold->first_shared_write + shared_writes;
+  }
+
   /// The slice's next global write (a store's value, or an atomic's addend).
   void global_write(std::uint32_t addr, std::uint32_t value, LaunchJournal::WriteKind kind) {
     if (!gdiff_) {
@@ -656,6 +919,8 @@ class BlockExec {
       : dev_(dev), prog_(prog), cfg_(cfg), opts_(opts), costs_(costs),
         tcode_(threaded && !threaded->code.empty() ? threaded->code.data() : nullptr),
         fi_thread_(fi.thread),
+        fi_site_(fi.site),
+        fi_occurrence_(fi.occurrence),
         armed_(fi.kind == kir::FIFilter::Kind::Armed),
         journal_(journal),
         delta_(delta),
@@ -671,6 +936,7 @@ class BlockExec {
           static_cast<std::uint32_t>(shared_.size()), dev.props().warp_size,
           block_linear, *report_sink, opts.sanitize_report_cap);
     if (delta_) delta_->begin_block(block_linear, prog.shared_mem_words);
+    if (rec_) rec_->begin_block(threads_per_block_);
   }
 
   LaunchStatus run(std::span<const kir::Value> args);
@@ -685,6 +951,9 @@ class BlockExec {
   std::int64_t deadlock_pc = -1;    ///< barrier pc on CrashBarrierDeadlock
   std::int64_t deadlock_site = -1;  ///< its sanitizer site id
   std::uint64_t replayed = 0;       ///< segments applied from the journal
+  /// Instructions replay took from the journal instead of interpreting:
+  /// applied segments, skipped prefixes and rejoined suffixes.
+  std::uint64_t replayed_instructions = 0;
 
   [[nodiscard]] std::uint64_t sanitizer_dropped() const noexcept {
     return shadow_ ? shadow_->dropped() : 0;
@@ -709,6 +978,36 @@ class BlockExec {
 
   ThreadStop run_thread(ThreadCtx& t, LaunchStatus& crash_status);
   bool apply_segment(ThreadCtx& t, std::uint32_t slot, std::uint32_t k);
+  std::uint32_t skip_prefix(ThreadCtx& t, std::uint32_t g, std::uint32_t k, std::uint32_t first,
+                            std::uint32_t end);
+  bool rejoin(ThreadCtx& t, std::uint32_t g, std::uint32_t i);
+  void apply_writes(const LaunchJournal::Segment& s, std::uint32_t w0, std::uint32_t w1,
+                    std::uint32_t sw0, std::uint32_t sw1);
+  void charge(std::uint64_t instr, std::uint64_t cyc, std::uint64_t loop) noexcept {
+    instructions += instr;
+    cycles += cyc;
+    loop_cycles += loop;
+    replayed_instructions += instr;
+  }
+  /// t is the armed thread and its fault has not fired yet: its armed
+  /// occurrence is still a possible difference.
+  [[nodiscard]] bool armed_pending(const ThreadCtx& t) const noexcept {
+    return armed_ && t.linear == fi_thread_ && !fired_;
+  }
+  /// At a taken backward jump to `pc`, with `li`/`lc`/`ll` instructions,
+  /// cycles and loop cycles the slice has not yet added to the block's
+  /// totals, once the thread's budget has reached `stop_at_`: recording
+  /// offers the recorder a snapshot, in place; replay returns true to stop
+  /// the slice there (ThreadStop::Snapshot) and try to rejoin.
+  bool snapshot_point(const ThreadCtx& t, std::uint32_t pc, std::uint64_t li, std::uint64_t lc,
+                      std::uint64_t ll) {
+    if (t.budget_used + li < stop_at_) return false;
+    if (!rec_) return true;
+    offer_snapshot(t, pc, li, lc, ll);
+    return false;
+  }
+  void offer_snapshot(const ThreadCtx& t, std::uint32_t pc, std::uint64_t li, std::uint64_t lc,
+                      std::uint64_t ll);
   ThreadStop replay_slice(ThreadCtx& t, LaunchStatus& crash_status);
   ThreadStop record_segment(ThreadCtx& t, LaunchStatus& crash_status);
   ThreadStop run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_status);
@@ -730,7 +1029,10 @@ class BlockExec {
   /// reference interpreter (Device::launch decides).
   const kir::ThreadedInstr* tcode_;
   std::uint32_t fi_thread_;       ///< armed thread of an Armed FI-specialized stream
+  std::uint32_t fi_site_;         ///< its armed site index
+  std::uint64_t fi_occurrence_;   ///< its armed occurrence (0: unknown)
   bool armed_;                    ///< the launch's FI filter is Armed
+  bool fired_ = false;            ///< an fi_hook call of this block injected its fault
   const LaunchJournal* journal_;  ///< non-null on a replaying launch
   /// The replaying launch's delta set, fed the interpreted slices' writes
   /// by run_thread and the stream's Rec* ops.
@@ -741,6 +1043,14 @@ class BlockExec {
   std::vector<std::uint32_t> shared_;
   std::unique_ptr<SharedShadow> shadow_;  ///< non-null only on a sanitizing device
   std::uint32_t epoch_ = 0;  ///< barrier epoch, bumped at every successful release
+  // Snapshot points (taken backward jumps): the budget at which the next
+  // one acts — the recorder's next offer, or the next snapshot a replayed
+  // slice may rejoin at.  Recording also keeps the block's totals when the
+  // segment began and the thread's FI-site counters.
+  static constexpr std::uint64_t kNoStop = ~std::uint64_t{0};
+  std::uint64_t stop_at_ = kNoStop;
+  std::uint64_t seg_instructions_ = 0, seg_cycles_ = 0, seg_loop_cycles_ = 0;
+  std::uint32_t* site_counts_ = nullptr;
 };
 
 std::uint32_t BlockExec::builtin_value(const ThreadCtx& t, BuiltinVal b) const noexcept {
@@ -917,11 +1227,18 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
         break;
       }
       case OpCode::Jmp:
+      case OpCode::Jz: {
+        if (in.op == OpCode::Jz && regs[in.a] != 0) break;
+        // A taken backward jump is a snapshot point of recording and
+        // replaying launches (t.pc is one past the jump).
+        const bool back = in.aux < t.pc;
         t.pc = in.aux;
+        if (back && snapshot_point(t, t.pc, local_instr, local_cycles, local_loop)) {
+          finish();
+          return ThreadStop::Snapshot;
+        }
         break;
-      case OpCode::Jz:
-        if (regs[in.a] == 0) t.pc = in.aux;
-        break;
+      }
       case OpCode::Barrier:
         t.barrier_pc = t.pc - 1;
         finish();
@@ -963,7 +1280,8 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
         if (opts_.hooks) opts_.hooks->count_exec(in.aux, t.linear);
         break;
       case OpCode::FIHook:
-        if (opts_.hooks) opts_.hooks->fi_hook(in.aux, t.linear, regs[in.a]);
+        if (site_counts_) ++site_counts_[in.aux];
+        if (opts_.hooks && opts_.hooks->fi_hook(in.aux, t.linear, regs[in.a])) fired_ = true;
         break;
       default:
         crash_status = LaunchStatus::CrashInvalidInstr;
@@ -1119,6 +1437,24 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     regs[in->dst] = (expr);           \
     T_NEXT();                         \
   }
+// After a taken backward jump of a recording or write-tracking stream: offer
+// the recorder a snapshot, or stop the slice here if replay asked to
+// (BlockExec::snapshot_point).
+#define T_SNAPSHOT_POINT()                                                     \
+  do {                                                                         \
+    if (snapshot_point(t, pc, local_instr, local_cycles, local_loop)) {        \
+      finish();                                                                \
+      return ThreadStop::Snapshot;                                             \
+    }                                                                          \
+  } while (0)
+// A recording stream's FIHook body (accounting done by the caller).
+#define T_REC_FI()                                                                     \
+  do {                                                                                 \
+    ++site_counts_[in->aux];                                                           \
+    if ((in->t == 1 && opts_.hooks) || (in->t == 2 && t.linear == fi_thread_)) {       \
+      if (opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a])) fired_ = true;         \
+    }                                                                                  \
+  } while (0)
 
 // Fused operand evaluators — bit-identical to the corresponding
 // single-op handlers.
@@ -1206,6 +1542,12 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
       &&lbl_Nk_RecAtomicAddI,
       &&lbl_FIHookArmed,
       &&lbl_Nk_FIHookArmed,
+      &&lbl_JmpBk,
+      &&lbl_JzBk,
+      &&lbl_ConstAddJmpBk,
+      &&lbl_AddJmpBk,
+      &&lbl_RecFIHook,
+      &&lbl_Nk_RecFIHook,
   };
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kir::kNumTOps);
   T_NEXT();
@@ -1546,6 +1888,20 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     if (regs[in->a] == 0) pc = in->aux;
     T_NEXT();
   }
+  T_LABEL(JmpBk) : {
+    T_STEP1();
+    pc = in->aux;
+    T_SNAPSHOT_POINT();
+    T_NEXT();
+  }
+  T_LABEL(JzBk) : {
+    T_STEP1();
+    if (regs[in->a] == 0) {
+      pc = in->aux;
+      T_SNAPSHOT_POINT();
+    }
+    T_NEXT();
+  }
   T_LABEL(Barrier) : {
     T_STEP1();
     t.barrier_pc = pc - 1;
@@ -1611,7 +1967,15 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   // thread calls it (the filter promises every other call is a no-op).
   T_LABEL(FIHookArmed) : {
     T_STEP1();
-    if (t.linear == fi_thread_) opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]);
+    if (t.linear == fi_thread_ && opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]))
+      fired_ = true;
+    T_NEXT();
+  }
+  // A recording stream's FIHook: counted for the snapshot table, then the
+  // hook call the filter allows (see TOp::RecFIHook).
+  T_LABEL(RecFIHook) : {
+    T_STEP1();
+    T_REC_FI();
     T_NEXT();
   }
   T_LABEL(Invalid) : {
@@ -1656,6 +2020,23 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     T_CHARGE(2);
     regs[in->dst] = regs[in->a] + regs[in->b];
     pc = in->aux;
+    T_NEXT();
+  }
+  T_LABEL(ConstAddJmpBk) : {
+    if (left < 3) T_DELEGATE();
+    T_CHARGE(3);
+    regs[in->c] = in->imm;
+    regs[in->dst] = regs[in->a] + regs[in->b];
+    pc = in->aux;
+    T_SNAPSHOT_POINT();
+    T_NEXT();
+  }
+  T_LABEL(AddJmpBk) : {
+    if (left < 2) T_DELEGATE();
+    T_CHARGE(2);
+    regs[in->dst] = regs[in->a] + regs[in->b];
+    pc = in->aux;
+    T_SNAPSHOT_POINT();
     T_NEXT();
   }
 
@@ -1975,7 +2356,13 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     T_NEXT();
   }
   T_LABEL(Nk_FIHookArmed) : {
-    if (t.linear == fi_thread_) opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]);
+    if (t.linear == fi_thread_ && opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]))
+      fired_ = true;
+    ++pc;
+    T_NEXT();
+  }
+  T_LABEL(Nk_RecFIHook) : {
+    T_REC_FI();
     ++pc;
     T_NEXT();
   }
@@ -2116,6 +2503,8 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
 #undef T_DISPATCH_D
 #undef T_SET
 #undef T_NSET
+#undef T_SNAPSHOT_POINT
+#undef T_REC_FI
 #undef HB_CMP_LtI
 #undef HB_CMP_LeI
 #undef HB_CMP_GtI
@@ -2154,42 +2543,18 @@ ThreadStop BlockExec::step_thread(ThreadCtx& t, LaunchStatus& crash_status) {
   return tcode_ ? run_thread_threaded(t, crash_status) : run_thread(t, crash_status);
 }
 
-/// Replay: apply thread t's slice k from journal segment k if it would
-/// provably run exactly as it did in the golden launch — the thread still
-/// holds its golden registers, it is not the armed thread (whose FIHooks
-/// must run), the segment fits this launch's watchdog, it touches no latent
-/// pair (protected memory: its first access there must correct or fail),
-/// and every first read returns its golden value.  Only the reads of words
-/// in the delta set can differ, so only those are compared (DeltaSet).
-/// Otherwise the thread diverges: it takes its registers from the previous
-/// segment's Barrier snapshot and is interpreted from here on.  Addresses
-/// need no bounds checks: the journal fingerprint pins the memory geometry,
-/// and the golden accesses were in bounds.
-bool BlockExec::apply_segment(ThreadCtx& t, std::uint32_t slot, std::uint32_t k) {
-  if (t.diverged) return false;
+/// Replay: write golden writes [w0, w1) and shared writes [sw0, sw1) of
+/// segment s into memory.  Addresses need no bounds checks: the journal
+/// fingerprint pins the memory geometry, and the golden accesses were in
+/// bounds.  Under protection each written pair is re-encoded.
+void BlockExec::apply_writes(const LaunchJournal::Segment& s, std::uint32_t w0, std::uint32_t w1,
+                             std::uint32_t sw0, std::uint32_t sw1) {
   const LaunchJournal& j = *journal_;
-  const std::uint32_t g = j.thread_begin[slot] + k;
-  const LaunchJournal::Segment& s = j.segments[g];
-  // The interpreter executes an instruction iff the thread's count before
-  // it is <= watchdog, so a segment of n >= 1 instructions completes iff
-  // budget_after - 1 <= watchdog.
   DeviceMemory& mem = dev_.mem();
   std::uint32_t* const gmem = mem.flat_words().data();
-  const bool apply = !(armed_ && t.linear == fi_thread_) &&
-                     s.budget_after - 1 <= opts_.watchdog_instructions &&
-                     (mem.latent_pairs().empty() || !delta_->touches(g, mem.latent_pairs())) &&
-                     delta_->reads_match(g, s, gmem, shared_.data());
-  if (!apply) {
-    t.diverged = true;
-    if (k > 0) {
-      const std::uint32_t* snap = j.regs.data() + j.segments[g - 1].regs;
-      std::copy(snap, snap + prog_.num_slots, t.regs);
-    }
-    return false;
-  }
-
   const bool checked = mem.protection() != ecc::Scheme::None;
-  for (std::uint32_t i = 0; i < s.writes; ++i) {
+  std::uint32_t hi = 0;
+  for (std::uint32_t i = w0; i < w1; ++i) {
     const LaunchJournal::Write& w = j.writes[s.first_write + i];
     std::uint32_t& m = gmem[w.addr];
     switch (w.kind) {
@@ -2201,15 +2566,58 @@ bool BlockExec::apply_segment(ThreadCtx& t, std::uint32_t slot, std::uint32_t k)
         break;
     }
     if (checked) mem.reencode_pair(w.addr / 2);
+    hi = std::max(hi, w.addr + 1);
   }
-  if (s.write_hi > 0) mem.note_store(s.write_hi - 1);
-  for (std::uint32_t i = 0; i < s.shared_writes; ++i) {
+  if (hi > 0) mem.note_store(hi - 1);
+  for (std::uint32_t i = sw0; i < sw1; ++i) {
     const LaunchJournal::Word& w = j.shared_writes[s.first_shared_write + i];
     shared_[w.addr] = w.value;
   }
-  instructions += s.instructions;
-  cycles += s.cycles;
-  loop_cycles += s.loop_cycles;
+}
+
+/// Replay: apply thread t's slice k from journal segment k if it would
+/// provably run exactly as it did in the golden launch — the thread still
+/// holds its golden registers, the segment fits this launch's watchdog, it
+/// touches no latent pair (protected memory: its first access there must
+/// correct or fail), every first read returns its golden value, and, in the
+/// armed thread before its fault fired, the armed occurrence lies beyond
+/// the segment (the skipped occurrences are credited to the hooks).  Only
+/// the reads of words in the delta set can differ, so only those are
+/// compared (DeltaSet).  Otherwise the thread diverges: it takes its
+/// registers from the previous segment's Barrier snapshot and is
+/// interpreted (replay_slice).
+bool BlockExec::apply_segment(ThreadCtx& t, std::uint32_t slot, std::uint32_t k) {
+  if (t.diverged) return false;
+  const LaunchJournal& j = *journal_;
+  const std::uint32_t g = j.thread_begin[slot] + k;
+  const LaunchJournal::Segment& s = j.segments[g];
+  // The interpreter executes an instruction iff the thread's count before
+  // it is <= watchdog, so a segment of n >= 1 instructions completes iff
+  // budget_after - 1 <= watchdog.
+  DeviceMemory& mem = dev_.mem();
+  const bool armed = armed_pending(t);
+  const LaunchJournal::SnapshotTable& snaps = j.snapshots;
+  std::uint64_t credit = 0;
+  bool apply = s.budget_after - 1 <= opts_.watchdog_instructions &&
+               (mem.latent_pairs().empty() || !delta_->touches(g, mem.latent_pairs())) &&
+               delta_->reads_match(g, s, mem.flat_words().data(), shared_.data());
+  if (apply && armed) {
+    const std::uint32_t before = k > 0 ? snaps.count(snaps.segment_end(g - 1), fi_site_) : 0;
+    const std::uint32_t after = snaps.count(snaps.segment_end(g), fi_site_);
+    apply = !snaps.empty() && after < fi_occurrence_;
+    credit = after - before;
+  }
+  if (!apply) {
+    t.diverged = true;
+    if (k > 0) {
+      const std::uint32_t* snap = j.regs.data() + j.segments[g - 1].regs;
+      std::copy(snap, snap + prog_.num_slots, t.regs);
+    }
+    return false;
+  }
+  if (credit > 0) opts_.hooks->fi_skipped(fi_site_, t.linear, credit);
+  apply_writes(s, 0, s.writes, 0, s.shared_writes);
+  charge(s.instructions, s.cycles, s.loop_cycles);
   if (s.sdc) sdc = true;
   t.pc = s.pc;
   t.barrier_pc = s.barrier_pc;
@@ -2219,32 +2627,155 @@ bool BlockExec::apply_segment(ThreadCtx& t, std::uint32_t slot, std::uint32_t k)
   return true;
 }
 
+/// Replay: start thread t's interpreted slice k (segment g, whose snapshots
+/// are [first, end)) at the last snapshot before its first possible
+/// difference from the golden run, applying the golden prefix from the
+/// journal.  The first possible difference is the earliest of the first
+/// queued first read that now mismatches, the first access to a latent
+/// pair, and (armed thread, fault not yet fired) the armed occurrence; the
+/// prefix must also fit the watchdog.  The thread held its golden registers
+/// when the slice began.  Returns the first snapshot after the start.
+std::uint32_t BlockExec::skip_prefix(ThreadCtx& t, std::uint32_t g, std::uint32_t k,
+                                     std::uint32_t first, std::uint32_t end) {
+  const LaunchJournal& j = *journal_;
+  const LaunchJournal::SnapshotTable& snaps = j.snapshots;
+  const LaunchJournal::Segment& s = j.segments[g];
+  DeviceMemory& mem = dev_.mem();
+  constexpr std::uint32_t kAll = ~std::uint32_t{0};
+  std::uint32_t gpos = kAll, spos = kAll, wpos = kAll;
+  delta_->first_mismatch(g, s, mem.flat_words().data(), shared_.data(), gpos, spos);
+  if (!mem.latent_pairs().empty()) delta_->first_latent_touch(g, s, mem.latent_pairs(), gpos, wpos);
+  const bool armed = armed_pending(t);
+  if (armed && fi_occurrence_ == 0) return first;
+  std::uint32_t start = end;
+  for (std::uint32_t i = first; i < end; ++i) {
+    const LaunchJournal::Snapshot& at = snaps.list[i];
+    if (at.global_reads > gpos || at.shared_reads > spos || at.writes > wpos ||
+        at.budget - 1 > opts_.watchdog_instructions ||
+        (armed && snaps.count(i, fi_site_) >= fi_occurrence_))
+      break;
+    start = i;
+  }
+  if (start == end) return first;
+  const LaunchJournal::Snapshot& at = snaps.list[start];
+  if (armed) {
+    const std::uint32_t before = k > 0 ? snaps.count(snaps.segment_end(g - 1), fi_site_) : 0;
+    if (const std::uint32_t n = snaps.count(start, fi_site_) - before; n > 0)
+      opts_.hooks->fi_skipped(fi_site_, t.linear, n);
+  }
+  apply_writes(s, 0, at.writes, 0, at.shared_writes);
+  delta_->skip(at.writes, at.shared_writes);
+  charge(at.instructions, at.cycles, at.loop_cycles);
+  if (at.sdc) sdc = true;
+  t.pc = at.pc;
+  t.budget_used = at.budget;
+  std::copy_n(snaps.regs.begin() + at.regs, prog_.num_slots, t.regs);
+  return start + 1;
+}
+
+/// Replay: the interpreted thread t stopped at snapshot i of its segment g
+/// (same budget).  It rejoins the journal — the rest of the segment is
+/// applied and its later slices replay again — iff it provably runs the
+/// rest exactly as the golden run did: it holds the snapshot's pc and
+/// registers, its writes so far are the golden prefix (so every word the
+/// prefix wrote holds its golden value), every first read queued on the
+/// segment still returns its golden value (so does every other word the
+/// rest can read), no latent pair is left for it to touch, its armed fault
+/// (if any) has fired, the rest fits the watchdog, and the SDC bit the
+/// golden prefix set (if any) is set already.
+bool BlockExec::rejoin(ThreadCtx& t, std::uint32_t g, std::uint32_t i) {
+  const LaunchJournal& j = *journal_;
+  const LaunchJournal::Snapshot& at = j.snapshots.list[i];
+  const LaunchJournal::Segment& s = j.segments[g];
+  DeviceMemory& mem = dev_.mem();
+  if (t.pc != at.pc || armed_pending(t) || (at.sdc && !sdc) ||
+      s.budget_after - 1 > opts_.watchdog_instructions ||
+      !std::equal(t.regs, t.regs + prog_.num_slots, j.snapshots.regs.begin() + at.regs) ||
+      !delta_->wrote_golden_prefix(at.writes, at.shared_writes) ||
+      (!mem.latent_pairs().empty() && delta_->touches(g, mem.latent_pairs())) ||
+      !delta_->reads_match(g, s, mem.flat_words().data(), shared_.data()))
+    return false;
+  apply_writes(s, at.writes, s.writes, at.shared_writes, s.shared_writes);
+  charge(s.instructions - at.instructions, s.cycles - at.cycles, s.loop_cycles - at.loop_cycles);
+  if (s.sdc) sdc = true;
+  t.pc = s.pc;
+  t.barrier_pc = s.barrier_pc;
+  t.budget_used = s.budget_after;
+  t.done = s.done;
+  t.diverged = false;
+  return true;
+}
+
 /// Replay: one time-slice of thread t — applied from the journal, or
 /// interpreted with its writes reported to the delta set, which grows when
-/// they differ from the golden counterpart's.
+/// they differ from the golden counterpart's.  An interpreted slice runs
+/// only a window of its segment when the snapshot table allows: it starts
+/// at skip_prefix's snapshot, and stops at each later snapshot's budget to
+/// try to rejoin.
 ThreadStop BlockExec::replay_slice(ThreadCtx& t, LaunchStatus& crash_status) {
   const std::uint32_t slot = block_linear_ * threads_per_block_ + t.block_index;
   const std::uint32_t k = t.segment++;
+  const bool golden_start = !t.diverged;
   if (apply_segment(t, slot, k)) return t.done ? ThreadStop::Done : ThreadStop::Barrier;
   delta_->begin_slice(slot, k);
-  const ThreadStop stop = step_thread(t, crash_status);
-  if (stop == ThreadStop::Done || stop == ThreadStop::Barrier)
-    delta_->end_slice(stop == ThreadStop::Done);
-  return stop;
+  const LaunchJournal& j = *journal_;
+  const LaunchJournal::SnapshotTable& snaps = j.snapshots;
+  const std::uint32_t g = j.thread_begin[slot] + k;
+  std::uint32_t next = 0, end = 0;
+  if (!snaps.empty() && g < j.thread_begin[slot + 1]) {
+    next = snaps.begin[g];
+    end = snaps.end[g];
+    if (golden_start) next = skip_prefix(t, g, k, next, end);
+  }
+  for (;;) {
+    stop_at_ = next < end ? snaps.list[next].budget : kNoStop;
+    const ThreadStop stop = step_thread(t, crash_status);
+    if (stop != ThreadStop::Snapshot) {
+      stop_at_ = kNoStop;
+      if (stop == ThreadStop::Done || stop == ThreadStop::Barrier)
+        delta_->end_slice(stop == ThreadStop::Done);
+      return stop;
+    }
+    while (next < end && snaps.list[next].budget < t.budget_used) ++next;
+    if (next < end && snaps.list[next].budget == t.budget_used && rejoin(t, g, next++)) {
+      stop_at_ = kNoStop;
+      return t.done ? ThreadStop::Done : ThreadStop::Barrier;
+    }
+  }
 }
 
 /// Record: one time-slice on this launch's engine, bracketed as a journal
-/// segment.
+/// segment; the interpreter offers the recorder its snapshots on the way
+/// (offer_snapshot).
 ThreadStop BlockExec::record_segment(ThreadCtx& t, LaunchStatus& crash_status) {
-  const std::uint64_t i0 = instructions, c0 = cycles, l0 = loop_cycles;
+  seg_instructions_ = instructions;
+  seg_cycles_ = cycles;
+  seg_loop_cycles_ = loop_cycles;
   const bool sdc0 = sdc;
   sdc = false;
-  rec_->begin(block_linear_ * threads_per_block_ + t.block_index);
+  site_counts_ = rec_->begin(block_linear_ * threads_per_block_ + t.block_index, t.block_index);
+  stop_at_ = rec_->first_stop(t.budget_used);
   const ThreadStop stop = step_thread(t, crash_status);
-  rec_->end(instructions - i0, cycles - c0, loop_cycles - l0, sdc, t.budget_used, t.pc,
-            t.barrier_pc, stop == ThreadStop::Done, {t.regs, prog_.num_slots});
+  stop_at_ = kNoStop;
+  rec_->end(instructions - seg_instructions_, cycles - seg_cycles_,
+            loop_cycles - seg_loop_cycles_, sdc, t.budget_used, t.pc, t.barrier_pc,
+            stop == ThreadStop::Done, {t.regs, prog_.num_slots});
   sdc = sdc || sdc0;
   return stop;
+}
+
+/// Record: a snapshot offer — thread t right after a taken backward jump to
+/// `pc` (see snapshot_point).
+void BlockExec::offer_snapshot(const ThreadCtx& t, std::uint32_t pc, std::uint64_t li,
+                               std::uint64_t lc, std::uint64_t ll) {
+  LaunchJournal::Snapshot at;
+  at.instructions = instructions + li - seg_instructions_;
+  at.cycles = cycles + lc - seg_cycles_;
+  at.loop_cycles = loop_cycles + ll - seg_loop_cycles_;
+  at.budget = t.budget_used + li;
+  at.pc = pc;
+  at.sdc = sdc;
+  stop_at_ = rec_->snapshot(at, {t.regs, prog_.num_slots});
 }
 
 LaunchStatus BlockExec::run(std::span<const kir::Value> args) {
@@ -2282,6 +2813,7 @@ LaunchStatus BlockExec::run(std::span<const kir::Value> args) {
         case ThreadStop::Barrier: ++at_barrier; break;
         case ThreadStop::Crash: return crash;
         case ThreadStop::Budget: return LaunchStatus::Hang;
+        case ThreadStop::Snapshot: break;  // consumed by record_segment / replay_slice
       }
     }
     if (done == threads_per_block_) {
@@ -2536,7 +3068,9 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   std::optional<JournalRecorder> recorder;
   std::optional<DeltaSet> delta;
   if (record) {
-    recorder.emplace(*opts.record_journal, program.shared_mem_words);
+    recorder.emplace(*opts.record_journal, program.shared_mem_words,
+                     kir::fi_count_sites(plan->decoded), cfg.total_threads(),
+                     program.num_slots);
     const auto words = mem_->flat_words();
     opts.record_journal->start_image.assign(words.begin(),
                                             words.begin() + mem_->store_watermark());
@@ -2573,7 +3107,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
 
   std::atomic<std::uint32_t> next_block{0};
   std::atomic<std::uint64_t> cycles{0}, loop_cycles{0}, instructions{0}, simt_cycles{0};
-  std::atomic<std::uint64_t> reports_dropped{0}, replayed{0};
+  std::atomic<std::uint64_t> reports_dropped{0}, replayed{0}, replayed_instructions{0};
   std::atomic<bool> sdc{false};
   std::atomic<int> bad_status{static_cast<int>(LaunchStatus::Ok)};
   std::mutex profile_mu;
@@ -2602,6 +3136,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
       simt_cycles.fetch_add(exec.simt_cycles, std::memory_order_relaxed);
       reports_dropped.fetch_add(exec.sanitizer_dropped(), std::memory_order_relaxed);
       replayed.fetch_add(exec.replayed, std::memory_order_relaxed);
+      replayed_instructions.fetch_add(exec.replayed_instructions, std::memory_order_relaxed);
       if (exec.sdc) sdc.store(true, std::memory_order_relaxed);
       if (opts.instr_exec_counts) {
         std::lock_guard<std::mutex> lk(profile_mu);
@@ -2651,6 +3186,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   res.simt_cycles = simt_cycles.load();
   res.threads = cfg.total_threads();
   res.replayed_segments = replayed.load();
+  res.replayed_instructions = replayed_instructions.load();
   if (record) {
     // Only a fault-free launch is a golden run worth journaling.
     if (res.status == LaunchStatus::Ok) {

@@ -179,6 +179,11 @@ struct LaunchResult {
   /// diagnostic like the sanitizer fields: every other field is the same
   /// as a full launch's, and no digest, checkpoint or log folds it.
   std::uint64_t replayed_segments = 0;
+  /// Instructions this launch took from the journal instead of
+  /// interpreting them: applied segments, the golden prefixes interpreted
+  /// slices skipped, and the suffixes of slices that rejoined (DESIGN §10).
+  /// The same kind of diagnostic as replayed_segments.
+  std::uint64_t replayed_instructions = 0;
 };
 
 /// FI filter of the hook contract (see LaunchHooks::fi_filter).
@@ -220,6 +225,15 @@ class LaunchHooks {
                        std::uint32_t& value_bits) {
     (void)site_index; (void)thread_linear; (void)value_bits;
     return false;
+  }
+  /// Segment replay skipped `executions` executions of FI site `site_index`
+  /// in thread `thread_linear` that the golden run made and that could not
+  /// act (all before the Armed filter's occurrence): count them as if
+  /// fi_hook had seen them.  Called only under an Armed filter, for its site
+  /// and thread.
+  virtual void fi_skipped(std::uint32_t site_index, std::uint32_t thread_linear,
+                          std::uint64_t executions) {
+    (void)site_index; (void)thread_linear; (void)executions;
   }
 };
 
@@ -266,11 +280,17 @@ struct LaunchOptions {
   /// std::invalid_argument); memory may differ in any way.  A serial flat
   /// Threaded launch without hooks, or whose hooks report a non-Generic
   /// fi_filter(), then applies every segment whose thread has not diverged,
-  /// is not the armed thread, fits this launch's watchdog, touches no
-  /// DeviceMemory::latent_pairs() word and finds its first reads unchanged,
-  /// and interprets the rest.  The LaunchResult and memory (check bytes
-  /// included) equal a full launch's; the hook calls of applied segments
-  /// (detector checks, ControlBlock counters and outliers) do not happen.
+  /// fits this launch's watchdog, touches no DeviceMemory::latent_pairs()
+  /// word, finds its first reads unchanged and, in the armed thread before
+  /// its fault fired, ends before the armed occurrence.  It interprets the
+  /// rest, each slice only from the journal's last snapshot before the
+  /// slice's first possible difference, and hands a slice back to the
+  /// journal at a later snapshot whose state it reproduces (DESIGN §10).
+  /// The LaunchResult and memory (check bytes included) equal a full
+  /// launch's; the hook calls of applied segments and skipped or rejoined
+  /// parts (detector checks, ControlBlock counters and outliers) do not
+  /// happen, and skipped armed-site occurrences reach the hooks as one
+  /// LaunchHooks::fi_skipped call.
   const LaunchJournal* journal = nullptr;
 };
 

@@ -19,6 +19,16 @@
 // segments that first-read it (and, for global memory, write it), so only
 // reads of words that may differ are ever compared.
 //
+// The snapshot table (DESIGN §10) lets replay interpret only a *window* of a
+// segment: per segment, a bounded set of thread states taken where the
+// thread took a backward jump (its target is a jump target, so a valid
+// resume slot in every position-stable stream), with the segment's progress
+// through its first reads and writes at that point and the thread's
+// cumulative per-FI-site occurrence counts.  An interpreted slice starts at
+// the last snapshot before its first possible difference, and hands the rest
+// of its segment back to the journal at a later snapshot whose state it
+// reproduces exactly.  An empty table replays whole segments only.
+//
 // Device::launch records a journal on request (LaunchOptions::record_journal)
 // and replays one (LaunchOptions::journal) when the launch is eligible; see
 // device.hpp for the contract.  A journal is immutable once recorded and is
@@ -68,8 +78,6 @@ struct LaunchJournal {
     std::uint32_t first_reads = 0, global_reads = 0, shared_reads = 0;
     std::uint32_t first_write = 0, writes = 0;  ///< into `writes`
     std::uint32_t first_shared_write = 0, shared_writes = 0;  ///< into `shared_writes`
-    /// One past the highest global address written (0: no global write).
-    std::uint32_t write_hi = 0;
     /// Offset of the register file at a Barrier stop in `regs`; kNoRegs
     /// for a Done stop.
     std::uint32_t regs = kNoRegs;
@@ -78,6 +86,69 @@ struct LaunchJournal {
     bool sdc = false;   ///< a detector set the SDC bit inside the segment
     bool operator==(const Segment&) const = default;
   };
+
+  /// One thread state inside a segment, taken right after a taken backward
+  /// jump (before its target executes).  Counts are since the segment began,
+  /// except `budget` (the thread's cumulative watchdog count).
+  struct Snapshot {
+    std::uint64_t instructions = 0, cycles = 0, loop_cycles = 0;
+    std::uint64_t budget = 0;
+    std::uint32_t pc = 0;    ///< the jump target: where the thread resumes
+    std::uint32_t regs = 0;  ///< offset of its register file in SnapshotTable::regs
+    /// First reads (global, shared) and writes (global, shared) the segment
+    /// had made before this point.
+    std::uint32_t global_reads = 0, shared_reads = 0, writes = 0, shared_writes = 0;
+    bool sdc = false;  ///< a detector set the SDC bit in the segment before this point
+    bool operator==(const Snapshot&) const = default;
+  };
+  /// Every snapshot of a launch, plus the FI-site occurrence counts that let
+  /// a trial skip the armed thread's golden prefix.  Counts are cumulative
+  /// per thread since the launch began.  Sites whose counts agree at every
+  /// recorded point share a column: a count row has `width` entries, and
+  /// FI site i's count is row[site_column[i]].
+  struct SnapshotTable {
+    /// Segment g's snapshots are list[begin[g] .. end[g]), in execution
+    /// order; the list itself is in recording order (empty `begin`: no
+    /// snapshots at all).
+    std::vector<std::uint32_t> begin, end;
+    std::vector<Snapshot> list;
+    std::vector<std::uint32_t> regs;
+    std::uint32_t width = 0;
+    std::vector<std::uint32_t> site_column;
+    /// Count rows: snapshot i's at counts[i * width], segment g's end at
+    /// counts[(list.size() + g) * width].
+    std::vector<std::uint32_t> counts;
+    bool operator==(const SnapshotTable&) const = default;
+
+    [[nodiscard]] bool empty() const noexcept { return begin.empty(); }
+    /// Occurrences of FI site `site` by the thread since the launch began,
+    /// at count row `row`: snapshot i's row is i, segment g's end row
+    /// segment_end(g).
+    [[nodiscard]] std::uint32_t count(std::uint32_t row, std::uint32_t site) const noexcept {
+      // A site with no FIHook in the program never executes.
+      return site < site_column.size()
+                 ? counts[static_cast<std::size_t>(row) * width + site_column[site]]
+                 : 0;
+    }
+    [[nodiscard]] std::uint32_t segment_end(std::uint32_t g) const noexcept {
+      return static_cast<std::uint32_t>(list.size()) + g;
+    }
+    [[nodiscard]] std::size_t bytes() const noexcept {
+      return (begin.size() + end.size() + regs.size() + site_column.size() + counts.size()) *
+                 sizeof(std::uint32_t) +
+             list.size() * sizeof(Snapshot);
+    }
+  };
+  /// At most this many snapshots per segment, spread evenly over its taken
+  /// backward jumps, and at least kSnapshotSpacing instructions apart (and
+  /// from the segment's start): a window saves little below that, and each
+  /// snapshot costs the recording a register copy and a replayed slice a
+  /// stop.
+  static constexpr std::uint32_t kSnapshotsPerSegment = 16;
+  static constexpr std::uint64_t kSnapshotSpacing = 128;
+  /// The snapshot table's size bound: a launch with many threads keeps
+  /// fewer snapshots per segment (every segment halved alike).
+  static constexpr std::size_t kSnapshotTableBytes = 512 * 1024;
 
   /// Identity of the recorded launch: program plan, launch configuration,
   /// arguments and memory geometry (Device::launch computes and compares it).
@@ -102,6 +173,7 @@ struct LaunchJournal {
   /// sorted (addr, segment, read).
   std::vector<Access> shared_index;
   std::vector<std::uint32_t> shared_index_begin;
+  SnapshotTable snapshots;
 
   /// Field-wise equality: both engines record equal journals of a launch.
   bool operator==(const LaunchJournal&) const = default;
@@ -118,7 +190,7 @@ struct LaunchJournal {
            shared_writes.size() * sizeof(Word) + regs.size() * sizeof(std::uint32_t) +
            start_image.size() * sizeof(std::uint32_t) +
            (global_index.size() + shared_index.size()) * sizeof(Access) +
-           shared_index_begin.size() * sizeof(std::uint32_t);
+           shared_index_begin.size() * sizeof(std::uint32_t) + snapshots.bytes();
   }
 };
 

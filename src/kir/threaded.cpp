@@ -24,6 +24,13 @@
 // head or tile covers one, and runs keep Rec* accesses as naked Nk_Rec* ops
 // but end at San* ones.
 //
+// Recording and write-tracking streams also report snapshot points: every
+// backward Jmp/Jz single is its JmpBk/JzBk form, the AddJmp back-edge
+// fusions their *Bk forms, and a backward compare-branch stays unfused.  A
+// recording stream counts the FIHooks of the sites that stand for their
+// basic block (fi_count_sites) as RecFIHook/Nk_RecFIHook, whatever the
+// filter.
+//
 // FI specialization (a non-Generic FIFilter) changes only FIHooks.  In
 // pass 1 unarmed hooks become Nop and the armed site's hooks FIHookArmed.
 // In pass 3 a run tiles only its *executed* ops: unarmed hooks are left
@@ -76,6 +83,8 @@
 // instructions) so both bounds are checkable before any side effect, and
 // load/store fusion is only emitted for the FlatGpu arena model.
 #include "kir/threaded.hpp"
+
+#include <algorithm>
 
 namespace hauberk::kir {
 
@@ -307,9 +316,52 @@ const char* top_name(TOp op) noexcept {
     case TOp::Nk_RecAtomicAddI: return "Nk_RecAtomicAddI";
     case TOp::FIHookArmed: return "FIHookArmed";
     case TOp::Nk_FIHookArmed: return "Nk_FIHookArmed";
+    case TOp::JmpBk: return "JmpBk";
+    case TOp::JzBk: return "JzBk";
+    case TOp::ConstAddJmpBk: return "ConstAddJmpBk";
+    case TOp::AddJmpBk: return "AddJmpBk";
+    case TOp::RecFIHook: return "RecFIHook";
+    case TOp::Nk_RecFIHook: return "Nk_RecFIHook";
     case TOp::Count_: break;
   }
   return "?";
+}
+
+std::vector<std::uint32_t> fi_count_sites(const DecodedProgram& d) {
+  const std::size_t n = d.code.size();
+  std::uint32_t sites = 0;
+  for (const DecodedInstr& in : d.code)
+    if (in.op == DecodedOp::FIHook) sites = std::max(sites, in.aux + 1);
+  std::vector<std::uint32_t> hooks(sites, 0);  // FIHooks per site
+  for (const DecodedInstr& in : d.code)
+    if (in.op == DecodedOp::FIHook) ++hooks[in.aux];
+  // Basic-block leaders: the entry, every jump target, and whatever follows
+  // a control transfer or a barrier.
+  std::vector<bool> leader(n + 1, false);
+  leader[0] = true;
+  for (std::size_t pc = 0; pc < n; ++pc) {
+    const DecodedOp op = d.code[pc].op;
+    if (op == DecodedOp::Jmp || op == DecodedOp::Jz) {
+      if (d.code[pc].aux < n) leader[d.code[pc].aux] = true;
+      leader[pc + 1] = true;
+    } else if (op == DecodedOp::Barrier || op == DecodedOp::Halt) {
+      leader[pc + 1] = true;
+    }
+  }
+  std::vector<std::uint32_t> stand(sites);
+  for (std::uint32_t s = 0; s < sites; ++s) stand[s] = s;
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  std::uint32_t first = kNone;  // the current block's first single-hook site
+  for (std::size_t pc = 0; pc < n; ++pc) {
+    if (leader[pc]) first = kNone;
+    const DecodedInstr& in = d.code[pc];
+    if (in.op != DecodedOp::FIHook || hooks[in.aux] != 1) continue;
+    if (first == kNone)
+      first = in.aux;
+    else
+      stand[in.aux] = first;
+  }
+  return stand;
 }
 
 ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_slots*/,
@@ -351,13 +403,27 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
     }
   };
   // FIHooks that keep their hook call under `fi`, and those `fi` proves are
-  // no-ops (none in a Generic stream).
+  // no-ops (none in a Generic stream).  A recording stream counts the sites
+  // that stand for their basic block (fi_count_sites); those are never dead.
+  const bool record = mem == MemInstr::Record;
+  const std::vector<std::uint32_t> stand =
+      record ? fi_count_sites(d) : std::vector<std::uint32_t>{};
+  const auto counted = [&](const DecodedInstr& in) {
+    return record && in.op == DecodedOp::FIHook && stand[in.aux] == in.aux;
+  };
   const auto fi_armed = [&](const DecodedInstr& in) {
     return in.op == DecodedOp::FIHook && fi.kind == FIFilter::Kind::Armed &&
            in.aux == fi.site;
   };
   const auto fi_dead = [&](const DecodedInstr& in) {
-    return in.op == DecodedOp::FIHook && fi.kind != FIFilter::Kind::Generic && !fi_armed(in);
+    return in.op == DecodedOp::FIHook && fi.kind != FIFilter::Kind::Generic && !fi_armed(in) &&
+           !counted(in);
+  };
+  // Recording and write-tracking streams report taken backward jumps (the
+  // snapshot points); `last` is the source position of the jump itself.
+  const bool snapshots = record || mem == MemInstr::Writes;
+  const auto back_edge = [&](std::uint32_t target, std::size_t last) {
+    return snapshots && target <= last;
   };
 
   // Single-op translation: a field copy (TOp mirrors DecodedOp), with the
@@ -379,6 +445,14 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
       ti.op = static_cast<std::uint16_t>(op);
     if (fi_armed(in)) ti.op = static_cast<std::uint16_t>(TOp::FIHookArmed);
     if (fi_dead(in)) ti.op = static_cast<std::uint16_t>(TOp::Nop);
+    if (counted(in)) {
+      ti.op = static_cast<std::uint16_t>(TOp::RecFIHook);
+      ti.t = fi.kind == FIFilter::Kind::Generic ? 1 : fi_armed(in) ? 2 : 0;
+    }
+    if (in.op == DecodedOp::Jmp && back_edge(in.aux, pc))
+      ti.op = static_cast<std::uint16_t>(TOp::JmpBk);
+    if (in.op == DecodedOp::Jz && back_edge(in.aux, pc))
+      ti.op = static_cast<std::uint16_t>(TOp::JzBk);
     return ti;
   };
 
@@ -425,7 +499,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
     if (i0.op != DecodedOp::Const) return false;
     if (const TOp top = const_cmp_jz_top(i1.op);
         top != TOp::Invalid && i2.op == DecodedOp::Jz && i2.a == i1.dst &&
-        (i1.a == i0.dst || i1.b == i0.dst)) {
+        (i1.a == i0.dst || i1.b == i0.dst) && !back_edge(i2.aux, pc + 2)) {
       ThreadedInstr ti;
       ti.c = i0.dst;
       ti.imm = i0.imm;
@@ -453,7 +527,8 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
       ti.a = i1.a;
       ti.b = i1.b;
       ti.aux = i2.aux;
-      emit(pc, TOp::ConstAddJmp, 3, FuseFamily::ConstAddJmp, ti);
+      emit(pc, back_edge(i2.aux, pc + 2) ? TOp::ConstAddJmpBk : TOp::ConstAddJmp, 3,
+           FuseFamily::ConstAddJmp, ti);
       return true;
     }
     return false;
@@ -465,7 +540,8 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
     const DecodedInstr& i0 = d.code[pc];
     const DecodedInstr& i1 = d.code[pc + 1];
     if (const TOp top = cmp_jz_top(i0.op);
-        top != TOp::Invalid && i1.op == DecodedOp::Jz && i1.a == i0.dst) {
+        top != TOp::Invalid && i1.op == DecodedOp::Jz && i1.a == i0.dst &&
+        !back_edge(i1.aux, pc + 1)) {
       ThreadedInstr ti;
       ti.dst = i0.dst;
       ti.a = i0.a;
@@ -480,7 +556,8 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
       ti.a = i0.a;
       ti.b = i0.b;
       ti.aux = i1.aux;
-      emit(pc, TOp::AddJmp, 2, FuseFamily::AddJmp, ti);
+      emit(pc, back_edge(i1.aux, pc + 1) ? TOp::AddJmpBk : TOp::AddJmp, 2, FuseFamily::AddJmp,
+           ti);
       return true;
     }
     return false;
@@ -775,6 +852,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
   // The naked form of the op at `pos` inside a run.
   const auto naked_at = [&](std::size_t pos) {
     const DecodedInstr& in = d.code[pos];
+    if (counted(in)) return TOp::Nk_RecFIHook;
     if (fi_armed(in)) return TOp::Nk_FIHookArmed;
     if (fi_dead(in)) return TOp::Nk_Nop;
     if (const TOp rec = naked_rec(instrumented(in.op)); rec != TOp::Invalid) return rec;

@@ -44,6 +44,12 @@
 //    runs as their naked Nk_Rec* forms.  No instrumented access is ever
 //    part of a fused head or tile, so each one reaches its observer in
 //    program order.
+//  * snapshot points: recording and write-tracking streams compile every
+//    backward jump (Jmp, Jz, and the AddJmp back-edge fusions) to a *Bk
+//    variant that reports the taken jump, so the golden run can take its
+//    snapshots there and a replayed slice can stop there; a backward
+//    compare-branch is left unfused in those streams.  Recording streams
+//    also count every FIHook (RecFIHook), unarmed ones included.
 //  * per-trial FI specialization (`FIFilter`): a SWIFI trial arms one
 //    (site, thread, occurrence), so every other FIHook is a no-op.  Unarmed
 //    hooks inside runs get no slot at all — the run's executed ops are
@@ -224,6 +230,17 @@ enum class TOp : std::uint16_t {
   // The armed site's FIHook, accounted and naked: calls the hook only when
   // the executing thread is the launch's armed thread.
   FIHookArmed, Nk_FIHookArmed,
+  // --- snapshot points (recording and write-tracking streams, never in
+  // runs) ---
+  // Backward jumps, single and fused, that report each *taken* jump to the
+  // launch's snapshot logic: the recorder takes its snapshots there, and a
+  // replayed slice stops there to try to rejoin the journal (DESIGN §10).
+  JmpBk, JzBk, ConstAddJmpBk, AddJmpBk,
+  // --- counted FI hooks (recording streams) ---
+  // Every FIHook, accounted and naked: counts the execution per thread and
+  // site for the snapshot table, then calls the hook when the filter says
+  // it can act (t: 0 never, 1 always, 2 in the filter's thread only).
+  RecFIHook, Nk_RecFIHook,
   Count_,
 };
 
@@ -304,12 +321,16 @@ struct ThreadedProgram {
 /// which FIHook executions can have any effect.  Generic — every FIHook
 /// calls the hook.  None — no FIHook has an effect.  Armed — only the
 /// FIHooks whose site index (their `aux`, the hook's `site_index`) is
-/// `site`, and only in global linear thread `thread`.
+/// `site`, and only in global linear thread `thread`, and only the
+/// `occurrence`-th such execution (counted from 1 over the launch) can act;
+/// 0 leaves the occurrence open.  Segment replay uses it to skip the armed
+/// thread's golden prefix (gpusim::LaunchHooks::fi_skipped).
 struct FIFilter {
   enum class Kind : std::uint8_t { Generic, None, Armed };
   Kind kind = Kind::Generic;
   std::uint32_t site = 0;
   std::uint32_t thread = 0;
+  std::uint64_t occurrence = 0;
 
   /// Same compiled stream: the thread is tested at run time, not compiled in.
   [[nodiscard]] bool same_stream(const FIFilter& o) const noexcept {
@@ -325,6 +346,15 @@ enum class MemInstr : std::uint8_t {
   Record,    ///< every global/shared load, store and atomic -> Rec*/Nk_Rec* (golden journal)
   Writes,    ///< global/shared stores and atomics -> Rec*/Nk_Rec* (replay's write tracking)
 };
+
+/// FI-site counts for the golden journal's snapshot table (recording
+/// streams, gpusim/journal.hpp): at every basic-block boundary two sites
+/// whose single FIHooks share a basic block have executed equally often.
+/// Returns, per site index (one past the highest FIHook site index), the
+/// site whose count stands for it: itself for the first such site of each
+/// block and for any site with several FIHooks, else that first site.  A
+/// recording stream counts only the sites that stand for themselves.
+[[nodiscard]] std::vector<std::uint32_t> fi_count_sites(const DecodedProgram& d);
 
 /// Compile a predecoded stream into threaded-code form.  `num_slots` (the
 /// program's register-slot count) is not read; it stays because

@@ -31,7 +31,7 @@ class InjectingHooks : public gpusim::LaunchHooks {
     filter_ = {gpusim::FIFilter::Kind::None};
     for (std::uint32_t i = 0; i < prog_->fi_sites.size(); ++i)
       if (prog_->fi_sites[i].site_id == spec.site_id)
-        filter_ = {gpusim::FIFilter::Kind::Armed, i, spec.thread};
+        filter_ = {gpusim::FIFilter::Kind::Armed, i, spec.thread, spec.occurrence};
   }
   void disarm() {
     armed_ = false;
@@ -56,6 +56,13 @@ class InjectingHooks : public gpusim::LaunchHooks {
     value_bits ^= spec_.mask;
     activated_.store(true, std::memory_order_relaxed);
     return true;
+  }
+
+  void fi_skipped(std::uint32_t site_index, std::uint32_t thread_linear,
+                  std::uint64_t executions) override {
+    if (armed_ && prog_->fi_sites[site_index].site_id == spec_.site_id &&
+        thread_linear == spec_.thread)
+      occurrence_seen_ += executions;
   }
 
   bool check_range(int detector, kir::Value value) override {

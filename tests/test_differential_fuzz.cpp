@@ -92,11 +92,14 @@ struct FuzzProgram {
 class ProgramGen {
  public:
   /// `loads` adds global-load statements (FI mode); `int_atomics` adds
-  /// integer atomicAdds next to them (replay mode).  Off, the generator's
-  /// draws — and so every other corpus — are unchanged.
+  /// integer atomicAdds next to them (replay mode); `loop_scale` multiplies
+  /// every loop's trip count (replay mode: loops long enough for the golden
+  /// journal to take snapshots in).  Off, the generator's draws — and so
+  /// every other corpus — are unchanged.
   explicit ProgramGen(Rng& rng, bool racy = false, bool loads = false,
-                      bool int_atomics = false)
-      : rng_(rng), racy_(racy), loads_(loads), int_atomics_(int_atomics) {}
+                      bool int_atomics = false, std::int32_t loop_scale = 1)
+      : rng_(rng), racy_(racy), loads_(loads), int_atomics_(int_atomics),
+        loop_scale_(loop_scale) {}
 
   FuzzProgram gen() {
     FuzzProgram fp;
@@ -292,7 +295,7 @@ class ProgramGen {
         });
       }
     } else if (roll < 92 && depth < 2) {  // counted loop
-      const auto trip = static_cast<std::int32_t>(1 + rng_.next_below(5));
+      const auto trip = static_cast<std::int32_t>(1 + rng_.next_below(5)) * loop_scale_;
       kb.for_loop("k" + std::to_string(serial_++), i32c(0), i32c(trip),
                   [&](ExprH it) {
                     i32s_.push_back(it);
@@ -302,7 +305,7 @@ class ProgramGen {
     } else if (roll < 95 && depth < 2) {  // while loop, occasionally infinite
       ExprH c = kb.let("w" + std::to_string(serial_++), i32c(0));
       const bool hang = chance(4);  // watchdog Hang must match too
-      const auto lim = static_cast<std::int32_t>(1 + rng_.next_below(4));
+      const auto lim = static_cast<std::int32_t>(1 + rng_.next_below(4)) * loop_scale_;
       kb.while_loop([&, c] { return hang ? (c >= i32c(0)) : (c < i32c(lim)); },
                     [&, c] {
                       statement(kb, depth + 1);
@@ -320,6 +323,7 @@ class ProgramGen {
   bool racy_ = false;
   bool loads_ = false;
   bool int_atomics_ = false;
+  std::int32_t loop_scale_ = 1;
   std::uint32_t shared_words_ = 0;
   int serial_ = 0;
   std::vector<ExprH> ptrs_, i32s_, f32s_;
@@ -422,25 +426,6 @@ EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
         dev.mem().corrupt_word(u.idx, u.mask);
       }
     }
-  } else if (protection != gpusim::ecc::Scheme::None) {
-    // Plant a deterministic raw memory-cell upset in the input buffer: a
-    // single-bit data flip (corrected on first read), a check-bit flip, or a
-    // double-bit flip in one codeword (uncorrectable if the pair is read).
-    Rng cr = Rng::fork(salt, 0x0ecc);
-    const auto widx = in_a + static_cast<std::uint32_t>(cr.next_below(kBufWords));
-    const auto bit = 1u << cr.next_below(32);
-    switch (cr.next_below(5)) {
-      case 0:
-        dev.mem().corrupt_word(widx, bit);
-        dev.mem().corrupt_word(widx ^ 1u, bit);  // sibling word, same pair
-        break;
-      case 1:
-        dev.mem().corrupt_check(widx, static_cast<std::uint8_t>(1u << cr.next_below(8)));
-        break;
-      default:
-        dev.mem().corrupt_word(widx, bit);
-        break;
-    }
   }
 
   const Value args[] = {Value::ptr(out_a), Value::ptr(in_a),
@@ -481,6 +466,41 @@ EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
     r.cb_violations = cb.total_violations();
   }
   return r;
+}
+
+/// The protected-mode corpus's memory-cell upset for program `salt`, planted
+/// in a word whose codeword the program reads: a word of the reader index
+/// of a clean Reference recording on a Hsiao device — a first read, or a
+/// store or atomic, which read-modify-write the pair — or a word of the
+/// input buffer when the launch records no journal.  A single-bit data flip (corrected on
+/// first read), a check-bit flip, or a double-bit flip in one codeword
+/// (uncorrectable once the pair is read).
+std::vector<Upset> read_word_upsets(const BytecodeProgram& prog, const FuzzProgram& fp,
+                                    std::uint64_t salt) {
+  const std::vector<Upset> clean;
+  gpusim::LaunchJournal j;
+  (void)run_engine(prog, fp, gpusim::ExecEngine::Reference, salt, false, false,
+                   gpusim::ecc::Scheme::Hsiao, nullptr, &j, &clean);
+  std::vector<std::uint32_t> reads;
+  for (const gpusim::LaunchJournal::Access& a : j.global_index) reads.push_back(a.addr);
+  // run_engine's input buffer follows its output buffer.
+  gpusim::DeviceMemory layout(fp.mem_model, 1u << 16);
+  (void)layout.alloc(kBufWords, gpusim::AllocClass::F32Data);
+  const std::uint32_t in_a = layout.alloc(kBufWords, gpusim::AllocClass::F32Data);
+
+  Rng cr = Rng::fork(salt, 0x0ecc);
+  const std::uint32_t widx =
+      reads.empty() ? in_a + static_cast<std::uint32_t>(cr.next_below(kBufWords))
+                    : reads[cr.next_below(reads.size())];
+  const auto bit = 1u << cr.next_below(32);
+  switch (cr.next_below(5)) {
+    case 0:  // sibling word, same pair
+      return {{widx, bit}, {widx ^ 1u, bit}};
+    case 1:
+      return {{widx, 1u << cr.next_below(8), /*check=*/true}};
+    default:
+      return {{widx, bit}};
+  }
 }
 
 /// Compares one program's runs; on divergence reports the pretty-printed
@@ -829,7 +849,11 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
   // at each budget of the sweep runs in full on Reference and Threaded
   // (both recording, so budgets inside a fused region hand a recorded slice
   // to the reference interpreter; the recordings must be equal too) and
-  // replayed on Threaded, and all three must agree on every observable.
+  // replayed on Threaded twice — with the golden journal, and with the same
+  // journal stripped of its snapshot table (whole segments only) — and all
+  // four must agree on every observable.  One budget of the sweep sits at a
+  // snapshot of the journal (one below, at or one above its budget), so
+  // watchdogs land inside the windows replay interprets.
   // Memory changes between staging and launch, so the launch-start diff is
   // exercised: on the Hsiao device every trial carries one planted upset
   // (data bit, check bit or double bit) in a pair the golden launch reads,
@@ -845,11 +869,12 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
       static_cast<std::size_t>(env_u64("HAUBERK_FUZZ_PROGRAMS", 400)) / 2;
 
   std::size_t compared = 0, partial = 0, whole = 0, activated = 0, budget_hang = 0;
+  std::size_t windowed = 0, snapshot_budgets = 0;
   std::size_t host_writes = 0, raw_upsets = 0, recorded = 0;
   std::size_t ecc_corrected = 0, ecc_failed = 0, sibling_store_first = 0, atomic_first = 0;
   for (std::size_t i = 0; i < programs; ++i) {
     Rng rng = Rng::fork(seed, i);
-    ProgramGen gen(rng, /*racy=*/false, /*loads=*/true, /*int_atomics=*/true);
+    ProgramGen gen(rng, /*racy=*/false, /*loads=*/true, /*int_atomics=*/true, /*loop_scale=*/4);
     const FuzzProgram fp = gen.gen();
     if (fp.mem_model != gpusim::MemoryModel::FlatGpu) continue;  // replay-ineligible
     const bool fift = i % 2 == 1;
@@ -873,6 +898,8 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
       EXPECT_TRUE(journal == ref_journal) << "program " << i << ": golden journals differ";
       if (golden.res.status != gpusim::LaunchStatus::Ok) continue;  // no golden, no journal
       ASSERT_FALSE(journal.empty()) << "program " << i;
+      gpusim::LaunchJournal stripped = journal;
+      stripped.snapshots = {};
 
       Rng arm = Rng::fork(seed ^ 0x5e65, i);
       FiArm fi;
@@ -885,6 +912,12 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
           1 + golden.res.instructions / std::max<std::uint64_t>(1, fp.cfg.total_threads());
       std::vector<std::uint64_t> budgets = {fi.watchdog};
       for (int b = 0; b < 3; ++b) budgets.push_back(1 + arm.next_below(2 * per_thread));
+      if (!journal.snapshots.list.empty()) {
+        const auto& at =
+            journal.snapshots.list[arm.next_below(journal.snapshots.list.size())];
+        budgets.push_back(at.budget + arm.next_below(3) - 1);
+        ++snapshot_budgets;
+      }
 
       Rng strike = Rng::fork(seed ^ 0x0ecc, i);
       Rng change = Rng::fork(seed ^ 0x4057, i);
@@ -928,9 +961,18 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
         rep.cb_violations = ref.cb_violations;
         expect_identical(ref, rep, fp, i, ecc ? "replay corpus: replayed, hsiao"
                                               : "replay corpus: replayed");
+        fi.journal = &stripped;
+        EngineRun seg = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, fift, false,
+                                   scheme, &fi, nullptr, &upsets);
+        seg.cb_sdc = ref.cb_sdc;
+        seg.cb_checks = ref.cb_checks;
+        seg.cb_violations = ref.cb_violations;
+        expect_identical(ref, seg, fp, i, ecc ? "replay corpus: whole segments, hsiao"
+                                              : "replay corpus: whole segments");
         ++compared;
         activated += ref.fi_activated;
-        whole += applied == journal.segments.size();
+        whole += seg.res.replayed_segments == journal.segments.size();
+        windowed += rep.res.replayed_instructions > seg.res.replayed_instructions;
         partial += applied > 0 && applied < journal.segments.size();
         ecc_corrected += ref.res.ecc_corrected > 0;
         ecc_failed += ref.res.status == gpusim::LaunchStatus::EccUncorrectable;
@@ -944,7 +986,9 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
   EXPECT_GT(activated, compared / 16) << "armed faults rarely fire";
   EXPECT_GT(partial, compared / 4) << "replays rarely mix applied and interpreted segments";
   EXPECT_GT(budget_hang, compared / 8) << "budgets rarely land inside the run";
-  EXPECT_EQ(whole, 0u) << "the armed thread's segments must always be interpreted";
+  EXPECT_EQ(whole, 0u) << "without snapshots the armed thread's segments must be interpreted";
+  EXPECT_GT(windowed, compared / 8) << "snapshots rarely shorten an interpreted slice";
+  EXPECT_GT(snapshot_budgets, compared / 10) << "too few budgets inside windows";
   EXPECT_GT(ecc_corrected, compared / 16) << "planted upsets are rarely corrected";
   EXPECT_GT(ecc_failed, compared / 32) << "planted double-bit upsets rarely fail a launch";
   EXPECT_GT(sibling_store_first, 0u) << "no upset is first touched by a sibling store";
@@ -1223,7 +1267,8 @@ TEST(DifferentialFuzz, SanitizedCampaignsDeterministicAcrossWorkers) {
 TEST(DifferentialFuzz, EnginesAgreeUnderEccProtection) {
   // Protected-mode corpus: every program runs with a raw memory-cell upset
   // planted after staging (single data bit, check bit, or a double-bit
-  // codeword) on a Hsiao SEC-DED device.  Every engine routes global memory
+  // codeword) in a word it reads (read_word_upsets) on a Hsiao SEC-DED
+  // device.  Every engine routes global memory
   // through the EDC-checked load/store path (flat_arena() is empty), and
   // must stay bitwise identical on every observable — including the
   // correction counters, the EccUncorrectable status, the scrubbed data
@@ -1240,22 +1285,23 @@ TEST(DifferentialFuzz, EnginesAgreeUnderEccProtection) {
     const FuzzProgram fp = gen.gen();
     const BytecodeProgram prog = lower(fp.kernel);
     constexpr auto kProt = gpusim::ecc::Scheme::Hsiao;
+    const std::vector<Upset> upsets = read_word_upsets(prog, fp, i);
 
-    const EngineRun ref =
-        run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false, false, kProt);
-    const EngineRun thr =
-        run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false, false, kProt);
+    const EngineRun ref = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false, false,
+                                     kProt, nullptr, nullptr, &upsets);
+    const EngineRun thr = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false, false,
+                                     kProt, nullptr, nullptr, &upsets);
     expect_identical(ref, thr, fp, i, "ecc threaded");
     const EngineRun san =
-        run_engine(prog, fp, kSanitized, i, false, false, kProt);
+        run_engine(prog, fp, kSanitized, i, false, false, kProt, nullptr, nullptr, &upsets);
     expect_identical(ref, san, fp, i, "ecc sanitizer");
 
     // Hamming spot check on a slice: same contract, different H matrix.
     if (i % 11 == 0) {
-      const EngineRun hr = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false,
-                                      false, gpusim::ecc::Scheme::Hamming);
-      const EngineRun ht = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false,
-                                      false, gpusim::ecc::Scheme::Hamming);
+      const EngineRun hr = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false, false,
+                                      gpusim::ecc::Scheme::Hamming, nullptr, nullptr, &upsets);
+      const EngineRun ht = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false, false,
+                                      gpusim::ecc::Scheme::Hamming, nullptr, nullptr, &upsets);
       expect_identical(hr, ht, fp, i, "ecc hamming");
     }
 

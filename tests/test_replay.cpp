@@ -5,7 +5,9 @@
 // and FI&FT builds of all 12 workloads, replay must give the same outcome
 // and the same LaunchResult and memory image.  Memory-cell faults get the
 // same check on unprotected and Hsiao devices, check bytes and ECC counts
-// included.  The remaining tests pin the eligibility predicate (ineligible
+// included.  Every replayed trial also runs against the journal stripped of
+// its snapshot table, which replays whole segments only: windowed replay
+// (DESIGN §10) must agree with both.  The remaining tests pin the eligibility predicate (ineligible
 // launches apply nothing), the watchdog rule, and the fingerprint check.
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -63,8 +66,16 @@ struct Obs {
 
 struct Launched {
   Obs obs;
-  std::uint64_t replayed = 0;
+  std::uint64_t replayed = 0, replayed_instructions = 0;
 };
+
+/// `j` without its snapshot table: replay then applies or interprets whole
+/// segments only, the oracle windowed replay is checked against.
+gpusim::LaunchJournal whole_segments(const gpusim::LaunchJournal& j) {
+  gpusim::LaunchJournal w = j;
+  w.snapshots = {};
+  return w;
+}
 
 Launched launch(gpusim::Device& dev, swifi::TrialStage& stage, core::KernelJob& job,
                 const kir::BytecodeProgram& prog, swifi::InjectingHooks& hooks,
@@ -92,6 +103,7 @@ Launched launch(gpusim::Device& dev, swifi::TrialStage& stage, core::KernelJob& 
   l.obs.deadlock_site = res.deadlock_site;
   l.obs.mem = dev.mem().image();
   l.replayed = res.replayed_segments;
+  l.replayed_instructions = res.replayed_instructions;
   return l;
 }
 
@@ -168,7 +180,7 @@ struct MemObs {
 /// hooks (null for the FI build), and count applied segments.
 MemObs strike_launch(Rig& r, const kir::BytecodeProgram& prog, const Strike& st,
                      std::uint64_t watchdog, const gpusim::LaunchJournal* journal,
-                     std::uint64_t& replayed) {
+                     std::uint64_t& replayed, std::uint64_t* replayed_instructions = nullptr) {
   const auto& args = r.stage->stage();
   if (st.check)
     r.dev.mem().corrupt_check(st.idx, static_cast<std::uint8_t>(st.mask));
@@ -182,6 +194,7 @@ MemObs strike_launch(Rig& r, const kir::BytecodeProgram& prog, const Strike& st,
   opts.journal = journal;
   const auto res = r.dev.launch(prog, r.job->config(), args, opts);
   replayed += res.replayed_segments;
+  if (replayed_instructions) *replayed_instructions += res.replayed_instructions;
   MemObs o;
   o.status = res.status;
   o.instructions = res.instructions;
@@ -201,14 +214,14 @@ MemObs strike_launch(Rig& r, const kir::BytecodeProgram& prog, const Strike& st,
 // the FT build with its configured control block, on unprotected and Hsiao
 // devices, with 1- and 2-bit upsets in a uniformly drawn live word or (on
 // Hsiao, every third trial) in its pair's check byte.  Replaying the golden
-// journal must match the journal-less launch on status, totals, ECC
-// corrections, both alarms and the word and check arenas.  The applied
-// segment count is pinned, and the sweep must see corrections and
-// uncorrectable pairs.
+// journal, with and without its snapshot table, must match the journal-less
+// launch on status, totals, ECC corrections, both alarms and the word and
+// check arenas.  The applied segment counts and the replayed instructions
+// are pinned, and the sweep must see corrections and uncorrectable pairs.
 TEST(Replay, MemoryFaultsMatchFullLaunchOnAllWorkloads) {
   constexpr int kTrials = 60;
   std::size_t trials = 0, corrected = 0, uncorrectable = 0;
-  std::uint64_t replayed = 0;
+  std::uint64_t replayed = 0, whole_replayed = 0, instr = 0, whole_instr = 0;
   std::vector<std::unique_ptr<Workload>> gpu = hpc_suite();
   for (auto& w : graphics_suite()) gpu.push_back(std::move(w));
   ASSERT_EQ(gpu.size(), 9u);
@@ -220,8 +233,10 @@ TEST(Replay, MemoryFaultsMatchFullLaunchOnAllWorkloads) {
         gpusim::DeviceProps props;
         props.protection = scheme;
         Rig full(b, prog, ft, props), rep(b, prog, ft, props);
+        Rig seg(b, prog, ft, props);
         const swifi::GoldenRun gold = swifi::golden_run(rep.dev, prog, *rep.job, rep.cb.get(), 1);
         ASSERT_TRUE(gold.journal) << b.w->name();
+        const gpusim::LaunchJournal whole = whole_segments(*gold.journal);
         const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
         (void)rep.stage->stage();
         const std::uint32_t used = rep.dev.mem().used_words();
@@ -246,8 +261,11 @@ TEST(Replay, MemoryFaultsMatchFullLaunchOnAllWorkloads) {
                                      std::to_string(st.mask) + (st.check ? " check" : " data");
             const MemObs f = strike_launch(full, prog, st, watchdog, nullptr, full_replayed);
             const MemObs r = strike_launch(rep, prog, st, watchdog, gold.journal.get(),
-                                           cell_replayed);
+                                           cell_replayed, &instr);
+            const MemObs w =
+                strike_launch(seg, prog, st, watchdog, &whole, whole_replayed, &whole_instr);
             EXPECT_EQ(f, r) << what;
+            EXPECT_EQ(f, w) << what << " (whole segments)";
             EXPECT_EQ(full_replayed, 0u) << what;
             ++trials;
             corrected += f.ecc_corrected > 0;
@@ -263,28 +281,37 @@ TEST(Replay, MemoryFaultsMatchFullLaunchOnAllWorkloads) {
   EXPECT_EQ(trials, 9u * 2 * 2 * 2 * kTrials);
   EXPECT_GT(corrected, trials / 10);
   EXPECT_GT(uncorrectable, trials / 10);
-  // Golden count: applied segments over the whole sweep.
-  EXPECT_EQ(replayed, 129807u) << "trials " << trials;
+  // Golden counts over the whole sweep: applied segments with whole segments
+  // only, and with windows (more: a slice that rejoins lets its thread's
+  // later segments apply), and the instructions each took from the journal.
+  EXPECT_EQ(whole_replayed, 129807u) << "trials " << trials;
+  EXPECT_EQ(replayed, 129913u) << "trials " << trials;
+  EXPECT_EQ(whole_instr, 97052320u) << "trials " << trials;
+  EXPECT_EQ(instr, 107357153u) << "trials " << trials;
 }
 
 // For the FI and FI&FT builds of every workload: every executed FI site x 2
-// masks x {first, last} occurrence, replayed against the golden journal
-// and launched in full.  Same Outcome through run_one_fault; same status,
-// activation, instruction/cycle/loop-cycle totals, SDC alarm, deadlock
-// diagnostics and memory image through a direct launch.  The total number
-// of applied segments is pinned, so a change that silently stops replaying
-// (or replays more than it can justify) shows up here.
+// masks x {first, middle, last} occurrence, replayed against the golden
+// journal, replayed against it without its snapshot table, and launched in
+// full.  Same Outcome through run_one_fault; same status, activation,
+// instruction/cycle/loop-cycle totals, SDC alarm, deadlock diagnostics and
+// memory image through a direct launch.  The applied segments (over the
+// first and last occurrences, and over the middle ones) and the replayed
+// instructions are pinned, so a change that silently stops replaying (or
+// replays more than it can justify) shows up here.
 TEST(Replay, MatchesFullLaunchOnAllWorkloads) {
   std::size_t trials = 0, activated = 0, crashed = 0;
-  std::uint64_t replayed = 0;
+  // [0]: first and last occurrences, [1]: middle ones.
+  std::uint64_t replayed[2] = {}, whole_replayed[2] = {}, instr = 0, whole_instr = 0;
   for (auto& wl : all_workloads()) {
     const Built b = build(std::move(wl));
     const auto req = b.w->requirement();
     for (const bool fift : {false, true}) {
       const kir::BytecodeProgram& prog = fift ? b.v.fift : b.v.fi;
-      Rig full(b, prog, fift), rep(b, prog, fift);
+      Rig full(b, prog, fift), rep(b, prog, fift), seg(b, prog, fift);
       const swifi::GoldenRun gold = swifi::golden_run(rep.dev, prog, *rep.job, rep.cb.get(), 1);
       ASSERT_TRUE(gold.journal) << b.w->name();
+      const gpusim::LaunchJournal whole = whole_segments(*gold.journal);
       const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
 
       for (std::uint32_t si = 0; si < prog.fi_sites.size() && si < b.pd.exec_counts.size();
@@ -294,11 +321,13 @@ TEST(Replay, MatchesFullLaunchOnAllWorkloads) {
           if (b.pd.exec_counts[si][t] > 0) threads.push_back(t);
         if (threads.empty()) continue;
         for (int m = 0; m < 2; ++m) {
-          for (const bool last : {false, true}) {
+          for (const int occ : {0, 1, 2}) {  // first, middle, last
             swifi::FaultSpec spec;
             spec.site_id = prog.fi_sites[si].site_id;
             spec.thread = threads[(si * 7u + static_cast<std::uint32_t>(m)) % threads.size()];
-            spec.occurrence = last ? b.pd.exec_counts[si][spec.thread] : 1;
+            const std::uint32_t n = b.pd.exec_counts[si][spec.thread];
+            if (occ == 1 && n < 3) continue;  // no occurrence strictly between
+            spec.occurrence = occ == 0 ? 1 : occ == 1 ? (n + 1) / 2 : n;
             spec.mask = m == 0 ? 1u << (si % 32) : 0x80000000u | (0x3u << ((si * 5) % 30));
             const std::string what = b.w->name() + (fift ? " fi+ft" : " fi") + " site " +
                                      std::to_string(spec.site_id) + " thread " +
@@ -314,16 +343,28 @@ TEST(Replay, MatchesFullLaunchOnAllWorkloads) {
                 swifi::run_one_fault(rep.dev, prog, *rep.job, rep.cb.get(), spec, gold.output,
                                      req, watchdog, 1, gpusim::SharedShadow::kMaxReportsPerBlock,
                                      rep.stage.get(), gold.journal.get());
+            const swifi::Outcome o_seg =
+                swifi::run_one_fault(seg.dev, prog, *seg.job, seg.cb.get(), spec, gold.output,
+                                     req, watchdog, 1, gpusim::SharedShadow::kMaxReportsPerBlock,
+                                     seg.stage.get(), &whole);
             EXPECT_EQ(o_full, o_rep) << what;
+            EXPECT_EQ(o_full, o_seg) << what << " (whole segments)";
 
-            swifi::InjectingHooks hf(prog, full.cb.get()), hr(prog, rep.cb.get());
+            swifi::InjectingHooks hf(prog, full.cb.get()), hr(prog, rep.cb.get()),
+                hs(prog, seg.cb.get());
             const Launched lf =
                 launch(full.dev, *full.stage, *full.job, prog, hf, &spec, watchdog, nullptr);
             const Launched lr = launch(rep.dev, *rep.stage, *rep.job, prog, hr, &spec, watchdog,
                                        gold.journal.get());
+            const Launched ls =
+                launch(seg.dev, *seg.stage, *seg.job, prog, hs, &spec, watchdog, &whole);
             EXPECT_EQ(lf.obs, lr.obs) << what;
+            EXPECT_EQ(lf.obs, ls.obs) << what << " (whole segments)";
             EXPECT_EQ(lf.replayed, 0u) << what;
-            replayed += lr.replayed;
+            replayed[occ == 1] += lr.replayed;
+            whole_replayed[occ == 1] += ls.replayed;
+            instr += lr.replayed_instructions;
+            whole_instr += ls.replayed_instructions;
             ++trials;
             activated += lf.obs.activated;
             crashed += gpusim::is_crash(lf.obs.status);
@@ -336,8 +377,16 @@ TEST(Replay, MatchesFullLaunchOnAllWorkloads) {
   EXPECT_GT(trials, 500u);
   EXPECT_GT(activated, trials / 2);
   EXPECT_GT(crashed, 0u);
-  // Golden count: applied segments over the whole sweep.
-  EXPECT_EQ(replayed, 105788u) << "trials " << trials;
+  // Golden counts over the whole sweep: applied segments with whole segments
+  // only, and with windows (more: the armed thread's segments before its
+  // fault, and the later segments of threads that rejoin, apply), and the
+  // instructions each took from the journal.
+  EXPECT_EQ(whole_replayed[0], 105788u) << "trials " << trials;
+  EXPECT_EQ(whole_replayed[1], 25698u) << "trials " << trials;
+  EXPECT_EQ(replayed[0], 106118u) << "trials " << trials;
+  EXPECT_EQ(replayed[1], 25800u) << "trials " << trials;
+  EXPECT_EQ(whole_instr, 112095213u) << "trials " << trials;
+  EXPECT_EQ(instr, 115373135u) << "trials " << trials;
 }
 
 // A disarmed launch with the journal applies every segment (nothing can
@@ -544,6 +593,98 @@ TEST(Replay, ThreadedRecordingMatchesReference) {
     }
   }
   EXPECT_EQ(journals, 12u * 3 * 2);
+}
+
+// The snapshot table of every golden journal (FI, FT and FI&FT builds of
+// all 12 workloads): at most kSnapshotsPerSegment per segment, each at the
+// target of a backward jump — never inside a run of the write-tracking
+// stream a replayed slice resumes in — with budgets strictly rising and
+// read/write positions, counts and the SDC bit never falling along a
+// segment, all within the segment's totals.  The FI-site counts at each
+// thread's last segment end equal the profiler's per-thread execution
+// counts.  At small scale no GPU workload's table exceeds 512 KiB.
+TEST(Replay, SnapshotsSitAtBackwardJumpTargets) {
+  using J = gpusim::LaunchJournal;
+  std::size_t snapshots = 0;
+  for (auto& wl : all_workloads()) {
+    const Built b = build(std::move(wl));
+    for (const kir::BytecodeProgram* prog : {&b.v.fi, &b.v.ft, &b.v.fift}) {
+      const bool cb = prog != &b.v.fi;
+      Rig r(b, *prog, cb);
+      const swifi::GoldenRun gold = swifi::golden_run(r.dev, *prog, *r.job, r.cb.get(), 1);
+      ASSERT_TRUE(gold.journal) << b.w->name();
+      const J& j = *gold.journal;
+      const J::SnapshotTable& t = j.snapshots;
+      ASSERT_EQ(t.begin.size(), j.segments.size()) << b.w->name();
+      std::vector<bool> back_target(prog->code.size(), false);
+      for (std::uint32_t pc = 0; pc < prog->code.size(); ++pc) {
+        const kir::Instr& in = prog->code[pc];
+        if ((in.op == kir::OpCode::Jmp || in.op == kir::OpCode::Jz) && in.aux <= pc)
+          back_target[in.aux] = true;
+      }
+      const auto costs = gpusim::instruction_costs(*prog, gpusim::CostModel{},
+                                                   gpusim::DeviceProps{}.regs_per_thread, false);
+      const kir::ThreadedProgram writes = kir::compile_threaded(
+          kir::decode_program(*prog, costs), prog->num_slots, true, true, kir::MemInstr::Writes);
+      for (std::uint32_t g = 0; g < j.segments.size(); ++g) {
+        const J::Segment& s = j.segments[g];
+        const std::string what = b.w->name() + " segment " + std::to_string(g);
+        EXPECT_LE(t.end[g] - t.begin[g], J::kSnapshotsPerSegment) << what;
+        const J::Snapshot* prev = nullptr;
+        for (std::uint32_t i = t.begin[g]; i < t.end[g]; ++i) {
+          const J::Snapshot& at = t.list[i];
+          ASSERT_LT(at.pc, prog->code.size()) << what;
+          EXPECT_TRUE(back_target[at.pc]) << what << " pc " << at.pc;
+          EXPECT_FALSE(std::string_view(kir::top_name(static_cast<kir::TOp>(
+                                            writes.code[at.pc].op)))
+                           .starts_with("Nk"))
+              << what << " pc " << at.pc;
+          EXPECT_LT(at.budget, s.budget_after) << what;
+          EXPECT_LE(at.instructions, s.instructions) << what;
+          EXPECT_LE(at.global_reads, s.global_reads) << what;
+          EXPECT_LE(at.shared_reads, s.shared_reads) << what;
+          EXPECT_LE(at.writes, s.writes) << what;
+          EXPECT_LE(at.shared_writes, s.shared_writes) << what;
+          EXPECT_TRUE(!at.sdc || s.sdc) << what;
+          if (prev) {
+            EXPECT_LT(prev->budget, at.budget) << what;
+            EXPECT_LE(prev->global_reads, at.global_reads) << what;
+            EXPECT_LE(prev->writes, at.writes) << what;
+            EXPECT_TRUE(!prev->sdc || at.sdc) << what;
+            for (std::uint32_t site = 0; site < t.site_column.size(); ++site)
+              EXPECT_LE(t.count(i - 1, site), t.count(i, site)) << what;
+          }
+          for (std::uint32_t site = 0; site < t.site_column.size(); ++site)
+            EXPECT_LE(t.count(i, site), t.count(t.segment_end(g), site)) << what;
+          prev = &at;
+          ++snapshots;
+        }
+      }
+      if (prog != &b.v.ft) {
+        for (std::uint32_t slot = 0; slot + 1 < j.thread_begin.size(); ++slot)
+          for (std::uint32_t si = 0; si < prog->fi_sites.size() && si < b.pd.exec_counts.size();
+               ++si)
+            EXPECT_EQ(t.count(t.segment_end(j.thread_begin[slot + 1] - 1), si),
+                      b.pd.exec_counts[si][slot])
+                << b.w->name() << " thread " << slot << " site " << si;
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(snapshots, 1000u);
+  std::vector<std::unique_ptr<Workload>> gpu = hpc_suite();
+  for (auto& w : graphics_suite()) gpu.push_back(std::move(w));
+  for (auto& w : gpu) {
+    const Dataset ds = w->make_dataset(kDatasetSeed, Scale::Small);
+    const core::KernelVariants v = core::build_variants(w->build_kernel(Scale::Small));
+    gpusim::Device dev;
+    auto job = w->make_job(ds);
+    const swifi::GoldenRun gold = swifi::golden_run(dev, v.fift, *job, nullptr, 1);
+    ASSERT_TRUE(gold.journal) << w->name();
+    EXPECT_LE(gold.journal->snapshots.bytes(), gpusim::LaunchJournal::kSnapshotTableBytes)
+        << w->name();
+    EXPECT_FALSE(gold.journal->snapshots.list.empty()) << w->name();
+  }
 }
 
 // A recording launch whose watchdog runs out inside a fused region: the

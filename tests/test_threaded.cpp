@@ -130,7 +130,9 @@ TEST(Threaded, EveryDecodedOpHasAThreadedEmitter) {
     EXPECT_EQ(st.code[pc].op, static_cast<std::uint16_t>(want)) << "pc " << pc;
   }
   // A recording plan turns every memory access into its Rec single, a
-  // write-tracking plan only the stores and atomics.
+  // write-tracking plan only the stores and atomics.  Both turn backward
+  // jumps (here every jump: the targets are all 0) into their snapshot-point
+  // forms, and a recording plan counts its FIHook.
   const auto rec = [](kir::DecodedOp op, bool loads) {
     switch (op) {
       case kir::DecodedOp::LoadG: return loads ? TOp::RecLoadG : TOp::LoadG;
@@ -139,6 +141,9 @@ TEST(Threaded, EveryDecodedOpHasAThreadedEmitter) {
       case kir::DecodedOp::StoreS: return TOp::RecStoreS;
       case kir::DecodedOp::AtomicAddF: return TOp::RecAtomicAddF;
       case kir::DecodedOp::AtomicAddI: return TOp::RecAtomicAddI;
+      case kir::DecodedOp::Jmp: return TOp::JmpBk;
+      case kir::DecodedOp::Jz: return TOp::JzBk;
+      case kir::DecodedOp::FIHook: return loads ? TOp::RecFIHook : TOp::FIHook;
       default: return kir::threaded_single_op(op);
     }
   };
@@ -150,8 +155,8 @@ TEST(Threaded, EveryDecodedOpHasAThreadedEmitter) {
           << "pc " << pc;
   }
   // Every fused opcode has a name too (the dispatch table is fully wired);
-  // the sanitizer, recorded-access and FI-specialized ops close the table
-  // and are not fused.
+  // the sanitizer, recorded-access, FI-specialized and snapshot-point ops
+  // close the table and are not counted as fused.
   const auto san_begin = static_cast<unsigned>(TOp::SanLoadS);
   for (unsigned v = kir::kTOpFusedBegin; v < kir::kNumTOps; ++v) {
     EXPECT_EQ(kir::top_is_fused(static_cast<TOp>(v)), v < san_begin) << "TOp " << v;
