@@ -273,10 +273,15 @@ int main(int argc, char** argv) {
   // Interpreted-instruction share of replayed trials (DESIGN §10): the
   // campaign's register faults on the FI&FT build, and 400 single-bit
   // memory-cell faults on the FT build on a Hsiao device, each replayed
-  // against the golden journal and against the same journal without its
-  // snapshot table (whole segments only).  Every replayed trial's outcome is
-  // the full launch's (test_replay), so only the share moves.
+  // segment by segment against the golden journal and against the same
+  // journal without its snapshot table (whole segments only).  Armed
+  // register faults never take the net effect in one step; the memory
+  // faults drop it for those two arms and are replayed a third time
+  // against the whole journal, for the share of trials that take it.
+  // Every replayed trial's outcome is the full launch's (test_replay), so
+  // only the shares move.
   std::array<Share, 2> reg_share, mem_share;  // [0] whole segments, [1] windows
+  std::size_t one_step_trials = 0;
   {
     for (const bool windows : {false, true}) {
       gpusim::Device dev;
@@ -303,12 +308,13 @@ int main(int argc, char** argv) {
     gpusim::DeviceProps hsiao;
     hsiao.protection = gpusim::ecc::Scheme::Hsiao;
     auto ft_cb = core::make_configured_control_block(ctx.variants.ft, ctx.profile);
-    for (const bool windows : {false, true}) {
+    for (const int arm : {0, 1, 2}) {  // whole segments, windows, whole journal
       gpusim::Device dev(hsiao);
       auto job = ctx.workload->make_job(ctx.dataset);
       const swifi::GoldenRun gold = swifi::golden_run(dev, ctx.variants.ft, *job, ft_cb.get(), 1);
       gpusim::LaunchJournal j = *gold.journal;
-      if (!windows) j.snapshots = {};
+      if (arm < 2) j.net = {};
+      if (arm == 0) j.snapshots = {};
       const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
       swifi::TrialStage stage(dev, *job);
       common::Rng rng = common::Rng::fork(seed, 0x3e3);
@@ -322,7 +328,11 @@ int main(int argc, char** argv) {
         lo.watchdog_instructions = watchdog;
         lo.max_workers = 1;
         lo.journal = &j;
-        mem_share[windows].add(dev.launch(ctx.variants.ft, job->config(), a, lo));
+        const gpusim::LaunchResult res = dev.launch(ctx.variants.ft, job->config(), a, lo);
+        if (arm < 2)
+          mem_share[arm].add(res);
+        else
+          one_step_trials += res.replayed_in_one_step;
       }
     }
     std::printf("\ninterpreted share of replayed trial instructions (whole segments -> "
@@ -331,6 +341,8 @@ int main(int argc, char** argv) {
                 reg_share[0].interpreted(), reg_share[1].interpreted());
     std::printf("  memory faults (FT, hsiao, 400 trials): %.4f -> %.4f\n",
                 mem_share[0].interpreted(), mem_share[1].interpreted());
+    std::printf("  memory faults replayed in one step (net effect): %.4f\n",
+                static_cast<double>(one_step_trials) / 400.0);
   }
 
   // Device construction: every campaign worker builds one per start and
@@ -403,9 +415,11 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  \"interpreted_share\": {\"register_faults\": {\"whole_segments\": %.4f, "
                  "\"windows\": %.4f, \"trials\": %zu},\n    \"memory_faults_hsiao\": "
-                 "{\"whole_segments\": %.4f, \"windows\": %.4f, \"trials\": 400}},\n",
+                 "{\"whole_segments\": %.4f, \"windows\": %.4f, \"one_step_trials\": %.4f, "
+                 "\"trials\": 400}},\n",
                  reg_share[0].interpreted(), reg_share[1].interpreted(), specs.size(),
-                 mem_share[0].interpreted(), mem_share[1].interpreted());
+                 mem_share[0].interpreted(), mem_share[1].interpreted(),
+                 static_cast<double>(one_step_trials) / 400.0);
     std::fprintf(f, "  \"device_init_us\": %.2f,\n", device_init_us);
     std::fprintf(f, "  \"launch_overhead_us\": %.3f,\n", launch_overhead_us);
     std::fprintf(f, "  \"deterministic\": %s\n}\n", deterministic ? "true" : "false");

@@ -184,6 +184,10 @@ struct LaunchResult {
   /// slices skipped, and the suffixes of slices that rejoined (DESIGN §10).
   /// The same kind of diagnostic as replayed_segments.
   std::uint64_t replayed_instructions = 0;
+  /// The launch took the journal's net effect in one step and ran no block
+  /// (DESIGN §10); every segment then counts as replayed.  The same kind of
+  /// diagnostic as replayed_segments.
+  bool replayed_in_one_step = false;
 };
 
 /// FI filter of the hook contract (see LaunchHooks::fi_filter).
@@ -279,18 +283,24 @@ struct LaunchOptions {
   /// arguments, protection and memory geometry (anything else throws
   /// std::invalid_argument); memory may differ in any way.  A serial flat
   /// Threaded launch without hooks, or whose hooks report a non-Generic
-  /// fi_filter(), then applies every segment whose thread has not diverged,
-  /// fits this launch's watchdog, touches no DeviceMemory::latent_pairs()
-  /// word, finds its first reads unchanged and, in the armed thread before
-  /// its fault fired, ends before the armed occurrence.  It interprets the
-  /// rest, each slice only from the journal's last snapshot before the
-  /// slice's first possible difference, and hands a slice back to the
-  /// journal at a later snapshot whose state it reproduces (DESIGN §10).
-  /// The LaunchResult and memory (check bytes included) equal a full
-  /// launch's; the hook calls of applied segments and skipped or rejoined
-  /// parts (detector checks, ControlBlock counters and outliers) do not
-  /// happen, and skipped armed-site occurrences reach the hooks as one
-  /// LaunchHooks::fi_skipped call.
+  /// fi_filter(), then takes the journal's net effect in one step when it is
+  /// not Armed and provably cannot differ from the golden run: the largest
+  /// golden budget fits its watchdog, every latent pair the golden launch
+  /// touches corrects to its launch-start words (it is scrubbed, one
+  /// correction each), and no other word that differs from the launch-start
+  /// image is touched.  Otherwise it applies every segment whose thread has
+  /// not diverged, fits this launch's watchdog, touches no
+  /// DeviceMemory::latent_pairs() word, finds its first reads unchanged
+  /// and, in the armed thread before its fault fired, ends before the armed
+  /// occurrence.  It interprets the rest, each slice only from the
+  /// journal's last snapshot before the slice's first possible difference,
+  /// and hands a slice back to the journal at a later snapshot whose state
+  /// it reproduces (DESIGN §10).  The LaunchResult and memory (check bytes
+  /// included) equal a full launch's; the hook calls of applied segments,
+  /// of a one-step launch and of skipped or rejoined parts (detector
+  /// checks, ControlBlock counters and outliers) do not happen, and skipped
+  /// armed-site occurrences reach the hooks as one LaunchHooks::fi_skipped
+  /// call.
   const LaunchJournal* journal = nullptr;
 };
 

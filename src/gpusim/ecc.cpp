@@ -1,5 +1,7 @@
 #include "gpusim/ecc.hpp"
 
+#include <bit>
+
 namespace hauberk::gpusim::ecc {
 
 namespace {
@@ -40,6 +42,14 @@ consteval Code make_code(std::array<std::uint8_t, kDataBits> data_cols) {
       if ((data_cols[static_cast<std::size_t>(i)] >> j) & 1u) mask |= 1ull << i;
     c.row[static_cast<std::size_t>(j)] = mask;
   }
+  // Byte-sliced encode: entry v of byte i XORs the columns of v's set bits.
+  for (std::size_t i = 0; i < c.byte.size(); ++i)
+    for (unsigned v = 0; v < 256; ++v) {
+      std::uint8_t check = 0;
+      for (unsigned b = 0; b < 8; ++b)
+        if ((v >> b) & 1u) check ^= data_cols[i * 8 + b];
+      c.byte[i][v] = check;
+    }
   for (auto& e : c.locate) e = kUncorrectable;
   c.locate[0] = kNoError;
   for (int k = 0; k < kCodeBits; ++k)

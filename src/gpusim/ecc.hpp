@@ -26,13 +26,16 @@
 // flagged uncorrectable.  The exhaustive sweeps in tests/test_ecc.cpp walk
 // all 72 single flips and all 72*71/2 double flips per scheme to pin this.
 //
-// Encoding is systematic: the stored check byte is just encode(data), one
-// 64-bit parity (popcount) per check bit.  The syndrome of a stored pair is
-// encode(data) ^ check; decode() is a 256-entry table lookup.
+// Encoding is systematic: the stored check byte is encode(data), one 64-bit
+// parity per H-matrix row.  The codes are linear, so encode(data) is the XOR
+// of the columns of its set bits, and encode() computes it byte-sliced: an
+// XOR of eight lookups in a per-code 8x256 table of those partial XORs
+// (tests/test_ecc.cpp checks it against the row parities).  The syndrome of
+// a stored pair is encode(data) ^ check; decode() is a 256-entry table
+// lookup.
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <string_view>
 
@@ -48,23 +51,27 @@ constexpr int kCodeBits = 72;   ///< total code bits a fault can land in
 constexpr std::int8_t kNoError = -1;        ///< decode: syndrome zero
 constexpr std::int8_t kUncorrectable = -2;  ///< decode: double (or worse) error
 
-/// One scheme's tables: H-matrix rows for encoding, per-bit syndrome columns
-/// for the tests/injector, and the syndrome -> code-bit locate table.
+/// One scheme's tables: H-matrix rows (the encoding's definition), per-bit
+/// syndrome columns for the tests/injector, the byte-sliced encode table and
+/// the syndrome -> code-bit locate table.
 struct Code {
   std::array<std::uint64_t, kCheckBits> row;  ///< data bits feeding check bit j
   std::array<std::uint8_t, kCodeBits> column; ///< syndrome of a flip at code bit k
+  /// byte[i][v]: check byte of the data word whose byte i is v, all else zero.
+  std::array<std::array<std::uint8_t, 256>, kDataBits / 8> byte;
   std::array<std::int8_t, 256> locate;        ///< syndrome -> code bit / kNoError / kUncorrectable
 };
 
 /// The tables for a real scheme (must not be called with Scheme::None).
 [[nodiscard]] const Code& code(Scheme scheme) noexcept;
 
-/// Check byte for a 64-bit data word: one parity per H-matrix row.
+/// Check byte for a 64-bit data word: one parity per H-matrix row, as the
+/// XOR of its bytes' table entries (the code is linear).
 [[nodiscard]] constexpr std::uint8_t encode(const Code& c, std::uint64_t data) noexcept {
-  std::uint8_t check = 0;
-  for (int j = 0; j < kCheckBits; ++j)
-    check |= static_cast<std::uint8_t>((std::popcount(data & c.row[j]) & 1) << j);
-  return check;
+  return static_cast<std::uint8_t>(
+      c.byte[0][data & 0xff] ^ c.byte[1][(data >> 8) & 0xff] ^ c.byte[2][(data >> 16) & 0xff] ^
+      c.byte[3][(data >> 24) & 0xff] ^ c.byte[4][(data >> 32) & 0xff] ^
+      c.byte[5][(data >> 40) & 0xff] ^ c.byte[6][(data >> 48) & 0xff] ^ c.byte[7][data >> 56]);
 }
 
 struct Decoded {

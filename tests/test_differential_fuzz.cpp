@@ -353,6 +353,9 @@ struct FiArm {
   bool generic = false;  ///< the injector reports Generic: the unspecialized stream
   /// Golden journal to replay (LaunchOptions::journal); null = full launch.
   const gpusim::LaunchJournal* journal = nullptr;
+  /// Off: the injector stays disarmed (its filter is None), so a replay may
+  /// take the journal's net effect in one step.
+  bool armed = true;
 };
 
 /// A change to memory after staging: `mask` XORed raw into word `idx` (a
@@ -444,7 +447,7 @@ EngineRun run_engine(const BytecodeProgram& prog, const FuzzProgram& fp,
     core::ControlBlock* const cbp = with_cb ? &cb : nullptr;
     injector = fi->generic ? std::make_unique<GenericInjector>(prog, cbp)
                            : std::make_unique<swifi::InjectingHooks>(prog, cbp);
-    injector->arm(fi->spec);
+    if (fi->armed) injector->arm(fi->spec);
     opts.hooks = injector.get();
     opts.watchdog_instructions = fi->watchdog;
     opts.journal = fi->journal;
@@ -1272,13 +1275,14 @@ TEST(DifferentialFuzz, EnginesAgreeUnderEccProtection) {
   // through the EDC-checked load/store path (flat_arena() is empty), and
   // must stay bitwise identical on every observable — including the
   // correction counters, the EccUncorrectable status, the scrubbed data
-  // arena, and the shadow check arena.
+  // arena, and the shadow check arena.  So must segment replay of the same
+  // upset launch, with and without the journal's net effect.
   const std::uint64_t seed = env_u64("HAUBERK_FUZZ_SEED", 0xfa57'0005);
   const auto programs =
       static_cast<std::size_t>(env_u64("HAUBERK_FUZZ_PROGRAMS", 400)) / 2;
 
   std::uint64_t corrected = 0;
-  std::size_t uncorrectable_runs = 0;
+  std::size_t uncorrectable_runs = 0, replays = 0, one_step = 0;
   for (std::size_t i = 0; i < programs; ++i) {
     Rng rng = Rng::fork(seed, i);
     ProgramGen gen(rng);
@@ -1286,6 +1290,37 @@ TEST(DifferentialFuzz, EnginesAgreeUnderEccProtection) {
     const BytecodeProgram prog = lower(fp.kernel);
     constexpr auto kProt = gpusim::ecc::Scheme::Hsiao;
     const std::vector<Upset> upsets = read_word_upsets(prog, fp, i);
+    // On a flat device, the upset launch replayed on Threaded against the
+    // clean golden journal, unarmed: with its net effect (one step where
+    // nothing can differ) and without it (segment by segment).  Both must
+    // equal the reference's full launch.
+    const auto replay = [&](gpusim::ecc::Scheme scheme, const EngineRun& oracle,
+                            const char* one_phase, const char* seg_phase) {
+      if (fp.mem_model != gpusim::MemoryModel::FlatGpu) return;
+      const std::vector<Upset> clean;
+      gpusim::LaunchJournal golden;
+      if (run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false, false, scheme, nullptr,
+                     &golden, &clean)
+              .res.status != gpusim::LaunchStatus::Ok)
+        return;
+      gpusim::LaunchJournal per_segment = golden;
+      per_segment.net = {};
+      FiArm unarmed;
+      unarmed.armed = false;
+      unarmed.journal = &golden;
+      const EngineRun one =
+          run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false, false, scheme, &unarmed,
+                     nullptr, &upsets);
+      expect_identical(oracle, one, fp, i, one_phase);
+      unarmed.journal = &per_segment;
+      const EngineRun seg =
+          run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false, false, scheme, &unarmed,
+                     nullptr, &upsets);
+      expect_identical(oracle, seg, fp, i, seg_phase);
+      EXPECT_FALSE(seg.res.replayed_in_one_step) << "program " << i;
+      ++replays;
+      one_step += one.res.replayed_in_one_step;
+    };
 
     const EngineRun ref = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false, false,
                                      kProt, nullptr, nullptr, &upsets);
@@ -1295,14 +1330,18 @@ TEST(DifferentialFuzz, EnginesAgreeUnderEccProtection) {
     const EngineRun san =
         run_engine(prog, fp, kSanitized, i, false, false, kProt, nullptr, nullptr, &upsets);
     expect_identical(ref, san, fp, i, "ecc sanitizer");
+    replay(kProt, ref, "ecc replayed in one step", "ecc replayed per segment");
 
-    // Hamming spot check on a slice: same contract, different H matrix.
+    // Hamming spot check on a slice: same contract, different H matrix (and
+    // so different correctable syndromes for the one-step rule).
     if (i % 11 == 0) {
       const EngineRun hr = run_engine(prog, fp, gpusim::ExecEngine::Reference, i, false, false,
                                       gpusim::ecc::Scheme::Hamming, nullptr, nullptr, &upsets);
       const EngineRun ht = run_engine(prog, fp, gpusim::ExecEngine::Threaded, i, false, false,
                                       gpusim::ecc::Scheme::Hamming, nullptr, nullptr, &upsets);
       expect_identical(hr, ht, fp, i, "ecc hamming");
+      replay(gpusim::ecc::Scheme::Hamming, hr, "ecc hamming replayed in one step",
+             "ecc hamming replayed per segment");
     }
 
     corrected += ref.ecc_corrected;
@@ -1312,6 +1351,8 @@ TEST(DifferentialFuzz, EnginesAgreeUnderEccProtection) {
   // The corpus must actually exercise both halves of the SEC-DED contract.
   EXPECT_GT(corrected, 0u) << "no planted fault was ever corrected";
   EXPECT_GT(uncorrectable_runs, 0u) << "no double-bit fault was ever detected";
+  EXPECT_GT(one_step, 0u) << "no replay took the net effect in one step";
+  EXPECT_LT(one_step, replays) << "every replay took the net effect in one step";
 }
 
 TEST(DifferentialFuzz, ProtectionNoneCampaignMatchesPinnedGoldens) {

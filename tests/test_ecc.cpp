@@ -13,7 +13,10 @@
 
 #include <bit>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "gpusim/ecc.hpp"
 #include "gpusim/memory.hpp"
 #include "swifi/campaign.hpp"
@@ -72,6 +75,33 @@ TEST(EccCode, GoldenCheckBytesHsiao) {
                                  0xD7, 0x0F, 0xD2, 0x42, 0x65};
   for (std::size_t i = 0; i < std::size(kPatterns); ++i)
     EXPECT_EQ(ecc::encode(c, kPatterns[i]), golden[i]) << "pattern " << i;
+}
+
+TEST(EccCode, ByteSlicedEncodeMatchesRowParities) {
+  // encode() XORs eight byte-table entries; its definition is one parity per
+  // H-matrix row.  The two must agree on every single-bit word (each data
+  // column) and on random words, for both schemes.
+  const auto parities = [](const ecc::Code& c, std::uint64_t data) {
+    std::uint8_t check = 0;
+    for (int j = 0; j < ecc::kCheckBits; ++j)
+      check |= static_cast<std::uint8_t>((std::popcount(data & c.row[j]) & 1) << j);
+    return check;
+  };
+  for (const auto scheme : kSchemes) {
+    const ecc::Code& c = ecc::code(scheme);
+    for (int k = 0; k < ecc::kDataBits; ++k) {
+      EXPECT_EQ(ecc::encode(c, 1ull << k), parities(c, 1ull << k))
+          << ecc::scheme_name(scheme) << " bit " << k;
+      EXPECT_EQ(ecc::encode(c, 1ull << k), c.column[k])
+          << ecc::scheme_name(scheme) << " bit " << k;
+    }
+    hauberk::common::Rng rng(0xecc0 + static_cast<std::uint64_t>(scheme));
+    for (int i = 0; i < 4096; ++i) {
+      const std::uint64_t data = rng.next_u64();
+      ASSERT_EQ(ecc::encode(c, data), parities(c, data))
+          << ecc::scheme_name(scheme) << " data " << data;
+    }
+  }
 }
 
 TEST(EccCode, ColumnsAreDistinctAndOddWeight) {
@@ -361,6 +391,69 @@ TEST_P(ProtectedMem, RestoreTrialWithoutCheckImageReencodes) {
   ASSERT_TRUE(mem.load(base, out));
   EXPECT_EQ(out, 0xAAu);
   EXPECT_EQ(mem.ecc_corrected(), 0u);
+}
+
+TEST_P(ProtectedMem, CopyOutCorrectsLatentPairsInsideTheRangeOnly) {
+  // copy_out corrects every pair with a word inside the range (straddling
+  // pairs included) as a per-word read would, and leaves the others latent.
+  DeviceMemory mem(MemoryModel::FlatGpu, 1u << 12, GetParam());
+  const auto base = mem.alloc(16);
+  std::vector<std::uint32_t> vals(16);
+  for (std::uint32_t i = 0; i < 16; ++i) vals[i] = 0x1000u * (i + 1) + i;
+  mem.copy_in(base, vals);
+  const auto chk = mem.check_image();
+  mem.corrupt_word(base + 1, 0x10u);   // pair 0: straddles the range start
+  mem.corrupt_check(base + 4, 0x8u);   // pair 2: inside
+  mem.corrupt_word(base + 8, 0x1u);    // pair 4: straddles the range end
+  mem.corrupt_word(base + 12, 0x4u);   // pair 6: outside
+  std::vector<std::uint32_t> out(8);
+  mem.copy_out(base + 1, out);
+  EXPECT_EQ(out, std::vector<std::uint32_t>(vals.begin() + 1, vals.begin() + 9));
+  EXPECT_EQ(mem.ecc_corrected(), 3u);
+  ASSERT_EQ(mem.latent_pairs().size(), 1u);
+  EXPECT_EQ(mem.latent_pairs()[0], (base + 12) / 2);
+  EXPECT_EQ(mem.image()[base + 12], vals[12] ^ 0x4u);  // still upset
+  std::vector<std::uint32_t> all(16);
+  mem.copy_out(base, all);
+  EXPECT_EQ(all, vals);
+  EXPECT_EQ(mem.ecc_corrected(), 4u);
+  EXPECT_EQ(mem.check_image(), chk);
+}
+
+TEST_P(ProtectedMem, CopyOutThrowsAtTheFirstUncorrectablePair) {
+  // Pairs are corrected in address order up to the first uncorrectable one,
+  // which throws with the uncorrectable flag raised; later pairs stay latent.
+  DeviceMemory mem(MemoryModel::FlatGpu, 1u << 12, GetParam());
+  const auto base = mem.alloc(8);
+  const std::uint32_t vals[] = {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u};
+  mem.copy_in(base, vals);
+  mem.corrupt_word(base + 6, 0x1u);  // correctable, above the bad pair
+  mem.corrupt_word(base + 2, 0x6u);  // uncorrectable
+  mem.corrupt_word(base, 0x100u);    // correctable, below it
+  std::vector<std::uint32_t> out(8);
+  EXPECT_THROW(mem.copy_out(base, out), std::out_of_range);
+  EXPECT_TRUE(DeviceMemory::last_fault_uncorrectable());
+  EXPECT_EQ(mem.ecc_corrected(), 1u);
+  EXPECT_EQ(mem.ecc_uncorrectable(), 1u);
+  std::vector<std::uint32_t> below(2);
+  mem.copy_out(base, below);
+  EXPECT_EQ(below, std::vector<std::uint32_t>({1u, 2u}));
+  EXPECT_EQ(mem.ecc_corrected(), 1u);  // corrected by the throwing copy already
+  std::vector<std::uint32_t> above(2);
+  mem.copy_out(base + 6, above);
+  EXPECT_EQ(above, std::vector<std::uint32_t>({7u, 8u}));
+  EXPECT_EQ(mem.ecc_corrected(), 2u);
+}
+
+TEST_P(ProtectedMem, CopyOutOfRangeThrowsAsAnAddressFault) {
+  DeviceMemory mem(MemoryModel::FlatGpu, 1u << 12, GetParam());
+  (void)mem.alloc(8);
+  std::vector<std::uint32_t> out(4);
+  EXPECT_THROW(mem.copy_out((1u << 12) - 2, out), std::out_of_range);
+  EXPECT_FALSE(DeviceMemory::last_fault_uncorrectable());
+  EXPECT_THROW(mem.copy_out(~std::uint32_t{0}, out), std::out_of_range);
+  EXPECT_NO_THROW(mem.copy_out((1u << 12) - 4, out));
+  EXPECT_NO_THROW(mem.copy_out(~std::uint32_t{0}, std::span<std::uint32_t>{}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, ProtectedMem,
