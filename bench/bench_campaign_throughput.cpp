@@ -269,6 +269,37 @@ int main(int argc, char** argv) {
     std::printf("  reference / threaded: %.2fx\n",
                 record_ms["reference"][1] / record_ms["threaded"][1]);
   }
+  // A single-bit memory-fault campaign's golden run — the FT build under its
+  // control block on a Hsiao device — records only the net effect: its
+  // median and IQR next to the full journal's of the same launch (11 runs
+  // each on a warm threaded device, the two kinds alternating).
+  {
+    gpusim::DeviceProps hsiao;
+    hsiao.protection = gpusim::ecc::Scheme::Hsiao;
+    auto ft_cb = core::make_configured_control_block(ctx.variants.ft, ctx.profile);
+    gpusim::Device dev(hsiao);
+    auto job = ctx.workload->make_job(ctx.dataset);
+    std::array<std::vector<double>, 2> ms;  // full, net effect
+    for (int i = 0; i < 12; ++i)
+      for (const int k : {0, 1}) {
+        const double s = seconds([&] {
+          (void)swifi::golden_run(dev, ctx.variants.ft, *job, ft_cb.get(), 1,
+                                  k ? swifi::GoldenJournal::NetEffect : swifi::GoldenJournal::Full);
+        });
+        if (i > 0) ms[k].push_back(1e3 * s);
+      }
+    std::printf("golden recording (FT build, control block, hsiao, threaded, 11 runs):\n");
+    for (const int k : {0, 1}) {
+      std::sort(ms[k].begin(), ms[k].end());
+      const std::array<double, 3> q = {ms[k][ms[k].size() / 4], ms[k][ms[k].size() / 2],
+                                       ms[k][3 * ms[k].size() / 4]};
+      const char* name = k ? "net_effect" : "full_record";
+      record_ms[name] = q;
+      std::printf("  %-11s %.3f ms (IQR %.3f-%.3f)\n", name, q[1], q[0], q[2]);
+    }
+    std::printf("  net effect / full journal: %.2f\n",
+                record_ms["net_effect"][1] / record_ms["full_record"][1]);
+  }
 
   // Interpreted-instruction share of replayed trials (DESIGN §10): the
   // campaign's register faults on the FI&FT build, and 400 single-bit
@@ -412,6 +443,8 @@ int main(int argc, char** argv) {
                    en.c_str(), q[1], q[2] - q[0], ++i < record_ms.size() ? "," : "");
     std::fprintf(f, "  },\n  \"record_speedup_threaded_vs_reference\": %.4f,\n",
                  record_ms.at("reference")[1] / record_ms.at("threaded")[1]);
+    std::fprintf(f, "  \"net_effect_vs_full_record\": %.4f,\n",
+                 record_ms.at("net_effect")[1] / record_ms.at("full_record")[1]);
     std::fprintf(f,
                  "  \"interpreted_share\": {\"register_faults\": {\"whole_segments\": %.4f, "
                  "\"windows\": %.4f, \"trials\": %zu},\n    \"memory_faults_hsiao\": "

@@ -17,7 +17,9 @@
 // segments, first-read and write entries, the net effect's written words,
 // its size, and the share of segments a disarmed replay of the same launch
 // applies (all of them, in one step, unless the journal and the engine
-// disagree).
+// disagree); then each build's net-effect journal on a Hsiao device (what a
+// single-bit memory-fault campaign records): its touched words, net words
+// and size next to the full journal's.
 //
 // --print-passes shows the pass pipeline composed for the selected library
 // mode plus the structured remarks each pass emitted (detector placed or
@@ -303,6 +305,32 @@ void print_journal(const workloads::Workload& w, const core::KernelVariants& v) 
                            std::to_string(gaps.empty() ? 0 : *std::max_element(gaps.begin(), gaps.end()));
     std::printf("  %-9s %-10zu %-18s %-20s %-9u %.1f\n", name, t.list.size(), pt.c_str(),
                 sp.c_str(), t.width, static_cast<double>(t.bytes()) / 1024.0);
+  }
+
+  // Net-effect journals: recorded on a Hsiao device, as a single-bit
+  // memory-fault campaign's golden run records them, next to the full
+  // journal of the same launch.
+  std::printf("net-effect journals (hsiao device, single-bit memory-fault campaigns):\n");
+  std::printf("  %-9s %-9s %-10s %-10s %-10s %s\n", "variant", "touched", "net-words", "KiB",
+              "full-KiB", "segments");
+  gpusim::DeviceProps hsiao;
+  hsiao.protection = gpusim::ecc::Scheme::Hsiao;
+  for (const auto& r : variant_rows(v)) {
+    if (r.p == &v.profiler) continue;
+    gpusim::Device dev(hsiao);
+    auto job = w.make_job(ds);
+    const swifi::GoldenRun net =
+        swifi::golden_run(dev, *r.p, *job, nullptr, 1, swifi::GoldenJournal::NetEffect);
+    const swifi::GoldenRun full = swifi::golden_run(dev, *r.p, *job, nullptr, 1);
+    if (!net.journal || !full.journal) {
+      std::printf("  %-9s (no journal)\n", r.name);
+      continue;
+    }
+    const gpusim::LaunchJournal& j = *net.journal;
+    std::printf("  %-9s %-9zu %-10zu %-10.1f %-10.1f %llu\n", r.name, j.touched.size(),
+                j.net.words.size(), static_cast<double>(j.bytes()) / 1024.0,
+                static_cast<double>(full.journal->bytes()) / 1024.0,
+                static_cast<unsigned long long>(j.net.segments));
   }
 }
 

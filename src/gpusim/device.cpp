@@ -1,6 +1,7 @@
 #include "gpusim/device.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -512,6 +513,8 @@ class JournalRecorder {
     j_.global_index = sort_by_addr(global);
     j_.global_index.erase(std::unique(j_.global_index.begin(), j_.global_index.end()),
                           j_.global_index.end());
+    for (const J::Access& a : j_.global_index)
+      if (j_.touched.empty() || j_.touched.back() != a.addr) j_.touched.push_back(a.addr);
   }
 
  private:
@@ -652,10 +655,44 @@ class JournalRecorder {
   std::vector<std::uint32_t> snap_first_, snap_regs_, snap_counts_, end_counts_;
 };
 
-/// One past the highest address in `j`'s global reader index: no segment
-/// reads or writes a global word at or above it.
+/// Builds a net-effect journal during a serial launch, fed by the reference
+/// interpreter's global accesses or a net-effect stream's Rec* ops: which
+/// global words the launch touched and which it wrote, as bitmaps grown to
+/// the highest address seen.
+class TouchRecorder {
+ public:
+  void load(std::uint32_t addr) { set(touched_, addr); }
+  void write(std::uint32_t addr) {
+    set(touched_, addr);
+    set(written_, addr);
+  }
+  /// Fill `j`'s touched words, and its net words with their final values in
+  /// `words`, both in address order.
+  void finish(LaunchJournal& j, std::span<const std::uint32_t> words) const {
+    for_each(touched_, [&](std::uint32_t addr) { j.touched.push_back(addr); });
+    for_each(written_, [&](std::uint32_t addr) { j.net.words.push_back({addr, words[addr]}); });
+  }
+
+ private:
+  static void set(std::vector<std::uint64_t>& bits, std::uint32_t addr) {
+    const std::size_t w = addr / 64;
+    if (w >= bits.size()) bits.resize(std::max(w + 1, 2 * bits.size()), 0);
+    bits[w] |= std::uint64_t{1} << (addr % 64);
+  }
+  template <class F>
+  static void for_each(const std::vector<std::uint64_t>& bits, const F& f) {
+    for (std::size_t w = 0; w < bits.size(); ++w)
+      for (std::uint64_t b = bits[w]; b != 0; b &= b - 1)
+        f(static_cast<std::uint32_t>(w * 64 + static_cast<std::size_t>(std::countr_zero(b))));
+  }
+
+  std::vector<std::uint64_t> touched_, written_;
+};
+
+/// One past the highest global word `j`'s launch touched: no segment reads
+/// or writes a global word at or above it.
 std::uint32_t indexed_end(const LaunchJournal& j) noexcept {
-  return j.global_index.empty() ? 0 : j.global_index.back().addr + 1;
+  return j.touched.empty() ? 0 : j.touched.back() + 1;
 }
 
 /// The launch-start diff (DESIGN §10): every global word below
@@ -681,20 +718,19 @@ std::vector<std::uint32_t> start_diff(const LaunchJournal& j, std::span<const st
   return diff;
 }
 
-/// Whether some segment of `j` first-reads or writes global word `addr`.
+/// Whether `j`'s launch touched (some segment first-reads or writes) global
+/// word `addr`.
 bool indexed(const LaunchJournal& j, std::uint32_t addr) noexcept {
-  return std::binary_search(j.global_index.begin(), j.global_index.end(),
-                            LaunchJournal::Access{addr, 0, 0}, addr_less);
+  return std::binary_search(j.touched.begin(), j.touched.end(), addr);
 }
 
-/// Fill `j`'s net effect from its just-recorded launch: the final value in
-/// `words` of every global word with a writer entry.
-void record_net_effect(LaunchJournal& j, std::span<const std::uint32_t> words) {
+/// Fill a full journal's net words from its just-recorded launch: the final
+/// value in `words` of every global word with a writer entry.
+void record_net_words(LaunchJournal& j, std::span<const std::uint32_t> words) {
   std::vector<LaunchJournal::Word>& net = j.net.words;
   for (const LaunchJournal::Access& a : j.global_index)
     if (a.read == LaunchJournal::kWrite && (net.empty() || net.back().addr != a.addr))
       net.push_back({a.addr, words[a.addr]});
-  j.net.recorded = true;
 }
 
 /// Whether an unarmed replaying launch can take `j`'s net effect in one step
@@ -703,10 +739,10 @@ void record_net_effect(LaunchJournal& j, std::span<const std::uint32_t> words) {
 /// (those pairs go to `scrub`), and no other word of the launch-start diff
 /// `diff` is touched.  Then, by induction over the serial schedule, every
 /// first read returns its golden value, so every segment would apply.
-bool net_effect_applies(const LaunchJournal& j, const LaunchJournal::Totals& totals,
-                        const DeviceMemory& mem, std::span<const std::uint32_t> diff,
-                        std::uint64_t watchdog, std::vector<std::uint32_t>& scrub) {
-  if (totals.max_budget - 1 > watchdog) return false;
+bool net_effect_applies(const LaunchJournal& j, const DeviceMemory& mem,
+                        std::span<const std::uint32_t> diff, std::uint64_t watchdog,
+                        std::vector<std::uint32_t>& scrub) {
+  if (j.net.totals.max_budget - 1 > watchdog) return false;
   const auto golden = [&](std::uint32_t addr) {
     return addr < j.start_image.size() ? j.start_image[addr] : 0u;
   };
@@ -989,7 +1025,7 @@ class BlockExec {
             const kir::DecodedProgram& decoded, const kir::ThreadedProgram* threaded,
             const kir::FIFilter& fi, std::uint32_t block_linear,
             std::vector<SanitizerReport>* report_sink, const LaunchJournal* journal,
-            DeltaSet* delta, JournalRecorder* recorder)
+            DeltaSet* delta, JournalRecorder* recorder, TouchRecorder* touch)
       : dev_(dev), prog_(prog), cfg_(cfg), opts_(opts), costs_(costs),
         tcode_(threaded && !threaded->code.empty() ? threaded->code.data() : nullptr),
         fi_thread_(fi.thread),
@@ -999,6 +1035,7 @@ class BlockExec {
         journal_(journal),
         delta_(delta),
         rec_(recorder),
+        touch_(touch),
         sites_(decoded.sanitizer_sites.data()),
         block_linear_(block_linear),
         sm_(block_linear % dev.props().num_sms),
@@ -1028,6 +1065,9 @@ class BlockExec {
   /// Instructions replay took from the journal instead of interpreting:
   /// applied segments, skipped prefixes and rejoined suffixes.
   std::uint64_t replayed_instructions = 0;
+  /// Recording launches: the segments (thread slices) the block ran, and the
+  /// largest watchdog budget any of its threads used.
+  std::uint64_t slices = 0, max_budget = 0;
 
   [[nodiscard]] std::uint64_t sanitizer_dropped() const noexcept {
     return shadow_ ? shadow_->dropped() : 0;
@@ -1112,6 +1152,7 @@ class BlockExec {
   /// by run_thread and the stream's Rec* ops.
   DeltaSet* delta_;
   JournalRecorder* rec_;          ///< non-null on a recording launch
+  TouchRecorder* touch_;          ///< non-null on a launch recording only the net effect
   const std::uint32_t* sites_;    ///< per-pc sanitizer site ids (all engines)
   std::uint32_t block_linear_, sm_, bx_, by_, threads_per_block_;
   std::vector<std::uint32_t> shared_;
@@ -1234,7 +1275,10 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
           finish();
           return ThreadStop::Crash;
         }
-        if (rec_) rec_->global_load(addr, regs[in.dst]);
+        if (rec_)
+          rec_->global_load(addr, regs[in.dst]);
+        else if (touch_)
+          touch_->load(addr);
         break;
       }
       case OpCode::StoreG:
@@ -1247,6 +1291,8 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
           rec_->global_store(regs[in.a], regs[in.b]);
         else if (delta_)
           delta_->global_write(regs[in.a], regs[in.b], LaunchJournal::WriteKind::Store);
+        else if (touch_)
+          touch_->write(regs[in.a]);
         break;
       case OpCode::LoadS:
       case OpCode::StoreS: {
@@ -1298,6 +1344,8 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
           rec_->global_atomic(regs[in.a], regs[in.b], kind, pre);
         else if (delta_)
           delta_->global_write(regs[in.a], regs[in.b], kind);
+        else if (touch_)
+          touch_->write(regs[in.a]);
         break;
       }
       case OpCode::Jmp:
@@ -1390,8 +1438,9 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
 /// Sanitized plans (Device::set_sanitize) run here too: their shared
 /// accesses are the SanLoadS/SanStoreS singles, which report to the shadow
 /// exactly where run_thread does.  So do recording and replaying launches:
-/// their Rec* ops report to the JournalRecorder (or, replaying, to the
-/// delta set) where run_thread does.
+/// their Rec* ops report to the JournalRecorder (recording only the net
+/// effect, to the TouchRecorder; replaying, to the delta set) where
+/// run_thread does.
 /// Launches that profile execution counts,
 /// cost SIMT serialization or carry a hardware fault model run on
 /// run_thread instead (see Device::launch), so instrumentation semantics
@@ -1840,9 +1889,10 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     T_NEXT();
   }
 
-  // Recorded accesses (recording and write-tracking streams): the LoadG/
-  // StoreG/LoadS/StoreS/AtomicAdd bodies, then the access reported at
-  // run_thread's points (after it succeeded) to the recorder, or — in a
+  // Recorded accesses (recording, net-effect and write-tracking streams):
+  // the LoadG/StoreG/LoadS/StoreS/AtomicAdd bodies, then the access reported
+  // at run_thread's points (after it succeeded) to the recorder, the touch
+  // recorder (a net-effect stream has no shared Rec ops), or — in a
   // replaying launch, whose stream has no Rec loads — to the delta set.
   // Each comes accounted (PRE = T_STEP1, crash exit T_CRASH) and naked
   // inside a run (PRE = ++pc, crash exit T_NK_CRASH with its refund).
@@ -1856,7 +1906,10 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     } else if (!mem.load(addr, regs[in->dst])) {                                   \
       CRASH(mem_fail_status());                                                    \
     }                                                                              \
-    rec_->global_load(addr, regs[in->dst]);                                        \
+    if (rec_)                                                                      \
+      rec_->global_load(addr, regs[in->dst]);                                      \
+    else                                                                           \
+      touch_->load(addr);                                                          \
     T_NEXT();                                                                      \
   }
 #define T_REC_STOREG(PRE, CRASH)                                                   \
@@ -1871,10 +1924,12 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     } else if (!mem.store(addr, value)) {                                          \
       CRASH(mem_fail_status());                                                    \
     }                                                                              \
-    if (rec_)                                                                      \
+    if (delta_)                                                                    \
+      delta_->global_write(addr, value, LaunchJournal::WriteKind::Store);          \
+    else if (rec_)                                                                 \
       rec_->global_store(addr, value);                                             \
     else                                                                           \
-      delta_->global_write(addr, value, LaunchJournal::WriteKind::Store);          \
+      touch_->write(addr);                                                         \
     T_NEXT();                                                                      \
   }
 #define T_REC_LOADS(PRE, CRASH)                                                    \
@@ -1919,10 +1974,12 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
         CRASH(mem_fail_status());                                                  \
       }                                                                            \
     }                                                                              \
-    if (rec_)                                                                      \
+    if (delta_)                                                                    \
+      delta_->global_write(addr, addend, KIND);                                    \
+    else if (rec_)                                                                 \
       rec_->global_atomic(addr, addend, KIND, pre);                                \
     else                                                                           \
-      delta_->global_write(addr, addend, KIND);                                    \
+      touch_->write(addr);                                                         \
     T_NEXT();                                                                      \
   }
 #define T_ADDI(A, B) \
@@ -2882,6 +2939,10 @@ LaunchStatus BlockExec::run(std::span<const kir::Value> args) {
       const ThreadStop stop = journal_ ? replay_slice(t, crash)
                               : rec_   ? record_segment(t, crash)
                                        : step_thread(t, crash);
+      if (rec_ || touch_) {
+        ++slices;
+        max_budget = std::max(max_budget, t.budget_used);
+      }
       switch (stop) {
         case ThreadStop::Done: ++done; break;
         case ThreadStop::Barrier: ++at_barrier; break;
@@ -3030,12 +3091,13 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
     const kir::BytecodeProgram& program) {
   // The decoded stream is always built alongside the cost vector: decoding
   // is a single O(n) pass (trivial next to the spill analysis), and its
-  // sanitizer site table serves every engine.  The threaded-code stream is
-  // compiled for Threaded plans (with shadow-observing shared accesses when
-  // sanitizing).  A plan is served only to a launch that would build it from
-  // equal inputs, so flipping set_engine() or set_sanitize(), editing
-  // cost_model() or editing the program in place misses once and can never
-  // serve a plan built for another.
+  // sanitizer site table serves every engine.  Threaded-code streams are
+  // compiled by the launches that run them (plain_stream(), fi_stream()): a
+  // campaign worker's launches record, track writes or take one step, and
+  // never run the plain stream.  A plan is served only to a launch that
+  // would build it from equal inputs, so flipping set_engine() or
+  // set_sanitize(), editing cost_model() or editing the program in place
+  // misses once and can never serve a plan built for another.
   {
     std::lock_guard<std::mutex> lk(plan_mu_);
     // Most recent first: a campaign relaunches the program it just ran.
@@ -3053,9 +3115,9 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
   plan->costs = instruction_costs(program, cost_, props_.regs_per_thread,
                                   props_.protection != ecc::Scheme::None);
   plan->decoded = kir::decode_program(program, plan->costs);
-  if (engine_ == ExecEngine::Threaded)
-    plan->threaded =
-        compile_stream(plan->decoded, program.num_slots, kir::FIFilter{}, plain_instr());
+  plan->threaded = engine_ == ExecEngine::Threaded && !plan->decoded.code.empty();
+  for (const kir::DecodedInstr& in : plan->decoded.code)
+    if (in.op == kir::DecodedOp::FIHook) ++plan->fi_hooks;
   PlanEntry entry{program.code, program.num_slots, {}, cost_, engine_, sanitize_, plan};
   entry.detector_types.reserve(program.detectors.size());
   for (const kir::DetectorMeta& d : program.detectors)
@@ -3074,6 +3136,14 @@ kir::ThreadedProgram Device::compile_stream(const kir::DecodedProgram& decoded,
                                props_.memory_model == MemoryModel::FlatGpu &&
                                    props_.protection == ecc::Scheme::None,
                                /*form_runs=*/true, mem, fi);
+}
+
+const kir::ThreadedProgram& Device::plain_stream(const LaunchPlan& plan,
+                                                std::uint16_t num_slots) const {
+  std::call_once(plan.plain_once, [&] {
+    plan.plain = compile_stream(plan.decoded, num_slots, kir::FIFilter{}, plain_instr());
+  });
+  return plan.plain;
 }
 
 std::shared_ptr<const kir::ThreadedProgram> Device::fi_stream(const LaunchPlan& plan,
@@ -3127,9 +3197,8 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
                            props_.memory_model == MemoryModel::FlatGpu && !has_fault() &&
                            !opts.instr_exec_counts && !opts.simt_cost;
   const bool record = opts.record_journal && serial_flat;
-  const bool replay = opts.journal && serial_flat && !record &&
-                      engine_ == ExecEngine::Threaded &&
-                      (!opts.hooks || fi.kind != kir::FIFilter::Kind::Generic);
+  bool replay = opts.journal && serial_flat && !record && engine_ == ExecEngine::Threaded &&
+                (!opts.hooks || fi.kind != kir::FIFilter::Kind::Generic);
   const std::uint64_t journal_key =
       record || replay
           ? journal_fingerprint(plan->key, program, cfg, args, props_.global_mem_words)
@@ -3137,57 +3206,65 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   if (replay && opts.journal->fingerprint != journal_key)
     throw std::invalid_argument(
         "Device::launch: the journal was recorded for a different launch");
-  // A recording launch feeds the recorder.  A replaying one diffs memory
-  // against the launch-start image once: an unarmed launch that provably
-  // cannot differ from the golden run takes the journal's net effect in one
-  // step and runs no block; any other seeds its delta set from the diff and
-  // reports its interpreted writes to it.
+  // A recording launch feeds the recorder, or the touch recorder when it
+  // records only the net effect.  A replaying one diffs memory against the
+  // launch-start image once: an unarmed launch that provably cannot differ
+  // from the golden run takes the journal's net effect in one step and runs
+  // no block; any other seeds its delta set from the diff and reports its
+  // interpreted writes to it — or, against a net-effect journal (no segment
+  // to apply), runs as a plain full launch.
   std::optional<JournalRecorder> recorder;
+  std::optional<TouchRecorder> touch;
   std::optional<DeltaSet> delta;
   bool one_step = false;
   std::vector<std::uint32_t> scrub;  // one step: the touched latent pairs
-  LaunchJournal::Totals totals;      // one step: what it charges
   if (record) {
-    recorder.emplace(*opts.record_journal, program.shared_mem_words,
-                     kir::fi_count_sites(plan->decoded), cfg.total_threads(),
-                     program.num_slots);
+    if (opts.record_net_effect)
+      touch.emplace();
+    else
+      recorder.emplace(*opts.record_journal, program.shared_mem_words,
+                       kir::fi_count_sites(plan->decoded), cfg.total_threads(),
+                       program.num_slots);
     const auto words = mem_->flat_words();
     opts.record_journal->start_image.assign(words.begin(),
                                             words.begin() + mem_->store_watermark());
   } else if (replay) {
     const std::vector<std::uint32_t> diff =
         start_diff(*opts.journal, mem_->flat_words(), mem_->store_watermark());
-    if (fi.kind != kir::FIFilter::Kind::Armed && !opts.journal->net.empty()) {
-      totals = opts.journal->totals();
-      one_step = net_effect_applies(*opts.journal, totals, *mem_, diff,
-                                    opts.watchdog_instructions, scrub);
-    }
-    if (!one_step) {
+    if (fi.kind != kir::FIFilter::Kind::Armed && !opts.journal->net.empty())
+      one_step = net_effect_applies(*opts.journal, *mem_, diff, opts.watchdog_instructions,
+                                    scrub);
+    if (!one_step && opts.journal->segments.empty()) {
+      replay = false;
+    } else if (!one_step) {
       delta.emplace(*opts.journal);
       delta->seed(diff);
     }
   }
 
   // Which interpreter runs this launch.  Plain, sanitized, recording and
-  // replaying launches run the threaded stream (compiled for Threaded plans);
+  // replaying launches run the threaded stream (on Threaded plans);
   // launches that profile execution counts, cost SIMT serialization or carry
   // a hardware fault model — one-off profiling and BIST runs — run on the
   // reference interpreter (stream null), the only place those semantics are
-  // implemented.  A recording launch runs the plan's recording stream, a
-  // replaying one its write-tracking stream, and when the hooks report an FI
-  // filter the stream is also FI-specialized; the specialized stream is held
-  // until the launch returns.
-  const bool threaded = !one_step && !plan->threaded.code.empty() && !opts.instr_exec_counts &&
-                        !opts.simt_cost && !has_fault();
-  const kir::ThreadedProgram* stream = threaded ? &plan->threaded : nullptr;
-  const kir::MemInstr mem_instr = record   ? kir::MemInstr::Record
+  // implemented.  A recording launch runs the plan's recording (or
+  // net-effect) stream, a replaying one its write-tracking stream, and when
+  // the hooks report an FI filter the stream is also FI-specialized; the
+  // specialized stream is held until the launch returns.
+  const bool threaded =
+      !one_step && plan->threaded && !opts.instr_exec_counts && !opts.simt_cost && !has_fault();
+  const kir::MemInstr mem_instr = touch    ? kir::MemInstr::NetEffect
+                                  : record ? kir::MemInstr::Record
                                   : replay ? kir::MemInstr::Writes
                                            : plain_instr();
+  const kir::ThreadedProgram* stream = nullptr;
   std::shared_ptr<const kir::ThreadedProgram> specialized;
   if (threaded && (mem_instr != plain_instr() ||
-                   (fi.kind != kir::FIFilter::Kind::Generic && plan->threaded.fi_hooks > 0))) {
+                   (fi.kind != kir::FIFilter::Kind::Generic && plan->fi_hooks > 0))) {
     specialized = fi_stream(*plan, program.num_slots, fi, mem_instr);
     stream = specialized.get();
+  } else if (threaded) {
+    stream = &plain_stream(*plan, program.num_slots);
   }
   // Corrections are counted by the memory itself (it scrubs each corrupted
   // codeword exactly once); the delta across the launch is this launch's
@@ -3197,6 +3274,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   std::atomic<std::uint32_t> next_block{0};
   std::atomic<std::uint64_t> cycles{0}, loop_cycles{0}, instructions{0}, simt_cycles{0};
   std::atomic<std::uint64_t> reports_dropped{0}, replayed{0}, replayed_instructions{0};
+  std::uint64_t slices = 0, max_budget = 0;  // recording launches, which are serial
   std::atomic<bool> sdc{false};
   std::atomic<int> bad_status{static_cast<int>(LaunchStatus::Ok)};
   std::mutex profile_mu;
@@ -3217,7 +3295,8 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
       if (b >= num_blocks) return;
       BlockExec exec(*this, program, cfg, opts, costs, plan->decoded, stream, fi, b,
                      sanitize_ ? &block_reports[b] : nullptr, replay ? opts.journal : nullptr,
-                     delta ? &*delta : nullptr, recorder ? &*recorder : nullptr);
+                     delta ? &*delta : nullptr, recorder ? &*recorder : nullptr,
+                     touch ? &*touch : nullptr);
       const LaunchStatus st = exec.run(args);
       cycles.fetch_add(exec.cycles, std::memory_order_relaxed);
       loop_cycles.fetch_add(exec.loop_cycles, std::memory_order_relaxed);
@@ -3226,6 +3305,10 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
       reports_dropped.fetch_add(exec.sanitizer_dropped(), std::memory_order_relaxed);
       replayed.fetch_add(exec.replayed, std::memory_order_relaxed);
       replayed_instructions.fetch_add(exec.replayed_instructions, std::memory_order_relaxed);
+      if (record) {
+        slices += exec.slices;
+        max_budget = std::max(max_budget, exec.max_budget);
+      }
       if (exec.sdc) sdc.store(true, std::memory_order_relaxed);
       if (opts.instr_exec_counts) {
         std::lock_guard<std::mutex> lk(profile_mu);
@@ -3245,13 +3328,14 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   };
 
   if (one_step) {
+    const LaunchJournal::NetEffect& net = opts.journal->net;
     apply_net_effect(*opts.journal, *mem_, scrub);
-    instructions = totals.instructions;
-    cycles = totals.cycles;
-    loop_cycles = totals.loop_cycles;
-    sdc = totals.sdc;
-    replayed = opts.journal->segments.size();
-    replayed_instructions = totals.instructions;
+    instructions = net.totals.instructions;
+    cycles = net.totals.cycles;
+    loop_cycles = net.totals.loop_cycles;
+    sdc = net.totals.sdc;
+    replayed = net.segments;
+    replayed_instructions = net.totals.instructions;
   } else if (nw <= 1) {
     worker();
   } else {
@@ -3288,9 +3372,17 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   if (record) {
     // Only a fault-free launch is a golden run worth journaling.
     if (res.status == LaunchStatus::Ok) {
-      recorder->finish(num_blocks, cfg.block_x * cfg.block_y);
-      record_net_effect(*opts.record_journal, mem_->flat_words());
-      opts.record_journal->fingerprint = journal_key;
+      LaunchJournal& j = *opts.record_journal;
+      if (touch) {
+        touch->finish(j, mem_->flat_words());
+      } else {
+        recorder->finish(num_blocks, cfg.block_x * cfg.block_y);
+        record_net_words(j, mem_->flat_words());
+      }
+      j.net.totals = {res.instructions, res.cycles, res.loop_cycles, max_budget, res.sdc_alarm};
+      j.net.segments = slices;
+      j.net.recorded = true;
+      j.fingerprint = journal_key;
     } else {
       *opts.record_journal = LaunchJournal{};
     }

@@ -279,6 +279,12 @@ struct LaunchOptions {
   /// on the device's engine, and both engines record byte-equal journals; it
   /// is the fault-free golden run a campaign makes anyway.
   LaunchJournal* record_journal = nullptr;
+  /// With record_journal: record only the launch's net effect (a net-effect
+  /// journal, gpusim/journal.hpp) — the fingerprint, launch-start image,
+  /// touched words, net words and totals.  The recording stream reports
+  /// only global loads, stores and atomics, and nothing is grouped or
+  /// sorted per segment.
+  bool record_net_effect = false;
   /// A journal recorded by a launch of the same program, LaunchConfig,
   /// arguments, protection and memory geometry (anything else throws
   /// std::invalid_argument); memory may differ in any way.  A serial flat
@@ -300,7 +306,8 @@ struct LaunchOptions {
   /// of a one-step launch and of skipped or rejoined parts (detector
   /// checks, ControlBlock counters and outliers) do not happen, and skipped
   /// armed-site occurrences reach the hooks as one LaunchHooks::fi_skipped
-  /// call.
+  /// call.  A net-effect journal has no segments: a launch that cannot take
+  /// it in one step runs as a plain full launch.
   const LaunchJournal* journal = nullptr;
 };
 
@@ -374,19 +381,25 @@ class Device {
  private:
   /// Everything derived from (program, cost model, register budget, engine,
   /// sanitize, protection) that a launch needs: the per-instruction cost vector
-  /// (reference engine, SIMT costing), the predecoded instruction stream
+  /// (reference engine, SIMT costing) and the predecoded instruction stream
   /// with those costs folded in (threaded-compiler input, sanitizer site
-  /// table), and — for Threaded plans — the threaded-code stream compiled
-  /// from it (empty for Reference).
+  /// table).  Threaded-code streams are compiled from it on demand, by the
+  /// first launch that runs each one.
   struct LaunchPlan {
     std::uint64_t key = 0;  ///< plan fingerprint (folded into journal fingerprints)
     std::vector<std::uint32_t> costs;
     kir::DecodedProgram decoded;
-    kir::ThreadedProgram threaded;
+    bool threaded = false;       ///< launches run the threaded engine (a Threaded plan)
+    std::uint32_t fi_hooks = 0;  ///< FIHook instructions in the program
+    /// The plain stream (Generic filter, the plan's own instrumentation),
+    /// built once, by the first launch that runs it; it lives as long as
+    /// the plan.
+    mutable std::once_flag plain_once;
+    mutable kir::ThreadedProgram plain;
     /// The specialized threaded stream for the most recent FI filter
-    /// (kir::FIFilter::same_stream) and memory instrumentation (recording or
-    /// write-tracking), rebuilt when either changes.  A launch holds its
-    /// shared_ptr for the whole launch.
+    /// (kir::FIFilter::same_stream) and memory instrumentation (recording,
+    /// net-effect or write-tracking), rebuilt when either changes.  A launch
+    /// holds its shared_ptr for the whole launch.
     mutable std::mutex fi_mu;
     mutable kir::FIFilter fi_filter;
     mutable kir::MemInstr fi_mem = kir::MemInstr::None;
@@ -420,6 +433,9 @@ class Device {
                                                     std::uint16_t num_slots,
                                                     const kir::FIFilter& fi,
                                                     kir::MemInstr mem) const;
+  /// The plan's plain stream (built on first use).
+  [[nodiscard]] const kir::ThreadedProgram& plain_stream(const LaunchPlan& plan,
+                                                         std::uint16_t num_slots) const;
   /// The plan's stream specialized to `fi` and `mem` (built or reused under
   /// the plan's lock).
   [[nodiscard]] std::shared_ptr<const kir::ThreadedProgram> fi_stream(

@@ -30,12 +30,19 @@
 // reproduces exactly.  An empty table replays whole segments only.
 //
 // The net effect (DESIGN §10) is the whole launch as one step: every global
-// word it wrote, with its final value.  A replay that provably cannot differ
-// from the golden run (nothing armed, the largest thread budget fits, every
-// latent pair the launch touches corrects to its launch-start words, and no
-// other changed word is touched) writes those words and charges the
-// segments' summed totals without walking any segment.  A cleared net
-// effect replays segment by segment.
+// word it wrote, with its final value, and what the launch charged.  A
+// replay that provably cannot differ from the golden run (nothing armed, the
+// largest thread budget fits, every latent pair the launch touches corrects
+// to its launch-start words, and no other changed word is touched) writes
+// those words and charges the stored totals without walking any segment.  A
+// cleared net effect replays segment by segment.
+//
+// A *net-effect journal* (LaunchOptions::record_net_effect) holds only the
+// fingerprint, the launch-start image, the touched words and the net
+// effect: no segments, snapshots or reader index.  It serves campaigns whose
+// every trial takes one step (single-bit memory strikes under SEC-DED,
+// which always correct to their launch-start words); a replay against it
+// that cannot take one step runs as a plain full launch.
 //
 // Device::launch records a journal on request (LaunchOptions::record_journal)
 // and replays one (LaunchOptions::journal) when the launch is eligible; see
@@ -183,12 +190,27 @@ struct LaunchJournal {
   std::vector<std::uint32_t> shared_index_begin;
   SnapshotTable snapshots;
 
+  /// Every global word some segment first-reads or writes (every word the
+  /// launch loads, stores or updates), sorted: what the one-step rule and
+  /// the launch-start diff ask "does the launch touch this word?" of.
+  std::vector<std::uint32_t> touched;
+
+  /// What the launch charged — its instruction, cycle and loop-cycle totals
+  /// and its SDC bit — and the largest watchdog budget any thread used.
+  struct Totals {
+    std::uint64_t instructions = 0, cycles = 0, loop_cycles = 0, max_budget = 0;
+    bool sdc = false;
+    bool operator==(const Totals&) const = default;
+  };
   /// The launch's net effect (see the header comment): every global word
-  /// the launch wrote, with its final value, in address order.  Its totals,
-  /// SDC bit and largest budget are the segments' (totals()).  A cleared net
-  /// effect (`recorded` false) makes replay go segment by segment.
+  /// the launch wrote, with its final value, in address order; the launch's
+  /// totals and its segment count (a full journal's equal its segments'
+  /// sums, segment_totals()).  A cleared net effect (`recorded` false) makes
+  /// replay go segment by segment.
   struct NetEffect {
     std::vector<Word> words;
+    Totals totals;
+    std::uint64_t segments = 0;
     bool recorded = false;
     bool operator==(const NetEffect&) const = default;
 
@@ -199,15 +221,11 @@ struct LaunchJournal {
   /// Field-wise equality: both engines record equal journals of a launch.
   bool operator==(const LaunchJournal&) const = default;
 
-  [[nodiscard]] bool empty() const noexcept { return segments.empty(); }
-  /// What applying every segment charges — the launch's instruction, cycle
-  /// and loop-cycle totals and its SDC bit — and the largest watchdog budget
-  /// any thread used.
-  struct Totals {
-    std::uint64_t instructions = 0, cycles = 0, loop_cycles = 0, max_budget = 0;
-    bool sdc = false;
-  };
-  [[nodiscard]] Totals totals() const noexcept {
+  /// Nothing was recorded (the launch was not serial and flat, or failed).
+  [[nodiscard]] bool empty() const noexcept { return segments.empty() && net.empty(); }
+  /// What applying every segment charges, and the largest budget after any
+  /// segment: a full journal's net.totals, recomputed.
+  [[nodiscard]] Totals segment_totals() const noexcept {
     Totals t;
     for (const Segment& s : segments) {
       t.instructions += s.instructions;
@@ -230,7 +248,7 @@ struct LaunchJournal {
            start_image.size() * sizeof(std::uint32_t) +
            (global_index.size() + shared_index.size()) * sizeof(Access) +
            shared_index_begin.size() * sizeof(std::uint32_t) + snapshots.bytes() +
-           net.words.size() * sizeof(Word);
+           touched.size() * sizeof(std::uint32_t) + net.words.size() * sizeof(Word);
   }
 };
 

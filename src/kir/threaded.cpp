@@ -22,7 +22,8 @@
 // Memory instrumentation (a MemInstr other than None) changes only the
 // instrumented accesses: pass 1 gives them their San*/Rec* singles, no fused
 // head or tile covers one, and runs keep Rec* accesses as naked Nk_Rec* ops
-// but end at San* ones.
+// but end at San* ones.  A net-effect stream instruments only global
+// accesses and has no snapshot points or counted FIHooks.
 //
 // Recording and write-tracking streams also report snapshot points: every
 // backward Jmp/Jz single is its JmpBk/JzBk form, the AddJmp back-edge
@@ -374,6 +375,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
   // plain access.
   const auto instrumented = [mem](DecodedOp op) {
     const bool rec = mem == MemInstr::Record;
+    const bool global = rec || mem == MemInstr::NetEffect;
     const bool writes = rec || mem == MemInstr::Writes;
     switch (op) {
       case DecodedOp::LoadS:
@@ -382,10 +384,10 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
         return mem == MemInstr::Sanitize ? TOp::SanStoreS
                : writes                  ? TOp::RecStoreS
                                          : TOp::Invalid;
-      case DecodedOp::LoadG: return rec ? TOp::RecLoadG : TOp::Invalid;
-      case DecodedOp::StoreG: return writes ? TOp::RecStoreG : TOp::Invalid;
-      case DecodedOp::AtomicAddF: return writes ? TOp::RecAtomicAddF : TOp::Invalid;
-      case DecodedOp::AtomicAddI: return writes ? TOp::RecAtomicAddI : TOp::Invalid;
+      case DecodedOp::LoadG: return global ? TOp::RecLoadG : TOp::Invalid;
+      case DecodedOp::StoreG: return global || writes ? TOp::RecStoreG : TOp::Invalid;
+      case DecodedOp::AtomicAddF: return global || writes ? TOp::RecAtomicAddF : TOp::Invalid;
+      case DecodedOp::AtomicAddI: return global || writes ? TOp::RecAtomicAddI : TOp::Invalid;
       default: return TOp::Invalid;
     }
   };

@@ -39,8 +39,9 @@
 //    shared loads and stores to the shadow-observing singles SanLoadS/
 //    SanStoreS, which never enter a run; a recording stream compiles every
 //    global and shared load, store and atomic to the Rec* ops that feed the
-//    golden journal's recorder, and a write-tracking stream (segment
-//    replay) does the same for stores and atomics only.  Rec* ops stay in
+//    golden journal's recorder, a net-effect stream (the net-effect
+//    journal) does the same for global accesses only, and a write-tracking
+//    stream (segment replay) for stores and atomics only.  Rec* ops stay in
 //    runs as their naked Nk_Rec* forms.  No instrumented access is ever
 //    part of a fused head or tile, so each one reaches its observer in
 //    program order.
@@ -345,6 +346,7 @@ enum class MemInstr : std::uint8_t {
   Sanitize,  ///< LoadS/StoreS -> SanLoadS/SanStoreS (the sanitizer shadow)
   Record,    ///< every global/shared load, store and atomic -> Rec*/Nk_Rec* (golden journal)
   Writes,    ///< global/shared stores and atomics -> Rec*/Nk_Rec* (replay's write tracking)
+  NetEffect, ///< global loads, stores and atomics -> Rec*/Nk_Rec* (net-effect journal)
 };
 
 /// FI-site counts for the golden journal's snapshot table (recording

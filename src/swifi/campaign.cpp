@@ -59,21 +59,28 @@ void OutcomeCounts::add(Outcome o, std::uint64_t n) noexcept {
   }
 }
 
+GoldenJournal memory_fault_journal(gpusim::ecc::Scheme protection, int error_bits) noexcept {
+  return protection != gpusim::ecc::Scheme::None && error_bits == 1 ? GoldenJournal::NetEffect
+                                                                     : GoldenJournal::Full;
+}
+
 GoldenRun golden_run(Device& dev, const kir::BytecodeProgram& program, core::KernelJob& job,
-                     core::ControlBlock* cb, int launch_workers) {
+                     core::ControlBlock* cb, int launch_workers, GoldenJournal record) {
   const auto args = job.setup(dev);
   if (cb) cb->reset_results();
-  auto journal = std::make_shared<gpusim::LaunchJournal>();
+  auto journal = record == GoldenJournal::None ? nullptr
+                                               : std::make_shared<gpusim::LaunchJournal>();
   LaunchOptions opts;
   opts.hooks = cb;
   opts.max_workers = launch_workers;
   opts.record_journal = journal.get();
+  opts.record_net_effect = record == GoldenJournal::NetEffect;
   const auto res = dev.launch(program, job.config(), args, opts);
   if (res.status != LaunchStatus::Ok)
     throw std::runtime_error("swifi golden run failed: " +
                              std::string(gpusim::launch_status_name(res.status)));
   GoldenRun g;
-  if (!journal->empty()) g.journal = std::move(journal);
+  if (journal && !journal->empty()) g.journal = std::move(journal);
   g.output = job.read_output(dev);
   g.per_thread_instructions =
       res.instructions / std::max<std::uint64_t>(1, res.threads);

@@ -210,18 +210,37 @@ class TrialStage {
 /// and no fall-through past the final instruction.
 [[nodiscard]] bool validate_program(const kir::BytecodeProgram& p);
 
+/// What a golden run records for its campaign's trials to replay
+/// (gpusim/journal.hpp).
+enum class GoldenJournal : std::uint8_t {
+  None,       ///< nothing: the trials launch other programs (code-fault mutants)
+  NetEffect,  ///< the net-effect journal: every trial takes one step or runs in full
+  Full,       ///< the full segment journal
+};
+
+/// The journal a memory-fault campaign needs from a golden run on a device
+/// with memory protection `protection` when every strike flips
+/// `error_bits` bits.  Under SEC-DED a single-bit strike, data bit or check
+/// bit, corrects to its launch-start words, so a replayed trial misses the
+/// one step only under a watchdog below the golden run's largest budget,
+/// and then runs in full: NetEffect.  Otherwise Full.
+[[nodiscard]] GoldenJournal memory_fault_journal(gpusim::ecc::Scheme protection,
+                                                 int error_bits) noexcept;
+
 /// Fault-free run to obtain the golden output and the watchdog baseline.
 struct GoldenRun {
   core::ProgramOutput output;
   std::uint64_t per_thread_instructions = 0;
-  /// The run's segment journal (LaunchOptions::record_journal): recorded when
-  /// the device and `launch_workers` make the launch serial and flat, else
-  /// null.  Read-only, shared by every trial of the campaign.
+  /// The run's journal (LaunchOptions::record_journal), of the kind asked
+  /// for: recorded when the device and `launch_workers` make the launch
+  /// serial and flat, else null (always null for GoldenJournal::None).
+  /// Read-only, shared by every trial of the campaign.
   std::shared_ptr<const gpusim::LaunchJournal> journal;
 };
 [[nodiscard]] GoldenRun golden_run(gpusim::Device& dev, const kir::BytecodeProgram& program,
                                    core::KernelJob& job, core::ControlBlock* cb = nullptr,
-                                   int launch_workers = 0);
+                                   int launch_workers = 0,
+                                   GoldenJournal record = GoldenJournal::Full);
 
 /// Watchdog budget for injection runs derived from the golden run.
 [[nodiscard]] std::uint64_t campaign_watchdog(const GoldenRun& gold,

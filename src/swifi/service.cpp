@@ -184,14 +184,18 @@ using TrialFn =
 /// Receives every ordinal's outcome on the calling thread, strictly in
 /// ordinal order.  May throw; the pump then stops its workers and rethrows.
 using CommitFn = std::function<void(std::uint64_t k, Outcome)>;
+/// What the golden run records for the trials, given the golden device.
+using JournalFn = std::function<GoldenJournal(const gpusim::Device&)>;
 
 /// Runs ordinals [begin, end): builds min(workers, end - begin) contexts,
-/// runs the golden run on the first, lets workers claim ordinals from one
-/// atomic counter, and commits outcomes in ordinal order through a bounded
-/// reorder window.  An empty range builds nothing and runs nothing.
+/// runs the golden run on the first (recording the journal `journal` asks
+/// for), lets workers claim ordinals from one atomic counter, and commits
+/// outcomes in ordinal order through a bounded reorder window.  An empty
+/// range builds nothing and runs nothing.
 void pump_trials(const kir::BytecodeProgram& program, const WorkerContextFactory& make_context,
                  const CampaignConfig& cfg, int workers, std::uint64_t begin,
-                 std::uint64_t end, const TrialFn& trial, const CommitFn& commit) {
+                 std::uint64_t end, const JournalFn& journal, const TrialFn& trial,
+                 const CommitFn& commit) {
   if (begin >= end) return;
   const std::uint64_t hw = workers > 0 ? static_cast<std::uint64_t>(workers)
                                        : common::WorkerPool::default_workers();
@@ -210,7 +214,7 @@ void pump_trials(const kir::BytecodeProgram& program, const WorkerContextFactory
   // re-stage memory through their context's TrialStage, code-fault trials
   // through job setup.
   const GoldenRun gold = golden_run(*ctxs[0].device, program, *ctxs[0].job, ctxs[0].cb.get(),
-                                    cfg.launch_workers);
+                                    cfg.launch_workers, journal(*ctxs[0].device));
   const std::uint64_t watchdog = campaign_watchdog(gold, cfg);
 
   // The reorder window bounds how far execution may run ahead of the
@@ -306,17 +310,22 @@ Outcome planned_trial(WorkerContext& ctx, const kir::BytecodeProgram& program,
                        gold.journal.get());
 }
 
+/// A campaign whose golden run records `record` whatever the device.
+JournalFn always(GoldenJournal record) {
+  return [record](const gpusim::Device&) { return record; };
+}
+
 /// The executor's whole campaign: `trial_count` ordinals into per_fault,
 /// counts weighted by CampaignConfig::trial_weight.
 CampaignResult run_in_memory(const kir::BytecodeProgram& program,
                              const WorkerContextFactory& make_context, int workers,
                              std::size_t trial_count, const CampaignConfig& cfg,
-                             const TrialFn& trial) {
+                             const JournalFn& journal, const TrialFn& trial) {
   CampaignResult result;
   result.pipeline = cfg.pipeline.name;
   if (cfg.pipeline.report) result.remark_digest = core::remark_digest(*cfg.pipeline.report);
   result.per_fault.resize(trial_count);
-  pump_trials(program, make_context, cfg, workers, 0, trial_count, trial,
+  pump_trials(program, make_context, cfg, workers, 0, trial_count, journal, trial,
               [&](std::uint64_t i, Outcome o) {
                 result.per_fault[i] = o;
                 result.counts.add(o, cfg.trial_weight(i));
@@ -336,6 +345,7 @@ CampaignResult CampaignExecutor::run(const kir::BytecodeProgram& program,
                                      const workloads::Requirement& req,
                                      const CampaignConfig& cfg) {
   return run_in_memory(program, make_context, workers_, specs.size(), cfg,
+                       always(GoldenJournal::Full),
                        [&](WorkerContext& ctx, const GoldenRun& gold, std::uint64_t watchdog,
                            std::uint64_t i) {
                          return planned_trial(ctx, program, specs[i], gold, req, watchdog, cfg);
@@ -350,6 +360,9 @@ CampaignResult CampaignExecutor::run_memory_faults(const kir::BytecodeProgram& p
                                                    const CampaignConfig& cfg) {
   const std::size_t n = trials > 0 ? static_cast<std::size_t>(trials) : 0;
   return run_in_memory(program, make_context, workers_, n, cfg,
+                       [error_bits](const gpusim::Device& dev) {
+                         return memory_fault_journal(dev.props().protection, error_bits);
+                       },
                        [&](WorkerContext& ctx, const GoldenRun& gold, std::uint64_t watchdog,
                            std::uint64_t i) {
                          common::Rng rng = common::Rng::fork(seed, i);
@@ -368,7 +381,8 @@ CampaignResult CampaignExecutor::run_code_faults(const kir::BytecodeProgram& pro
                                                  const workloads::Requirement& req,
                                                  const CampaignConfig& cfg) {
   const std::size_t n = trials > 0 ? static_cast<std::size_t>(trials) : 0;
-  return run_in_memory(program, make_context, workers_, n, cfg,
+  // Code-fault trials launch mutants, which no golden journal describes.
+  return run_in_memory(program, make_context, workers_, n, cfg, always(GoldenJournal::None),
                        [&](WorkerContext& ctx, const GoldenRun& gold, std::uint64_t watchdog,
                            std::uint64_t i) {
                          common::Rng rng = common::Rng::fork(seed, i);
@@ -495,6 +509,7 @@ ServiceResult CampaignService::run(const kir::BytecodeProgram& program,
 
   try {
     pump_trials(program, make_context, cfg_.campaign, cfg_.workers, watermark, mine,
+                always(GoldenJournal::Full),
                 [&](WorkerContext& ctx, const GoldenRun& gold, std::uint64_t watchdog,
                     std::uint64_t k) {
                   return planned_trial(ctx, program, specs[I + k * K], gold, req, watchdog,

@@ -260,6 +260,63 @@ TEST(CampaignExecutor, MemoryFaultCampaignInvariant) {
   }
 }
 
+// Memory faults on a Hsiao device, FT build with its control block: with
+// single-bit strikes the golden run records only the net effect (every
+// trial takes one step or runs in full), with double-bit strikes the full
+// journal.  Either way each trial's outcome must be the journal-less
+// run_one_memory_fault loop's, at 1 and 4 workers.
+TEST(CampaignExecutor, ProtectedMemoryFaultsMatchJournalLessLoop) {
+  using gpusim::ecc::Scheme;
+  EXPECT_EQ(memory_fault_journal(Scheme::Hsiao, 1), GoldenJournal::NetEffect);
+  EXPECT_EQ(memory_fault_journal(Scheme::Hamming, 1), GoldenJournal::NetEffect);
+  EXPECT_EQ(memory_fault_journal(Scheme::Hsiao, 2), GoldenJournal::Full);
+  EXPECT_EQ(memory_fault_journal(Scheme::None, 1), GoldenJournal::Full);
+
+  Fixture f(make_cp());
+  const auto req = f.w->requirement();
+  gpusim::DeviceProps props;
+  props.protection = Scheme::Hsiao;
+  const WorkerContextFactory factory = [&] {
+    WorkerContext ctx;
+    ctx.device = std::make_unique<gpusim::Device>(props);
+    ctx.job = f.w->make_job(f.ds);
+    ctx.cb = core::make_configured_control_block(f.v.ft, f.pd);
+    return ctx;
+  };
+  CampaignConfig cfg;
+  cfg.protection = Scheme::Hsiao;
+  for (const int bits : {1, 2}) {
+    // The oracle: fresh set-up and a full launch per trial.
+    WorkerContext ref = factory();
+    ref.device->set_engine(cfg.engine);
+    const GoldenRun gold = golden_run(*ref.device, f.v.ft, *ref.job, ref.cb.get(),
+                                      cfg.launch_workers, GoldenJournal::None);
+    EXPECT_FALSE(gold.journal);
+    const std::uint64_t watchdog = campaign_watchdog(gold, cfg);
+    CampaignResult loop;
+    for (std::size_t i = 0; i < 60; ++i) {
+      common::Rng rng = common::Rng::fork(17, i);
+      const std::uint32_t mask = common::random_mask(rng, bits);
+      const Outcome o = run_one_memory_fault(*ref.device, f.v.ft, *ref.job, rng, mask,
+                                             gold.output, req, watchdog, cfg.launch_workers,
+                                             cfg.sanitize_cap, ref.cb.get());
+      loop.per_fault.push_back(o);
+      loop.counts.add(o);
+    }
+    if (bits == 1)
+      EXPECT_GT(loop.counts.ecc_corrected, 0u);
+    else
+      EXPECT_GT(loop.counts.ecc_uncorrectable, 0u);
+    for (const int workers : {1, 4}) {
+      const auto res = CampaignExecutor(workers).run_memory_faults(f.v.ft, factory, 17, 60, bits,
+                                                                   req, cfg);
+      expect_same_result(loop, res, bits == 1 ? "net-effect journal" : "full journal");
+      EXPECT_EQ(res.counts.ecc_corrected, loop.counts.ecc_corrected);
+      EXPECT_EQ(res.counts.ecc_uncorrectable, loop.counts.ecc_uncorrectable);
+    }
+  }
+}
+
 TEST(CampaignExecutor, CodeFaultCampaignInvariant) {
   Fixture f(make_pns());
   CampaignExecutor one(1);

@@ -462,7 +462,7 @@ TEST(Replay, WatchdogBelowGoldenBudgetForcesRerun) {
 
     // The longest segment's last instruction runs at count max_budget - 1:
     // one below that, the full launch hangs there.
-    const std::uint64_t tight = gold.journal->totals().max_budget - 2;
+    const std::uint64_t tight = gold.journal->net.totals.max_budget - 2;
     const Launched lr =
         launch(rep.dev, *rep.stage, *rep.job, prog, hr, nullptr, tight, gold.journal.get());
     const Launched lf =
@@ -965,7 +965,7 @@ TEST(Replay, OneStepOnlyWhenNothingCanDiffer) {
        {{read_word, 0x00400001u, false, true}, {read_word ^ 1u, 0x8u}},
        watchdog,
        false},
-      {"watchdog below the largest budget", {{read_word, 0x10u}}, j.totals().max_budget - 2,
+      {"watchdog below the largest budget", {{read_word, 0x10u}}, j.net.totals.max_budget - 2,
        false},
   };
   std::uint64_t replayed = 0;
@@ -1015,6 +1015,166 @@ TEST(Replay, OneStepOnlyWhenNothingCanDiffer) {
                              fi_watchdog, fi_gold.journal.get());
   EXPECT_TRUE(ld.one_step);
   EXPECT_EQ(ld.replayed, fi_gold.journal->segments.size());
+}
+
+// Net-effect journals (GoldenJournal::NetEffect, what a single-bit
+// memory-fault campaign under SEC-DED records) on the FT build of the 9 GPU
+// workloads, on Hsiao and Hamming devices.  The journal must hold exactly
+// the full journal's fingerprint, launch-start image, touched words and net
+// effect, and no segment; the full journal's stored totals must equal its
+// segment sums.  Data-bit and check-bit single-bit strikes must take it in
+// one step and match the full launch on every observable (ECC state
+// included), with the replay diagnostics of a one-step replay of the full
+// journal; through run_one_memory_fault the Outcome must be the
+// journal-less one.  Both engines record equal net-effect journals.  Where
+// one step would be wrong — a double-bit strike, a host write to a read
+// word, a watchdog below the largest budget, an Armed filter — the launch
+// must run in full (nothing replayed) and equal the reference.
+TEST(Replay, NetEffectJournalMatchesFullLaunch) {
+  constexpr int kTrials = 16;
+  std::size_t stepped_trials = 0, fallbacks = 0, outcomes = 0;
+  std::vector<std::unique_ptr<Workload>> gpu = hpc_suite();
+  for (auto& w : graphics_suite()) gpu.push_back(std::move(w));
+  ASSERT_EQ(gpu.size(), 9u);
+  for (auto& wl : gpu) {
+    const Built b = build(std::move(wl));
+    const kir::BytecodeProgram& prog = b.v.ft;
+    for (const auto scheme : {gpusim::ecc::Scheme::Hsiao, gpusim::ecc::Scheme::Hamming}) {
+      gpusim::DeviceProps props;
+      props.protection = scheme;
+      const std::string name = b.w->name() + " " + gpusim::ecc::scheme_name(scheme);
+      Rig full(b, prog, true, props), rec(b, prog, true, props), net(b, prog, true, props);
+      const swifi::GoldenRun fgold = swifi::golden_run(rec.dev, prog, *rec.job, rec.cb.get(), 1);
+      const swifi::GoldenRun ngold = swifi::golden_run(net.dev, prog, *net.job, net.cb.get(), 1,
+                                                       swifi::GoldenJournal::NetEffect);
+      ASSERT_TRUE(fgold.journal && ngold.journal) << name;
+      const gpusim::LaunchJournal& fj = *fgold.journal;
+      const gpusim::LaunchJournal& nj = *ngold.journal;
+      {
+        // Both engines record equal net-effect journals.
+        Rig ref(b, prog, true, props, gpusim::ExecEngine::Reference);
+        const swifi::GoldenRun rgold = swifi::golden_run(ref.dev, prog, *ref.job, ref.cb.get(), 1,
+                                                         swifi::GoldenJournal::NetEffect);
+        ASSERT_TRUE(rgold.journal) << name;
+        EXPECT_EQ(*rgold.journal, nj) << name;
+      }
+      EXPECT_TRUE(nj.segments.empty() && !nj.net.empty()) << name;
+      EXPECT_EQ(nj.fingerprint, fj.fingerprint) << name;
+      EXPECT_EQ(nj.start_image, fj.start_image) << name;
+      EXPECT_EQ(nj.touched, fj.touched) << name;
+      EXPECT_EQ(nj.net, fj.net) << name;
+      EXPECT_TRUE(nj.global_index.empty() && nj.reads.empty() && nj.snapshots.empty()) << name;
+      EXPECT_EQ(fj.net.totals, fj.segment_totals()) << name;
+      EXPECT_EQ(fj.net.segments, fj.segments.size()) << name;
+      EXPECT_LT(nj.bytes(), fj.bytes()) << name;
+      const std::uint64_t watchdog = swifi::campaign_watchdog(ngold, swifi::CampaignConfig{});
+      ASSERT_EQ(watchdog, swifi::campaign_watchdog(fgold, swifi::CampaignConfig{})) << name;
+      (void)net.stage->stage();
+      const std::uint32_t used = net.dev.mem().used_words();
+
+      // Single-bit strikes: one step, equal to the full launch and to the
+      // one-step replay of the full journal.
+      common::Rng rng = common::Rng::fork(kDatasetSeed, stepped_trials);
+      for (const bool check : {false, true}) {
+        for (int i = 0; i < kTrials; ++i) {
+          Strike st;
+          st.idx = static_cast<std::uint32_t>(rng.next_below(used));
+          st.check = check;
+          st.mask = check ? 1u << rng.next_below(8) : common::random_mask(rng, 1);
+          const std::string what = name + " word " + std::to_string(st.idx) + " mask " +
+                                   std::to_string(st.mask) + (check ? " check" : " data");
+          const std::span<const Strike> one(&st, 1);
+          std::uint64_t f_rep = 0, r_rep = 0, n_rep = 0, r_instr = 0, n_instr = 0;
+          bool r_step = false, n_step = false;
+          const MemObs f = strike_launch(full, prog, one, watchdog, nullptr, f_rep);
+          const MemObs r = strike_launch(rec, prog, one, watchdog, &fj, r_rep, &r_instr, &r_step);
+          const MemObs n = strike_launch(net, prog, one, watchdog, &nj, n_rep, &n_instr, &n_step);
+          EXPECT_TRUE(n_step) << what;
+          EXPECT_TRUE(r_step) << what;
+          EXPECT_EQ(f, n) << what;
+          EXPECT_EQ(r, n) << what;
+          EXPECT_EQ(n_rep, r_rep) << what;
+          EXPECT_EQ(n_instr, r_instr) << what;
+          EXPECT_EQ(n_rep, fj.segments.size()) << what;
+          ++stepped_trials;
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+
+      // The campaign's own trials: same Outcome with and without the
+      // net-effect journal (run_one_memory_fault draws data or check bit).
+      for (int i = 0; i < kTrials; ++i) {
+        common::Rng ra = common::Rng::fork(kDatasetSeed + 1, i), rb = ra;
+        const std::uint32_t mask = common::random_mask(ra, 1);
+        (void)common::random_mask(rb, 1);
+        const swifi::Outcome want = swifi::run_one_memory_fault(
+            full.dev, prog, *full.job, ra, mask, ngold.output, b.w->requirement(), watchdog, 1,
+            gpusim::SharedShadow::kMaxReportsPerBlock, full.cb.get(), nullptr, full.stage.get());
+        const swifi::Outcome got = swifi::run_one_memory_fault(
+            net.dev, prog, *net.job, rb, mask, ngold.output, b.w->requirement(), watchdog, 1,
+            gpusim::SharedShadow::kMaxReportsPerBlock, net.cb.get(), &nj, net.stage.get());
+        EXPECT_EQ(got, want) << name << " trial " << i;
+        ++outcomes;
+      }
+
+      // Where one step would be wrong, a full launch.
+      std::uint32_t read_word = 0;
+      for (const auto& a : fj.global_index)
+        if (a.read != gpusim::LaunchJournal::kWrite) {
+          read_word = a.addr;
+          break;
+        }
+      struct Case {
+        const char* name;
+        Strike strike;
+        std::uint64_t watchdog;
+      };
+      const Case cases[] = {
+          {"double-bit upset in a read pair", {read_word, 0x3u}, watchdog},
+          {"host write to a read word", {read_word, 0x00400001u, false, true}, watchdog},
+          {"watchdog below the largest budget", {read_word, 0x10u}, nj.net.totals.max_budget - 2},
+      };
+      for (const Case& c : cases) {
+        const std::string what = name + ": " + c.name;
+        const std::span<const Strike> one(&c.strike, 1);
+        std::uint64_t f_rep = 0, n_rep = 0;
+        bool n_step = true;
+        const MemObs f = strike_launch(full, prog, one, c.watchdog, nullptr, f_rep);
+        const MemObs n = strike_launch(net, prog, one, c.watchdog, &nj, n_rep, nullptr, &n_step);
+        EXPECT_FALSE(n_step) << what;
+        EXPECT_EQ(n_rep, 0u) << what;
+        EXPECT_EQ(f, n) << what;
+        ++fallbacks;
+      }
+    }
+
+    // An Armed filter: the FI&FT build's register fault against its
+    // net-effect journal runs in full.
+    const kir::BytecodeProgram& fift = b.v.fift;
+    gpusim::DeviceProps hsiao;
+    hsiao.protection = gpusim::ecc::Scheme::Hsiao;
+    Rig afull(b, fift, true, hsiao), anet(b, fift, true, hsiao);
+    const swifi::GoldenRun agold = swifi::golden_run(anet.dev, fift, *anet.job, anet.cb.get(), 1,
+                                                     swifi::GoldenJournal::NetEffect);
+    ASSERT_TRUE(agold.journal) << b.w->name();
+    const std::uint64_t awatchdog = swifi::campaign_watchdog(agold, swifi::CampaignConfig{});
+    const swifi::FaultSpec spec = first_fault(b, fift);
+    swifi::InjectingHooks hf(fift, afull.cb.get()), hn(fift, anet.cb.get());
+    afull.cb->reset_results();
+    anet.cb->reset_results();
+    const Launched lf =
+        launch(afull.dev, *afull.stage, *afull.job, fift, hf, &spec, awatchdog, nullptr);
+    const Launched ln = launch(anet.dev, *anet.stage, *anet.job, fift, hn, &spec, awatchdog,
+                               agold.journal.get());
+    EXPECT_TRUE(lf.obs.activated) << b.w->name();
+    EXPECT_FALSE(ln.one_step) << b.w->name();
+    EXPECT_EQ(ln.replayed, 0u) << b.w->name();
+    EXPECT_EQ(lf.obs, ln.obs) << b.w->name();
+    ++fallbacks;
+  }
+  EXPECT_EQ(stepped_trials, 9u * 2 * 2 * kTrials);
+  EXPECT_EQ(outcomes, 9u * 2 * kTrials);
+  EXPECT_EQ(fallbacks, 9u * (2 * 3 + 1));
 }
 
 // A slice whose writes leave the golden addresses: thread 0 of block 0
@@ -1126,7 +1286,7 @@ TEST(Replay, OneStepReportsTheGoldenSdcBit) {
   const auto gold = run(gold_dev, &j, nullptr);
   ASSERT_FALSE(j.empty());
   EXPECT_TRUE(std::get<4>(gold));
-  EXPECT_TRUE(j.totals().sdc);
+  EXPECT_TRUE(j.net.totals.sdc);
   const gpusim::LaunchJournal each = per_segment(j);
   bool step_one = false, seg_one = true;
   const auto full = run(full_dev, nullptr, nullptr);

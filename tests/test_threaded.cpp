@@ -132,26 +132,29 @@ TEST(Threaded, EveryDecodedOpHasAThreadedEmitter) {
   // A recording plan turns every memory access into its Rec single, a
   // write-tracking plan only the stores and atomics.  Both turn backward
   // jumps (here every jump: the targets are all 0) into their snapshot-point
-  // forms, and a recording plan counts its FIHook.
-  const auto rec = [](kir::DecodedOp op, bool loads) {
+  // forms, and a recording plan counts its FIHook.  A net-effect plan turns
+  // only the global accesses, and nothing else.
+  const auto rec = [](kir::DecodedOp op, kir::MemInstr mem) {
+    const bool record = mem == kir::MemInstr::Record;
+    const bool net = mem == kir::MemInstr::NetEffect;
     switch (op) {
-      case kir::DecodedOp::LoadG: return loads ? TOp::RecLoadG : TOp::LoadG;
-      case kir::DecodedOp::LoadS: return loads ? TOp::RecLoadS : TOp::LoadS;
+      case kir::DecodedOp::LoadG: return record || net ? TOp::RecLoadG : TOp::LoadG;
+      case kir::DecodedOp::LoadS: return record ? TOp::RecLoadS : TOp::LoadS;
       case kir::DecodedOp::StoreG: return TOp::RecStoreG;
-      case kir::DecodedOp::StoreS: return TOp::RecStoreS;
+      case kir::DecodedOp::StoreS: return net ? TOp::StoreS : TOp::RecStoreS;
       case kir::DecodedOp::AtomicAddF: return TOp::RecAtomicAddF;
       case kir::DecodedOp::AtomicAddI: return TOp::RecAtomicAddI;
-      case kir::DecodedOp::Jmp: return TOp::JmpBk;
-      case kir::DecodedOp::Jz: return TOp::JzBk;
-      case kir::DecodedOp::FIHook: return loads ? TOp::RecFIHook : TOp::FIHook;
+      case kir::DecodedOp::Jmp: return net ? TOp::Jmp : TOp::JmpBk;
+      case kir::DecodedOp::Jz: return net ? TOp::Jz : TOp::JzBk;
+      case kir::DecodedOp::FIHook: return record ? TOp::RecFIHook : TOp::FIHook;
       default: return kir::threaded_single_op(op);
     }
   };
-  for (const auto mem : {kir::MemInstr::Record, kir::MemInstr::Writes}) {
+  for (const auto mem :
+       {kir::MemInstr::Record, kir::MemInstr::Writes, kir::MemInstr::NetEffect}) {
     const kir::ThreadedProgram rt = kir::compile_threaded(d, 8, true, false, mem);
     for (std::size_t pc = 0; pc < d.code.size(); ++pc)
-      EXPECT_EQ(rt.code[pc].op,
-                static_cast<std::uint16_t>(rec(d.code[pc].op, mem == kir::MemInstr::Record)))
+      EXPECT_EQ(rt.code[pc].op, static_cast<std::uint16_t>(rec(d.code[pc].op, mem)))
           << "pc " << pc;
   }
   // Every fused opcode has a name too (the dispatch table is fully wired);
