@@ -20,8 +20,11 @@
 // executor devices; the protected-mode section below always measures
 // none-vs-hsiao regardless), --json=FILE (write the engine sweep and
 // protection rows, the golden-recording times, the interpreted-instruction
-// shares of replayed trials, the device construction time, the per-launch
-// host overhead and the determinism verdict as JSON).
+// shares of replayed trials, the threaded streams a campaign compiles, the
+// hang fast-forward row, the device construction time, the per-launch host
+// overhead and the determinism verdict as JSON).  Exits nonzero when
+// outcomes diverge across rows, or TPACF trials hang and none of them
+// fast-forwards.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -313,6 +316,11 @@ int main(int argc, char** argv) {
   // only the shares move.
   std::array<Share, 2> reg_share, mem_share;  // [0] whole segments, [1] windows
   std::size_t one_step_trials = 0;
+  // The threaded streams the windows arm's device compiled: the golden
+  // run's recording stream and the write-tracking streams every replayed
+  // trial runs, however many FI sites the campaign arms.
+  std::uint64_t stream_compiles = 0, stream_plans = 0;
+  std::size_t fi_sites = 0;
   {
     for (const bool windows : {false, true}) {
       gpusim::Device dev;
@@ -335,7 +343,13 @@ int main(int argc, char** argv) {
         lo.journal = &j;
         reg_share[windows].add(dev.launch(ctx.variants.fift, job->config(), a, lo));
       }
+      stream_compiles = dev.stream_compiles();
+      stream_plans = dev.plan_cache_misses();
     }
+    std::vector<std::uint32_t> sites;
+    for (const swifi::FaultSpec& spec : specs) sites.push_back(spec.site_id);
+    std::sort(sites.begin(), sites.end());
+    fi_sites = static_cast<std::size_t>(std::unique(sites.begin(), sites.end()) - sites.begin());
     gpusim::DeviceProps hsiao;
     hsiao.protection = gpusim::ecc::Scheme::Hsiao;
     auto ft_cb = core::make_configured_control_block(ctx.variants.ft, ctx.profile);
@@ -374,6 +388,69 @@ int main(int argc, char** argv) {
                 mem_share[0].interpreted(), mem_share[1].interpreted());
     std::printf("  memory faults replayed in one step (net effect): %.4f\n",
                 static_cast<double>(one_step_trials) / 400.0);
+    std::printf("threaded streams compiled for %zu register-fault trials over %zu FI sites: "
+                "%llu (%llu plan)\n",
+                specs.size(), fi_sites, static_cast<unsigned long long>(stream_compiles),
+                static_cast<unsigned long long>(stream_plans));
+  }
+
+  // Hang fast-forward (DESIGN §10): a TPACF/tiny single-bit register-fault
+  // campaign on the FI build, replayed against its golden journal on one
+  // device.  Its write-retry livelocks (paper §IX.B) spin until the
+  // watchdog; a replayed hung thread whose state repeats charges the rest
+  // of its periods at once.  Every hung trial then runs again as a full
+  // launch: the row reports how many trials hung, how many of them
+  // fast-forwarded, and the median milliseconds per hung trial replayed and
+  // full.
+  std::size_t hung = 0, fast_forwarded = 0;
+  double hung_replayed_ms = 0, hung_full_ms = 0;
+  {
+    auto tp = make_context(workloads::make_tpacf(), seed, workloads::Scale::Tiny);
+    swifi::PlanOptions topt;
+    topt.max_vars = 64;
+    topt.masks_per_var = 8;
+    topt.seed = seed + 7;
+    const kir::BytecodeProgram& prog = tp.variants.fi;
+    const auto tspecs = swifi::plan_faults(prog, tp.profile, topt);
+    gpusim::Device dev;
+    auto job = tp.workload->make_job(tp.dataset);
+    const swifi::GoldenRun gold = swifi::golden_run(dev, prog, *job, nullptr, 1);
+    const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
+    swifi::TrialStage stage(dev, *job);
+    swifi::InjectingHooks hooks(prog, nullptr);
+    const auto trial = [&](const swifi::FaultSpec& spec, const gpusim::LaunchJournal* j) {
+      hooks.arm(spec);
+      const auto& a = stage.stage();
+      gpusim::LaunchOptions lo;
+      lo.hooks = &hooks;
+      lo.watchdog_instructions = watchdog;
+      lo.max_workers = 1;
+      lo.journal = j;
+      return dev.launch(prog, job->config(), a, lo);
+    };
+    std::vector<double> rep_ms, full_ms;
+    for (const swifi::FaultSpec& spec : tspecs) {
+      gpusim::LaunchResult res;
+      const double s = seconds([&] { res = trial(spec, gold.journal.get()); });
+      if (res.status != gpusim::LaunchStatus::Hang) continue;
+      ++hung;
+      fast_forwarded += res.fast_forwarded_instructions > 0;
+      rep_ms.push_back(1e3 * s);
+      gpusim::LaunchResult full;
+      full_ms.push_back(1e3 * seconds([&] { full = trial(spec, nullptr); }));
+      deterministic = deterministic && full.status == res.status &&
+                      full.instructions == res.instructions && full.cycles == res.cycles;
+    }
+    const auto median = [](std::vector<double> v) {
+      if (v.empty()) return 0.0;
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    hung_replayed_ms = median(rep_ms);
+    hung_full_ms = median(full_ms);
+    std::printf("\nhang fast-forward (TPACF/tiny FI, %zu trials): %zu hung, %zu fast-forwarded; "
+                "median ms per hung trial: replayed %.3f, full %.3f\n",
+                tspecs.size(), hung, fast_forwarded, hung_replayed_ms, hung_full_ms);
   }
 
   // Device construction: every campaign worker builds one per start and
@@ -453,10 +530,22 @@ int main(int argc, char** argv) {
                  reg_share[0].interpreted(), reg_share[1].interpreted(), specs.size(),
                  mem_share[0].interpreted(), mem_share[1].interpreted(),
                  static_cast<double>(one_step_trials) / 400.0);
+    std::fprintf(f,
+                 "  \"stream_compiles\": {\"streams\": %llu, \"plans\": %llu, "
+                 "\"fi_sites\": %zu, \"trials\": %zu},\n",
+                 static_cast<unsigned long long>(stream_compiles),
+                 static_cast<unsigned long long>(stream_plans), fi_sites, specs.size());
+    std::fprintf(f,
+                 "  \"hang_fast_forward\": {\"program\": \"TPACF\", \"hung\": %zu, "
+                 "\"fast_forwarded\": %zu, \"replayed_ms_per_hung_trial\": %.4f, "
+                 "\"full_ms_per_hung_trial\": %.4f},\n",
+                 hung, fast_forwarded, hung_replayed_ms, hung_full_ms);
     std::fprintf(f, "  \"device_init_us\": %.2f,\n", device_init_us);
     std::fprintf(f, "  \"launch_overhead_us\": %.3f,\n", launch_overhead_us);
     std::fprintf(f, "  \"deterministic\": %s\n}\n", deterministic ? "true" : "false");
     std::fclose(f);
   }
-  return deterministic ? 0 : 1;
+  const bool hangs_fast_forward = hung == 0 || fast_forwarded > 0;
+  if (!hangs_fast_forward) std::fprintf(stderr, "error: no hung TPACF trial fast-forwarded\n");
+  return deterministic && hangs_fast_forward ? 0 : 1;
 }

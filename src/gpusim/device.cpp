@@ -1023,11 +1023,13 @@ class BlockExec {
   BlockExec(Device& dev, const kir::BytecodeProgram& prog, const LaunchConfig& cfg,
             const LaunchOptions& opts, const std::vector<std::uint32_t>& costs,
             const kir::DecodedProgram& decoded, const kir::ThreadedProgram* threaded,
-            const kir::FIFilter& fi, std::uint32_t block_linear,
+            const kir::ThreadedProgram* armed_threaded, const kir::FIFilter& fi,
+            std::uint32_t block_linear,
             std::vector<SanitizerReport>* report_sink, const LaunchJournal* journal,
             DeltaSet* delta, JournalRecorder* recorder, TouchRecorder* touch)
       : dev_(dev), prog_(prog), cfg_(cfg), opts_(opts), costs_(costs),
         tcode_(threaded && !threaded->code.empty() ? threaded->code.data() : nullptr),
+        tcode_armed_(armed_threaded ? armed_threaded->code.data() : tcode_),
         fi_thread_(fi.thread),
         fi_site_(fi.site),
         fi_occurrence_(fi.occurrence),
@@ -1065,6 +1067,8 @@ class BlockExec {
   /// Instructions replay took from the journal instead of interpreting:
   /// applied segments, skipped prefixes and rejoined suffixes.
   std::uint64_t replayed_instructions = 0;
+  /// Instructions a hung thread's fast-forward skipped (probe_hang).
+  std::uint64_t fast_forwarded = 0;
   /// Recording launches: the segments (thread slices) the block ran, and the
   /// largest watchdog budget any of its threads used.
   std::uint64_t slices = 0, max_budget = 0;
@@ -1108,6 +1112,19 @@ class BlockExec {
   [[nodiscard]] bool armed_pending(const ThreadCtx& t) const noexcept {
     return armed_ && t.linear == fi_thread_ && !fired_;
   }
+  /// Every LaunchHooks call of the interpreters goes through here, so the
+  /// hang probe can tell whether a stretch of a slice made any.
+  LaunchHooks& hooks() noexcept {
+    ++hook_calls_;
+    return *opts_.hooks;
+  }
+  /// An fi_hook call injected its fault.  In a replay the slice then stops
+  /// at its next taken backward jump, so the thread leaves the stream with
+  /// live FIHooks (step_thread).
+  void fire() noexcept {
+    fired_ = true;
+    if (journal_) stop_at_ = 0;
+  }
   /// At a taken backward jump to `pc`, with `li`/`lc`/`ll` instructions,
   /// cycles and loop cycles the slice has not yet added to the block's
   /// totals, once the thread's budget has reached `stop_at_`: recording
@@ -1123,8 +1140,11 @@ class BlockExec {
   void offer_snapshot(const ThreadCtx& t, std::uint32_t pc, std::uint64_t li, std::uint64_t lc,
                       std::uint64_t ll);
   ThreadStop replay_slice(ThreadCtx& t, LaunchStatus& crash_status);
+  struct HangProbe;
+  bool probe_hang(ThreadCtx& t, HangProbe& p);
   ThreadStop record_segment(ThreadCtx& t, LaunchStatus& crash_status);
-  ThreadStop run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_status);
+  ThreadStop run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_status,
+                                 const kir::ThreadedInstr* tcode);
   ThreadStop step_thread(ThreadCtx& t, LaunchStatus& crash_status);
   void finish_simt_cost();
   std::uint32_t builtin_value(const ThreadCtx& t, BuiltinVal b) const noexcept;
@@ -1142,6 +1162,9 @@ class BlockExec {
   /// Threaded-code stream this launch runs; null when it runs on the
   /// reference interpreter (Device::launch decides).
   const kir::ThreadedInstr* tcode_;
+  /// The stream the armed thread runs while its fault is pending: in a
+  /// replay, the write-tracking stream with every FIHook live; else tcode_.
+  const kir::ThreadedInstr* tcode_armed_;
   std::uint32_t fi_thread_;       ///< armed thread of an Armed FI-specialized stream
   std::uint32_t fi_site_;         ///< its armed site index
   std::uint64_t fi_occurrence_;   ///< its armed occurrence (0: unknown)
@@ -1166,6 +1189,12 @@ class BlockExec {
   std::uint64_t stop_at_ = kNoStop;
   std::uint64_t seg_instructions_ = 0, seg_cycles_ = 0, seg_loop_cycles_ = 0;
   std::uint32_t* site_counts_ = nullptr;
+  // Hang probe (probe_hang): the LaunchHooks calls made so far, and whether
+  // an interpreted write of a replay changed a memory word since the probe
+  // last cleared it.
+  std::uint64_t hook_calls_ = 0;
+  bool changed_ = false;
+  std::vector<std::uint32_t> probe_regs_;  ///< the probe's saved registers
 };
 
 std::uint32_t BlockExec::builtin_value(const ThreadCtx& t, BuiltinVal b) const noexcept {
@@ -1382,28 +1411,28 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
       case OpCode::RangeCheck:
         if (opts_.hooks) {
           const DType vt = prog_.detectors[in.aux].value_type;
-          if (opts_.hooks->check_range(static_cast<int>(in.aux), kir::Value{vt, regs[in.a]}))
+          if (hooks().check_range(static_cast<int>(in.aux), kir::Value{vt, regs[in.a]}))
             sdc = true;
         }
         break;
       case OpCode::EqualCheck:
         if (regs[in.a] != regs[in.b]) {
           sdc = true;
-          if (opts_.hooks) opts_.hooks->equal_check_failed(static_cast<int>(in.aux));
+          if (opts_.hooks) hooks().equal_check_failed(static_cast<int>(in.aux));
         }
         break;
       case OpCode::ProfileVal:
         if (opts_.hooks) {
           const DType vt = prog_.detectors[in.aux].value_type;
-          opts_.hooks->profile_value(static_cast<int>(in.aux), kir::Value{vt, regs[in.a]});
+          hooks().profile_value(static_cast<int>(in.aux), kir::Value{vt, regs[in.a]});
         }
         break;
       case OpCode::CountExec:
-        if (opts_.hooks) opts_.hooks->count_exec(in.aux, t.linear);
+        if (opts_.hooks) hooks().count_exec(in.aux, t.linear);
         break;
       case OpCode::FIHook:
         if (site_counts_) ++site_counts_[in.aux];
-        if (opts_.hooks && opts_.hooks->fi_hook(in.aux, t.linear, regs[in.a])) fired_ = true;
+        if (opts_.hooks && hooks().fi_hook(in.aux, t.linear, regs[in.a])) fire();
         break;
       default:
         crash_status = LaunchStatus::CrashInvalidInstr;
@@ -1445,19 +1474,24 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
 /// cost SIMT serialization or carry a hardware fault model run on
 /// run_thread instead (see Device::launch), so instrumentation semantics
 /// live in one place.
-ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_status) {
+ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_status,
+                                          const kir::ThreadedInstr* tcode) {
   using kir::TOp;
   // The threaded stream, the thread's register file and the flat arena are
   // three disjoint allocations; __restrict lets the compiler keep operands
   // in registers across regs[]/gmem[] stores (plain uint32 writes that TBAA
   // alone cannot separate from ThreadedInstr's uint32 fields).
-  const kir::ThreadedInstr* const __restrict code = tcode_;
+  const kir::ThreadedInstr* const __restrict code = tcode;
   std::uint32_t* const __restrict regs = t.regs;
   DeviceMemory& mem = dev_.mem();
   const std::span<std::uint32_t> arena = mem.flat_arena();
   std::uint32_t* const __restrict gmem = arena.data();  // null for PagedCpu
   const auto gsize = static_cast<std::uint32_t>(arena.size());
   const auto ssize = static_cast<std::uint32_t>(shared_.size());
+  // Raw words whatever the protection, for the replay's write compares.
+  const std::span<std::uint32_t> flat = mem.flat_words();
+  const std::uint32_t* const words = flat.data();
+  const auto wsize = static_cast<std::uint32_t>(flat.size());
   const std::uint64_t watchdog = opts_.watchdog_instructions;
   std::uint64_t local_cycles = 0, local_loop = 0, local_instr = 0;
 
@@ -1575,7 +1609,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   do {                                                                                 \
     ++site_counts_[in->aux];                                                           \
     if ((in->t == 1 && opts_.hooks) || (in->t == 2 && t.linear == fi_thread_)) {       \
-      if (opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a])) fired_ = true;         \
+      if (hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();                      \
     }                                                                                  \
   } while (0)
 
@@ -1917,6 +1951,8 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     PRE;                                                                           \
     const std::uint32_t addr = regs[in->a];                                        \
     const std::uint32_t value = regs[in->b];                                       \
+    /* A replay's hang probe asks whether the store changed the word. */          \
+    const bool same_ = delta_ && addr < wsize && words[addr] == value;             \
     if (gmem) {                                                                    \
       if (addr >= gsize) CRASH(LaunchStatus::CrashOutOfBounds);                    \
       gmem[addr] = value;                                                          \
@@ -1924,9 +1960,10 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     } else if (!mem.store(addr, value)) {                                          \
       CRASH(mem_fail_status());                                                    \
     }                                                                              \
-    if (delta_)                                                                    \
+    if (delta_) {                                                                  \
+      if (!same_) changed_ = true;                                                 \
       delta_->global_write(addr, value, LaunchJournal::WriteKind::Store);          \
-    else if (rec_)                                                                 \
+    } else if (rec_)                                                               \
       rec_->global_store(addr, value);                                             \
     else                                                                           \
       touch_->write(addr);                                                         \
@@ -1946,6 +1983,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     PRE;                                                                           \
     const std::uint32_t addr = regs[in->a];                                        \
     if (addr >= ssize) CRASH(LaunchStatus::CrashSharedOutOfBounds);                \
+    if (delta_ && shared_[addr] != regs[in->b]) changed_ = true;                   \
     shared_[addr] = regs[in->b];                                                   \
     if (rec_)                                                                      \
       rec_->shared_store(addr, regs[in->b]);                                       \
@@ -1959,10 +1997,10 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     PRE;                                                                           \
     const std::uint32_t addr = regs[in->a];                                        \
     const std::uint32_t addend = regs[in->b];                                      \
-    std::uint32_t pre = 0;                                                         \
+    std::uint32_t pre = 0, post = 0;                                               \
     const auto add = [&](std::uint32_t w) {                                        \
       pre = w;                                                                     \
-      return OP(w, addend);                                                        \
+      return post = OP(w, addend);                                                 \
     };                                                                             \
     {                                                                              \
       std::lock_guard<std::mutex> lk(dev_.atomic_mutex());                         \
@@ -1974,9 +2012,10 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
         CRASH(mem_fail_status());                                                  \
       }                                                                            \
     }                                                                              \
-    if (delta_)                                                                    \
+    if (delta_) {                                                                  \
+      if (post != pre) changed_ = true;                                            \
       delta_->global_write(addr, addend, KIND);                                    \
-    else if (rec_)                                                                 \
+    } else if (rec_)                                                               \
       rec_->global_atomic(addr, addend, KIND, pre);                                \
     else                                                                           \
       touch_->write(addr);                                                         \
@@ -2064,8 +2103,8 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   T_LABEL(RangeCheck) : {
     T_STEP1();
     if (opts_.hooks &&
-        opts_.hooks->check_range(static_cast<int>(in->aux),
-                                 kir::Value{static_cast<DType>(in->t), regs[in->a]}))
+        hooks().check_range(static_cast<int>(in->aux),
+                            kir::Value{static_cast<DType>(in->t), regs[in->a]}))
       sdc = true;
     T_NEXT();
   }
@@ -2073,33 +2112,32 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     T_STEP1();
     if (regs[in->a] != regs[in->b]) {
       sdc = true;
-      if (opts_.hooks) opts_.hooks->equal_check_failed(static_cast<int>(in->aux));
+      if (opts_.hooks) hooks().equal_check_failed(static_cast<int>(in->aux));
     }
     T_NEXT();
   }
   T_LABEL(ProfileVal) : {
     T_STEP1();
     if (opts_.hooks)
-      opts_.hooks->profile_value(static_cast<int>(in->aux),
-                                 kir::Value{static_cast<DType>(in->t), regs[in->a]});
+      hooks().profile_value(static_cast<int>(in->aux),
+                            kir::Value{static_cast<DType>(in->t), regs[in->a]});
     T_NEXT();
   }
   T_LABEL(CountExec) : {
     T_STEP1();
-    if (opts_.hooks) opts_.hooks->count_exec(in->aux, t.linear);
+    if (opts_.hooks) hooks().count_exec(in->aux, t.linear);
     T_NEXT();
   }
   T_LABEL(FIHook) : {
     T_STEP1();
-    if (opts_.hooks) opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]);
+    if (opts_.hooks && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();
     T_NEXT();
   }
   // The armed site's hook in an FI-specialized stream: only the armed
   // thread calls it (the filter promises every other call is a no-op).
   T_LABEL(FIHookArmed) : {
     T_STEP1();
-    if (t.linear == fi_thread_ && opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]))
-      fired_ = true;
+    if (t.linear == fi_thread_ && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();
     T_NEXT();
   }
   // A recording stream's FIHook: counted for the snapshot table, then the
@@ -2225,11 +2263,11 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     if (left < 2) T_DELEGATE();
     T_CHARGE(2);
     if (opts_.hooks) {
-      if (opts_.hooks->check_range(static_cast<int>(in->aux),
-                                   kir::Value{static_cast<DType>(in->t & 0xf), regs[in->a]}))
+      if (hooks().check_range(static_cast<int>(in->aux),
+                              kir::Value{static_cast<DType>(in->t & 0xf), regs[in->a]}))
         sdc = true;
-      if (opts_.hooks->check_range(static_cast<int>(in->imm),
-                                   kir::Value{static_cast<DType>(in->t >> 4), regs[in->c]}))
+      if (hooks().check_range(static_cast<int>(in->imm),
+                              kir::Value{static_cast<DType>(in->t >> 4), regs[in->c]}))
         sdc = true;
     }
     pc += 2;
@@ -2455,8 +2493,8 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   }
   T_LABEL(Nk_RangeCheck) : {
     if (opts_.hooks &&
-        opts_.hooks->check_range(static_cast<int>(in->aux),
-                                 kir::Value{static_cast<DType>(in->t), regs[in->a]}))
+        hooks().check_range(static_cast<int>(in->aux),
+                            kir::Value{static_cast<DType>(in->t), regs[in->a]}))
       sdc = true;
     ++pc;
     T_NEXT();
@@ -2464,31 +2502,30 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   T_LABEL(Nk_EqualCheck) : {
     if (regs[in->a] != regs[in->b]) {
       sdc = true;
-      if (opts_.hooks) opts_.hooks->equal_check_failed(static_cast<int>(in->aux));
+      if (opts_.hooks) hooks().equal_check_failed(static_cast<int>(in->aux));
     }
     ++pc;
     T_NEXT();
   }
   T_LABEL(Nk_ProfileVal) : {
     if (opts_.hooks)
-      opts_.hooks->profile_value(static_cast<int>(in->aux),
-                                 kir::Value{static_cast<DType>(in->t), regs[in->a]});
+      hooks().profile_value(static_cast<int>(in->aux),
+                            kir::Value{static_cast<DType>(in->t), regs[in->a]});
     ++pc;
     T_NEXT();
   }
   T_LABEL(Nk_CountExec) : {
-    if (opts_.hooks) opts_.hooks->count_exec(in->aux, t.linear);
+    if (opts_.hooks) hooks().count_exec(in->aux, t.linear);
     ++pc;
     T_NEXT();
   }
   T_LABEL(Nk_FIHook) : {
-    if (opts_.hooks) opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]);
+    if (opts_.hooks && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();
     ++pc;
     T_NEXT();
   }
   T_LABEL(Nk_FIHookArmed) : {
-    if (t.linear == fi_thread_ && opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]))
-      fired_ = true;
+    if (t.linear == fi_thread_ && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();
     ++pc;
     T_NEXT();
   }
@@ -2529,11 +2566,11 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   }
   T_LABEL(NkRangeCheck2) : {
     if (opts_.hooks) {
-      if (opts_.hooks->check_range(static_cast<int>(in->aux),
-                                   kir::Value{static_cast<DType>(in->t & 0xf), regs[in->a]}))
+      if (hooks().check_range(static_cast<int>(in->aux),
+                              kir::Value{static_cast<DType>(in->t & 0xf), regs[in->a]}))
         sdc = true;
-      if (opts_.hooks->check_range(static_cast<int>(in->imm),
-                                   kir::Value{static_cast<DType>(in->t >> 4), regs[in->c]}))
+      if (hooks().check_range(static_cast<int>(in->imm),
+                              kir::Value{static_cast<DType>(in->t >> 4), regs[in->c]}))
         sdc = true;
     }
     pc += 2;
@@ -2671,7 +2708,8 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
 /// Engine dispatch for one thread time-slice (the choice is made once per
 /// launch in Device::launch).
 ThreadStop BlockExec::step_thread(ThreadCtx& t, LaunchStatus& crash_status) {
-  return tcode_ ? run_thread_threaded(t, crash_status) : run_thread(t, crash_status);
+  if (!tcode_) return run_thread(t, crash_status);
+  return run_thread_threaded(t, crash_status, armed_pending(t) ? tcode_armed_ : tcode_);
 }
 
 /// Replay: write golden writes [w0, w1) and shared writes [sw0, sw1) of
@@ -2837,12 +2875,86 @@ bool BlockExec::rejoin(ThreadCtx& t, std::uint32_t g, std::uint32_t i) {
   return true;
 }
 
+/// Replay: Brent's cycle search over the stops of one interpreted slice at
+/// its taken backward jumps (probe_hang).
+struct BlockExec::HangProbe {
+  /// Stops after which the probe gives up on the slice.
+  static constexpr std::uint32_t kMaxStops = 256;
+  std::uint32_t stops = 0;
+  std::uint32_t power = 1, lam = 0;  ///< Brent: stops allowed / made since the save
+  bool saved = false, over = false;
+  // The saved visit: pc and budget, the block's totals and the state the
+  // cycle condition compares (registers in probe_regs_).
+  std::uint32_t pc = 0;
+  std::uint64_t budget = 0, instructions = 0, cycles = 0, loop_cycles = 0;
+  std::uint64_t hook_calls = 0, ecc_corrected = 0;
+  bool sdc = false;
+};
+
+/// Replay: a stop of a slice past its golden segment (or of a thread with
+/// none left), right after a taken backward jump.  The thread is hung for
+/// good if it stands at the saved visit's pc with its registers, and since
+/// that visit no memory word changed value (every interpreted store wrote
+/// the word's value, every atomic left its word as it was: the stream's
+/// Rec* handlers compare into changed_, and a slice handed to run_thread
+/// ends there, before its next stop), no ECC correction happened, no
+/// LaunchHooks call was made and the SDC bit held: it then repeats that period of P instructions until the watchdog, since
+/// in a serial launch nothing else runs meanwhile.  Whole periods are
+/// charged at once, k = floor((watchdog + 1 - budget) / P) - 1 of them, and
+/// the interpreter runs the last P to 2P - 1 instructions, so the Hang
+/// fires at the same instruction with the same totals as a full launch.
+/// Else the visit may become the saved one (Brent: at stop counts 1, 2, 4,
+/// ... past the last save).  Returns true when the probe is over: a cycle
+/// was found or kMaxStops stops passed.
+bool BlockExec::probe_hang(ThreadCtx& t, HangProbe& p) {
+  const std::uint64_t ecc = dev_.mem().ecc_corrected();
+  if (p.saved && t.pc == p.pc && !changed_ && hook_calls_ == p.hook_calls && sdc == p.sdc &&
+      ecc == p.ecc_corrected && std::equal(t.regs, t.regs + prog_.num_slots, probe_regs_.begin())) {
+    const std::uint64_t watchdog = opts_.watchdog_instructions;
+    const std::uint64_t period = t.budget_used - p.budget;
+    // The interpreter still runs watchdog + 1 - budget instructions.
+    const std::uint64_t whole = watchdog == ~std::uint64_t{0} || t.budget_used > watchdog
+                                    ? 0
+                                    : (watchdog - t.budget_used + 1) / period;
+    if (whole >= 2) {
+      const std::uint64_t n = whole - 1;
+      instructions += n * (instructions - p.instructions);
+      cycles += n * (cycles - p.cycles);
+      loop_cycles += n * (loop_cycles - p.loop_cycles);
+      t.budget_used += n * period;
+      fast_forwarded += n * period;
+    }
+    return true;
+  }
+  if (++p.stops >= HangProbe::kMaxStops) return true;
+  if (!p.saved || ++p.lam == p.power) {
+    if (p.saved) p.power *= 2;
+    p.saved = true;
+    p.lam = 0;
+    p.pc = t.pc;
+    p.budget = t.budget_used;
+    p.instructions = instructions;
+    p.cycles = cycles;
+    p.loop_cycles = loop_cycles;
+    p.hook_calls = hook_calls_;
+    p.ecc_corrected = ecc;
+    p.sdc = sdc;
+    probe_regs_.assign(t.regs, t.regs + prog_.num_slots);
+    changed_ = false;
+  }
+  return false;
+}
+
 /// Replay: one time-slice of thread t — applied from the journal, or
 /// interpreted with its writes reported to the delta set, which grows when
 /// they differ from the golden counterpart's.  An interpreted slice runs
 /// only a window of its segment when the snapshot table allows: it starts
 /// at skip_prefix's snapshot, and stops at each later snapshot's budget to
-/// try to rejoin.
+/// try to rejoin.  Once past its golden segment's end (at once when the
+/// golden thread had halted), it stops at every taken backward jump for
+/// probe_hang until the probe is over.  The armed thread runs the stream
+/// with live FIHooks while its fault is pending; a fire stops the slice at
+/// its next taken backward jump, and it goes on without them.
 ThreadStop BlockExec::replay_slice(ThreadCtx& t, LaunchStatus& crash_status) {
   const std::uint32_t slot = block_linear_ * threads_per_block_ + t.block_index;
   const std::uint32_t k = t.segment++;
@@ -2852,14 +2964,20 @@ ThreadStop BlockExec::replay_slice(ThreadCtx& t, LaunchStatus& crash_status) {
   const LaunchJournal& j = *journal_;
   const LaunchJournal::SnapshotTable& snaps = j.snapshots;
   const std::uint32_t g = j.thread_begin[slot] + k;
+  const bool golden = g < j.thread_begin[slot + 1];
   std::uint32_t next = 0, end = 0;
-  if (!snaps.empty() && g < j.thread_begin[slot + 1]) {
+  if (!snaps.empty() && golden) {
     next = snaps.begin[g];
     end = snaps.end[g];
     if (golden_start) next = skip_prefix(t, g, k, next, end);
   }
+  // The budget from which the slice probes for a hang.
+  const std::uint64_t probe_from = golden ? j.segments[g].budget_after + 1 : 0;
+  HangProbe probe;
   for (;;) {
-    stop_at_ = next < end ? snaps.list[next].budget : kNoStop;
+    stop_at_ = next < end ? snaps.list[next].budget
+               : probe.over ? kNoStop
+                            : std::max(probe_from, t.budget_used);
     const ThreadStop stop = step_thread(t, crash_status);
     if (stop != ThreadStop::Snapshot) {
       stop_at_ = kNoStop;
@@ -2872,6 +2990,8 @@ ThreadStop BlockExec::replay_slice(ThreadCtx& t, LaunchStatus& crash_status) {
       stop_at_ = kNoStop;
       return t.done ? ThreadStop::Done : ThreadStop::Barrier;
     }
+    if (next == end && !probe.over && t.budget_used >= probe_from)
+      probe.over = probe_hang(t, probe);
   }
 }
 
@@ -3092,7 +3212,8 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
   // The decoded stream is always built alongside the cost vector: decoding
   // is a single O(n) pass (trivial next to the spill analysis), and its
   // sanitizer site table serves every engine.  Threaded-code streams are
-  // compiled by the launches that run them (plain_stream(), fi_stream()): a
+  // compiled by the launches that run them (plain_stream(), writes_stream(),
+  // fi_stream()): a
   // campaign worker's launches record, track writes or take one step, and
   // never run the plain stream.  A plan is served only to a launch that
   // would build it from equal inputs, so flipping set_engine() or
@@ -3132,6 +3253,7 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
 kir::ThreadedProgram Device::compile_stream(const kir::DecodedProgram& decoded,
                                             std::uint16_t num_slots, const kir::FIFilter& fi,
                                             kir::MemInstr mem) const {
+  stream_compiles_.fetch_add(1, std::memory_order_relaxed);
   return kir::compile_threaded(decoded, num_slots,
                                props_.memory_model == MemoryModel::FlatGpu &&
                                    props_.protection == ecc::Scheme::None,
@@ -3144,6 +3266,17 @@ const kir::ThreadedProgram& Device::plain_stream(const LaunchPlan& plan,
     plan.plain = compile_stream(plan.decoded, num_slots, kir::FIFilter{}, plain_instr());
   });
   return plan.plain;
+}
+
+const kir::ThreadedProgram& Device::writes_stream(const LaunchPlan& plan,
+                                                 std::uint16_t num_slots, bool generic) const {
+  std::call_once(plan.writes_once[generic], [&] {
+    plan.writes[generic] =
+        compile_stream(plan.decoded, num_slots,
+                       {generic ? kir::FIFilter::Kind::Generic : kir::FIFilter::Kind::None},
+                       kir::MemInstr::Writes);
+  });
+  return plan.writes[generic];
 }
 
 std::shared_ptr<const kir::ThreadedProgram> Device::fi_stream(const LaunchPlan& plan,
@@ -3247,20 +3380,27 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   // launches that profile execution counts, cost SIMT serialization or carry
   // a hardware fault model — one-off profiling and BIST runs — run on the
   // reference interpreter (stream null), the only place those semantics are
-  // implemented.  A recording launch runs the plan's recording (or
-  // net-effect) stream, a replaying one its write-tracking stream, and when
-  // the hooks report an FI filter the stream is also FI-specialized; the
+  // implemented.  A replaying launch runs the plan's write-tracking streams,
+  // whatever its FI filter: every slice the one without FIHooks, except the
+  // armed thread's while its fault is pending, which runs the one with
+  // every FIHook live (`armed_stream`).  A recording launch runs the plan's
+  // recording (or net-effect) stream, and when the hooks of a recording or
+  // plain launch report an FI filter the stream is also FI-specialized; the
   // specialized stream is held until the launch returns.
   const bool threaded =
       !one_step && plan->threaded && !opts.instr_exec_counts && !opts.simt_cost && !has_fault();
   const kir::MemInstr mem_instr = touch    ? kir::MemInstr::NetEffect
                                   : record ? kir::MemInstr::Record
-                                  : replay ? kir::MemInstr::Writes
                                            : plain_instr();
   const kir::ThreadedProgram* stream = nullptr;
+  const kir::ThreadedProgram* armed_stream = nullptr;
   std::shared_ptr<const kir::ThreadedProgram> specialized;
-  if (threaded && (mem_instr != plain_instr() ||
-                   (fi.kind != kir::FIFilter::Kind::Generic && plan->fi_hooks > 0))) {
+  if (threaded && replay) {
+    stream = &writes_stream(*plan, program.num_slots, false);
+    if (fi.kind == kir::FIFilter::Kind::Armed && plan->fi_hooks > 0)
+      armed_stream = &writes_stream(*plan, program.num_slots, true);
+  } else if (threaded && (mem_instr != plain_instr() ||
+                          (fi.kind != kir::FIFilter::Kind::Generic && plan->fi_hooks > 0))) {
     specialized = fi_stream(*plan, program.num_slots, fi, mem_instr);
     stream = specialized.get();
   } else if (threaded) {
@@ -3273,7 +3413,8 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
 
   std::atomic<std::uint32_t> next_block{0};
   std::atomic<std::uint64_t> cycles{0}, loop_cycles{0}, instructions{0}, simt_cycles{0};
-  std::atomic<std::uint64_t> reports_dropped{0}, replayed{0}, replayed_instructions{0};
+  std::atomic<std::uint64_t> reports_dropped{0}, replayed{0}, replayed_instructions{0},
+      fast_forwarded{0};
   std::uint64_t slices = 0, max_budget = 0;  // recording launches, which are serial
   std::atomic<bool> sdc{false};
   std::atomic<int> bad_status{static_cast<int>(LaunchStatus::Ok)};
@@ -3293,7 +3434,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
         return;
       const std::uint32_t b = next_block.fetch_add(1, std::memory_order_relaxed);
       if (b >= num_blocks) return;
-      BlockExec exec(*this, program, cfg, opts, costs, plan->decoded, stream, fi, b,
+      BlockExec exec(*this, program, cfg, opts, costs, plan->decoded, stream, armed_stream, fi, b,
                      sanitize_ ? &block_reports[b] : nullptr, replay ? opts.journal : nullptr,
                      delta ? &*delta : nullptr, recorder ? &*recorder : nullptr,
                      touch ? &*touch : nullptr);
@@ -3305,6 +3446,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
       reports_dropped.fetch_add(exec.sanitizer_dropped(), std::memory_order_relaxed);
       replayed.fetch_add(exec.replayed, std::memory_order_relaxed);
       replayed_instructions.fetch_add(exec.replayed_instructions, std::memory_order_relaxed);
+      fast_forwarded.fetch_add(exec.fast_forwarded, std::memory_order_relaxed);
       if (record) {
         slices += exec.slices;
         max_budget = std::max(max_budget, exec.max_budget);
@@ -3369,6 +3511,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   res.replayed_segments = replayed.load();
   res.replayed_instructions = replayed_instructions.load();
   res.replayed_in_one_step = one_step;
+  res.fast_forwarded_instructions = fast_forwarded.load();
   if (record) {
     // Only a fault-free launch is a golden run worth journaling.
     if (res.status == LaunchStatus::Ok) {

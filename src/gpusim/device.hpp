@@ -188,6 +188,12 @@ struct LaunchResult {
   /// (DESIGN §10); every segment then counts as replayed.  The same kind of
   /// diagnostic as replayed_segments.
   bool replayed_in_one_step = false;
+  /// Instructions a replayed hung thread skipped by repeating a proven
+  /// cycle of its state up to the watchdog (hang fast-forward, DESIGN §10);
+  /// they are counted in `instructions` like the interpreted ones, not in
+  /// replayed_instructions.  The same kind of diagnostic as
+  /// replayed_segments.
+  std::uint64_t fast_forwarded_instructions = 0;
 };
 
 /// FI filter of the hook contract (see LaunchHooks::fi_filter).
@@ -306,8 +312,12 @@ struct LaunchOptions {
   /// of a one-step launch and of skipped or rejoined parts (detector
   /// checks, ControlBlock counters and outliers) do not happen, and skipped
   /// armed-site occurrences reach the hooks as one LaunchHooks::fi_skipped
-  /// call.  A net-effect journal has no segments: a launch that cannot take
-  /// it in one step runs as a plain full launch.
+  /// call.  A slice that has run past its golden segment and provably
+  /// repeats a state with no effect until the watchdog charges those
+  /// periods at once (hang fast-forward, DESIGN §10;
+  /// LaunchResult::fast_forwarded_instructions).  A net-effect journal has
+  /// no segments: a launch that cannot take it in one step runs as a plain
+  /// full launch.
   const LaunchJournal* journal = nullptr;
 };
 
@@ -372,6 +382,11 @@ class Device {
   [[nodiscard]] std::uint64_t plan_cache_misses() const noexcept {
     return plan_misses_.load(std::memory_order_relaxed);
   }
+  /// Threaded-code streams this device compiled (plain, specialized and
+  /// write-tracking), over every plan it built.
+  [[nodiscard]] std::uint64_t stream_compiles() const noexcept {
+    return stream_compiles_.load(std::memory_order_relaxed);
+  }
 
   // Internal: fault-model bookkeeping shared by block executors.
   DeviceFaultModel fault_{};
@@ -396,10 +411,16 @@ class Device {
     /// the plan.
     mutable std::once_flag plain_once;
     mutable kir::ThreadedProgram plain;
-    /// The specialized threaded stream for the most recent FI filter
-    /// (kir::FIFilter::same_stream) and memory instrumentation (recording,
-    /// net-effect or write-tracking), rebuilt when either changes.  A launch
-    /// holds its shared_ptr for the whole launch.
+    /// The write-tracking streams of replaying launches, each built once, by
+    /// the first launch that runs it: [0] with every FIHook compiled away
+    /// (FI filter None), [1] with every FIHook live (Generic), which only
+    /// an armed thread whose fault is still pending runs.
+    mutable std::once_flag writes_once[2];
+    mutable kir::ThreadedProgram writes[2];
+    /// The specialized threaded stream of journal-less and recording
+    /// launches for the most recent FI filter (kir::FIFilter::same_stream)
+    /// and memory instrumentation (recording or net-effect), rebuilt when
+    /// either changes.  A launch holds its shared_ptr for the whole launch.
     mutable std::mutex fi_mu;
     mutable kir::FIFilter fi_filter;
     mutable kir::MemInstr fi_mem = kir::MemInstr::None;
@@ -436,6 +457,11 @@ class Device {
   /// The plan's plain stream (built on first use).
   [[nodiscard]] const kir::ThreadedProgram& plain_stream(const LaunchPlan& plan,
                                                          std::uint16_t num_slots) const;
+  /// The plan's write-tracking stream, with every FIHook live (`generic`)
+  /// or compiled away (built on first use).
+  [[nodiscard]] const kir::ThreadedProgram& writes_stream(const LaunchPlan& plan,
+                                                          std::uint16_t num_slots,
+                                                          bool generic) const;
   /// The plan's stream specialized to `fi` and `mem` (built or reused under
   /// the plan's lock).
   [[nodiscard]] std::shared_ptr<const kir::ThreadedProgram> fi_stream(
@@ -457,6 +483,7 @@ class Device {
   std::vector<PlanEntry> plan_cache_;  ///< LRU order: most recent at the back
   std::mutex plan_mu_;
   std::atomic<std::uint64_t> plan_hits_{0}, plan_misses_{0};
+  mutable std::atomic<std::uint64_t> stream_compiles_{0};
 
   /// Reusable block-execution pool, created on the first multi-worker
   /// launch; replaces the former per-launch std::thread spawn/join.

@@ -146,7 +146,9 @@ class TrialStage {
 };
 
 /// Run one injection experiment.  `cb` may be null (FI without FT).
-/// `launch_workers` caps block-level workers of the trial launch (0 = hw).
+/// `launch_workers` caps block-level workers of the trial launch (0 = hw;
+/// the default 1, as in CampaignConfig, keeps the launch serial and so
+/// deterministic).
 /// `stage`, when given, re-stages memory via its cached image instead of a
 /// fresh job.setup() — the campaign drivers keep one stage per worker device.
 /// `journal`, when given (GoldenRun::journal), lets an eligible launch replay
@@ -159,7 +161,7 @@ class TrialStage {
                                     const core::ProgramOutput& golden,
                                     const workloads::Requirement& req,
                                     std::uint64_t watchdog_instructions,
-                                    int launch_workers = 0,
+                                    int launch_workers = 1,
                                     std::size_t sanitize_cap =
                                         gpusim::SharedShadow::kMaxReportsPerBlock,
                                     TrialStage* stage = nullptr,
@@ -185,7 +187,7 @@ class TrialStage {
                                            const core::ProgramOutput& golden,
                                            const workloads::Requirement& req,
                                            std::uint64_t watchdog_instructions,
-                                           int launch_workers = 0,
+                                           int launch_workers = 1,
                                            std::size_t sanitize_cap =
                                                gpusim::SharedShadow::kMaxReportsPerBlock,
                                            core::ControlBlock* cb = nullptr,
@@ -201,7 +203,7 @@ class TrialStage {
                                          const core::ProgramOutput& golden,
                                          const workloads::Requirement& req,
                                          std::uint64_t watchdog_instructions,
-                                         int launch_workers = 0,
+                                         int launch_workers = 1,
                                          std::size_t sanitize_cap =
                                              gpusim::SharedShadow::kMaxReportsPerBlock);
 
@@ -239,7 +241,7 @@ struct GoldenRun {
 };
 [[nodiscard]] GoldenRun golden_run(gpusim::Device& dev, const kir::BytecodeProgram& program,
                                    core::KernelJob& job, core::ControlBlock* cb = nullptr,
-                                   int launch_workers = 0,
+                                   int launch_workers = 1,
                                    GoldenJournal record = GoldenJournal::Full);
 
 /// Watchdog budget for injection runs derived from the golden run.

@@ -94,12 +94,15 @@ class ProgramGen {
   /// `loads` adds global-load statements (FI mode); `int_atomics` adds
   /// integer atomicAdds next to them (replay mode); `loop_scale` multiplies
   /// every loop's trip count (replay mode: loops long enough for the golden
-  /// journal to take snapshots in).  Off, the generator's draws — and so
-  /// every other corpus — are unchanged.
+  /// journal to take snapshots in).  `spins`, when set, draws spin loops
+  /// (spin_loop) from its own stream, so the other draws stay the same.
+  /// Off, the generator's draws — and so every other corpus — are
+  /// unchanged.
   explicit ProgramGen(Rng& rng, bool racy = false, bool loads = false,
-                      bool int_atomics = false, std::int32_t loop_scale = 1)
+                      bool int_atomics = false, std::int32_t loop_scale = 1,
+                      Rng* spins = nullptr)
       : rng_(rng), racy_(racy), loads_(loads), int_atomics_(int_atomics),
-        loop_scale_(loop_scale) {}
+        loop_scale_(loop_scale), spins_(spins) {}
 
   FuzzProgram gen() {
     FuzzProgram fp;
@@ -231,7 +234,42 @@ class ProgramGen {
     }
   }
 
+  /// Spin loop (replay mode): a loop gated on a fresh variable `spin<N>` =
+  /// tid & 7, which a golden run never enters and a fault lifting the
+  /// variable above 7 makes spin until the watchdog.  Its body leaves memory
+  /// as it found it: it only reads a word, rewrites a word (global or
+  /// shared) with the value it holds, or adds 0 to one; half the loops also
+  /// define a variable, so an FIHook sits inside.
+  void spin_loop(KernelBuilder& kb) {
+    Rng& r = *spins_;
+    const ExprH gate = kb.let("spin" + std::to_string(serial_++), kb.tid_x() & i32c(7));
+    const ExprH at = ptrs_[r.next_below(ptrs_.size())] +
+                     (kb.thread_linear() & i32c(kBufWords - 1));
+    const std::uint64_t kind = r.next_below(shared_words_ > 0 ? 4 : 3);
+    const bool hook = r.next_below(2) == 0;
+    kb.while_loop([&] { return gate > i32c(7); }, [&] {
+      switch (kind) {
+        case 0:
+          (void)kb.let("sr" + std::to_string(serial_++), kb.load_i32(at));
+          break;
+        case 1:
+          kb.store(at, kb.load_i32(at));
+          break;
+        case 2:
+          kb.atomic_add(at, i32c(0));
+          break;
+        default: {
+          const ExprH idx =
+              kb.tid_x() & i32c(static_cast<std::int32_t>(shared_words_ - 1));
+          kb.shstore(idx, kb.shload_i32(idx));
+        }
+      }
+      if (hook) (void)kb.let("sh" + std::to_string(serial_++), gate + i32c(1));
+    });
+  }
+
   void statement(KernelBuilder& kb, int depth) {
+    if (spins_ && depth == 0 && spins_->next_below(100) < 12) spin_loop(kb);
     if (racy_ && chance(30)) {
       racy_statement(kb, depth);
       return;
@@ -324,6 +362,7 @@ class ProgramGen {
   bool loads_ = false;
   bool int_atomics_ = false;
   std::int32_t loop_scale_ = 1;
+  Rng* spins_ = nullptr;
   std::uint32_t shared_words_ = 0;
   int serial_ = 0;
   std::vector<ExprH> ptrs_, i32s_, f32s_;
@@ -867,6 +906,11 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
   // own counters are the exception by contract: applied segments make no
   // hook calls (DESIGN §10), so the replayed run's cb counters are not
   // compared — its SDC alarm is.
+  // Programs also carry spin loops (ProgramGen::spin_loop) that only a fault
+  // in their gate variable enters; half the trials of such a program arm
+  // one, and trade a drawn budget for a watchdog a few dozen instructions
+  // past the golden run's largest budget, so hung replayed threads
+  // fast-forward (DESIGN §10) at tight and loose watchdogs alike.
   const std::uint64_t seed = env_u64("HAUBERK_FUZZ_SEED", 0xfa57'0016);
   const auto programs =
       static_cast<std::size_t>(env_u64("HAUBERK_FUZZ_PROGRAMS", 400)) / 2;
@@ -875,9 +919,12 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
   std::size_t windowed = 0, snapshot_budgets = 0;
   std::size_t host_writes = 0, raw_upsets = 0, recorded = 0;
   std::size_t ecc_corrected = 0, ecc_failed = 0, sibling_store_first = 0, atomic_first = 0;
+  std::size_t spin_hangs = 0, fast_forwarded = 0;
   for (std::size_t i = 0; i < programs; ++i) {
     Rng rng = Rng::fork(seed, i);
-    ProgramGen gen(rng, /*racy=*/false, /*loads=*/true, /*int_atomics=*/true, /*loop_scale=*/4);
+    Rng spins = Rng::fork(seed ^ 0x5b1e, i);
+    ProgramGen gen(rng, /*racy=*/false, /*loads=*/true, /*int_atomics=*/true, /*loop_scale=*/4,
+                   &spins);
     const FuzzProgram fp = gen.gen();
     if (fp.mem_model != gpusim::MemoryModel::FlatGpu) continue;  // replay-ineligible
     const bool fift = i % 2 == 1;
@@ -920,6 +967,17 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
             journal.snapshots.list[arm.next_below(journal.snapshots.list.size())];
         budgets.push_back(at.budget + arm.next_below(3) - 1);
         ++snapshot_budgets;
+      }
+      Rng spin_arm = Rng::fork(seed ^ 0x5b1f, i);
+      std::vector<std::uint32_t> gates;
+      for (const kir::FISite& site : prog.fi_sites)
+        if (site.var_name.rfind("spin", 0) == 0 && !site.dead_window) gates.push_back(site.site_id);
+      const bool spin_armed = !gates.empty() && spin_arm.next_below(2) == 0;
+      if (spin_armed) {
+        fi.spec.site_id = gates[spin_arm.next_below(gates.size())];
+        fi.spec.occurrence = 1;
+        fi.spec.mask = 1u << (3 + spin_arm.next_below(28));
+        budgets[1] = journal.net.totals.max_budget + 1 + spin_arm.next_below(64);
       }
 
       Rng strike = Rng::fork(seed ^ 0x0ecc, i);
@@ -981,6 +1039,8 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
         ecc_failed += ref.res.status == gpusim::LaunchStatus::EccUncorrectable;
         if (ref.res.status == gpusim::LaunchStatus::Hang && budget != budgets.front())
           ++budget_hang;
+        spin_hangs += spin_armed && ref.res.status == gpusim::LaunchStatus::Hang;
+        fast_forwarded += rep.res.fast_forwarded_instructions > 0;
         if (::testing::Test::HasFailure()) return;
       }
     }
@@ -999,6 +1059,8 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
   EXPECT_GT(host_writes, compared / 3) << "too few host writes between staging and launch";
   EXPECT_GT(raw_upsets, compared / 8) << "too few unprotected upsets";
   EXPECT_GT(recorded, compared / 4) << "trial launches rarely record a journal";
+  EXPECT_GT(spin_hangs, compared / 32) << "armed spin loops rarely hang";
+  EXPECT_GT(fast_forwarded, spin_hangs / 8) << "hung replayed threads rarely fast-forward";
 }
 
 namespace {

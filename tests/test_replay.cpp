@@ -8,7 +8,8 @@
 // included.  Every replayed trial also runs against the journal stripped of
 // its snapshot table, which replays whole segments only: windowed replay
 // (DESIGN §10) must agree with both.  The remaining tests pin the eligibility predicate (ineligible
-// launches apply nothing), the watchdog rule, and the fingerprint check.
+// launches apply nothing), the watchdog rule, the fingerprint check, the
+// hang fast-forward and the write-tracking streams' compile count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1297,4 +1298,350 @@ TEST(Replay, OneStepReportsTheGoldenSdcBit) {
   EXPECT_FALSE(seg_one);
   EXPECT_EQ(step, full);
   EXPECT_EQ(seg, full);
+}
+
+namespace {
+
+/// Everything a hung trial exposes: every LaunchResult field but the replay
+/// diagnostics, the memory image, and the control block's SDC bit and
+/// check and violation counts.
+struct HangObs {
+  gpusim::LaunchStatus status{};
+  std::uint64_t instructions = 0, cycles = 0, loop_cycles = 0, threads = 0, simt_cycles = 0,
+                ecc_corrected = 0, reports = 0, reports_dropped = 0;
+  bool sdc = false, cb_sdc = false, activated = false;
+  std::int64_t deadlock_pc = -1, deadlock_site = -1;
+  std::uint64_t checks = 0, violations = 0;
+  std::vector<std::uint32_t> mem;
+  bool operator==(const HangObs&) const = default;
+};
+
+struct HangRun {
+  HangObs obs;
+  std::uint64_t fast_forwarded = 0;
+};
+
+/// Launch `prog` on `dev` (job staged anew) with `hooks` (armed with
+/// `spec` when it is an injector and `spec` is set) and, when `journal` is
+/// set, replay it.
+HangRun hang_launch(gpusim::Device& dev, core::KernelJob& job, const kir::BytecodeProgram& prog,
+                    gpusim::LaunchHooks* hooks, core::ControlBlock* cb,
+                    swifi::InjectingHooks* injector, const swifi::FaultSpec* spec,
+                    std::uint64_t watchdog, const gpusim::LaunchJournal* journal) {
+  const std::vector<kir::Value> args = job.setup(dev);
+  if (cb) cb->reset_results();
+  if (injector) {
+    if (spec)
+      injector->arm(*spec);
+    else
+      injector->disarm();
+  }
+  gpusim::LaunchOptions opts;
+  opts.hooks = hooks;
+  opts.watchdog_instructions = watchdog;
+  opts.max_workers = 1;
+  opts.journal = journal;
+  const gpusim::LaunchResult res = dev.launch(prog, job.config(), args, opts);
+  HangRun r;
+  r.obs.status = res.status;
+  r.obs.instructions = res.instructions;
+  r.obs.cycles = res.cycles;
+  r.obs.loop_cycles = res.loop_cycles;
+  r.obs.threads = res.threads;
+  r.obs.simt_cycles = res.simt_cycles;
+  r.obs.ecc_corrected = res.ecc_corrected;
+  r.obs.reports = res.sanitizer_reports.size();
+  r.obs.reports_dropped = res.sanitizer_reports_dropped;
+  r.obs.sdc = res.sdc_alarm;
+  r.obs.deadlock_pc = res.deadlock_pc;
+  r.obs.deadlock_site = res.deadlock_site;
+  r.obs.activated = injector && injector->activated();
+  if (cb) {
+    r.obs.cb_sdc = cb->sdc_detected();
+    r.obs.checks = cb->total_checks();
+    r.obs.violations = cb->total_violations();
+  }
+  r.obs.mem = dev.mem().image();
+  r.fast_forwarded = res.fast_forwarded_instructions;
+  return r;
+}
+
+/// One block of `threads` threads over a 64-word I32 buffer `buf` (zeroed)
+/// and a one-word input `in` holding `input`; `buf` is the output.
+std::unique_ptr<core::KernelJob> spin_job(std::uint32_t threads, std::uint32_t input = 0) {
+  using B = workloads::BufferJob;
+  std::vector<B::Buffer> bufs{{std::vector<std::uint32_t>(64, 0u), gpusim::AllocClass::I32Data},
+                              {{input}, gpusim::AllocClass::I32Data}};
+  gpusim::LaunchConfig cfg;
+  cfg.block_x = threads;
+  return std::make_unique<B>(std::move(bufs), std::vector<B::Arg>{B::Arg::buf(0), B::Arg::buf(1)},
+                             cfg, 0, kir::DType::I32);
+}
+
+/// TPACF's write-retry loop (paper §IX.B) in four flavors: each thread
+/// writes `want` through the address copy `waddr` and spins until it reads
+/// `want` back, rewriting it (shared or global store) or adding 0 or 1 to
+/// it (global atomic).  A fault in `waddr` points the writes elsewhere: the
+/// thread then spins until the watchdog, and every rewrite but an atomic
+/// add of 1 leaves memory as it was.
+enum class Spin { SharedStore, GlobalStore, AtomicZero, AtomicOne };
+
+kir::Kernel spin_kernel(Spin kind) {
+  using kir::i32c;
+  kir::KernelBuilder kb("spin", 64);
+  auto buf = kb.param_ptr("buf");
+  (void)kb.param_ptr("in");
+  auto t = kb.let("t", kb.tid_x());
+  auto want = kb.let("want", t + i32c(5));
+  if (kind == Spin::SharedStore) {
+    auto waddr = kb.let("waddr", t + i32c(0));
+    kb.shstore(waddr, want);
+    kb.while_loop([&] { return kb.shload_i32(t) != want; }, [&] { kb.shstore(waddr, want); });
+    kb.store(buf + t, kb.shload_i32(t));
+  } else {
+    auto waddr = kb.let("waddr", buf + t);
+    kb.store(waddr, want);
+    kb.while_loop([&] { return kb.load_i32(buf + t) != want; }, [&] {
+      if (kind == Spin::GlobalStore)
+        kb.store(waddr, want);
+      else
+        kb.atomic_add(waddr, i32c(kind == Spin::AtomicZero ? 0 : 1));
+    });
+  }
+  return kb.build();
+}
+
+/// A one-thread loop that runs while the input word is nonzero (never, in
+/// the golden run with input 0) and steps `i = (i + 1) & mask` — or
+/// `i = i + 1` when `mask` is 0xffffffff — and, with `check`, range-checks
+/// `i` every iteration (detector 0).  Its state repeats every mask + 1
+/// iterations.
+kir::BytecodeProgram counter_program(std::uint32_t mask, bool check) {
+  using kir::i32c;
+  kir::KernelBuilder kb("counter", 0);
+  auto buf = kb.param_ptr("buf");
+  auto in = kb.param_ptr("in");
+  auto x = kb.let("x", kb.load_i32(in));
+  auto i = kb.let("i", i32c(0));
+  kb.while_loop([&] { return x != i32c(0); }, [&] {
+    if (mask == 0xffffffffu)
+      kb.assign(i, i + i32c(1));
+    else
+      kb.assign(i, (i + i32c(1)) & i32c(static_cast<std::int32_t>(mask)));
+  });
+  kb.store(buf, i);
+  kir::Kernel k = kb.build();
+  if (check) {
+    for (const kir::StmtPtr& s : k.body)
+      if (s->kind == kir::StmtKind::While) {
+        auto rc = std::make_shared<kir::Stmt>();
+        rc->kind = kir::StmtKind::RangeCheck;
+        rc->detector_id = 0;
+        rc->value = i.node();
+        s->body.push_back(std::move(rc));
+      }
+  }
+  return kir::lower(k);
+}
+
+}  // namespace
+
+// Hang fast-forward (DESIGN §10): a replayed slice past its golden segment
+// whose state repeats — same pc and registers, no memory word changed, no
+// hook call, the SDC bit held — charges whole periods up to the watchdog at
+// once.  Every case compares the replay with the journal-less launch on
+// every LaunchResult field, the memory image and the control block.
+TEST(Replay, HungThreadsFastForwardOnlyWhenTheStateRepeats) {
+  // (1) The spin loops on FI and FI&FT builds, a fault in `waddr`.
+  for (const Spin kind : {Spin::SharedStore, Spin::GlobalStore, Spin::AtomicZero,
+                          Spin::AtomicOne}) {
+    const core::KernelVariants v = core::build_variants(spin_kernel(kind));
+    gpusim::Device prof_dev;
+    const auto prof_job = spin_job(4);
+    const core::ProfileData pd = core::profile(prof_dev, v, {prof_job.get()});
+    for (const bool fift : {false, true}) {
+      const kir::BytecodeProgram& prog = fift ? v.fift : v.fi;
+      const std::string what = std::string("spin ") + std::to_string(static_cast<int>(kind)) +
+                               (fift ? " fi+ft" : " fi");
+      std::uint32_t site = ~0u;
+      for (const kir::FISite& s : prog.fi_sites)
+        if (s.var_name == "waddr" && !s.dead_window) site = s.site_id;
+      ASSERT_NE(site, ~0u) << what;
+      gpusim::Device gdev, fdev, rdev;
+      const auto gjob = spin_job(4), fjob = spin_job(4), rjob = spin_job(4);
+      std::unique_ptr<core::ControlBlock> gcb, fcb, rcb;
+      if (fift) {
+        gcb = core::make_configured_control_block(prog, pd);
+        fcb = core::make_configured_control_block(prog, pd);
+        rcb = core::make_configured_control_block(prog, pd);
+      }
+      const swifi::GoldenRun gold = swifi::golden_run(gdev, prog, *gjob, gcb.get(), 1);
+      ASSERT_TRUE(gold.journal) << what;
+      const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
+      swifi::InjectingHooks fh(prog, fcb.get()), rh(prog, rcb.get());
+      for (std::uint32_t thread = 0; thread < 4; ++thread)
+        for (const std::uint32_t mask : {1u << 4, 1u << 5}) {
+          const swifi::FaultSpec spec{site, thread, 1, mask};
+          const HangRun full = hang_launch(fdev, *fjob, prog, &fh, fcb.get(), &fh, &spec,
+                                           watchdog, nullptr);
+          const HangRun rep = hang_launch(rdev, *rjob, prog, &rh, rcb.get(), &rh, &spec,
+                                          watchdog, gold.journal.get());
+          const std::string at = what + " thread " + std::to_string(thread) + " mask " +
+                                 std::to_string(mask);
+          EXPECT_EQ(full.obs.status, gpusim::LaunchStatus::Hang) << at;
+          EXPECT_EQ(rep.obs, full.obs) << at;
+          EXPECT_EQ(full.fast_forwarded, 0u) << at;
+          if (kind == Spin::AtomicOne)
+            EXPECT_EQ(rep.fast_forwarded, 0u) << at;
+          else
+            EXPECT_GT(rep.fast_forwarded, watchdog / 2) << at;
+        }
+    }
+  }
+
+  // (2) One-thread counter loops the golden run never enters and a trial
+  // input of 1 spins in, the control block as hooks.  The state repeats
+  // every mask + 1 iterations, one stop each: a period of 128 stops is found
+  // within the probe's 256, one of 256 is not; nor is a plain counter's or,
+  // with its range check, a period-1 loop's.
+  const auto counter = [&](std::uint32_t mask, bool check, std::uint64_t watchdog,
+                           const char* what) {
+    const kir::BytecodeProgram prog = counter_program(mask, check);
+    gpusim::Device gdev, fdev, rdev;
+    const auto gjob = spin_job(1, 0), fjob = spin_job(1, 1), rjob = spin_job(1, 1);
+    core::ControlBlock gcb(prog), fcb(prog), rcb(prog);
+    const swifi::GoldenRun gold = swifi::golden_run(gdev, prog, *gjob, &gcb, 1);
+    EXPECT_TRUE(gold.journal) << what;
+    const HangRun full =
+        hang_launch(fdev, *fjob, prog, &fcb, &fcb, nullptr, nullptr, watchdog, nullptr);
+    const HangRun rep = hang_launch(rdev, *rjob, prog, &rcb, &rcb, nullptr, nullptr, watchdog,
+                                    gold.journal.get());
+    EXPECT_EQ(full.obs.status, gpusim::LaunchStatus::Hang) << what;
+    EXPECT_EQ(rep.obs, full.obs) << what;
+    EXPECT_EQ(full.fast_forwarded, 0u) << what;
+    return std::pair(rep.fast_forwarded, gold.journal ? gold.journal->segments.at(0).budget_after
+                                                      : 0);
+  };
+  constexpr std::uint64_t kWatchdog = 1'000'000;
+  EXPECT_GT(counter(127, false, kWatchdog, "period 128").first, kWatchdog / 2);
+  EXPECT_EQ(counter(255, false, kWatchdog, "period 256").first, 0u);
+  EXPECT_EQ(counter(0xffffffffu, false, kWatchdog, "counter").first, 0u);
+  EXPECT_EQ(counter(0, true, kWatchdog, "range check").first, 0u);
+
+  // (3) How many periods a period-1 loop skips.  The loop (cond; Jz; body;
+  // Jmp back) takes P = jmp - head + 1 instructions per iteration after a
+  // jump-free prologue of `head` instructions, so its i-th back-edge leaves
+  // the budget at head + i * P.  The probe starts at the first one past the
+  // golden segment's end and finds the cycle at the next, budget b; then
+  // floor((watchdog + 1 - b) / P) - 1 periods are skipped.
+  const kir::BytecodeProgram prog = counter_program(0, false);
+  std::uint64_t head = 0, jmp = 0;
+  for (std::uint64_t pc = 0; pc < prog.code.size(); ++pc)
+    if (prog.code[pc].op == kir::OpCode::Jmp && prog.code[pc].aux < pc) {
+      head = prog.code[pc].aux;
+      jmp = pc;
+    }
+  ASSERT_GT(jmp, 0u);
+  for (std::uint64_t pc = 0; pc < head; ++pc)
+    ASSERT_TRUE(prog.code[pc].op != kir::OpCode::Jmp && prog.code[pc].op != kir::OpCode::Jz);
+  const std::uint64_t period = jmp - head + 1;
+  const std::uint64_t golden_end = counter(0, false, kWatchdog, "period 1").second;
+  std::uint64_t first = 1;
+  while (head + first * period <= golden_end) ++first;
+  const std::uint64_t b = head + (first + 1) * period;
+  for (const std::uint64_t watchdog :
+       {b - 1, b, b + 2 * period - 2, b + 2 * period - 1, b + 7 * period + 3, kWatchdog}) {
+    const std::uint64_t whole = (watchdog + 1 - b) / period;
+    EXPECT_EQ(counter(0, false, watchdog, "period 1").first,
+              whole >= 2 ? (whole - 1) * period : 0)
+        << "watchdog " << watchdog << " b " << b << " period " << period;
+  }
+
+  // (4) TPACF's write-retry livelock itself: faults in `waddr` (site 30),
+  // FI and FI&FT builds, tiny and small scale.
+  for (const Scale scale : {Scale::Tiny, Scale::Small}) {
+    const auto w = make_tpacf();
+    const Dataset ds = w->make_dataset(kDatasetSeed, scale);
+    const core::KernelVariants v = core::build_variants(w->build_kernel(scale));
+    gpusim::Device prof_dev;
+    const auto prof_job = w->make_job(ds);
+    const core::ProfileData pd = core::profile(prof_dev, v, {prof_job.get()});
+    for (const bool fift : {false, true}) {
+      const kir::BytecodeProgram& prog = fift ? v.fift : v.fi;
+      std::uint32_t site = ~0u, index = 0;
+      for (std::uint32_t i = 0; i < prog.fi_sites.size(); ++i)
+        if (prog.fi_sites[i].var_name == "waddr" && !prog.fi_sites[i].dead_window) {
+          site = prog.fi_sites[i].site_id;
+          index = i;
+        }
+      ASSERT_EQ(site, 30u);
+      gpusim::Device gdev, fdev, rdev;
+      const auto gjob = w->make_job(ds), fjob = w->make_job(ds), rjob = w->make_job(ds);
+      std::unique_ptr<core::ControlBlock> gcb, fcb, rcb;
+      if (fift) {
+        gcb = core::make_configured_control_block(prog, pd);
+        fcb = core::make_configured_control_block(prog, pd);
+        rcb = core::make_configured_control_block(prog, pd);
+      }
+      const swifi::GoldenRun gold = swifi::golden_run(gdev, prog, *gjob, gcb.get(), 1);
+      ASSERT_TRUE(gold.journal);
+      const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
+      swifi::InjectingHooks fh(prog, fcb.get()), rh(prog, rcb.get());
+      std::uint32_t hangs = 0, fast = 0, tried = 0;
+      for (std::uint32_t t = 0; t < pd.exec_counts[index].size() && tried < 3; ++t) {
+        const std::uint32_t n = pd.exec_counts[index][t];
+        if (n == 0) continue;
+        ++tried;
+        for (const std::uint32_t occ : {1u, n}) {
+          const swifi::FaultSpec spec{site, t, occ, 1u << (4 + tried)};
+          const HangRun full = hang_launch(fdev, *fjob, prog, &fh, fcb.get(), &fh, &spec,
+                                           watchdog, nullptr);
+          const HangRun rep = hang_launch(rdev, *rjob, prog, &rh, rcb.get(), &rh, &spec,
+                                          watchdog, gold.journal.get());
+          // Applied segments make no detector calls (LaunchOptions::journal):
+          // here only the SDC bits compare.
+          HangObs expect = full.obs;
+          expect.checks = rep.obs.checks;
+          expect.violations = rep.obs.violations;
+          EXPECT_EQ(rep.obs, expect) << "TPACF thread " << t << " occurrence " << occ;
+          hangs += full.obs.status == gpusim::LaunchStatus::Hang;
+          fast += rep.fast_forwarded > 0;
+        }
+      }
+      EXPECT_GT(hangs, 0u) << (fift ? "fi+ft" : "fi");
+      EXPECT_EQ(fast, hangs) << (fift ? "fi+ft" : "fi");
+    }
+  }
+}
+
+// A campaign compiles its write-tracking streams once per plan, however
+// many FI sites it arms: one device runs CP's golden run (its recording
+// stream) and a register fault at every executed FI site of the FI and
+// FI&FT builds, replayed; the trials add the two write-tracking streams
+// (FIHooks compiled away, FIHooks live) and nothing else.
+TEST(Replay, WriteTrackingStreamsCompileOncePerPlan) {
+  const Built b = build(make_cp());
+  for (const bool fift : {false, true}) {
+    const kir::BytecodeProgram& prog = fift ? b.v.fift : b.v.fi;
+    Rig r(b, prog, fift);
+    const swifi::GoldenRun gold = swifi::golden_run(r.dev, prog, *r.job, r.cb.get(), 1);
+    ASSERT_TRUE(gold.journal);
+    EXPECT_EQ(r.dev.stream_compiles(), 1u);
+    const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
+    std::size_t sites = 0;
+    for (std::uint32_t si = 0; si < prog.fi_sites.size() && si < b.pd.exec_counts.size(); ++si)
+      for (std::uint32_t t = 0; t < b.pd.exec_counts[si].size(); ++t) {
+        if (b.pd.exec_counts[si][t] == 0) continue;
+        const swifi::FaultSpec spec{prog.fi_sites[si].site_id, t, 1, 1u << 3};
+        (void)swifi::run_one_fault(r.dev, prog, *r.job, r.cb.get(), spec, gold.output,
+                                   b.w->requirement(), watchdog, 1,
+                                   gpusim::SharedShadow::kMaxReportsPerBlock, r.stage.get(),
+                                   gold.journal.get());
+        ++sites;
+        break;
+      }
+    EXPECT_GT(sites, 10u) << (fift ? "fi+ft" : "fi");
+    EXPECT_EQ(r.dev.stream_compiles(), 3u) << (fift ? "fi+ft" : "fi");
+    EXPECT_EQ(r.dev.plan_cache_misses(), 1u) << (fift ? "fi+ft" : "fi");
+  }
 }
