@@ -20,7 +20,8 @@
 // executor devices; the protected-mode section below always measures
 // none-vs-hsiao regardless), --json=FILE (write the engine sweep and
 // protection rows, the golden-recording times, the interpreted-instruction
-// shares of replayed trials, the threaded streams a campaign compiles, the
+// shares of replayed trials, the threaded streams a replayed and a
+// journal-less sanitized campaign compile, the
 // hang fast-forward row, the device construction time, the per-launch host
 // overhead and the determinism verdict as JSON).  Exits nonzero when
 // outcomes diverge across rows, or TPACF trials hang and none of them
@@ -388,10 +389,37 @@ int main(int argc, char** argv) {
                 mem_share[0].interpreted(), mem_share[1].interpreted());
     std::printf("  memory faults replayed in one step (net effect): %.4f\n",
                 static_cast<double>(one_step_trials) / 400.0);
-    std::printf("threaded streams compiled for %zu register-fault trials over %zu FI sites: "
-                "%llu (%llu plan)\n",
+    std::printf("threaded streams compiled for %zu replayed register-fault trials over %zu FI "
+                "sites: %llu (%llu plan)\n",
                 specs.size(), fi_sites, static_cast<unsigned long long>(stream_compiles),
                 static_cast<unsigned long long>(stream_plans));
+  }
+
+  // The threaded streams a journal-less campaign compiles: the same
+  // register faults on a sanitized device (a sanitized golden run records
+  // no journal), one full launch each.  Every thread but the armed one runs
+  // the plan's sanitized stream with FIHooks compiled away, the armed
+  // thread the one with them live: at most two streams per plan, however
+  // many FI sites the campaign arms.
+  std::uint64_t san_streams = 0, san_plans = 0;
+  {
+    gpusim::Device dev;
+    dev.set_sanitize(true);
+    auto job = ctx.workload->make_job(ctx.dataset);
+    const swifi::GoldenRun gold =
+        swifi::golden_run(dev, ctx.variants.fift, *job, ctx.cb.get(), 1);
+    const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
+    swifi::TrialStage stage(dev, *job);
+    for (const swifi::FaultSpec& spec : specs)
+      (void)swifi::run_one_fault(dev, ctx.variants.fift, *job, ctx.cb.get(), spec, gold.output,
+                                 req, watchdog, 1, gpusim::SharedShadow::kMaxReportsPerBlock,
+                                 &stage);
+    san_streams = dev.stream_compiles();
+    san_plans = dev.plan_cache_misses();
+    std::printf("threaded streams compiled for %zu journal-less sanitized register-fault trials "
+                "over %zu FI sites: %llu (%llu plan)\n",
+                specs.size(), fi_sites, static_cast<unsigned long long>(san_streams),
+                static_cast<unsigned long long>(san_plans));
   }
 
   // Hang fast-forward (DESIGN §10): a TPACF/tiny single-bit register-fault
@@ -531,10 +559,15 @@ int main(int argc, char** argv) {
                  mem_share[0].interpreted(), mem_share[1].interpreted(),
                  static_cast<double>(one_step_trials) / 400.0);
     std::fprintf(f,
-                 "  \"stream_compiles\": {\"streams\": %llu, \"plans\": %llu, "
+                 "  \"replay_stream_compiles\": {\"streams\": %llu, \"plans\": %llu, "
                  "\"fi_sites\": %zu, \"trials\": %zu},\n",
                  static_cast<unsigned long long>(stream_compiles),
                  static_cast<unsigned long long>(stream_plans), fi_sites, specs.size());
+    std::fprintf(f,
+                 "  \"stream_compiles\": {\"streams\": %llu, \"plans\": %llu, "
+                 "\"sites\": %zu, \"trials\": %zu},\n",
+                 static_cast<unsigned long long>(san_streams),
+                 static_cast<unsigned long long>(san_plans), fi_sites, specs.size());
     std::fprintf(f,
                  "  \"hang_fast_forward\": {\"program\": \"TPACF\", \"hung\": %zu, "
                  "\"fast_forwarded\": %zu, \"replayed_ms_per_hung_trial\": %.4f, "

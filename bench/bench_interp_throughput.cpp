@@ -11,8 +11,8 @@
 // the launch every campaign trial pays, minus the one armed hook — and
 // reports that launch's time over the FT build's.  The instruction ratio
 // is fixed by the instrumentation; the time ratio staying near 1 on the
-// threaded engine shows the FI-specialized stream is in use (unarmed hooks
-// compiled away), not the generic one that dispatches every hook.
+// threaded engine shows the stream with FIHooks compiled away is in use,
+// not the one that dispatches every hook.
 //
 // All arms are pinned bitwise-identical by test_differential_fuzz and
 // test_golden_outputs; this harness only measures, but it still verifies

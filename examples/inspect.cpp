@@ -9,8 +9,9 @@
 //
 // --what=threaded prints, per build, what the threaded-code compiler makes
 // of it: straight-line run coverage, fused superinstruction heads and FI
-// hooks — for the generic stream and for the FI-specialized stream a
-// disarmed injector's launch runs (unarmed hooks dropped from runs).
+// hooks — for the generic stream (FI hooks live) and for the stream with
+// them compiled away that a disarmed injector's launch runs (hooks dropped
+// from runs).
 //
 // --what=journal prints, per build, the golden-launch journal a SWIFI
 // campaign records for segment replay (dataset seed 1, one block worker):
@@ -191,8 +192,9 @@ void print_stats(const core::KernelVariants& v) {
 }
 
 /// --what=threaded: each build's threaded stream as a default device
-/// compiles it, generic and — for builds with FI hooks — specialized to a
-/// disarmed injector (FI filter None).
+/// compiles it, with FI hooks live ("generic") and — for builds with FI
+/// hooks — with them compiled away ("disarmed", every thread a disarmed
+/// injector or a trial's unarmed threads run).
 void print_threaded(const core::KernelVariants& v) {
   std::printf("threaded streams (default device, FlatGpu):\n");
   std::printf("  %-9s %-9s %-7s %-5s %-9s %-6s %-9s %-8s %s\n", "variant", "stream", "instrs",
@@ -202,15 +204,14 @@ void print_threaded(const core::KernelVariants& v) {
     const auto costs =
         gpusim::instruction_costs(*r.p, gpusim::CostModel{}, props.regs_per_thread, false);
     const kir::DecodedProgram d = kir::decode_program(*r.p, costs);
-    for (const auto kind : {kir::FIFilter::Kind::Generic, kir::FIFilter::Kind::None}) {
+    for (const bool fi_hooks : {true, false}) {
       const kir::ThreadedProgram tp =
-          kir::compile_threaded(d, r.p->num_slots, true, true, kir::MemInstr::None,
-                                kir::FIFilter{kind});
-      if (kind == kir::FIFilter::Kind::None && tp.fi_hooks == 0) continue;
+          kir::compile_threaded(d, r.p->num_slots, true, true, kir::MemInstr::None, fi_hooks);
+      if (!fi_hooks && tp.fi_hooks == 0) continue;
       const double cover =
           tp.code.empty() ? 0.0 : 100.0 * tp.run_covered / static_cast<double>(tp.code.size());
       std::printf("  %-9s %-9s %-7zu %-5u %7.1f%%  %-6u %-9u %-8u %u\n", r.name,
-                  kind == kir::FIFilter::Kind::Generic ? "generic" : "disarmed", tp.code.size(),
+                  fi_hooks ? "generic" : "disarmed", tp.code.size(),
                   tp.run_heads, cover, tp.fused_heads, tp.fi_hooks, tp.fi_dropped, tp.fi_nops);
     }
   }

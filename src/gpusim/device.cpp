@@ -1118,9 +1118,9 @@ class BlockExec {
     ++hook_calls_;
     return *opts_.hooks;
   }
-  /// An fi_hook call injected its fault.  In a replay the slice then stops
-  /// at its next taken backward jump, so the thread leaves the stream with
-  /// live FIHooks (step_thread).
+  /// An fi_hook call injected its fault.  The thread leaves the stream with
+  /// live FIHooks at its next slice (step_thread); in a replay the slice
+  /// also stops at its next taken backward jump, to leave sooner.
   void fire() noexcept {
     fired_ = true;
     if (journal_) stop_at_ = 0;
@@ -1162,10 +1162,10 @@ class BlockExec {
   /// Threaded-code stream this launch runs; null when it runs on the
   /// reference interpreter (Device::launch decides).
   const kir::ThreadedInstr* tcode_;
-  /// The stream the armed thread runs while its fault is pending: in a
-  /// replay, the write-tracking stream with every FIHook live; else tcode_.
+  /// The stream the armed thread runs while its fault is pending: tcode_'s
+  /// memory mode with every FIHook live.
   const kir::ThreadedInstr* tcode_armed_;
-  std::uint32_t fi_thread_;       ///< armed thread of an Armed FI-specialized stream
+  std::uint32_t fi_thread_;       ///< the launch's armed thread
   std::uint32_t fi_site_;         ///< its armed site index
   std::uint64_t fi_occurrence_;   ///< its armed occurrence (0: unknown)
   bool armed_;                    ///< the launch's FI filter is Armed
@@ -1608,9 +1608,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
 #define T_REC_FI()                                                                     \
   do {                                                                                 \
     ++site_counts_[in->aux];                                                           \
-    if ((in->t == 1 && opts_.hooks) || (in->t == 2 && t.linear == fi_thread_)) {       \
-      if (hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();                      \
-    }                                                                                  \
+    if (in->t == 1 && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();         \
   } while (0)
 
 // Fused operand evaluators — bit-identical to the corresponding
@@ -1697,8 +1695,6 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
       &&lbl_Nk_RecStoreS,
       &&lbl_Nk_RecAtomicAddF,
       &&lbl_Nk_RecAtomicAddI,
-      &&lbl_FIHookArmed,
-      &&lbl_Nk_FIHookArmed,
       &&lbl_JmpBk,
       &&lbl_JzBk,
       &&lbl_ConstAddJmpBk,
@@ -2133,13 +2129,6 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     if (opts_.hooks && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();
     T_NEXT();
   }
-  // The armed site's hook in an FI-specialized stream: only the armed
-  // thread calls it (the filter promises every other call is a no-op).
-  T_LABEL(FIHookArmed) : {
-    T_STEP1();
-    if (t.linear == fi_thread_ && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();
-    T_NEXT();
-  }
   // A recording stream's FIHook: counted for the snapshot table, then the
   // hook call the filter allows (see TOp::RecFIHook).
   T_LABEL(RecFIHook) : {
@@ -2280,8 +2269,8 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   // the head slot carries that op's operands).  A budget boundary inside
   // the region delegates *before* any charge, so the reference replays
   // it per-instruction and stops exactly where the reference would.  In
-  // an FI-specialized stream `skip` jumps over the slots of the hooks the
-  // region charges but never dispatches (0 otherwise).
+  // a stream with FIHooks compiled away `skip` jumps over the slots of the
+  // hooks the region charges but never dispatches (0 otherwise).
   T_LABEL(RunHead) : {
     if (left < in->len) T_DELEGATE();
     T_CHARGE(in->len);
@@ -2521,11 +2510,6 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   }
   T_LABEL(Nk_FIHook) : {
     if (opts_.hooks && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_FIHookArmed) : {
-    if (t.linear == fi_thread_ && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();
     ++pc;
     T_NEXT();
   }
@@ -3212,10 +3196,9 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
   // The decoded stream is always built alongside the cost vector: decoding
   // is a single O(n) pass (trivial next to the spill analysis), and its
   // sanitizer site table serves every engine.  Threaded-code streams are
-  // compiled by the launches that run them (plain_stream(), writes_stream(),
-  // fi_stream()): a
-  // campaign worker's launches record, track writes or take one step, and
-  // never run the plain stream.  A plan is served only to a launch that
+  // compiled by the launches that run them (stream()): a campaign worker's
+  // launches record, track writes or take one step, and never run the plain
+  // stream.  A plan is served only to a launch that
   // would build it from equal inputs, so flipping set_engine() or
   // set_sanitize(), editing cost_model() or editing the program in place
   // misses once and can never serve a plan built for another.
@@ -3250,50 +3233,17 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
   return plan;
 }
 
-kir::ThreadedProgram Device::compile_stream(const kir::DecodedProgram& decoded,
-                                            std::uint16_t num_slots, const kir::FIFilter& fi,
-                                            kir::MemInstr mem) const {
-  stream_compiles_.fetch_add(1, std::memory_order_relaxed);
-  return kir::compile_threaded(decoded, num_slots,
-                               props_.memory_model == MemoryModel::FlatGpu &&
-                                   props_.protection == ecc::Scheme::None,
-                               /*form_runs=*/true, mem, fi);
-}
-
-const kir::ThreadedProgram& Device::plain_stream(const LaunchPlan& plan,
-                                                std::uint16_t num_slots) const {
-  std::call_once(plan.plain_once, [&] {
-    plan.plain = compile_stream(plan.decoded, num_slots, kir::FIFilter{}, plain_instr());
+const kir::ThreadedProgram& Device::stream(const LaunchPlan& plan, std::uint16_t num_slots,
+                                           kir::MemInstr mem, bool fi_hooks) const {
+  LaunchPlan::Stream& s = plan.streams[static_cast<std::size_t>(mem)][fi_hooks];
+  std::call_once(s.once, [&] {
+    stream_compiles_.fetch_add(1, std::memory_order_relaxed);
+    s.code = kir::compile_threaded(plan.decoded, num_slots,
+                                   props_.memory_model == MemoryModel::FlatGpu &&
+                                       props_.protection == ecc::Scheme::None,
+                                   /*form_runs=*/true, mem, fi_hooks);
   });
-  return plan.plain;
-}
-
-const kir::ThreadedProgram& Device::writes_stream(const LaunchPlan& plan,
-                                                 std::uint16_t num_slots, bool generic) const {
-  std::call_once(plan.writes_once[generic], [&] {
-    plan.writes[generic] =
-        compile_stream(plan.decoded, num_slots,
-                       {generic ? kir::FIFilter::Kind::Generic : kir::FIFilter::Kind::None},
-                       kir::MemInstr::Writes);
-  });
-  return plan.writes[generic];
-}
-
-std::shared_ptr<const kir::ThreadedProgram> Device::fi_stream(const LaunchPlan& plan,
-                                                              std::uint16_t num_slots,
-                                                              const kir::FIFilter& fi,
-                                                              kir::MemInstr mem) const {
-  // One specialized stream per plan: campaigns plan each site's trials
-  // consecutively, and an Armed stream serves every thread of its site, so
-  // rebuilds happen once per site, not per trial.
-  std::lock_guard<std::mutex> lk(plan.fi_mu);
-  if (!plan.fi_stream || !plan.fi_filter.same_stream(fi) || plan.fi_mem != mem) {
-    plan.fi_stream = std::make_shared<const kir::ThreadedProgram>(
-        compile_stream(plan.decoded, num_slots, fi, mem));
-    plan.fi_filter = fi;
-    plan.fi_mem = mem;
-  }
-  return plan.fi_stream;
+  return s.code;
 }
 
 LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchConfig& cfg,
@@ -3316,7 +3266,8 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   const unsigned hw = common::WorkerPool::default_workers();
   unsigned nw = opts.max_workers > 0 ? static_cast<unsigned>(opts.max_workers) : hw;
   nw = std::min({nw, static_cast<unsigned>(num_blocks), static_cast<unsigned>(props_.num_sms)});
-  const kir::FIFilter fi = opts.hooks ? opts.hooks->fi_filter() : kir::FIFilter{};
+  const kir::FIFilter fi =
+      opts.hooks ? opts.hooks->fi_filter() : kir::FIFilter{kir::FIFilter::Kind::None};
   // Segment replay (DESIGN §10) is decided here and nowhere else.  Recording
   // and replay need a serial flat launch: one block worker (the journal's
   // segment order), the flat arena (launch-start diff, compares and direct
@@ -3325,13 +3276,13 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   // profiling counters or hardware fault model, which a journal cannot
   // reproduce).  A recording launch runs on the device's engine.  Replay
   // also needs the threaded engine and that no fi_hook outside the armed
-  // (site, thread) can act: no hooks, or a non-Generic FI filter.
+  // (site, thread) can act: a non-Generic FI filter (no hooks count as None).
   const bool serial_flat = !sanitize_ && nw <= 1 &&
                            props_.memory_model == MemoryModel::FlatGpu && !has_fault() &&
                            !opts.instr_exec_counts && !opts.simt_cost;
   const bool record = opts.record_journal && serial_flat;
   bool replay = opts.journal && serial_flat && !record && engine_ == ExecEngine::Threaded &&
-                (!opts.hooks || fi.kind != kir::FIFilter::Kind::Generic);
+                fi.kind != kir::FIFilter::Kind::Generic;
   const std::uint64_t journal_key =
       record || replay
           ? journal_fingerprint(plan->key, program, cfg, args, props_.global_mem_words)
@@ -3380,31 +3331,26 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   // launches that profile execution counts, cost SIMT serialization or carry
   // a hardware fault model — one-off profiling and BIST runs — run on the
   // reference interpreter (stream null), the only place those semantics are
-  // implemented.  A replaying launch runs the plan's write-tracking streams,
-  // whatever its FI filter: every slice the one without FIHooks, except the
-  // armed thread's while its fault is pending, which runs the one with
-  // every FIHook live (`armed_stream`).  A recording launch runs the plan's
-  // recording (or net-effect) stream, and when the hooks of a recording or
-  // plain launch report an FI filter the stream is also FI-specialized; the
-  // specialized stream is held until the launch returns.
+  // implemented.  A threaded launch runs the plan's streams for its memory
+  // mode (write tracking, recording, net effect, or the plain/sanitized
+  // one): every slice the one with FIHooks compiled away unless the FI
+  // filter is Generic, except the armed thread's while its fault is
+  // pending, which runs the one with every FIHook live (`armed_stream`).
+  // A plan without FIHooks runs one stream.
   const bool threaded =
       !one_step && plan->threaded && !opts.instr_exec_counts && !opts.simt_cost && !has_fault();
   const kir::MemInstr mem_instr = touch    ? kir::MemInstr::NetEffect
                                   : record ? kir::MemInstr::Record
+                                  : replay ? kir::MemInstr::Writes
                                            : plain_instr();
   const kir::ThreadedProgram* stream = nullptr;
   const kir::ThreadedProgram* armed_stream = nullptr;
-  std::shared_ptr<const kir::ThreadedProgram> specialized;
-  if (threaded && replay) {
-    stream = &writes_stream(*plan, program.num_slots, false);
-    if (fi.kind == kir::FIFilter::Kind::Armed && plan->fi_hooks > 0)
-      armed_stream = &writes_stream(*plan, program.num_slots, true);
-  } else if (threaded && (mem_instr != plain_instr() ||
-                          (fi.kind != kir::FIFilter::Kind::Generic && plan->fi_hooks > 0))) {
-    specialized = fi_stream(*plan, program.num_slots, fi, mem_instr);
-    stream = specialized.get();
-  } else if (threaded) {
-    stream = &plain_stream(*plan, program.num_slots);
+  if (threaded) {
+    const bool hooks = plan->fi_hooks > 0;
+    stream = &this->stream(*plan, program.num_slots, mem_instr,
+                           hooks && fi.kind == kir::FIFilter::Kind::Generic);
+    if (hooks && fi.kind == kir::FIFilter::Kind::Armed)
+      armed_stream = &this->stream(*plan, program.num_slots, mem_instr, true);
   }
   // Corrections are counted by the memory itself (it scrubs each corrupted
   // codeword exactly once); the delta across the launch is this launch's

@@ -10,6 +10,7 @@
 // (Fig. 13).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -211,9 +212,10 @@ class LaunchHooks {
   /// reports None promises fi_hook is a no-op (returns false, leaves the
   /// value alone, keeps no state) for every call; Armed promises the same
   /// for every call outside (filter.site, filter.thread).  The threaded
-  /// engine then compiles the other FIHooks away (DESIGN §10); the
-  /// reference interpreter ignores the filter and calls fi_hook at every
-  /// FIHook, which is what makes it the oracle for the promise.
+  /// engine then runs every thread but the armed one on a stream with
+  /// FIHooks compiled away (DESIGN §10); the reference interpreter ignores
+  /// the filter and calls fi_hook at every FIHook, which is what makes it
+  /// the oracle for the promise.  A launch without hooks counts as None.
   [[nodiscard]] virtual FIFilter fi_filter() const { return {}; }
   /// Loop-detector range check; return true when the value is an outlier
   /// (sets the kernel's SDC bit).  `detector` indexes program.detectors.
@@ -382,8 +384,8 @@ class Device {
   [[nodiscard]] std::uint64_t plan_cache_misses() const noexcept {
     return plan_misses_.load(std::memory_order_relaxed);
   }
-  /// Threaded-code streams this device compiled (plain, specialized and
-  /// write-tracking), over every plan it built.
+  /// Threaded-code streams this device compiled, over every plan it built:
+  /// at most two per plan and memory mode (LaunchPlan::streams).
   [[nodiscard]] std::uint64_t stream_compiles() const noexcept {
     return stream_compiles_.load(std::memory_order_relaxed);
   }
@@ -399,32 +401,22 @@ class Device {
   /// (reference engine, SIMT costing) and the predecoded instruction stream
   /// with those costs folded in (threaded-compiler input, sanitizer site
   /// table).  Threaded-code streams are compiled from it on demand, by the
-  /// first launch that runs each one.
+  /// first launch that runs each one (stream()).
   struct LaunchPlan {
     std::uint64_t key = 0;  ///< plan fingerprint (folded into journal fingerprints)
     std::vector<std::uint32_t> costs;
     kir::DecodedProgram decoded;
     bool threaded = false;       ///< launches run the threaded engine (a Threaded plan)
     std::uint32_t fi_hooks = 0;  ///< FIHook instructions in the program
-    /// The plain stream (Generic filter, the plan's own instrumentation),
-    /// built once, by the first launch that runs it; it lives as long as
-    /// the plan.
-    mutable std::once_flag plain_once;
-    mutable kir::ThreadedProgram plain;
-    /// The write-tracking streams of replaying launches, each built once, by
-    /// the first launch that runs it: [0] with every FIHook compiled away
-    /// (FI filter None), [1] with every FIHook live (Generic), which only
-    /// an armed thread whose fault is still pending runs.
-    mutable std::once_flag writes_once[2];
-    mutable kir::ThreadedProgram writes[2];
-    /// The specialized threaded stream of journal-less and recording
-    /// launches for the most recent FI filter (kir::FIFilter::same_stream)
-    /// and memory instrumentation (recording or net-effect), rebuilt when
-    /// either changes.  A launch holds its shared_ptr for the whole launch.
-    mutable std::mutex fi_mu;
-    mutable kir::FIFilter fi_filter;
-    mutable kir::MemInstr fi_mem = kir::MemInstr::None;
-    mutable std::shared_ptr<const kir::ThreadedProgram> fi_stream;
+    /// The threaded streams, per memory mode (kir::MemInstr) and
+    /// [0] with every FIHook compiled away, [1] with every FIHook live.
+    /// Each is built once, by the first launch that runs it, and lives as
+    /// long as the plan.
+    struct Stream {
+      std::once_flag once;
+      kir::ThreadedProgram code;
+    };
+    mutable std::array<std::array<Stream, 2>, kir::kNumMemInstr> streams;
   };
   /// A cached plan and the launch-varying inputs it was built from.
   struct PlanEntry {
@@ -448,25 +440,12 @@ class Device {
   /// eviction.
   [[nodiscard]] std::shared_ptr<const LaunchPlan> launch_plan(
       const kir::BytecodeProgram& program);
-  /// The threaded stream of `decoded` for this device's memory model and
-  /// protection, specialized to `fi` and instrumented per `mem`.
-  [[nodiscard]] kir::ThreadedProgram compile_stream(const kir::DecodedProgram& decoded,
-                                                    std::uint16_t num_slots,
-                                                    const kir::FIFilter& fi,
-                                                    kir::MemInstr mem) const;
-  /// The plan's plain stream (built on first use).
-  [[nodiscard]] const kir::ThreadedProgram& plain_stream(const LaunchPlan& plan,
-                                                         std::uint16_t num_slots) const;
-  /// The plan's write-tracking stream, with every FIHook live (`generic`)
-  /// or compiled away (built on first use).
-  [[nodiscard]] const kir::ThreadedProgram& writes_stream(const LaunchPlan& plan,
-                                                          std::uint16_t num_slots,
-                                                          bool generic) const;
-  /// The plan's stream specialized to `fi` and `mem` (built or reused under
-  /// the plan's lock).
-  [[nodiscard]] std::shared_ptr<const kir::ThreadedProgram> fi_stream(
-      const LaunchPlan& plan, std::uint16_t num_slots, const kir::FIFilter& fi,
-      kir::MemInstr mem) const;
+  /// The plan's stream instrumented per `mem`, with every FIHook live or
+  /// compiled away, for this device's memory model and protection (built on
+  /// first use).
+  [[nodiscard]] const kir::ThreadedProgram& stream(const LaunchPlan& plan,
+                                                   std::uint16_t num_slots, kir::MemInstr mem,
+                                                   bool fi_hooks) const;
   /// The instrumentation of an ordinary launch: the sanitize bit's.
   [[nodiscard]] kir::MemInstr plain_instr() const noexcept {
     return sanitize_ ? kir::MemInstr::Sanitize : kir::MemInstr::None;

@@ -29,15 +29,14 @@
 // backward Jmp/Jz single is its JmpBk/JzBk form, the AddJmp back-edge
 // fusions their *Bk forms, and a backward compare-branch stays unfused.  A
 // recording stream counts the FIHooks of the sites that stand for their
-// basic block (fi_count_sites) as RecFIHook/Nk_RecFIHook, whatever the
-// filter.
+// basic block (fi_count_sites) as RecFIHook/Nk_RecFIHook, whether or not
+// FIHooks are live.
 //
-// FI specialization (a non-Generic FIFilter) changes only FIHooks.  In
-// pass 1 unarmed hooks become Nop and the armed site's hooks FIHookArmed.
-// In pass 3 a run tiles only its *executed* ops: unarmed hooks are left
-// out, the executed ops are placed right-aligned against the run's end (op
-// j of m at slot e - m + j, so every handler's `pc += len` still ends at e)
-// and the RunHead's `skip` jumps over the gap.  The head still charges the
+// Compiling FIHooks away (`fi_hooks` false) changes only FIHooks.  In pass
+// 1 they become Nop.  In pass 3 a run tiles only its *executed* ops: the
+// hooks are left out, the executed ops are placed right-aligned against
+// the run's end (op j of m at slot e - m + j, so every handler's
+// `pc += len` still ends at e) and the RunHead's `skip` jumps over the gap.  The head still charges the
 // whole region, hooks included, and refund fields are sums over original
 // positions, so a crash bills exactly what the reference bills.  A run
 // whose first executed op would be crashable keeps its leading hook as a
@@ -315,8 +314,6 @@ const char* top_name(TOp op) noexcept {
     case TOp::Nk_RecStoreS: return "Nk_RecStoreS";
     case TOp::Nk_RecAtomicAddF: return "Nk_RecAtomicAddF";
     case TOp::Nk_RecAtomicAddI: return "Nk_RecAtomicAddI";
-    case TOp::FIHookArmed: return "FIHookArmed";
-    case TOp::Nk_FIHookArmed: return "Nk_FIHookArmed";
     case TOp::JmpBk: return "JmpBk";
     case TOp::JzBk: return "JzBk";
     case TOp::ConstAddJmpBk: return "ConstAddJmpBk";
@@ -367,7 +364,7 @@ std::vector<std::uint32_t> fi_count_sites(const DecodedProgram& d) {
 
 ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_slots*/,
                                  bool flat_global_memory, bool form_runs, MemInstr mem,
-                                 const FIFilter& fi) {
+                                 bool fi_hooks) {
   ThreadedProgram out;
   const std::size_t n = d.code.size();
   out.code.resize(n);
@@ -404,22 +401,17 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
       default: return TOp::Invalid;
     }
   };
-  // FIHooks that keep their hook call under `fi`, and those `fi` proves are
-  // no-ops (none in a Generic stream).  A recording stream counts the sites
-  // that stand for their basic block (fi_count_sites); those are never dead.
+  // FIHooks compiled away (none when `fi_hooks`).  A recording stream
+  // counts the sites that stand for their basic block (fi_count_sites);
+  // those are never dead.
   const bool record = mem == MemInstr::Record;
   const std::vector<std::uint32_t> stand =
       record ? fi_count_sites(d) : std::vector<std::uint32_t>{};
   const auto counted = [&](const DecodedInstr& in) {
     return record && in.op == DecodedOp::FIHook && stand[in.aux] == in.aux;
   };
-  const auto fi_armed = [&](const DecodedInstr& in) {
-    return in.op == DecodedOp::FIHook && fi.kind == FIFilter::Kind::Armed &&
-           in.aux == fi.site;
-  };
   const auto fi_dead = [&](const DecodedInstr& in) {
-    return in.op == DecodedOp::FIHook && fi.kind != FIFilter::Kind::Generic && !fi_armed(in) &&
-           !counted(in);
+    return in.op == DecodedOp::FIHook && !fi_hooks && !counted(in);
   };
   // Recording and write-tracking streams report taken backward jumps (the
   // snapshot points); `last` is the source position of the jump itself.
@@ -429,7 +421,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
   };
 
   // Single-op translation: a field copy (TOp mirrors DecodedOp), with the
-  // instrumented accesses and the FI specialization applied.
+  // instrumented accesses and the dead FIHooks applied.
   const auto single_of = [&](std::size_t pc) {
     const DecodedInstr& in = d.code[pc];
     ThreadedInstr ti;
@@ -445,11 +437,10 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
     ti.len = 1;
     if (const TOp op = instrumented(in.op); op != TOp::Invalid)
       ti.op = static_cast<std::uint16_t>(op);
-    if (fi_armed(in)) ti.op = static_cast<std::uint16_t>(TOp::FIHookArmed);
     if (fi_dead(in)) ti.op = static_cast<std::uint16_t>(TOp::Nop);
     if (counted(in)) {
       ti.op = static_cast<std::uint16_t>(TOp::RecFIHook);
-      ti.t = fi.kind == FIFilter::Kind::Generic ? 1 : fi_armed(in) ? 2 : 0;
+      ti.t = fi_hooks ? 1 : 0;
     }
     if (in.op == DecodedOp::Jmp && back_edge(in.aux, pc))
       ti.op = static_cast<std::uint16_t>(TOp::JmpBk);
@@ -700,8 +691,8 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
     return static_cast<std::uint32_t>(x) | (static_cast<std::uint32_t>(y) << 16);
   };
 
-  // The current run's executed ops, as source positions: all of [s, e) in
-  // a Generic stream, without the unarmed FIHooks in a specialized one.
+  // The current run's executed ops, as source positions: all of [s, e),
+  // without the FIHooks compiled away.
   std::vector<std::size_t> ops;
 
   // Widest naked tile at executed op `j` of the run ending at `e`.  Head
@@ -855,7 +846,6 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
   const auto naked_at = [&](std::size_t pos) {
     const DecodedInstr& in = d.code[pos];
     if (counted(in)) return TOp::Nk_RecFIHook;
-    if (fi_armed(in)) return TOp::Nk_FIHookArmed;
     if (fi_dead(in)) return TOp::Nk_Nop;
     if (const TOp rec = naked_rec(instrumented(in.op)); rec != TOp::Invalid) return rec;
     return naked_top(in.op);

@@ -51,16 +51,17 @@
 //    snapshots there and a replayed slice can stop there; a backward
 //    compare-branch is left unfused in those streams.  Recording streams
 //    also count every FIHook (RecFIHook), unarmed ones included.
-//  * per-trial FI specialization (`FIFilter`): a SWIFI trial arms one
-//    (site, thread, occurrence), so every other FIHook is a no-op.  Unarmed
-//    hooks inside runs get no slot at all — the run's executed ops are
-//    packed right-aligned against the run's end and the RunHead skips the
-//    gap, so the tiles the hooks used to split re-form — while the RunHead
-//    still charges them (instruction and cycle totals unchanged) and crash
-//    refunds are computed from original positions.  Unarmed hooks outside
-//    runs become Nop singles.  The armed site's hooks compile to
-//    FIHookArmed/Nk_FIHookArmed, which test the thread inline and call the
-//    hook only in the launch's armed thread.
+//  * FI streams: a SWIFI trial arms one (site, thread, occurrence), so
+//    every other FIHook is a no-op.  Each memory mode therefore has two
+//    streams, FIHooks live and FIHooks compiled away, and only the armed
+//    thread runs the live one, until its fault fires (gpusim::Device picks
+//    them per slice).  In a stream without FIHooks, hooks inside runs get
+//    no slot at all — the run's executed ops are packed right-aligned
+//    against the run's end and the RunHead skips the gap, so the tiles the
+//    hooks used to split re-form — while the RunHead still charges them
+//    (instruction and cycle totals unchanged) and crash refunds are
+//    computed from original positions.  Hooks outside runs become Nop
+//    singles.
 //
 // Determinism contract: a fused handler must be bit-identical to running
 // its singles back to back.  Anything it cannot replicate exactly — a
@@ -227,10 +228,6 @@ enum class TOp : std::uint16_t {
   // inside runs (crashable, so they carry suffix refunds like Nk_LoadG).
   RecLoadG, RecStoreG, RecLoadS, RecStoreS, RecAtomicAddF, RecAtomicAddI,
   Nk_RecLoadG, Nk_RecStoreG, Nk_RecLoadS, Nk_RecStoreS, Nk_RecAtomicAddF, Nk_RecAtomicAddI,
-  // --- FI-specialized hooks (Armed filters only, never fused) ---
-  // The armed site's FIHook, accounted and naked: calls the hook only when
-  // the executing thread is the launch's armed thread.
-  FIHookArmed, Nk_FIHookArmed,
   // --- snapshot points (recording and write-tracking streams, never in
   // runs) ---
   // Backward jumps, single and fused, that report each *taken* jump to the
@@ -239,8 +236,8 @@ enum class TOp : std::uint16_t {
   JmpBk, JzBk, ConstAddJmpBk, AddJmpBk,
   // --- counted FI hooks (recording streams) ---
   // Every FIHook, accounted and naked: counts the execution per thread and
-  // site for the snapshot table, then calls the hook when the filter says
-  // it can act (t: 0 never, 1 always, 2 in the filter's thread only).
+  // site for the snapshot table, then calls the hook when FIHooks are live
+  // (t: 0 never, 1 always).
   RecFIHook, Nk_RecFIHook,
   Count_,
 };
@@ -310,9 +307,9 @@ struct ThreadedProgram {
   std::uint32_t run_heads = 0;      ///< straight-line runs emitted
   std::uint32_t run_covered = 0;    ///< source instructions inside runs (incl. heads)
   std::uint32_t fi_hooks = 0;       ///< FIHook instructions in the program
-  /// FI specialization: unarmed FIHooks inside runs that got no slot (the
-  /// RunHead charges them), and unarmed FIHooks still dispatched as a Nop
-  /// (outside runs, or kept as a run's head).
+  /// FIHooks compiled away: those inside runs that got no slot (the
+  /// RunHead charges them), and those still dispatched as a Nop (outside
+  /// runs, or kept as a run's head).
   std::uint32_t fi_dropped = 0;
   std::uint32_t fi_nops = 0;
   bool has_barriers = false;
@@ -324,19 +321,15 @@ struct ThreadedProgram {
 /// FIHooks whose site index (their `aux`, the hook's `site_index`) is
 /// `site`, and only in global linear thread `thread`, and only the
 /// `occurrence`-th such execution (counted from 1 over the launch) can act;
-/// 0 leaves the occurrence open.  Segment replay uses it to skip the armed
-/// thread's golden prefix (gpusim::LaunchHooks::fi_skipped).
+/// 0 leaves the occurrence open.  The launch runs `thread` on the stream
+/// with live FIHooks until its fault fires, and segment replay also skips
+/// its golden prefix (gpusim::LaunchHooks::fi_skipped).
 struct FIFilter {
   enum class Kind : std::uint8_t { Generic, None, Armed };
   Kind kind = Kind::Generic;
   std::uint32_t site = 0;
   std::uint32_t thread = 0;
   std::uint64_t occurrence = 0;
-
-  /// Same compiled stream: the thread is tested at run time, not compiled in.
-  [[nodiscard]] bool same_stream(const FIFilter& o) const noexcept {
-    return kind == o.kind && (kind != Kind::Armed || site == o.site);
-  }
 };
 
 /// Which memory accesses a stream reports, and to whom.  One mode per
@@ -348,6 +341,8 @@ enum class MemInstr : std::uint8_t {
   Writes,    ///< global/shared stores and atomics -> Rec*/Nk_Rec* (replay's write tracking)
   NetEffect, ///< global loads, stores and atomics -> Rec*/Nk_Rec* (net-effect journal)
 };
+/// The number of MemInstr modes (per-mode stream tables); NetEffect is last.
+inline constexpr std::size_t kNumMemInstr = static_cast<std::size_t>(MemInstr::NetEffect) + 1;
 
 /// FI-site counts for the golden journal's snapshot table (recording
 /// streams, gpusim/journal.hpp): at every basic-block boundary two sites
@@ -369,15 +364,14 @@ enum class MemInstr : std::uint8_t {
 /// identity-translation test and the inspect tool's per-op view).
 /// `mem` picks the instrumented accesses (see MemInstr): they stay out of
 /// fused heads and tiles; sanitized ones also stay out of runs.
-/// `fi` specializes the FIHooks (see FIFilter and the header comment); the
-/// default Generic filter compiles every FIHook to a hook call.  An Armed
-/// stream serves every thread: the interpreter compares against the
-/// launch's filter thread.
+/// `fi_hooks` compiles every FIHook to a hook call (the default); false
+/// compiles them away (see the header comment), except that a recording
+/// stream still counts them.
 [[nodiscard]] ThreadedProgram compile_threaded(const DecodedProgram& d,
                                                std::uint16_t num_slots,
                                                bool flat_global_memory,
                                                bool form_runs = true,
                                                MemInstr mem = MemInstr::None,
-                                               const FIFilter& fi = {});
+                                               bool fi_hooks = true);
 
 }  // namespace hauberk::kir

@@ -2,7 +2,8 @@
 // launch, corrupts the targeted definition via the FIHook instruction, and
 // forwards detector callbacks to a Hauberk control block when one is present
 // (the FI&FT configuration of Fig. 7).  It reports the armed (site, thread)
-// as its FI filter, so the threaded engine compiles every other FIHook away.
+// as its FI filter, so the threaded engine runs every other thread on a
+// stream with FIHooks compiled away.
 #pragma once
 
 #include <atomic>

@@ -448,12 +448,12 @@ TEST(CampaignService, FiFtCampaignWithControlBlockSurvivesKillResume) {
   expect_same_aggregates(ref, res, "FI&FT kill/resume");
 }
 
-// The threaded engine runs each trial on a stream specialized to the armed
-// fault (DESIGN §10); none of that may reach a persisted byte.  An FI&FT
-// campaign's result log is byte-identical between the reference
+// The threaded engine runs each trial's unarmed threads with FIHooks
+// compiled away (DESIGN §10); none of that may reach a persisted byte.  An
+// FI&FT campaign's result log is byte-identical between the reference
 // interpreter and the threaded engine at 1/2/8 workers and across
 // kill/resume — and so is a pruned campaign's, whose representatives
-// interleave sites, so every worker's specialized stream is rebuilt often.
+// interleave sites and threads.
 TEST(CampaignService, FiFtLogBytesMatchReferenceEngine) {
   Fixture f(make_cp(), /*with_ft=*/true);
   ASSERT_FALSE(f.specs.empty());

@@ -18,9 +18,9 @@
 // pipelines, adds global loads (occasionally wild, so some crash right
 // after a hook), arms a random (site, thread, occurrence, mask) and sweeps
 // watchdog budgets through the armed thread's execution: the threaded
-// engine's FI-specialized stream (unarmed hooks compiled away, the armed
-// one testing its thread inline) must match the reference interpreter and
-// the unspecialized stream on every observable, activation included.
+// engine (every thread but the armed one on the stream with FIHooks
+// compiled away) must match the reference interpreter and the stream with
+// every FIHook live on every observable, activation included.
 //
 // A second generator mode (racy) skews the distribution toward shared-memory
 // conflicts and divergent barriers on a small-warp device; on those programs
@@ -389,7 +389,7 @@ struct EngineRun {
 struct FiArm {
   swifi::FaultSpec spec;
   std::uint64_t watchdog = 10'000;
-  bool generic = false;  ///< the injector reports Generic: the unspecialized stream
+  bool generic = false;  ///< the injector reports Generic: FIHooks live in every thread
   /// Golden journal to replay (LaunchOptions::journal); null = full launch.
   const gpusim::LaunchJournal* journal = nullptr;
   /// Off: the injector stays disarmed (its filter is None), so a replay may
@@ -721,10 +721,10 @@ TEST(DifferentialFuzz, ArmedFIHooksMatchReferenceEverywhere) {
   // FI-mode corpus: programs with global loads, instrumented by the FI or
   // FI&FT pipeline, one random armed fault each.  Every budget of the sweep
   // runs on Reference (which ignores the FI filter), Threaded and sanitized
-  // Threaded (the FI-specialized stream) and Threaded with an injector
-  // reporting Generic (the unspecialized stream).  Budgets are drawn inside the
+  // Threaded (unarmed threads without FIHooks) and Threaded with an injector
+  // reporting Generic (FIHooks live everywhere).  Budgets are drawn inside the
   // per-thread instruction count, so they land on and inside runs whose
-  // unarmed hooks the specialized stream dropped; wild loads after a
+  // hooks the stream without FIHooks dropped; wild loads after a
   // dropped hook crash through the refund path.  Each FI&FT program also
   // runs with its control block as the only hooks, which reports the None
   // filter: Threaded (every hook dropped) against Reference.
@@ -750,7 +750,7 @@ TEST(DifferentialFuzz, ArmedFIHooksMatchReferenceEverywhere) {
     {
       const std::vector<std::uint32_t> unit(prog.code.size(), 1);
       const auto tp = compile_threaded(decode_program(prog, unit), prog.num_slots, true, true,
-                                       kir::MemInstr::None, FIFilter{FIFilter::Kind::None});
+                                       kir::MemInstr::None, /*fi_hooks=*/false);
       dropped += tp.fi_dropped > 0;
     }
 
@@ -806,7 +806,7 @@ TEST(DifferentialFuzz, ArmedFIHooksMatchReferenceEverywhere) {
   EXPECT_GT(activated, compared / 16) << "armed faults rarely fire";
   EXPECT_GT(crash, 0u) << "no FI trial crashed";
   EXPECT_GT(budget_hang, compared / 8) << "budgets rarely land inside the run";
-  EXPECT_GT(dropped, programs / 2) << "specialized streams rarely drop a hook";
+  EXPECT_GT(dropped, programs / 2) << "streams without FIHooks rarely drop a hook";
   EXPECT_GT(cb_only, programs / 4) << "too few control-block-only FI&FT launches";
 }
 

@@ -1614,6 +1614,31 @@ TEST(Replay, HungThreadsFastForwardOnlyWhenTheStateRepeats) {
   }
 }
 
+namespace {
+
+/// A register fault at every executed FI site of `prog`, on the site's
+/// first executing thread, replayed against `journal` (null: full
+/// launches).  Returns the number of sites.
+std::size_t fault_every_site(const Built& b, const kir::BytecodeProgram& prog, Rig& r,
+                             const swifi::GoldenRun& gold, const gpusim::LaunchJournal* journal) {
+  const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
+  std::size_t sites = 0;
+  for (std::uint32_t si = 0; si < prog.fi_sites.size() && si < b.pd.exec_counts.size(); ++si)
+    for (std::uint32_t t = 0; t < b.pd.exec_counts[si].size(); ++t) {
+      if (b.pd.exec_counts[si][t] == 0) continue;
+      const swifi::FaultSpec spec{prog.fi_sites[si].site_id, t, 1, 1u << 3};
+      (void)swifi::run_one_fault(r.dev, prog, *r.job, r.cb.get(), spec, gold.output,
+                                 b.w->requirement(), watchdog, 1,
+                                 gpusim::SharedShadow::kMaxReportsPerBlock, r.stage.get(),
+                                 journal);
+      ++sites;
+      break;
+    }
+  return sites;
+}
+
+}  // namespace
+
 // A campaign compiles its write-tracking streams once per plan, however
 // many FI sites it arms: one device runs CP's golden run (its recording
 // stream) and a register fault at every executed FI site of the FI and
@@ -1627,21 +1652,33 @@ TEST(Replay, WriteTrackingStreamsCompileOncePerPlan) {
     const swifi::GoldenRun gold = swifi::golden_run(r.dev, prog, *r.job, r.cb.get(), 1);
     ASSERT_TRUE(gold.journal);
     EXPECT_EQ(r.dev.stream_compiles(), 1u);
-    const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
-    std::size_t sites = 0;
-    for (std::uint32_t si = 0; si < prog.fi_sites.size() && si < b.pd.exec_counts.size(); ++si)
-      for (std::uint32_t t = 0; t < b.pd.exec_counts[si].size(); ++t) {
-        if (b.pd.exec_counts[si][t] == 0) continue;
-        const swifi::FaultSpec spec{prog.fi_sites[si].site_id, t, 1, 1u << 3};
-        (void)swifi::run_one_fault(r.dev, prog, *r.job, r.cb.get(), spec, gold.output,
-                                   b.w->requirement(), watchdog, 1,
-                                   gpusim::SharedShadow::kMaxReportsPerBlock, r.stage.get(),
-                                   gold.journal.get());
-        ++sites;
-        break;
-      }
-    EXPECT_GT(sites, 10u) << (fift ? "fi+ft" : "fi");
+    EXPECT_GT(fault_every_site(b, prog, r, gold, gold.journal.get()), 10u)
+        << (fift ? "fi+ft" : "fi");
     EXPECT_EQ(r.dev.stream_compiles(), 3u) << (fift ? "fi+ft" : "fi");
     EXPECT_EQ(r.dev.plan_cache_misses(), 1u) << (fift ? "fi+ft" : "fi");
   }
+}
+
+// So do journal-less trials, on a plain and on a sanitized device: every
+// thread but the armed one runs the plan's stream with FIHooks compiled
+// away, the armed thread the one with them live, so a register fault at
+// every executed FI site of CP's FI and FI&FT builds compiles those two
+// streams of the device's memory mode and nothing else.  The plain
+// device's golden run records (its recording stream); the sanitized one's
+// cannot, and runs the sanitized stream without FIHooks.
+TEST(Replay, JournalLessTrialsCompileTwoStreamsPerPlan) {
+  const Built b = build(make_cp());
+  for (const bool fift : {false, true})
+    for (const bool sanitize : {false, true}) {
+      const std::string arm = std::string(fift ? "fi+ft" : "fi") + (sanitize ? " sanitized" : "");
+      const kir::BytecodeProgram& prog = fift ? b.v.fift : b.v.fi;
+      Rig r(b, prog, fift, {}, gpusim::ExecEngine::Threaded, sanitize);
+      const swifi::GoldenRun gold = swifi::golden_run(r.dev, prog, *r.job, r.cb.get(), 1);
+      EXPECT_EQ(gold.journal != nullptr, !sanitize) << arm;
+      const std::uint64_t golden_streams = r.dev.stream_compiles();
+      EXPECT_EQ(golden_streams, 1u) << arm;
+      EXPECT_GT(fault_every_site(b, prog, r, gold, nullptr), 10u) << arm;
+      EXPECT_EQ(r.dev.stream_compiles() - golden_streams, sanitize ? 1u : 2u) << arm;
+      EXPECT_EQ(r.dev.plan_cache_misses(), 1u) << arm;
+    }
 }

@@ -6,9 +6,9 @@
 // delegation, the routing of instrumented launches to the reference
 // interpreter, the launch-plan cache's exact keying (engine, sanitize bit,
 // detector value types, in-place program and cost-model edits), and the
-// per-trial FI specialization (armed SWIFI trials on the FI and FI&FT
-// builds of every workload against the reference interpreter and against
-// the unspecialized stream).
+// FI streams (armed SWIFI trials on the FI and FI&FT builds of every
+// workload against the reference interpreter and against launches that run
+// every thread with FIHooks live).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -158,7 +158,7 @@ TEST(Threaded, EveryDecodedOpHasAThreadedEmitter) {
           << "pc " << pc;
   }
   // Every fused opcode has a name too (the dispatch table is fully wired);
-  // the sanitizer, recorded-access, FI-specialized and snapshot-point ops
+  // the sanitizer, recorded-access, snapshot-point and counted-FIHook ops
   // close the table and are not counted as fused.
   const auto san_begin = static_cast<unsigned>(TOp::SanLoadS);
   for (unsigned v = kir::kTOpFusedBegin; v < kir::kNumTOps; ++v) {
@@ -563,14 +563,13 @@ TEST(Threaded, InPlaceProgramAndCostEditsMissThePlanCache) {
   EXPECT_EQ(costed, observe(fresh));
 }
 
-// FI specialization on a synthetic run: unarmed hooks get no slot, the
+// FIHooks compiled away on a synthetic run: the hooks get no slot, the
 // executed ops are right-aligned against the run's end with the RunHead
 // skipping the gap, the tile the hook used to split re-forms, and the
-// RunHead still charges the hooks.  The armed site keeps a thread-testing
-// hook; a leading hook whose next op could crash stays as a Nop head.
+// RunHead still charges the hooks.  A leading hook whose next op could
+// crash stays as a Nop head.
 TEST(Threaded, FISpecializationDropsUnarmedHooksFromRuns) {
   using kir::DecodedOp;
-  using kir::FIFilter;
   using kir::TOp;
   kir::DecodedProgram d;
   auto push = [&](DecodedOp op, std::uint32_t cost, std::uint32_t aux = 0) {
@@ -592,7 +591,7 @@ TEST(Threaded, FISpecializationDropsUnarmedHooksFromRuns) {
     return static_cast<TOp>(tp.code[pc].op);
   };
 
-  // Generic: the hooks are dispatched naked and split the tiles.
+  // Hooks live: they are dispatched naked and split the tiles.
   const kir::ThreadedProgram gen = kir::compile_threaded(d, 8, true);
   ASSERT_EQ(gen.run_heads, 1u);
   EXPECT_EQ(gen.fi_hooks, 2u);
@@ -600,9 +599,9 @@ TEST(Threaded, FISpecializationDropsUnarmedHooksFromRuns) {
   EXPECT_EQ(gen.code[0].skip, 0);
   EXPECT_EQ(op_at(gen, 2), TOp::Nk_FIHook);
 
-  // None: both hooks dropped; 5 executed ops at slots 2..6.
+  // Hooks off: both hooks dropped; 5 executed ops at slots 2..6.
   const kir::ThreadedProgram none =
-      kir::compile_threaded(d, 8, true, true, kir::MemInstr::None, FIFilter{FIFilter::Kind::None});
+      kir::compile_threaded(d, 8, true, true, kir::MemInstr::None, /*fi_hooks=*/false);
   ASSERT_EQ(none.run_heads, 1u);
   EXPECT_EQ(none.fi_dropped, 2u);
   EXPECT_EQ(none.fi_nops, 0u);
@@ -616,20 +615,6 @@ TEST(Threaded, FISpecializationDropsUnarmedHooksFromRuns) {
   EXPECT_EQ(none.code[5].len, 1);                        // refund: the MulF after the load
   EXPECT_EQ(none.code[5].cost, 4u);
   EXPECT_EQ(op_at(none, 7), TOp::Halt);
-
-  // Armed at site 1: site 0 dropped, site 1 tests its thread inline.
-  const kir::ThreadedProgram armed = kir::compile_threaded(
-      d, 8, true, true, kir::MemInstr::None, FIFilter{FIFilter::Kind::Armed, 1, 5});
-  EXPECT_EQ(armed.fi_dropped, 1u);
-  EXPECT_EQ(armed.code[0].skip, 1);
-  EXPECT_EQ(op_at(armed, 2), TOp::NkBinChkXor_AddW);
-  EXPECT_EQ(op_at(armed, 4), TOp::Nk_FIHookArmed);
-  EXPECT_EQ(op_at(armed, 5), TOp::NkLoadBin_MulF);
-  // The thread is not compiled in: one stream serves every thread.
-  EXPECT_TRUE((FIFilter{FIFilter::Kind::Armed, 1, 5}.same_stream(
-      FIFilter{FIFilter::Kind::Armed, 1, 9})));
-  EXPECT_FALSE((FIFilter{FIFilter::Kind::Armed, 1, 5}.same_stream(
-      FIFilter{FIFilter::Kind::Armed, 0, 5})));
 
   // A run that would start at a crashable op keeps its leading hook as the
   // head; a lone hook outside any run becomes a Nop single.
@@ -651,7 +636,7 @@ TEST(Threaded, FISpecializationDropsUnarmedHooksFromRuns) {
   d2.code[1].aux = 2;
   d2.code[5].aux = 6;
   const kir::ThreadedProgram lead =
-      kir::compile_threaded(d2, 8, true, true, kir::MemInstr::None, FIFilter{FIFilter::Kind::None});
+      kir::compile_threaded(d2, 8, true, true, kir::MemInstr::None, /*fi_hooks=*/false);
   EXPECT_EQ(op_at(lead, 2), TOp::RunHead);
   EXPECT_EQ(lead.code[2].d, static_cast<std::uint16_t>(TOp::Nk_Nop));
   EXPECT_EQ(lead.code[2].skip, 0);
@@ -663,7 +648,8 @@ TEST(Threaded, FISpecializationDropsUnarmedHooksFromRuns) {
 namespace {
 
 /// A SWIFI injector that reports the Generic filter — the threaded engine
-/// then runs the unspecialized stream and calls fi_hook at every FIHook —
+/// then runs every thread on the stream with live FIHooks and calls fi_hook
+/// at every FIHook —
 /// and records every call's (site, value after injection) per thread.
 class RecordingInjector : public swifi::InjectingHooks {
  public:
@@ -718,17 +704,17 @@ TrialObs armed_launch(gpusim::Device& dev, swifi::TrialStage& stage, core::Kerne
 
 }  // namespace
 
-// The FI-specialized stream is an optimization of the threaded engine
-// only, so an armed trial must observe exactly what the reference
-// interpreter (which ignores the filter) observes.  For the FI and FI&FT
+// Running unarmed threads with FIHooks compiled away is an optimization of
+// the threaded engine only, so an armed trial must observe exactly what the
+// reference interpreter (which ignores the filter) observes.  For the FI and FI&FT
 // builds of every workload: every executed FI site x 2 masks x {first,
 // last} occurrence, on Reference, Threaded and sanitized Threaded — same
 // Outcome through run_one_fault, same activation, status, instruction,
 // cycle and loop-cycle totals and memory image through a direct launch; the
-// specialized stream equals the unspecialized one (an injector reporting
-// Generic) on both Threaded settings, sanitizer reports included; and
-// every FIHook call sees the same per-thread (site, value) sequence on
-// the reference interpreter and the unspecialized threaded stream.
+// armed launch equals one with FIHooks live in every thread (an injector
+// reporting Generic) on both Threaded settings, sanitizer reports
+// included; and every FIHook call sees the same per-thread (site, value)
+// sequence on the reference interpreter and the live-hook threaded stream.
 TEST(Threaded, ArmedFIHooksMatchReferenceOnAllWorkloads) {
   using gpusim::ExecEngine;
   constexpr std::pair<ExecEngine, bool> kSettings[] = {
@@ -798,7 +784,7 @@ TEST(Threaded, ArmedFIHooksMatchReferenceOnAllWorkloads) {
               spec_obs[e] = armed_launch(r.dev, *r.stage, *r.job, prog, r.cb.get(), hooks,
                                          spec, watchdog);
             }
-            // Reference vs the specialized threaded and sanitized streams.
+            // Reference vs the armed threaded and sanitized launches.
             EXPECT_EQ(outcome[0], outcome[1]) << what;
             const bool san_class = outcome[2] == swifi::Outcome::RaceDetected ||
                                    outcome[2] == swifi::Outcome::BarrierDivergence;
@@ -808,8 +794,8 @@ TEST(Threaded, ArmedFIHooksMatchReferenceOnAllWorkloads) {
             EXPECT_EQ(spec_obs[0], spec_obs[1]) << what;
             EXPECT_EQ(spec_obs[0], san_plain) << what;
 
-            // Specialized vs unspecialized stream, and the per-thread hook
-            // value sequences on the reference vs the unspecialized stream.
+            // Armed vs live-hook launches, and the per-thread hook value
+            // sequences on the reference vs the live-hook stream.
             RecordingInjector rec_ref(prog, rigs[0].cb.get());
             (void)armed_launch(rigs[0].dev, *rigs[0].stage, *rigs[0].job, prog,
                                rigs[0].cb.get(), rec_ref, spec, watchdog);
