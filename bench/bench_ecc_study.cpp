@@ -55,19 +55,6 @@ struct ArmTotals {
   int programs = 0;
 };
 
-void accumulate(OutcomeCounts& into, const OutcomeCounts& c) {
-  into.failure += c.failure;
-  into.masked += c.masked;
-  into.detected_masked += c.detected_masked;
-  into.detected += c.detected;
-  into.undetected += c.undetected;
-  into.not_activated += c.not_activated;
-  into.race_detected += c.race_detected;
-  into.barrier_divergence += c.barrier_divergence;
-  into.ecc_corrected += c.ecc_corrected;
-  into.ecc_uncorrectable += c.ecc_uncorrectable;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -154,7 +141,7 @@ int main(int argc, char** argv) {
                    common::Table::pct_cell(100.0 * c.ratio(c.ecc_uncorrectable)),
                    common::Table::pct_cell(100.0 * c.coverage()),
                    common::Table::num(ovh, 1) + "%"});
-        accumulate(totals[a].counts, c);
+        totals[a].counts += c;
         totals[a].overhead_sum += ovh;
         totals[a].programs += 1;
         if (arm.ecc && (c.undetected != 0 || c.failure != 0)) ecc_guard_ok = false;

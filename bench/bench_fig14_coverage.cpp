@@ -92,21 +92,8 @@ int main(int argc, char** argv) {
       }
       row.push_back(common::Table::pct_cell(100.0 * c.coverage()));
       t.add_row(std::move(row));
-      auto& pb = per_bits_total[bits];
-      pb.failure += c.failure;
-      pb.masked += c.masked;
-      pb.detected_masked += c.detected_masked;
-      pb.detected += c.detected;
-      pb.undetected += c.undetected;
-      pb.race_detected += c.race_detected;
-      pb.barrier_divergence += c.barrier_divergence;
-      grand.failure += c.failure;
-      grand.masked += c.masked;
-      grand.detected_masked += c.detected_masked;
-      grand.detected += c.detected;
-      grand.undetected += c.undetected;
-      grand.race_detected += c.race_detected;
-      grand.barrier_divergence += c.barrier_divergence;
+      per_bits_total[bits] += c;
+      grand += c;
     }
   }
   t.print();

@@ -9,10 +9,15 @@
 //
 // Each workload also runs its FI&FT build under a disarmed SWIFI injector —
 // the launch every campaign trial pays, minus the one armed hook — and
-// reports that launch's time over the FT build's.  The instruction ratio
-// is fixed by the instrumentation; the time ratio staying near 1 on the
-// threaded engine shows the stream with FIHooks compiled away is in use,
-// not the one that dispatches every hook.
+// reports that launch's time over the FT build's.  Both builds launch
+// serially, as campaign trials do (CampaignConfig::launch_workers), so the
+// FT and FI&FT cells' rates are one-worker rates; their launches alternate
+// in a fixed number of rounds, and the reported ratio is the median of the
+// rounds' ratios, so host drift during the measurement does not land on
+// one build only.  The instruction ratio is fixed by the
+// instrumentation; the time ratio staying near 1 on the threaded engine
+// shows the stream with FIHooks compiled away is in use, not the one that
+// dispatches every hook.
 //
 // All arms are pinned bitwise-identical by test_differential_fuzz and
 // test_golden_outputs; this harness only measures, but it still verifies
@@ -28,8 +33,9 @@
 //   --min-speedup=X            exit nonzero unless the threaded engine's
 //                              geomean instr/sec >= X * the reference's
 //
-// JSON: per-arm geomeans of baseline instr/sec and of the FI&FT/FT
-// launch-time ratio (`geomean_fift_ft_time_ratio`).
+// JSON: per-arm geomeans of baseline instr/sec and of the workloads'
+// median FI&FT/FT launch-time ratios (`geomean_fift_ft_time_ratio`).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -51,10 +57,6 @@ struct Cell {
   double seconds = 0.0;
   std::uint64_t launches = 0;
   std::uint64_t instructions_per_launch = 0;
-
-  [[nodiscard]] double seconds_per_launch() const noexcept {
-    return launches ? seconds / static_cast<double>(launches) : 0.0;
-  }
 };
 
 /// One measured configuration: an engine, sanitizing or not.
@@ -90,46 +92,63 @@ gpusim::DeviceProps props_for(const Entry& e) {
   return p;
 }
 
-/// Timed launch loop over a prepared device+args: job setup (allocation and
+/// A cell's launch over a prepared device+args: job setup (allocation and
 /// host->device copies) stays outside, so the cell isolates *interpreter*
 /// throughput; trip counts come from params, so relaunching over stale
 /// buffers executes the same instruction stream every iteration.
-Cell time_cell(Workload& w, const Arm& arm, const kir::BytecodeProgram& prog,
-               const gpusim::LaunchConfig& cfg, const std::vector<kir::Value>& args,
-               gpusim::Device& dev, gpusim::LaunchHooks* hooks, double min_time,
-               const char* variant) {
+struct Timed {
+  const kir::BytecodeProgram& prog;
+  gpusim::LaunchConfig cfg;
+  const std::vector<kir::Value>& args;
+  gpusim::Device& dev;
   gpusim::LaunchOptions opts;
-  opts.hooks = hooks;
+  Cell cell;
 
-  Cell c;
-  c.workload = w.name();
-  c.engine = arm.name;
-  c.variant = variant;
-
-  // Warmup launch: compiles and caches the launch plan (decode + threaded
-  // stream) so plan-build time is not billed to the steady-state rate.
-  const auto warm = dev.launch(prog, cfg, args, opts);
-  if (warm.status != gpusim::LaunchStatus::Ok) {
-    std::fprintf(stderr, "error: %s/%s launch failed (%s)\n", c.workload.c_str(),
-                 c.engine.c_str(), gpusim::launch_status_name(warm.status));
-    std::exit(1);
+  Timed(Workload& w, const Arm& arm, const kir::BytecodeProgram& p,
+        const gpusim::LaunchConfig& c, const std::vector<kir::Value>& a, gpusim::Device& d,
+        gpusim::LaunchHooks* hooks, const char* variant)
+      : prog(p), cfg(c), args(a), dev(d) {
+    opts.hooks = hooks;
+    cell.workload = w.name();
+    cell.engine = arm.name;
+    cell.variant = variant;
+    // Warmup launch: compiles and caches the launch plan (decode + threaded
+    // stream) so plan-build time is not billed to the steady-state rate.
+    const auto warm = dev.launch(prog, cfg, args, opts);
+    if (warm.status != gpusim::LaunchStatus::Ok) {
+      std::fprintf(stderr, "error: %s/%s launch failed (%s)\n", cell.workload.c_str(),
+                   cell.engine.c_str(), gpusim::launch_status_name(warm.status));
+      std::exit(1);
+    }
+    cell.instructions_per_launch = warm.instructions;
   }
-  c.instructions_per_launch = warm.instructions;
 
-  const auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  std::uint64_t instr = 0, launches = 0;
-  while (elapsed < min_time || launches < 3) {
-    const auto res = dev.launch(prog, cfg, args, opts);
-    instr += res.instructions;
-    ++launches;
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  /// Launch for at least `min_time` seconds and `min_launches` launches,
+  /// adding them to the cell; returns this batch's seconds per launch.
+  double run(double min_time, std::uint64_t min_launches) {
+    (void)dev.launch(prog, cfg, args, opts);  // untimed: re-warm the caches
+    const auto t0 = std::chrono::steady_clock::now();
+    double elapsed = 0.0;
+    std::uint64_t launches = 0;
+    while (elapsed < min_time || launches < min_launches) {
+      (void)dev.launch(prog, cfg, args, opts);
+      ++launches;
+      elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    }
+    cell.seconds += elapsed;
+    cell.launches += launches;
+    cell.instr_per_sec = static_cast<double>(cell.instructions_per_launch * cell.launches) /
+                         cell.seconds;
+    return elapsed / static_cast<double>(launches);
   }
-  c.seconds = elapsed;
-  c.launches = launches;
-  c.instr_per_sec = static_cast<double>(instr) / elapsed;
-  return c;
-}
+};
+
+/// FT and FI&FT launches alternate in this many rounds of equal time, so
+/// host drift during the measurement hits both alike; a workload's
+/// FI&FT/FT time ratio is the median of its rounds' ratios.  Each round's
+/// batch starts with an untimed launch (Timed::run), since the other
+/// build's batch ran on another device.
+constexpr int kRatioRounds = 9;
 
 double geomean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
@@ -203,8 +222,8 @@ int main(int argc, char** argv) {
   // FI&FT/FT launch-time ratios.
   std::map<std::string, std::vector<double>> base_rates, fift_ratios;
 
-  common::Table t({"Workload", "Engine", "Base Minstr/s", "FT Minstr/s", "FI&FT Minstr/s",
-                   "FI&FT/FT time"});
+  common::Table t({"Workload", "Engine", "Base Minstr/s", "FT serial Minstr/s",
+                   "FI&FT serial Minstr/s", "FI&FT/FT time"});
   for (auto& e : all_workloads()) {
     auto& w = e.workload;
     const auto ds = w->make_dataset(seed, scale);
@@ -221,8 +240,9 @@ int main(int argc, char** argv) {
       dev.set_sanitize(arm.sanitize);
       auto job = w->make_job(ds);
       const auto bargs = job->setup(dev);
-      const Cell base = time_cell(*w, arm, v.baseline, job->config(), bargs, dev,
-                                  nullptr, min_time, "base");
+      Timed base_run(*w, arm, v.baseline, job->config(), bargs, dev, nullptr, "base");
+      base_run.run(min_time, 3);
+      const Cell& base = base_run.cell;
       if (pinned_instr == 0) pinned_instr = base.instructions_per_launch;
       if (base.instructions_per_launch != pinned_instr) {
         std::fprintf(stderr, "error: %s/%s instruction count diverged\n",
@@ -236,8 +256,7 @@ int main(int argc, char** argv) {
       auto ftjob = w->make_job(ds);
       const auto fargs = ftjob->setup(ftdev);
       core::ControlBlock cb(v.ft);
-      const Cell ft =
-          time_cell(*w, arm, v.ft, ftjob->config(), fargs, ftdev, &cb, min_time, "ft");
+      Timed ft(*w, arm, v.ft, ftjob->config(), fargs, ftdev, &cb, "ft");
 
       gpusim::Device fiftdev(props);
       fiftdev.set_engine(arm.engine);
@@ -246,19 +265,27 @@ int main(int argc, char** argv) {
       const auto fiftargs = fiftjob->setup(fiftdev);
       core::ControlBlock fift_cb(v.fift);
       swifi::InjectingHooks disarmed(v.fift, &fift_cb);
-      const Cell fift = time_cell(*w, arm, v.fift, fiftjob->config(), fiftargs, fiftdev,
-                                  &disarmed, min_time, "fift");
-      const double ratio = fift.seconds_per_launch() / ft.seconds_per_launch();
+      Timed fift(*w, arm, v.fift, fiftjob->config(), fiftargs, fiftdev, &disarmed, "fift");
+      // Serial launches, as campaign trials run them: the block pool's
+      // scheduling jitter would otherwise swamp the hook tax being measured.
+      ft.opts.max_workers = fift.opts.max_workers = 1;
+      std::vector<double> ratios;
+      for (int r = 0; r < kRatioRounds; ++r) {
+        const double ft_s = ft.run(min_time / kRatioRounds, 1);
+        ratios.push_back(fift.run(min_time / kRatioRounds, 1) / ft_s);
+      }
+      std::sort(ratios.begin(), ratios.end());
+      const double ratio = ratios[ratios.size() / 2];
 
       base_rates[base.engine].push_back(base.instr_per_sec);
       fift_ratios[base.engine].push_back(ratio);
       t.add_row({w->name(), base.engine, common::Table::num(base.instr_per_sec / 1e6, 2),
-                 common::Table::num(ft.instr_per_sec / 1e6, 2),
-                 common::Table::num(fift.instr_per_sec / 1e6, 2),
+                 common::Table::num(ft.cell.instr_per_sec / 1e6, 2),
+                 common::Table::num(fift.cell.instr_per_sec / 1e6, 2),
                  common::Table::num(ratio, 3)});
       cells.push_back(base);
-      cells.push_back(ft);
-      cells.push_back(fift);
+      cells.push_back(ft.cell);
+      cells.push_back(fift.cell);
     }
   }
   t.print();

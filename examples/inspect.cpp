@@ -206,7 +206,7 @@ void print_threaded(const core::KernelVariants& v) {
     const kir::DecodedProgram d = kir::decode_program(*r.p, costs);
     for (const bool fi_hooks : {true, false}) {
       const kir::ThreadedProgram tp =
-          kir::compile_threaded(d, r.p->num_slots, true, true, kir::MemInstr::None, fi_hooks);
+          kir::compile_threaded(d, r.p->num_slots, true, kir::MemInstr::None, fi_hooks);
       if (!fi_hooks && tp.fi_hooks == 0) continue;
       const double cover =
           tp.code.empty() ? 0.0 : 100.0 * tp.run_covered / static_cast<double>(tp.code.size());

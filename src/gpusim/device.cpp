@@ -77,6 +77,10 @@ inline LaunchStatus mem_fail_status() noexcept {
                                                   : LaunchStatus::CrashOutOfBounds;
 }
 
+/// The form a threaded memory-access handler is instantiated in: plain,
+/// recorded (the Rec* ops) or sanitized (the San* ops).
+enum class AccessForm : std::uint8_t { Plain, Recorded, Sanitized };
+
 constexpr std::uint32_t aux_op(std::uint32_t aux) noexcept { return aux & 0xffffu; }
 constexpr DType aux_type(std::uint32_t aux) noexcept {
   return static_cast<DType>((aux >> 16) & 0xffu);
@@ -1464,8 +1468,8 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
 ///    ends inside that region (budget exhausted or crash), so the reference
 ///    runs at most one region's worth of instructions.
 ///
-/// Sanitized plans (Device::set_sanitize) run here too: their shared
-/// accesses are the SanLoadS/SanStoreS singles, which report to the shadow
+/// Sanitized launches (Device::set_sanitize) run here too: their stream's
+/// shared accesses are the SanLoadS/SanStoreS singles, which report to the shadow
 /// exactly where run_thread does.  So do recording and replaying launches:
 /// their Rec* ops report to the JournalRecorder (recording only the net
 /// effect, to the TouchRecorder; replaying, to the delta set) where
@@ -1556,6 +1560,17 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     finish();                           \
     return run_thread(t, crash_status); \
   } while (0)
+// Accounted fused prologue for a crash-free head covering n instructions:
+// a budget boundary inside the region delegates, else one charge.
+#define T_FUSED(n)                    \
+  do {                                \
+    if (left < (n)) T_DELEGATE();     \
+    T_CHARGE(n);                      \
+  } while (0)
+// Naked prologues (inside a run, which its RunHead already billed): a
+// single steps pc, a fused pair's body advances pc itself.
+#define T_NK_STEP ++pc
+#define T_NK_PAIR (void)0
 
 #if HAUBERK_COMPUTED_GOTO
 #define T_LABEL(n) lbl_##n
@@ -1588,12 +1603,6 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     local_loop -= in->loop_cost;      \
     T_CRASH(st);                      \
   }
-#define T_SET(expr)                   \
-  {                                   \
-    T_STEP1();                        \
-    regs[in->dst] = (expr);           \
-    T_NEXT();                         \
-  }
 // After a taken backward jump of a recording or write-tracking stream: offer
 // the recorder a snapshot, or stop the slice here if replay asked to
 // (BlockExec::snapshot_point).
@@ -1604,15 +1613,9 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
       return ThreadStop::Snapshot;                                             \
     }                                                                          \
   } while (0)
-// A recording stream's FIHook body (accounting done by the caller).
-#define T_REC_FI()                                                                     \
-  do {                                                                                 \
-    ++site_counts_[in->aux];                                                           \
-    if (in->t == 1 && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();         \
-  } while (0)
 
-// Fused operand evaluators — bit-identical to the corresponding
-// single-op handlers.
+// Operator evaluators, shared by the single-op handlers and the fused
+// families that specialize on them.
 #define HB_CMP_LtI(A, B) static_cast<std::uint32_t>(as_i(A) < as_i(B))
 #define HB_CMP_LeI(A, B) static_cast<std::uint32_t>(as_i(A) <= as_i(B))
 #define HB_CMP_GtI(A, B) static_cast<std::uint32_t>(as_i(A) > as_i(B))
@@ -1643,6 +1646,364 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
 #define HB_ALU_AndB(A, B) ((A) & (B))
 #define HB_ALU_ShrA(A, B) i_bits(as_i(A) >> ((B) & 31))
 #define HB_ALU_LAndW(A, B) static_cast<std::uint32_t>(((A) != 0) && ((B) != 0))
+
+  // --- op bodies ---
+  // Every op's semantics are written once, as a body parameterized by its
+  // prologue PRE and crash exit CRASH, and instantiated in each form the
+  // stream uses: accounted (PRE = T_STEP1(), CRASH = T_CRASH) and naked
+  // inside a run (PRE = T_NK_STEP, CRASH = T_NK_CRASH with its suffix
+  // refund); a fused family's body accounted (PRE = T_FUSED(n)) and naked
+  // (PRE = T_NK_PAIR).  PRE steps pc first, so a body sees its op at pc - 1.
+
+  // Singles that only set regs[dst]: (name, value).
+#define T_SET_OPS(X)                                                                        \
+  X(Const, in->imm)                                                                         \
+  X(Mov, regs[in->a])                                                                       \
+  X(Builtin, builtin_value(t, static_cast<BuiltinVal>(in->aux)))                            \
+  X(Select, regs[in->a] != 0 ? regs[in->b] : regs[static_cast<std::uint16_t>(in->imm)])     \
+  X(NegF, f_bits(-as_f(regs[in->a])))                                                       \
+  X(NegI, neg_i_bits(regs[in->a]))                                                          \
+  X(NotF, as_f(regs[in->a]) == 0.0f)                                                        \
+  X(NotW, regs[in->a] == 0)                                                                 \
+  X(BitNot, ~regs[in->a])                                                                   \
+  X(AbsF, f_bits(std::fabs(as_f(regs[in->a]))))                                             \
+  X(AbsI, abs_i_bits(regs[in->a]))                                                          \
+  X(SqrtF, f_bits(std::sqrt(as_f(regs[in->a]))))                                            \
+  X(RsqrtF, f_bits(1.0f / std::sqrt(as_f(regs[in->a]))))                                    \
+  X(ExpF, f_bits(std::exp(as_f(regs[in->a]))))                                              \
+  X(LogF, f_bits(std::log(as_f(regs[in->a]))))                                              \
+  X(SinF, f_bits(std::sin(as_f(regs[in->a]))))                                              \
+  X(CosF, f_bits(std::cos(as_f(regs[in->a]))))                                              \
+  X(FloorF, f_bits(std::floor(as_f(regs[in->a]))))                                          \
+  X(I2F, f_bits(static_cast<float>(as_i(regs[in->a]))))                                     \
+  X(P2F, f_bits(static_cast<float>(regs[in->a])))                                           \
+  X(F2I, f2i_sat(regs[in->a]))                                                              \
+  X(CopyA, regs[in->a])                                                                     \
+  X(UnGeneric, eval_un(static_cast<UnOp>(aux_op(in->aux)), aux_type(in->aux), regs[in->a])) \
+  X(AddF, HB_ALU_AddF(regs[in->a], regs[in->b]))                                            \
+  X(SubF, HB_ALU_SubF(regs[in->a], regs[in->b]))                                            \
+  X(MulF, HB_ALU_MulF(regs[in->a], regs[in->b]))                                            \
+  X(DivF, HB_ALU_DivF(regs[in->a], regs[in->b]))                                            \
+  X(MinF, fmin_bits(regs[in->a], regs[in->b]))                                              \
+  X(MaxF, HB_ALU_MaxF(regs[in->a], regs[in->b]))                                            \
+  X(LtF, HB_CMP_LtF(regs[in->a], regs[in->b]))                                              \
+  X(LeF, HB_CMP_LeF(regs[in->a], regs[in->b]))                                              \
+  X(GtF, HB_CMP_GtF(regs[in->a], regs[in->b]))                                              \
+  X(GeF, HB_CMP_GeF(regs[in->a], regs[in->b]))                                              \
+  X(EqF, HB_CMP_EqF(regs[in->a], regs[in->b]))                                              \
+  X(NeF, HB_CMP_NeF(regs[in->a], regs[in->b]))                                              \
+  X(AddW, HB_ALU_AddW(regs[in->a], regs[in->b]))                                            \
+  X(SubW, HB_ALU_SubW(regs[in->a], regs[in->b]))                                            \
+  X(MulW, HB_ALU_MulW(regs[in->a], regs[in->b]))                                            \
+  X(MinI, as_i(regs[in->a]) < as_i(regs[in->b]) ? regs[in->a] : regs[in->b])                \
+  X(MaxI, as_i(regs[in->a]) > as_i(regs[in->b]) ? regs[in->a] : regs[in->b])                \
+  X(MinU, regs[in->a] < regs[in->b] ? regs[in->a] : regs[in->b])                            \
+  X(MaxU, regs[in->a] > regs[in->b] ? regs[in->a] : regs[in->b])                            \
+  X(LtI, HB_CMP_LtI(regs[in->a], regs[in->b]))                                              \
+  X(LeI, HB_CMP_LeI(regs[in->a], regs[in->b]))                                              \
+  X(GtI, HB_CMP_GtI(regs[in->a], regs[in->b]))                                              \
+  X(GeI, HB_CMP_GeI(regs[in->a], regs[in->b]))                                              \
+  X(LtU, HB_CMP_LtU(regs[in->a], regs[in->b]))                                              \
+  X(LeU, HB_CMP_LeU(regs[in->a], regs[in->b]))                                              \
+  X(GtU, HB_CMP_GtU(regs[in->a], regs[in->b]))                                              \
+  X(GeU, HB_CMP_GeU(regs[in->a], regs[in->b]))                                              \
+  X(EqW, HB_CMP_EqW(regs[in->a], regs[in->b]))                                              \
+  X(NeW, HB_CMP_NeW(regs[in->a], regs[in->b]))                                              \
+  X(AndB, HB_ALU_AndB(regs[in->a], regs[in->b]))                                            \
+  X(OrB, regs[in->a] | regs[in->b])                                                         \
+  X(XorB, regs[in->a] ^ regs[in->b])                                                        \
+  X(ShlB, regs[in->a] << (regs[in->b] & 31))                                                \
+  X(ShrL, regs[in->a] >> (regs[in->b] & 31))                                                \
+  X(ShrA, HB_ALU_ShrA(regs[in->a], regs[in->b]))                                            \
+  X(LAndW, HB_ALU_LAndW(regs[in->a], regs[in->b]))                                          \
+  X(LOrW, (regs[in->a] != 0) || (regs[in->b] != 0))
+#define T_SET(PRE, ...)                 \
+  {                                     \
+    PRE;                                \
+    regs[in->dst] = (__VA_ARGS__);      \
+    T_NEXT();                           \
+  }
+
+  // The other singles with a naked form, and the recorded accesses (Rec*):
+  // (name, body, body arguments).  T_DO runs its statements; an access's
+  // body takes its form (AccessForm), so a recorded or sanitized access shares
+  // the plain access's bounds, paging, note_store and crash logic.
+#define T_BODY_OPS(X)                                                                  \
+  X(Nop, T_DO)                                                                         \
+  X(DivI, T_DIV_I, /)                                                                  \
+  X(ModI, T_DIV_I, %)                                                                  \
+  X(DivU, T_DIV_U, /)                                                                  \
+  X(ModU, T_DIV_U, %)                                                                  \
+  X(BinGeneric, T_BIN_GENERIC)                                                         \
+  X(LoadG, T_LOAD_G, Plain)                                                            \
+  X(StoreG, T_STORE_G, Plain)                                                          \
+  X(LoadS, T_LOAD_S, Plain)                                                            \
+  X(StoreS, T_STORE_S, Plain)                                                          \
+  X(AtomicAddF, T_ATOMIC, Plain, AtomicAddF, fadd_bits)                                \
+  X(AtomicAddI, T_ATOMIC, Plain, AtomicAddI, T_ADDI)                                   \
+  X(RecLoadG, T_LOAD_G, Recorded)                                                      \
+  X(RecStoreG, T_STORE_G, Recorded)                                                    \
+  X(RecLoadS, T_LOAD_S, Recorded)                                                      \
+  X(RecStoreS, T_STORE_S, Recorded)                                                    \
+  X(RecAtomicAddF, T_ATOMIC, Recorded, AtomicAddF, fadd_bits)                          \
+  X(RecAtomicAddI, T_ATOMIC, Recorded, AtomicAddI, T_ADDI)                             \
+  X(ChkXor, T_DO, regs[in->dst] ^= regs[in->a])                                        \
+  X(ChkValidate, T_DO, if (regs[in->dst] != 0) sdc = true)                             \
+  X(DupCmp, T_DO, if (regs[in->a] != regs[in->b]) sdc = true)                          \
+  X(RangeCheck, T_DO,                                                                  \
+    if (opts_.hooks && hooks().check_range(static_cast<int>(in->aux),                  \
+                                           kir::Value{static_cast<DType>(in->t),       \
+                                                      regs[in->a]})) sdc = true)       \
+  X(EqualCheck, T_DO, if (regs[in->a] != regs[in->b]) {                                \
+    sdc = true;                                                                        \
+    if (opts_.hooks) hooks().equal_check_failed(static_cast<int>(in->aux));            \
+  })                                                                                   \
+  X(ProfileVal, T_DO,                                                                  \
+    if (opts_.hooks) hooks().profile_value(static_cast<int>(in->aux),                  \
+                                           kir::Value{static_cast<DType>(in->t),       \
+                                                      regs[in->a]}))                   \
+  X(CountExec, T_DO, if (opts_.hooks) hooks().count_exec(in->aux, t.linear))           \
+  X(FIHook, T_DO,                                                                      \
+    if (opts_.hooks && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire())        \
+  /* A recording stream's FIHook: counted for the snapshot table, then the */          \
+  /* hook call the filter allows (see TOp::RecFIHook). */                              \
+  X(RecFIHook, T_DO, ++site_counts_[in->aux];                                          \
+    if (in->t == 1 && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire())
+#define T_DO(PRE, CRASH, ...)           \
+  {                                     \
+    PRE;                                \
+    __VA_ARGS__;                        \
+    T_NEXT();                           \
+  }
+#define T_DIV_I(PRE, CRASH, OP)                                        \
+  {                                                                    \
+    PRE;                                                               \
+    const std::int64_t x = as_i(regs[in->a]), y = as_i(regs[in->b]);   \
+    if (y == 0) CRASH(LaunchStatus::CrashDivByZero);                   \
+    regs[in->dst] = i_bits(static_cast<std::int32_t>(x OP y));         \
+    T_NEXT();                                                          \
+  }
+#define T_DIV_U(PRE, CRASH, OP)                                        \
+  {                                                                    \
+    PRE;                                                               \
+    if (regs[in->b] == 0) CRASH(LaunchStatus::CrashDivByZero);         \
+    regs[in->dst] = regs[in->a] OP regs[in->b];                        \
+    T_NEXT();                                                          \
+  }
+#define T_BIN_GENERIC(PRE, CRASH)                                                            \
+  {                                                                                          \
+    PRE;                                                                                     \
+    bool crash = false;                                                                      \
+    const std::uint32_t r = eval_bin(static_cast<BinOp>(aux_op(in->aux)), aux_type(in->aux), \
+                                     regs[in->a], regs[in->b], crash);                       \
+    if (crash) CRASH(LaunchStatus::CrashDivByZero);                                          \
+    regs[in->dst] = r;                                                                       \
+    T_NEXT();                                                                                \
+  }
+
+  // Memory accesses.  A recorded access reports to the recorder, the touch
+  // recorder (a net-effect stream has no shared Rec ops), or — in a
+  // replaying launch, whose stream has no Rec loads — to the delta set, at
+  // run_thread's points (after the access succeeded).  A sanitized shared
+  // access lets the shadow observe at run_thread's points (out-of-bounds
+  // before the crash exit, in-bounds before the access).
+  //
+  // One global load into DST (also the naked tiles' loads): bounds-checked
+  // on the flat arena, through DeviceMemory otherwise.
+#define T_GLOAD(DST, ADDR, CRASH)                                  \
+  {                                                                \
+    const std::uint32_t a_ = (ADDR);                               \
+    if (gmem) {                                                    \
+      if (a_ >= gsize) CRASH(LaunchStatus::CrashOutOfBounds);      \
+      (DST) = gmem[a_];                                            \
+    } else if (!mem.load(a_, (DST))) {                             \
+      CRASH(mem_fail_status());                                    \
+    }                                                              \
+  }
+#define T_LOAD_G(PRE, CRASH, FORM)                                                 \
+  {                                                                                \
+    PRE;                                                                           \
+    const std::uint32_t addr = regs[in->a];                                        \
+    T_GLOAD(regs[in->dst], addr, CRASH);                                           \
+    if constexpr (AccessForm::FORM == AccessForm::Recorded) {                      \
+      if (rec_)                                                                    \
+        rec_->global_load(addr, regs[in->dst]);                                    \
+      else                                                                         \
+        touch_->load(addr);                                                        \
+    }                                                                              \
+    T_NEXT();                                                                      \
+  }
+#define T_STORE_G(PRE, CRASH, FORM)                                                \
+  {                                                                                \
+    PRE;                                                                           \
+    constexpr bool recorded = AccessForm::FORM == AccessForm::Recorded;            \
+    const std::uint32_t addr = regs[in->a];                                        \
+    const std::uint32_t value = regs[in->b];                                       \
+    /* A replay's hang probe asks whether the store changed the word. */           \
+    const bool same = recorded && delta_ && addr < wsize && words[addr] == value;  \
+    if (gmem) {                                                                    \
+      if (addr >= gsize) CRASH(LaunchStatus::CrashOutOfBounds);                    \
+      gmem[addr] = value;                                                          \
+      mem.note_store(addr);                                                        \
+    } else if (!mem.store(addr, value)) {                                          \
+      CRASH(mem_fail_status());                                                    \
+    }                                                                              \
+    if constexpr (recorded) {                                                      \
+      if (delta_) {                                                                \
+        if (!same) changed_ = true;                                                \
+        delta_->global_write(addr, value, LaunchJournal::WriteKind::Store);        \
+      } else if (rec_) {                                                           \
+        rec_->global_store(addr, value);                                           \
+      } else {                                                                     \
+        touch_->write(addr);                                                       \
+      }                                                                            \
+    }                                                                              \
+    T_NEXT();                                                                      \
+  }
+#define T_LOAD_S(PRE, CRASH, FORM)                                                 \
+  {                                                                                \
+    PRE;                                                                           \
+    constexpr bool sanitized = AccessForm::FORM == AccessForm::Sanitized;          \
+    const std::uint32_t addr = regs[in->a];                                        \
+    if (addr >= ssize) {                                                           \
+      if constexpr (sanitized)                                                     \
+        shadow_->on_oob(pc - 1, sites_[pc - 1], t.block_index, addr, epoch_);      \
+      CRASH(LaunchStatus::CrashSharedOutOfBounds);                                 \
+    }                                                                              \
+    if constexpr (sanitized)                                                       \
+      shadow_->on_load(pc - 1, sites_[pc - 1], t.block_index, addr, epoch_);       \
+    regs[in->dst] = shared_[addr];                                                 \
+    if constexpr (AccessForm::FORM == AccessForm::Recorded)                        \
+      rec_->shared_load(addr, regs[in->dst]);                                      \
+    T_NEXT();                                                                      \
+  }
+#define T_STORE_S(PRE, CRASH, FORM)                                                \
+  {                                                                                \
+    PRE;                                                                           \
+    constexpr bool sanitized = AccessForm::FORM == AccessForm::Sanitized;          \
+    constexpr bool recorded = AccessForm::FORM == AccessForm::Recorded;            \
+    const std::uint32_t addr = regs[in->a];                                        \
+    if (addr >= ssize) {                                                           \
+      if constexpr (sanitized)                                                     \
+        shadow_->on_oob(pc - 1, sites_[pc - 1], t.block_index, addr, epoch_);      \
+      CRASH(LaunchStatus::CrashSharedOutOfBounds);                                 \
+    }                                                                              \
+    if constexpr (sanitized)                                                       \
+      shadow_->on_store(pc - 1, sites_[pc - 1], t.block_index, addr, epoch_);      \
+    if constexpr (recorded) {                                                      \
+      if (delta_ && shared_[addr] != regs[in->b]) changed_ = true;                 \
+    }                                                                              \
+    shared_[addr] = regs[in->b];                                                   \
+    if constexpr (recorded) {                                                      \
+      if (rec_)                                                                    \
+        rec_->shared_store(addr, regs[in->b]);                                     \
+      else                                                                         \
+        delta_->shared_write(addr, regs[in->b]);                                   \
+    }                                                                              \
+    T_NEXT();                                                                      \
+  }
+// The atomic body keeps the lock_guard inside an inner block: the computed
+// goto in T_NEXT() must not jump out of the guard's scope (an indirect goto
+// does not unwind locals, so the mutex would stay locked and the next
+// atomic in any thread would deadlock the launch).
+#define T_ATOMIC(PRE, CRASH, FORM, KIND, OP)                                       \
+  {                                                                                \
+    PRE;                                                                           \
+    const std::uint32_t addr = regs[in->a];                                        \
+    const std::uint32_t addend = regs[in->b];                                      \
+    std::uint32_t pre = 0, post = 0;                                               \
+    const auto add = [&](std::uint32_t w) {                                        \
+      pre = w;                                                                     \
+      return post = OP(w, addend);                                                 \
+    };                                                                             \
+    {                                                                              \
+      std::lock_guard<std::mutex> lk(dev_.atomic_mutex());                         \
+      if (gmem) {                                                                  \
+        if (addr >= gsize) CRASH(LaunchStatus::CrashOutOfBounds);                  \
+        mem.note_store(addr);                                                      \
+        gmem[addr] = add(gmem[addr]);                                              \
+      } else if (!mem.rmw(addr, add)) {                                            \
+        CRASH(mem_fail_status());                                                  \
+      }                                                                            \
+    }                                                                              \
+    if constexpr (AccessForm::FORM == AccessForm::Recorded) {                      \
+      if (delta_) {                                                                \
+        if (post != pre) changed_ = true;                                          \
+        delta_->global_write(addr, addend, LaunchJournal::WriteKind::KIND);        \
+      } else if (rec_) {                                                           \
+        rec_->global_atomic(addr, addend, LaunchJournal::WriteKind::KIND, pre);    \
+      } else {                                                                     \
+        touch_->write(addr);                                                       \
+      }                                                                            \
+    }                                                                              \
+    T_NEXT();                                                                      \
+  }
+#define T_ADDI(A, B) \
+  i_bits(static_cast<std::int32_t>(static_cast<std::int64_t>(as_i(A)) + as_i(B)))
+
+  // Fused families with an accounted head and a naked form inside runs.
+  // [Const c,imm][Bin dst,a,b]
+#define T_CONST_BIN(PRE, K)                                                  \
+  {                                                                          \
+    PRE;                                                                     \
+    regs[in->c] = in->imm;                                                   \
+    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
+    pc += 2;                                                                 \
+    T_NEXT();                                                                \
+  }
+  // [Bin dst,a,b][ChkXor c,d]
+#define T_BIN_CHK_XOR(PRE, K)                                                \
+  {                                                                          \
+    PRE;                                                                     \
+    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
+    regs[in->c] ^= regs[in->d];                                              \
+    pc += 2;                                                                 \
+    T_NEXT();                                                                \
+  }
+  // [Bin dst,a,b][DupCmp c,d]
+#define T_BIN_DUP_CMP(PRE, K)                                                \
+  {                                                                          \
+    PRE;                                                                     \
+    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
+    if (regs[in->c] != regs[in->d]) sdc = true;                              \
+    pc += 2;                                                                 \
+    T_NEXT();                                                                \
+  }
+#define T_CHK_XOR2(PRE)                                                      \
+  {                                                                          \
+    PRE;                                                                     \
+    regs[in->dst] ^= regs[in->a];                                            \
+    regs[in->c] ^= regs[in->d];                                              \
+    pc += 2;                                                                 \
+    T_NEXT();                                                                \
+  }
+#define T_RANGE_CHECK2(PRE)                                                              \
+  {                                                                                      \
+    PRE;                                                                                 \
+    if (opts_.hooks) {                                                                   \
+      if (hooks().check_range(static_cast<int>(in->aux),                                 \
+                              kir::Value{static_cast<DType>(in->t & 0xf), regs[in->a]})) \
+        sdc = true;                                                                      \
+      if (hooks().check_range(static_cast<int>(in->imm),                                 \
+                              kir::Value{static_cast<DType>(in->t >> 4), regs[in->c]}))  \
+        sdc = true;                                                                      \
+    }                                                                                    \
+    pc += 2;                                                                             \
+    T_NEXT();                                                                            \
+  }
+
+  // The instantiations: accounted singles and their naked twins.
+#define T_ACC_SET(n, ...) T_LABEL(n) : T_SET(T_STEP1(), __VA_ARGS__)
+#define T_NK_SET(n, ...) T_LABEL(Nk_##n) : T_SET(T_NK_STEP, __VA_ARGS__)
+#define T_ACC_BODY(n, BODY, ...) \
+  T_LABEL(n) : BODY(T_STEP1(), T_CRASH __VA_OPT__(, ) __VA_ARGS__)
+#define T_NK_BODY(n, BODY, ...) \
+  T_LABEL(Nk_##n) : BODY(T_NK_STEP, T_NK_CRASH __VA_OPT__(, ) __VA_ARGS__)
+  // Every naked-list op has exactly one body, and so has every recorded
+  // access with its counted FIHook (six Rec accesses, RecFIHook).
+#define T_ONE(...) +1
+  static_assert(0 T_SET_OPS(T_ONE) T_BODY_OPS(T_ONE) == 7 HAUBERK_TOP_NAKED_LIST(T_ONE));
+#undef T_ONE
 
   const kir::ThreadedInstr* in = code;
 #if HAUBERK_COMPUTED_GOTO
@@ -1713,361 +2074,35 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
 #endif
 
   // --- singles (type-resolved mirrors of the run_thread handlers) ---
-  T_LABEL(Nop) : {
-    T_STEP1();
-    T_NEXT();
-  }
-  T_LABEL(Const) : T_SET(in->imm);
-  T_LABEL(Mov) : T_SET(regs[in->a]);
-  T_LABEL(Builtin) : T_SET(builtin_value(t, static_cast<BuiltinVal>(in->aux)));
-  T_LABEL(Select) :
-      T_SET(regs[in->a] != 0 ? regs[in->b] : regs[static_cast<std::uint16_t>(in->imm)]);
+  T_SET_OPS(T_ACC_SET)
+  T_BODY_OPS(T_ACC_BODY)
+  T_LABEL(SanLoadS) : T_LOAD_S(T_STEP1(), T_CRASH, Sanitized)
+  T_LABEL(SanStoreS) : T_STORE_S(T_STEP1(), T_CRASH, Sanitized)
 
-  T_LABEL(NegF) : T_SET(f_bits(-as_f(regs[in->a])));
-  T_LABEL(NegI) : T_SET(neg_i_bits(regs[in->a]));
-  T_LABEL(NotF) : T_SET(as_f(regs[in->a]) == 0.0f);
-  T_LABEL(NotW) : T_SET(regs[in->a] == 0);
-  T_LABEL(BitNot) : T_SET(~regs[in->a]);
-  T_LABEL(AbsF) : T_SET(f_bits(std::fabs(as_f(regs[in->a]))));
-  T_LABEL(AbsI) : T_SET(abs_i_bits(regs[in->a]));
-  T_LABEL(SqrtF) : T_SET(f_bits(std::sqrt(as_f(regs[in->a]))));
-  T_LABEL(RsqrtF) : T_SET(f_bits(1.0f / std::sqrt(as_f(regs[in->a]))));
-  T_LABEL(ExpF) : T_SET(f_bits(std::exp(as_f(regs[in->a]))));
-  T_LABEL(LogF) : T_SET(f_bits(std::log(as_f(regs[in->a]))));
-  T_LABEL(SinF) : T_SET(f_bits(std::sin(as_f(regs[in->a]))));
-  T_LABEL(CosF) : T_SET(f_bits(std::cos(as_f(regs[in->a]))));
-  T_LABEL(FloorF) : T_SET(f_bits(std::floor(as_f(regs[in->a]))));
-  T_LABEL(I2F) : T_SET(f_bits(static_cast<float>(as_i(regs[in->a]))));
-  T_LABEL(P2F) : T_SET(f_bits(static_cast<float>(regs[in->a])));
-  T_LABEL(F2I) : T_SET(f2i_sat(regs[in->a]));
-  T_LABEL(CopyA) : T_SET(regs[in->a]);
-  T_LABEL(UnGeneric) :
-      T_SET(eval_un(static_cast<UnOp>(aux_op(in->aux)), aux_type(in->aux), regs[in->a]));
-
-  T_LABEL(AddF) : T_SET(fadd_bits(regs[in->a], regs[in->b]));
-  T_LABEL(SubF) : T_SET(fsub_bits(regs[in->a], regs[in->b]));
-  T_LABEL(MulF) : T_SET(fmul_bits(regs[in->a], regs[in->b]));
-  T_LABEL(DivF) : T_SET(fdiv_bits(regs[in->a], regs[in->b]));
-  T_LABEL(MinF) : T_SET(fmin_bits(regs[in->a], regs[in->b]));
-  T_LABEL(MaxF) : T_SET(fmax_bits(regs[in->a], regs[in->b]));
-  T_LABEL(LtF) : T_SET(HB_CMP_LtF(regs[in->a], regs[in->b]));
-  T_LABEL(LeF) : T_SET(HB_CMP_LeF(regs[in->a], regs[in->b]));
-  T_LABEL(GtF) : T_SET(HB_CMP_GtF(regs[in->a], regs[in->b]));
-  T_LABEL(GeF) : T_SET(HB_CMP_GeF(regs[in->a], regs[in->b]));
-  T_LABEL(EqF) : T_SET(HB_CMP_EqF(regs[in->a], regs[in->b]));
-  T_LABEL(NeF) : T_SET(HB_CMP_NeF(regs[in->a], regs[in->b]));
-  T_LABEL(AddW) : T_SET(regs[in->a] + regs[in->b]);
-  T_LABEL(SubW) : T_SET(regs[in->a] - regs[in->b]);
-  T_LABEL(MulW) : T_SET(regs[in->a] * regs[in->b]);
-  T_LABEL(DivI) : {
-    T_STEP1();
-    const std::int64_t x = as_i(regs[in->a]), y = as_i(regs[in->b]);
-    if (y == 0) T_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = i_bits(static_cast<std::int32_t>(x / y));
-    T_NEXT();
+  // Jumps; the *Bk forms of a recording or write-tracking stream are
+  // snapshot points when taken.
+#define T_JMP(BK)                         \
+  {                                       \
+    T_STEP1();                            \
+    pc = in->aux;                         \
+    if constexpr (BK) T_SNAPSHOT_POINT(); \
+    T_NEXT();                             \
   }
-  T_LABEL(ModI) : {
-    T_STEP1();
-    const std::int64_t x = as_i(regs[in->a]), y = as_i(regs[in->b]);
-    if (y == 0) T_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = i_bits(static_cast<std::int32_t>(x % y));
-    T_NEXT();
+#define T_JZ(BK)                                  \
+  {                                               \
+    T_STEP1();                                    \
+    if (regs[in->a] == 0) {                       \
+      pc = in->aux;                               \
+      if constexpr (BK) T_SNAPSHOT_POINT();       \
+    }                                             \
+    T_NEXT();                                     \
   }
-  T_LABEL(DivU) : {
-    T_STEP1();
-    if (regs[in->b] == 0) T_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = regs[in->a] / regs[in->b];
-    T_NEXT();
-  }
-  T_LABEL(ModU) : {
-    T_STEP1();
-    if (regs[in->b] == 0) T_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = regs[in->a] % regs[in->b];
-    T_NEXT();
-  }
-  T_LABEL(MinI) : T_SET(as_i(regs[in->a]) < as_i(regs[in->b]) ? regs[in->a] : regs[in->b]);
-  T_LABEL(MaxI) : T_SET(as_i(regs[in->a]) > as_i(regs[in->b]) ? regs[in->a] : regs[in->b]);
-  T_LABEL(MinU) : T_SET(regs[in->a] < regs[in->b] ? regs[in->a] : regs[in->b]);
-  T_LABEL(MaxU) : T_SET(regs[in->a] > regs[in->b] ? regs[in->a] : regs[in->b]);
-  T_LABEL(LtI) : T_SET(HB_CMP_LtI(regs[in->a], regs[in->b]));
-  T_LABEL(LeI) : T_SET(HB_CMP_LeI(regs[in->a], regs[in->b]));
-  T_LABEL(GtI) : T_SET(HB_CMP_GtI(regs[in->a], regs[in->b]));
-  T_LABEL(GeI) : T_SET(HB_CMP_GeI(regs[in->a], regs[in->b]));
-  T_LABEL(LtU) : T_SET(HB_CMP_LtU(regs[in->a], regs[in->b]));
-  T_LABEL(LeU) : T_SET(HB_CMP_LeU(regs[in->a], regs[in->b]));
-  T_LABEL(GtU) : T_SET(HB_CMP_GtU(regs[in->a], regs[in->b]));
-  T_LABEL(GeU) : T_SET(HB_CMP_GeU(regs[in->a], regs[in->b]));
-  T_LABEL(EqW) : T_SET(HB_CMP_EqW(regs[in->a], regs[in->b]));
-  T_LABEL(NeW) : T_SET(HB_CMP_NeW(regs[in->a], regs[in->b]));
-  T_LABEL(AndB) : T_SET(regs[in->a] & regs[in->b]);
-  T_LABEL(OrB) : T_SET(regs[in->a] | regs[in->b]);
-  T_LABEL(XorB) : T_SET(regs[in->a] ^ regs[in->b]);
-  T_LABEL(ShlB) : T_SET(regs[in->a] << (regs[in->b] & 31));
-  T_LABEL(ShrL) : T_SET(regs[in->a] >> (regs[in->b] & 31));
-  T_LABEL(ShrA) : T_SET(i_bits(as_i(regs[in->a]) >> (regs[in->b] & 31)));
-  T_LABEL(LAndW) : T_SET((regs[in->a] != 0) && (regs[in->b] != 0));
-  T_LABEL(LOrW) : T_SET((regs[in->a] != 0) || (regs[in->b] != 0));
-  T_LABEL(BinGeneric) : {
-    T_STEP1();
-    bool crash = false;
-    const std::uint32_t r = eval_bin(static_cast<BinOp>(aux_op(in->aux)), aux_type(in->aux),
-                                     regs[in->a], regs[in->b], crash);
-    if (crash) T_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = r;
-    T_NEXT();
-  }
-
-  T_LABEL(LoadG) : {
-    T_STEP1();
-    const std::uint32_t addr = regs[in->a];
-    if (gmem) {
-      if (addr >= gsize) T_CRASH(LaunchStatus::CrashOutOfBounds);
-      regs[in->dst] = gmem[addr];
-    } else if (!mem.load(addr, regs[in->dst])) {
-      T_CRASH(mem_fail_status());
-    }
-    T_NEXT();
-  }
-  T_LABEL(StoreG) : {
-    T_STEP1();
-    const std::uint32_t addr = regs[in->a];
-    if (gmem) {
-      if (addr >= gsize) T_CRASH(LaunchStatus::CrashOutOfBounds);
-      gmem[addr] = regs[in->b];
-      mem.note_store(addr);
-    } else if (!mem.store(addr, regs[in->b])) {
-      T_CRASH(mem_fail_status());
-    }
-    T_NEXT();
-  }
-  T_LABEL(LoadS) : {
-    T_STEP1();
-    const std::uint32_t addr = regs[in->a];
-    if (addr >= ssize) T_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-    regs[in->dst] = shared_[addr];
-    T_NEXT();
-  }
-  T_LABEL(StoreS) : {
-    T_STEP1();
-    const std::uint32_t addr = regs[in->a];
-    if (addr >= ssize) T_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-    shared_[addr] = regs[in->b];
-    T_NEXT();
-  }
-  // Sanitized shared accesses: the LoadS/StoreS bodies with the shadow
-  // observing at run_thread's points (out-of-bounds before the crash exit,
-  // in-bounds before the access).
-  T_LABEL(SanLoadS) : {
-    T_STEP1();
-    const std::uint32_t addr = regs[in->a];
-    if (addr >= ssize) {
-      shadow_->on_oob(pc - 1, sites_[pc - 1], t.block_index, addr, epoch_);
-      T_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-    }
-    shadow_->on_load(pc - 1, sites_[pc - 1], t.block_index, addr, epoch_);
-    regs[in->dst] = shared_[addr];
-    T_NEXT();
-  }
-  T_LABEL(SanStoreS) : {
-    T_STEP1();
-    const std::uint32_t addr = regs[in->a];
-    if (addr >= ssize) {
-      shadow_->on_oob(pc - 1, sites_[pc - 1], t.block_index, addr, epoch_);
-      T_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-    }
-    shadow_->on_store(pc - 1, sites_[pc - 1], t.block_index, addr, epoch_);
-    shared_[addr] = regs[in->b];
-    T_NEXT();
-  }
-  // The atomic handlers keep the lock_guard inside an inner block: the
-  // computed goto in T_NEXT() must not jump out of the guard's scope (an
-  // indirect goto does not unwind locals, so the mutex would stay locked
-  // and the next atomic in any thread would deadlock the launch).
-  T_LABEL(AtomicAddF) : {
-    T_STEP1();
-    {
-      std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
-      if (gmem) {
-        if (regs[in->a] >= gsize) T_CRASH(LaunchStatus::CrashOutOfBounds);
-        mem.note_store(regs[in->a]);
-        std::uint32_t* const w = gmem + regs[in->a];
-        *w = fadd_bits(*w, regs[in->b]);
-      } else if (!mem.rmw(regs[in->a],
-                          [&](std::uint32_t w) { return fadd_bits(w, regs[in->b]); })) {
-        T_CRASH(mem_fail_status());
-      }
-    }
-    T_NEXT();
-  }
-  T_LABEL(AtomicAddI) : {
-    T_STEP1();
-    {
-      std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
-      if (gmem) {
-        if (regs[in->a] >= gsize) T_CRASH(LaunchStatus::CrashOutOfBounds);
-        mem.note_store(regs[in->a]);
-        std::uint32_t* const w = gmem + regs[in->a];
-        *w = i_bits(static_cast<std::int32_t>(
-            static_cast<std::int64_t>(as_i(*w)) + as_i(regs[in->b])));
-      } else if (!mem.rmw(regs[in->a], [&](std::uint32_t w) {
-                   return i_bits(static_cast<std::int32_t>(
-                       static_cast<std::int64_t>(as_i(w)) + as_i(regs[in->b])));
-                 })) {
-        T_CRASH(mem_fail_status());
-      }
-    }
-    T_NEXT();
-  }
-
-  // Recorded accesses (recording, net-effect and write-tracking streams):
-  // the LoadG/StoreG/LoadS/StoreS/AtomicAdd bodies, then the access reported
-  // at run_thread's points (after it succeeded) to the recorder, the touch
-  // recorder (a net-effect stream has no shared Rec ops), or — in a
-  // replaying launch, whose stream has no Rec loads — to the delta set.
-  // Each comes accounted (PRE = T_STEP1, crash exit T_CRASH) and naked
-  // inside a run (PRE = ++pc, crash exit T_NK_CRASH with its refund).
-#define T_REC_LOADG(PRE, CRASH)                                                    \
-  {                                                                                \
-    PRE;                                                                           \
-    const std::uint32_t addr = regs[in->a];                                        \
-    if (gmem) {                                                                    \
-      if (addr >= gsize) CRASH(LaunchStatus::CrashOutOfBounds);                    \
-      regs[in->dst] = gmem[addr];                                                  \
-    } else if (!mem.load(addr, regs[in->dst])) {                                   \
-      CRASH(mem_fail_status());                                                    \
-    }                                                                              \
-    if (rec_)                                                                      \
-      rec_->global_load(addr, regs[in->dst]);                                      \
-    else                                                                           \
-      touch_->load(addr);                                                          \
-    T_NEXT();                                                                      \
-  }
-#define T_REC_STOREG(PRE, CRASH)                                                   \
-  {                                                                                \
-    PRE;                                                                           \
-    const std::uint32_t addr = regs[in->a];                                        \
-    const std::uint32_t value = regs[in->b];                                       \
-    /* A replay's hang probe asks whether the store changed the word. */          \
-    const bool same_ = delta_ && addr < wsize && words[addr] == value;             \
-    if (gmem) {                                                                    \
-      if (addr >= gsize) CRASH(LaunchStatus::CrashOutOfBounds);                    \
-      gmem[addr] = value;                                                          \
-      mem.note_store(addr);                                                        \
-    } else if (!mem.store(addr, value)) {                                          \
-      CRASH(mem_fail_status());                                                    \
-    }                                                                              \
-    if (delta_) {                                                                  \
-      if (!same_) changed_ = true;                                                 \
-      delta_->global_write(addr, value, LaunchJournal::WriteKind::Store);          \
-    } else if (rec_)                                                               \
-      rec_->global_store(addr, value);                                             \
-    else                                                                           \
-      touch_->write(addr);                                                         \
-    T_NEXT();                                                                      \
-  }
-#define T_REC_LOADS(PRE, CRASH)                                                    \
-  {                                                                                \
-    PRE;                                                                           \
-    const std::uint32_t addr = regs[in->a];                                        \
-    if (addr >= ssize) CRASH(LaunchStatus::CrashSharedOutOfBounds);                \
-    regs[in->dst] = shared_[addr];                                                 \
-    rec_->shared_load(addr, regs[in->dst]);                                        \
-    T_NEXT();                                                                      \
-  }
-#define T_REC_STORES(PRE, CRASH)                                                   \
-  {                                                                                \
-    PRE;                                                                           \
-    const std::uint32_t addr = regs[in->a];                                        \
-    if (addr >= ssize) CRASH(LaunchStatus::CrashSharedOutOfBounds);                \
-    if (delta_ && shared_[addr] != regs[in->b]) changed_ = true;                   \
-    shared_[addr] = regs[in->b];                                                   \
-    if (rec_)                                                                      \
-      rec_->shared_store(addr, regs[in->b]);                                       \
-    else                                                                           \
-      delta_->shared_write(addr, regs[in->b]);                                     \
-    T_NEXT();                                                                      \
-  }
-// The lock_guard stays in an inner block (see the AtomicAdd handlers).
-#define T_REC_ATOMIC(PRE, CRASH, KIND, OP)                                         \
-  {                                                                                \
-    PRE;                                                                           \
-    const std::uint32_t addr = regs[in->a];                                        \
-    const std::uint32_t addend = regs[in->b];                                      \
-    std::uint32_t pre = 0, post = 0;                                               \
-    const auto add = [&](std::uint32_t w) {                                        \
-      pre = w;                                                                     \
-      return post = OP(w, addend);                                                 \
-    };                                                                             \
-    {                                                                              \
-      std::lock_guard<std::mutex> lk(dev_.atomic_mutex());                         \
-      if (gmem) {                                                                  \
-        if (addr >= gsize) CRASH(LaunchStatus::CrashOutOfBounds);                  \
-        mem.note_store(addr);                                                      \
-        gmem[addr] = add(gmem[addr]);                                              \
-      } else if (!mem.rmw(addr, add)) {                                            \
-        CRASH(mem_fail_status());                                                  \
-      }                                                                            \
-    }                                                                              \
-    if (delta_) {                                                                  \
-      if (post != pre) changed_ = true;                                            \
-      delta_->global_write(addr, addend, KIND);                                    \
-    } else if (rec_)                                                               \
-      rec_->global_atomic(addr, addend, KIND, pre);                                \
-    else                                                                           \
-      touch_->write(addr);                                                         \
-    T_NEXT();                                                                      \
-  }
-#define T_ADDI(A, B) \
-  i_bits(static_cast<std::int32_t>(static_cast<std::int64_t>(as_i(A)) + as_i(B)))
-#define T_PC1 ++pc
-  T_LABEL(RecLoadG) : T_REC_LOADG(T_STEP1(), T_CRASH)
-  T_LABEL(RecStoreG) : T_REC_STOREG(T_STEP1(), T_CRASH)
-  T_LABEL(RecLoadS) : T_REC_LOADS(T_STEP1(), T_CRASH)
-  T_LABEL(RecStoreS) : T_REC_STORES(T_STEP1(), T_CRASH)
-  T_LABEL(RecAtomicAddF) :
-      T_REC_ATOMIC(T_STEP1(), T_CRASH, LaunchJournal::WriteKind::AtomicAddF, fadd_bits)
-  T_LABEL(RecAtomicAddI) :
-      T_REC_ATOMIC(T_STEP1(), T_CRASH, LaunchJournal::WriteKind::AtomicAddI, T_ADDI)
-  T_LABEL(Nk_RecLoadG) : T_REC_LOADG(T_PC1, T_NK_CRASH)
-  T_LABEL(Nk_RecStoreG) : T_REC_STOREG(T_PC1, T_NK_CRASH)
-  T_LABEL(Nk_RecLoadS) : T_REC_LOADS(T_PC1, T_NK_CRASH)
-  T_LABEL(Nk_RecStoreS) : T_REC_STORES(T_PC1, T_NK_CRASH)
-  T_LABEL(Nk_RecAtomicAddF) :
-      T_REC_ATOMIC(T_PC1, T_NK_CRASH, LaunchJournal::WriteKind::AtomicAddF, fadd_bits)
-  T_LABEL(Nk_RecAtomicAddI) :
-      T_REC_ATOMIC(T_PC1, T_NK_CRASH, LaunchJournal::WriteKind::AtomicAddI, T_ADDI)
-#undef T_PC1
-#undef T_ADDI
-#undef T_REC_LOADG
-#undef T_REC_STOREG
-#undef T_REC_LOADS
-#undef T_REC_STORES
-#undef T_REC_ATOMIC
-
-  T_LABEL(Jmp) : {
-    T_STEP1();
-    pc = in->aux;
-    T_NEXT();
-  }
-  T_LABEL(Jz) : {
-    T_STEP1();
-    if (regs[in->a] == 0) pc = in->aux;
-    T_NEXT();
-  }
-  T_LABEL(JmpBk) : {
-    T_STEP1();
-    pc = in->aux;
-    T_SNAPSHOT_POINT();
-    T_NEXT();
-  }
-  T_LABEL(JzBk) : {
-    T_STEP1();
-    if (regs[in->a] == 0) {
-      pc = in->aux;
-      T_SNAPSHOT_POINT();
-    }
-    T_NEXT();
-  }
+  T_LABEL(Jmp) : T_JMP(false)
+  T_LABEL(Jz) : T_JZ(false)
+  T_LABEL(JmpBk) : T_JMP(true)
+  T_LABEL(JzBk) : T_JZ(true)
+#undef T_JMP
+#undef T_JZ
   T_LABEL(Barrier) : {
     T_STEP1();
     t.barrier_pc = pc - 1;
@@ -2080,62 +2115,6 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     t.done = true;
     return ThreadStop::Done;
   }
-
-  T_LABEL(ChkXor) : {
-    T_STEP1();
-    regs[in->dst] ^= regs[in->a];
-    T_NEXT();
-  }
-  T_LABEL(ChkValidate) : {
-    T_STEP1();
-    if (regs[in->dst] != 0) sdc = true;
-    T_NEXT();
-  }
-  T_LABEL(DupCmp) : {
-    T_STEP1();
-    if (regs[in->a] != regs[in->b]) sdc = true;
-    T_NEXT();
-  }
-  T_LABEL(RangeCheck) : {
-    T_STEP1();
-    if (opts_.hooks &&
-        hooks().check_range(static_cast<int>(in->aux),
-                            kir::Value{static_cast<DType>(in->t), regs[in->a]}))
-      sdc = true;
-    T_NEXT();
-  }
-  T_LABEL(EqualCheck) : {
-    T_STEP1();
-    if (regs[in->a] != regs[in->b]) {
-      sdc = true;
-      if (opts_.hooks) hooks().equal_check_failed(static_cast<int>(in->aux));
-    }
-    T_NEXT();
-  }
-  T_LABEL(ProfileVal) : {
-    T_STEP1();
-    if (opts_.hooks)
-      hooks().profile_value(static_cast<int>(in->aux),
-                            kir::Value{static_cast<DType>(in->t), regs[in->a]});
-    T_NEXT();
-  }
-  T_LABEL(CountExec) : {
-    T_STEP1();
-    if (opts_.hooks) hooks().count_exec(in->aux, t.linear);
-    T_NEXT();
-  }
-  T_LABEL(FIHook) : {
-    T_STEP1();
-    if (opts_.hooks && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();
-    T_NEXT();
-  }
-  // A recording stream's FIHook: counted for the snapshot table, then the
-  // hook call the filter allows (see TOp::RecFIHook).
-  T_LABEL(RecFIHook) : {
-    T_STEP1();
-    T_REC_FI();
-    T_NEXT();
-  }
   T_LABEL(Invalid) : {
     T_STEP1();
     T_CRASH(LaunchStatus::CrashInvalidInstr);
@@ -2144,69 +2123,44 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   // --- fused superinstructions ---
 #define T_CMPJZ(K)                                                           \
   T_LABEL(CmpJz_##K) : {                                                     \
-    if (left < 2) T_DELEGATE();                                              \
-    T_CHARGE(2);                                                             \
+    T_FUSED(2);                                                              \
     const std::uint32_t v_ = HB_CMP_##K(regs[in->a], regs[in->b]);           \
     regs[in->dst] = v_;                                                      \
-    pc = v_ == 0 ? in->aux : pc + 2;                                     \
+    pc = v_ == 0 ? in->aux : pc + 2;                                         \
     T_NEXT();                                                                \
   }                                                                          \
   T_LABEL(ConstCmpJz_##K) : {                                                \
-    if (left < 3) T_DELEGATE();                                              \
-    T_CHARGE(3);                                                             \
+    T_FUSED(3);                                                              \
     regs[in->c] = in->imm;                                                   \
     const std::uint32_t x_ = regs[in->a];                                    \
     const std::uint32_t v_ =                                                 \
         in->t ? HB_CMP_##K(in->imm, x_) : HB_CMP_##K(x_, in->imm);           \
     regs[in->dst] = v_;                                                      \
-    pc = v_ == 0 ? in->aux : pc + 3;                                     \
+    pc = v_ == 0 ? in->aux : pc + 3;                                         \
     T_NEXT();                                                                \
   }
   HAUBERK_TOP_CMP_LIST(T_CMPJZ)
 #undef T_CMPJZ
 
-  T_LABEL(ConstAddJmp) : {
-    if (left < 3) T_DELEGATE();
-    T_CHARGE(3);
-    regs[in->c] = in->imm;
-    regs[in->dst] = regs[in->a] + regs[in->b];
-    pc = in->aux;
-    T_NEXT();
+  // Loop back-edges [Const c,imm]? [AddW dst,a,b] [Jmp aux] over N source
+  // instructions; the *Bk forms are snapshot points.
+#define T_ADD_JMP(N, BK)                           \
+  {                                                \
+    T_FUSED(N);                                    \
+    if constexpr ((N) == 3) regs[in->c] = in->imm; \
+    regs[in->dst] = regs[in->a] + regs[in->b];     \
+    pc = in->aux;                                  \
+    if constexpr (BK) T_SNAPSHOT_POINT();          \
+    T_NEXT();                                      \
   }
-  T_LABEL(AddJmp) : {
-    if (left < 2) T_DELEGATE();
-    T_CHARGE(2);
-    regs[in->dst] = regs[in->a] + regs[in->b];
-    pc = in->aux;
-    T_NEXT();
-  }
-  T_LABEL(ConstAddJmpBk) : {
-    if (left < 3) T_DELEGATE();
-    T_CHARGE(3);
-    regs[in->c] = in->imm;
-    regs[in->dst] = regs[in->a] + regs[in->b];
-    pc = in->aux;
-    T_SNAPSHOT_POINT();
-    T_NEXT();
-  }
-  T_LABEL(AddJmpBk) : {
-    if (left < 2) T_DELEGATE();
-    T_CHARGE(2);
-    regs[in->dst] = regs[in->a] + regs[in->b];
-    pc = in->aux;
-    T_SNAPSHOT_POINT();
-    T_NEXT();
-  }
+  T_LABEL(ConstAddJmp) : T_ADD_JMP(3, false)
+  T_LABEL(AddJmp) : T_ADD_JMP(2, false)
+  T_LABEL(ConstAddJmpBk) : T_ADD_JMP(3, true)
+  T_LABEL(AddJmpBk) : T_ADD_JMP(2, true)
+#undef T_ADD_JMP
 
 #define T_ALUFUSE(K)                                                         \
-  T_LABEL(ConstBin_##K) : {                                                  \
-    if (left < 2) T_DELEGATE();                                              \
-    T_CHARGE(2);                                                             \
-    regs[in->c] = in->imm;                                                   \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
-    pc += 2;                                                               \
-    T_NEXT();                                                                \
-  }                                                                          \
+  T_LABEL(ConstBin_##K) : T_CONST_BIN(T_FUSED(2), K)                         \
   T_LABEL(LoadBinStore_##K) : {                                              \
     const std::uint32_t la_ = regs[in->a];                                   \
     const std::uint32_t sa_ = regs[in->b];                                   \
@@ -2218,50 +2172,15 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     regs[in->dst] = r_;                                                      \
     gmem[sa_] = r_;                                                          \
     mem.note_store(sa_);                                                     \
-    pc += 3;                                                               \
+    pc += 3;                                                                 \
     T_NEXT();                                                                \
   }                                                                          \
-  T_LABEL(BinChkXor_##K) : {                                                 \
-    if (left < 2) T_DELEGATE();                                              \
-    T_CHARGE(2);                                                             \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
-    regs[in->c] ^= regs[in->d];                                              \
-    pc += 2;                                                               \
-    T_NEXT();                                                                \
-  }                                                                          \
-  T_LABEL(BinDupCmp_##K) : {                                                 \
-    if (left < 2) T_DELEGATE();                                              \
-    T_CHARGE(2);                                                             \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
-    if (regs[in->c] != regs[in->d]) sdc = true;                              \
-    pc += 2;                                                               \
-    T_NEXT();                                                                \
-  }
+  T_LABEL(BinChkXor_##K) : T_BIN_CHK_XOR(T_FUSED(2), K)                      \
+  T_LABEL(BinDupCmp_##K) : T_BIN_DUP_CMP(T_FUSED(2), K)
   HAUBERK_TOP_ALU_LIST(T_ALUFUSE)
 #undef T_ALUFUSE
-
-  T_LABEL(ChkXor2) : {
-    if (left < 2) T_DELEGATE();
-    T_CHARGE(2);
-    regs[in->dst] ^= regs[in->a];
-    regs[in->c] ^= regs[in->d];
-    pc += 2;
-    T_NEXT();
-  }
-  T_LABEL(RangeCheck2) : {
-    if (left < 2) T_DELEGATE();
-    T_CHARGE(2);
-    if (opts_.hooks) {
-      if (hooks().check_range(static_cast<int>(in->aux),
-                              kir::Value{static_cast<DType>(in->t & 0xf), regs[in->a]}))
-        sdc = true;
-      if (hooks().check_range(static_cast<int>(in->imm),
-                              kir::Value{static_cast<DType>(in->t >> 4), regs[in->c]}))
-        sdc = true;
-    }
-    pc += 2;
-    T_NEXT();
-  }
+  T_LABEL(ChkXor2) : T_CHK_XOR2(T_FUSED(2))
+  T_LABEL(RangeCheck2) : T_RANGE_CHECK2(T_FUSED(2))
 
   // --- straight-line runs ---
   // RunHead: one budget test and one pre-summed charge for the whole
@@ -2278,301 +2197,20 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     T_DISPATCH_D();
   }
 
-  // Naked singles: the single-op bodies minus all accounting — the RunHead
-  // already billed the region.  Crashable ops refund their suffix (carried
-  // in their cost/loop_cost/len fields) before the crash exit; the atomic
-  // handlers keep the lock_guard scoped exactly like the accounted ones.
-#define T_NSET(expr)          \
-  {                           \
-    regs[in->dst] = (expr);   \
-    ++pc;                     \
-    T_NEXT();                 \
-  }
-  T_LABEL(Nk_Nop) : {
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_Const) : T_NSET(in->imm);
-  T_LABEL(Nk_Mov) : T_NSET(regs[in->a]);
-  T_LABEL(Nk_Builtin) : T_NSET(builtin_value(t, static_cast<BuiltinVal>(in->aux)));
-  T_LABEL(Nk_Select) :
-      T_NSET(regs[in->a] != 0 ? regs[in->b] : regs[static_cast<std::uint16_t>(in->imm)]);
-
-  T_LABEL(Nk_NegF) : T_NSET(f_bits(-as_f(regs[in->a])));
-  T_LABEL(Nk_NegI) : T_NSET(neg_i_bits(regs[in->a]));
-  T_LABEL(Nk_NotF) : T_NSET(as_f(regs[in->a]) == 0.0f);
-  T_LABEL(Nk_NotW) : T_NSET(regs[in->a] == 0);
-  T_LABEL(Nk_BitNot) : T_NSET(~regs[in->a]);
-  T_LABEL(Nk_AbsF) : T_NSET(f_bits(std::fabs(as_f(regs[in->a]))));
-  T_LABEL(Nk_AbsI) : T_NSET(abs_i_bits(regs[in->a]));
-  T_LABEL(Nk_SqrtF) : T_NSET(f_bits(std::sqrt(as_f(regs[in->a]))));
-  T_LABEL(Nk_RsqrtF) : T_NSET(f_bits(1.0f / std::sqrt(as_f(regs[in->a]))));
-  T_LABEL(Nk_ExpF) : T_NSET(f_bits(std::exp(as_f(regs[in->a]))));
-  T_LABEL(Nk_LogF) : T_NSET(f_bits(std::log(as_f(regs[in->a]))));
-  T_LABEL(Nk_SinF) : T_NSET(f_bits(std::sin(as_f(regs[in->a]))));
-  T_LABEL(Nk_CosF) : T_NSET(f_bits(std::cos(as_f(regs[in->a]))));
-  T_LABEL(Nk_FloorF) : T_NSET(f_bits(std::floor(as_f(regs[in->a]))));
-  T_LABEL(Nk_I2F) : T_NSET(f_bits(static_cast<float>(as_i(regs[in->a]))));
-  T_LABEL(Nk_P2F) : T_NSET(f_bits(static_cast<float>(regs[in->a])));
-  T_LABEL(Nk_F2I) : T_NSET(f2i_sat(regs[in->a]));
-  T_LABEL(Nk_CopyA) : T_NSET(regs[in->a]);
-  T_LABEL(Nk_UnGeneric) :
-      T_NSET(eval_un(static_cast<UnOp>(aux_op(in->aux)), aux_type(in->aux), regs[in->a]));
-
-  T_LABEL(Nk_AddF) : T_NSET(fadd_bits(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_SubF) : T_NSET(fsub_bits(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_MulF) : T_NSET(fmul_bits(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_DivF) : T_NSET(fdiv_bits(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_MinF) : T_NSET(fmin_bits(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_MaxF) : T_NSET(fmax_bits(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_LtF) : T_NSET(HB_CMP_LtF(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_LeF) : T_NSET(HB_CMP_LeF(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_GtF) : T_NSET(HB_CMP_GtF(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_GeF) : T_NSET(HB_CMP_GeF(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_EqF) : T_NSET(HB_CMP_EqF(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_NeF) : T_NSET(HB_CMP_NeF(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_AddW) : T_NSET(regs[in->a] + regs[in->b]);
-  T_LABEL(Nk_SubW) : T_NSET(regs[in->a] - regs[in->b]);
-  T_LABEL(Nk_MulW) : T_NSET(regs[in->a] * regs[in->b]);
-  T_LABEL(Nk_DivI) : {
-    ++pc;
-    const std::int64_t x = as_i(regs[in->a]), y = as_i(regs[in->b]);
-    if (y == 0) T_NK_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = i_bits(static_cast<std::int32_t>(x / y));
-    T_NEXT();
-  }
-  T_LABEL(Nk_ModI) : {
-    ++pc;
-    const std::int64_t x = as_i(regs[in->a]), y = as_i(regs[in->b]);
-    if (y == 0) T_NK_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = i_bits(static_cast<std::int32_t>(x % y));
-    T_NEXT();
-  }
-  T_LABEL(Nk_DivU) : {
-    ++pc;
-    if (regs[in->b] == 0) T_NK_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = regs[in->a] / regs[in->b];
-    T_NEXT();
-  }
-  T_LABEL(Nk_ModU) : {
-    ++pc;
-    if (regs[in->b] == 0) T_NK_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = regs[in->a] % regs[in->b];
-    T_NEXT();
-  }
-  T_LABEL(Nk_MinI) : T_NSET(as_i(regs[in->a]) < as_i(regs[in->b]) ? regs[in->a] : regs[in->b]);
-  T_LABEL(Nk_MaxI) : T_NSET(as_i(regs[in->a]) > as_i(regs[in->b]) ? regs[in->a] : regs[in->b]);
-  T_LABEL(Nk_MinU) : T_NSET(regs[in->a] < regs[in->b] ? regs[in->a] : regs[in->b]);
-  T_LABEL(Nk_MaxU) : T_NSET(regs[in->a] > regs[in->b] ? regs[in->a] : regs[in->b]);
-  T_LABEL(Nk_LtI) : T_NSET(HB_CMP_LtI(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_LeI) : T_NSET(HB_CMP_LeI(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_GtI) : T_NSET(HB_CMP_GtI(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_GeI) : T_NSET(HB_CMP_GeI(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_LtU) : T_NSET(HB_CMP_LtU(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_LeU) : T_NSET(HB_CMP_LeU(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_GtU) : T_NSET(HB_CMP_GtU(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_GeU) : T_NSET(HB_CMP_GeU(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_EqW) : T_NSET(HB_CMP_EqW(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_NeW) : T_NSET(HB_CMP_NeW(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_AndB) : T_NSET(regs[in->a] & regs[in->b]);
-  T_LABEL(Nk_OrB) : T_NSET(regs[in->a] | regs[in->b]);
-  T_LABEL(Nk_XorB) : T_NSET(regs[in->a] ^ regs[in->b]);
-  T_LABEL(Nk_ShlB) : T_NSET(regs[in->a] << (regs[in->b] & 31));
-  T_LABEL(Nk_ShrL) : T_NSET(regs[in->a] >> (regs[in->b] & 31));
-  T_LABEL(Nk_ShrA) : T_NSET(i_bits(as_i(regs[in->a]) >> (regs[in->b] & 31)));
-  T_LABEL(Nk_LAndW) : T_NSET((regs[in->a] != 0) && (regs[in->b] != 0));
-  T_LABEL(Nk_LOrW) : T_NSET((regs[in->a] != 0) || (regs[in->b] != 0));
-  T_LABEL(Nk_BinGeneric) : {
-    ++pc;
-    bool crash = false;
-    const std::uint32_t r = eval_bin(static_cast<BinOp>(aux_op(in->aux)), aux_type(in->aux),
-                                     regs[in->a], regs[in->b], crash);
-    if (crash) T_NK_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = r;
-    T_NEXT();
-  }
-
-  T_LABEL(Nk_LoadG) : {
-    ++pc;
-    const std::uint32_t addr = regs[in->a];
-    if (gmem) {
-      if (addr >= gsize) T_NK_CRASH(LaunchStatus::CrashOutOfBounds);
-      regs[in->dst] = gmem[addr];
-    } else if (!mem.load(addr, regs[in->dst])) {
-      T_NK_CRASH(mem_fail_status());
-    }
-    T_NEXT();
-  }
-  T_LABEL(Nk_StoreG) : {
-    ++pc;
-    const std::uint32_t addr = regs[in->a];
-    if (gmem) {
-      if (addr >= gsize) T_NK_CRASH(LaunchStatus::CrashOutOfBounds);
-      gmem[addr] = regs[in->b];
-      mem.note_store(addr);
-    } else if (!mem.store(addr, regs[in->b])) {
-      T_NK_CRASH(mem_fail_status());
-    }
-    T_NEXT();
-  }
-  T_LABEL(Nk_LoadS) : {
-    ++pc;
-    const std::uint32_t addr = regs[in->a];
-    if (addr >= ssize) T_NK_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-    regs[in->dst] = shared_[addr];
-    T_NEXT();
-  }
-  T_LABEL(Nk_StoreS) : {
-    ++pc;
-    const std::uint32_t addr = regs[in->a];
-    if (addr >= ssize) T_NK_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-    shared_[addr] = regs[in->b];
-    T_NEXT();
-  }
-  T_LABEL(Nk_AtomicAddF) : {
-    ++pc;
-    {
-      std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
-      if (gmem) {
-        if (regs[in->a] >= gsize) T_NK_CRASH(LaunchStatus::CrashOutOfBounds);
-        mem.note_store(regs[in->a]);
-        std::uint32_t* const w = gmem + regs[in->a];
-        *w = fadd_bits(*w, regs[in->b]);
-      } else if (!mem.rmw(regs[in->a],
-                          [&](std::uint32_t w) { return fadd_bits(w, regs[in->b]); })) {
-        T_NK_CRASH(mem_fail_status());
-      }
-    }
-    T_NEXT();
-  }
-  T_LABEL(Nk_AtomicAddI) : {
-    ++pc;
-    {
-      std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
-      if (gmem) {
-        if (regs[in->a] >= gsize) T_NK_CRASH(LaunchStatus::CrashOutOfBounds);
-        mem.note_store(regs[in->a]);
-        std::uint32_t* const w = gmem + regs[in->a];
-        *w = i_bits(static_cast<std::int32_t>(
-            static_cast<std::int64_t>(as_i(*w)) + as_i(regs[in->b])));
-      } else if (!mem.rmw(regs[in->a], [&](std::uint32_t w) {
-                   return i_bits(static_cast<std::int32_t>(
-                       static_cast<std::int64_t>(as_i(w)) + as_i(regs[in->b])));
-                 })) {
-        T_NK_CRASH(mem_fail_status());
-      }
-    }
-    T_NEXT();
-  }
-
-  T_LABEL(Nk_ChkXor) : {
-    regs[in->dst] ^= regs[in->a];
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_ChkValidate) : {
-    if (regs[in->dst] != 0) sdc = true;
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_DupCmp) : {
-    if (regs[in->a] != regs[in->b]) sdc = true;
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_RangeCheck) : {
-    if (opts_.hooks &&
-        hooks().check_range(static_cast<int>(in->aux),
-                            kir::Value{static_cast<DType>(in->t), regs[in->a]}))
-      sdc = true;
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_EqualCheck) : {
-    if (regs[in->a] != regs[in->b]) {
-      sdc = true;
-      if (opts_.hooks) hooks().equal_check_failed(static_cast<int>(in->aux));
-    }
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_ProfileVal) : {
-    if (opts_.hooks)
-      hooks().profile_value(static_cast<int>(in->aux),
-                            kir::Value{static_cast<DType>(in->t), regs[in->a]});
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_CountExec) : {
-    if (opts_.hooks) hooks().count_exec(in->aux, t.linear);
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_FIHook) : {
-    if (opts_.hooks && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire();
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_RecFIHook) : {
-    T_REC_FI();
-    ++pc;
-    T_NEXT();
-  }
-
-  // Naked fused pairs: two ops, one dispatch, zero accounting.
+  // Naked singles and fused pairs: the bodies above with no accounting —
+  // the RunHead already billed the region.  Crashable ops refund their
+  // suffix (carried in their cost/loop_cost/len fields) before the crash
+  // exit.
+  T_SET_OPS(T_NK_SET)
+  T_BODY_OPS(T_NK_BODY)
 #define T_NK_ALUFUSE(K)                                                      \
-  T_LABEL(NkConstBin_##K) : {                                                \
-    regs[in->c] = in->imm;                                                   \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
-    pc += 2;                                                                 \
-    T_NEXT();                                                                \
-  }                                                                          \
-  T_LABEL(NkBinChkXor_##K) : {                                               \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
-    regs[in->c] ^= regs[in->d];                                              \
-    pc += 2;                                                                 \
-    T_NEXT();                                                                \
-  }                                                                          \
-  T_LABEL(NkBinDupCmp_##K) : {                                               \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
-    if (regs[in->c] != regs[in->d]) sdc = true;                              \
-    pc += 2;                                                                 \
-    T_NEXT();                                                                \
-  }
+  T_LABEL(NkConstBin_##K) : T_CONST_BIN(T_NK_PAIR, K)                        \
+  T_LABEL(NkBinChkXor_##K) : T_BIN_CHK_XOR(T_NK_PAIR, K)                     \
+  T_LABEL(NkBinDupCmp_##K) : T_BIN_DUP_CMP(T_NK_PAIR, K)
   HAUBERK_TOP_ALU_LIST(T_NK_ALUFUSE)
 #undef T_NK_ALUFUSE
-
-  T_LABEL(NkChkXor2) : {
-    regs[in->dst] ^= regs[in->a];
-    regs[in->c] ^= regs[in->d];
-    pc += 2;
-    T_NEXT();
-  }
-  T_LABEL(NkRangeCheck2) : {
-    if (opts_.hooks) {
-      if (hooks().check_range(static_cast<int>(in->aux),
-                              kir::Value{static_cast<DType>(in->t & 0xf), regs[in->a]}))
-        sdc = true;
-      if (hooks().check_range(static_cast<int>(in->imm),
-                              kir::Value{static_cast<DType>(in->t >> 4), regs[in->c]}))
-        sdc = true;
-    }
-    pc += 2;
-    T_NEXT();
-  }
-
-// Load a word inside a naked tile: same bounds/paging behavior as Nk_LoadG,
-// with the tile's suffix-refund crash exit.
-#define T_NK_LOAD(DST, ADDREXPR)                                   \
-  {                                                                \
-    const std::uint32_t a_ = (ADDREXPR);                           \
-    if (gmem) {                                                    \
-      if (a_ >= gsize) T_NK_CRASH(LaunchStatus::CrashOutOfBounds); \
-      (DST) = gmem[a_];                                            \
-    } else if (!mem.load(a_, (DST))) {                             \
-      T_NK_CRASH(mem_fail_status());                               \
-    }                                                              \
-  }
+  T_LABEL(NkChkXor2) : T_CHK_XOR2(T_NK_PAIR)
+  T_LABEL(NkRangeCheck2) : T_RANGE_CHECK2(T_NK_PAIR)
 
   // Generic naked tiles (field layouts in threaded.cpp).  Sub-ops execute
   // strictly in source order against regs[], so operand aliasing between
@@ -2598,21 +2236,21 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   }                                                                            \
   T_LABEL(NkLoadBin_##K) : {                                                   \
     pc += 2;                                                                   \
-    T_NK_LOAD(regs[in->dst], regs[in->a]);                                     \
+    T_GLOAD(regs[in->dst], regs[in->a], T_NK_CRASH);                           \
     regs[in->c] = HB_ALU_##K(regs[in->aux & 0xffffu], regs[in->aux >> 16]);    \
     T_NEXT();                                                                  \
   }                                                                            \
   T_LABEL(NkBinLoad_##K) : {                                                   \
     pc += 2;                                                                   \
     regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                      \
-    T_NK_LOAD(regs[in->c], regs[in->d]);                                       \
+    T_GLOAD(regs[in->c], regs[in->d], T_NK_CRASH);                             \
     T_NEXT();                                                                  \
   }                                                                            \
   T_LABEL(NkConstBinLoad_##K) : {                                              \
     pc += 3;                                                                   \
     regs[in->dst] = in->imm;                                                   \
     regs[in->c] = HB_ALU_##K(regs[in->aux & 0xffffu], regs[in->aux >> 16]);    \
-    T_NK_LOAD(regs[in->b], regs[in->a]);                                       \
+    T_GLOAD(regs[in->b], regs[in->a], T_NK_CRASH);                             \
     T_NEXT();                                                                  \
   }
   HAUBERK_TOP_ALU_LIST(T_NK_TILES)
@@ -2626,7 +2264,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   }
   T_LABEL(NkLoadConst) : {
     pc += 2;
-    T_NK_LOAD(regs[in->dst], regs[in->a]);
+    T_GLOAD(regs[in->dst], regs[in->a], T_NK_CRASH);
     regs[in->c] = in->imm;
     T_NEXT();
   }
@@ -2647,16 +2285,38 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
 #undef T_STEP1
 #undef T_CHARGE
 #undef T_CRASH
-#undef T_NK_CRASH
-#undef T_NK_LOAD
 #undef T_DELEGATE
+#undef T_FUSED
+#undef T_NK_STEP
+#undef T_NK_PAIR
 #undef T_LABEL
 #undef T_NEXT
 #undef T_DISPATCH_D
-#undef T_SET
-#undef T_NSET
+#undef T_NK_CRASH
 #undef T_SNAPSHOT_POINT
-#undef T_REC_FI
+#undef T_SET_OPS
+#undef T_SET
+#undef T_BODY_OPS
+#undef T_DO
+#undef T_DIV_I
+#undef T_DIV_U
+#undef T_BIN_GENERIC
+#undef T_GLOAD
+#undef T_LOAD_G
+#undef T_STORE_G
+#undef T_LOAD_S
+#undef T_STORE_S
+#undef T_ATOMIC
+#undef T_ADDI
+#undef T_CONST_BIN
+#undef T_BIN_CHK_XOR
+#undef T_BIN_DUP_CMP
+#undef T_CHK_XOR2
+#undef T_RANGE_CHECK2
+#undef T_ACC_SET
+#undef T_NK_SET
+#undef T_ACC_BODY
+#undef T_NK_BODY
 #undef HB_CMP_LtI
 #undef HB_CMP_LeI
 #undef HB_CMP_GtI
@@ -3125,7 +2785,7 @@ constexpr std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) noexcept {
 /// register budget, the cost model and the protection scheme.  It names the
 /// plan inside journal fingerprints; the plan cache compares the inputs
 /// themselves (PlanEntry::built_from).  The engine and the sanitize bit are
-/// left out: both engines execute bitwise the same launch, so a journal
+/// not plan inputs: both engines execute bitwise the same launch, so a journal
 /// recorded on either serves the other, and journals are never recorded or
 /// replayed sanitized.  Hashed field-by-field (never raw struct bytes, which
 /// would include indeterminate padding).
@@ -3180,9 +2840,9 @@ std::uint64_t journal_fingerprint(std::uint64_t plan_key, const kir::BytecodePro
 // can compare whole instruction streams with one memcmp.
 static_assert(std::has_unique_object_representations_v<kir::Instr>);
 
-bool Device::PlanEntry::built_from(const kir::BytecodeProgram& program, const CostModel& cm,
-                                   ExecEngine e, bool san) const noexcept {
-  if (engine != e || sanitize != san || num_slots != program.num_slots || cost != cm ||
+bool Device::PlanEntry::built_from(const kir::BytecodeProgram& program,
+                                   const CostModel& cm) const noexcept {
+  if (num_slots != program.num_slots || cost != cm ||
       code.size() != program.code.size() || detector_types.size() != program.detectors.size())
     return false;
   for (std::size_t i = 0; i < detector_types.size(); ++i)
@@ -3198,15 +2858,15 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
   // sanitizer site table serves every engine.  Threaded-code streams are
   // compiled by the launches that run them (stream()): a campaign worker's
   // launches record, track writes or take one step, and never run the plain
-  // stream.  A plan is served only to a launch that
-  // would build it from equal inputs, so flipping set_engine() or
-  // set_sanitize(), editing cost_model() or editing the program in place
-  // misses once and can never serve a plan built for another.
+  // stream.  A plan is served only to a launch that would build it from
+  // equal inputs, so editing cost_model() or editing the program in place
+  // misses once and can never serve a plan built for another; flipping
+  // set_engine() or set_sanitize() keeps the plan.
   {
     std::lock_guard<std::mutex> lk(plan_mu_);
     // Most recent first: a campaign relaunches the program it just ran.
     for (auto it = plan_cache_.rbegin(); it != plan_cache_.rend(); ++it) {
-      if (!it->built_from(program, cost_, engine_, sanitize_)) continue;
+      if (!it->built_from(program, cost_)) continue;
       plan_hits_.fetch_add(1, std::memory_order_relaxed);
       if (it != plan_cache_.rbegin())  // LRU: refresh
         std::rotate(std::prev(it.base()), it.base(), plan_cache_.end());
@@ -3219,10 +2879,9 @@ std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
   plan->costs = instruction_costs(program, cost_, props_.regs_per_thread,
                                   props_.protection != ecc::Scheme::None);
   plan->decoded = kir::decode_program(program, plan->costs);
-  plan->threaded = engine_ == ExecEngine::Threaded && !plan->decoded.code.empty();
   for (const kir::DecodedInstr& in : plan->decoded.code)
     if (in.op == kir::DecodedOp::FIHook) ++plan->fi_hooks;
-  PlanEntry entry{program.code, program.num_slots, {}, cost_, engine_, sanitize_, plan};
+  PlanEntry entry{program.code, program.num_slots, {}, cost_, plan};
   entry.detector_types.reserve(program.detectors.size());
   for (const kir::DetectorMeta& d : program.detectors)
     entry.detector_types.push_back(d.value_type);
@@ -3241,7 +2900,7 @@ const kir::ThreadedProgram& Device::stream(const LaunchPlan& plan, std::uint16_t
     s.code = kir::compile_threaded(plan.decoded, num_slots,
                                    props_.memory_model == MemoryModel::FlatGpu &&
                                        props_.protection == ecc::Scheme::None,
-                                   /*form_runs=*/true, mem, fi_hooks);
+                                   mem, fi_hooks);
   });
   return s.code;
 }
@@ -3327,7 +2986,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   }
 
   // Which interpreter runs this launch.  Plain, sanitized, recording and
-  // replaying launches run the threaded stream (on Threaded plans);
+  // replaying launches run the threaded stream (on the Threaded engine);
   // launches that profile execution counts, cost SIMT serialization or carry
   // a hardware fault model — one-off profiling and BIST runs — run on the
   // reference interpreter (stream null), the only place those semantics are
@@ -3338,7 +2997,8 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   // pending, which runs the one with every FIHook live (`armed_stream`).
   // A plan without FIHooks runs one stream.
   const bool threaded =
-      !one_step && plan->threaded && !opts.instr_exec_counts && !opts.simt_cost && !has_fault();
+      !one_step && engine_ == ExecEngine::Threaded && !plan->decoded.code.empty() &&
+      !opts.instr_exec_counts && !opts.simt_cost && !has_fault();
   const kir::MemInstr mem_instr = touch    ? kir::MemInstr::NetEffect
                                   : record ? kir::MemInstr::Record
                                   : replay ? kir::MemInstr::Writes

@@ -370,14 +370,15 @@ class Device {
   // --- launch-plan cache ---
   // The spill analysis, per-instruction cost vector and compiled streams
   // depend only on the program's instructions, slot count and detector
-  // value types, the cost model, the selected engine and the sanitize bit
-  // (plus the register budget, memory model and protection, fixed at
-  // construction), yet a SWIFI campaign launches the same program thousands
-  // of times.  The device therefore caches recent plans together with a copy
-  // of those inputs and serves a plan only when they compare equal; editing
-  // a program in place, mutating cost_model() or flipping
-  // set_engine()/set_sanitize() misses, so a stale plan can never be
-  // served.
+  // value types and the cost model (plus the register budget, memory model
+  // and protection, fixed at construction), yet a SWIFI campaign launches
+  // the same program thousands of times.  The device therefore caches
+  // recent plans together with a copy of those inputs and serves a plan
+  // only when they compare equal; editing a program in place or mutating
+  // cost_model() misses, so a stale plan can never be served.  One plan
+  // serves both engines and both settings of the sanitize bit: decoding
+  // and the cost vector do not depend on them, and its streams are kept
+  // per memory mode, the sanitized one included.
   [[nodiscard]] std::uint64_t plan_cache_hits() const noexcept {
     return plan_hits_.load(std::memory_order_relaxed);
   }
@@ -396,8 +397,8 @@ class Device {
   std::atomic<std::uint64_t> fault_injected_ops_{0};
 
  private:
-  /// Everything derived from (program, cost model, register budget, engine,
-  /// sanitize, protection) that a launch needs: the per-instruction cost vector
+  /// Everything derived from (program, cost model, register budget,
+  /// protection) that a launch needs: the per-instruction cost vector
   /// (reference engine, SIMT costing) and the predecoded instruction stream
   /// with those costs folded in (threaded-compiler input, sanitizer site
   /// table).  Threaded-code streams are compiled from it on demand, by the
@@ -406,7 +407,6 @@ class Device {
     std::uint64_t key = 0;  ///< plan fingerprint (folded into journal fingerprints)
     std::vector<std::uint32_t> costs;
     kir::DecodedProgram decoded;
-    bool threaded = false;       ///< launches run the threaded engine (a Threaded plan)
     std::uint32_t fi_hooks = 0;  ///< FIHook instructions in the program
     /// The threaded streams, per memory mode (kir::MemInstr) and
     /// [0] with every FIHook compiled away, [1] with every FIHook live.
@@ -424,14 +424,12 @@ class Device {
     std::uint16_t num_slots = 0;
     std::vector<kir::DType> detector_types;
     CostModel cost;
-    ExecEngine engine = ExecEngine::Threaded;
-    bool sanitize = false;
     std::shared_ptr<const LaunchPlan> plan;
 
     /// True iff this plan was built from exactly what launching `program`
-    /// with (cost, engine, sanitize) would build it from.
-    [[nodiscard]] bool built_from(const kir::BytecodeProgram& program, const CostModel& cm,
-                                  ExecEngine e, bool san) const noexcept;
+    /// under `cm` would build it from.
+    [[nodiscard]] bool built_from(const kir::BytecodeProgram& program,
+                                  const CostModel& cm) const noexcept;
   };
   static constexpr std::size_t kPlanCacheCapacity = 16;
 

@@ -363,8 +363,7 @@ std::vector<std::uint32_t> fi_count_sites(const DecodedProgram& d) {
 }
 
 ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_slots*/,
-                                 bool flat_global_memory, bool form_runs, MemInstr mem,
-                                 bool fi_hooks) {
+                                 bool flat_global_memory, MemInstr mem, bool fi_hooks) {
   ThreadedProgram out;
   const std::size_t n = d.code.size();
   out.code.resize(n);
@@ -646,18 +645,8 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t /*num_sl
     return false;
   };
 
-  if (!form_runs) {
-    // Flat fusion only: every pc independently considered as a head, in the
-    // order the pattern lists above document.
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      if (try_control3(pc) || try_lbs(pc) || try_control2(pc) || try_pair(pc)) continue;
-    }
-    out.fi_nops = fi_dead_total;
-    return out;
-  }
-
-  // Run mode.  Control-transfer fusions go first — they terminate straight
-  // lines and fold the per-iteration branch — then every remaining maximal
+  // Control-transfer fusions go first — they terminate straight lines and
+  // fold the per-iteration branch — then every remaining maximal
   // straight-line region becomes a run.
   for (std::size_t pc = 0; pc < n; ++pc) {
     if (try_control3(pc)) continue;

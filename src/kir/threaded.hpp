@@ -150,7 +150,10 @@ namespace hauberk::kir {
 /// Ops that may appear *inside* a straight-line run: every single except
 /// control transfer (Jmp/Jz/Barrier/Halt) and Invalid.  Their naked (`Nk_`)
 /// variants execute with no budget test, no cost charge and no instruction
-/// count — the RunHead already accounted for the whole region.
+/// count — the RunHead already accounted for the whole region.  The
+/// interpreter defines each op's body once and instantiates both the
+/// accounted single and its naked twin from it (gpusim/device.cpp,
+/// run_thread_threaded), so this list and the handlers cannot drift.
 #define HAUBERK_TOP_NAKED_LIST(X) \
   X(Nop) X(Const) X(Mov) X(Builtin) X(Select) \
   X(NegF) X(NegI) X(NotF) X(NotW) X(BitNot) X(AbsF) X(AbsI) \
@@ -360,8 +363,6 @@ inline constexpr std::size_t kNumMemInstr = static_cast<std::size_t>(MemInstr::N
 /// are only emitted there, because only the flat model's bounds are
 /// checkable before any side effect (the PagedCpu fallback keeps singles,
 /// which handle paged memory exactly like the reference interpreter).
-/// `form_runs` enables the straight-line-run pass (off only for the
-/// identity-translation test and the inspect tool's per-op view).
 /// `mem` picks the instrumented accesses (see MemInstr): they stay out of
 /// fused heads and tiles; sanitized ones also stay out of runs.
 /// `fi_hooks` compiles every FIHook to a hook call (the default); false
@@ -370,7 +371,6 @@ inline constexpr std::size_t kNumMemInstr = static_cast<std::size_t>(MemInstr::N
 [[nodiscard]] ThreadedProgram compile_threaded(const DecodedProgram& d,
                                                std::uint16_t num_slots,
                                                bool flat_global_memory,
-                                               bool form_runs = true,
                                                MemInstr mem = MemInstr::None,
                                                bool fi_hooks = true);
 

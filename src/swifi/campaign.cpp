@@ -29,21 +29,6 @@ const char* outcome_name(Outcome o) noexcept {
   return "?";
 }
 
-void OutcomeCounts::add(Outcome o) noexcept {
-  switch (o) {
-    case Outcome::Failure: ++failure; break;
-    case Outcome::Masked: ++masked; break;
-    case Outcome::DetectedMasked: ++detected_masked; break;
-    case Outcome::Detected: ++detected; break;
-    case Outcome::Undetected: ++undetected; break;
-    case Outcome::NotActivated: ++not_activated; break;
-    case Outcome::RaceDetected: ++race_detected; break;
-    case Outcome::BarrierDivergence: ++barrier_divergence; break;
-    case Outcome::EccCorrected: ++ecc_corrected; break;
-    case Outcome::EccDetectedUncorrectable: ++ecc_uncorrectable; break;
-  }
-}
-
 void OutcomeCounts::add(Outcome o, std::uint64_t n) noexcept {
   switch (o) {
     case Outcome::Failure: failure += n; break;
@@ -57,6 +42,20 @@ void OutcomeCounts::add(Outcome o, std::uint64_t n) noexcept {
     case Outcome::EccCorrected: ecc_corrected += n; break;
     case Outcome::EccDetectedUncorrectable: ecc_uncorrectable += n; break;
   }
+}
+
+OutcomeCounts& OutcomeCounts::operator+=(const OutcomeCounts& o) noexcept {
+  failure += o.failure;
+  masked += o.masked;
+  detected_masked += o.detected_masked;
+  detected += o.detected;
+  undetected += o.undetected;
+  not_activated += o.not_activated;
+  race_detected += o.race_detected;
+  barrier_divergence += o.barrier_divergence;
+  ecc_corrected += o.ecc_corrected;
+  ecc_uncorrectable += o.ecc_uncorrectable;
+  return *this;
 }
 
 GoldenJournal memory_fault_journal(gpusim::ecc::Scheme protection, int error_bits) noexcept {
@@ -137,23 +136,6 @@ std::vector<FaultSpec> plan_faults(const kir::BytecodeProgram& fi_program,
 
 namespace {
 
-Outcome classify(const gpusim::LaunchResult& res, bool alarm, const core::ProgramOutput& out,
-                 const core::ProgramOutput& golden, const workloads::Requirement& req) {
-  // Hardware-ECC taxonomy first: an uncorrectable (double-bit) error kills
-  // the kernel but is *detected* — it never reaches results silently, so it
-  // gets its own class instead of folding into Failure.  A run that finished
-  // clean only because the code corrected a single-bit memory error is
-  // EccCorrected rather than Masked: the hardware, not luck or the workload's
-  // tolerance, absorbed the fault.  Detector alarms keep priority — if
-  // Hauberk also fired, the trial stays in the Detected classes.
-  if (res.status == LaunchStatus::EccUncorrectable) return Outcome::EccDetectedUncorrectable;
-  if (res.status != LaunchStatus::Ok) return Outcome::Failure;
-  const bool correct = req.satisfied(out, golden);
-  if (alarm) return correct ? Outcome::DetectedMasked : Outcome::Detected;
-  if (correct && res.ecc_corrected > 0) return Outcome::EccCorrected;
-  return correct ? Outcome::Masked : Outcome::Undetected;
-}
-
 /// Sanitizer-based reclassification: when the trial ran on a sanitizing
 /// device (either engine), faults that turned the kernel racy or broke
 /// barrier uniformity are reported as their own outcome classes instead of
@@ -170,6 +152,40 @@ std::optional<Outcome> sanitizer_outcome(const Device& dev, const gpusim::Launch
   if (divergence) return Outcome::BarrierDivergence;
   if (race) return Outcome::RaceDetected;
   return std::nullopt;
+}
+
+/// The outcome of a finished trial launch, one rule for every fault kind.
+/// Sanitizer findings come first.  Hardware-ECC taxonomy next: an
+/// uncorrectable (double-bit) error kills the kernel but is *detected* — it
+/// never reaches results silently, so it gets its own class instead of
+/// folding into Failure; any other crash or hang is a Failure.  A run that
+/// finished clean is judged on its output (`cb`'s detectors alarm too, when
+/// given).  One that is correct only because the code corrected a
+/// single-bit memory error is EccCorrected rather than Masked: the
+/// hardware, not luck or the workload's tolerance, absorbed the fault.
+/// Detector alarms keep priority — if Hauberk also fired, the trial stays
+/// in the Detected classes.
+Outcome classify(const Device& dev, const gpusim::LaunchResult& res, const core::KernelJob& job,
+                 const core::ControlBlock* cb, const core::ProgramOutput& golden,
+                 const workloads::Requirement& req) {
+  if (const auto so = sanitizer_outcome(dev, res)) return *so;
+  if (res.status == LaunchStatus::EccUncorrectable) return Outcome::EccDetectedUncorrectable;
+  if (res.status != LaunchStatus::Ok) return Outcome::Failure;
+  core::ProgramOutput out;
+  try {
+    out = job.read_output(dev);
+  } catch (const std::out_of_range&) {
+    // The kernel never touched a corrupted pair, but the device->host
+    // output copy did: the machine check fires on the copy-out exactly as
+    // it would on a device read.  Detected, never silent.
+    return gpusim::DeviceMemory::last_fault_uncorrectable() ? Outcome::EccDetectedUncorrectable
+                                                            : Outcome::Failure;
+  }
+  const bool correct = req.satisfied(out, golden);
+  if (res.sdc_alarm || (cb && cb->sdc_detected()))
+    return correct ? Outcome::DetectedMasked : Outcome::Detected;
+  if (correct && res.ecc_corrected > 0) return Outcome::EccCorrected;
+  return correct ? Outcome::Masked : Outcome::Undetected;
 }
 
 }  // namespace
@@ -206,13 +222,7 @@ Outcome run_one_fault(Device& dev, const kir::BytecodeProgram& program, core::Ke
   opts.journal = journal;
   const auto res = dev.launch(program, job.config(), args, opts);
   if (!hooks.activated() && res.status == LaunchStatus::Ok) return Outcome::NotActivated;
-  if (const auto so = sanitizer_outcome(dev, res)) return *so;
-  if (res.status != LaunchStatus::Ok)
-    return res.status == LaunchStatus::EccUncorrectable ? Outcome::EccDetectedUncorrectable
-                                                        : Outcome::Failure;
-  const auto out = job.read_output(dev);
-  const bool alarm = res.sdc_alarm || (cb && cb->sdc_detected());
-  return classify(res, alarm, out, golden, req);
+  return classify(dev, res, job, cb, golden, req);
 }
 
 std::uint64_t campaign_watchdog(const GoldenRun& gold, const CampaignConfig& cfg) noexcept {
@@ -265,24 +275,7 @@ Outcome run_one_memory_fault(Device& dev, const kir::BytecodeProgram& program,
   opts.max_workers = launch_workers;
   opts.sanitize_report_cap = sanitize_cap;
   opts.journal = journal;
-  const auto res = dev.launch(program, job.config(), args, opts);
-  if (const auto so = sanitizer_outcome(dev, res)) return *so;
-  if (res.status != LaunchStatus::Ok)
-    return res.status == LaunchStatus::EccUncorrectable ? Outcome::EccDetectedUncorrectable
-                                                        : Outcome::Failure;
-  core::ProgramOutput out;
-  try {
-    out = job.read_output(dev);
-  } catch (const std::out_of_range&) {
-    // The kernel never touched the corrupted pair, but the device->host
-    // output copy did: the machine check fires on the copy-out exactly as it
-    // would on a device read.  Detected, never silent.
-    return gpusim::DeviceMemory::last_fault_uncorrectable()
-               ? Outcome::EccDetectedUncorrectable
-               : Outcome::Failure;
-  }
-  const bool alarm = res.sdc_alarm || (cb && cb->sdc_detected());
-  return classify(res, alarm, out, golden, req);
+  return classify(dev, dev.launch(program, job.config(), args, opts), job, cb, golden, req);
 }
 
 bool validate_program(const kir::BytecodeProgram& p) {
@@ -354,13 +347,7 @@ Outcome run_one_code_fault(Device& dev, const kir::BytecodeProgram& program,
   opts.watchdog_instructions = watchdog_instructions;
   opts.max_workers = launch_workers;
   opts.sanitize_report_cap = sanitize_cap;
-  const auto res = dev.launch(mutant, job.config(), args, opts);
-  if (const auto so = sanitizer_outcome(dev, res)) return *so;
-  if (res.status != LaunchStatus::Ok)
-    return res.status == LaunchStatus::EccUncorrectable ? Outcome::EccDetectedUncorrectable
-                                                        : Outcome::Failure;
-  const auto out = job.read_output(dev);
-  return classify(res, res.sdc_alarm, out, golden, req);
+  return classify(dev, dev.launch(mutant, job.config(), args, opts), job, nullptr, golden, req);
 }
 
 }  // namespace hauberk::swifi

@@ -68,10 +68,11 @@ struct OutcomeCounts {
   std::uint64_t ecc_corrected = 0;
   std::uint64_t ecc_uncorrectable = 0;
 
-  void add(Outcome o) noexcept;
-  /// Weighted accumulation: one representative trial standing for `n`
-  /// equivalent fault specs (campaign pruning).
-  void add(Outcome o, std::uint64_t n) noexcept;
+  /// Count `n` trials of outcome `o` (n > 1: one representative trial
+  /// standing for `n` equivalent fault specs, campaign pruning).
+  void add(Outcome o, std::uint64_t n = 1) noexcept;
+  /// Field-by-field sum (shard merges, per-arm totals).
+  OutcomeCounts& operator+=(const OutcomeCounts& o) noexcept;
   [[nodiscard]] std::uint64_t activated() const noexcept {
     return failure + masked + detected_masked + detected + undetected +
            race_detected + barrier_divergence + ecc_corrected + ecc_uncorrectable;

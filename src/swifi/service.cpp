@@ -36,7 +36,8 @@ std::uint64_t campaign_digest(const kir::BytecodeProgram& program,
                               std::uint64_t remark_digest,
                               gpusim::ecc::Scheme protection,
                               std::uint64_t plan_digest,
-                              std::uint64_t prune_digest, bool sanitize) {
+                              std::uint64_t prune_digest, bool sanitize,
+                              std::size_t sanitize_cap) {
   std::uint64_t h = common::kFnvTruncatedBasis;
   fnv(h, kir::program_digest(program));
   fnv(h, specs.size());
@@ -75,8 +76,15 @@ std::uint64_t campaign_digest(const kir::BytecodeProgram& program,
     fnv(h, prune_digest);
   }
   // And for the sanitizer taxonomy: unsanitized campaigns keep their
-  // historic digests.
-  if (sanitize) fnv(h, 0x53414Eull);
+  // historic digests, and so do sanitized ones at the default report cap.
+  if (sanitize) {
+    fnv(h, 0x53414Eull);
+    const std::size_t cap = std::max<std::size_t>(sanitize_cap, 1);
+    if (cap != gpusim::SharedShadow::kMaxReportsPerBlock) {
+      fnv(h, 0x434150ull);
+      fnv(h, cap);
+    }
+  }
   return h;
 }
 
@@ -144,16 +152,7 @@ void ServiceResult::merge(const ServiceResult& other) {
     throw std::invalid_argument("ServiceResult::merge: shards from different campaigns");
   if (other.remark_digest != remark_digest)
     throw std::invalid_argument("ServiceResult::merge: remark digests differ");
-  counts.failure += other.counts.failure;
-  counts.masked += other.counts.masked;
-  counts.detected_masked += other.counts.detected_masked;
-  counts.detected += other.counts.detected;
-  counts.undetected += other.counts.undetected;
-  counts.not_activated += other.counts.not_activated;
-  counts.race_detected += other.counts.race_detected;
-  counts.barrier_divergence += other.counts.barrier_divergence;
-  counts.ecc_corrected += other.counts.ecc_corrected;
-  counts.ecc_uncorrectable += other.counts.ecc_uncorrectable;
+  counts += other.counts;
   site_hist.merge(other.site_hist);
   sdc_site_hist.merge(other.sdc_site_hist);
   shard_trials += other.shard_trials;
@@ -408,7 +407,7 @@ ServiceResult CampaignService::run(const kir::BytecodeProgram& program,
     remark_digest = core::remark_digest(*cfg_.campaign.pipeline.report);
   const std::uint64_t digest = campaign_digest(
       program, specs, req, remark_digest, cfg_.campaign.protection, cfg_.campaign.plan_digest,
-      cfg_.campaign.prune_digest, cfg_.campaign.sanitize);
+      cfg_.campaign.prune_digest, cfg_.campaign.sanitize, cfg_.campaign.sanitize_cap);
 
   ServiceResult result;
   result.pipeline = cfg_.campaign.pipeline.name;

@@ -71,6 +71,11 @@ namespace hauberk::swifi {
 ///  * `sanitize` — CampaignConfig::sanitize: sanitized trials (on either
 ///    engine) may reclassify as RaceDetected / BarrierDivergence; a plain
 ///    checkpoint must never resume as a sanitized campaign, or vice versa.
+///  * `sanitize_cap` — CampaignConfig::sanitize_cap, clamped to >= 1 like
+///    the shadow's: a sanitized trial's outcome can depend on it (a block
+///    whose race report fills the cap drops its barrier-divergence report,
+///    so the trial classifies as RaceDetected).  Folded only for sanitized
+///    campaigns with a cap other than SharedShadow::kMaxReportsPerBlock.
 [[nodiscard]] std::uint64_t campaign_digest(const kir::BytecodeProgram& program,
                                             const std::vector<FaultSpec>& specs,
                                             const workloads::Requirement& req,
@@ -79,7 +84,9 @@ namespace hauberk::swifi {
                                                 gpusim::ecc::Scheme::None,
                                             std::uint64_t plan_digest = 0,
                                             std::uint64_t prune_digest = 0,
-                                            bool sanitize = false);
+                                            bool sanitize = false,
+                                            std::size_t sanitize_cap =
+                                                gpusim::SharedShadow::kMaxReportsPerBlock);
 
 /// The on-disk campaign checkpoint (magic "HBKC", version
 /// kCampaignCheckpointVersion).  Everything needed to resume shard I of K

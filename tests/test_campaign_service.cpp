@@ -685,6 +685,38 @@ TEST(CampaignServiceSanitize, ResumeRejectsCheckpointAcrossTaxonomies) {
   }
 }
 
+// The per-block report cap can change a sanitized trial's outcome (a race
+// report that fills the cap drops the block's barrier-divergence report),
+// so it is part of a sanitized campaign's identity: a checkpoint written at
+// cap 1 refuses a resume at the default cap.  A cap of 0 clamps to 1 like
+// the shadow's, and an unsanitized campaign ignores the cap.
+TEST(CampaignServiceSanitize, ResumeRejectsCheckpointAcrossReportCaps) {
+  Fixture f(make_cp());
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.campaign.sanitize = true;
+  cfg.campaign.sanitize_cap = 1;
+  cfg.checkpoint_path = tmp_path("xcap.ckpt");
+  (void)CampaignService(cfg).run(f.prog(), f.factory(), f.specs, f.w->requirement());
+
+  cfg.resume = true;
+  cfg.campaign.sanitize_cap = gpusim::SharedShadow::kMaxReportsPerBlock;
+  EXPECT_THROW((void)CampaignService(cfg).run(f.prog(), f.factory(), f.specs,
+                                              f.w->requirement()),
+               core::CheckpointError);
+
+  const auto digest = [&](bool sanitize, std::size_t cap) {
+    return campaign_digest(f.prog(), f.specs, f.w->requirement(), 0, gpusim::ecc::Scheme::None,
+                           0, 0, sanitize, cap);
+  };
+  constexpr std::size_t kDefault = gpusim::SharedShadow::kMaxReportsPerBlock;
+  EXPECT_NE(digest(true, 1), digest(true, kDefault));
+  EXPECT_EQ(digest(true, 0), digest(true, 1));
+  EXPECT_EQ(digest(true, kDefault), campaign_digest(f.prog(), f.specs, f.w->requirement(), 0,
+                                                    gpusim::ecc::Scheme::None, 0, 0, true));
+  EXPECT_EQ(digest(false, 1), digest(false, kDefault));
+}
+
 TEST(CampaignServiceSanitize, MergeRejectsMixedShards) {
   Fixture f(make_cp());
   std::vector<ServiceResult> shards;

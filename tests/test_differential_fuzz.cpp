@@ -749,7 +749,7 @@ TEST(DifferentialFuzz, ArmedFIHooksMatchReferenceEverywhere) {
     if (prog.fi_sites.empty()) continue;
     {
       const std::vector<std::uint32_t> unit(prog.code.size(), 1);
-      const auto tp = compile_threaded(decode_program(prog, unit), prog.num_slots, true, true,
+      const auto tp = compile_threaded(decode_program(prog, unit), prog.num_slots, true,
                                        kir::MemInstr::None, /*fi_hooks=*/false);
       dropped += tp.fi_dropped > 0;
     }

@@ -673,7 +673,7 @@ TEST(Replay, SnapshotsSitAtBackwardJumpTargets) {
       const auto costs = gpusim::instruction_costs(*prog, gpusim::CostModel{},
                                                    gpusim::DeviceProps{}.regs_per_thread, false);
       const kir::ThreadedProgram writes = kir::compile_threaded(
-          kir::decode_program(*prog, costs), prog->num_slots, true, true, kir::MemInstr::Writes);
+          kir::decode_program(*prog, costs), prog->num_slots, true, kir::MemInstr::Writes);
       for (std::uint32_t g = 0; g < j.segments.size(); ++g) {
         const J::Segment& s = j.segments[g];
         const std::string what = b.w->name() + " segment " + std::to_string(g);
@@ -750,7 +750,7 @@ TEST(Replay, RecordingHandOffMatchesReference) {
     const auto costs = gpusim::instruction_costs(prog, gpusim::CostModel{},
                                                  gpusim::DeviceProps{}.regs_per_thread, false);
     const kir::ThreadedProgram tp = kir::compile_threaded(
-        kir::decode_program(prog, costs), prog.num_slots, true, true, kir::MemInstr::Record);
+        kir::decode_program(prog, costs), prog.num_slots, true, kir::MemInstr::Record);
     ASSERT_EQ(tp.code[0].op, static_cast<std::uint16_t>(kir::TOp::RunHead));
     ASSERT_GT(tp.code[0].len, 2);
   }

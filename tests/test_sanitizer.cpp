@@ -387,7 +387,7 @@ TEST(Sanitizer, DelegatedSlicesReportLikeTheReferencePath) {
     // The sanitized stream really has runs and no naked shared access.
     const std::vector<std::uint32_t> unit_costs(prog.code.size(), 1);
     const kir::ThreadedProgram tp = kir::compile_threaded(
-        kir::decode_program(prog, unit_costs), prog.num_slots, true, true, kir::MemInstr::Sanitize);
+        kir::decode_program(prog, unit_costs), prog.num_slots, true, kir::MemInstr::Sanitize);
     EXPECT_GT(tp.run_heads, 0u) << kernel.name;
     for (const auto& ti : tp.code) {
       EXPECT_NE(ti.op, static_cast<std::uint16_t>(kir::TOp::Nk_LoadS));

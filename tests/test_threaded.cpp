@@ -104,16 +104,19 @@ TEST(Threaded, EveryDecodedOpHasAThreadedEmitter) {
     EXPECT_EQ(static_cast<std::uint8_t>(top), v);
     EXPECT_FALSE(kir::top_is_fused(top));
     EXPECT_STRNE(kir::top_name(top), "?") << "unnamed TOp " << int(v);
-    // Nop separators prevent any fusion pattern from matching, so with run
-    // formation off the compiled stream must be the identity translation,
-    // slot for slot.
+    // Barrier separators prevent any fusion pattern from matching and end
+    // every straight line, so each op is a one-op region that stays a
+    // single: the compiled stream must be the identity translation, slot
+    // for slot.
     kir::DecodedInstr in;
     in.op = op;
+    kir::DecodedInstr barrier;
+    barrier.op = DecodedOp::Barrier;
     d.code.push_back(in);
-    d.code.push_back(kir::DecodedInstr{});  // Nop
-    d.code.push_back(kir::DecodedInstr{});  // Nop
+    d.code.push_back(barrier);
+    d.code.push_back(barrier);
   }
-  const kir::ThreadedProgram tp = kir::compile_threaded(d, 8, true, /*form_runs=*/false);
+  const kir::ThreadedProgram tp = kir::compile_threaded(d, 8, true);
   ASSERT_EQ(tp.code.size(), d.code.size());
   EXPECT_EQ(tp.fused_heads, 0u);
   for (std::size_t pc = 0; pc < d.code.size(); ++pc) {
@@ -122,7 +125,7 @@ TEST(Threaded, EveryDecodedOpHasAThreadedEmitter) {
   }
   // A sanitized plan differs only in its shared accesses, which become the
   // shadow-observing singles.
-  const kir::ThreadedProgram st = kir::compile_threaded(d, 8, true, false, kir::MemInstr::Sanitize);
+  const kir::ThreadedProgram st = kir::compile_threaded(d, 8, true, kir::MemInstr::Sanitize);
   for (std::size_t pc = 0; pc < d.code.size(); ++pc) {
     TOp want = kir::threaded_single_op(d.code[pc].op);
     if (want == TOp::LoadS) want = TOp::SanLoadS;
@@ -152,7 +155,7 @@ TEST(Threaded, EveryDecodedOpHasAThreadedEmitter) {
   };
   for (const auto mem :
        {kir::MemInstr::Record, kir::MemInstr::Writes, kir::MemInstr::NetEffect}) {
-    const kir::ThreadedProgram rt = kir::compile_threaded(d, 8, true, false, mem);
+    const kir::ThreadedProgram rt = kir::compile_threaded(d, 8, true, mem);
     for (std::size_t pc = 0; pc < d.code.size(); ++pc)
       EXPECT_EQ(rt.code[pc].op, static_cast<std::uint16_t>(rec(d.code[pc].op, mem)))
           << "pc " << pc;
@@ -181,7 +184,7 @@ TEST(Threaded, RecordedAccessesRunNakedAndNeverFuse) {
     const kir::DecodedProgram d = kir::decode_program(v.fift, costs);
     const kir::ThreadedProgram plain = kir::compile_threaded(d, v.fift.num_slots, true);
     for (const auto mem : {kir::MemInstr::Record, kir::MemInstr::Writes}) {
-      const kir::ThreadedProgram tp = kir::compile_threaded(d, v.fift.num_slots, true, true, mem);
+      const kir::ThreadedProgram tp = kir::compile_threaded(d, v.fift.num_slots, true, mem);
       const bool record = mem == kir::MemInstr::Record;
       std::size_t naked = 0;
       for (const kir::ThreadedInstr& ti : tp.code) {
@@ -424,11 +427,11 @@ TEST(Threaded, StraightLineCompilesToRun) {
 }
 
 // Flipping the engine or the sanitize bit on a live device mid-campaign
-// must never serve a plan compiled for the previous setting (a Reference
-// plan has no threaded stream, a sanitized Threaded plan has
-// shadow-observing shared accesses): both are part of the plan cache key,
-// so each (engine, sanitize) setting's first launch misses and later
-// launches hit.
+// must never run a stream meant for the previous setting (the reference
+// runs no stream, a sanitized launch runs the stream with shadow-observing
+// shared accesses): each launch picks its engine and its memory mode's
+// stream from the one cached plan, so every setting observes the same
+// results and only the first launch misses.
 TEST(Threaded, EngineFlipMidCampaignNeverServesStalePlan) {
   auto workloads = all_workloads();
   Workload& w = *workloads.front();
@@ -468,10 +471,11 @@ TEST(Threaded, EngineFlipMidCampaignNeverServesStalePlan) {
   }
   // All settings observed identical results...
   for (const RunObs& o : per_setting) EXPECT_EQ(per_setting[0], o);
-  // ...and the cache missed exactly once per setting (4 of the 8 launches
-  // hit).
-  EXPECT_EQ(dev.plan_cache_misses(), 4u);
-  EXPECT_EQ(dev.plan_cache_hits(), 4u);
+  // ...from one plan: neither the engine nor the sanitize bit is a plan
+  // input (the sanitized stream is one of the plan's memory modes), so only
+  // the first launch missed.
+  EXPECT_EQ(dev.plan_cache_misses(), 1u);
+  EXPECT_EQ(dev.plan_cache_hits(), 7u);
 }
 
 namespace {
@@ -601,7 +605,7 @@ TEST(Threaded, FISpecializationDropsUnarmedHooksFromRuns) {
 
   // Hooks off: both hooks dropped; 5 executed ops at slots 2..6.
   const kir::ThreadedProgram none =
-      kir::compile_threaded(d, 8, true, true, kir::MemInstr::None, /*fi_hooks=*/false);
+      kir::compile_threaded(d, 8, true, kir::MemInstr::None, /*fi_hooks=*/false);
   ASSERT_EQ(none.run_heads, 1u);
   EXPECT_EQ(none.fi_dropped, 2u);
   EXPECT_EQ(none.fi_nops, 0u);
@@ -636,7 +640,7 @@ TEST(Threaded, FISpecializationDropsUnarmedHooksFromRuns) {
   d2.code[1].aux = 2;
   d2.code[5].aux = 6;
   const kir::ThreadedProgram lead =
-      kir::compile_threaded(d2, 8, true, true, kir::MemInstr::None, /*fi_hooks=*/false);
+      kir::compile_threaded(d2, 8, true, kir::MemInstr::None, /*fi_hooks=*/false);
   EXPECT_EQ(op_at(lead, 2), TOp::RunHead);
   EXPECT_EQ(lead.code[2].d, static_cast<std::uint16_t>(TOp::Nk_Nop));
   EXPECT_EQ(lead.code[2].skip, 0);
