@@ -22,10 +22,11 @@
 // protection rows, the golden-recording times, the interpreted-instruction
 // shares of replayed trials, the threaded streams a replayed and a
 // journal-less sanitized campaign compile, the
-// hang fast-forward row, the device construction time, the per-launch host
-// overhead and the determinism verdict as JSON).  Exits nonzero when
-// outcomes diverge across rows, or TPACF trials hang and none of them
-// fast-forwards.
+// hang fast-forward rows (TPACF's repeating states, CP's counter loops), the
+// shared words TPACF replays write, the device construction time, the
+// per-launch host overhead and the determinism verdict as JSON).  Exits
+// nonzero when outcomes diverge across rows, or TPACF or CP trials hang and
+// none of them fast-forwards.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -33,6 +34,8 @@
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "common/worker_pool.hpp"
@@ -79,6 +82,98 @@ struct Share {
                              : 1.0 - static_cast<double>(replayed) /
                                          static_cast<double>(instructions);
   }
+};
+
+/// A tiny single-bit register-fault campaign on a workload's FI build:
+/// its planned faults (64 sites, `masks` per site), and one device with
+/// the golden run's journal on which `launch` runs a trial, replayed
+/// against `journal` (null: a full launch).
+struct TinyCampaign {
+  ProgramContext ctx;
+  std::vector<swifi::FaultSpec> specs;
+  gpusim::Device dev;
+  std::unique_ptr<core::KernelJob> job;
+  swifi::GoldenRun gold;
+  std::uint64_t watchdog;
+  swifi::TrialStage stage;
+  swifi::InjectingHooks hooks;
+
+  TinyCampaign(std::unique_ptr<workloads::Workload> w, std::uint64_t seed, int masks)
+      : ctx(make_context(std::move(w), seed, workloads::Scale::Tiny)),
+        specs(plan(ctx, seed, masks)),
+        job(ctx.workload->make_job(ctx.dataset)),
+        gold(swifi::golden_run(dev, ctx.variants.fi, *job, nullptr, 1)),
+        watchdog(swifi::campaign_watchdog(gold, swifi::CampaignConfig{})),
+        stage(dev, *job),
+        hooks(ctx.variants.fi, nullptr) {}
+
+  gpusim::LaunchResult launch(const swifi::FaultSpec& spec, const gpusim::LaunchJournal* journal) {
+    hooks.arm(spec);
+    const auto& a = stage.stage();
+    gpusim::LaunchOptions lo;
+    lo.hooks = &hooks;
+    lo.watchdog_instructions = watchdog;
+    lo.max_workers = 1;
+    lo.journal = journal;
+    return dev.launch(ctx.variants.fi, job->config(), a, lo);
+  }
+
+ private:
+  static std::vector<swifi::FaultSpec> plan(const ProgramContext& ctx, std::uint64_t seed,
+                                            int masks) {
+    swifi::PlanOptions opt;
+    opt.max_vars = 64;
+    opt.masks_per_var = masks;
+    opt.seed = seed + 7;
+    return swifi::plan_faults(ctx.variants.fi, ctx.profile, opt);
+  }
+};
+
+/// Hung trials of a tiny campaign (DESIGN §10, "Hung threads"): how many
+/// hung, how many of them fast-forwarded, and the median milliseconds per
+/// hung trial replayed and as a full launch (every hung trial runs both
+/// ways, and must agree).
+struct HangRow {
+  std::size_t hung = 0, fast_forwarded = 0;
+  double replayed_ms = 0, full_ms = 0;
+  bool deterministic = true;
+};
+
+HangRow hang_row(std::unique_ptr<workloads::Workload> w, std::uint64_t seed, int masks) {
+  TinyCampaign c(std::move(w), seed, masks);
+  HangRow row;
+  std::vector<double> rep_ms, full_ms;
+  for (const swifi::FaultSpec& spec : c.specs) {
+    gpusim::LaunchResult res;
+    const double s = seconds([&] { res = c.launch(spec, c.gold.journal.get()); });
+    if (res.status != gpusim::LaunchStatus::Hang) continue;
+    ++row.hung;
+    row.fast_forwarded += res.fast_forwarded_instructions > 0;
+    rep_ms.push_back(1e3 * s);
+    gpusim::LaunchResult full;
+    full_ms.push_back(1e3 * seconds([&] { full = c.launch(spec, nullptr); }));
+    row.deterministic = row.deterministic && full.status == res.status &&
+                        full.instructions == res.instructions && full.cycles == res.cycles;
+  }
+  const auto median = [](std::vector<double> v) {
+    if (v.empty()) return 0.0;
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  row.replayed_ms = median(rep_ms);
+  row.full_ms = median(full_ms);
+  std::printf("\nhang fast-forward (%s/tiny FI, %zu trials): %zu hung, %zu fast-forwarded; "
+              "median ms per hung trial: replayed %.3f, full %.3f\n",
+              c.ctx.workload->name().c_str(), c.specs.size(), row.hung, row.fast_forwarded,
+              row.replayed_ms, row.full_ms);
+  return row;
+}
+
+/// Shared words replayed trials wrote from the journal, per trial: with the
+/// journal's net lists, and with its ordered lists.
+struct SharedWrites {
+  std::size_t trials = 0;
+  double net = 0, ordered = 0;
 };
 
 }  // namespace
@@ -422,63 +517,43 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(san_plans));
   }
 
-  // Hang fast-forward (DESIGN §10): a TPACF/tiny single-bit register-fault
-  // campaign on the FI build, replayed against its golden journal on one
-  // device.  Its write-retry livelocks (paper §IX.B) spin until the
-  // watchdog; a replayed hung thread whose state repeats charges the rest
-  // of its periods at once.  Every hung trial then runs again as a full
-  // launch: the row reports how many trials hung, how many of them
-  // fast-forwarded, and the median milliseconds per hung trial replayed and
-  // full.
-  std::size_t hung = 0, fast_forwarded = 0;
-  double hung_replayed_ms = 0, hung_full_ms = 0;
+  // Hang fast-forward (DESIGN §10): TPACF's write-retry livelocks (paper
+  // §IX.B) repeat their state; CP's loops with a sign-bit counter are
+  // counter loops the affine proof skips.
+  const HangRow tpacf_hangs = hang_row(workloads::make_tpacf(), seed, 8);
+  const HangRow cp_hangs = hang_row(workloads::make_cp(), seed, 32);
+  deterministic = deterministic && tpacf_hangs.deterministic && cp_hangs.deterministic;
+
+  // Net shared writes (DESIGN §10): the shared words TPACF/tiny FI
+  // register-fault replays write from the journal per trial, against the
+  // same replays with every segment's net list replaced by its ordered
+  // shared writes (what applying whole segments wrote before).
+  SharedWrites shared_writes;
   {
-    auto tp = make_context(workloads::make_tpacf(), seed, workloads::Scale::Tiny);
-    swifi::PlanOptions topt;
-    topt.max_vars = 64;
-    topt.masks_per_var = 8;
-    topt.seed = seed + 7;
-    const kir::BytecodeProgram& prog = tp.variants.fi;
-    const auto tspecs = swifi::plan_faults(prog, tp.profile, topt);
-    gpusim::Device dev;
-    auto job = tp.workload->make_job(tp.dataset);
-    const swifi::GoldenRun gold = swifi::golden_run(dev, prog, *job, nullptr, 1);
-    const std::uint64_t watchdog = swifi::campaign_watchdog(gold, swifi::CampaignConfig{});
-    swifi::TrialStage stage(dev, *job);
-    swifi::InjectingHooks hooks(prog, nullptr);
-    const auto trial = [&](const swifi::FaultSpec& spec, const gpusim::LaunchJournal* j) {
-      hooks.arm(spec);
-      const auto& a = stage.stage();
-      gpusim::LaunchOptions lo;
-      lo.hooks = &hooks;
-      lo.watchdog_instructions = watchdog;
-      lo.max_workers = 1;
-      lo.journal = j;
-      return dev.launch(prog, job->config(), a, lo);
-    };
-    std::vector<double> rep_ms, full_ms;
-    for (const swifi::FaultSpec& spec : tspecs) {
-      gpusim::LaunchResult res;
-      const double s = seconds([&] { res = trial(spec, gold.journal.get()); });
-      if (res.status != gpusim::LaunchStatus::Hang) continue;
-      ++hung;
-      fast_forwarded += res.fast_forwarded_instructions > 0;
-      rep_ms.push_back(1e3 * s);
-      gpusim::LaunchResult full;
-      full_ms.push_back(1e3 * seconds([&] { full = trial(spec, nullptr); }));
-      deterministic = deterministic && full.status == res.status &&
-                      full.instructions == res.instructions && full.cycles == res.cycles;
+    TinyCampaign c(workloads::make_tpacf(), seed, 8);
+    gpusim::LaunchJournal ordered = *c.gold.journal;
+    ordered.net_shared_writes = ordered.shared_writes;
+    for (gpusim::LaunchJournal::Segment& s : ordered.segments) {
+      s.first_net_shared_write = s.first_shared_write;
+      s.net_shared_writes = s.net_shared_changes = s.shared_writes;
     }
-    const auto median = [](std::vector<double> v) {
-      if (v.empty()) return 0.0;
-      std::sort(v.begin(), v.end());
-      return v[v.size() / 2];
-    };
-    hung_replayed_ms = median(rep_ms);
-    hung_full_ms = median(full_ms);
-    std::printf("\nhang fast-forward (TPACF/tiny FI, %zu trials): %zu hung, %zu fast-forwarded; "
-                "median ms per hung trial: replayed %.3f, full %.3f\n",
-                tspecs.size(), hung, fast_forwarded, hung_replayed_ms, hung_full_ms);
+    std::uint64_t net = 0, full = 0;
+    for (const swifi::FaultSpec& spec : c.specs) {
+      const gpusim::LaunchResult a = c.launch(spec, c.gold.journal.get());
+      const std::vector<std::uint32_t> image = c.dev.mem().image();
+      const gpusim::LaunchResult b = c.launch(spec, &ordered);
+      net += a.replayed_shared_writes;
+      full += b.replayed_shared_writes;
+      deterministic = deterministic && a.status == b.status &&
+                      a.instructions == b.instructions && a.cycles == b.cycles &&
+                      image == c.dev.mem().image();
+    }
+    shared_writes.trials = c.specs.size();
+    shared_writes.net = static_cast<double>(net) / static_cast<double>(c.specs.size());
+    shared_writes.ordered = static_cast<double>(full) / static_cast<double>(c.specs.size());
+    std::printf("replayed shared writes (TPACF/tiny FI, %zu trials): %.1f per trial "
+                "(ordered lists: %.1f)\n",
+                c.specs.size(), shared_writes.net, shared_writes.ordered);
   }
 
   // Device construction: every campaign worker builds one per start and
@@ -568,17 +643,29 @@ int main(int argc, char** argv) {
                  "\"sites\": %zu, \"trials\": %zu},\n",
                  static_cast<unsigned long long>(san_streams),
                  static_cast<unsigned long long>(san_plans), fi_sites, specs.size());
+    const auto hang_json = [&](const char* key, const char* program, const HangRow& h) {
+      std::fprintf(f,
+                   "  \"%s\": {\"program\": \"%s\", \"hung\": %zu, "
+                   "\"fast_forwarded\": %zu, \"replayed_ms_per_hung_trial\": %.4f, "
+                   "\"full_ms_per_hung_trial\": %.4f},\n",
+                   key, program, h.hung, h.fast_forwarded, h.replayed_ms, h.full_ms);
+    };
+    hang_json("hang_fast_forward", "TPACF", tpacf_hangs);
+    hang_json("counter_loop_fast_forward", "CP", cp_hangs);
     std::fprintf(f,
-                 "  \"hang_fast_forward\": {\"program\": \"TPACF\", \"hung\": %zu, "
-                 "\"fast_forwarded\": %zu, \"replayed_ms_per_hung_trial\": %.4f, "
-                 "\"full_ms_per_hung_trial\": %.4f},\n",
-                 hung, fast_forwarded, hung_replayed_ms, hung_full_ms);
+                 "  \"replay_shared_writes\": {\"program\": \"TPACF\", \"trials\": %zu, "
+                 "\"per_trial\": %.2f, \"ordered_per_trial\": %.2f},\n",
+                 shared_writes.trials, shared_writes.net, shared_writes.ordered);
     std::fprintf(f, "  \"device_init_us\": %.2f,\n", device_init_us);
     std::fprintf(f, "  \"launch_overhead_us\": %.3f,\n", launch_overhead_us);
     std::fprintf(f, "  \"deterministic\": %s\n}\n", deterministic ? "true" : "false");
     std::fclose(f);
   }
-  const bool hangs_fast_forward = hung == 0 || fast_forwarded > 0;
-  if (!hangs_fast_forward) std::fprintf(stderr, "error: no hung TPACF trial fast-forwarded\n");
+  bool hangs_fast_forward = true;
+  for (const auto& [program, h] : {std::pair{"TPACF", tpacf_hangs}, std::pair{"CP", cp_hangs}})
+    if (h.hung > 0 && h.fast_forwarded == 0) {
+      std::fprintf(stderr, "error: no hung %s trial fast-forwarded\n", program);
+      hangs_fast_forward = false;
+    }
   return deterministic && hangs_fast_forward ? 0 : 1;
 }

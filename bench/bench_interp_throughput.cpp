@@ -241,6 +241,8 @@ int main(int argc, char** argv) {
       auto job = w->make_job(ds);
       const auto bargs = job->setup(dev);
       Timed base_run(*w, arm, v.baseline, job->config(), bargs, dev, nullptr, "base");
+      // Serial, as campaign trials launch (and as the FT and FI&FT cells).
+      base_run.opts.max_workers = 1;
       base_run.run(min_time, 3);
       const Cell& base = base_run.cell;
       if (pinned_instr == 0) pinned_instr = base.instructions_per_launch;

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
+#include <utility>
 
 #include "common/fnv.hpp"
 #include "common/worker_pool.hpp"
@@ -277,6 +278,77 @@ std::uint32_t eval_un(UnOp op, DType t, std::uint32_t a) noexcept {
 /// write-tracking launches only); it resumes from t.pc as if never stopped.
 enum class ThreadStop : std::uint8_t { Done, Barrier, Crash, Budget, Snapshot };
 
+/// A value computed in one period of a replayed loop (counter-loop
+/// fast-forward, BlockExec::probe_hang) as a function of the period number
+/// n: v + n * step in 32-bit wraparound, v being its value in period 0; or
+/// opaque, when no such form is shown.
+struct Affine {
+  std::uint32_t v = 0, step = 0;
+  bool opaque = false;
+  [[nodiscard]] bool invariant() const noexcept { return !opaque && step == 0; }
+};
+
+/// The ends of a's values over periods [0, last] read as signed (else
+/// unsigned) words, provided that read as integers they never wrap: the
+/// progression is then monotone and lies between its ends.
+std::optional<std::pair<__int128, __int128>> progression(const Affine& a, std::uint64_t last,
+                                                         bool is_signed) noexcept {
+  const __int128 first = is_signed ? __int128{static_cast<std::int32_t>(a.v)} : __int128{a.v};
+  const __int128 end = first + __int128{static_cast<std::int32_t>(a.step)} * last;
+  const __int128 lo = is_signed ? __int128{INT32_MIN} : 0;
+  const __int128 hi = is_signed ? __int128{INT32_MAX} : __int128{UINT32_MAX};
+  if (end < lo || end > hi) return std::nullopt;
+  return std::pair{first, end};
+}
+
+/// Whether comparison `op` of a and b (neither opaque) has the same outcome
+/// in every period n in [0, last].  Without wraparound a - b is linear in n,
+/// so an ordering keeps its outcome iff both ends agree, and (in)equality
+/// iff a - b is constant or keeps one sign.
+bool compare_holds(BinOp op, bool is_signed, const Affine& a, const Affine& b,
+                   std::uint64_t last) noexcept {
+  const auto pa = progression(a, last, is_signed), pb = progression(b, last, is_signed);
+  if (!pa || !pb) return false;
+  const __int128 d0 = pa->first - pb->first, d1 = pa->second - pb->second;
+  switch (op) {
+    case BinOp::Lt:
+    case BinOp::Ge: return (d0 < 0) == (d1 < 0);
+    case BinOp::Le:
+    case BinOp::Gt: return (d0 <= 0) == (d1 <= 0);
+    case BinOp::Eq:
+    case BinOp::Ne: return d0 == d1 || (d0 != 0 && d1 != 0 && (d0 < 0) == (d1 < 0));
+    default: return false;
+  }
+}
+
+/// What binary op `op` on type `t` computes from a and b in every period,
+/// `r` being its period-0 result: add, subtract, and multiply or shift by
+/// an invariant stay affine in wraparound; an integer comparison is
+/// invariant while its outcome holds over [0, last]; anything else is
+/// invariant on invariant operands and opaque otherwise.
+Affine affine_bin(BinOp op, DType t, const Affine& a, const Affine& b, std::uint32_t r,
+                  std::uint64_t last) noexcept {
+  if (a.invariant() && b.invariant()) return {r, 0, false};
+  if (a.opaque || b.opaque || t == DType::F32) return {0, 0, true};
+  switch (op) {
+    case BinOp::Add: return {r, a.step + b.step, false};
+    case BinOp::Sub: return {r, a.step - b.step, false};
+    case BinOp::Mul:
+      if (b.invariant()) return {r, a.step * b.v, false};
+      if (a.invariant()) return {r, b.step * a.v, false};
+      break;
+    case BinOp::Shl:
+      if (b.invariant()) return {r, a.step << (b.v & 31), false};
+      break;
+    case BinOp::Lt: case BinOp::Le: case BinOp::Gt:
+    case BinOp::Ge: case BinOp::Eq: case BinOp::Ne:
+      if (compare_holds(op, t != DType::PTR, a, b, last)) return {r, 0, false};
+      break;
+    default: break;
+  }
+  return {0, 0, true};
+}
+
 /// Reader-index order by address alone (entries of one address are kept in
 /// (segment, read) order by construction).
 bool addr_less(const LaunchJournal::Access& a, const LaunchJournal::Access& b) noexcept {
@@ -519,6 +591,7 @@ class JournalRecorder {
                           j_.global_index.end());
     for (const J::Access& a : j_.global_index)
       if (j_.touched.empty() || j_.touched.back() != a.addr) j_.touched.push_back(a.addr);
+    finish_net_shared(serial, threads_per_block);
   }
 
  private:
@@ -527,6 +600,46 @@ class JournalRecorder {
     std::uint32_t pre = 0;  ///< pre-segment value when only atomics touched it
     bool pending = false;
   };
+  /// Give every segment its net shared writes, walking the serial order
+  /// (`serial`: grouped index -> serial index) with each block's golden
+  /// shared image (zero when the block begins): per word, the segment's
+  /// last write (found walking its writes backwards), those that change
+  /// the image first.  A golden run's cost is mostly first touches of
+  /// fresh memory, so this runs last, and the recording's own buffers,
+  /// idle by now, do the bookkeeping: sstamp_ marks the words a segment
+  /// wrote (with stamps past every recorded one) and shared_reads_ gathers
+  /// the writes that keep their word's value.
+  void finish_net_shared(const std::vector<std::uint32_t>& serial,
+                         std::uint32_t threads_per_block) {
+    if (j_.shared_writes.empty()) return;
+    std::vector<std::uint32_t> order(serial.size()), image(sstamp_.size());
+    for (std::uint32_t g = 0; g < serial.size(); ++g) order[serial[g]] = g;
+    std::vector<J::Word>& same = shared_reads_;
+    std::uint32_t block = ~std::uint32_t{0};
+    for (std::uint32_t i = 0; i < order.size(); ++i) {
+      J::Segment& s = j_.segments[order[i]];
+      if (slots_[i] / threads_per_block != block) {
+        block = slots_[i] / threads_per_block;
+        std::fill(image.begin(), image.end(), 0u);
+      }
+      const std::uint32_t stamp = stamp_ + 1 + i;
+      s.first_net_shared_write = static_cast<std::uint32_t>(j_.net_shared_writes.size());
+      same.clear();
+      for (std::uint32_t w = s.first_shared_write + s.shared_writes; w-- > s.first_shared_write;) {
+        const J::Word& x = j_.shared_writes[w];
+        if (sstamp_[x.addr] == stamp) continue;
+        sstamp_[x.addr] = stamp;
+        (x.value == image[x.addr] ? same : j_.net_shared_writes).push_back(x);
+        image[x.addr] = x.value;
+      }
+      s.net_shared_changes =
+          static_cast<std::uint32_t>(j_.net_shared_writes.size()) - s.first_net_shared_write;
+      j_.net_shared_writes.insert(j_.net_shared_writes.end(), same.begin(), same.end());
+      s.net_shared_writes =
+          static_cast<std::uint32_t>(j_.net_shared_writes.size()) - s.first_net_shared_write;
+    }
+  }
+
   /// Append the running thread's count row.
   void append_counts(std::vector<std::uint32_t>& rows) const {
     for (const std::uint32_t s : counted_) rows.push_back(thread_counts_[s]);
@@ -804,6 +917,12 @@ class DeltaSet {
   void begin_block(std::uint32_t block, std::uint32_t shared_words) {
     block_ = block;
     shared_.assign((shared_words + 63) / 64, 0);
+    any_shared_ = false;
+  }
+  /// Whether S holds a shared word of the current block; and shared word `addr`.
+  [[nodiscard]] bool any_shared() const noexcept { return any_shared_; }
+  [[nodiscard]] bool has_shared(std::uint32_t addr) const noexcept {
+    return addr / 64 < shared_.size() && (shared_[addr / 64] >> (addr % 64) & 1);
   }
 
   /// Add global word `addr` to S.  S is kept only below the highest indexed
@@ -818,6 +937,7 @@ class DeltaSet {
   }
   void add_shared(std::uint32_t addr) {
     if (!insert(shared_, addr)) return;
+    any_shared_ = true;
     const auto from = j_.shared_index.begin() + j_.shared_index_begin[block_];
     const auto to = j_.shared_index.begin() + j_.shared_index_begin[block_ + 1];
     const auto [lo, hi] =
@@ -1011,6 +1131,7 @@ class DeltaSet {
   std::uint32_t indexed_;  ///< one past the highest address in the global index
   std::uint32_t block_ = 0;
   std::vector<std::uint64_t> global_, shared_;  ///< S as bitmaps, grown on demand
+  bool any_shared_ = false;
   std::vector<std::uint32_t> head_;  ///< per segment: last queued check (empty: none yet)
   std::vector<Check> checks_;
   // The interpreted slice: its thread's segments [first_, first_ + count_),
@@ -1073,6 +1194,8 @@ class BlockExec {
   std::uint64_t replayed_instructions = 0;
   /// Instructions a hung thread's fast-forward skipped (probe_hang).
   std::uint64_t fast_forwarded = 0;
+  /// Shared words replay wrote from the journal.
+  std::uint64_t replayed_shared_writes = 0;
   /// Recording launches: the segments (thread slices) the block ran, and the
   /// largest watchdog budget any of its threads used.
   std::uint64_t slices = 0, max_budget = 0;
@@ -1105,6 +1228,8 @@ class BlockExec {
   bool rejoin(ThreadCtx& t, std::uint32_t g, std::uint32_t i);
   void apply_writes(const LaunchJournal::Segment& s, std::uint32_t w0, std::uint32_t w1,
                     std::uint32_t sw0, std::uint32_t sw1);
+  void apply_whole(const LaunchJournal::Segment& s);
+  void apply_global_writes(const LaunchJournal::Segment& s, std::uint32_t w0, std::uint32_t w1);
   void charge(std::uint64_t instr, std::uint64_t cyc, std::uint64_t loop) noexcept {
     instructions += instr;
     cycles += cyc;
@@ -1146,6 +1271,13 @@ class BlockExec {
   ThreadStop replay_slice(ThreadCtx& t, LaunchStatus& crash_status);
   struct HangProbe;
   bool probe_hang(ThreadCtx& t, HangProbe& p);
+  /// One period's instructions, cycles and loop cycles (trace_period).
+  struct PeriodTotals {
+    std::uint64_t instructions = 0, cycles = 0, loop_cycles = 0;
+  };
+  bool fast_forward_loop(ThreadCtx& t);
+  bool trace_period(const ThreadCtx& t, std::uint32_t* regs, Affine* vals, std::uint64_t last,
+                    PeriodTotals& per);
   ThreadStop record_segment(ThreadCtx& t, LaunchStatus& crash_status);
   ThreadStop run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_status,
                                  const kir::ThreadedInstr* tcode);
@@ -1199,6 +1331,10 @@ class BlockExec {
   std::uint64_t hook_calls_ = 0;
   bool changed_ = false;
   std::vector<std::uint32_t> probe_regs_;  ///< the probe's saved registers
+  /// Counter-loop fast-forward: each register's value at the period's
+  /// start and as traced (fast_forward_loop).
+  std::vector<Affine> probe_start_, probe_vals_;
+  std::vector<std::uint32_t> trace_regs_;  ///< the registers a traced period runs on
 };
 
 std::uint32_t BlockExec::builtin_value(const ThreadCtx& t, BuiltinVal b) const noexcept {
@@ -2362,6 +2498,34 @@ ThreadStop BlockExec::step_thread(ThreadCtx& t, LaunchStatus& crash_status) {
 /// bounds.  Under protection each written pair is re-encoded.
 void BlockExec::apply_writes(const LaunchJournal::Segment& s, std::uint32_t w0, std::uint32_t w1,
                              std::uint32_t sw0, std::uint32_t sw1) {
+  apply_global_writes(s, w0, w1);
+  const LaunchJournal& j = *journal_;
+  for (std::uint32_t i = sw0; i < sw1; ++i) {
+    const LaunchJournal::Word& w = j.shared_writes[s.first_shared_write + i];
+    shared_[w.addr] = w.value;
+  }
+  replayed_shared_writes += sw1 - sw0;
+}
+
+/// Replay: write the whole segment s — its global writes and its net shared
+/// writes.  A net write that leaves its word's golden value unchanged is a
+/// no-op unless the word is in the delta set (every other shared word
+/// holds its golden value here), so only those are written.
+void BlockExec::apply_whole(const LaunchJournal::Segment& s) {
+  apply_global_writes(s, 0, s.writes);
+  const LaunchJournal::Word* net = journal_->net_shared_writes.data() + s.first_net_shared_write;
+  for (std::uint32_t i = 0; i < s.net_shared_changes; ++i) shared_[net[i].addr] = net[i].value;
+  replayed_shared_writes += s.net_shared_changes;
+  if (!delta_->any_shared()) return;
+  for (std::uint32_t i = s.net_shared_changes; i < s.net_shared_writes; ++i)
+    if (delta_->has_shared(net[i].addr)) {
+      shared_[net[i].addr] = net[i].value;
+      ++replayed_shared_writes;
+    }
+}
+
+void BlockExec::apply_global_writes(const LaunchJournal::Segment& s, std::uint32_t w0,
+                                    std::uint32_t w1) {
   const LaunchJournal& j = *journal_;
   DeviceMemory& mem = dev_.mem();
   std::uint32_t* const gmem = mem.flat_words().data();
@@ -2382,10 +2546,6 @@ void BlockExec::apply_writes(const LaunchJournal::Segment& s, std::uint32_t w0, 
     hi = std::max(hi, w.addr + 1);
   }
   if (hi > 0) mem.note_store(hi - 1);
-  for (std::uint32_t i = sw0; i < sw1; ++i) {
-    const LaunchJournal::Word& w = j.shared_writes[s.first_shared_write + i];
-    shared_[w.addr] = w.value;
-  }
 }
 
 /// Replay: apply thread t's slice k from journal segment k if it would
@@ -2429,7 +2589,7 @@ bool BlockExec::apply_segment(ThreadCtx& t, std::uint32_t slot, std::uint32_t k)
     return false;
   }
   if (credit > 0) opts_.hooks->fi_skipped(fi_site_, t.linear, credit);
-  apply_writes(s, 0, s.writes, 0, s.shared_writes);
+  apply_whole(s);
   charge(s.instructions, s.cycles, s.loop_cycles);
   if (s.sdc) sdc = true;
   t.pc = s.pc;
@@ -2520,10 +2680,15 @@ bool BlockExec::rejoin(ThreadCtx& t, std::uint32_t g, std::uint32_t i) {
 }
 
 /// Replay: Brent's cycle search over the stops of one interpreted slice at
-/// its taken backward jumps (probe_hang).
+/// its taken backward jumps, and the loop heads a counter-loop proof was
+/// tried at (probe_hang).
 struct BlockExec::HangProbe {
   /// Stops after which the probe gives up on the slice.
   static constexpr std::uint32_t kMaxStops = 256;
+  /// Loop heads the probe tries a counter-loop proof at, at most.
+  static constexpr std::uint32_t kMaxHeads = 8;
+  std::array<std::uint32_t, kMaxHeads> heads{};
+  std::uint32_t tried = 0;
   std::uint32_t stops = 0;
   std::uint32_t power = 1, lam = 0;  ///< Brent: stops allowed / made since the save
   bool saved = false, over = false;
@@ -2542,14 +2707,17 @@ struct BlockExec::HangProbe {
 /// the word's value, every atomic left its word as it was: the stream's
 /// Rec* handlers compare into changed_, and a slice handed to run_thread
 /// ends there, before its next stop), no ECC correction happened, no
-/// LaunchHooks call was made and the SDC bit held: it then repeats that period of P instructions until the watchdog, since
-/// in a serial launch nothing else runs meanwhile.  Whole periods are
-/// charged at once, k = floor((watchdog + 1 - budget) / P) - 1 of them, and
-/// the interpreter runs the last P to 2P - 1 instructions, so the Hang
-/// fires at the same instruction with the same totals as a full launch.
-/// Else the visit may become the saved one (Brent: at stop counts 1, 2, 4,
-/// ... past the last save).  Returns true when the probe is over: a cycle
-/// was found or kMaxStops stops passed.
+/// LaunchHooks call was made and the SDC bit held: it then repeats that
+/// period of P instructions until the watchdog, since in a serial launch
+/// nothing else runs meanwhile.  Whole periods are charged at once, k =
+/// floor((watchdog + 1 - budget) / P) - 1 of them, and the interpreter runs
+/// the last P to 2P - 1 instructions, so the Hang fires at the same
+/// instruction with the same totals as a full launch.  That exact repeat is
+/// the case of a counter loop whose every step is zero; the first stop at
+/// each loop head also tries the general case (fast_forward_loop).  Else
+/// the visit may become the saved one (Brent: at stop counts 1, 2, 4, ...
+/// past the last save).  Returns true when the probe is over: a cycle was
+/// found, a counter loop fast-forwarded or kMaxStops stops passed.
 bool BlockExec::probe_hang(ThreadCtx& t, HangProbe& p) {
   const std::uint64_t ecc = dev_.mem().ecc_corrected();
   if (p.saved && t.pc == p.pc && !changed_ && hook_calls_ == p.hook_calls && sdc == p.sdc &&
@@ -2570,6 +2738,11 @@ bool BlockExec::probe_hang(ThreadCtx& t, HangProbe& p) {
     }
     return true;
   }
+  if (p.tried < HangProbe::kMaxHeads &&
+      std::find(p.heads.begin(), p.heads.begin() + p.tried, t.pc) == p.heads.begin() + p.tried) {
+    p.heads[p.tried++] = t.pc;
+    if (fast_forward_loop(t)) return true;
+  }
   if (++p.stops >= HangProbe::kMaxStops) return true;
   if (!p.saved || ++p.lam == p.power) {
     if (p.saved) p.power *= 2;
@@ -2587,6 +2760,182 @@ bool BlockExec::probe_hang(ThreadCtx& t, HangProbe& p) {
     changed_ = false;
   }
   return false;
+}
+
+/// Replay: counter-loop fast-forward.  Thread t stands at loop head t.pc,
+/// right after a taken backward jump there.  One period — from the head to
+/// the next taken backward jump back to it — is traced on a copy of its
+/// registers (trace_period), which gives each register's step d, its
+/// change over the period.  A second trace then carries every value as
+/// v + n * d over periods n and proves, for every period up to the one the
+/// watchdog cuts (last), that whatever decides the path or a crash — each
+/// branch condition, load address and integer divisor — is affine in n and
+/// keeps the branch's direction, stays inside the arena clear of latent
+/// ECC pairs, and stays nonzero; and that the period stores nothing and
+/// makes no barrier, hook call or detector op.  A register whose value at
+/// the period's end is not its start plus d turns opaque and the trace is
+/// redone: it may feed only values nothing above depends on.  By induction
+/// every period then runs the same path with no effect, and the thread
+/// hangs; like an exact repeat it skips k = floor((watchdog + 1 - budget) /
+/// P) - 1 periods of P instructions, setting each affine register to its
+/// value after them.  Opaque registers keep theirs: nothing that decides
+/// the path depends on them, and the Hang ends the launch before anything
+/// else could read them.
+bool BlockExec::fast_forward_loop(ThreadCtx& t) {
+  const std::uint64_t watchdog = opts_.watchdog_instructions;
+  if (watchdog == ~std::uint64_t{0} || t.budget_used > watchdog) return false;
+  const std::uint32_t slots = prog_.num_slots;
+  PeriodTotals per;
+  trace_regs_.assign(t.regs, t.regs + slots);
+  if (!trace_period(t, trace_regs_.data(), nullptr, 0, per)) return false;
+  const std::uint64_t whole = (watchdog - t.budget_used + 1) / per.instructions;
+  if (whole < 2) return false;
+  std::vector<Affine>& start = probe_start_;
+  start.resize(slots);
+  for (std::uint32_t r = 0; r < slots; ++r) start[r] = {t.regs[r], trace_regs_[r] - t.regs[r]};
+  // Each round turns at least one more register opaque, or proves the loop.
+  for (std::uint32_t round = 0;; ++round) {
+    if (round > slots) return false;
+    probe_vals_ = start;
+    trace_regs_.assign(t.regs, t.regs + slots);
+    if (!trace_period(t, trace_regs_.data(), probe_vals_.data(), whole, per)) return false;
+    bool stable = true;
+    for (std::uint32_t r = 0; r < slots; ++r)
+      if (!start[r].opaque && (probe_vals_[r].opaque || probe_vals_[r].step != start[r].step)) {
+        start[r].opaque = true;
+        stable = false;
+      }
+    if (stable) break;
+  }
+  const std::uint64_t k = whole - 1;
+  for (std::uint32_t r = 0; r < slots; ++r)
+    if (!start[r].opaque) t.regs[r] += static_cast<std::uint32_t>(k) * start[r].step;
+  instructions += k * per.instructions;
+  cycles += k * per.cycles;
+  loop_cycles += k * per.loop_cycles;
+  t.budget_used += k * per.instructions;
+  fast_forwarded += k * per.instructions;
+  return true;
+}
+
+/// Replay: one period of thread t's loop at head t.pc on `regs` (a copy of
+/// its registers), run with the reference interpreter's semantics up to
+/// the taken backward jump back to the head, its totals in `per`.  Fails
+/// at an op a fast-forward cannot skip — a store, an atomic, a barrier,
+/// Halt, a detector op, a hook call (a live FIHook or a profiling op) — at
+/// a latent pair, at a crash, and past kMaxPeriod instructions.  With
+/// `vals` it also carries every register's Affine value and fails unless
+/// every branch condition, load address and integer divisor is shown to
+/// keep its direction, stay in bounds, resp. stay nonzero in every period
+/// n in [0, last] (fast_forward_loop).
+bool BlockExec::trace_period(const ThreadCtx& t, std::uint32_t* regs, Affine* vals,
+                             std::uint64_t last, PeriodTotals& per) {
+  static constexpr std::uint64_t kMaxPeriod = 4096;
+  const Instr* code = prog_.code.data();
+  DeviceMemory& mem = dev_.mem();
+  const std::span<const std::uint32_t> gmem = mem.flat_words();
+  const std::span<const std::uint32_t> latent = mem.latent_pairs();
+  const bool fi_live = armed_pending(t);
+  static constexpr Affine kZero{};
+  const auto val = [&](std::uint16_t r) -> const Affine& { return vals ? vals[r] : kZero; };
+  const auto set = [&](std::uint16_t r, std::uint32_t v, Affine a) {
+    regs[r] = v;
+    if (vals) vals[r] = a;
+  };
+  // Whether the load at `addr` (value a) reads inside a memory of `size`
+  // words, clear of latent pairs when global, in every period.
+  const auto load_ok = [&](std::uint32_t addr, const Affine& a, std::uint32_t size,
+                           bool global) {
+    if (a.opaque) return false;
+    const auto p = progression({addr, a.step}, last, false);
+    if (!p || addr >= size || p->second >= size) return false;
+    const __int128 lo = std::min(p->first, p->second), hi = std::max(p->first, p->second);
+    if (global)
+      for (const std::uint32_t pair : latent)
+        if (2 * pair + 1 >= lo && 2 * pair <= hi) return false;
+    return true;
+  };
+  per = {};
+  std::uint32_t pc = t.pc;
+  const std::uint32_t head = pc;
+  for (;;) {
+    if (per.instructions == kMaxPeriod) return false;
+    const Instr& in = code[pc];
+    ++per.instructions;
+    per.cycles += costs_[pc];
+    if (in.flags & kir::kInstrInLoop) per.loop_cycles += costs_[pc];
+    ++pc;
+    switch (in.op) {
+      case OpCode::Nop: break;
+      case OpCode::Const: set(in.dst, in.imm, {in.imm, 0}); break;
+      case OpCode::Mov: set(in.dst, regs[in.a], val(in.a)); break;
+      case OpCode::Builtin: {
+        const std::uint32_t v = builtin_value(t, static_cast<BuiltinVal>(in.aux));
+        set(in.dst, v, {v, 0});
+        break;
+      }
+      case OpCode::Un: {
+        const std::uint32_t v =
+            eval_un(static_cast<UnOp>(aux_op(in.aux)), aux_type(in.aux), regs[in.a]);
+        set(in.dst, v, val(in.a).invariant() ? Affine{v, 0} : Affine{0, 0, true});
+        break;
+      }
+      case OpCode::Bin: {
+        const auto op = static_cast<BinOp>(aux_op(in.aux));
+        const DType type = aux_type(in.aux);
+        bool crash = false;
+        const std::uint32_t v = eval_bin(op, type, regs[in.a], regs[in.b], crash);
+        if (crash) return false;
+        if (vals && type != DType::F32 && (op == BinOp::Div || op == BinOp::Mod)) {
+          const Affine& b = vals[in.b];
+          if (b.opaque || (!b.invariant() && !compare_holds(BinOp::Ne, type != DType::PTR, b,
+                                                            kZero, last)))
+            return false;
+        }
+        set(in.dst, v, vals ? affine_bin(op, type, vals[in.a], vals[in.b], v, last) : kZero);
+        break;
+      }
+      case OpCode::Select: {
+        const bool cond = regs[in.a] != 0;
+        const std::uint16_t from = cond ? in.b : static_cast<std::uint16_t>(in.imm);
+        set(in.dst, regs[from], val(in.a).invariant() ? val(from) : Affine{0, 0, true});
+        break;
+      }
+      case OpCode::LoadG: {
+        const std::uint32_t addr = regs[in.a];
+        if (!load_ok(addr, val(in.a), static_cast<std::uint32_t>(gmem.size()), true))
+          return false;
+        set(in.dst, gmem[addr], val(in.a).invariant() ? Affine{gmem[addr], 0} : Affine{0, 0, true});
+        break;
+      }
+      case OpCode::LoadS: {
+        const std::uint32_t addr = regs[in.a];
+        if (!load_ok(addr, val(in.a), static_cast<std::uint32_t>(shared_.size()), false))
+          return false;
+        set(in.dst, shared_[addr],
+            val(in.a).invariant() ? Affine{shared_[addr], 0} : Affine{0, 0, true});
+        break;
+      }
+      case OpCode::Jmp:
+      case OpCode::Jz: {
+        if (in.op == OpCode::Jz) {
+          const Affine& c = val(in.a);
+          if (c.opaque || (!c.invariant() && !compare_holds(BinOp::Eq, true, c, kZero, last)))
+            return false;
+          if (regs[in.a] != 0) break;
+        }
+        const bool back = in.aux < pc;
+        pc = in.aux;
+        if (back && pc == head) return true;
+        break;
+      }
+      case OpCode::FIHook:
+        // Compiled away for every thread but the armed one before it fires.
+        if (fi_live) return false;
+        break;
+      default: return false;
+    }
+  }
 }
 
 /// Replay: one time-slice of thread t — applied from the journal, or
@@ -3020,7 +3369,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   std::atomic<std::uint32_t> next_block{0};
   std::atomic<std::uint64_t> cycles{0}, loop_cycles{0}, instructions{0}, simt_cycles{0};
   std::atomic<std::uint64_t> reports_dropped{0}, replayed{0}, replayed_instructions{0},
-      fast_forwarded{0};
+      fast_forwarded{0}, replayed_shared_writes{0};
   std::uint64_t slices = 0, max_budget = 0;  // recording launches, which are serial
   std::atomic<bool> sdc{false};
   std::atomic<int> bad_status{static_cast<int>(LaunchStatus::Ok)};
@@ -3053,6 +3402,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
       replayed.fetch_add(exec.replayed, std::memory_order_relaxed);
       replayed_instructions.fetch_add(exec.replayed_instructions, std::memory_order_relaxed);
       fast_forwarded.fetch_add(exec.fast_forwarded, std::memory_order_relaxed);
+      replayed_shared_writes.fetch_add(exec.replayed_shared_writes, std::memory_order_relaxed);
       if (record) {
         slices += exec.slices;
         max_budget = std::max(max_budget, exec.max_budget);
@@ -3118,6 +3468,7 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   res.replayed_instructions = replayed_instructions.load();
   res.replayed_in_one_step = one_step;
   res.fast_forwarded_instructions = fast_forwarded.load();
+  res.replayed_shared_writes = replayed_shared_writes.load();
   if (record) {
     // Only a fault-free launch is a golden run worth journaling.
     if (res.status == LaunchStatus::Ok) {

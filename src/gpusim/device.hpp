@@ -190,11 +190,17 @@ struct LaunchResult {
   /// diagnostic as replayed_segments.
   bool replayed_in_one_step = false;
   /// Instructions a replayed hung thread skipped by repeating a proven
-  /// cycle of its state up to the watchdog (hang fast-forward, DESIGN §10);
+  /// cycle of its state, or the periods of a proven counter loop, up to the
+  /// watchdog (hang fast-forward, DESIGN §10);
   /// they are counted in `instructions` like the interpreted ones, not in
   /// replayed_instructions.  The same kind of diagnostic as
   /// replayed_segments.
   std::uint64_t fast_forwarded_instructions = 0;
+  /// Shared-memory words replay wrote from the journal: applied segments'
+  /// net shared writes that may change a word, and the ordered shared
+  /// writes of skipped prefixes and rejoined suffixes.  The same kind of
+  /// diagnostic as replayed_segments.
+  std::uint64_t replayed_shared_writes = 0;
 };
 
 /// FI filter of the hook contract (see LaunchHooks::fi_filter).
@@ -315,8 +321,8 @@ struct LaunchOptions {
   /// checks, ControlBlock counters and outliers) do not happen, and skipped
   /// armed-site occurrences reach the hooks as one LaunchHooks::fi_skipped
   /// call.  A slice that has run past its golden segment and provably
-  /// repeats a state with no effect until the watchdog charges those
-  /// periods at once (hang fast-forward, DESIGN §10;
+  /// repeats a state, or runs a counter loop, with no effect until the
+  /// watchdog charges those periods at once (hang fast-forward, DESIGN §10;
   /// LaunchResult::fast_forwarded_instructions).  A net-effect journal has
   /// no segments: a launch that cannot take it in one step runs as a plain
   /// full launch.

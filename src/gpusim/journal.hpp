@@ -6,7 +6,8 @@
 // of the memory words it reads before writing them.  The journal records,
 // per segment of one fault-free launch, exactly those inputs (the register
 // file at the previous Barrier stop, and the *first reads*) together with
-// the segment's effects (global writes in program order, shared stores,
+// the segment's effects (global writes in program order, shared stores in
+// program order and as a net list of the last store to each word,
 // instruction/cycle deltas, the detector bit, where it stopped).  A later
 // launch of the same program, configuration and arguments may then *apply*
 // a segment instead of interpreting it whenever its thread still holds its
@@ -93,6 +94,10 @@ struct LaunchJournal {
     std::uint32_t first_reads = 0, global_reads = 0, shared_reads = 0;
     std::uint32_t first_write = 0, writes = 0;  ///< into `writes`
     std::uint32_t first_shared_write = 0, shared_writes = 0;  ///< into `shared_writes`
+    /// The segment's net shared writes, into `net_shared_writes`: the last
+    /// write to each word it stores, those that change the word's golden
+    /// value before the segment (the first net_shared_changes) first.
+    std::uint32_t first_net_shared_write = 0, net_shared_writes = 0, net_shared_changes = 0;
     /// Offset of the register file at a Barrier stop in `regs`; kNoRegs
     /// for a Done stop.
     std::uint32_t regs = kNoRegs;
@@ -176,6 +181,11 @@ struct LaunchJournal {
   std::vector<Word> reads;
   std::vector<Write> writes;
   std::vector<Word> shared_writes;
+  /// Per segment, its shared writes' net effect (Segment::first_net_shared_write):
+  /// what applying a whole segment writes.  The ordered `shared_writes`
+  /// serve partial applies (a skipped prefix, a rejoined suffix) and the
+  /// write compares of interpreted slices.
+  std::vector<Word> net_shared_writes;
   std::vector<std::uint32_t> regs;
   /// Global memory when the launch began, below its store watermark (every
   /// word at or above it was zero).
@@ -244,7 +254,8 @@ struct LaunchJournal {
   [[nodiscard]] std::size_t bytes() const noexcept {
     return thread_begin.size() * sizeof(std::uint32_t) + segments.size() * sizeof(Segment) +
            reads.size() * sizeof(Word) + writes.size() * sizeof(Write) +
-           shared_writes.size() * sizeof(Word) + regs.size() * sizeof(std::uint32_t) +
+           (shared_writes.size() + net_shared_writes.size()) * sizeof(Word) +
+           regs.size() * sizeof(std::uint32_t) +
            start_image.size() * sizeof(std::uint32_t) +
            (global_index.size() + shared_index.size()) * sizeof(Access) +
            shared_index_begin.size() * sizeof(std::uint32_t) + snapshots.bytes() +

@@ -95,14 +95,15 @@ class ProgramGen {
   /// integer atomicAdds next to them (replay mode); `loop_scale` multiplies
   /// every loop's trip count (replay mode: loops long enough for the golden
   /// journal to take snapshots in).  `spins`, when set, draws spin loops
-  /// (spin_loop) from its own stream, so the other draws stay the same.
-  /// Off, the generator's draws — and so every other corpus — are
-  /// unchanged.
+  /// (spin_loop) from its own stream, and `counters` counter loops
+  /// (counter_loop) and clear-then-update shared blocks
+  /// (clear_then_update), so the other draws stay the same.  Off, the
+  /// generator's draws — and so every other corpus — are unchanged.
   explicit ProgramGen(Rng& rng, bool racy = false, bool loads = false,
                       bool int_atomics = false, std::int32_t loop_scale = 1,
-                      Rng* spins = nullptr)
+                      Rng* spins = nullptr, Rng* counters = nullptr)
       : rng_(rng), racy_(racy), loads_(loads), int_atomics_(int_atomics),
-        loop_scale_(loop_scale), spins_(spins) {}
+        loop_scale_(loop_scale), spins_(spins), counters_(counters) {}
 
   FuzzProgram gen() {
     FuzzProgram fp;
@@ -268,8 +269,66 @@ class ProgramGen {
     });
   }
 
+  /// Counter loop (replay mode): `for (cl<N> = tid & 3; cl<N> < 4; ++cl<N>)`,
+  /// which a sign-bit fault on the counter turns into a loop that runs
+  /// until the watchdog while `ptr + cl * stride` wraps back in bounds.  Its
+  /// body is one of the counter-loop fast-forward's cases (test_replay's
+  /// CounterLoopHangsFastForward): affine loads, a nested loop of constant
+  /// trip count, float math alone — which a replay may skip — or a global
+  /// or shared store, loads that leave the arena, a loaded divisor or a
+  /// branch on loaded data, which it may not.
+  void counter_loop(KernelBuilder& kb) {
+    Rng& r = *counters_;
+    const std::string id = std::to_string(serial_++);
+    const ExprH c = kb.let("cl" + id, kb.tid_x() & i32c(3));
+    const ExprH ptr = ptrs_[r.next_below(ptrs_.size())];
+    const std::uint64_t kind = r.next_below(shared_words_ > 0 ? 8 : 7);
+    const ExprH acc = kb.let("ca" + id, i32c(0));
+    kb.while_loop([&] { return c < i32c(4); }, [&] {
+      const ExprH at = ptr + c * i32c(4);
+      switch (kind) {
+        case 0: kb.assign(acc, acc + kb.load_i32(at) * kb.load_i32(at + i32c(1))); break;
+        case 1:
+          kb.for_loop("cx" + id, i32c(0), i32c(3), [&](ExprH x) {
+            kb.assign(acc, acc ^ kb.load_i32(ptr + c * i32c(8) + x));
+          });
+          break;
+        case 2: kb.assign(acc, acc + to_i32(to_f32(c) * f32c(0.5f))); break;
+        case 3: kb.store(ptr + (c & i32c(kBufWords - 1)), acc); break;
+        case 4: kb.assign(acc, acc + kb.load_i32(ptr + c * i32c(1024))); break;
+        case 5: kb.assign(acc, acc + i32c(7) / (kb.load_i32(at) | i32c(1))); break;
+        case 6:
+          kb.if_then(kb.load_i32(at) > i32c(3), [&] { kb.assign(acc, acc + i32c(1)); });
+          break;
+        default:
+          kb.shstore(c & i32c(static_cast<std::int32_t>(shared_words_ - 1)), acc);
+      }
+      kb.assign(c, c + i32c(1));
+    });
+    i32s_.push_back(acc);
+  }
+
+  /// TPACF-style shared histogram (replay mode): every thread clears its
+  /// shared word, and after a barrier adds a value into a colliding one, so
+  /// segments store words that already hold the value they store.
+  void clear_then_update(KernelBuilder& kb) {
+    const auto mask = static_cast<std::int32_t>(shared_words_ - 1);
+    kb.shstore(kb.tid_x() & i32c(mask), f32c(0.0f));
+    kb.barrier();
+    const ExprH idx = i32_expr() & i32c(mask);
+    kb.shstore(idx, kb.shload_f32(idx) + f32_expr());
+    kb.barrier();
+  }
+
   void statement(KernelBuilder& kb, int depth) {
     if (spins_ && depth == 0 && spins_->next_below(100) < 12) spin_loop(kb);
+    if (counters_ && depth == 0) {
+      const std::uint64_t roll = counters_->next_below(100);
+      if (roll < 4)
+        counter_loop(kb);
+      else if (roll < 10 && shared_words_ > 0)
+        clear_then_update(kb);
+    }
     if (racy_ && chance(30)) {
       racy_statement(kb, depth);
       return;
@@ -363,6 +422,7 @@ class ProgramGen {
   bool int_atomics_ = false;
   std::int32_t loop_scale_ = 1;
   Rng* spins_ = nullptr;
+  Rng* counters_ = nullptr;
   std::uint32_t shared_words_ = 0;
   int serial_ = 0;
   std::vector<ExprH> ptrs_, i32s_, f32s_;
@@ -910,7 +970,13 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
   // in their gate variable enters; half the trials of such a program arm
   // one, and trade a drawn budget for a watchdog a few dozen instructions
   // past the golden run's largest budget, so hung replayed threads
-  // fast-forward (DESIGN §10) at tight and loose watchdogs alike.
+  // fast-forward (DESIGN §10) at tight and loose watchdogs alike.  In the
+  // other half, one trial of a program with counter loops
+  // (ProgramGen::counter_loop) sets a counter's sign bit, with a watchdog
+  // up to 2048 past that budget, so counter loops fast-forward or, where
+  // no proof holds, run interpreted; and TPACF-style clear-then-update
+  // shared blocks give applied segments net shared writes that leave their
+  // words' golden values unchanged.
   const std::uint64_t seed = env_u64("HAUBERK_FUZZ_SEED", 0xfa57'0016);
   const auto programs =
       static_cast<std::size_t>(env_u64("HAUBERK_FUZZ_PROGRAMS", 400)) / 2;
@@ -919,12 +985,13 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
   std::size_t windowed = 0, snapshot_budgets = 0;
   std::size_t host_writes = 0, raw_upsets = 0, recorded = 0;
   std::size_t ecc_corrected = 0, ecc_failed = 0, sibling_store_first = 0, atomic_first = 0;
-  std::size_t spin_hangs = 0, fast_forwarded = 0;
+  std::size_t spin_hangs = 0, fast_forwarded = 0, counter_hangs = 0, counter_fast = 0;
   for (std::size_t i = 0; i < programs; ++i) {
     Rng rng = Rng::fork(seed, i);
     Rng spins = Rng::fork(seed ^ 0x5b1e, i);
+    Rng counters = Rng::fork(seed ^ 0xc0c1, i);
     ProgramGen gen(rng, /*racy=*/false, /*loads=*/true, /*int_atomics=*/true, /*loop_scale=*/4,
-                   &spins);
+                   &spins, &counters);
     const FuzzProgram fp = gen.gen();
     if (fp.mem_model != gpusim::MemoryModel::FlatGpu) continue;  // replay-ineligible
     const bool fift = i % 2 == 1;
@@ -979,6 +1046,24 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
         fi.spec.mask = 1u << (3 + spin_arm.next_below(28));
         budgets[1] = journal.net.totals.max_budget + 1 + spin_arm.next_below(64);
       }
+      // In the other half, the second budget's trial arms a counter loop's
+      // counter, if any, with its sign bit, and a watchdog up to 2048
+      // instructions past the golden run's largest budget, so fast-forwards
+      // skip a few periods or many.
+      Rng counter_arm = Rng::fork(seed ^ 0xc0c2, i);
+      std::vector<std::uint32_t> counter_sites;
+      for (const kir::FISite& site : prog.fi_sites)
+        if (site.var_name.rfind("cl", 0) == 0 && !site.dead_window)
+          counter_sites.push_back(site.site_id);
+      const bool counter_armed = !spin_armed && !counter_sites.empty();
+      const swifi::FaultSpec drawn = fi.spec;
+      swifi::FaultSpec counter_spec = drawn;
+      if (counter_armed) {
+        counter_spec.site_id = counter_sites[counter_arm.next_below(counter_sites.size())];
+        counter_spec.occurrence = 1;
+        counter_spec.mask = 0x80000000u;
+        budgets[1] = journal.net.totals.max_budget + 1 + counter_arm.next_below(2048);
+      }
 
       Rng strike = Rng::fork(seed ^ 0x0ecc, i);
       Rng change = Rng::fork(seed ^ 0x4057, i);
@@ -1002,6 +1087,8 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
           upsets.insert(second.host ? upsets.begin() : upsets.end(), second);
           ++(second.host ? host_writes : raw_upsets);
         }
+        const bool counter_trial = counter_armed && bi == 1;
+        fi.spec = counter_trial ? counter_spec : drawn;
         fi.watchdog = budget;
         fi.journal = nullptr;
         gpusim::LaunchJournal rec_ref, rec_full;
@@ -1040,6 +1127,8 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
         if (ref.res.status == gpusim::LaunchStatus::Hang && budget != budgets.front())
           ++budget_hang;
         spin_hangs += spin_armed && ref.res.status == gpusim::LaunchStatus::Hang;
+        counter_hangs += counter_trial && ref.res.status == gpusim::LaunchStatus::Hang;
+        counter_fast += counter_trial && rep.res.fast_forwarded_instructions > 0;
         fast_forwarded += rep.res.fast_forwarded_instructions > 0;
         if (::testing::Test::HasFailure()) return;
       }
@@ -1061,6 +1150,8 @@ TEST(DifferentialFuzz, ReplayMatchesFullLaunch) {
   EXPECT_GT(recorded, compared / 4) << "trial launches rarely record a journal";
   EXPECT_GT(spin_hangs, compared / 32) << "armed spin loops rarely hang";
   EXPECT_GT(fast_forwarded, spin_hangs / 8) << "hung replayed threads rarely fast-forward";
+  EXPECT_GT(counter_hangs, compared / 64) << "armed counter loops rarely hang";
+  EXPECT_GT(counter_fast, counter_hangs / 8) << "hung counter loops rarely fast-forward";
 }
 
 namespace {

@@ -9,11 +9,13 @@
 // its snapshot table, which replays whole segments only: windowed replay
 // (DESIGN §10) must agree with both.  The remaining tests pin the eligibility predicate (ineligible
 // launches apply nothing), the watchdog rule, the fingerprint check, the
-// hang fast-forward and the write-tracking streams' compile count.
+// hang and counter-loop fast-forwards, the net shared writes and the
+// write-tracking streams' compile count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -1321,14 +1323,16 @@ struct HangRun {
   std::uint64_t fast_forwarded = 0;
 };
 
-/// Launch `prog` on `dev` (job staged anew) with `hooks` (armed with
-/// `spec` when it is an injector and `spec` is set) and, when `journal` is
-/// set, replay it.
-HangRun hang_launch(gpusim::Device& dev, core::KernelJob& job, const kir::BytecodeProgram& prog,
-                    gpusim::LaunchHooks* hooks, core::ControlBlock* cb,
-                    swifi::InjectingHooks* injector, const swifi::FaultSpec* spec,
-                    std::uint64_t watchdog, const gpusim::LaunchJournal* journal) {
+/// Launch `prog` on `dev` (job staged anew, then `plant` given the staged
+/// arguments) with `hooks` (armed with `spec` when it is an injector and
+/// `spec` is set) and, when `journal` is set, replay it.
+HangRun hang_launch(
+    gpusim::Device& dev, core::KernelJob& job, const kir::BytecodeProgram& prog,
+    gpusim::LaunchHooks* hooks, core::ControlBlock* cb, swifi::InjectingHooks* injector,
+    const swifi::FaultSpec* spec, std::uint64_t watchdog, const gpusim::LaunchJournal* journal,
+    const std::function<void(gpusim::Device&, const std::vector<kir::Value>&)>& plant = {}) {
   const std::vector<kir::Value> args = job.setup(dev);
+  if (plant) plant(dev, args);
   if (cb) cb->reset_results();
   if (injector) {
     if (spec)
@@ -1444,14 +1448,54 @@ kir::BytecodeProgram counter_program(std::uint32_t mask, bool check) {
   return kir::lower(k);
 }
 
+/// A one-loop program's shape: a jump-free prologue of `head` instructions,
+/// then a loop of `period` instructions whose back-edge (the last Jmp)
+/// returns to pc `head` — a straight-line body, so its i-th back-edge
+/// leaves the thread's budget at head + i * period.
+struct LoopShape {
+  std::uint64_t head = 0, period = 0;
+  bool ok = false;
+
+  explicit LoopShape(const kir::BytecodeProgram& prog) {
+    std::uint64_t jmp = 0;
+    for (std::uint64_t pc = 0; pc < prog.code.size(); ++pc)
+      if (prog.code[pc].op == kir::OpCode::Jmp && prog.code[pc].aux < pc) {
+        head = prog.code[pc].aux;
+        jmp = pc;
+      }
+    ok = jmp > 0;
+    for (std::uint64_t pc = 0; pc < prog.code.size(); ++pc) {
+      const kir::OpCode op = prog.code[pc].op;
+      const bool jump = op == kir::OpCode::Jmp || op == kir::OpCode::Jz;
+      if (jump && (pc < head || (pc > head && pc < jmp && prog.code[pc].aux <= jmp)))
+        ok = false;  // a prologue jump, or a branch back inside the body
+    }
+    period = jmp - head + 1;
+  }
+  /// The budget at the first back-edge past a golden segment ending at
+  /// budget `golden_end`: where a replayed hang probe first stops.
+  [[nodiscard]] std::uint64_t first_stop_after(std::uint64_t golden_end) const {
+    std::uint64_t i = 1;
+    while (head + i * period <= golden_end) ++i;
+    return head + i * period;
+  }
+  /// Instructions a fast-forward proven at that stop skips.
+  [[nodiscard]] std::uint64_t skipped(std::uint64_t golden_end, std::uint64_t watchdog) const {
+    const std::uint64_t b = first_stop_after(golden_end);
+    const std::uint64_t whole = watchdog + 1 < b ? 0 : (watchdog + 1 - b) / period;
+    return whole >= 2 ? (whole - 1) * period : 0;
+  }
+};
+
 }  // namespace
 
 // Hang fast-forward (DESIGN §10): a replayed slice past its golden segment
 // whose state repeats — same pc and registers, no memory word changed, no
-// hook call, the SDC bit held — charges whole periods up to the watchdog at
+// hook call, the SDC bit held — or whose loop is a proven counter loop
+// (CounterLoopHangsFastForward) charges whole periods up to the watchdog at
 // once.  Every case compares the replay with the journal-less launch on
 // every LaunchResult field, the memory image and the control block.
-TEST(Replay, HungThreadsFastForwardOnlyWhenTheStateRepeats) {
+TEST(Replay, HungThreadsFastForwardOnlyWhenProvablyHung) {
   // (1) The spin loops on FI and FI&FT builds, a fault in `waddr`.
   for (const Spin kind : {Spin::SharedStore, Spin::GlobalStore, Spin::AtomicZero,
                           Spin::AtomicOne}) {
@@ -1500,10 +1544,11 @@ TEST(Replay, HungThreadsFastForwardOnlyWhenTheStateRepeats) {
   }
 
   // (2) One-thread counter loops the golden run never enters and a trial
-  // input of 1 spins in, the control block as hooks.  The state repeats
-  // every mask + 1 iterations, one stop each: a period of 128 stops is found
-  // within the probe's 256, one of 256 is not; nor is a plain counter's or,
-  // with its range check, a period-1 loop's.
+  // input of 1 spins in, the control block as hooks.  Each loop's condition
+  // is invariant and its counter feeds no branch, address or divisor: the
+  // counter-loop proof skips it at the first stop, whether the state
+  // repeats every 128 or 256 iterations or (a plain counter) never.  A range
+  // check in the loop is a hook call: nothing skips it.
   const auto counter = [&](std::uint32_t mask, bool check, std::uint64_t watchdog,
                            const char* what) {
     const kir::BytecodeProgram prog = counter_program(mask, check);
@@ -1524,38 +1569,22 @@ TEST(Replay, HungThreadsFastForwardOnlyWhenTheStateRepeats) {
   };
   constexpr std::uint64_t kWatchdog = 1'000'000;
   EXPECT_GT(counter(127, false, kWatchdog, "period 128").first, kWatchdog / 2);
-  EXPECT_EQ(counter(255, false, kWatchdog, "period 256").first, 0u);
-  EXPECT_EQ(counter(0xffffffffu, false, kWatchdog, "counter").first, 0u);
+  EXPECT_GT(counter(255, false, kWatchdog, "period 256").first, kWatchdog / 2);
+  EXPECT_GT(counter(0xffffffffu, false, kWatchdog, "counter").first, kWatchdog / 2);
   EXPECT_EQ(counter(0, true, kWatchdog, "range check").first, 0u);
 
-  // (3) How many periods a period-1 loop skips.  The loop (cond; Jz; body;
-  // Jmp back) takes P = jmp - head + 1 instructions per iteration after a
-  // jump-free prologue of `head` instructions, so its i-th back-edge leaves
-  // the budget at head + i * P.  The probe starts at the first one past the
-  // golden segment's end and finds the cycle at the next, budget b; then
-  // floor((watchdog + 1 - b) / P) - 1 periods are skipped.
-  const kir::BytecodeProgram prog = counter_program(0, false);
-  std::uint64_t head = 0, jmp = 0;
-  for (std::uint64_t pc = 0; pc < prog.code.size(); ++pc)
-    if (prog.code[pc].op == kir::OpCode::Jmp && prog.code[pc].aux < pc) {
-      head = prog.code[pc].aux;
-      jmp = pc;
-    }
-  ASSERT_GT(jmp, 0u);
-  for (std::uint64_t pc = 0; pc < head; ++pc)
-    ASSERT_TRUE(prog.code[pc].op != kir::OpCode::Jmp && prog.code[pc].op != kir::OpCode::Jz);
-  const std::uint64_t period = jmp - head + 1;
+  // (3) How many periods a period-1 loop skips: the proof holds at the
+  // first stop past the golden segment's end (LoopShape), budget b, and
+  // floor((watchdog + 1 - b) / P) - 1 periods of P are skipped.
+  const LoopShape shape(counter_program(0, false));
+  ASSERT_TRUE(shape.ok);
   const std::uint64_t golden_end = counter(0, false, kWatchdog, "period 1").second;
-  std::uint64_t first = 1;
-  while (head + first * period <= golden_end) ++first;
-  const std::uint64_t b = head + (first + 1) * period;
+  const std::uint64_t b = shape.first_stop_after(golden_end), period = shape.period;
   for (const std::uint64_t watchdog :
-       {b - 1, b, b + 2 * period - 2, b + 2 * period - 1, b + 7 * period + 3, kWatchdog}) {
-    const std::uint64_t whole = (watchdog + 1 - b) / period;
+       {b - 1, b, b + 2 * period - 2, b + 2 * period - 1, b + 7 * period + 3, kWatchdog})
     EXPECT_EQ(counter(0, false, watchdog, "period 1").first,
-              whole >= 2 ? (whole - 1) * period : 0)
+              shape.skipped(golden_end, watchdog))
         << "watchdog " << watchdog << " b " << b << " period " << period;
-  }
 
   // (4) TPACF's write-retry livelock itself: faults in `waddr` (site 30),
   // FI and FI&FT builds, tiny and small scale.
@@ -1612,6 +1641,318 @@ TEST(Replay, HungThreadsFastForwardOnlyWhenTheStateRepeats) {
       EXPECT_EQ(fast, hangs) << (fift ? "fi+ft" : "fi");
     }
   }
+}
+
+namespace {
+
+/// Hand-built counter loops: one thread runs `for (i = in[0]; i < 4; ++i)
+/// body` (Wraparound: `while (i > 0) i += 1 << 20`) over `buf`.  The golden
+/// run (input 0) leaves the loop after four iterations; a trial input with
+/// the sign bit set — a 0x80000000 mask on the counter — makes i negative,
+/// so the loop runs until the watchdog while `buf + i * stride` (stride a
+/// multiple of 2) wraps back in bounds.
+enum class Loop {
+  AffineLoads,    ///< CP: facc += buf[i * 4] * buf[i * 4 + 1]
+  Nested,         ///< SAD: an inner loop of 4 over buf[i * 8 + x]
+  NoMemory,       ///< RPES: float math on i alone
+  GlobalStore,    ///< buf[i & 63] = i
+  SharedStore,    ///< shared[i & 63] = i
+  Detector,       ///< a range check on acc (detector 0)
+  Wraparound,     ///< exits once i wraps negative, long before the watchdog
+  LeavesArena,    ///< loads buf[i * 4096]: leaves the arena before the watchdog
+  LoadedDivisor,  ///< acc += 7 / buf[i * 4]
+  DataBranch,     ///< if (buf[i * 4] > 3) ++acc
+};
+
+kir::BytecodeProgram loop_program(Loop kind) {
+  using kir::f32c;
+  using kir::i32c;
+  kir::KernelBuilder kb("loop", kind == Loop::SharedStore ? 64 : 0);
+  auto buf = kb.param_ptr("buf");
+  auto in = kb.param_ptr("in");
+  auto i = kb.let("i", kb.load_i32(in));
+  auto acc = kb.let("acc", i32c(0));
+  auto facc = kb.let("facc", f32c(0.0f));
+  const bool wrap = kind == Loop::Wraparound;
+  kb.while_loop([&] { return wrap ? i > i32c(0) : i < i32c(4); }, [&] {
+    switch (kind) {
+      case Loop::AffineLoads: {
+        auto base = kb.let("base", buf + i * i32c(4));
+        kb.assign(facc, facc + kb.load_f32(base) * kb.load_f32(base + i32c(1)));
+        break;
+      }
+      case Loop::Nested:
+        kb.for_loop("x", i32c(0), i32c(4), [&](kir::ExprH x) {
+          auto at = kb.let("at", buf + i * i32c(8) + x);
+          kb.assign(acc, acc + kir::abs_(kb.load_i32(at) - kb.load_i32(at + i32c(1))));
+        });
+        break;
+      case Loop::NoMemory: {
+        auto xr = kb.let("xr", kir::to_f32(i + i32c(1)) * f32c(0.5f));
+        kb.assign(facc, facc + xr / (xr * xr + f32c(0.3f)));
+        break;
+      }
+      case Loop::GlobalStore: kb.store(buf + (i & i32c(63)), i); break;
+      case Loop::SharedStore: kb.shstore(i & i32c(63), i); break;
+      case Loop::Detector:
+      case Loop::Wraparound: kb.assign(acc, acc ^ i); break;
+      case Loop::LeavesArena: kb.assign(acc, acc + kb.load_i32(buf + i * i32c(4096))); break;
+      case Loop::LoadedDivisor:
+        kb.assign(acc, acc + i32c(7) / kb.load_i32(buf + i * i32c(4)));
+        break;
+      case Loop::DataBranch:
+        kb.if_then(kb.load_i32(buf + i * i32c(4)) > i32c(3),
+                   [&] { kb.assign(acc, acc + i32c(1)); });
+        break;
+    }
+    kb.assign(i, i + i32c(wrap ? 1 << 20 : 1));
+  });
+  kb.store(buf, acc);
+  kb.store(buf + i32c(1), facc);
+  kb.store(buf + i32c(2), i);
+  kir::Kernel k = kb.build();
+  if (kind == Loop::Detector)
+    for (const kir::StmtPtr& st : k.body)
+      if (st->kind == kir::StmtKind::While) {
+        auto rc = std::make_shared<kir::Stmt>();
+        rc->kind = kir::StmtKind::RangeCheck;
+        rc->detector_id = 0;
+        rc->value = acc.node();
+        st->body.push_back(std::move(rc));
+      }
+  return kir::lower(k);
+}
+
+/// One thread over a 64-word I32 buffer `buf` holding 1..7 repeating and a
+/// one-word input `in` holding `input`; `buf` is the output.
+std::unique_ptr<core::KernelJob> loop_job(std::uint32_t input) {
+  using B = workloads::BufferJob;
+  std::vector<std::uint32_t> data(64);
+  for (std::uint32_t w = 0; w < data.size(); ++w) data[w] = w % 7 + 1;
+  std::vector<B::Buffer> bufs{{std::move(data), gpusim::AllocClass::I32Data},
+                              {{input}, gpusim::AllocClass::I32Data}};
+  gpusim::LaunchConfig cfg;
+  cfg.block_x = 1;
+  return std::make_unique<B>(std::move(bufs), std::vector<B::Arg>{B::Arg::buf(0), B::Arg::buf(1)},
+                             cfg, 0, kir::DType::I32);
+}
+
+}  // namespace
+
+// Counter-loop fast-forward (DESIGN §10, "Hung threads"): a replayed loop
+// whose branch conditions, load addresses and divisors are affine in the
+// period number and keep their direction, stay in the arena clear of latent
+// pairs, resp. stay nonzero up to the watchdog, and whose period has no
+// effect, is skipped at its first stop past the golden segment.  Each case
+// runs its hand-built loop with a sign-bit counter, replayed and as a full
+// launch, and must match it on every LaunchResult field and the memory
+// image; the CP- and RPES-like loops skip exactly whole - 1 periods.
+TEST(Replay, CounterLoopHangsFastForward) {
+  constexpr std::uint64_t kWatchdog = 200'000;
+  struct Case {
+    Loop kind;
+    const char* what;
+    gpusim::LaunchStatus status;
+    bool fast;
+    bool latent = false;  ///< on a Hsiao device, an upset ahead of the loads
+  };
+  using S = gpusim::LaunchStatus;
+  const Case cases[] = {
+      {Loop::AffineLoads, "affine loads", S::Hang, true},
+      {Loop::Nested, "nested", S::Hang, true},
+      {Loop::NoMemory, "no memory", S::Hang, true},
+      {Loop::GlobalStore, "global store", S::Hang, false},
+      {Loop::SharedStore, "shared store", S::Hang, false},
+      {Loop::Detector, "detector", S::Hang, false},
+      {Loop::Wraparound, "wraparound", S::Ok, false},
+      {Loop::LeavesArena, "leaves arena", S::CrashOutOfBounds, false},
+      {Loop::AffineLoads, "latent pair", S::Hang, false, true},
+      {Loop::LoadedDivisor, "loaded divisor", S::CrashDivByZero, false},
+      {Loop::DataBranch, "data branch", S::Hang, false},
+  };
+  for (const Case& c : cases) {
+    const kir::BytecodeProgram prog = loop_program(c.kind);
+    gpusim::DeviceProps props;
+    if (c.latent) props.protection = gpusim::ecc::Scheme::Hsiao;
+    gpusim::Device gdev(props), fdev(props), rdev(props);
+    const auto gjob = loop_job(0);
+    core::ControlBlock gcb(prog), fcb(prog), rcb(prog);
+    const bool hooks = c.kind == Loop::Detector;
+    const swifi::GoldenRun gold = swifi::golden_run(gdev, prog, *gjob, hooks ? &gcb : nullptr, 1);
+    ASSERT_TRUE(gold.journal) << c.what;
+    const std::uint32_t input = c.kind == Loop::Wraparound ? 1u : 0x80000000u;
+    const auto fjob = loop_job(input), rjob = loop_job(input);
+    const auto plant = [&](gpusim::Device& dev, const std::vector<kir::Value>& args) {
+      // Period 500 loads word 2000 of `buf`.
+      if (c.latent) dev.mem().corrupt_word(args[0].bits + 2000, 1u << 9);
+    };
+    const HangRun full = hang_launch(fdev, *fjob, prog, hooks ? &fcb : nullptr, &fcb, nullptr,
+                                     nullptr, kWatchdog, nullptr, plant);
+    const HangRun rep = hang_launch(rdev, *rjob, prog, hooks ? &rcb : nullptr, &rcb, nullptr,
+                                    nullptr, kWatchdog, gold.journal.get(), plant);
+    EXPECT_EQ(full.obs.status, c.status) << c.what;
+    EXPECT_EQ(full.obs.ecc_corrected, c.latent ? 1u : 0u) << c.what;
+    EXPECT_EQ(rep.obs, full.obs) << c.what;
+    EXPECT_EQ(full.fast_forwarded, 0u) << c.what;
+    if (!c.fast) {
+      EXPECT_EQ(rep.fast_forwarded, 0u) << c.what;
+      continue;
+    }
+    EXPECT_GT(rep.fast_forwarded, kWatchdog / 2) << c.what;
+    if (c.kind == Loop::Nested) continue;  // an inner loop: not a LoopShape
+    const LoopShape shape(prog);
+    ASSERT_TRUE(shape.ok) << c.what;
+    EXPECT_EQ(rep.fast_forwarded, shape.skipped(gold.journal->segments.at(0).budget_after,
+                                                kWatchdog))
+        << c.what;
+  }
+}
+
+namespace {
+
+/// Journal segments in the serial order they ran: block by block, and in
+/// each barrier epoch every thread of the block that has a segment there,
+/// in index order.
+std::vector<std::uint32_t> serial_order(const gpusim::LaunchJournal& j,
+                                        std::uint32_t threads_per_block) {
+  std::vector<std::uint32_t> order;
+  const auto slots = static_cast<std::uint32_t>(j.thread_begin.size() - 1);
+  for (std::uint32_t b = 0; b * threads_per_block < slots; ++b)
+    for (std::uint32_t k = 0;; ++k) {
+      bool any = false;
+      for (std::uint32_t i = 0; i < threads_per_block; ++i) {
+        const std::uint32_t slot = b * threads_per_block + i;
+        if (j.thread_begin[slot] + k < j.thread_begin[slot + 1]) {
+          order.push_back(j.thread_begin[slot] + k);
+          any = true;
+        }
+      }
+      if (!any) break;
+    }
+  return order;
+}
+
+/// A two-thread kernel over three shared words: thread 0 first stores the
+/// input word to shared[0] (0 in the golden run: a store of the value the
+/// word holds); after a barrier thread 1 clears shared[0] and bumps
+/// shared[1] and shared[2] twice; after another, thread 0 copies all three
+/// to `buf`.
+kir::BytecodeProgram clear_then_update_program() {
+  using kir::i32c;
+  kir::KernelBuilder kb("clear_update", 3);
+  auto buf = kb.param_ptr("buf");
+  auto in = kb.param_ptr("in");
+  auto t = kb.let("t", kb.tid_x());
+  kb.if_then(t == i32c(0), [&] { kb.shstore(i32c(0), kb.load_i32(in)); });
+  kb.barrier();
+  kb.if_then(t == i32c(1), [&] {
+    kb.shstore(i32c(0), i32c(0));
+    for (int rep = 0; rep < 2; ++rep)
+      for (int w = 1; w < 3; ++w) kb.shstore(i32c(w), kb.shload_i32(i32c(w)) + i32c(w));
+  });
+  kb.barrier();
+  kb.if_then(t == i32c(0), [&] {
+    for (int w = 0; w < 3; ++w) kb.store(buf + i32c(w), kb.shload_i32(i32c(w)));
+  });
+  return kir::lower(kb.build());
+}
+
+}  // namespace
+
+// Net shared writes (DESIGN §10): an applied segment writes, per shared word
+// it stores, only its last store, and of those only the ones that change
+// the word's golden value unless the delta set holds shared words.  (1) On
+// TPACF's tiny and small journals and the clear-then-update kernel's, each
+// segment's net list equals a serial re-application of its ordered list,
+// those that change the golden image first.  (2) A trial whose interpreted
+// slice changes shared[0], which a later applied segment rewrites with its
+// golden value, must still read that value back: the replay matches the
+// full launch.
+TEST(Replay, NetSharedWritesMatchTheOrderedWrites) {
+  const auto check = [](const gpusim::LaunchJournal& j, std::uint32_t threads_per_block,
+                        std::uint32_t shared_words, const std::string& what) {
+    std::vector<std::uint32_t> image;
+    std::uint32_t block = ~0u;
+    std::size_t ordered = 0, net = 0, changes = 0;
+    for (const std::uint32_t g : serial_order(j, threads_per_block)) {
+      const auto slot = static_cast<std::uint32_t>(
+          std::upper_bound(j.thread_begin.begin(), j.thread_begin.end(), g) -
+          j.thread_begin.begin() - 1);
+      if (slot / threads_per_block != block) {
+        block = slot / threads_per_block;
+        image.assign(shared_words, 0);
+      }
+      const gpusim::LaunchJournal::Segment& s = j.segments[g];
+      std::vector<std::uint32_t> after = image, from_net = image;
+      for (std::uint32_t w = 0; w < s.shared_writes; ++w) {
+        const auto& x = j.shared_writes[s.first_shared_write + w];
+        after[x.addr] = x.value;
+      }
+      std::vector<std::uint32_t> seen;
+      for (std::uint32_t w = 0; w < s.net_shared_writes; ++w) {
+        const auto& x = j.net_shared_writes[s.first_net_shared_write + w];
+        EXPECT_EQ(x.value != image[x.addr], w < s.net_shared_changes) << what << " segment " << g;
+        seen.push_back(x.addr);
+        from_net[x.addr] = x.value;
+      }
+      std::sort(seen.begin(), seen.end());
+      EXPECT_TRUE(std::adjacent_find(seen.begin(), seen.end()) == seen.end()) << what;
+      std::vector<std::uint32_t> stored;
+      for (std::uint32_t w = 0; w < s.shared_writes; ++w)
+        stored.push_back(j.shared_writes[s.first_shared_write + w].addr);
+      std::sort(stored.begin(), stored.end());
+      stored.erase(std::unique(stored.begin(), stored.end()), stored.end());
+      EXPECT_EQ(seen, stored) << what << " segment " << g;
+      EXPECT_EQ(from_net, after) << what << " segment " << g;
+      image = after;
+      ordered += s.shared_writes;
+      net += s.net_shared_writes;
+      changes += s.net_shared_changes;
+    }
+    EXPECT_EQ(ordered, j.shared_writes.size()) << what;
+    EXPECT_EQ(net, j.net_shared_writes.size()) << what;
+    EXPECT_LT(changes, net) << what;
+  };
+
+  // (1) TPACF, tiny and small, FI build.
+  for (const Scale scale : {Scale::Tiny, Scale::Small}) {
+    const auto w = make_tpacf();
+    const Dataset ds = w->make_dataset(kDatasetSeed, scale);
+    const kir::BytecodeProgram prog =
+        core::build_variants(w->build_kernel(scale)).fi;
+    gpusim::Device dev;
+    const auto job = w->make_job(ds);
+    const swifi::GoldenRun gold = swifi::golden_run(dev, prog, *job, nullptr, 1);
+    ASSERT_TRUE(gold.journal);
+    const gpusim::LaunchConfig cfg = job->config();
+    check(*gold.journal, cfg.block_x * cfg.block_y, prog.shared_mem_words,
+          scale == Scale::Tiny ? "TPACF tiny" : "TPACF small");
+  }
+
+  // (2) The clear-then-update kernel, input 0 golden and 7 in the trial.
+  const kir::BytecodeProgram prog = clear_then_update_program();
+  gpusim::Device gdev, fdev, rdev;
+  const auto gjob = spin_job(2, 0);
+  const swifi::GoldenRun gold = swifi::golden_run(gdev, prog, *gjob, nullptr, 1);
+  ASSERT_TRUE(gold.journal);
+  check(*gold.journal, 2, 3, "clear then update");
+  const auto run = [&](gpusim::Device& dev, const gpusim::LaunchJournal* journal) {
+    const auto job = spin_job(2, 7);
+    const std::vector<kir::Value> args = job->setup(dev);
+    gpusim::LaunchOptions opts;
+    opts.max_workers = 1;
+    opts.journal = journal;
+    const gpusim::LaunchResult res = dev.launch(prog, job->config(), args, opts);
+    return std::tuple(res.status, res.instructions, res.cycles, res.replayed_segments,
+                      dev.mem().image());
+  };
+  const auto full = run(fdev, nullptr);
+  const auto rep = run(rdev, gold.journal.get());
+  EXPECT_EQ(std::get<0>(rep), std::get<0>(full));
+  EXPECT_EQ(std::get<1>(rep), std::get<1>(full));
+  EXPECT_EQ(std::get<2>(rep), std::get<2>(full));
+  EXPECT_EQ(std::get<4>(rep), std::get<4>(full));
+  EXPECT_GT(std::get<3>(rep), 0u);  // thread 1's clear was applied
 }
 
 namespace {
