@@ -22,11 +22,11 @@
 // protection rows, the golden-recording times, the interpreted-instruction
 // shares of replayed trials, the threaded streams a replayed and a
 // journal-less sanitized campaign compile, the
-// hang fast-forward rows (TPACF's repeating states, CP's counter loops), the
-// shared words TPACF replays write, the device construction time, the
+// hang fast-forward rows (TPACF's write-retry livelocks, CP's counter loops),
+// the shared words TPACF replays write, the device construction time, the
 // per-launch host overhead and the determinism verdict as JSON).  Exits
-// nonzero when outcomes diverge across rows, or TPACF or CP trials hang and
-// none of them fast-forwards.
+// nonzero when outcomes diverge across rows, or a hung TPACF or CP trial
+// does not fast-forward.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -132,7 +132,8 @@ struct TinyCampaign {
 /// Hung trials of a tiny campaign (DESIGN §10, "Hung threads"): how many
 /// hung, how many of them fast-forwarded, and the median milliseconds per
 /// hung trial replayed and as a full launch (every hung trial runs both
-/// ways, and must agree).
+/// ways, and must agree on status, totals, SDC bit, ECC corrections and
+/// memory image).
 struct HangRow {
   std::size_t hung = 0, fast_forwarded = 0;
   double replayed_ms = 0, full_ms = 0;
@@ -150,10 +151,13 @@ HangRow hang_row(std::unique_ptr<workloads::Workload> w, std::uint64_t seed, int
     ++row.hung;
     row.fast_forwarded += res.fast_forwarded_instructions > 0;
     rep_ms.push_back(1e3 * s);
+    const std::vector<std::uint32_t> image = c.dev.mem().image();
     gpusim::LaunchResult full;
     full_ms.push_back(1e3 * seconds([&] { full = c.launch(spec, nullptr); }));
     row.deterministic = row.deterministic && full.status == res.status &&
-                        full.instructions == res.instructions && full.cycles == res.cycles;
+                        full.instructions == res.instructions && full.cycles == res.cycles &&
+                        full.loop_cycles == res.loop_cycles && full.sdc_alarm == res.sdc_alarm &&
+                        full.ecc_corrected == res.ecc_corrected && c.dev.mem().image() == image;
   }
   const auto median = [](std::vector<double> v) {
     if (v.empty()) return 0.0;
@@ -342,9 +346,11 @@ int main(int argc, char** argv) {
   // Golden recording: each campaign opens with a golden run of the FI&FT
   // build under its control block, which records the segment journal its
   // trials replay.  Recording follows the device's engine, so each engine
-  // gets a row: median and interquartile range of 11 golden runs on a warm
-  // device (the first run, which builds the launch plan, is not counted).
-  std::map<std::string, std::array<double, 3>> record_ms;  // engine -> {q1, median, q3}
+  // gets a row: median, p25 and p75 of 11 golden runs on a warm device (the
+  // first run, which builds the launch plan, is not counted).  Eleven runs
+  // in one process cannot resolve a few-percent recording change: the
+  // quartiles show how wide the row's own spread is.
+  std::map<std::string, std::array<double, 3>> record_ms;  // engine -> {p25, median, p75}
   {
     std::printf("\ngolden recording (FI&FT build, control block, 11 runs):\n");
     for (const auto engine : {gpusim::ExecEngine::Reference, gpusim::ExecEngine::Threaded}) {
@@ -362,15 +368,15 @@ int main(int argc, char** argv) {
       const std::array<double, 3> q = {ms[ms.size() / 4], ms[ms.size() / 2],
                                        ms[3 * ms.size() / 4]};
       record_ms[gpusim::exec_engine_name(engine)] = q;
-      std::printf("  %-10s %.3f ms (IQR %.3f-%.3f)\n", gpusim::exec_engine_name(engine), q[1],
-                  q[0], q[2]);
+      std::printf("  %-10s %.3f ms (p25 %.3f, p75 %.3f)\n", gpusim::exec_engine_name(engine),
+                  q[1], q[0], q[2]);
     }
     std::printf("  reference / threaded: %.2fx\n",
                 record_ms["reference"][1] / record_ms["threaded"][1]);
   }
   // A single-bit memory-fault campaign's golden run — the FT build under its
   // control block on a Hsiao device — records only the net effect: its
-  // median and IQR next to the full journal's of the same launch (11 runs
+  // median and quartiles next to the full journal's of the same launch (11 runs
   // each on a warm threaded device, the two kinds alternating).
   {
     gpusim::DeviceProps hsiao;
@@ -394,7 +400,7 @@ int main(int argc, char** argv) {
                                        ms[k][3 * ms[k].size() / 4]};
       const char* name = k ? "net_effect" : "full_record";
       record_ms[name] = q;
-      std::printf("  %-11s %.3f ms (IQR %.3f-%.3f)\n", name, q[1], q[0], q[2]);
+      std::printf("  %-11s %.3f ms (p25 %.3f, p75 %.3f)\n", name, q[1], q[0], q[2]);
     }
     std::printf("  net effect / full journal: %.2f\n",
                 record_ms["net_effect"][1] / record_ms["full_record"][1]);
@@ -619,8 +625,10 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"golden_record_ms\": {\n");
     i = 0;
     for (const auto& [en, q] : record_ms)
-      std::fprintf(f, "    \"%s\": {\"median\": %.4f, \"iqr\": %.4f, \"runs\": 11}%s\n",
-                   en.c_str(), q[1], q[2] - q[0], ++i < record_ms.size() ? "," : "");
+      std::fprintf(f,
+                   "    \"%s\": {\"median\": %.4f, \"p25\": %.4f, \"p75\": %.4f, "
+                   "\"runs\": 11}%s\n",
+                   en.c_str(), q[1], q[0], q[2], ++i < record_ms.size() ? "," : "");
     std::fprintf(f, "  },\n  \"record_speedup_threaded_vs_reference\": %.4f,\n",
                  record_ms.at("reference")[1] / record_ms.at("threaded")[1]);
     std::fprintf(f, "  \"net_effect_vs_full_record\": %.4f,\n",
@@ -663,8 +671,9 @@ int main(int argc, char** argv) {
   }
   bool hangs_fast_forward = true;
   for (const auto& [program, h] : {std::pair{"TPACF", tpacf_hangs}, std::pair{"CP", cp_hangs}})
-    if (h.hung > 0 && h.fast_forwarded == 0) {
-      std::fprintf(stderr, "error: no hung %s trial fast-forwarded\n", program);
+    if (h.fast_forwarded < h.hung) {
+      std::fprintf(stderr, "error: %zu of %zu hung %s trials did not fast-forward\n",
+                   h.hung - h.fast_forwarded, h.hung, program);
       hangs_fast_forward = false;
     }
   return deterministic && hangs_fast_forward ? 0 : 1;

@@ -278,8 +278,8 @@ std::uint32_t eval_un(UnOp op, DType t, std::uint32_t a) noexcept {
 /// write-tracking launches only); it resumes from t.pc as if never stopped.
 enum class ThreadStop : std::uint8_t { Done, Barrier, Crash, Budget, Snapshot };
 
-/// A value computed in one period of a replayed loop (counter-loop
-/// fast-forward, BlockExec::probe_hang) as a function of the period number
+/// A value computed in one period of a replayed loop (hang fast-forward,
+/// BlockExec::fast_forward_loop) as a function of the period number
 /// n: v + n * step in 32-bit wraparound, v being its value in period 0; or
 /// opaque, when no such form is shown.
 struct Affine {
@@ -1192,7 +1192,7 @@ class BlockExec {
   /// Instructions replay took from the journal instead of interpreting:
   /// applied segments, skipped prefixes and rejoined suffixes.
   std::uint64_t replayed_instructions = 0;
-  /// Instructions a hung thread's fast-forward skipped (probe_hang).
+  /// Instructions a hung thread's fast-forward skipped (fast_forward_loop).
   std::uint64_t fast_forwarded = 0;
   /// Shared words replay wrote from the journal.
   std::uint64_t replayed_shared_writes = 0;
@@ -1240,12 +1240,6 @@ class BlockExec {
   /// occurrence is still a possible difference.
   [[nodiscard]] bool armed_pending(const ThreadCtx& t) const noexcept {
     return armed_ && t.linear == fi_thread_ && !fired_;
-  }
-  /// Every LaunchHooks call of the interpreters goes through here, so the
-  /// hang probe can tell whether a stretch of a slice made any.
-  LaunchHooks& hooks() noexcept {
-    ++hook_calls_;
-    return *opts_.hooks;
   }
   /// An fi_hook call injected its fault.  The thread leaves the stream with
   /// live FIHooks at its next slice (step_thread); in a replay the slice
@@ -1325,12 +1319,6 @@ class BlockExec {
   std::uint64_t stop_at_ = kNoStop;
   std::uint64_t seg_instructions_ = 0, seg_cycles_ = 0, seg_loop_cycles_ = 0;
   std::uint32_t* site_counts_ = nullptr;
-  // Hang probe (probe_hang): the LaunchHooks calls made so far, and whether
-  // an interpreted write of a replay changed a memory word since the probe
-  // last cleared it.
-  std::uint64_t hook_calls_ = 0;
-  bool changed_ = false;
-  std::vector<std::uint32_t> probe_regs_;  ///< the probe's saved registers
   /// Counter-loop fast-forward: each register's value at the period's
   /// start and as traced (fast_forward_loop).
   std::vector<Affine> probe_start_, probe_vals_;
@@ -1551,28 +1539,28 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
       case OpCode::RangeCheck:
         if (opts_.hooks) {
           const DType vt = prog_.detectors[in.aux].value_type;
-          if (hooks().check_range(static_cast<int>(in.aux), kir::Value{vt, regs[in.a]}))
+          if (opts_.hooks->check_range(static_cast<int>(in.aux), kir::Value{vt, regs[in.a]}))
             sdc = true;
         }
         break;
       case OpCode::EqualCheck:
         if (regs[in.a] != regs[in.b]) {
           sdc = true;
-          if (opts_.hooks) hooks().equal_check_failed(static_cast<int>(in.aux));
+          if (opts_.hooks) opts_.hooks->equal_check_failed(static_cast<int>(in.aux));
         }
         break;
       case OpCode::ProfileVal:
         if (opts_.hooks) {
           const DType vt = prog_.detectors[in.aux].value_type;
-          hooks().profile_value(static_cast<int>(in.aux), kir::Value{vt, regs[in.a]});
+          opts_.hooks->profile_value(static_cast<int>(in.aux), kir::Value{vt, regs[in.a]});
         }
         break;
       case OpCode::CountExec:
-        if (opts_.hooks) hooks().count_exec(in.aux, t.linear);
+        if (opts_.hooks) opts_.hooks->count_exec(in.aux, t.linear);
         break;
       case OpCode::FIHook:
         if (site_counts_) ++site_counts_[in.aux];
-        if (opts_.hooks && hooks().fi_hook(in.aux, t.linear, regs[in.a])) fire();
+        if (opts_.hooks && opts_.hooks->fi_hook(in.aux, t.linear, regs[in.a])) fire();
         break;
       default:
         crash_status = LaunchStatus::CrashInvalidInstr;
@@ -1628,10 +1616,6 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   std::uint32_t* const __restrict gmem = arena.data();  // null for PagedCpu
   const auto gsize = static_cast<std::uint32_t>(arena.size());
   const auto ssize = static_cast<std::uint32_t>(shared_.size());
-  // Raw words whatever the protection, for the replay's write compares.
-  const std::span<std::uint32_t> flat = mem.flat_words();
-  const std::uint32_t* const words = flat.data();
-  const auto wsize = static_cast<std::uint32_t>(flat.size());
   const std::uint64_t watchdog = opts_.watchdog_instructions;
   std::uint64_t local_cycles = 0, local_loop = 0, local_instr = 0;
 
@@ -1887,24 +1871,24 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   X(ChkValidate, T_DO, if (regs[in->dst] != 0) sdc = true)                             \
   X(DupCmp, T_DO, if (regs[in->a] != regs[in->b]) sdc = true)                          \
   X(RangeCheck, T_DO,                                                                  \
-    if (opts_.hooks && hooks().check_range(static_cast<int>(in->aux),                  \
-                                           kir::Value{static_cast<DType>(in->t),       \
-                                                      regs[in->a]})) sdc = true)       \
+    if (opts_.hooks && opts_.hooks->check_range(static_cast<int>(in->aux),             \
+                                                kir::Value{static_cast<DType>(in->t),  \
+                                                           regs[in->a]})) sdc = true)  \
   X(EqualCheck, T_DO, if (regs[in->a] != regs[in->b]) {                                \
     sdc = true;                                                                        \
-    if (opts_.hooks) hooks().equal_check_failed(static_cast<int>(in->aux));            \
+    if (opts_.hooks) opts_.hooks->equal_check_failed(static_cast<int>(in->aux));       \
   })                                                                                   \
   X(ProfileVal, T_DO,                                                                  \
-    if (opts_.hooks) hooks().profile_value(static_cast<int>(in->aux),                  \
-                                           kir::Value{static_cast<DType>(in->t),       \
-                                                      regs[in->a]}))                   \
-  X(CountExec, T_DO, if (opts_.hooks) hooks().count_exec(in->aux, t.linear))           \
+    if (opts_.hooks) opts_.hooks->profile_value(static_cast<int>(in->aux),             \
+                                                kir::Value{static_cast<DType>(in->t),  \
+                                                           regs[in->a]}))              \
+  X(CountExec, T_DO, if (opts_.hooks) opts_.hooks->count_exec(in->aux, t.linear))      \
   X(FIHook, T_DO,                                                                      \
-    if (opts_.hooks && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire())        \
+    if (opts_.hooks && opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a])) fire())   \
   /* A recording stream's FIHook: counted for the snapshot table, then the */          \
   /* hook call the filter allows (see TOp::RecFIHook). */                              \
   X(RecFIHook, T_DO, ++site_counts_[in->aux];                                          \
-    if (in->t == 1 && hooks().fi_hook(in->aux, t.linear, regs[in->a])) fire())
+    if (in->t == 1 && opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a])) fire())
 #define T_DO(PRE, CRASH, ...)           \
   {                                     \
     PRE;                                \
@@ -1972,11 +1956,8 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
 #define T_STORE_G(PRE, CRASH, FORM)                                                \
   {                                                                                \
     PRE;                                                                           \
-    constexpr bool recorded = AccessForm::FORM == AccessForm::Recorded;            \
     const std::uint32_t addr = regs[in->a];                                        \
     const std::uint32_t value = regs[in->b];                                       \
-    /* A replay's hang probe asks whether the store changed the word. */           \
-    const bool same = recorded && delta_ && addr < wsize && words[addr] == value;  \
     if (gmem) {                                                                    \
       if (addr >= gsize) CRASH(LaunchStatus::CrashOutOfBounds);                    \
       gmem[addr] = value;                                                          \
@@ -1984,15 +1965,13 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     } else if (!mem.store(addr, value)) {                                          \
       CRASH(mem_fail_status());                                                    \
     }                                                                              \
-    if constexpr (recorded) {                                                      \
-      if (delta_) {                                                                \
-        if (!same) changed_ = true;                                                \
+    if constexpr (AccessForm::FORM == AccessForm::Recorded) {                      \
+      if (delta_)                                                                  \
         delta_->global_write(addr, value, LaunchJournal::WriteKind::Store);        \
-      } else if (rec_) {                                                           \
+      else if (rec_)                                                               \
         rec_->global_store(addr, value);                                           \
-      } else {                                                                     \
+      else                                                                         \
         touch_->write(addr);                                                       \
-      }                                                                            \
     }                                                                              \
     T_NEXT();                                                                      \
   }
@@ -2017,7 +1996,6 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   {                                                                                \
     PRE;                                                                           \
     constexpr bool sanitized = AccessForm::FORM == AccessForm::Sanitized;          \
-    constexpr bool recorded = AccessForm::FORM == AccessForm::Recorded;            \
     const std::uint32_t addr = regs[in->a];                                        \
     if (addr >= ssize) {                                                           \
       if constexpr (sanitized)                                                     \
@@ -2026,11 +2004,8 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     }                                                                              \
     if constexpr (sanitized)                                                       \
       shadow_->on_store(pc - 1, sites_[pc - 1], t.block_index, addr, epoch_);      \
-    if constexpr (recorded) {                                                      \
-      if (delta_ && shared_[addr] != regs[in->b]) changed_ = true;                 \
-    }                                                                              \
     shared_[addr] = regs[in->b];                                                   \
-    if constexpr (recorded) {                                                      \
+    if constexpr (AccessForm::FORM == AccessForm::Recorded) {                      \
       if (rec_)                                                                    \
         rec_->shared_store(addr, regs[in->b]);                                     \
       else                                                                         \
@@ -2047,10 +2022,10 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     PRE;                                                                           \
     const std::uint32_t addr = regs[in->a];                                        \
     const std::uint32_t addend = regs[in->b];                                      \
-    std::uint32_t pre = 0, post = 0;                                               \
+    std::uint32_t pre = 0;                                                         \
     const auto add = [&](std::uint32_t w) {                                        \
       pre = w;                                                                     \
-      return post = OP(w, addend);                                                 \
+      return OP(w, addend);                                                        \
     };                                                                             \
     {                                                                              \
       std::lock_guard<std::mutex> lk(dev_.atomic_mutex());                         \
@@ -2063,14 +2038,12 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
       }                                                                            \
     }                                                                              \
     if constexpr (AccessForm::FORM == AccessForm::Recorded) {                      \
-      if (delta_) {                                                                \
-        if (post != pre) changed_ = true;                                          \
+      if (delta_)                                                                  \
         delta_->global_write(addr, addend, LaunchJournal::WriteKind::KIND);        \
-      } else if (rec_) {                                                           \
+      else if (rec_)                                                               \
         rec_->global_atomic(addr, addend, LaunchJournal::WriteKind::KIND, pre);    \
-      } else {                                                                     \
+      else                                                                         \
         touch_->write(addr);                                                       \
-      }                                                                            \
     }                                                                              \
     T_NEXT();                                                                      \
   }
@@ -2117,11 +2090,13 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   {                                                                                      \
     PRE;                                                                                 \
     if (opts_.hooks) {                                                                   \
-      if (hooks().check_range(static_cast<int>(in->aux),                                 \
-                              kir::Value{static_cast<DType>(in->t & 0xf), regs[in->a]})) \
+      if (opts_.hooks->check_range(static_cast<int>(in->aux),                            \
+                                   kir::Value{static_cast<DType>(in->t & 0xf),           \
+                                              regs[in->a]}))                             \
         sdc = true;                                                                      \
-      if (hooks().check_range(static_cast<int>(in->imm),                                 \
-                              kir::Value{static_cast<DType>(in->t >> 4), regs[in->c]}))  \
+      if (opts_.hooks->check_range(static_cast<int>(in->imm),                            \
+                                   kir::Value{static_cast<DType>(in->t >> 4),            \
+                                              regs[in->c]}))                             \
         sdc = true;                                                                      \
     }                                                                                    \
     pc += 2;                                                                             \
@@ -2679,9 +2654,8 @@ bool BlockExec::rejoin(ThreadCtx& t, std::uint32_t g, std::uint32_t i) {
   return true;
 }
 
-/// Replay: Brent's cycle search over the stops of one interpreted slice at
-/// its taken backward jumps, and the loop heads a counter-loop proof was
-/// tried at (probe_hang).
+/// Replay: the loop heads a slice's hang probe tried a counter-loop proof
+/// at, and its stops so far (probe_hang).
 struct BlockExec::HangProbe {
   /// Stops after which the probe gives up on the slice.
   static constexpr std::uint32_t kMaxStops = 256;
@@ -2690,76 +2664,21 @@ struct BlockExec::HangProbe {
   std::array<std::uint32_t, kMaxHeads> heads{};
   std::uint32_t tried = 0;
   std::uint32_t stops = 0;
-  std::uint32_t power = 1, lam = 0;  ///< Brent: stops allowed / made since the save
-  bool saved = false, over = false;
-  // The saved visit: pc and budget, the block's totals and the state the
-  // cycle condition compares (registers in probe_regs_).
-  std::uint32_t pc = 0;
-  std::uint64_t budget = 0, instructions = 0, cycles = 0, loop_cycles = 0;
-  std::uint64_t hook_calls = 0, ecc_corrected = 0;
-  bool sdc = false;
+  bool over = false;
 };
 
 /// Replay: a stop of a slice past its golden segment (or of a thread with
-/// none left), right after a taken backward jump.  The thread is hung for
-/// good if it stands at the saved visit's pc with its registers, and since
-/// that visit no memory word changed value (every interpreted store wrote
-/// the word's value, every atomic left its word as it was: the stream's
-/// Rec* handlers compare into changed_, and a slice handed to run_thread
-/// ends there, before its next stop), no ECC correction happened, no
-/// LaunchHooks call was made and the SDC bit held: it then repeats that
-/// period of P instructions until the watchdog, since in a serial launch
-/// nothing else runs meanwhile.  Whole periods are charged at once, k =
-/// floor((watchdog + 1 - budget) / P) - 1 of them, and the interpreter runs
-/// the last P to 2P - 1 instructions, so the Hang fires at the same
-/// instruction with the same totals as a full launch.  That exact repeat is
-/// the case of a counter loop whose every step is zero; the first stop at
-/// each loop head also tries the general case (fast_forward_loop).  Else
-/// the visit may become the saved one (Brent: at stop counts 1, 2, 4, ...
-/// past the last save).  Returns true when the probe is over: a cycle was
-/// found, a counter loop fast-forwarded or kMaxStops stops passed.
+/// none left), right after a taken backward jump.  The first stop at each
+/// loop head tries to prove the thread hung in that loop until the watchdog
+/// and skip the periods in between (fast_forward_loop).  Returns true when
+/// the probe is over: a loop fast-forwarded or kMaxStops stops passed.
 bool BlockExec::probe_hang(ThreadCtx& t, HangProbe& p) {
-  const std::uint64_t ecc = dev_.mem().ecc_corrected();
-  if (p.saved && t.pc == p.pc && !changed_ && hook_calls_ == p.hook_calls && sdc == p.sdc &&
-      ecc == p.ecc_corrected && std::equal(t.regs, t.regs + prog_.num_slots, probe_regs_.begin())) {
-    const std::uint64_t watchdog = opts_.watchdog_instructions;
-    const std::uint64_t period = t.budget_used - p.budget;
-    // The interpreter still runs watchdog + 1 - budget instructions.
-    const std::uint64_t whole = watchdog == ~std::uint64_t{0} || t.budget_used > watchdog
-                                    ? 0
-                                    : (watchdog - t.budget_used + 1) / period;
-    if (whole >= 2) {
-      const std::uint64_t n = whole - 1;
-      instructions += n * (instructions - p.instructions);
-      cycles += n * (cycles - p.cycles);
-      loop_cycles += n * (loop_cycles - p.loop_cycles);
-      t.budget_used += n * period;
-      fast_forwarded += n * period;
-    }
-    return true;
-  }
   if (p.tried < HangProbe::kMaxHeads &&
       std::find(p.heads.begin(), p.heads.begin() + p.tried, t.pc) == p.heads.begin() + p.tried) {
     p.heads[p.tried++] = t.pc;
     if (fast_forward_loop(t)) return true;
   }
-  if (++p.stops >= HangProbe::kMaxStops) return true;
-  if (!p.saved || ++p.lam == p.power) {
-    if (p.saved) p.power *= 2;
-    p.saved = true;
-    p.lam = 0;
-    p.pc = t.pc;
-    p.budget = t.budget_used;
-    p.instructions = instructions;
-    p.cycles = cycles;
-    p.loop_cycles = loop_cycles;
-    p.hook_calls = hook_calls_;
-    p.ecc_corrected = ecc;
-    p.sdc = sdc;
-    probe_regs_.assign(t.regs, t.regs + prog_.num_slots);
-    changed_ = false;
-  }
-  return false;
+  return ++p.stops >= HangProbe::kMaxStops;
 }
 
 /// Replay: counter-loop fast-forward.  Thread t stands at loop head t.pc,
@@ -2771,16 +2690,18 @@ bool BlockExec::probe_hang(ThreadCtx& t, HangProbe& p) {
 /// watchdog cuts (last), that whatever decides the path or a crash — each
 /// branch condition, load address and integer divisor — is affine in n and
 /// keeps the branch's direction, stays inside the arena clear of latent
-/// ECC pairs, and stays nonzero; and that the period stores nothing and
-/// makes no barrier, hook call or detector op.  A register whose value at
-/// the period's end is not its start plus d turns opaque and the trace is
-/// redone: it may feed only values nothing above depends on.  By induction
-/// every period then runs the same path with no effect, and the thread
-/// hangs; like an exact repeat it skips k = floor((watchdog + 1 - budget) /
-/// P) - 1 periods of P instructions, setting each affine register to its
-/// value after them.  Opaque registers keep theirs: nothing that decides
-/// the path depends on them, and the Hang ends the launch before anything
-/// else could read them.
+/// ECC pairs, and stays nonzero; that every write leaves its word as it
+/// was (an invariant address clear of latent pairs, an invariant value,
+/// and the word already holding what the write leaves); and that the
+/// period makes no barrier, hook call or detector op.  A register whose
+/// value at the period's end is not its start plus d turns opaque and the
+/// trace is redone: it may feed only values nothing above depends on.  By
+/// induction every period then runs the same path with no effect, and the
+/// thread hangs; it skips k = floor((watchdog + 1 - budget) / P) - 1
+/// periods of P instructions, setting each affine register to its value
+/// after them, and the interpreter runs the last P to 2P - 1 instructions.
+/// Opaque registers keep theirs: nothing that decides the path depends on
+/// them, and the Hang ends the launch before anything else could read them.
 bool BlockExec::fast_forward_loop(ThreadCtx& t) {
   const std::uint64_t watchdog = opts_.watchdog_instructions;
   if (watchdog == ~std::uint64_t{0} || t.budget_used > watchdog) return false;
@@ -2821,13 +2742,14 @@ bool BlockExec::fast_forward_loop(ThreadCtx& t) {
 /// Replay: one period of thread t's loop at head t.pc on `regs` (a copy of
 /// its registers), run with the reference interpreter's semantics up to
 /// the taken backward jump back to the head, its totals in `per`.  Fails
-/// at an op a fast-forward cannot skip — a store, an atomic, a barrier,
-/// Halt, a detector op, a hook call (a live FIHook or a profiling op) — at
-/// a latent pair, at a crash, and past kMaxPeriod instructions.  With
-/// `vals` it also carries every register's Affine value and fails unless
-/// every branch condition, load address and integer divisor is shown to
-/// keep its direction, stay in bounds, resp. stay nonzero in every period
-/// n in [0, last] (fast_forward_loop).
+/// at an op a fast-forward cannot skip — a write that changes its word, a
+/// barrier, Halt, a detector op, a hook call (a live FIHook or a profiling
+/// op) — at a latent pair, at a crash, and past kMaxPeriod instructions.
+/// With `vals` it also carries every register's Affine value and fails
+/// unless every branch condition, load address and integer divisor is
+/// shown to keep its direction, stay in bounds, resp. stay nonzero, and
+/// every write's address and value to stay put, in every period n in
+/// [0, last] (fast_forward_loop).
 bool BlockExec::trace_period(const ThreadCtx& t, std::uint32_t* regs, Affine* vals,
                              std::uint64_t last, PeriodTotals& per) {
   static constexpr std::uint64_t kMaxPeriod = 4096;
@@ -2842,7 +2764,7 @@ bool BlockExec::trace_period(const ThreadCtx& t, std::uint32_t* regs, Affine* va
     regs[r] = v;
     if (vals) vals[r] = a;
   };
-  // Whether the load at `addr` (value a) reads inside a memory of `size`
+  // Whether the access at `addr` (value a) stays inside a memory of `size`
   // words, clear of latent pairs when global, in every period.
   const auto load_ok = [&](std::uint32_t addr, const Affine& a, std::uint32_t size,
                            bool global) {
@@ -2914,6 +2836,25 @@ bool BlockExec::trace_period(const ThreadCtx& t, std::uint32_t* regs, Affine* va
           return false;
         set(in.dst, shared_[addr],
             val(in.a).invariant() ? Affine{shared_[addr], 0} : Affine{0, 0, true});
+        break;
+      }
+      case OpCode::StoreG:
+      case OpCode::StoreS:
+      case OpCode::AtomicAddG: {
+        // Effect-free writes only: memory is then the same at every
+        // period's start.
+        const std::uint32_t addr = regs[in.a], b = regs[in.b];
+        const bool global = in.op != OpCode::StoreS;
+        const std::span<const std::uint32_t> words =
+            global ? gmem : std::span<const std::uint32_t>(shared_);
+        if (!val(in.b).invariant() || !val(in.a).invariant() ||
+            !load_ok(addr, val(in.a), static_cast<std::uint32_t>(words.size()), global))
+          return false;
+        const std::uint32_t w = words[addr];
+        const std::uint32_t post = in.op != OpCode::AtomicAddG    ? b
+                                   : aux_type(in.aux) == DType::F32 ? fadd_bits(w, b)
+                                                                    : w + b;
+        if (post != w) return false;
         break;
       }
       case OpCode::Jmp:

@@ -189,11 +189,10 @@ struct LaunchResult {
   /// (DESIGN §10); every segment then counts as replayed.  The same kind of
   /// diagnostic as replayed_segments.
   bool replayed_in_one_step = false;
-  /// Instructions a replayed hung thread skipped by repeating a proven
-  /// cycle of its state, or the periods of a proven counter loop, up to the
-  /// watchdog (hang fast-forward, DESIGN §10);
-  /// they are counted in `instructions` like the interpreted ones, not in
-  /// replayed_instructions.  The same kind of diagnostic as
+  /// Instructions a replayed hung thread skipped: the periods of a loop
+  /// proven to run with no effect until the watchdog (hang fast-forward,
+  /// DESIGN §10).  They are counted in `instructions` like the interpreted
+  /// ones, not in replayed_instructions.  The same kind of diagnostic as
   /// replayed_segments.
   std::uint64_t fast_forwarded_instructions = 0;
   /// Shared-memory words replay wrote from the journal: applied segments'
@@ -321,8 +320,8 @@ struct LaunchOptions {
   /// checks, ControlBlock counters and outliers) do not happen, and skipped
   /// armed-site occurrences reach the hooks as one LaunchHooks::fi_skipped
   /// call.  A slice that has run past its golden segment and provably
-  /// repeats a state, or runs a counter loop, with no effect until the
-  /// watchdog charges those periods at once (hang fast-forward, DESIGN §10;
+  /// loops with no effect until the watchdog charges those periods at once
+  /// (hang fast-forward, DESIGN §10;
   /// LaunchResult::fast_forwarded_instructions).  A net-effect journal has
   /// no segments: a launch that cannot take it in one step runs as a plain
   /// full launch.

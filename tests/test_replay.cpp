@@ -1490,11 +1490,12 @@ struct LoopShape {
 }  // namespace
 
 // Hang fast-forward (DESIGN §10): a replayed slice past its golden segment
-// whose state repeats — same pc and registers, no memory word changed, no
-// hook call, the SDC bit held — or whose loop is a proven counter loop
-// (CounterLoopHangsFastForward) charges whole periods up to the watchdog at
-// once.  Every case compares the replay with the journal-less launch on
-// every LaunchResult field, the memory image and the control block.
+// whose loop is proven to run until the watchdog with no effect — its
+// branches, addresses and divisors affine in the period number and proven
+// up to the watchdog, every write leaving its word as it was, no hook call
+// (CounterLoopHangsFastForward) — charges whole periods at once.  Every
+// case compares the replay with the journal-less launch on every
+// LaunchResult field, the memory image and the control block.
 TEST(Replay, HungThreadsFastForwardOnlyWhenProvablyHung) {
   // (1) The spin loops on FI and FI&FT builds, a fault in `waddr`.
   for (const Spin kind : {Spin::SharedStore, Spin::GlobalStore, Spin::AtomicZero,
@@ -1657,6 +1658,9 @@ enum class Loop {
   NoMemory,       ///< RPES: float math on i alone
   GlobalStore,    ///< buf[i & 63] = i
   SharedStore,    ///< shared[i & 63] = i
+  Rewrite,        ///< buf[5] = 6 (the value it holds)
+  AtomicZero,     ///< atomic buf[5] += 0
+  FlipTwice,      ///< buf[5] = 0; buf[5] = 6 (its golden value)
   Detector,       ///< a range check on acc (detector 0)
   Wraparound,     ///< exits once i wraps negative, long before the watchdog
   LeavesArena,    ///< loads buf[i * 4096]: leaves the arena before the watchdog
@@ -1694,6 +1698,12 @@ kir::BytecodeProgram loop_program(Loop kind) {
       }
       case Loop::GlobalStore: kb.store(buf + (i & i32c(63)), i); break;
       case Loop::SharedStore: kb.shstore(i & i32c(63), i); break;
+      case Loop::Rewrite: kb.store(buf + i32c(5), i32c(6)); break;
+      case Loop::AtomicZero: kb.atomic_add(buf + i32c(5), i32c(0)); break;
+      case Loop::FlipTwice:
+        kb.store(buf + i32c(5), i32c(0));
+        kb.store(buf + i32c(5), i32c(6));
+        break;
       case Loop::Detector:
       case Loop::Wraparound: kb.assign(acc, acc ^ i); break;
       case Loop::LeavesArena: kb.assign(acc, acc + kb.load_i32(buf + i * i32c(4096))); break;
@@ -1743,10 +1753,12 @@ std::unique_ptr<core::KernelJob> loop_job(std::uint32_t input) {
 // whose branch conditions, load addresses and divisors are affine in the
 // period number and keep their direction, stay in the arena clear of latent
 // pairs, resp. stay nonzero up to the watchdog, and whose period has no
-// effect, is skipped at its first stop past the golden segment.  Each case
-// runs its hand-built loop with a sign-bit counter, replayed and as a full
-// launch, and must match it on every LaunchResult field and the memory
-// image; the CP- and RPES-like loops skip exactly whole - 1 periods.
+// effect — every write rewrites an invariant word, clear of latent pairs,
+// with the value it holds — is skipped at its first stop past the golden
+// segment.  Each case runs its hand-built loop with a sign-bit counter,
+// replayed and as a full launch, and must match it on every LaunchResult
+// field and the memory image; the loops with a straight-line body skip
+// exactly whole - 1 periods.
 TEST(Replay, CounterLoopHangsFastForward) {
   constexpr std::uint64_t kWatchdog = 200'000;
   struct Case {
@@ -1754,7 +1766,10 @@ TEST(Replay, CounterLoopHangsFastForward) {
     const char* what;
     gpusim::LaunchStatus status;
     bool fast;
-    bool latent = false;  ///< on a Hsiao device, an upset ahead of the loads
+    /// On a Hsiao device, `strikes` upsets of `mask` planted in word `word`
+    /// of `buf`.  Two cancel but leave the pair listed as latent; one in a
+    /// rewritten word is corrected by the loop's first rewrite.
+    std::uint32_t word = 0, mask = 0, strikes = 0;
   };
   using S = gpusim::LaunchStatus;
   const Case cases[] = {
@@ -1763,17 +1778,24 @@ TEST(Replay, CounterLoopHangsFastForward) {
       {Loop::NoMemory, "no memory", S::Hang, true},
       {Loop::GlobalStore, "global store", S::Hang, false},
       {Loop::SharedStore, "shared store", S::Hang, false},
+      {Loop::Rewrite, "invariant rewrite", S::Hang, true},
+      {Loop::AtomicZero, "atomic add of 0", S::Hang, true},
+      {Loop::FlipTwice, "two stores flip a word", S::Hang, false},
+      {Loop::Rewrite, "rewrite, latent pair", S::Hang, false, 5, 1u << 9, 2},
+      {Loop::AtomicZero, "atomic add of 0, latent pair", S::Hang, false, 5, 1u << 9, 2},
+      {Loop::Rewrite, "rewrite, upset corrected", S::Hang, true, 5, 1u << 9, 1},
       {Loop::Detector, "detector", S::Hang, false},
       {Loop::Wraparound, "wraparound", S::Ok, false},
       {Loop::LeavesArena, "leaves arena", S::CrashOutOfBounds, false},
-      {Loop::AffineLoads, "latent pair", S::Hang, false, true},
+      // Period 500 loads word 2000 of `buf`.
+      {Loop::AffineLoads, "latent pair", S::Hang, false, 2000, 1u << 9, 1},
       {Loop::LoadedDivisor, "loaded divisor", S::CrashDivByZero, false},
       {Loop::DataBranch, "data branch", S::Hang, false},
   };
   for (const Case& c : cases) {
     const kir::BytecodeProgram prog = loop_program(c.kind);
     gpusim::DeviceProps props;
-    if (c.latent) props.protection = gpusim::ecc::Scheme::Hsiao;
+    if (c.strikes != 0) props.protection = gpusim::ecc::Scheme::Hsiao;
     gpusim::Device gdev(props), fdev(props), rdev(props);
     const auto gjob = loop_job(0);
     core::ControlBlock gcb(prog), fcb(prog), rcb(prog);
@@ -1783,15 +1805,15 @@ TEST(Replay, CounterLoopHangsFastForward) {
     const std::uint32_t input = c.kind == Loop::Wraparound ? 1u : 0x80000000u;
     const auto fjob = loop_job(input), rjob = loop_job(input);
     const auto plant = [&](gpusim::Device& dev, const std::vector<kir::Value>& args) {
-      // Period 500 loads word 2000 of `buf`.
-      if (c.latent) dev.mem().corrupt_word(args[0].bits + 2000, 1u << 9);
+      for (std::uint32_t n = 0; n < c.strikes; ++n)
+        dev.mem().corrupt_word(args[0].bits + c.word, c.mask);
     };
     const HangRun full = hang_launch(fdev, *fjob, prog, hooks ? &fcb : nullptr, &fcb, nullptr,
                                      nullptr, kWatchdog, nullptr, plant);
     const HangRun rep = hang_launch(rdev, *rjob, prog, hooks ? &rcb : nullptr, &rcb, nullptr,
                                     nullptr, kWatchdog, gold.journal.get(), plant);
     EXPECT_EQ(full.obs.status, c.status) << c.what;
-    EXPECT_EQ(full.obs.ecc_corrected, c.latent ? 1u : 0u) << c.what;
+    EXPECT_EQ(full.obs.ecc_corrected, c.strikes % 2) << c.what;
     EXPECT_EQ(rep.obs, full.obs) << c.what;
     EXPECT_EQ(full.fast_forwarded, 0u) << c.what;
     if (!c.fast) {
